@@ -34,7 +34,6 @@ from .gumbel import (
     CfKernelEstimate,
     CfMdp,
     GumbelPosterior,
-    GumbelVector,
     build_cf_mdp,
     build_posterior,
     cf_transition,
@@ -42,10 +41,10 @@ from .gumbel import (
     load_posterior,
     nominal_cf_mdp,
     posterior_cache_key,
-    posterior_sample_rejection,
-    posterior_sample_topdown,
     prior_posterior,
+    rejection_noise,
     save_posterior,
+    topdown_noise,
 )
 from .influence import (
     InfluenceSets,

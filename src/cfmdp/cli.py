@@ -3,9 +3,7 @@ construction, pruning, solving, sweeps and rollouts.
 
 All outputs are deterministic given the flags (CSV bytes included); the
 manifest records input hashes and cache statistics so a sweep can be audited
-and reproduced. ``CFMDP_THREADS`` caps worker parallelism; the current
-implementation evaluates sweep cells sequentially, which respects any bound
-and keeps outputs independent of scheduling.
+and reproduced.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import CfmdpError, ValidationFailed
@@ -30,7 +27,7 @@ from .gumbel import (
     posterior_cache_key,
     save_posterior,
 )
-from .influence import MODE_STRICT, PrunedCfMdp, prune_cf_mdp, pruned_size_report
+from .influence import PrunedCfMdp, prune_cf_mdp, pruned_size_report
 from .mdp import (
     Mdp,
     ObservedPath,
@@ -59,52 +56,15 @@ POLICY_PRESETS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated sweep configuration."""
-
-    env: str | None
-    preset: str | None
-    mdp_file: str | None
-    path_file: str | None
-    horizon: int
-    seed: int
-    samples: int
-    sampler: str
-    k_values: list[int]
-    m_values: list[int]
-    mode: str
-    out_dir: str
-
-    def validate(self, T: int) -> None:
-        if self.samples < 1:
-            raise ValidationFailed("--samples must be >= 1")
-        if not self.k_values or min(self.k_values) < 1 or max(self.k_values) > T + 1:
-            raise ValidationFailed(f"k range must lie within [1, {T + 1}]")
-        if not self.m_values or min(self.m_values) < 0 or max(self.m_values) > T:
-            raise ValidationFailed(f"m range must lie within [0, {T}]")
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to sweep outputs."""
-
-    tool_version: str
-    created_unix: float
-    config: dict
-    input_hashes: dict
-    outputs: dict = field(default_factory=dict)
-    statistics: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "created_unix": self.created_unix,
-            "config": self.config,
-            "input_hashes": self.input_hashes,
-            "outputs": self.outputs,
-            "statistics": self.statistics,
-        }
+def _sweep_grid(args, T: int) -> tuple[list[int], list[int]]:
+    """The sweep's k and m values, checked against the path horizon T."""
+    k_values = list(range(args.k_min, (args.k_max or T + 1) + 1))
+    m_values = list(range(args.m_min, (args.m_max or T) + 1))
+    if not k_values or min(k_values) < 1 or max(k_values) > T + 1:
+        raise ValidationFailed(f"k range must lie within [1, {T + 1}]")
+    if not m_values or min(m_values) < 0 or max(m_values) > T:
+        raise ValidationFailed(f"m range must lie within [0, {T}]")
+    return k_values, m_values
 
 
 def _write_text(path: str, text: str) -> str:
@@ -120,21 +80,27 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_json(file: str):
+    """Parsed JSON of `file`; a missing or malformed file is a validation error."""
+    try:
+        with open(file) as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationFailed(f"cannot read JSON from {file}: {exc}") from exc
+
+
 def _load_mdp(file: str) -> Mdp:
-    with open(file) as fh:
-        return mdp_from_json(json.load(fh))
+    return mdp_from_json(_read_json(file))
 
 
 def _load_path(file: str) -> ObservedPath:
-    with open(file) as fh:
-        return path_from_json(json.load(fh))
+    return path_from_json(_read_json(file))
 
 
 def _env_overrides(args) -> dict:
     over = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        loaded = _read_json(args.config)
         if not isinstance(loaded, dict):
             raise ValidationFailed("--config must contain a JSON object")
         over.update(loaded)
@@ -143,8 +109,11 @@ def _env_overrides(args) -> dict:
         if val is not None:
             over[key] = val
     if getattr(args, "danger", None) is not None:
-        r, c = args.danger.split(",")
-        over["danger"] = (int(r), int(c))
+        try:
+            r, c = (int(x) for x in args.danger.split(","))
+        except ValueError:
+            raise ValidationFailed(f"--danger must be ROW,COL, got {args.danger!r}") from None
+        over["danger"] = (r, c)
     return over
 
 
@@ -217,7 +186,6 @@ def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
                             "probs": {k: v for k, v in sorted(est.probs.items())}})
     return {
         "k": pruned.k,
-        "mode": pruned.mode,
         "mdp_hash": mdp_hash(pruned.cf.mdp),
         "path": path_to_json(pruned.cf.path),
         "nodes_all_layers": pruned.nodes_all_layers,
@@ -242,7 +210,6 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
     return PrunedCfMdp(
         cf=cf,
         k=int(obj["k"]),
-        mode=str(obj["mode"]),
         layers=tuple(frozenset(layer) for layer in obj["layers"]),
         actions={(e["s"], int(e["t"])): tuple(e["actions"]) for e in obj["actions"]},
         nodes_all_layers=int(obj["nodes_all_layers"]),
@@ -266,7 +233,7 @@ def _posterior_cf(args, mdp: Mdp, path: ObservedPath) -> CfMdp:
 def cmd_prune(args) -> int:
     mdp, path = _load_mdp(args.mdp), _load_path(args.path)
     cf = _posterior_cf(args, mdp, path)
-    pruned = prune_cf_mdp(cf, mdp, path, args.k, mode=args.mode)
+    pruned = prune_cf_mdp(cf, mdp, path, args.k)
     _emit(json.dumps(_pruned_to_json(pruned), sort_keys=True, indent=2) + "\n", args.out)
     report = pruned_size_report(pruned)
     sys.stderr.write(
@@ -278,8 +245,7 @@ def cmd_prune(args) -> int:
 
 def cmd_solve(args) -> int:
     mdp = _load_mdp(args.mdp)
-    with open(args.pruned) as fh:
-        pruned = _pruned_from_json(json.load(fh), mdp)
+    pruned = _pruned_from_json(_read_json(args.pruned), mdp)
     policy = solve_km(pruned, pruned.cf.path, args.m)
     meta = {"samples": args.samples, "seed": args.seed, "mdp_hash": mdp_hash(mdp)}
     _emit(json.dumps(policy_to_json(policy, meta), sort_keys=True, indent=2) + "\n", args.out)
@@ -290,7 +256,7 @@ def cmd_solve(args) -> int:
 def _policy_from_json(obj: dict, pruned: PrunedCfMdp) -> CfPolicy:
     path = pruned.cf.path
     return CfPolicy(
-        k=int(obj["k"]), m=int(obj["m"]), mode=str(obj["mode"]),
+        k=int(obj["k"]), m=int(obj["m"]),
         initial_state=pruned.initial_state,
         observed_actions=tuple(path.action(t) for t in range(path.T)),
         action_table={(e["s"], int(e["t"]), int(e["j"])): e["a"] for e in obj["actions"]},
@@ -300,10 +266,8 @@ def _policy_from_json(obj: dict, pruned: PrunedCfMdp) -> CfPolicy:
 
 def cmd_rollout(args) -> int:
     mdp = _load_mdp(args.mdp)
-    with open(args.pruned) as fh:
-        pruned = _pruned_from_json(json.load(fh), mdp)
-    with open(args.policy) as fh:
-        policy = _policy_from_json(json.load(fh), pruned)
+    pruned = _pruned_from_json(_read_json(args.pruned), mdp)
+    policy = _policy_from_json(_read_json(args.policy), pruned)
     features = envs.environment_features(args.env) if args.env else {}
     if args.feature not in features:
         raise ValidationFailed(
@@ -320,22 +284,12 @@ def cmd_rollout(args) -> int:
 def cmd_sweep(args) -> int:
     mdp, path, obs_seed = _resolve_observation(args)
     T = path.T
+    k_values, m_values = _sweep_grid(args, T)
     posterior_seed = args.seed if args.seed is not None else 0
-    cfg = ExperimentConfig(
-        env=args.env, preset=getattr(args, "preset", None),
-        mdp_file=args.mdp, path_file=args.path,
-        horizon=T, seed=posterior_seed,
-        samples=args.samples, sampler=args.sampler,
-        k_values=list(range(args.k_min, (args.k_max or T + 1) + 1)),
-        m_values=list(range(args.m_min, (args.m_max or T) + 1)),
-        mode=args.mode, out_dir=args.out,
-    )
-    cfg.validate(T)
-    os.makedirs(args.out, exist_ok=True)
 
-    posterior = build_posterior(mdp, path, cfg.samples, cfg.sampler, posterior_seed)
+    posterior = build_posterior(mdp, path, args.samples, args.sampler, posterior_seed)
     cf = build_cf_mdp(posterior, mdp, path)
-    result = sweep(cf, path, cfg.k_values, cfg.m_values, mode=cfg.mode)
+    result = sweep(cf, path, k_values, m_values)
 
     violations = check_sweep_monotonicity(result)
     if violations:
@@ -346,6 +300,7 @@ def cmd_sweep(args) -> int:
         f"{r.k},{r.nodes_all_layers},{r.nodes_reachable},{r.distinct_states}"
         for r in result.sizes
     ]
+    os.makedirs(args.out, exist_ok=True)
     sweep_csv = os.path.join(args.out, "sweep.csv")
     sizes_csv = os.path.join(args.out, "sizes.csv")
     hashes = {
@@ -353,25 +308,24 @@ def cmd_sweep(args) -> int:
         "sizes.csv": _write_text(sizes_csv, "\n".join(size_lines) + "\n"),
     }
 
-    manifest = RunManifest(
-        tool_version=__version__,
-        created_unix=time.time(),
-        config={
-            "env": cfg.env, "preset": cfg.preset, "mdp_file": cfg.mdp_file,
-            "path_file": cfg.path_file, "horizon": cfg.horizon,
+    manifest = {
+        "tool_version": __version__,
+        "created_unix": time.time(),
+        "config": {
+            "env": args.env, "preset": args.preset, "mdp_file": args.mdp,
+            "path_file": args.path, "horizon": T,
             "observation_seed": obs_seed, "posterior_seed": posterior_seed,
-            "samples": cfg.samples, "sampler": cfg.sampler,
-            "k_values": cfg.k_values, "m_values": cfg.m_values, "mode": cfg.mode,
-            "threads": os.environ.get("CFMDP_THREADS", "1"),
+            "samples": args.samples, "sampler": args.sampler,
+            "k_values": k_values, "m_values": m_values,
         },
-        input_hashes={"mdp": mdp_hash(mdp), "path": path_hash(path),
-                      "posterior_key": posterior_cache_key(mdp, path, cfg.samples,
-                                                           cfg.sampler, posterior_seed)},
-        outputs=hashes,
-        statistics={"posterior_builds": 1, "cf_rows_built": result.cf_rows_built},
-    )
+        "input_hashes": {"mdp": mdp_hash(mdp), "path": path_hash(path),
+                         "posterior_key": posterior_cache_key(mdp, path, args.samples,
+                                                              args.sampler, posterior_seed)},
+        "outputs": hashes,
+        "statistics": {"cf_rows_built": result.cf_rows_built},
+    }
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest.to_json(), fh, sort_keys=True, indent=2)
+        json.dump(manifest, fh, sort_keys=True, indent=2)
     sys.stderr.write(f"wrote {sweep_csv}, {sizes_csv} and manifest.json\n")
     return EXIT_OK
 
@@ -430,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nominal", action="store_true",
                    help="use exact nominal rows instead of a posterior")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=["strict", "pooled"], default=MODE_STRICT)
     _add_shared(p)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prune)
@@ -453,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--m-min", type=int, default=1)
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--mode", choices=["strict", "pooled"], default=MODE_STRICT)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_sweep)
 

@@ -435,11 +435,6 @@ def environment_features(env: str) -> dict:
     raise UnknownEnvironment(f"unknown environment {env!r}")
 
 
-def default_feature(env: str) -> str:
-    return {"gridworld": "dist_to_goal", "epidemic": "infected",
-            "sepsis": "abnormal_vitals"}[env]
-
-
 def demo_observation(env: str, preset: str | None = None,
                      seed: int | None = None) -> tuple[Mdp, ObservedPath, Policy]:
     """Default environment, observed policy and frozen-seed observed path."""

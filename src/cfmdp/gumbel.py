@@ -32,19 +32,7 @@ SAMPLER_REJECTION = "rejection"
 SAMPLER_PRIOR = "prior"
 
 
-@dataclass(frozen=True)
-class GumbelVector:
-    """One exogenous noise vector: a Gumbel value per state, at time t."""
-
-    t: int
-    values: np.ndarray  # shape (|S|,), aligned with mdp.states
-
-
-def _as_values(g) -> np.ndarray:
-    return g.values if isinstance(g, GumbelVector) else np.asarray(g, dtype=np.float64)
-
-
-def gumbel_max_step(mdp: Mdp, s: State, a: Action, g) -> State:
+def gumbel_max_step(mdp: Mdp, s: State, a: Action, g: np.ndarray) -> State:
     """Apply the mechanism: argmax over support of log P(s''|s,a) + g(s'').
 
     Zero-probability states are excluded outright (their log-probability is a
@@ -52,8 +40,7 @@ def gumbel_max_step(mdp: Mdp, s: State, a: Action, g) -> State:
     state index.
     """
     idx, _, logp = mdp.row_arrays(s, a)
-    vals = _as_values(g)
-    return mdp.states[idx[int(np.argmax(logp + vals[idx]))]]
+    return mdp.states[idx[int(np.argmax(logp + g[idx]))]]
 
 
 def _winners(mdp: Mdp, s: State, a: Action, noise: np.ndarray) -> np.ndarray:
@@ -73,9 +60,12 @@ def _check_observation(mdp: Mdp, s: State, a: Action, s_next: State) -> int:
     return int(np.searchsorted(idx, mdp.state_index(s_next)))
 
 
-def _rejection_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Accepted prior vectors and total proposal count."""
+def rejection_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """n posterior noise vectors via rejection, and the proposal count.
+
+    Expected cost is n / P(s_next|s,a) proposals.
+    """
     obs_pos = _check_observation(mdp, s, a, s_next)
     idx, probs, logp = mdp.row_arrays(s, a)
     num_states = mdp.num_states
@@ -108,9 +98,9 @@ def _rejection_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
     return out, attempts
 
 
-def _topdown_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Exact posterior vectors without rejection (top-down construction).
+def topdown_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """n exact posterior noise vectors without rejection (top-down construction).
 
     The maximum of the probability-shifted Gumbels is sampled first and
     assigned to the observed state; the remaining support states get Gumbels
@@ -126,21 +116,6 @@ def _topdown_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
     out[:, idx] = trunc - logp[None, :]
     out[:, idx[obs_pos]] = top - logp[obs_pos]
     return out
-
-
-def posterior_sample_rejection(mdp: Mdp, s: State, a: Action, s_next: State,
-                               n: int, seed: int, return_attempts: bool = False):
-    """n posterior noise vectors via rejection; expected cost n / P(s_next|s,a)."""
-    rng = np.random.default_rng(seed)
-    samples, attempts = _rejection_noise(mdp, s, a, s_next, n, rng)
-    return (samples, attempts) if return_attempts else samples
-
-
-def posterior_sample_topdown(mdp: Mdp, s: State, a: Action, s_next: State,
-                             n: int, seed: int) -> np.ndarray:
-    """n exact posterior noise vectors; distributionally equal to rejection."""
-    rng = np.random.default_rng(seed)
-    return _topdown_noise(mdp, s, a, s_next, n, rng)
 
 
 @dataclass(frozen=True)
@@ -182,6 +157,8 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
     """
     if sampler not in (SAMPLER_TOPDOWN, SAMPLER_REJECTION, SAMPLER_PRIOR):
         raise ValidationFailed(f"unknown sampler {sampler!r}")
+    if n < 1:
+        raise ValidationFailed(f"posterior sample count must be >= 1, got {n}")
     layers: list[np.ndarray] = []
     for t in range(path.T):
         rng = _step_rng(seed, t)
@@ -191,9 +168,9 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
         s, a = path.steps[t]
         s_next = path.state(t + 1)
         if sampler == SAMPLER_TOPDOWN:
-            g = _topdown_noise(mdp, s, a, s_next, n, rng)
+            g = topdown_noise(mdp, s, a, s_next, n, rng)
         else:
-            g, _ = _rejection_noise(mdp, s, a, s_next, n, rng)
+            g, _ = rejection_noise(mdp, s, a, s_next, n, rng)
         obs_pos = _check_observation(mdp, s, a, s_next)
         if not np.all(_winners(mdp, s, a, g) == obs_pos):
             raise RuntimeError(f"posterior sample at t={t} fails to replay the observation")
@@ -251,10 +228,6 @@ class CfMdp:
     only touch a small fraction of (t, s, a) triples. With posterior=None the
     rows are the exact nominal kernel at every layer (the interventional MDP),
     which is useful for structural analysis and baselines.
-
-    The memo table behaves as a thread-safe cache under CPython: entries are
-    computed deterministically, so concurrent duplicate work yields identical
-    values and dict assignment is atomic.
     """
 
     mdp: Mdp

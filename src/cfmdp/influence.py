@@ -7,16 +7,6 @@ influenced pair. Pairs in the last k-1 decision steps (t >= T-k+1) are always
 admitted: the remaining path is too short to decide influence, so it is
 granted conservatively.
 
-Two admission modes are provided:
-
-* "strict" (default): influence is checked per time layer, exactly as the
-  1-step definition is stated. This reproduces the worked toy example
-  (S-sets and pruned sets) exactly.
-* "pooled": the union S^tau of all observed supports replaces the per-layer
-  sets; a pair is admitted when its source and entire nominal support lie in
-  the reverse-BFS set S^{tau,k}. This is the coarser formulation the reverse
-  BFS suggests, kept for comparison.
-
 After admission, the counterfactual MDP is reduced to a closed, reachable
 sub-MDP: actions whose counterfactual successors can leak outside are deleted,
 dead nodes cascade backwards, and only nodes forward-reachable from (s_0, 0)
@@ -32,9 +22,6 @@ import numpy as np
 from .errors import EmptyPrunedMdp, ValidationFailed
 from .gumbel import CfKernelEstimate, CfMdp
 from .mdp import Action, Mdp, ObservedPath, State
-
-MODE_STRICT = "strict"
-MODE_POOLED = "pooled"
 
 
 @dataclass(frozen=True)
@@ -118,7 +105,6 @@ class PrunedCfMdp:
 
     cf: CfMdp
     k: int
-    mode: str
     layers: tuple[frozenset[State], ...]
     actions: dict[tuple[State, int], tuple[Action, ...]]
     nodes_all_layers: int
@@ -145,84 +131,52 @@ class PrunedCfMdp:
         return frozenset().union(*self.layers) if self.layers else frozenset()
 
 
-class _Admission:
-    """Pair admission test for one (path, k, mode) pruning run."""
+def _admitted_actions(mdp: Mdp, path: ObservedPath, k: int) -> list[dict[State, list[Action]]]:
+    """Per decision layer t: each state's k-step-admitted actions.
 
-    def __init__(self, mdp: Mdp, path: ObservedPath, k: int, mode: str):
-        self.mdp = mdp
-        self.path = path
-        self.k = k
-        self.mode = mode
-        self.T = path.T
-        self.free_from = self.T - k + 1  # steps t >= free_from are always admitted
-        sets = influenced_states(mdp, path)
-        n = mdp.num_states
-        self._stau_t = []
-        for t in range(self.T):
-            mask = np.zeros(n, dtype=bool)
-            mask[[mdp.state_index(s) for s in sets.per_time[t]]] = True
-            self._stau_t.append(mask)
-        if mode == MODE_POOLED:
-            rb = reachback(mdp, sets, k)
-            mask = np.zeros(n, dtype=bool)
-            allowed = set(rb.reachback_states) | set(sets.path_states)
-            mask[[mdp.state_index(s) for s in allowed]] = True
-            self._pooled = mask
-        elif mode == MODE_STRICT:
-            self._frontiers = self._influence_frontiers()
-        else:
-            raise ValidationFailed(f"unknown pruning mode {mode!r}")
+    A pair (s, a) at t < T-k+1 is admitted when its nominal support meets
+    S^tau_t, or meets M[k-1][t+1], the states of layer t+1 with an influenced
+    pair within k-1 steps. M[d][t] holds the states with some action whose
+    support meets S^tau_t or M[d-1][t+1]; M[0] is empty. Actions keep their
+    availability order; states with no admitted action are absent.
+    """
+    T, n = path.T, mdp.num_states
+    pairs = [(s, a) for s in mdp.states for a in mdp.available_actions(s)]
+    rows = [mdp.row_arrays(s, a)[0] for s, a in pairs]
+    succ = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    owner = np.repeat(np.arange(len(pairs)), [len(r) for r in rows])
+    source = np.array([mdp.state_index(s) for s, _ in pairs], dtype=np.int64)
 
-    def _influence_frontiers(self) -> list[list[np.ndarray]]:
-        """M[d][t]: states at layer t with an influenced pair within d steps."""
-        mdp, T = self.mdp, self.T
-        n = mdp.num_states
-        i1 = []
-        for t in range(T):
-            mask = np.zeros(n, dtype=bool)
-            for s in mdp.states:
-                for a in mdp.available_actions(s):
-                    idx, _, _ = mdp.row_arrays(s, a)
-                    if self._stau_t[t][idx].any():
-                        mask[mdp.state_index(s)] = True
-                        break
-            i1.append(mask)
-        frontiers: list[list[np.ndarray]] = [[np.zeros(n, dtype=bool)] * T, i1]
-        for d in range(2, self.k):
-            prev = frontiers[d - 1]
-            layer = []
-            for t in range(T):
-                mask = i1[t].copy()
-                if t + 1 < T:
-                    nxt = prev[t + 1]
-                    for s in mdp.states:
-                        si = mdp.state_index(s)
-                        if mask[si]:
-                            continue
-                        for a in mdp.available_actions(s):
-                            idx, _, _ = mdp.row_arrays(s, a)
-                            if nxt[idx].any():
-                                mask[si] = True
-                                break
-                layer.append(mask)
-            frontiers.append(layer)
-        return frontiers
+    def pair_hits(target: np.ndarray) -> np.ndarray:
+        """Pairs whose nominal support meets the boolean state mask `target`."""
+        return np.bincount(owner, weights=target[succ], minlength=len(pairs)) > 0
 
-    def admitted(self, s: State, a: Action, t: int) -> bool:
-        if t >= self.free_from:
-            return True
-        idx, _, _ = self.mdp.row_arrays(s, a)
-        if self.mode == MODE_POOLED:
-            return bool(self._pooled[self.mdp.state_index(s)] and self._pooled[idx].all())
-        if self._stau_t[t][idx].any():
-            return True
-        if self.k >= 2 and t + 1 < self.T:
-            return bool(self._frontiers[self.k - 1][t + 1][idx].any())
-        return False
+    stau = []
+    for support in influenced_states(mdp, path).per_time:
+        mask = np.zeros(n, dtype=bool)
+        mask[[mdp.state_index(s) for s in support]] = True
+        stau.append(mask)
+
+    empty = np.zeros(n, dtype=bool)
+    frontier = [empty] * (T + 1)  # M[d][t]; layer T is always empty
+    for _ in range(k - 1):
+        hits = [pair_hits(stau[t] | frontier[t + 1]) for t in range(T)]
+        frontier = [np.bincount(source, weights=h, minlength=n) > 0 for h in hits] + [empty]
+
+    free_from = T - k + 1  # steps t >= free_from are always admitted
+    table: list[dict[State, list[Action]]] = []
+    for t in range(T):
+        hits = (np.ones(len(pairs), dtype=bool) if t >= free_from
+                else pair_hits(stau[t] | frontier[t + 1]))
+        layer: dict[State, list[Action]] = {}
+        for p in np.flatnonzero(hits):
+            s, a = pairs[p]
+            layer.setdefault(s, []).append(a)
+        table.append(layer)
+    return table
 
 
-def prune_cf_mdp(cf: CfMdp, mdp: Mdp, path: ObservedPath, k: int,
-                 mode: str = MODE_STRICT) -> PrunedCfMdp:
+def prune_cf_mdp(cf: CfMdp, mdp: Mdp, path: ObservedPath, k: int) -> PrunedCfMdp:
     """Restrict `cf` to k-step-influenced transitions, then close and trim.
 
     Admission is decided on the nominal transition graph (the influence
@@ -232,7 +186,7 @@ def prune_cf_mdp(cf: CfMdp, mdp: Mdp, path: ObservedPath, k: int,
     if k < 1:
         raise ValidationFailed("pruning requires k >= 1")
     T = path.T
-    adm = _Admission(mdp, path, k, mode)
+    admitted = _admitted_actions(mdp, path, k)
 
     # Forward sweep: candidate nodes reachable through admitted pairs.
     candidates: list[set[State]] = [set() for _ in range(T + 1)]
@@ -240,10 +194,9 @@ def prune_cf_mdp(cf: CfMdp, mdp: Mdp, path: ObservedPath, k: int,
     admitted_pairs: dict[int, list[tuple[State, Action]]] = {t: [] for t in range(T)}
     for t in range(T):
         for s in sorted(candidates[t], key=mdp.state_index):
-            for a in mdp.available_actions(s):
-                if adm.admitted(s, a, t):
-                    admitted_pairs[t].append((s, a))
-                    candidates[t + 1].update(cf.support(t, s, a))
+            for a in admitted[t].get(s, ()):
+                admitted_pairs[t].append((s, a))
+                candidates[t + 1].update(cf.support(t, s, a))
 
     # Backward closure: drop actions that can leak onto dead nodes; a node with
     # no surviving action is dead and cascades to its predecessors.
@@ -277,28 +230,19 @@ def prune_cf_mdp(cf: CfMdp, mdp: Mdp, path: ObservedPath, k: int,
     layers = tuple(frozenset(reach[t]) for t in range(T))
 
     return PrunedCfMdp(
-        cf=cf, k=k, mode=mode, layers=layers, actions=actions,
-        nodes_all_layers=_count_all_layers(mdp, adm, T),
+        cf=cf, k=k, layers=layers, actions=actions,
+        nodes_all_layers=_count_all_layers(mdp, admitted),
     )
 
 
-def _count_all_layers(mdp: Mdp, adm: _Admission, T: int) -> int:
+def _count_all_layers(mdp: Mdp, admitted: list[dict[State, list[Action]]]) -> int:
     """Admitted (state, layer) count before reachability, terminal layer included.
 
     This is the Table-1 convention: at k = T+1 it equals |S| * (T+1).
     """
-    total = 0
-    terminal: set[int] = set()
-    for t in range(T):
-        for s in mdp.states:
-            acts = [a for a in mdp.available_actions(s) if adm.admitted(s, a, t)]
-            if acts:
-                total += 1
-                if t == T - 1:
-                    for a in acts:
-                        idx, _, _ = mdp.row_arrays(s, a)
-                        terminal.update(int(i) for i in idx)
-    return total + len(terminal)
+    terminal = {int(i) for s, acts in admitted[-1].items() for a in acts
+                for i in mdp.row_arrays(s, a)[0]}
+    return sum(len(layer) for layer in admitted) + len(terminal)
 
 
 def pruned_size_report(pruned: PrunedCfMdp) -> SizeReport:

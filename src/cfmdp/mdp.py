@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -117,7 +119,7 @@ class ObservedPath:
 
 @dataclass(frozen=True)
 class Policy:
-    """Deterministic time-dependent policy; stationary is the time-constant case.
+    """Deterministic time-dependent policy.
 
     The wrapped function may return None for (state, time) pairs it does not
     cover; consumers raise UndefinedPolicyAction when such a pair is reached.
@@ -127,10 +129,6 @@ class Policy:
 
     def action(self, s: State, t: int) -> Action | None:
         return self.fn(s, t)
-
-    @staticmethod
-    def stationary(table: Mapping[State, Action]) -> "Policy":
-        return Policy(lambda s, t: table.get(s))
 
     @staticmethod
     def tabular(table: Mapping[tuple[State, int], Action]) -> "Policy":
@@ -158,6 +156,8 @@ def validate_mdp(mdp: Mdp) -> ValidationReport:
     bad: list[str] = []
     known = set(mdp.states)
     known_actions = set(mdp.actions)
+    for kind, labels in (("state", mdp.states), ("action", mdp.actions)):
+        bad.extend(f"duplicate {kind} label {x}" for x, c in Counter(labels).items() if c > 1)
 
     for (s, a), row in mdp.kernel.items():
         if s not in known:
@@ -168,6 +168,8 @@ def validate_mdp(mdp: Mdp) -> ValidationReport:
         for s2, p in row.items():
             if s2 not in known:
                 bad.append(f"row ({s},{a}) references unknown state {s2}")
+            if not math.isfinite(p):
+                bad.append(f"row ({s},{a}) has non-finite probability {p!r} at {s2}")
             if p < 0:
                 bad.append(f"row ({s},{a}) has negative probability {p!r} at {s2}")
             total += p
@@ -178,6 +180,8 @@ def validate_mdp(mdp: Mdp) -> ValidationReport:
     for s, p in mdp.initial.items():
         if s not in known:
             bad.append(f"initial distribution references unknown state {s}")
+        if not math.isfinite(p):
+            bad.append(f"initial distribution has non-finite probability {p!r} at {s}")
         if p < 0:
             bad.append(f"initial distribution has negative probability {p!r} at {s}")
         total += p

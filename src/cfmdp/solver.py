@@ -31,7 +31,6 @@ class CfPolicy:
 
     k: int
     m: int
-    mode: str
     initial_state: State
     observed_actions: tuple[Action, ...]
     action_table: dict[tuple[State, int, int], Action]
@@ -109,7 +108,7 @@ def solve_km(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> CfPolicy:
     if v0 == NEG_INF:
         raise InfeasibleBudget(f"no feasible policy at m={m}")
     return CfPolicy(
-        k=pruned.k, m=m, mode=pruned.mode, initial_state=s0,
+        k=pruned.k, m=m, initial_state=s0,
         observed_actions=tuple(path.action(t) for t in range(T)),
         action_table=action_table, value_table=values, v_s0=v0,
     )
@@ -120,8 +119,7 @@ def policy_to_json(policy: CfPolicy, meta: dict | None = None) -> dict:
         {"t": t, "s": s, "j": j, "a": a}
         for (s, t, j), a in sorted(policy.action_table.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2]))
     ]
-    out = {"k": policy.k, "m": policy.m, "mode": policy.mode, "v_s0": policy.v_s0,
-           "actions": entries}
+    out = {"k": policy.k, "m": policy.m, "v_s0": policy.v_s0, "actions": entries}
     if meta:
         out["meta"] = meta
     return out
@@ -136,8 +134,7 @@ class SweepResult:
     cf_rows_built: int
 
 
-def sweep(cf: CfMdp, path: ObservedPath, ks: list[int], ms: list[int],
-          mode: str = "strict") -> SweepResult:
+def sweep(cf: CfMdp, path: ObservedPath, ks: list[int], ms: list[int]) -> SweepResult:
     """Solve every (k, m) cell, reusing one posterior and one CF row cache.
 
     Each k is pruned once and solved once at the largest m; smaller budgets
@@ -149,7 +146,7 @@ def sweep(cf: CfMdp, path: ObservedPath, ks: list[int], ms: list[int],
     rows: list[tuple[int, int, float]] = []
     sizes: list[SizeReport] = []
     for k in ks:
-        pruned = prune_cf_mdp(cf, cf.mdp, path, k, mode=mode)
+        pruned = prune_cf_mdp(cf, cf.mdp, path, k)
         sizes.append(pruned_size_report(pruned))
         policy = solve_km(pruned, path, m_max)
         for m in ms:

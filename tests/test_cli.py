@@ -155,7 +155,9 @@ def test_sweep_cli_epidemic(tmp_path, capsys):
     sizes = (out_dir / "sizes.csv").read_text().strip().splitlines()
     assert sizes[0] == "k,nodes_all_layers,nodes_reachable,distinct_states"
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["statistics"]["posterior_builds"] == 1
+    assert manifest["statistics"]["cf_rows_built"] > 0
+    assert "posterior_builds" not in manifest["statistics"]
+    assert "threads" not in manifest["config"]
     assert manifest["outputs"]["sweep.csv"]
 
 
@@ -185,3 +187,67 @@ def test_prune_nominal_mode(tmp_path, capsys):
                        "--nominal", "--k", "1", "--out", str(tmp_path / "pruned.json"))
     assert code == 0
     assert "nodes_reachable=11" in err
+
+
+@pytest.mark.parametrize("command", ["cf-build", "prune", "sweep"])
+def test_zero_samples_exits_2(command, artifact_dir, tmp_path, capsys):
+    argv = [command, "--mdp", str(artifact_dir / "mdp.json"),
+            "--path", str(artifact_dir / "path.json"), "--samples", "0"]
+    argv += {"cf-build": ["--out", str(tmp_path / "post.npz")],
+             "prune": ["--k", "1"],
+             "sweep": ["--out", str(tmp_path / "sweep")]}[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "sample count" in err
+    assert not any(tmp_path.iterdir())
+
+
+# One CLI call per JSON read; {bad} is the unreadable file, {d} holds valid artifacts.
+JSON_READS = {
+    "mdp": "prune --mdp {bad} --path {d}/path.json --nominal --k 1",
+    "path": "prune --mdp {d}/mdp.json --path {bad} --nominal --k 1",
+    "config": "env epidemic --config {bad}",
+    "solve-pruned": "solve --mdp {d}/mdp.json --pruned {bad} --m 1",
+    "rollout-pruned": "rollout --mdp {d}/mdp.json --pruned {bad} --policy {d}/policy.json"
+                      " --env epidemic --feature infected -n 5",
+    "rollout-policy": "rollout --mdp {d}/mdp.json --pruned {d}/pruned.json --policy {bad}"
+                      " --env epidemic --feature infected -n 5",
+}
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "\x89PNG"],
+                         ids=["missing", "malformed", "binary"])
+@pytest.mark.parametrize("read", sorted(JSON_READS))
+def test_unreadable_json_exits_2(read, content, artifact_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_bytes(content.encode("latin-1"))
+    code, _, err = run(capsys, *JSON_READS[read].format(d=artifact_dir, bad=bad).split())
+    assert code == 2
+    assert err.startswith("error:") and str(bad) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("danger", ["1", "1,x", "1,2,3"])
+def test_env_bad_danger_exits_2(danger, capsys):
+    code, out, err = run(capsys, "env", "gridworld", "--danger", danger)
+    assert code == 2
+    assert err.startswith("error:") and "--danger" in err
+    assert out == "" and "Traceback" not in err
+
+
+def test_artifacts_with_legacy_mode_key_still_load(artifact_dir, tmp_path, capsys):
+    pruned = json.loads((artifact_dir / "pruned.json").read_text())
+    policy = json.loads((artifact_dir / "policy.json").read_text())
+    assert "mode" not in pruned and "mode" not in policy
+    pruned["mode"] = policy["mode"] = "strict"
+    (tmp_path / "pruned.json").write_text(json.dumps(pruned))
+    (tmp_path / "policy.json").write_text(json.dumps(policy))
+    mdp = str(artifact_dir / "mdp.json")
+    code, _, err = run(capsys, "solve", "--mdp", mdp, "--pruned", str(tmp_path / "pruned.json"),
+                       "--m", "1")
+    assert code == 0 and "V(s0) = -1.0" in err
+    code, _, _ = run(capsys, "rollout", "--mdp", mdp, "--pruned", str(tmp_path / "pruned.json"),
+                     "--policy", str(tmp_path / "policy.json"), "--env", "epidemic",
+                     "--feature", "infected", "-n", "5", "--out", str(tmp_path / "r.csv"))
+    assert code == 0

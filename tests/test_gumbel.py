@@ -10,10 +10,10 @@ from cfmdp.gumbel import (
     gumbel_max_step,
     load_posterior,
     nominal_cf_mdp,
-    posterior_sample_rejection,
-    posterior_sample_topdown,
     prior_posterior,
+    rejection_noise,
     save_posterior,
+    topdown_noise,
 )
 from cfmdp.mdp import Mdp, ObservedPath
 
@@ -66,8 +66,7 @@ def test_gumbel_max_matches_categorical_oracle():
 
 def test_rejection_deterministic_acceptance():
     mdp = row_mdp({"x1": 1.0})
-    samples, attempts = posterior_sample_rejection(mdp, "s", "a", "x1", 1000, seed=0,
-                                                   return_attempts=True)
+    samples, attempts = rejection_noise(mdp, "s", "a", "x1", 1000, np.random.default_rng(0))
     assert samples.shape[0] == 1000
     assert attempts == 1000  # acceptance rate exactly 1
 
@@ -75,8 +74,7 @@ def test_rejection_deterministic_acceptance():
 def test_rejection_acceptance_rate_matches_probability():
     mdp = row_mdp({"x1": 0.9, "x2": 0.1})
     n = 10_000
-    samples, attempts = posterior_sample_rejection(mdp, "s", "a", "x2", n, seed=4,
-                                                   return_attempts=True)
+    samples, attempts = rejection_noise(mdp, "s", "a", "x2", n, np.random.default_rng(4))
     rate = n / attempts
     assert abs(rate - 0.1) < 0.01
     # Every accepted vector replays the observation.
@@ -87,14 +85,14 @@ def test_rejection_acceptance_rate_matches_probability():
 def test_rejection_zero_probability_errors():
     mdp = row_mdp({"x1": 0.9, "x2": 0.1}, extra_rows={("x1", "a"): {"x1": 1.0}})
     with pytest.raises(ZeroProbabilityObservation):
-        posterior_sample_rejection(mdp, "s", "a", "s", 10, seed=0)
+        rejection_noise(mdp, "s", "a", "s", 10, np.random.default_rng(0))
     with pytest.raises(ZeroProbabilityObservation):
-        posterior_sample_topdown(mdp, "s", "a", "s", 10, seed=0)
+        topdown_noise(mdp, "s", "a", "s", 10, np.random.default_rng(0))
 
 
 def test_topdown_always_replays():
     mdp = row_mdp({"x1": 0.5, "x2": 0.4, "x3": 0.1})
-    samples = posterior_sample_topdown(mdp, "s", "a", "x3", 5000, seed=5)
+    samples = topdown_noise(mdp, "s", "a", "x3", 5000, np.random.default_rng(5))
     idx, _, logp = mdp.row_arrays("s", "a")
     wins = np.argmax(logp[None, :] + samples[:, idx], axis=1)
     assert np.all(idx[wins] == mdp.state_index("x3"))
@@ -107,8 +105,8 @@ def test_topdown_matches_rejection_downstream():
     other = {("s", "b"): {"x1": 0.3, "x2": 0.3, "x3": 0.4}}
     mdp = row_mdp(probs, extra_rows=other)
     n = 100_000
-    top = posterior_sample_topdown(mdp, "s", "a", "x3", n, seed=6)
-    rej = posterior_sample_rejection(mdp, "s", "a", "x3", n, seed=7)
+    top = topdown_noise(mdp, "s", "a", "x3", n, np.random.default_rng(6))
+    rej, _ = rejection_noise(mdp, "s", "a", "x3", n, np.random.default_rng(7))
     idx, _, logp = mdp.row_arrays("s", "b")
 
     def row_freqs(noise):
@@ -122,7 +120,7 @@ def test_topdown_matches_rejection_downstream():
 def test_topdown_off_support_marginal_is_prior():
     # The observed row never reaches "z"; its posterior must equal the prior.
     mdp = row_mdp({"x1": 0.7, "x2": 0.3}, extra_rows={("z", "a"): {"z": 1.0}})
-    samples = posterior_sample_topdown(mdp, "s", "a", "x2", 100_000, seed=8)
+    samples = topdown_noise(mdp, "s", "a", "x2", 100_000, np.random.default_rng(8))
     z_col = samples[:, mdp.state_index("z")]
     ks = stats.kstest(z_col, stats.gumbel_r.cdf)
     assert ks.statistic < 0.01
@@ -284,6 +282,13 @@ def test_build_posterior_rejects_unknown_sampler(tinychain):
         build_posterior(tinychain, path, 10, "bogus", seed=0)
 
 
+def test_build_posterior_rejects_empty_sample(tinychain):
+    path = ObservedPath((("x0", "a"), ("x2", "a")))
+    for sampler in ("topdown", "rejection", "prior"):
+        with pytest.raises(ValidationFailed, match="sample count"):
+            build_posterior(tinychain, path, 0, sampler, seed=0)
+
+
 def test_rejection_attempt_cap_fails_loudly():
     from cfmdp.errors import RejectionBudgetExceeded
 
@@ -291,7 +296,7 @@ def test_rejection_attempt_cap_fails_loudly():
     # 1e7 per requested sample trips first.
     mdp = row_mdp({"x1": 1.0 - 1e-9, "x2": 1e-9})
     with pytest.raises(RejectionBudgetExceeded):
-        posterior_sample_rejection(mdp, "s", "a", "x2", 1, seed=0)
+        rejection_noise(mdp, "s", "a", "x2", 1, np.random.default_rng(0))
 
 
 def test_cf_mdp_rejects_mismatched_posterior(tinychain):

@@ -4,6 +4,7 @@ import pytest
 from cfmdp.errors import EmptyPrunedMdp, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import (
+    _admitted_actions,
     influenced_states,
     one_step_influenced,
     prune_cf_mdp,
@@ -136,6 +137,35 @@ def test_prune_monotone_in_k(fig2_toy):
         previous = (nodes, pairs)
 
 
+def reference_admitted(mdp, path, k, t, s, a):
+    """The k-step definition read literally: (s, a) at t is admitted when it is
+    1-step influenced, or some nominal continuation of at most k-1 further
+    steps holds an influenced pair; the last k-1 steps are always admitted."""
+    T = path.T
+
+    def within(t, s, a, d):
+        if one_step_influenced(mdp, path, t, s, a):
+            return True
+        return d > 0 and t + 1 < T and any(
+            within(t + 1, s2, a2, d - 1)
+            for s2 in mdp.row(s, a) for a2 in mdp.available_actions(s2))
+
+    return t >= T - k + 1 or within(t, s, a, k - 1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_admission_matches_literal_definition(seed):
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, 6, 2, support_max=2)
+    path = sample_path(mdp, Policy.constant("a0"), 4, seed=seed)
+    for k in range(1, path.T + 2):
+        table = _admitted_actions(mdp, path, k)
+        for t in range(path.T):
+            for s in mdp.states:
+                for a in mdp.available_actions(s):
+                    assert (a in table[t].get(s, ())) == reference_admitted(mdp, path, k, t, s, a)
+
+
 def test_prune_monotone_random_mdp():
     rng = np.random.default_rng(21)
     mdp = random_mdp(rng, 5, 2, support_max=3)
@@ -221,14 +251,3 @@ def test_prune_empty_raises():
     with pytest.raises(EmptyPrunedMdp):
         prune_cf_mdp(cf, mdp, path, 1)
 
-
-def test_prune_pooled_mode_is_coarser(fig2_toy):
-    # Pooled admission ignores time alignment, so it keeps at least as much.
-    mdp, path = fig2_toy
-    cf = nominal_cf_mdp(mdp, path)
-    for k in (1, 2, 3):
-        strict = prune_cf_mdp(cf, mdp, path, k, mode="strict")
-        pooled = prune_cf_mdp(cf, mdp, path, k, mode="pooled")
-        s_nodes = {(s, t) for t, layer in enumerate(strict.layers) for s in layer}
-        p_nodes = {(s, t) for t, layer in enumerate(pooled.layers) for s in layer}
-        assert s_nodes <= p_nodes

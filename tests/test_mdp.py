@@ -54,6 +54,34 @@ def test_validate_initial_sum():
     assert any("initial distribution sums" in v for v in validate_mdp(mdp).violations)
 
 
+def test_validate_rejects_nan_probability():
+    mdp = Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s0": 1.0, "s1": float("nan")}},
+              {}, {"s0": 1.0})
+    assert any("non-finite probability" in v for v in validate_mdp(mdp).violations)
+    obj = mdp_to_json(chain_mdp())
+    obj["transitions"][0]["to"] = {"s1": 1.0, "s2": float("nan")}
+    with pytest.raises(ValidationFailed, match="non-finite"):
+        mdp_from_json(obj)
+
+
+def test_validate_rejects_nan_initial_probability():
+    mdp = Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s1": 1.0}}, {},
+              {"s0": 1.0, "s1": float("nan")})
+    assert any("non-finite probability" in v for v in validate_mdp(mdp).violations)
+
+
+def test_validate_rejects_duplicate_labels():
+    kernel = {("a", "x"): {"b": 1.0}, ("b", "x"): {"b": 1.0}}
+    mdp = Mdp(("a", "a", "b"), ("x",), kernel, {}, {"a": 1.0})
+    assert any("duplicate state label a" in v for v in validate_mdp(mdp).violations)
+    mdp = Mdp(("a", "b"), ("x", "x"), kernel, {}, {"a": 1.0})
+    assert any("duplicate action label x" in v for v in validate_mdp(mdp).violations)
+    obj = mdp_to_json(chain_mdp())
+    obj["states"].append("s0")
+    with pytest.raises(ValidationFailed, match="duplicate"):
+        mdp_from_json(obj)
+
+
 def test_sample_path_deterministic_chain():
     path = sample_path(chain_mdp(), Policy.constant("a"), 2, seed=0)
     assert path.steps == (("s0", "a"), ("s1", "a"))

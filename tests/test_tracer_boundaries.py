@@ -1,0 +1,53 @@
+"""The benchmark tracer rebinds library names from outside; they must exist.
+
+`perfbench/tracer.py` is loaded read-only from its file. A boundary name that
+no longer resolves would silently turn a per-layer metric into `untraced`, and
+a counter that reads a renamed attribute would fail only under `--trace 1`.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cfmdp.gumbel import build_cf_mdp, build_posterior
+from cfmdp.influence import prune_cf_mdp
+from cfmdp.solver import rollout, solve_km
+
+TRACER_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_boundary_resolves(tracer):
+    assert tracer.BOUNDARIES
+    missing = [f"{module}.{attr}" for module, attr, _, _ in tracer.BOUNDARIES
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+
+
+def test_counters_read_existing_attributes(tracer, fig2_toy):
+    mdp, path = fig2_toy
+    posterior = build_posterior(mdp, path, 50, "topdown", seed=0)
+    pruned = prune_cf_mdp(build_cf_mdp(posterior, mdp, path), mdp, path, 2)
+    policy = solve_km(pruned, path, 1)
+    summary = rollout(pruned, policy, 4, lambda s: 0.0, seed=0)
+    counters = {name: counter for _, _, name, counter in tracer.BOUNDARIES if counter}
+    counts = {
+        "gumbel.posterior": counters["gumbel.posterior"]((), {}, posterior),
+        "influence.prune": counters["influence.prune"]((), {}, pruned),
+        "solver.solve": counters["solver.solve"]((pruned, path, 1), {}, policy),
+        "solver.rollout": counters["solver.rollout"]((pruned, policy), {}, summary),
+    }
+    assert set(counts) == set(counters)
+    assert counts["influence.prune"]["nodes_reachable"] > 0
+    assert counts["solver.rollout"] == {"rollout_steps": 4 * path.T}
+    assert np.isfinite(counts["gumbel.posterior"]["posterior_mb"])
