@@ -15,6 +15,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .errors import CfmdpError, ValidationFailed
 from .gumbel import (
@@ -178,49 +180,65 @@ def cmd_cf_build(args) -> int:
 
 
 def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
+    """Artifact contents; each kernel's "probs" is its CfKernelEstimate, which
+    the encoder turns into a {label: probability} dict (see cmd_prune)."""
+    nodes = sorted(pruned.actions.items(), key=lambda kv: (kv[0][1], kv[0][0]))
     kernels = []
-    for (s, t), acts in sorted(pruned.actions.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+    for (s, t), acts in nodes:
         for a in acts:
             est = pruned.kernel(t, s, a)
-            kernels.append({"t": t, "s": s, "a": a, "n": est.n,
-                            "probs": {k: v for k, v in sorted(est.probs.items())}})
+            kernels.append({"t": t, "s": s, "a": a, "n": est.n, "probs": est})
     return {
         "k": pruned.k,
         "mdp_hash": mdp_hash(pruned.cf.mdp),
         "path": path_to_json(pruned.cf.path),
         "nodes_all_layers": pruned.nodes_all_layers,
         "layers": [sorted(layer) for layer in pruned.layers],
-        "actions": [
-            {"s": s, "t": t, "actions": list(acts)}
-            for (s, t), acts in sorted(pruned.actions.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        ],
+        "actions": [{"s": s, "t": t, "actions": list(acts)} for (s, t), acts in nodes],
         "kernels": kernels,
     }
 
 
+def _layer(t, T: int) -> int:
+    """Artifact time index t, checked to be a decision layer 0..T-1."""
+    if not 0 <= int(t) < T:
+        raise ValidationFailed(f"time {t!r} outside decision layers 0..{T - 1}")
+    return int(t)
+
+
 def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
-    if obj["mdp_hash"] != mdp_hash(mdp):
-        raise ValidationFailed("pruned artifact was built from a different MDP")
-    path = path_from_json(obj["path"])
-    cf = CfMdp(mdp, path, None)
-    for entry in obj["kernels"]:
-        est = CfKernelEstimate(entry["t"], entry["s"], entry["a"],
-                               {k: float(v) for k, v in entry["probs"].items()}, int(entry["n"]))
-        cf._cache[(est.t, est.s, est.a)] = est
-    return PrunedCfMdp(
-        cf=cf,
-        k=int(obj["k"]),
-        layers=tuple(frozenset(layer) for layer in obj["layers"]),
-        actions={(e["s"], int(e["t"])): tuple(e["actions"]) for e in obj["actions"]},
-        nodes_all_layers=int(obj["nodes_all_layers"]),
-    )
+    """The pruned MDP stored by `_pruned_to_json`; a malformed artifact is a
+    validation error."""
+    try:
+        if obj["mdp_hash"] != mdp_hash(mdp):
+            raise ValidationFailed("pruned artifact was built from a different MDP")
+        path = path_from_json(obj["path"])
+        T, table = path.T, mdp.pair_table()
+        cf = CfMdp(mdp, path, None)
+        for entry in obj["kernels"]:
+            t, s, a = _layer(entry["t"], T), entry["s"], entry["a"]
+            row = sorted((mdp.state_index(k), float(v)) for k, v in entry["probs"].items() if v > 0)
+            cf._cache[(t, s, a)] = CfKernelEstimate(
+                t, s, a, np.array([i for i, _ in row], dtype=np.int64),
+                np.array([p for _, p in row]), int(entry["n"]), mdp.states)
+        if len(obj["layers"]) != T:
+            raise ValidationFailed(f"pruned artifact has {len(obj['layers'])} layers, path has {T}")
+        reach = tuple(np.zeros(mdp.num_states, dtype=bool) for _ in range(T))
+        for t, layer in enumerate(obj["layers"]):
+            reach[t][[mdp.state_index(s) for s in layer]] = True
+        pair_index = {pair: p for p, pair in enumerate(table.pairs)}
+        usable = tuple(np.zeros(len(table.pairs), dtype=bool) for _ in range(T))
+        for e in obj["actions"]:
+            usable[_layer(e["t"], T)][[pair_index[(e["s"], a)] for a in e["actions"]]] = True
+        return PrunedCfMdp(cf=cf, k=int(obj["k"]), reach=reach, usable=usable,
+                           nodes_all_layers=int(obj["nodes_all_layers"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationFailed(f"malformed pruned artifact: {exc!r}") from exc
 
 
 def _posterior_cf(args, mdp: Mdp, path: ObservedPath) -> CfMdp:
     if args.posterior:
-        posterior = load_posterior(args.posterior)
-        if posterior.source_mdp_hash != mdp_hash(mdp):
-            raise ValidationFailed("posterior artifact was built from a different MDP")
+        posterior = load_posterior(args.posterior, mdp)
         if posterior.path.steps != path.steps:
             raise ValidationFailed("posterior artifact was built from a different path")
         return build_cf_mdp(posterior, mdp, path)
@@ -234,7 +252,11 @@ def cmd_prune(args) -> int:
     mdp, path = _load_mdp(args.mdp), _load_path(args.path)
     cf = _posterior_cf(args, mdp, path)
     pruned = prune_cf_mdp(cf, mdp, path, args.k)
-    _emit(json.dumps(_pruned_to_json(pruned), sort_keys=True, indent=2) + "\n", args.out)
+    # Each row becomes a label dict only while it is encoded, so the label
+    # dicts of all rows never exist at once.
+    text = json.dumps(_pruned_to_json(pruned), sort_keys=True, indent=2,
+                      default=lambda est: est.probs)
+    _emit(text + "\n", args.out)
     report = pruned_size_report(pruned)
     sys.stderr.write(
         f"k={report.k} nodes_all_layers={report.nodes_all_layers} "
@@ -254,14 +276,27 @@ def cmd_solve(args) -> int:
 
 
 def _policy_from_json(obj: dict, pruned: PrunedCfMdp) -> CfPolicy:
-    path = pruned.cf.path
-    return CfPolicy(
-        k=int(obj["k"]), m=int(obj["m"]),
-        initial_state=pruned.initial_state,
-        observed_actions=tuple(path.action(t) for t in range(path.T)),
-        action_table={(e["s"], int(e["t"]), int(e["j"])): e["a"] for e in obj["actions"]},
-        value_table=[], v_s0=float(obj["v_s0"]),
-    )
+    """The policy stored by `policy_to_json`; a malformed artifact is a
+    validation error."""
+    mdp, path = pruned.cf.mdp, pruned.cf.path
+    try:
+        m = int(obj["m"])
+        if not 0 <= m <= path.T:
+            raise ValidationFailed(f"policy budget m={m} outside 0..{path.T}")
+        choices = [np.full((mdp.num_states, m + 1), -1, dtype=np.int64) for _ in range(path.T)]
+        for e in obj["actions"]:
+            j = int(e["j"])
+            if not 0 <= j <= m:
+                raise ValidationFailed(f"policy entry uses {j!r} changes, outside 0..{m}")
+            choices[_layer(e["t"], path.T)][mdp.state_index(e["s"]), m - j] = mdp.action_index(e["a"])
+        return CfPolicy(
+            k=int(obj["k"]), m=m, mdp=mdp,
+            initial_state=pruned.initial_state,
+            observed_actions=tuple(path.action(t) for t in range(path.T)),
+            choices=choices, values=[], v_s0=float(obj["v_s0"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationFailed(f"malformed policy artifact: {exc!r}") from exc
 
 
 def cmd_rollout(args) -> int:

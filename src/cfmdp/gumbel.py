@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,24 +184,32 @@ def prior_posterior(mdp: Mdp, path: ObservedPath, n: int, seed: int = 0) -> Gumb
     return build_posterior(mdp, path, n, sampler=SAMPLER_PRIOR, seed=seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class CfKernelEstimate:
-    """Empirical counterfactual transition row at (t, s, a)."""
+    """Empirical counterfactual transition row at (t, s, a).
+
+    `idx` holds the successor state indices in ascending order and `p` their
+    probabilities, non-zero entries only; `states` maps indices to labels.
+    """
 
     t: int
     s: State
     a: Action
-    probs: dict[State, float]
+    idx: np.ndarray
+    p: np.ndarray
     n: int
+    states: tuple[State, ...]
+
+    @property
+    def probs(self) -> dict[State, float]:
+        return {self.states[i]: float(p) for i, p in zip(self.idx.tolist(), self.p.tolist())}
 
     @property
     def support(self) -> tuple[State, ...]:
-        return tuple(s for s, p in self.probs.items() if p > 0.0)
+        return tuple(self.states[i] for i in self.idx.tolist())
 
-    def as_arrays(self, mdp: Mdp) -> tuple[np.ndarray, np.ndarray]:
-        items = sorted(((mdp.state_index(s), p) for s, p in self.probs.items() if p > 0.0))
-        idx = np.array([i for i, _ in items], dtype=np.int64)
-        return idx, np.array([p for _, p in items], dtype=np.float64)
+    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.idx, self.p
 
 
 def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, s: State, a: Action) -> CfKernelEstimate:
@@ -214,9 +223,8 @@ def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, s: State, a: Act
     idx, _, _ = mdp.row_arrays(s, a)
     wins = _winners(mdp, s, a, posterior.vectors(t))
     counts = np.bincount(wins, minlength=idx.shape[0])
-    probs = {mdp.states[idx[i]]: counts[i] / posterior.n
-             for i in range(idx.shape[0]) if counts[i] > 0}
-    return CfKernelEstimate(t, s, a, probs, posterior.n)
+    hit = counts > 0
+    return CfKernelEstimate(t, s, a, idx[hit], counts[hit] / posterior.n, posterior.n, mdp.states)
 
 
 @dataclass
@@ -227,7 +235,8 @@ class CfMdp:
     through the posterior and memoized, since pruning and dynamic programming
     only touch a small fraction of (t, s, a) triples. With posterior=None the
     rows are the exact nominal kernel at every layer (the interventional MDP),
-    which is useful for structural analysis and baselines.
+    which is useful for structural analysis and baselines. Each row is built
+    once and kept as index/probability arrays; `rows_built` counts them.
     """
 
     mdp: Mdp
@@ -262,16 +271,13 @@ class CfMdp:
             if t >= self.horizon:
                 raise ValidationFailed(f"time {t} outside horizon {self.horizon}")
             if self.posterior is None:
-                row = self.mdp.row(s, a)
-                est = CfKernelEstimate(t, s, a, dict(row), 0)
+                idx, p, _ = self.mdp.row_arrays(s, a)
+                est = CfKernelEstimate(t, s, a, idx, p, 0, self.mdp.states)
             else:
                 est = cf_transition(self.posterior, self.mdp, t, s, a)
             self._cache[key] = est
             self.rows_built += 1
         return est
-
-    def support(self, t: int, s: State, a: Action) -> tuple[State, ...]:
-        return self.kernel(t, s, a).support
 
 
 def build_cf_mdp(posterior: GumbelPosterior, mdp: Mdp, path: ObservedPath) -> CfMdp:
@@ -311,17 +317,31 @@ def save_posterior(posterior: GumbelPosterior, file) -> None:
     np.savez_compressed(file, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
-def load_posterior(file) -> GumbelPosterior:
+def load_posterior(file, mdp: Mdp) -> GumbelPosterior:
+    """Read a `save_posterior` artifact built for `mdp`.
+
+    A missing or unreadable file, a missing step array, or noise whose shape
+    is not (n, |S|) raises ValidationFailed.
+    """
     from .mdp import path_from_json
 
-    with np.load(file) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        noise = tuple(data[f"g{t}"] for t in range(len(meta["path"]["steps"])))
-    return GumbelPosterior(
-        noise=noise,
-        n=int(meta["n"]),
-        sampler=str(meta["sampler"]),
-        seed=int(meta["seed"]),
-        path=path_from_json(meta["path"]),
-        source_mdp_hash=str(meta["mdp_hash"]),
-    )
+    try:
+        with np.load(file) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            n, steps = int(meta["n"]), meta["path"]["steps"]
+            noise = tuple(data[f"g{t}"] for t in range(len(steps)))
+        posterior = GumbelPosterior(
+            noise=noise, n=n, sampler=str(meta["sampler"]), seed=int(meta["seed"]),
+            path=path_from_json(meta["path"]), source_mdp_hash=str(meta["mdp_hash"]),
+        )
+    except (OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValidationFailed(f"cannot read posterior artifact {file}: {exc!r}") from exc
+    if posterior.source_mdp_hash != mdp_hash(mdp):
+        raise ValidationFailed("posterior artifact was built from a different MDP")
+    for t, g in enumerate(noise):
+        if g.shape != (n, mdp.num_states) or g.dtype != np.float64:
+            raise ValidationFailed(
+                f"posterior step g{t} has shape {g.shape} and dtype {g.dtype}, "
+                f"expected ({n}, {mdp.num_states}) float64"
+            )
+    return posterior

@@ -16,6 +16,7 @@ remain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,22 +93,42 @@ class SizeReport:
     distinct_states: int
 
 
-@dataclass
+@dataclass(frozen=True)
+class _Closure:
+    """What a prune at horizon k leaves for any prune at a smaller k.
+
+    `hits[d][t]` marks the pairs whose nominal support meets S^tau_t or
+    M[d][t+1], for d = 0..k-1. `rows[t]` is the layer's counterfactual rows
+    as a built-pair mask plus (owner pair, successor) entries: the admitted
+    pairs at the nodes the forward sweep reached. `alive[t]` (t = 0..T) and
+    `closed[t]` are the nodes and pairs left by the backward closure.
+    """
+
+    hits: list[list[np.ndarray]]
+    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    alive: list[np.ndarray]
+    closed: list[np.ndarray]
+
+
+@dataclass(eq=False)
 class PrunedCfMdp:
     """Closed, reachable restriction of a counterfactual MDP.
 
-    `layers[t]` lists the allowed states of decision layer t (t = 0..T-1); the
+    `reach[t]` marks the allowed states of decision layer t (t = 0..T-1) and
+    `usable[t]` the allowed pairs of `mdp.pair_table()` at those states; the
     terminal layer T is implicit and unrestricted (influence is always granted
-    at the horizon boundary). `actions[(s, t)]` is the allowed action tuple at
-    an allowed node: every counterfactual successor of an allowed action is
-    itself allowed (no probability mass leaks outside).
+    at the horizon boundary). Every counterfactual successor of an allowed
+    pair is itself allowed (no probability mass leaks outside). `layers` and
+    `actions` give the same sets by label. `closure` is None for a pruned MDP
+    read back from an artifact.
     """
 
     cf: CfMdp
     k: int
-    layers: tuple[frozenset[State], ...]
-    actions: dict[tuple[State, int], tuple[Action, ...]]
+    reach: tuple[np.ndarray, ...]
+    usable: tuple[np.ndarray, ...]
     nodes_all_layers: int
+    closure: _Closure | None = None
 
     @property
     def horizon(self) -> int:
@@ -117,8 +138,23 @@ class PrunedCfMdp:
     def initial_state(self) -> State:
         return self.cf.initial_state
 
+    @cached_property
+    def layers(self) -> tuple[frozenset[State], ...]:
+        states = self.cf.mdp.states
+        return tuple(frozenset(states[i] for i in np.flatnonzero(r).tolist()) for r in self.reach)
+
+    @cached_property
+    def actions(self) -> dict[tuple[State, int], tuple[Action, ...]]:
+        pairs = self.cf.mdp.pair_table().pairs
+        out: dict[tuple[State, int], list[Action]] = {}
+        for t, usable in enumerate(self.usable):
+            for p in np.flatnonzero(usable).tolist():
+                s, a = pairs[p]
+                out.setdefault((s, t), []).append(a)
+        return {node: tuple(acts) for node, acts in out.items()}
+
     def allowed_node(self, s: State, t: int) -> bool:
-        return t < self.horizon and s in self.layers[t]
+        return t < self.horizon and bool(self.reach[t][self.cf.mdp.state_index(s)])
 
     def allowed_actions(self, s: State, t: int) -> tuple[Action, ...]:
         return self.actions.get((s, t), ())
@@ -131,125 +167,144 @@ class PrunedCfMdp:
         return frozenset().union(*self.layers) if self.layers else frozenset()
 
 
-def _admitted_actions(mdp: Mdp, path: ObservedPath, k: int) -> list[dict[State, list[Action]]]:
-    """Per decision layer t: each state's k-step-admitted actions.
+def _admission_hits(mdp: Mdp, path: ObservedPath, depth: int) -> list[list[np.ndarray]]:
+    """hits[d][t] for d = 0..depth: pairs at t admitted through M[d].
 
-    A pair (s, a) at t < T-k+1 is admitted when its nominal support meets
-    S^tau_t, or meets M[k-1][t+1], the states of layer t+1 with an influenced
-    pair within k-1 steps. M[d][t] holds the states with some action whose
-    support meets S^tau_t or M[d-1][t+1]; M[0] is empty. Actions keep their
-    availability order; states with no admitted action are absent.
+    A pair (s, a) at t < T-k+1 is k-step admitted when its nominal support
+    meets S^tau_t, or meets M[k-1][t+1], the states of layer t+1 with an
+    influenced pair within k-1 steps: that is hits[k-1][t]. M[d][t] holds the
+    states with some pair in hits[d-1][t]; M[0] and layer T are empty.
     """
     T, n = path.T, mdp.num_states
-    pairs = [(s, a) for s in mdp.states for a in mdp.available_actions(s)]
-    rows = [mdp.row_arrays(s, a)[0] for s, a in pairs]
-    succ = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    owner = np.repeat(np.arange(len(pairs)), [len(r) for r in rows])
-    source = np.array([mdp.state_index(s) for s, _ in pairs], dtype=np.int64)
+    table = mdp.pair_table()
+    num_pairs = len(table.pairs)
 
     def pair_hits(target: np.ndarray) -> np.ndarray:
         """Pairs whose nominal support meets the boolean state mask `target`."""
-        return np.bincount(owner, weights=target[succ], minlength=len(pairs)) > 0
+        return np.bincount(table.owner, weights=target[table.succ], minlength=num_pairs) > 0
 
-    stau = []
-    for support in influenced_states(mdp, path).per_time:
-        mask = np.zeros(n, dtype=bool)
-        mask[[mdp.state_index(s) for s in support]] = True
-        stau.append(mask)
+    stau = [np.bincount(mdp.row_arrays(s, a)[0], minlength=n) > 0 for s, a in path.steps]
 
     empty = np.zeros(n, dtype=bool)
-    frontier = [empty] * (T + 1)  # M[d][t]; layer T is always empty
-    for _ in range(k - 1):
-        hits = [pair_hits(stau[t] | frontier[t + 1]) for t in range(T)]
-        frontier = [np.bincount(source, weights=h, minlength=n) > 0 for h in hits] + [empty]
-
-    free_from = T - k + 1  # steps t >= free_from are always admitted
-    table: list[dict[State, list[Action]]] = []
-    for t in range(T):
-        hits = (np.ones(len(pairs), dtype=bool) if t >= free_from
-                else pair_hits(stau[t] | frontier[t + 1]))
-        layer: dict[State, list[Action]] = {}
-        for p in np.flatnonzero(hits):
-            s, a = pairs[p]
-            layer.setdefault(s, []).append(a)
-        table.append(layer)
-    return table
+    frontier = [empty] * (T + 1)  # M[d][t]
+    hits: list[list[np.ndarray]] = []
+    for d in range(depth + 1):
+        hits.append([pair_hits(stau[t] | frontier[t + 1]) for t in range(T)])
+        if d < depth:
+            frontier = [np.bincount(table.source, weights=h, minlength=n) > 0
+                        for h in hits[-1]] + [empty]
+    return hits
 
 
-def prune_cf_mdp(cf: CfMdp, mdp: Mdp, path: ObservedPath, k: int) -> PrunedCfMdp:
+def _admitted(k: int, hits: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Per decision layer t: the k-step-admitted pairs (every pair at t >= T-k+1)."""
+    T = len(hits[0])
+    everything = np.ones_like(hits[0][0])
+    return [everything if t >= T - k + 1 else hits[k - 1][t] for t in range(T)]
+
+
+def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Forward sweep from s_0 through admitted pairs, building their CF rows.
+
+    Per layer: the mask of pairs built (admitted at a node the sweep reached)
+    and their counterfactual supports as (owner pair, successor) entries.
+    """
+    mdp = cf.mdp
+    table = mdp.pair_table()
+    nodes = np.bincount([mdp.state_index(cf.initial_state)], minlength=mdp.num_states) > 0
+    rows = []
+    for t, adm in enumerate(admitted):
+        built = adm & nodes[table.source]
+        ids = np.flatnonzero(built)
+        supports = [cf.kernel(t, *table.pairs[p]).idx for p in ids.tolist()]
+        succ = np.concatenate(supports) if supports else np.zeros(0, dtype=np.int64)
+        owner = np.repeat(ids, [len(x) for x in supports])
+        rows.append((built, owner, succ))
+        nodes = np.bincount(succ, minlength=mdp.num_states) > 0
+    return rows
+
+
+def prune_cf_mdp(cf: CfMdp, mdp: Mdp, path: ObservedPath, k: int,
+                 base: PrunedCfMdp | None = None) -> PrunedCfMdp:
     """Restrict `cf` to k-step-influenced transitions, then close and trim.
 
     Admission is decided on the nominal transition graph (the influence
     definitions live there); closure and reachability run on the
     counterfactual supports, which are subsets of the nominal ones.
+
+    `base`, a prune of the same `cf` at a larger horizon, shares its work:
+    the admission frontiers, the counterfactual rows it built, and its
+    closure on the free layers t >= T-k+1, where every pair is admitted and
+    the closure does not depend on k. Only the constrained layers and the
+    reachability pass are recomputed, and the result equals a prune without
+    `base`.
     """
     if k < 1:
         raise ValidationFailed("pruning requires k >= 1")
-    T = path.T
-    admitted = _admitted_actions(mdp, path, k)
+    T, n = path.T, mdp.num_states
+    table = mdp.pair_table()
+    if base is None:
+        hits = _admission_hits(mdp, path, k - 1)
+        shared_from = T
+    else:
+        if base.closure is None or base.cf is not cf or base.k < k:
+            raise ValidationFailed("base must be a prune of the same counterfactual MDP at k or more")
+        hits = base.closure.hits
+        shared_from = max(T - k + 1, 0)  # the free layers
+    admitted = _admitted(k, hits)
+    rows = _cf_rows(cf, admitted) if base is None else base.closure.rows
 
-    # Forward sweep: candidate nodes reachable through admitted pairs.
-    candidates: list[set[State]] = [set() for _ in range(T + 1)]
-    candidates[0] = {path.state(0)}
-    admitted_pairs: dict[int, list[tuple[State, Action]]] = {t: [] for t in range(T)}
-    for t in range(T):
-        for s in sorted(candidates[t], key=mdp.state_index):
-            for a in admitted[t].get(s, ()):
-                admitted_pairs[t].append((s, a))
-                candidates[t + 1].update(cf.support(t, s, a))
-
-    # Backward closure: drop actions that can leak onto dead nodes; a node with
-    # no surviving action is dead and cascades to its predecessors.
-    alive: list[set[State]] = [set() for _ in range(T + 1)]
-    alive[T] = set(mdp.states)  # horizon boundary: influence always granted
-    usable: dict[tuple[State, int], list[Action]] = {}
+    # Backward closure: drop pairs that can leak onto dead nodes; a node with
+    # no surviving pair is dead and cascades to its predecessors.
+    alive: list = [None] * T + [np.ones(n, dtype=bool)]
+    closed: list = [None] * T
     for t in range(T - 1, -1, -1):
-        for s, a in admitted_pairs[t]:
-            if all(s2 in alive[t + 1] for s2 in cf.support(t, s, a)):
-                usable.setdefault((s, t), []).append(a)
-                alive[t].add(s)
+        if t >= shared_from:
+            alive[t], closed[t] = base.closure.alive[t], base.closure.closed[t]
+            continue
+        built, owner, succ = rows[t]
+        leaks = np.zeros(len(table.pairs), dtype=bool)
+        leaks[owner[~alive[t + 1][succ]]] = True
+        closed[t] = built & admitted[t] & ~leaks
+        alive[t] = np.bincount(table.source[closed[t]], minlength=n) > 0
 
-    if (path.state(0), 0) not in usable:
+    s0 = mdp.state_index(path.state(0))
+    if not alive[0][s0]:
         raise EmptyPrunedMdp(
             f"k={k} pruning left no usable action at the initial node; "
             "the counterfactual kernel is inconsistent with the path"
         )
 
-    # Forward reachability over usable pairs; successors are alive by closure.
-    reach: list[set[State]] = [set() for _ in range(T)]
-    reach[0] = {path.state(0)}
-    for t in range(T - 1):
-        for s in reach[t]:
-            for a in usable.get((s, t), ()):
-                reach[t + 1].update(s2 for s2 in cf.support(t, s, a) if s2 in alive[t + 1])
-
-    actions = {
-        (s, t): tuple(sorted(usable[(s, t)], key=mdp.action_index))
-        for t in range(T) for s in reach[t] if (s, t) in usable
-    }
-    layers = tuple(frozenset(reach[t]) for t in range(T))
+    # Forward reachability over closed pairs; successors are alive by closure.
+    reach, usable = [], []
+    nodes = np.bincount([s0], minlength=n) > 0
+    for t in range(T):
+        _, owner, succ = rows[t]
+        usable.append(closed[t] & nodes[table.source])
+        reach.append(nodes)
+        nodes = np.bincount(succ[usable[t][owner]], minlength=n) > 0
 
     return PrunedCfMdp(
-        cf=cf, k=k, layers=layers, actions=actions,
+        cf=cf, k=k, reach=tuple(reach), usable=tuple(usable),
         nodes_all_layers=_count_all_layers(mdp, admitted),
+        closure=_Closure(hits, rows, alive, closed),
     )
 
 
-def _count_all_layers(mdp: Mdp, admitted: list[dict[State, list[Action]]]) -> int:
+def _count_all_layers(mdp: Mdp, admitted: list[np.ndarray]) -> int:
     """Admitted (state, layer) count before reachability, terminal layer included.
 
     This is the Table-1 convention: at k = T+1 it equals |S| * (T+1).
     """
-    terminal = {int(i) for s, acts in admitted[-1].items() for a in acts
-                for i in mdp.row_arrays(s, a)[0]}
-    return sum(len(layer) for layer in admitted) + len(terminal)
+    table, n = mdp.pair_table(), mdp.num_states
+    layers = [table.source[adm] for adm in admitted] + [table.succ[admitted[-1][table.owner]]]
+    return sum(int(np.count_nonzero(np.bincount(idx, minlength=n))) for idx in layers)
 
 
 def pruned_size_report(pruned: PrunedCfMdp) -> SizeReport:
-    nodes = sum(len(layer) for layer in pruned.layers)
     return SizeReport(
         k=pruned.k,
         nodes_all_layers=pruned.nodes_all_layers,
-        nodes_reachable=nodes,
-        distinct_states=len(pruned.allowed_states),
+        nodes_reachable=sum(int(r.sum()) for r in pruned.reach),
+        distinct_states=int(np.logical_or.reduce(pruned.reach).sum()),
     )

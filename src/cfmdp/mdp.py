@@ -47,6 +47,7 @@ class Mdp:
         object.__setattr__(self, "_aidx", {a: i for i, a in enumerate(self.actions)})
         object.__setattr__(self, "_row_arrays", {})
         object.__setattr__(self, "_avail", {})
+        object.__setattr__(self, "_pairs", None)
 
     @property
     def num_states(self) -> int:
@@ -94,6 +95,40 @@ class Mdp:
 
     def reward(self, s: State, a: Action) -> float:
         return self.rewards.get((s, a), 0.0)
+
+    def pair_table(self) -> PairTable:
+        """Every (state, action) row as integer arrays; built once per MDP."""
+        if self._pairs is None:
+            pairs = tuple((s, a) for s in self.states for a in self.available_actions(s))
+            rows = [sorted(self._sidx[x] for x in self.kernel[pair]) for pair in pairs]
+            source = np.array([self._sidx[s] for s, _ in pairs], dtype=np.int64)
+            object.__setattr__(self, "_pairs", PairTable(
+                pairs=pairs,
+                source=source,
+                action=np.array([self._aidx[a] for _, a in pairs], dtype=np.int64),
+                start=np.searchsorted(source, np.arange(self.num_states + 1)),
+                owner=np.repeat(np.arange(len(pairs)), [len(r) for r in rows]),
+                succ=np.array([i for row in rows for i in row], dtype=np.int64),
+            ))
+        return self._pairs
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """The (state, action) pairs that have a kernel row, indexed 0..P-1.
+
+    Pair p is (state `source[p]`, action `action[p]`) by index. Pairs are
+    ordered by state index, then action index, so the pairs of state i are
+    `start[i]:start[i+1]`. `owner` and `succ` list the nominal support:
+    entry e is successor `succ[e]` of pair `owner[e]`, ascending within a pair.
+    """
+
+    pairs: tuple[tuple[State, Action], ...]
+    source: np.ndarray
+    action: np.ndarray
+    start: np.ndarray
+    owner: np.ndarray
+    succ: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -292,13 +327,16 @@ def mdp_to_json(mdp: Mdp) -> dict:
 
 
 def mdp_from_json(obj: Mapping) -> Mdp:
-    """Load an MDP, renormalizing rows within PROB_TOL and rejecting worse."""
+    """Load an MDP, renormalizing rows within PROB_TOL and rejecting worse.
+
+    Zero-probability entries are dropped, so every stored entry is support.
+    """
     try:
         states = tuple(str(s) for s in obj["states"])
         actions = tuple(str(a) for a in obj["actions"])
         kernel: dict[tuple[State, Action], dict[State, float]] = {}
         for tr in obj["transitions"]:
-            row = {str(s2): float(p) for s2, p in tr["to"].items()}
+            row = {str(s2): float(p) for s2, p in tr["to"].items() if float(p) != 0.0}
             total = sum(row.values())
             if abs(total - 1.0) > PROB_TOL:
                 raise ValidationFailed(

@@ -16,109 +16,122 @@ import numpy as np
 from .errors import InfeasibleBudget, ValidationFailed
 from .gumbel import CfMdp
 from .influence import PrunedCfMdp, SizeReport, prune_cf_mdp, pruned_size_report
-from .mdp import Action, ObservedPath, State
+from .mdp import Action, Mdp, ObservedPath, State
 
 NEG_INF = float("-inf")
 
 
-@dataclass
+@dataclass(eq=False)
 class CfPolicy:
     """Action map over (state, time, changes used) with its value tables.
 
-    `value_table[t][s]` is a vector over remaining budget r = 0..m, so the
-    conventional V_t(s, j) with j changes used is entry r = m - j.
+    `values[t]` (t = 0..T) and `choices[t]` (t = 0..T-1) are (|S|, m+1) arrays
+    over state index and remaining budget r = 0..m, so the conventional
+    V_t(s, j) with j changes used is entry r = m - j. Values are -inf and
+    choices (action indices) -1 where no feasible action exists or the node
+    is outside the pruned MDP.
     """
 
     k: int
     m: int
+    mdp: Mdp
     initial_state: State
     observed_actions: tuple[Action, ...]
-    action_table: dict[tuple[State, int, int], Action]
-    value_table: list[dict[State, np.ndarray]]
+    choices: list[np.ndarray]
+    values: list[np.ndarray]
     v_s0: float
 
     def action(self, s: State, t: int, j: int) -> Action | None:
-        return self.action_table.get((s, t, j))
+        if not 0 <= j <= self.m:
+            return None
+        a = int(self.choices[t][self.mdp.state_index(s), self.m - j])
+        return None if a < 0 else self.mdp.actions[a]
 
     def value(self, s: State, t: int, j: int) -> float:
-        return float(self.value_table[t][s][self.m - j])
+        return float(self.values[t][self.mdp.state_index(s), self.m - j])
 
     def initial_value(self, m: int | None = None) -> float:
         """V(s_0) under budget cap m (m <= the solved cap)."""
         m = self.m if m is None else m
         if not 0 <= m <= self.m:
             raise ValidationFailed(f"budget {m} outside solved range 0..{self.m}")
-        return float(self.value_table[0][self.initial_state][m])
+        return float(self.values[0][self.mdp.state_index(self.initial_state), m])
 
 
-def _ordered_actions(pruned: PrunedCfMdp, s: State, t: int, observed: Action) -> list[Action]:
-    # Observed action first so value ties resolve toward replay.
-    acts = pruned.allowed_actions(s, t)
-    ordered = [a for a in acts if a == observed]
-    ordered.extend(a for a in acts if a != observed)
-    return ordered
-
-
-def solve_km(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> CfPolicy:
+def solve_km(pruned: PrunedCfMdp, path: ObservedPath, m: int,
+             base: CfPolicy | None = None) -> CfPolicy:
     """Optimal policy changing at most m observed actions on the pruned MDP.
 
     Bellman recursion on (s, t, r): the observed action at time t costs no
     budget anywhere, any other action costs one unit. Infeasible nodes carry
     -inf and are avoided upstream; replaying the observed path is always
     feasible, so the initial node is always finite.
+
+    `base`, the policy solved at the same m on the prune that `pruned` was
+    derived from (a larger k), supplies the rows of the free layers
+    t >= T-k+1: there the pruned MDPs agree, so the values and choices are
+    the same. (The same m, because np.dot over the contiguous budget column
+    of an m = 0 table can round differently from a strided column.)
     """
     T = pruned.horizon
     if not 0 <= m <= T:
         raise ValidationFailed(f"budget m={m} outside 0..{T}")
     if path.steps != pruned.cf.path.steps:
         raise ValidationFailed("path does not match the one the pruned MDP was built from")
+    if base is not None and (base.k < pruned.k or base.m != m):
+        raise ValidationFailed("base policy must be solved at the same m and at k or more")
     mdp = pruned.cf.mdp
+    table = mdp.pair_table()
+    n = mdp.num_states
+    shared_from = T if base is None else max(T - pruned.k + 1, 0)
 
-    values: list[dict[State, np.ndarray]] = [dict() for _ in range(T + 1)]
-    action_table: dict[tuple[State, int, int], Action] = {}
-
+    start, action = table.start.tolist(), table.action.tolist()
+    values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
+    choices = [np.full((n, m + 1), -1, dtype=np.int64) for _ in range(T)]
     for t in range(T - 1, -1, -1):
-        obs_a = path.action(t)
+        nodes = pruned.reach[t]
+        if t >= shared_from:
+            values[t][nodes] = base.values[t][nodes]
+            choices[t][nodes] = base.choices[t][nodes]
+            continue
+        obs_a = mdp.action_index(path.action(t))
         v_next = values[t + 1]
-        for s in sorted(pruned.layers[t], key=mdp.state_index):
-            best = np.full(m + 1, NEG_INF)
-            best_a: list[Action | None] = [None] * (m + 1)
-            for a in _ordered_actions(pruned, s, t, obs_a):
-                cost = 0 if a == obs_a else 1
-                est = pruned.kernel(t, s, a)
-                idx, probs = est.as_arrays(mdp)
-                succs = [mdp.states[i] for i in idx]
-                if t + 1 == T:
-                    child = np.zeros((len(succs), m + 1))
-                else:
-                    child = np.stack([v_next[s2] for s2 in succs])
+        usable = pruned.usable[t].tolist()
+        for si in np.flatnonzero(nodes).tolist():
+            pairs = [p for p in range(start[si], start[si + 1]) if usable[p]]
+            # Observed action first so value ties resolve toward replay.
+            pairs.sort(key=lambda p: action[p] != obs_a)
+            best = values[t][si]
+            best_a = choices[t][si]
+            for p in pairs:
+                s, a = table.pairs[p]
+                cost = 0 if action[p] == obs_a else 1
+                idx, probs = pruned.kernel(t, s, a).as_arrays()
+                child = v_next[idx]
                 r_reward = mdp.reward(s, a)
                 for r in range(cost, m + 1):
                     q = r_reward + float(np.dot(probs, child[:, r - cost]))
                     if q > best[r]:
                         best[r] = q
-                        best_a[r] = a
-            values[t][s] = best
-            for r in range(m + 1):
-                if best_a[r] is not None:
-                    action_table[(s, t, m - r)] = best_a[r]
+                        best_a[r] = action[p]
 
-    s0 = pruned.initial_state
-    v0 = float(values[0][s0][m])
+    v0 = float(values[0][mdp.state_index(pruned.initial_state), m])
     if v0 == NEG_INF:
         raise InfeasibleBudget(f"no feasible policy at m={m}")
     return CfPolicy(
-        k=pruned.k, m=m, initial_state=s0,
+        k=pruned.k, m=m, mdp=mdp, initial_state=pruned.initial_state,
         observed_actions=tuple(path.action(t) for t in range(T)),
-        action_table=action_table, value_table=values, v_s0=v0,
+        choices=choices, values=values, v_s0=v0,
     )
 
 
 def policy_to_json(policy: CfPolicy, meta: dict | None = None) -> dict:
-    entries = [
-        {"t": t, "s": s, "j": j, "a": a}
-        for (s, t, j), a in sorted(policy.action_table.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2]))
-    ]
+    states, actions, m = policy.mdp.states, policy.mdp.actions, policy.m
+    entries = []
+    for t, chosen in enumerate(policy.choices):
+        for si in sorted(np.flatnonzero((chosen >= 0).any(axis=1)).tolist(), key=states.__getitem__):
+            entries.extend({"t": t, "s": states[si], "j": j, "a": actions[chosen[si, m - j]]}
+                           for j in range(m + 1) if chosen[si, m - j] >= 0)
     out = {"k": policy.k, "m": policy.m, "v_s0": policy.v_s0, "actions": entries}
     if meta:
         out["meta"] = meta
@@ -137,18 +150,28 @@ class SweepResult:
 def sweep(cf: CfMdp, path: ObservedPath, ks: list[int], ms: list[int]) -> SweepResult:
     """Solve every (k, m) cell, reusing one posterior and one CF row cache.
 
-    Each k is pruned once and solved once at the largest m; smaller budgets
-    are read from the same table.
+    The largest k is pruned and solved first, at the largest m. Every other k
+    is pruned and solved with that result as `base`: the admission frontiers,
+    the counterfactual rows, and the closure and value rows of the free layers
+    t >= T-k+1 (where every pair is admitted) are shared, so only the
+    constrained layers and a reachability pass are computed per k. Smaller
+    budgets are read from the same table.
     """
     if not ks or not ms:
         raise ValidationFailed("sweep needs at least one k and one m")
     m_max = max(ms)
+    k_max = max(ks)
+    top = prune_cf_mdp(cf, cf.mdp, path, k_max)
+    top_policy = solve_km(top, path, m_max)
     rows: list[tuple[int, int, float]] = []
     sizes: list[SizeReport] = []
     for k in ks:
-        pruned = prune_cf_mdp(cf, cf.mdp, path, k)
+        if k == k_max:
+            pruned, policy = top, top_policy
+        else:
+            pruned = prune_cf_mdp(cf, cf.mdp, path, k, base=top)
+            policy = solve_km(pruned, path, m_max, base=top_policy)
         sizes.append(pruned_size_report(pruned))
-        policy = solve_km(pruned, path, m_max)
         for m in ms:
             rows.append((k, m, policy.initial_value(m)))
     return SweepResult(rows=rows, sizes=sizes, cf_rows_built=cf.rows_built)
@@ -213,7 +236,7 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
                 raise RuntimeError(f"policy undefined or disallowed at ({s}, t={t}, j={j})")
             if a != policy.observed_actions[t]:
                 j += 1
-            idx, probs = pruned.kernel(t, s, a).as_arrays(mdp)
+            idx, probs = pruned.kernel(t, s, a).as_arrays()
             pos = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right").clip(0, len(idx) - 1))
             s = mdp.states[idx[pos]]
         feats[i, T] = feature(s)

@@ -102,7 +102,7 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
             cost = 0 if a == obs else 1
             if cost > r:
                 continue
-            idx, probs = pruned.kernel(t, s, a).as_arrays(mdp)
+            idx, probs = pruned.kernel(t, s, a).as_arrays()
             child = np.array([value(mdp.states[i], t + 1, r - cost) for i in idx])
             q = mdp.reward(s, a) + float(np.dot(probs, child))
             if q > best:

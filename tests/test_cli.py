@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from cfmdp.cli import main
@@ -251,3 +252,78 @@ def test_artifacts_with_legacy_mode_key_still_load(artifact_dir, tmp_path, capsy
                      "--policy", str(tmp_path / "policy.json"), "--env", "epidemic",
                      "--feature", "infected", "-n", "5", "--out", str(tmp_path / "r.csv"))
     assert code == 0
+
+
+# Artifacts that are valid JSON but break the pruned or policy schema.
+BAD_ARTIFACTS = {
+    "pruned-empty": ("pruned", {}),
+    "pruned-no-kernels": ("pruned", lambda pruned, policy: {k: v for k, v in pruned.items()
+                                                            if k != "kernels"}),
+    "pruned-kernel-without-probs": ("pruned", lambda pruned, policy: dict(
+        pruned, kernels=[{k: v for k, v in e.items() if k != "probs"} for e in pruned["kernels"]])),
+    "pruned-probs-not-a-dict": ("pruned", lambda pruned, policy: dict(
+        pruned, kernels=[dict(e, probs=5) for e in pruned["kernels"]])),
+    "pruned-layers-not-lists": ("pruned", lambda pruned, policy: dict(pruned, layers=5)),
+    "pruned-unknown-state": ("pruned", lambda pruned, policy: dict(
+        pruned, actions=pruned["actions"] + [{"s": "nowhere", "t": 0, "actions": ["NIL"]}])),
+    "pruned-layer-out-of-range": ("pruned", lambda pruned, policy: dict(
+        pruned, actions=[dict(e, t=99) for e in pruned["actions"]])),
+    "policy-empty": ("policy", {}),
+    "policy-entry-without-j": ("policy", lambda pruned, policy: dict(
+        policy, actions=[{k: v for k, v in e.items() if k != "j"} for e in policy["actions"]])),
+    "policy-m-not-a-number": ("policy", lambda pruned, policy: dict(policy, m="many")),
+    "policy-budget-out-of-range": ("policy", lambda pruned, policy: dict(
+        policy, actions=[dict(e, j=-1) for e in policy["actions"]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
+def test_malformed_artifact_exits_2(case, artifact_dir, tmp_path, capsys):
+    kind, edit = BAD_ARTIFACTS[case]
+    pruned = json.loads((artifact_dir / "pruned.json").read_text())
+    policy = json.loads((artifact_dir / "policy.json").read_text())
+    bad = edit(pruned, policy) if callable(edit) else edit
+    files = {"pruned": artifact_dir / "pruned.json", "policy": artifact_dir / "policy.json"}
+    files[kind] = tmp_path / f"{kind}.json"
+    files[kind].write_text(json.dumps(bad))
+    mdp = str(artifact_dir / "mdp.json")
+    commands = [["rollout", "--mdp", mdp, "--pruned", str(files["pruned"]),
+                 "--policy", str(files["policy"]), "--env", "epidemic", "--feature", "infected",
+                 "-n", "5", "--out", str(tmp_path / "r.csv")]]
+    if kind == "pruned":
+        commands.append(["solve", "--mdp", mdp, "--pruned", str(files["pruned"]), "--m", "1"])
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, (argv[0], err)
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def _edit_posterior(src, dst, edit):
+    with np.load(src) as data:
+        arrays = {name: data[name] for name in data.files}
+    edit(arrays)
+    np.savez_compressed(dst, **arrays)
+
+
+BAD_POSTERIORS = {
+    "missing": None,
+    "not-npz": lambda src, dst: dst.write_text("not an npz archive"),
+    "missing-step": lambda src, dst: _edit_posterior(src, dst, lambda a: a.pop("g3")),
+    "wrong-state-count": lambda src, dst: _edit_posterior(
+        src, dst, lambda a: a.update(g0=np.zeros((a["g0"].shape[0], a["g0"].shape[1] + 1)))),
+    "wrong-sample-count": lambda src, dst: _edit_posterior(
+        src, dst, lambda a: a.update(g2=a["g2"][:-1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_POSTERIORS))
+def test_bad_posterior_exits_2(case, artifact_dir, tmp_path, capsys):
+    bad = tmp_path / "posterior.npz"
+    if BAD_POSTERIORS[case] is not None:
+        BAD_POSTERIORS[case](artifact_dir / "posterior.npz", bad)
+    code, _, err = run(capsys, "prune", "--mdp", str(artifact_dir / "mdp.json"),
+                       "--path", str(artifact_dir / "path.json"), "--posterior", str(bad),
+                       "--k", "8", "--out", str(tmp_path / "pruned.json"))
+    assert code == 2, err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "pruned.json").exists()

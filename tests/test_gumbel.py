@@ -269,7 +269,7 @@ def test_posterior_save_load_round_trip(tmp_path, tinychain):
     post = build_posterior(tinychain, path, 100, "topdown", seed=14)
     file = tmp_path / "posterior.npz"
     save_posterior(post, file)
-    loaded = load_posterior(file)
+    loaded = load_posterior(file, tinychain)
     assert loaded.n == post.n and loaded.sampler == post.sampler
     assert loaded.path.steps == post.path.steps
     for t in range(post.T):

@@ -4,7 +4,8 @@ import pytest
 from cfmdp.errors import EmptyPrunedMdp, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import (
-    _admitted_actions,
+    _admission_hits,
+    _admitted,
     influenced_states,
     one_step_influenced,
     prune_cf_mdp,
@@ -158,12 +159,13 @@ def test_admission_matches_literal_definition(seed):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, 6, 2, support_max=2)
     path = sample_path(mdp, Policy.constant("a0"), 4, seed=seed)
+    hits = _admission_hits(mdp, path, path.T)
+    pairs = mdp.pair_table().pairs
     for k in range(1, path.T + 2):
-        table = _admitted_actions(mdp, path, k)
+        admitted = _admitted(k, hits)
         for t in range(path.T):
-            for s in mdp.states:
-                for a in mdp.available_actions(s):
-                    assert (a in table[t].get(s, ())) == reference_admitted(mdp, path, k, t, s, a)
+            for p, (s, a) in enumerate(pairs):
+                assert admitted[t][p] == reference_admitted(mdp, path, k, t, s, a)
 
 
 def test_prune_monotone_random_mdp():

@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from cfmdp.errors import UndefinedPolicyAction, ValidationFailed
+from cfmdp.influence import influenced_states
 from cfmdp.mdp import (
     Mdp,
     ObservedPath,
@@ -191,6 +193,19 @@ def test_mdp_json_rejects_bad_rows():
     obj["transitions"][0]["to"] = {"s1": 0.5}
     with pytest.raises(ValidationFailed):
         mdp_from_json(obj)
+
+
+def test_mdp_json_drops_zero_probability_entries():
+    obj = mdp_to_json(chain_mdp())
+    obj["transitions"][0]["to"] = {"s1": 1.0, "s2": 0.0}
+    mdp = mdp_from_json(obj)
+    assert mdp.row("s0", "a") == {"s1": 1.0}
+    path = ObservedPath((("s0", "a"), ("s1", "a")))
+    assert influenced_states(mdp, path).per_time[0] == {"s1"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx, probs, logp = mdp.row_arrays("s0", "a")
+    assert idx.tolist() == [1] and probs.tolist() == [1.0] and logp.tolist() == [0.0]
 
 
 def test_path_json_round_trip():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cfmdp.environments import environment_features
+from cfmdp.environments import demo_observation, environment_features
 from cfmdp.errors import ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior
-from cfmdp.influence import prune_cf_mdp
+from cfmdp.influence import prune_cf_mdp, pruned_size_report
 from cfmdp.mdp import Policy, path_return, sample_path
 from cfmdp.solver import (
     check_sweep_monotonicity,
@@ -79,10 +79,10 @@ def test_bellman_consistency_of_budget_recursion(epidemic_demo, epidemic_cf):
                         continue
                     q = mdp.reward(s, a)
                     for s2, p in pruned.kernel(t, s, a).probs.items():
-                        nxt = 0.0 if t + 1 == T else float(policy.value_table[t + 1][s2][r - cost])
+                        nxt = 0.0 if t + 1 == T else float(policy.values[t + 1][mdp.state_index(s2), r - cost])
                         q += p * nxt
                     best = max(best, q)
-                assert abs(float(policy.value_table[t][s][r]) - best) < 1e-12
+                assert abs(float(policy.values[t][mdp.state_index(s), r]) - best) < 1e-12
 
 
 def test_unconstrained_equals_layered_value_iteration(epidemic_demo, epidemic_cf):
@@ -117,6 +117,74 @@ def test_sweep_reads_all_budgets_off_one_table(epidemic_demo, epidemic_cf):
     for m in (1, 3, 7):
         assert table[(8, m)] == solve_km(pruned, path, m).v_s0
     assert check_sweep_monotonicity(result) == []
+
+
+def independent_sweep(cf, path, ks, ms):
+    """The sweep as one standalone prune and one solve per k, sharing nothing."""
+    rows, sizes = [], []
+    for k in ks:
+        pruned = prune_cf_mdp(cf, cf.mdp, path, k)
+        sizes.append(pruned_size_report(pruned))
+        policy = solve_km(pruned, path, max(ms))
+        rows.extend((k, m, policy.initial_value(m)) for m in ms)
+    return rows, sizes
+
+
+def sweep_grids(rng, T):
+    """Every k, a k subset without T+1, and a single k; with random m sets."""
+    subset = sorted(rng.choice(np.arange(1, T + 1), size=int(rng.integers(1, T + 1)), replace=False))
+    ms = sorted(rng.choice(np.arange(0, T + 1), size=int(rng.integers(1, T + 2)), replace=False))
+    return [(list(range(1, T + 2)), list(range(0, T + 1))),
+            ([int(k) for k in subset], [int(m) for m in ms]),
+            ([int(rng.integers(1, T + 2))], [int(ms[-1])])]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_shared_sweep_equals_independent_solves(seed):
+    rng = np.random.default_rng(seed + 300)
+    n_states = int(rng.integers(2, 8))
+    mdp = random_mdp(rng, n_states, int(rng.integers(1, 4)),
+                     support_max=int(rng.integers(1, min(n_states, 3) + 1)))
+    path = sample_path(mdp, Policy.constant("a0"), int(rng.integers(1, 7)), seed=seed)
+    post = build_posterior(mdp, path, 200, "topdown", seed=seed)
+    for ks, ms in sweep_grids(rng, path.T):
+        result = sweep(build_cf_mdp(post, mdp, path), path, ks, ms)
+        rows, sizes = independent_sweep(build_cf_mdp(post, mdp, path), path, ks, ms)
+        assert result.rows == rows and result.sizes == sizes, (ks, ms)
+        alone = build_cf_mdp(post, mdp, path)
+        prune_cf_mdp(alone, mdp, path, max(ks))
+        assert result.cf_rows_built == alone.rows_built
+
+
+@pytest.mark.parametrize("env", ["gridworld", "epidemic"])
+def test_shared_prune_and_solve_equal_standalone(env):
+    mdp, path, _ = demo_observation(env)
+    cf = build_cf_mdp(build_posterior(mdp, path, 300, "topdown", seed=3), mdp, path)
+    T = path.T
+    top = prune_cf_mdp(cf, mdp, path, T + 1)
+    top_policy = solve_km(top, path, T)
+    ks = list(range(1, T + 2))
+    result = sweep(cf, path, ks, list(range(T + 1)))
+    assert (result.rows, result.sizes) == independent_sweep(cf, path, ks, list(range(T + 1)))
+    for k in ks:
+        alone = prune_cf_mdp(cf, mdp, path, k)
+        shared = prune_cf_mdp(cf, mdp, path, k, base=top)
+        assert shared.actions == alone.actions and shared.layers == alone.layers
+        want = solve_km(alone, path, T)
+        got = solve_km(shared, path, T, base=top_policy)
+        assert policy_to_json(got) == policy_to_json(want)
+        for a, b in zip(got.values, want.values):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_shared_prune_rejects_smaller_base(epidemic_demo, epidemic_cf):
+    mdp, path, _ = epidemic_demo
+    base = prune_cf_mdp(epidemic_cf, mdp, path, 3)
+    with pytest.raises(ValidationFailed):
+        prune_cf_mdp(epidemic_cf, mdp, path, 5, base=base)
+    small = prune_cf_mdp(epidemic_cf, mdp, path, 2, base=base)
+    with pytest.raises(ValidationFailed):
+        solve_km(small, path, 1, base=solve_km(base, path, 2))
 
 
 def test_sweep_rejects_empty_ranges(epidemic_demo, epidemic_cf):

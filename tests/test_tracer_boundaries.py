@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cfmdp.solver
 from cfmdp.gumbel import build_cf_mdp, build_posterior
 from cfmdp.influence import prune_cf_mdp
 from cfmdp.solver import rollout, solve_km
@@ -51,3 +52,20 @@ def test_counters_read_existing_attributes(tracer, fig2_toy):
     assert counts["influence.prune"]["nodes_reachable"] > 0
     assert counts["solver.rollout"] == {"rollout_steps": 4 * path.T}
     assert np.isfinite(counts["gumbel.posterior"]["posterior_mb"])
+
+
+def test_sweep_prunes_and_solves_once_per_k(tracer, fig2_toy, monkeypatch):
+    # `--trace 1` splits sweep time into prune and solve spans only while
+    # `sweep` calls these two names once per k, with shared work passed as an
+    # argument rather than done inside `sweep` itself.
+    mdp, path = fig2_toy
+    cf = build_cf_mdp(build_posterior(mdp, path, 50, "topdown", seed=0), mdp, path)
+    recorder = tracer.Tracer()
+    for module, attr, name, _ in tracer.BOUNDARIES:
+        if module == "cfmdp.solver":
+            monkeypatch.setattr(cfmdp.solver, attr, recorder.wrap(
+                name, getattr(cfmdp.solver, attr), lambda args, kwargs, out: {"k": out.k}))
+    ks = [1, 3, 2, 4]
+    cfmdp.solver.sweep(cf, path, ks, [0, 1])
+    for name in ("influence.prune", "solver.solve"):
+        assert sorted(span[4]["k"] for span in recorder.spans if span[0] == name) == sorted(ks)
