@@ -6,6 +6,7 @@ from .errors import (
     EmptyPrunedMdp,
     InfeasibleBudget,
     InvalidConfig,
+    InvariantViolated,
     MissingKernelRow,
     RejectionBudgetExceeded,
     UndefinedPolicyAction,
@@ -31,7 +32,6 @@ from .mdp import (
     value_iteration,
 )
 from .gumbel import (
-    CfKernelEstimate,
     CfMdp,
     GumbelPosterior,
     build_cf_mdp,

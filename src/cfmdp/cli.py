@@ -14,13 +14,13 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .errors import CfmdpError, ValidationFailed
+from .errors import CfmdpError, MissingKernelRow, ValidationFailed
 from .gumbel import (
-    CfKernelEstimate,
     CfMdp,
     build_cf_mdp,
     build_posterior,
@@ -31,6 +31,7 @@ from .gumbel import (
 )
 from .influence import PrunedCfMdp, prune_cf_mdp, pruned_size_report
 from .mdp import (
+    PROB_TOL,
     Mdp,
     ObservedPath,
     mdp_from_json,
@@ -95,8 +96,11 @@ def _load_mdp(file: str) -> Mdp:
     return mdp_from_json(_read_json(file))
 
 
-def _load_path(file: str) -> ObservedPath:
-    return path_from_json(_read_json(file))
+def _load_observation(args) -> tuple[Mdp, ObservedPath]:
+    """The --mdp and --path files, the path checked against the MDP."""
+    mdp, path = _load_mdp(args.mdp), path_from_json(_read_json(args.path))
+    validate_path(mdp, path).require()
+    return mdp, path
 
 
 def _env_overrides(args) -> dict:
@@ -130,9 +134,7 @@ def _build_env(args) -> Mdp:
 
 def cmd_env(args) -> int:
     mdp = _build_env(args)
-    report = validate_mdp(mdp)
-    if not report.ok:
-        raise ValidationFailed("; ".join(report.violations))
+    validate_mdp(mdp).require()
     _emit(json.dumps(mdp_to_json(mdp), sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -140,11 +142,7 @@ def cmd_env(args) -> int:
 def _resolve_observation(args) -> tuple[Mdp, ObservedPath, int | None]:
     """(mdp, path, observation seed) from an env/preset pair or explicit files."""
     if args.mdp and args.path:
-        mdp, path = _load_mdp(args.mdp), _load_path(args.path)
-        report = validate_path(mdp, path)
-        if not report.ok:
-            raise ValidationFailed("; ".join(report.violations))
-        return mdp, path, None
+        return (*_load_observation(args), None)
     if not args.env:
         raise ValidationFailed("provide either --env or both --mdp and --path")
     preset = getattr(args, "preset", None)
@@ -171,7 +169,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_cf_build(args) -> int:
-    mdp, path = _load_mdp(args.mdp), _load_path(args.path)
+    mdp, path = _load_observation(args)
     posterior = build_posterior(mdp, path, args.samples, args.sampler, args.seed or 0)
     save_posterior(posterior, args.out)
     key = posterior_cache_key(mdp, path, args.samples, args.sampler, args.seed or 0)
@@ -180,22 +178,24 @@ def cmd_cf_build(args) -> int:
 
 
 def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
-    """Artifact contents; each kernel's "probs" is its CfKernelEstimate, which
-    the encoder turns into a {label: probability} dict (see cmd_prune)."""
+    """Artifact contents. Each kernel entry is a callable that the encoder
+    turns into its dict (see cmd_prune), so the label dicts of all rows never
+    exist at once."""
+    cf = pruned.cf
+    n = cf.posterior.n if cf.posterior is not None else 0
     nodes = sorted(pruned.actions.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    kernels = []
-    for (s, t), acts in nodes:
-        for a in acts:
-            est = pruned.kernel(t, s, a)
-            kernels.append({"t": t, "s": s, "a": a, "n": est.n, "probs": est})
+
+    def kernel(t, s, a):
+        return {"t": t, "s": s, "a": a, "n": n, "probs": cf.probs(t, s, a)}
+
     return {
         "k": pruned.k,
-        "mdp_hash": mdp_hash(pruned.cf.mdp),
-        "path": path_to_json(pruned.cf.path),
+        "mdp_hash": mdp_hash(cf.mdp),
+        "path": path_to_json(cf.path),
         "nodes_all_layers": pruned.nodes_all_layers,
         "layers": [sorted(layer) for layer in pruned.layers],
         "actions": [{"s": s, "t": t, "actions": list(acts)} for (s, t), acts in nodes],
-        "kernels": kernels,
+        "kernels": [partial(kernel, t, s, a) for (s, t), acts in nodes for a in acts],
     }
 
 
@@ -206,33 +206,56 @@ def _layer(t, T: int) -> int:
     return int(t)
 
 
+def _artifact_row(entry: dict, mdp: Mdp) -> tuple[np.ndarray, np.ndarray]:
+    """A kernel entry's row as (successor indices ascending, probabilities),
+    checked to be a distribution on the nominal support of its (s, a)."""
+    row = sorted((mdp.state_index(s2), float(v)) for s2, v in entry["probs"].items())
+    if not (entry["probs"].keys() <= mdp.row(entry["s"], entry["a"]).keys()
+            and all(0 < v <= 1 for _, v in row) and abs(sum(v for _, v in row) - 1.0) <= PROB_TOL):
+        raise ValidationFailed(f"kernel row ({entry['s']}, {entry['a']}) at t={entry['t']} "
+                               "is not a distribution on its nominal support")
+    return np.array([i for i, _ in row], dtype=np.int64), np.array([v for _, v in row])
+
+
 def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
     """The pruned MDP stored by `_pruned_to_json`; a malformed artifact is a
-    validation error."""
+    validation error.
+
+    Besides its shape, the artifact must describe a closed pruned MDP: every
+    row is a distribution on the nominal support of its pair, every usable
+    pair has a row, layer 0 is {s_0}, and every successor of a usable pair at
+    t < T-1 lies in layer t+1.
+    """
     try:
         if obj["mdp_hash"] != mdp_hash(mdp):
             raise ValidationFailed("pruned artifact was built from a different MDP")
         path = path_from_json(obj["path"])
+        validate_path(mdp, path).require()
         T, table = path.T, mdp.pair_table()
         cf = CfMdp(mdp, path, None)
         for entry in obj["kernels"]:
-            t, s, a = _layer(entry["t"], T), entry["s"], entry["a"]
-            row = sorted((mdp.state_index(k), float(v)) for k, v in entry["probs"].items() if v > 0)
-            cf._cache[(t, s, a)] = CfKernelEstimate(
-                t, s, a, np.array([i for i, _ in row], dtype=np.int64),
-                np.array([p for _, p in row]), int(entry["n"]), mdp.states)
+            p = mdp.pair(entry["s"], entry["a"])
+            cf._cache[(_layer(entry["t"], T), p)] = _artifact_row(entry, mdp)
         if len(obj["layers"]) != T:
             raise ValidationFailed(f"pruned artifact has {len(obj['layers'])} layers, path has {T}")
         reach = tuple(np.zeros(mdp.num_states, dtype=bool) for _ in range(T))
         for t, layer in enumerate(obj["layers"]):
             reach[t][[mdp.state_index(s) for s in layer]] = True
-        pair_index = {pair: p for p, pair in enumerate(table.pairs)}
-        usable = tuple(np.zeros(len(table.pairs), dtype=bool) for _ in range(T))
+        if T == 0 or np.flatnonzero(reach[0]).tolist() != [mdp.state_index(path.state(0))]:
+            raise ValidationFailed("pruned artifact layer 0 is not {s_0}")
+        usable = tuple(np.zeros(len(table.source), dtype=bool) for _ in range(T))
         for e in obj["actions"]:
-            usable[_layer(e["t"], T)][[pair_index[(e["s"], a)] for a in e["actions"]]] = True
+            usable[_layer(e["t"], T)][[mdp.pair(e["s"], a) for a in e["actions"]]] = True
+        for t in range(T):
+            for p in np.flatnonzero(usable[t]).tolist():
+                missing = (t, p) not in cf._cache
+                if missing or (t + 1 < T and not reach[t + 1][cf._cache[(t, p)][0]].all()):
+                    s, a = mdp.states[table.source[p]], mdp.actions[table.action[p]]
+                    fault = "missing" if missing else f"not closed in layer {t + 1}"
+                    raise ValidationFailed(f"kernel row of allowed ({s}, {a}) at t={t} is {fault}")
         return PrunedCfMdp(cf=cf, k=int(obj["k"]), reach=reach, usable=usable,
                            nodes_all_layers=int(obj["nodes_all_layers"]))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
         raise ValidationFailed(f"malformed pruned artifact: {exc!r}") from exc
 
 
@@ -241,21 +264,21 @@ def _posterior_cf(args, mdp: Mdp, path: ObservedPath) -> CfMdp:
         posterior = load_posterior(args.posterior, mdp)
         if posterior.path.steps != path.steps:
             raise ValidationFailed("posterior artifact was built from a different path")
-        return build_cf_mdp(posterior, mdp, path)
+        return build_cf_mdp(posterior, mdp)
     if args.nominal:
         return nominal_cf_mdp(mdp, path)
     posterior = build_posterior(mdp, path, args.samples, args.sampler, args.seed or 0)
-    return build_cf_mdp(posterior, mdp, path)
+    return build_cf_mdp(posterior, mdp)
 
 
 def cmd_prune(args) -> int:
-    mdp, path = _load_mdp(args.mdp), _load_path(args.path)
+    mdp, path = _load_observation(args)
     cf = _posterior_cf(args, mdp, path)
-    pruned = prune_cf_mdp(cf, mdp, path, args.k)
-    # Each row becomes a label dict only while it is encoded, so the label
+    pruned = prune_cf_mdp(cf, args.k)
+    # Each kernel entry becomes a dict only while it is encoded, so the label
     # dicts of all rows never exist at once.
     text = json.dumps(_pruned_to_json(pruned), sort_keys=True, indent=2,
-                      default=lambda est: est.probs)
+                      default=lambda entry: entry())
     _emit(text + "\n", args.out)
     report = pruned_size_report(pruned)
     sys.stderr.write(
@@ -268,7 +291,7 @@ def cmd_prune(args) -> int:
 def cmd_solve(args) -> int:
     mdp = _load_mdp(args.mdp)
     pruned = _pruned_from_json(_read_json(args.pruned), mdp)
-    policy = solve_km(pruned, pruned.cf.path, args.m)
+    policy = solve_km(pruned, args.m)
     meta = {"samples": args.samples, "seed": args.seed, "mdp_hash": mdp_hash(mdp)}
     _emit(json.dumps(policy_to_json(policy, meta), sort_keys=True, indent=2) + "\n", args.out)
     sys.stderr.write(f"V(s0) = {policy.v_s0!r}\n")
@@ -278,24 +301,22 @@ def cmd_solve(args) -> int:
 def _policy_from_json(obj: dict, pruned: PrunedCfMdp) -> CfPolicy:
     """The policy stored by `policy_to_json`; a malformed artifact is a
     validation error."""
-    mdp, path = pruned.cf.mdp, pruned.cf.path
+    mdp, T = pruned.cf.mdp, pruned.horizon
     try:
         m = int(obj["m"])
-        if not 0 <= m <= path.T:
-            raise ValidationFailed(f"policy budget m={m} outside 0..{path.T}")
-        choices = [np.full((mdp.num_states, m + 1), -1, dtype=np.int64) for _ in range(path.T)]
+        if not 0 <= m <= T:
+            raise ValidationFailed(f"policy budget m={m} outside 0..{T}")
+        choices = [np.full((mdp.num_states, m + 1), -1, dtype=np.int64) for _ in range(T)]
         for e in obj["actions"]:
-            j = int(e["j"])
+            t, j, s = _layer(e["t"], T), int(e["j"]), e["s"]
             if not 0 <= j <= m:
                 raise ValidationFailed(f"policy entry uses {j!r} changes, outside 0..{m}")
-            choices[_layer(e["t"], path.T)][mdp.state_index(e["s"]), m - j] = mdp.action_index(e["a"])
-        return CfPolicy(
-            k=int(obj["k"]), m=m, mdp=mdp,
-            initial_state=pruned.initial_state,
-            observed_actions=tuple(path.action(t) for t in range(path.T)),
-            choices=choices, values=[], v_s0=float(obj["v_s0"]),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            if not pruned.usable[t][mdp.pair(s, e["a"])]:
+                raise ValidationFailed(f"policy action {e['a']!r} is not usable at ({s}, t={t})")
+            choices[t][mdp.state_index(s), m - j] = mdp.action_index(e["a"])
+        return CfPolicy(k=int(obj["k"]), m=m, mdp=mdp, s0=mdp.state_index(pruned.cf.initial_state),
+                        choices=choices, values=[], v_s0=float(obj["v_s0"]))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
         raise ValidationFailed(f"malformed policy artifact: {exc!r}") from exc
 
 
@@ -323,8 +344,8 @@ def cmd_sweep(args) -> int:
     posterior_seed = args.seed if args.seed is not None else 0
 
     posterior = build_posterior(mdp, path, args.samples, args.sampler, posterior_seed)
-    cf = build_cf_mdp(posterior, mdp, path)
-    result = sweep(cf, path, k_values, m_values)
+    cf = build_cf_mdp(posterior, mdp)
+    result = sweep(cf, k_values, m_values)
 
     violations = check_sweep_monotonicity(result)
     if violations:

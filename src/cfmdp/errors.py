@@ -39,3 +39,7 @@ class EmptyPrunedMdp(CfmdpError):
 
 class InfeasibleBudget(CfmdpError):
     """No policy satisfies the action-change budget on the pruned MDP."""
+
+
+class InvariantViolated(CfmdpError):
+    """A probability-one guarantee (replay, closure, change budget) failed."""

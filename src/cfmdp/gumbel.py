@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InvariantViolated,
     RejectionBudgetExceeded,
     ValidationFailed,
     ZeroProbabilityObservation,
 )
-from .mdp import Action, Mdp, ObservedPath, State, mdp_hash, path_hash
+from .mdp import Action, Mdp, ObservedPath, State, mdp_hash, path_from_json, path_hash, path_to_json
 
 REJECTION_ATTEMPT_CAP = 10**7  # proposals per requested sample before failing loudly
 
@@ -44,21 +45,21 @@ def gumbel_max_step(mdp: Mdp, s: State, a: Action, g: np.ndarray) -> State:
     return mdp.states[idx[int(np.argmax(logp + g[idx]))]]
 
 
-def _winners(mdp: Mdp, s: State, a: Action, noise: np.ndarray) -> np.ndarray:
-    """Vectorized mechanism over rows of `noise`; returns support positions."""
-    idx, _, logp = mdp.row_arrays(s, a)
+def _winners(idx: np.ndarray, logp: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Vectorized mechanism of the row (idx, logp) over rows of `noise`;
+    returns support positions."""
     return np.argmax(logp[None, :] + noise[:, idx], axis=1)
 
 
-def _check_observation(mdp: Mdp, s: State, a: Action, s_next: State) -> int:
-    row = mdp.row(s, a)
-    p = row.get(s_next, 0.0)
-    if p <= 0.0:
+def _observed_row(mdp: Mdp, s: State, a: Action, s_next: State):
+    """`row_arrays(s, a)` and the position of s_next in it, which must have
+    positive probability."""
+    if mdp.row(s, a).get(s_next, 0.0) <= 0.0:
         raise ZeroProbabilityObservation(
             f"P({s_next} | {s}, {a}) = 0; cannot condition on this transition"
         )
-    idx, _, _ = mdp.row_arrays(s, a)
-    return int(np.searchsorted(idx, mdp.state_index(s_next)))
+    idx, probs, logp = mdp.row_arrays(s, a)
+    return idx, probs, logp, int(np.searchsorted(idx, mdp.state_index(s_next)))
 
 
 def rejection_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
@@ -67,8 +68,7 @@ def rejection_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
 
     Expected cost is n / P(s_next|s,a) proposals.
     """
-    obs_pos = _check_observation(mdp, s, a, s_next)
-    idx, probs, logp = mdp.row_arrays(s, a)
+    idx, probs, logp, obs_pos = _observed_row(mdp, s, a, s_next)
     num_states = mdp.num_states
     out = np.empty((n, num_states))
     got = 0
@@ -83,7 +83,7 @@ def rejection_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
             )
         m = min(batch, cap - attempts)
         g = rng.gumbel(size=(m, num_states))
-        keep = np.argmax(logp[None, :] + g[:, idx], axis=1) == obs_pos
+        keep = _winners(idx, logp, g) == obs_pos
         accept_rows = np.flatnonzero(keep)
         need = n - got
         if accept_rows.shape[0] >= need:
@@ -107,8 +107,7 @@ def topdown_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
     assigned to the observed state; the remaining support states get Gumbels
     truncated below that maximum; off-support states keep fresh priors.
     """
-    obs_pos = _check_observation(mdp, s, a, s_next)
-    idx, _, logp = mdp.row_arrays(s, a)
+    idx, _, logp, obs_pos = _observed_row(mdp, s, a, s_next)
     # Prior draws double as the off-support posterior (it equals the prior).
     out = rng.gumbel(size=(n, mdp.num_states))
     top = rng.gumbel(size=n) + float(np.logaddexp.reduce(logp))
@@ -172,9 +171,9 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
             g = topdown_noise(mdp, s, a, s_next, n, rng)
         else:
             g, _ = rejection_noise(mdp, s, a, s_next, n, rng)
-        obs_pos = _check_observation(mdp, s, a, s_next)
-        if not np.all(_winners(mdp, s, a, g) == obs_pos):
-            raise RuntimeError(f"posterior sample at t={t} fails to replay the observation")
+        idx, _, logp, obs_pos = _observed_row(mdp, s, a, s_next)
+        if not np.all(_winners(idx, logp, g) == obs_pos):
+            raise InvariantViolated(f"posterior sample at t={t} fails to replay the observation")
         layers.append(g)
     return GumbelPosterior(tuple(layers), n, sampler, seed, path, mdp_hash(mdp))
 
@@ -184,56 +183,29 @@ def prior_posterior(mdp: Mdp, path: ObservedPath, n: int, seed: int = 0) -> Gumb
     return build_posterior(mdp, path, n, sampler=SAMPLER_PRIOR, seed=seed)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class CfKernelEstimate:
-    """Empirical counterfactual transition row at (t, s, a).
+def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Counterfactual row of pair p at time t: the mechanism's empirical law
+    over the posterior samples, as (successor indices, probabilities).
 
-    `idx` holds the successor state indices in ascending order and `p` their
-    probabilities, non-zero entries only; `states` maps indices to labels.
-    """
-
-    t: int
-    s: State
-    a: Action
-    idx: np.ndarray
-    p: np.ndarray
-    n: int
-    states: tuple[State, ...]
-
-    @property
-    def probs(self) -> dict[State, float]:
-        return {self.states[i]: float(p) for i, p in zip(self.idx.tolist(), self.p.tolist())}
-
-    @property
-    def support(self) -> tuple[State, ...]:
-        return tuple(self.states[i] for i in self.idx.tolist())
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.idx, self.p
-
-
-def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, s: State, a: Action) -> CfKernelEstimate:
-    """Counterfactual row: the mechanism's empirical law over posterior samples.
-
-    Support is always contained in the nominal support of P(.|s,a). Prefer
-    CfMdp.kernel for repeated queries; it memoizes per (t, s, a).
+    Successor indices are ascending and probabilities non-zero; the support is
+    always contained in the nominal support of pair p. Prefer CfMdp.row for
+    repeated queries; it memoizes per (t, p).
     """
     if t >= posterior.T:
         raise ValidationFailed(f"time {t} outside posterior horizon {posterior.T}")
-    idx, _, _ = mdp.row_arrays(s, a)
-    wins = _winners(mdp, s, a, posterior.vectors(t))
-    counts = np.bincount(wins, minlength=idx.shape[0])
+    idx, _, logp = mdp.pair_table().row(p)
+    counts = np.bincount(_winners(idx, logp, posterior.vectors(t)), minlength=idx.shape[0])
     hit = counts > 0
-    return CfKernelEstimate(t, s, a, idx[hit], counts[hit] / posterior.n, posterior.n, mdp.states)
+    return idx[hit], counts[hit] / posterior.n
 
 
 @dataclass
 class CfMdp:
     """Time-layered counterfactual MDP over nodes (state, t), t = 0..T.
 
-    Initial mass sits entirely on (s_0, 0). Layer kernels are produced lazily
+    Initial mass sits entirely on (s_0, 0). Layer rows are produced lazily
     through the posterior and memoized, since pruning and dynamic programming
-    only touch a small fraction of (t, s, a) triples. With posterior=None the
+    only touch a small fraction of (t, pair) rows. With posterior=None the
     rows are the exact nominal kernel at every layer (the interventional MDP),
     which is useful for structural analysis and baselines. Each row is built
     once and kept as index/probability arrays; `rows_built` counts them.
@@ -264,25 +236,30 @@ class CfMdp:
     def initial_state(self) -> State:
         return self.path.state(0)
 
-    def kernel(self, t: int, s: State, a: Action) -> CfKernelEstimate:
-        key = (t, s, a)
-        est = self._cache.get(key)
-        if est is None:
+    def row(self, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """Counterfactual row of pair p at time t as (successor indices, probabilities)."""
+        key = (t, p)
+        row = self._cache.get(key)
+        if row is None:
             if t >= self.horizon:
                 raise ValidationFailed(f"time {t} outside horizon {self.horizon}")
             if self.posterior is None:
-                idx, p, _ = self.mdp.row_arrays(s, a)
-                est = CfKernelEstimate(t, s, a, idx, p, 0, self.mdp.states)
+                row = self.mdp.pair_table().row(p)[:2]
             else:
-                est = cf_transition(self.posterior, self.mdp, t, s, a)
-            self._cache[key] = est
+                row = cf_transition(self.posterior, self.mdp, t, p)
+            self._cache[key] = row
             self.rows_built += 1
-        return est
+        return row
+
+    def probs(self, t: int, s: State, a: Action) -> dict[State, float]:
+        """The counterfactual row of (s, a) at time t by label: {successor: probability}."""
+        idx, p = self.row(t, self.mdp.pair(s, a))
+        return {self.mdp.states[i]: x for i, x in zip(idx.tolist(), p.tolist())}
 
 
-def build_cf_mdp(posterior: GumbelPosterior, mdp: Mdp, path: ObservedPath) -> CfMdp:
-    """Counterfactual MDP backed by the given posterior."""
-    return CfMdp(mdp, path, posterior)
+def build_cf_mdp(posterior: GumbelPosterior, mdp: Mdp) -> CfMdp:
+    """Counterfactual MDP backed by the given posterior, on its observed path."""
+    return CfMdp(mdp, posterior.path, posterior)
 
 
 def nominal_cf_mdp(mdp: Mdp, path: ObservedPath) -> CfMdp:
@@ -304,8 +281,6 @@ def posterior_cache_key(mdp: Mdp, path: ObservedPath, n: int, sampler: str, seed
 
 
 def save_posterior(posterior: GumbelPosterior, file) -> None:
-    from .mdp import path_to_json
-
     meta = {
         "n": posterior.n,
         "sampler": posterior.sampler,
@@ -314,7 +289,8 @@ def save_posterior(posterior: GumbelPosterior, file) -> None:
         "path": path_to_json(posterior.path),
     }
     arrays = {f"g{t}": posterior.noise[t] for t in range(posterior.T)}
-    np.savez_compressed(file, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    # Uncompressed: Gumbel noise is incompressible, and zlib dominated the save.
+    np.savez(file, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 def load_posterior(file, mdp: Mdp) -> GumbelPosterior:
@@ -323,8 +299,6 @@ def load_posterior(file, mdp: Mdp) -> GumbelPosterior:
     A missing or unreadable file, a missing step array, or noise whose shape
     is not (n, |S|) raises ValidationFailed.
     """
-    from .mdp import path_from_json
-
     try:
         with np.load(file) as data:
             meta = json.loads(bytes(data["meta"]).decode())

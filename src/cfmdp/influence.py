@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyPrunedMdp, ValidationFailed
-from .gumbel import CfKernelEstimate, CfMdp
+from .gumbel import CfMdp
 from .mdp import Action, Mdp, ObservedPath, State
 
 
@@ -119,8 +119,8 @@ class PrunedCfMdp:
     terminal layer T is implicit and unrestricted (influence is always granted
     at the horizon boundary). Every counterfactual successor of an allowed
     pair is itself allowed (no probability mass leaks outside). `layers` and
-    `actions` give the same sets by label. `closure` is None for a pruned MDP
-    read back from an artifact.
+    `actions` give the same sets by label, for artifacts and reports.
+    `closure` is None for a pruned MDP read back from an artifact.
     """
 
     cf: CfMdp
@@ -134,10 +134,6 @@ class PrunedCfMdp:
     def horizon(self) -> int:
         return self.cf.horizon
 
-    @property
-    def initial_state(self) -> State:
-        return self.cf.initial_state
-
     @cached_property
     def layers(self) -> tuple[frozenset[State], ...]:
         states = self.cf.mdp.states
@@ -145,26 +141,14 @@ class PrunedCfMdp:
 
     @cached_property
     def actions(self) -> dict[tuple[State, int], tuple[Action, ...]]:
-        pairs = self.cf.mdp.pair_table().pairs
+        mdp = self.cf.mdp
+        table = mdp.pair_table()
         out: dict[tuple[State, int], list[Action]] = {}
         for t, usable in enumerate(self.usable):
-            for p in np.flatnonzero(usable).tolist():
-                s, a = pairs[p]
-                out.setdefault((s, t), []).append(a)
+            ids = np.flatnonzero(usable)
+            for si, ai in zip(table.source[ids].tolist(), table.action[ids].tolist()):
+                out.setdefault((mdp.states[si], t), []).append(mdp.actions[ai])
         return {node: tuple(acts) for node, acts in out.items()}
-
-    def allowed_node(self, s: State, t: int) -> bool:
-        return t < self.horizon and bool(self.reach[t][self.cf.mdp.state_index(s)])
-
-    def allowed_actions(self, s: State, t: int) -> tuple[Action, ...]:
-        return self.actions.get((s, t), ())
-
-    def kernel(self, t: int, s: State, a: Action) -> CfKernelEstimate:
-        return self.cf.kernel(t, s, a)
-
-    @property
-    def allowed_states(self) -> frozenset[State]:
-        return frozenset().union(*self.layers) if self.layers else frozenset()
 
 
 def _admission_hits(mdp: Mdp, path: ObservedPath, depth: int) -> list[list[np.ndarray]]:
@@ -177,11 +161,10 @@ def _admission_hits(mdp: Mdp, path: ObservedPath, depth: int) -> list[list[np.nd
     """
     T, n = path.T, mdp.num_states
     table = mdp.pair_table()
-    num_pairs = len(table.pairs)
 
     def pair_hits(target: np.ndarray) -> np.ndarray:
         """Pairs whose nominal support meets the boolean state mask `target`."""
-        return np.bincount(table.owner, weights=target[table.succ], minlength=num_pairs) > 0
+        return np.bincount(table.owner, weights=target[table.succ], minlength=len(table.source)) > 0
 
     stau = [np.bincount(mdp.row_arrays(s, a)[0], minlength=n) > 0 for s, a in path.steps]
 
@@ -216,7 +199,7 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
     for t, adm in enumerate(admitted):
         built = adm & nodes[table.source]
         ids = np.flatnonzero(built)
-        supports = [cf.kernel(t, *table.pairs[p]).idx for p in ids.tolist()]
+        supports = [cf.row(t, p)[0] for p in ids.tolist()]
         succ = np.concatenate(supports) if supports else np.zeros(0, dtype=np.int64)
         owner = np.repeat(ids, [len(x) for x in supports])
         rows.append((built, owner, succ))
@@ -224,8 +207,7 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
     return rows
 
 
-def prune_cf_mdp(cf: CfMdp, mdp: Mdp, path: ObservedPath, k: int,
-                 base: PrunedCfMdp | None = None) -> PrunedCfMdp:
+def prune_cf_mdp(cf: CfMdp, k: int, base: PrunedCfMdp | None = None) -> PrunedCfMdp:
     """Restrict `cf` to k-step-influenced transitions, then close and trim.
 
     Admission is decided on the nominal transition graph (the influence
@@ -241,6 +223,7 @@ def prune_cf_mdp(cf: CfMdp, mdp: Mdp, path: ObservedPath, k: int,
     """
     if k < 1:
         raise ValidationFailed("pruning requires k >= 1")
+    mdp, path = cf.mdp, cf.path
     T, n = path.T, mdp.num_states
     table = mdp.pair_table()
     if base is None:
@@ -263,7 +246,7 @@ def prune_cf_mdp(cf: CfMdp, mdp: Mdp, path: ObservedPath, k: int,
             alive[t], closed[t] = base.closure.alive[t], base.closure.closed[t]
             continue
         built, owner, succ = rows[t]
-        leaks = np.zeros(len(table.pairs), dtype=bool)
+        leaks = np.zeros(len(table.source), dtype=bool)
         leaks[owner[~alive[t + 1][succ]]] = True
         closed[t] = built & admitted[t] & ~leaks
         alive[t] = np.bincount(table.source[closed[t]], minlength=n) > 0

@@ -32,7 +32,8 @@ class Mdp:
 
     Rewards are keyed by (state, action); a missing entry means reward 0.
     Instances are safe to share across workers: all operations on them are
-    pure functions of explicit inputs.
+    pure functions of explicit inputs. The label dicts are the interchange
+    form; `pair_table()` is the compiled form the algorithms run on.
     """
 
     states: tuple[State, ...]
@@ -45,9 +46,8 @@ class Mdp:
     def __post_init__(self):
         object.__setattr__(self, "_sidx", {s: i for i, s in enumerate(self.states)})
         object.__setattr__(self, "_aidx", {a: i for i, a in enumerate(self.actions)})
-        object.__setattr__(self, "_row_arrays", {})
-        object.__setattr__(self, "_avail", {})
         object.__setattr__(self, "_pairs", None)
+        object.__setattr__(self, "_hash", None)
 
     @property
     def num_states(self) -> int:
@@ -68,47 +68,52 @@ class Mdp:
         except KeyError:
             raise MissingKernelRow(f"no kernel row for ({s}, {a})") from None
 
+    def pair(self, s: State, a: Action) -> int:
+        """Index of the (s, a) row in `pair_table()`."""
+        self.row(s, a)  # MissingKernelRow if there is none
+        return int(self.pair_table().pair_at[self._sidx[s], self._aidx[a]])
+
     def row_arrays(self, s: State, a: Action):
         """Support of P(.|s,a) as aligned arrays (indices, probs, log probs).
 
         Support indices are ascending, which fixes argmax tie-breaking to the
-        lowest state index everywhere downstream. Cached per row.
+        lowest state index everywhere downstream.
         """
-        key = (s, a)
-        cached = self._row_arrays.get(key)
-        if cached is not None:
-            return cached
-        row = self.row(s, a)
-        idx = np.array(sorted(self._sidx[x] for x in row), dtype=np.int64)
-        probs = np.array([row[self.states[i]] for i in idx], dtype=np.float64)
-        logp = np.log(probs)
-        cached = (idx, probs, logp)
-        self._row_arrays[key] = cached
-        return cached
+        return self.pair_table().row(self.pair(s, a))
 
     def available_actions(self, s: State) -> tuple[Action, ...]:
-        cached = self._avail.get(s)
-        if cached is None:
-            cached = tuple(a for a in self.actions if (s, a) in self.kernel)
-            self._avail[s] = cached
-        return cached
+        return tuple(a for a in self.actions if (s, a) in self.kernel)
 
     def reward(self, s: State, a: Action) -> float:
         return self.rewards.get((s, a), 0.0)
 
     def pair_table(self) -> PairTable:
-        """Every (state, action) row as integer arrays; built once per MDP."""
+        """The MDP compiled to integer arrays; built once, on first use, so an
+        invalid MDP can still be constructed and handed to `validate_mdp`."""
         if self._pairs is None:
-            pairs = tuple((s, a) for s in self.states for a in self.available_actions(s))
-            rows = [sorted(self._sidx[x] for x in self.kernel[pair]) for pair in pairs]
-            source = np.array([self._sidx[s] for s, _ in pairs], dtype=np.int64)
+            sidx, aidx = self._sidx, self._aidx
+            keys = sorted(self.kernel, key=lambda sa: (sidx[sa[0]], aidx[sa[1]]))
+            rows = [self.kernel[key] for key in keys]
+            sizes = [len(row) for row in rows]
+            owner = np.repeat(np.arange(len(keys)), sizes)
+            succ = np.array([sidx[x] for row in rows for x in row], dtype=np.int64)
+            order = np.lexsort((succ, owner))  # successors ascending within each pair
+            prob = np.array([p for row in rows for p in row.values()], dtype=np.float64)[order]
+            source = np.array([sidx[s] for s, _ in keys], dtype=np.int64)
+            action = np.array([aidx[a] for _, a in keys], dtype=np.int64)
+            pair_at = np.full((self.num_states, len(self.actions)), -1, dtype=np.int64)
+            pair_at[source, action] = np.arange(len(keys))
             object.__setattr__(self, "_pairs", PairTable(
-                pairs=pairs,
                 source=source,
-                action=np.array([self._aidx[a] for _, a in pairs], dtype=np.int64),
+                action=action,
                 start=np.searchsorted(source, np.arange(self.num_states + 1)),
-                owner=np.repeat(np.arange(len(pairs)), [len(r) for r in rows]),
-                succ=np.array([i for row in rows for i in row], dtype=np.int64),
+                row_start=np.cumsum([0] + sizes),
+                owner=owner,
+                succ=succ[order],
+                prob=prob,
+                logp=np.log(prob),
+                reward=np.array([self.rewards.get(key, 0.0) for key in keys], dtype=np.float64),
+                pair_at=pair_at,
             ))
         return self._pairs
 
@@ -117,18 +122,30 @@ class Mdp:
 class PairTable:
     """The (state, action) pairs that have a kernel row, indexed 0..P-1.
 
-    Pair p is (state `source[p]`, action `action[p]`) by index. Pairs are
-    ordered by state index, then action index, so the pairs of state i are
-    `start[i]:start[i+1]`. `owner` and `succ` list the nominal support:
-    entry e is successor `succ[e]` of pair `owner[e]`, ascending within a pair.
+    Pair p is (state `source[p]`, action `action[p]`) with reward
+    `reward[p]`, and `pair_at[s, a]` is the pair of state s and action a, -1
+    where there is no row. Pairs are ordered by state index, then action
+    index, so the pairs of state i are `start[i]:start[i+1]`. Entries
+    `row_start[p]:row_start[p+1]` are the nominal row of pair p: entry e is
+    successor `succ[e]` of pair `owner[e]` with probability `prob[e]` and log
+    probability `logp[e]`, successors ascending within a pair.
     """
 
-    pairs: tuple[tuple[State, Action], ...]
     source: np.ndarray
     action: np.ndarray
     start: np.ndarray
+    row_start: np.ndarray
     owner: np.ndarray
     succ: np.ndarray
+    prob: np.ndarray
+    logp: np.ndarray
+    reward: np.ndarray
+    pair_at: np.ndarray
+
+    def row(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nominal row of pair p as (successor indices, probs, log probs) views."""
+        lo, hi = self.row_start[p], self.row_start[p + 1]
+        return self.succ[lo:hi], self.prob[lo:hi], self.logp[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -184,6 +201,11 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def require(self) -> None:
+        """Raise ValidationFailed listing every violation, if there is one."""
+        if self.violations:
+            raise ValidationFailed("; ".join(self.violations))
 
 
 def validate_mdp(mdp: Mdp) -> ValidationReport:
@@ -347,12 +369,10 @@ def mdp_from_json(obj: Mapping) -> Mdp:
             kernel[(str(tr["s"]), str(tr["a"]))] = row
         rewards = {(str(e["s"]), str(e["a"])): float(e["r"]) for e in obj.get("rewards", [])}
         initial = {str(s): float(p) for s, p in obj["initial"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed MDP JSON: {exc}") from exc
     mdp = Mdp(states, actions, kernel, rewards, initial, name=str(obj.get("name", "")))
-    report = validate_mdp(mdp)
-    if not report.ok:
-        raise ValidationFailed("; ".join(report.violations))
+    validate_mdp(mdp).require()
     return mdp
 
 
@@ -366,7 +386,7 @@ def path_from_json(obj: Mapping) -> ObservedPath:
         if [int(e["t"]) for e in steps] != list(range(len(steps))):
             raise ValidationFailed("path steps are not consecutively indexed from 0")
         return ObservedPath(tuple((str(e["s"]), str(e["a"])) for e in steps))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed path JSON: {exc}") from exc
 
 
@@ -375,7 +395,11 @@ def canonical_dumps(obj) -> str:
 
 
 def mdp_hash(mdp: Mdp) -> str:
-    return hashlib.sha256(canonical_dumps(mdp_to_json(mdp)).encode()).hexdigest()
+    """SHA-256 of the canonical MDP JSON; computed once per MDP."""
+    if mdp._hash is None:
+        blob = canonical_dumps(mdp_to_json(mdp)).encode()
+        object.__setattr__(mdp, "_hash", hashlib.sha256(blob).hexdigest())
+    return mdp._hash
 
 
 def path_hash(path: ObservedPath) -> str:

@@ -13,10 +13,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleBudget, ValidationFailed
+from .errors import InfeasibleBudget, InvariantViolated, UndefinedPolicyAction, ValidationFailed
 from .gumbel import CfMdp
 from .influence import PrunedCfMdp, SizeReport, prune_cf_mdp, pruned_size_report
-from .mdp import Action, Mdp, ObservedPath, State
+from .mdp import Mdp, State
 
 NEG_INF = float("-inf")
 
@@ -29,37 +29,25 @@ class CfPolicy:
     over state index and remaining budget r = 0..m, so the conventional
     V_t(s, j) with j changes used is entry r = m - j. Values are -inf and
     choices (action indices) -1 where no feasible action exists or the node
-    is outside the pruned MDP.
+    is outside the pruned MDP. `s0` is the index of the initial state.
     """
 
     k: int
     m: int
     mdp: Mdp
-    initial_state: State
-    observed_actions: tuple[Action, ...]
+    s0: int
     choices: list[np.ndarray]
     values: list[np.ndarray]
     v_s0: float
 
-    def action(self, s: State, t: int, j: int) -> Action | None:
-        if not 0 <= j <= self.m:
-            return None
-        a = int(self.choices[t][self.mdp.state_index(s), self.m - j])
-        return None if a < 0 else self.mdp.actions[a]
-
-    def value(self, s: State, t: int, j: int) -> float:
-        return float(self.values[t][self.mdp.state_index(s), self.m - j])
-
-    def initial_value(self, m: int | None = None) -> float:
+    def initial_value(self, m: int) -> float:
         """V(s_0) under budget cap m (m <= the solved cap)."""
-        m = self.m if m is None else m
         if not 0 <= m <= self.m:
             raise ValidationFailed(f"budget {m} outside solved range 0..{self.m}")
-        return float(self.values[0][self.mdp.state_index(self.initial_state), m])
+        return float(self.values[0][self.s0, m])
 
 
-def solve_km(pruned: PrunedCfMdp, path: ObservedPath, m: int,
-             base: CfPolicy | None = None) -> CfPolicy:
+def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPolicy:
     """Optimal policy changing at most m observed actions on the pruned MDP.
 
     Bellman recursion on (s, t, r): the observed action at time t costs no
@@ -76,16 +64,16 @@ def solve_km(pruned: PrunedCfMdp, path: ObservedPath, m: int,
     T = pruned.horizon
     if not 0 <= m <= T:
         raise ValidationFailed(f"budget m={m} outside 0..{T}")
-    if path.steps != pruned.cf.path.steps:
-        raise ValidationFailed("path does not match the one the pruned MDP was built from")
     if base is not None and (base.k < pruned.k or base.m != m):
         raise ValidationFailed("base policy must be solved at the same m and at k or more")
-    mdp = pruned.cf.mdp
+    cf = pruned.cf
+    mdp = cf.mdp
     table = mdp.pair_table()
     n = mdp.num_states
     shared_from = T if base is None else max(T - pruned.k + 1, 0)
 
-    start, action = table.start.tolist(), table.action.tolist()
+    start, action, reward = table.start.tolist(), table.action.tolist(), table.reward.tolist()
+    observed = [mdp.action_index(a) for _, a in cf.path.steps]
     values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
     choices = [np.full((n, m + 1), -1, dtype=np.int64) for _ in range(T)]
     for t in range(T - 1, -1, -1):
@@ -94,7 +82,7 @@ def solve_km(pruned: PrunedCfMdp, path: ObservedPath, m: int,
             values[t][nodes] = base.values[t][nodes]
             choices[t][nodes] = base.choices[t][nodes]
             continue
-        obs_a = mdp.action_index(path.action(t))
+        obs_a = observed[t]
         v_next = values[t + 1]
         usable = pruned.usable[t].tolist()
         for si in np.flatnonzero(nodes).tolist():
@@ -104,25 +92,21 @@ def solve_km(pruned: PrunedCfMdp, path: ObservedPath, m: int,
             best = values[t][si]
             best_a = choices[t][si]
             for p in pairs:
-                s, a = table.pairs[p]
                 cost = 0 if action[p] == obs_a else 1
-                idx, probs = pruned.kernel(t, s, a).as_arrays()
+                idx, probs = cf.row(t, p)
                 child = v_next[idx]
-                r_reward = mdp.reward(s, a)
+                r_reward = reward[p]
                 for r in range(cost, m + 1):
                     q = r_reward + float(np.dot(probs, child[:, r - cost]))
                     if q > best[r]:
                         best[r] = q
                         best_a[r] = action[p]
 
-    v0 = float(values[0][mdp.state_index(pruned.initial_state), m])
+    s0 = mdp.state_index(cf.initial_state)
+    v0 = float(values[0][s0, m])
     if v0 == NEG_INF:
         raise InfeasibleBudget(f"no feasible policy at m={m}")
-    return CfPolicy(
-        k=pruned.k, m=m, mdp=mdp, initial_state=pruned.initial_state,
-        observed_actions=tuple(path.action(t) for t in range(T)),
-        choices=choices, values=values, v_s0=v0,
-    )
+    return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=s0, choices=choices, values=values, v_s0=v0)
 
 
 def policy_to_json(policy: CfPolicy, meta: dict | None = None) -> dict:
@@ -147,7 +131,7 @@ class SweepResult:
     cf_rows_built: int
 
 
-def sweep(cf: CfMdp, path: ObservedPath, ks: list[int], ms: list[int]) -> SweepResult:
+def sweep(cf: CfMdp, ks: list[int], ms: list[int]) -> SweepResult:
     """Solve every (k, m) cell, reusing one posterior and one CF row cache.
 
     The largest k is pruned and solved first, at the largest m. Every other k
@@ -161,16 +145,16 @@ def sweep(cf: CfMdp, path: ObservedPath, ks: list[int], ms: list[int]) -> SweepR
         raise ValidationFailed("sweep needs at least one k and one m")
     m_max = max(ms)
     k_max = max(ks)
-    top = prune_cf_mdp(cf, cf.mdp, path, k_max)
-    top_policy = solve_km(top, path, m_max)
+    top = prune_cf_mdp(cf, k_max)
+    top_policy = solve_km(top, m_max)
     rows: list[tuple[int, int, float]] = []
     sizes: list[SizeReport] = []
     for k in ks:
         if k == k_max:
             pruned, policy = top, top_policy
         else:
-            pruned = prune_cf_mdp(cf, cf.mdp, path, k, base=top)
-            policy = solve_km(pruned, path, m_max, base=top_policy)
+            pruned = prune_cf_mdp(cf, k, base=top)
+            policy = solve_km(pruned, m_max, base=top_policy)
         sizes.append(pruned_size_report(pruned))
         for m in ms:
             rows.append((k, m, policy.initial_value(m)))
@@ -220,28 +204,34 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
     trajectory because they are probability-one guarantees.
     """
     T = pruned.horizon
-    mdp = pruned.cf.mdp
+    cf = pruned.cf
+    mdp = cf.mdp
+    pair_at = mdp.pair_table().pair_at
+    feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
+    observed = [mdp.action_index(a) for _, a in cf.path.steps]
     feats = np.empty((n, T + 1))
     max_changes = 0
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        s = pruned.initial_state
+        si = policy.s0
         j = 0
         for t in range(T):
-            if not pruned.allowed_node(s, t):
-                raise RuntimeError(f"rollout left the pruned node set at ({s}, t={t})")
-            feats[i, t] = feature(s)
-            a = policy.action(s, t, j)
-            if a is None or a not in pruned.allowed_actions(s, t):
-                raise RuntimeError(f"policy undefined or disallowed at ({s}, t={t}, j={j})")
-            if a != policy.observed_actions[t]:
+            if not pruned.reach[t][si]:
+                raise InvariantViolated(f"rollout left the pruned node set at ({mdp.states[si]}, t={t})")
+            feats[i, t] = feature_at[si]
+            a = policy.choices[t][si, policy.m - j] if j <= policy.m else -1
+            p = pair_at[si, a] if a >= 0 else -1
+            if p < 0 or not pruned.usable[t][p]:
+                raise UndefinedPolicyAction(
+                    f"policy undefined or disallowed at ({mdp.states[si]}, t={t}, j={j})")
+            if a != observed[t]:
                 j += 1
-            idx, probs = pruned.kernel(t, s, a).as_arrays()
+            idx, probs = cf.row(t, p)
             pos = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right").clip(0, len(idx) - 1))
-            s = mdp.states[idx[pos]]
-        feats[i, T] = feature(s)
+            si = idx[pos]
+        feats[i, T] = feature_at[si]
         if j > policy.m:
-            raise RuntimeError(f"rollout exceeded budget: {j} > {policy.m}")
+            raise InvariantViolated(f"rollout exceeded budget: {j} > {policy.m}")
         max_changes = max(max_changes, j)
     return RolloutSummary(
         times=np.arange(T + 1),

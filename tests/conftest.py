@@ -51,4 +51,4 @@ def epidemic_demo():
 def epidemic_cf(epidemic_demo):
     mdp, path, _ = epidemic_demo
     posterior = build_posterior(mdp, path, 1000, "topdown", seed=7)
-    return build_cf_mdp(posterior, mdp, path)
+    return build_cf_mdp(posterior, mdp)

@@ -12,6 +12,7 @@ from itertools import product
 
 import numpy as np
 
+from cfmdp.gumbel import cf_transition
 from cfmdp.influence import PrunedCfMdp
 from cfmdp.mdp import Mdp, ObservedPath
 
@@ -86,30 +87,40 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
     Enumerates every budget-feasible, pruning-respecting action assignment via
     the recursion tree, consuming the same frozen kernel estimates as the
     solver. Arithmetic mirrors the solver's inner product exactly (same
-    successor ordering, same np.dot) so agreement can be exact.
+    successor ordering, same np.dot over a column of a (successors, m+1)
+    array) so agreement can be exact: np.dot can round a strided column
+    differently from a contiguous array once a row has four or more entries.
     """
     T = pruned.horizon
-    mdp = pruned.cf.mdp
+    cf = pruned.cf
+    mdp = cf.mdp
 
     def value(s, t, r):
         if t == T:
             return 0.0
         obs = path.action(t)
-        acts = pruned.allowed_actions(s, t)
+        acts = pruned.actions.get((s, t), ())
         ordered = [a for a in acts if a == obs] + [a for a in acts if a != obs]
         best = float("-inf")
         for a in ordered:
             cost = 0 if a == obs else 1
             if cost > r:
                 continue
-            idx, probs = pruned.kernel(t, s, a).as_arrays()
-            child = np.array([value(mdp.states[i], t + 1, r - cost) for i in idx])
-            q = mdp.reward(s, a) + float(np.dot(probs, child))
+            idx, probs = cf.row(t, mdp.pair(s, a))
+            child = np.zeros((len(idx), m + 1))
+            child[:, r - cost] = [value(mdp.states[i], t + 1, r - cost) for i in idx]
+            q = mdp.reward(s, a) + float(np.dot(probs, child[:, r - cost]))
             if q > best:
                 best = q
         return best
 
-    return value(pruned.initial_state, 0, m)
+    return value(cf.initial_state, 0, m)
+
+
+def cf_transition_probs(posterior, mdp: Mdp, t: int, s, a) -> dict:
+    """`cf_transition`'s row of (s, a) at time t, by label."""
+    idx, probs = cf_transition(posterior, mdp, t, mdp.pair(s, a))
+    return {mdp.states[i]: p for i, p in zip(idx.tolist(), probs.tolist())}
 
 
 def random_mdp(rng: np.random.Generator, n_states: int, n_actions: int,

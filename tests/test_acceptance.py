@@ -8,17 +8,12 @@ import numpy as np
 import pytest
 
 from cfmdp.environments import demo_observation, environment_features
-from cfmdp.gumbel import (
-    build_cf_mdp,
-    build_posterior,
-    cf_transition,
-    nominal_cf_mdp,
-)
+from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import influenced_states, prune_cf_mdp, reachback
 from cfmdp.mdp import Mdp, ObservedPath, Policy, path_return, sample_path
 from cfmdp.solver import check_sweep_monotonicity, rollout, solve_km, sweep
 
-from oracles import km_value_oracle, random_mdp, tv_distance
+from oracles import cf_transition_probs, km_value_oracle, random_mdp, tv_distance
 
 
 def report(number: int, started: float, limit: float, text: str) -> None:
@@ -38,8 +33,8 @@ def random_five_state(seed: int) -> tuple[Mdp, ObservedPath]:
 def epidemic_suite():
     mdp, path, _ = demo_observation("epidemic")
     posterior = build_posterior(mdp, path, 1000, "topdown", seed=7)
-    cf = build_cf_mdp(posterior, mdp, path)
-    result = sweep(cf, path, ks=list(range(1, 9)), ms=list(range(1, 8)))
+    cf = build_cf_mdp(posterior, mdp)
+    result = sweep(cf, ks=list(range(1, 9)), ms=list(range(1, 8)))
     return mdp, path, cf, result
 
 
@@ -47,8 +42,8 @@ def epidemic_suite():
 def gridworld_suite():
     mdp, path, _ = demo_observation("gridworld")
     posterior = build_posterior(mdp, path, 1000, "topdown", seed=7)
-    cf = build_cf_mdp(posterior, mdp, path)
-    result = sweep(cf, path, ks=list(range(1, 13)), ms=list(range(1, 12)))
+    cf = build_cf_mdp(posterior, mdp)
+    result = sweep(cf, ks=list(range(1, 13)), ms=list(range(1, 12)))
     return mdp, path, cf, result
 
 
@@ -58,8 +53,8 @@ def sepsis_suites():
     for preset in ("catastrophic", "suboptimal"):
         mdp, path, _ = demo_observation("sepsis", preset=preset)
         posterior = build_posterior(mdp, path, 1000, "topdown", seed=7)
-        cf = build_cf_mdp(posterior, mdp, path)
-        result = sweep(cf, path, ks=list(range(1, 12)), ms=list(range(1, 11)))
+        cf = build_cf_mdp(posterior, mdp)
+        result = sweep(cf, ks=list(range(1, 12)), ms=list(range(1, 11)))
         out[preset] = (mdp, path, cf, result)
     return out
 
@@ -94,9 +89,9 @@ def test_criterion_02_sampler_equivalence():
     for t in range(path.T):
         for s in mdp.states:
             for a in mdp.available_actions(s):
-                est_t = cf_transition(top, mdp, t, s, a)
-                est_r = cf_transition(rej, mdp, t, s, a)
-                worst = max(worst, tv_distance(est_t.probs, est_r.probs))
+                est_t = cf_transition_probs(top, mdp, t, s, a)
+                est_r = cf_transition_probs(rej, mdp, t, s, a)
+                worst = max(worst, tv_distance(est_t, est_r))
     assert worst < 0.03
     report(2, started, 60.0,
            f"top-down and rejection posteriors agree on every row (max TV {worst:.4f} at N=1e5)")
@@ -109,12 +104,12 @@ def test_criterion_03_replay_determinism():
     for env, preset in cases:
         mdp, path, _ = demo_observation(env, preset=preset)
         posterior = build_posterior(mdp, path, 400, "topdown", seed=5)
-        cf = build_cf_mdp(posterior, mdp, path)
+        cf = build_cf_mdp(posterior, mdp)
         for t in range(path.T - 1):
-            est = cf.kernel(t, path.state(t), path.action(t))
-            assert est.probs == {path.state(t + 1): 1.0}, (env, t)
-        pruned = prune_cf_mdp(cf, mdp, path, 1)
-        value = solve_km(pruned, path, 0).v_s0
+            est = cf.probs(t, path.state(t), path.action(t))
+            assert est == {path.state(t + 1): 1.0}, (env, t)
+        pruned = prune_cf_mdp(cf, 1)
+        value = solve_km(pruned, 0).v_s0
         assert value == path_return(mdp, path), (env, preset)
         if env == "epidemic":
             assert value == -38.0
@@ -136,8 +131,8 @@ def test_criterion_04_disjoint_support_prior_preservation():
     path = ObservedPath((("s", "a"), ("x2", "a")))
     post = build_posterior(mdp, path, 100_000, "topdown", seed=6)
     for query in ("b", "c"):
-        est = cf_transition(post, mdp, 0, "s", query)
-        assert tv_distance(est.probs, kernel[("s", query)]) < 0.02
+        est = cf_transition_probs(post, mdp, 0, "s", query)
+        assert tv_distance(est, kernel[("s", query)]) < 0.02
     report(4, started, 10.0,
            "disjoint-support counterfactual rows match the interventional rows within TV 0.02")
 
@@ -183,12 +178,12 @@ def test_criterion_06_fig2_worked_example(fig2_toy):
     cf = nominal_cf_mdp(mdp, path)
 
     def surviving_states(k):
-        pruned = prune_cf_mdp(cf, mdp, path, k)
-        states = set(pruned.allowed_states)
+        pruned = prune_cf_mdp(cf, k)
+        states = set().union(*pruned.layers)
         for (s, t), acts in pruned.actions.items():
             if t == pruned.horizon - 1:
                 for a in acts:
-                    states |= set(pruned.kernel(t, s, a).support)
+                    states |= set(pruned.cf.probs(t, s, a))
         return pruned, states
 
     p1, states1 = surviving_states(1)
@@ -211,8 +206,8 @@ def test_criterion_07_epidemic_headline(epidemic_suite):
         assert table[(1, m)] == pytest.approx(-38.0, abs=1e-9)
         assert table[(2, m)] == pytest.approx(-38.0, abs=1e-9)
         assert table[(8, m)] == pytest.approx(-1.0, abs=1e-9)
-    pruned = prune_cf_mdp(cf, mdp, path, 8)
-    policy = solve_km(pruned, path, 1)
+    pruned = prune_cf_mdp(cf, 8)
+    policy = solve_km(pruned, 1)
     summary = rollout(pruned, policy, 1000, environment_features("epidemic")["infected"], seed=3)
     assert summary.means[0] == 1.0
     assert np.all(summary.means[1:] == 0.0)
@@ -250,11 +245,11 @@ def test_criterion_09_dp_oracle_equivalence():
         mdp = random_mdp(rng, n_states, 2, support_max=min(3, n_states))
         path = sample_path(mdp, Policy.constant("a0"), horizon, seed=trial)
         post = build_posterior(mdp, path, 1000, "topdown", seed=trial + 1)
-        cf = build_cf_mdp(post, mdp, path)
+        cf = build_cf_mdp(post, mdp)
         k = int(rng.integers(1, horizon + 2))
         m = int(rng.integers(0, horizon + 1))
-        pruned = prune_cf_mdp(cf, mdp, path, k)
-        assert solve_km(pruned, path, m).v_s0 == km_value_oracle(pruned, path, m), (trial, k, m)
+        pruned = prune_cf_mdp(cf, k)
+        assert solve_km(pruned, m).v_s0 == km_value_oracle(pruned, path, m), (trial, k, m)
     report(9, started, 120.0,
            "dynamic program equals exhaustive budgeted enumeration exactly on 50 random instances")
 

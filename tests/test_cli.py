@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import cfmdp.mdp
 from cfmdp.cli import main
 from cfmdp.mdp import mdp_from_json, mdp_to_json
 
@@ -274,7 +275,45 @@ BAD_ARTIFACTS = {
     "policy-m-not-a-number": ("policy", lambda pruned, policy: dict(policy, m="many")),
     "policy-budget-out-of-range": ("policy", lambda pruned, policy: dict(
         policy, actions=[dict(e, j=-1) for e in policy["actions"]])),
+    "pruned-negative-entry": ("pruned", lambda pruned, policy: _edit_row(
+        pruned, lambda e, kernels: dict(zip(e["probs"], (1.5, -0.5))))),
+    "pruned-non-finite-entry": ("pruned", lambda pruned, policy: _edit_row(
+        pruned, lambda e, kernels: dict(zip(e["probs"], (float("nan"), 1.0))))),
+    "pruned-row-sums-to-0.4": ("pruned", lambda pruned, policy: _edit_row(
+        pruned, lambda e, kernels: {s: 0.4 * p for s, p in e["probs"].items()})),
+    # The edited row is V_S at s_0, which vaccinates a susceptible; the NIL
+    # successor at the same node keeps every vaccine, so it is off V_S's support.
+    "pruned-row-off-support": ("pruned", lambda pruned, policy: _edit_row(
+        pruned, lambda e, kernels: next(k["probs"] for k in kernels
+                                        if (k["t"], k["s"], k["a"]) == (e["t"], e["s"], "NIL")))),
+    "pruned-usable-pair-without-row": ("pruned", lambda pruned, policy: dict(
+        pruned, kernels=pruned["kernels"][1:])),
+    "pruned-first-layer-empty": ("pruned", lambda pruned, policy: dict(
+        pruned, layers=[[]] + pruned["layers"][1:])),
+    "pruned-successor-outside-next-layer": ("pruned", lambda pruned, policy: dict(
+        pruned, layers=[pruned["layers"][0]] + [
+            [s for s in pruned["layers"][1] if s not in pruned["kernels"][0]["probs"]]]
+        + pruned["layers"][2:])),
+    "policy-action-not-usable": ("policy", lambda pruned, policy: _unusable_action(pruned, policy)),
 }
+
+
+def _edit_row(pruned, new_probs):
+    """`pruned` with the first two-successor kernel row e's probs set to new_probs(e, kernels)."""
+    kernels = [dict(e) for e in pruned["kernels"]]
+    e = next(e for e in kernels if len(e["probs"]) == 2)
+    e["probs"] = new_probs(e, kernels)
+    return dict(pruned, kernels=kernels)
+
+
+def _unusable_action(pruned, policy):
+    """`policy` with one entry's action replaced by an action not usable at its node."""
+    usable = {(e["s"], e["t"]): set(e["actions"]) for e in pruned["actions"]}
+    everything = {"NIL", "V_I", "V_S"}
+    actions = [dict(e) for e in policy["actions"]]
+    e = next(e for e in actions if usable[(e["s"], e["t"])] != everything)
+    e["a"] = min(everything - usable[(e["s"], e["t"])])
+    return dict(policy, actions=actions)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
@@ -296,6 +335,28 @@ def test_malformed_artifact_exits_2(case, artifact_dir, tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, (argv[0], err)
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_rollout_policy_without_entry_exits_3(artifact_dir, tmp_path, capsys):
+    policy = json.loads((artifact_dir / "policy.json").read_text())
+    policy["actions"] = [e for e in policy["actions"] if (e["t"], e["j"]) != (0, 0)]
+    (tmp_path / "policy.json").write_text(json.dumps(policy))
+    code, _, err = run(capsys, "rollout", "--mdp", str(artifact_dir / "mdp.json"),
+                       "--pruned", str(artifact_dir / "pruned.json"),
+                       "--policy", str(tmp_path / "policy.json"), "--env", "epidemic",
+                       "--feature", "infected", "-n", "5", "--out", str(tmp_path / "r.csv"))
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_sweep_hashes_the_mdp_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    to_json = cfmdp.mdp.mdp_to_json
+    monkeypatch.setattr(cfmdp.mdp, "mdp_to_json", lambda mdp: calls.append(mdp) or to_json(mdp))
+    code, _, _ = run(capsys, "sweep", "--env", "gridworld", "--samples", "20",
+                     "--out", str(tmp_path / "sweep"))
+    assert code == 0
+    assert len(calls) == 1
 
 
 def _edit_posterior(src, dst, edit):

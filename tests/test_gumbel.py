@@ -4,9 +4,9 @@ from scipy import stats
 
 from cfmdp.errors import ValidationFailed, ZeroProbabilityObservation
 from cfmdp.gumbel import (
+    CfMdp,
     build_cf_mdp,
     build_posterior,
-    cf_transition,
     gumbel_max_step,
     load_posterior,
     nominal_cf_mdp,
@@ -17,7 +17,7 @@ from cfmdp.gumbel import (
 )
 from cfmdp.mdp import Mdp, ObservedPath
 
-from oracles import categorical_frequencies, random_mdp, tv_distance
+from oracles import categorical_frequencies, cf_transition_probs, random_mdp, tv_distance
 
 
 def row_mdp(probs: dict, extra_rows: dict | None = None) -> Mdp:
@@ -132,18 +132,18 @@ def test_build_posterior_replays_and_final_step_prior(tinychain):
     assert post.T == 3
     # Conditioned steps replay exactly.
     for t in range(2):
-        est = cf_transition(post, tinychain, t, path.state(t), path.action(t))
-        assert est.probs == {path.state(t + 1): 1.0}
+        est = cf_transition_probs(post, tinychain, t, path.state(t), path.action(t))
+        assert est == {path.state(t + 1): 1.0}
     # The final step carries prior noise: its cf row tracks the nominal row.
-    est = cf_transition(post, tinychain, 2, "x0", "a")
-    assert tv_distance(est.probs, tinychain.kernel[("x0", "a")]) < 0.1
+    est = cf_transition_probs(post, tinychain, 2, "x0", "a")
+    assert tv_distance(est, tinychain.kernel[("x0", "a")]) < 0.1
 
 
 def test_build_posterior_single_step_is_prior(tinychain):
     path = ObservedPath((("x0", "a"),))
     post = build_posterior(tinychain, path, 20_000, "topdown", seed=2)
-    est = cf_transition(post, tinychain, 0, "x0", "a")
-    assert tv_distance(est.probs, {"x1": 0.9, "x2": 0.1}) < 0.02
+    est = cf_transition_probs(post, tinychain, 0, "x0", "a")
+    assert tv_distance(est, {"x1": 0.9, "x2": 0.1}) < 0.02
 
 
 def test_build_posterior_steps_independent(tinychain):
@@ -161,11 +161,11 @@ def test_cf_transition_tinychain_analytic(tinychain):
     # action b to x2 with probability exactly 1 (G_x2 - G_x1 > log 9).
     path = ObservedPath((("x0", "a"), ("x2", "a")))
     post = build_posterior(tinychain, path, 5000, "topdown", seed=4)
-    est = cf_transition(post, tinychain, 0, "x0", "b")
-    assert est.probs == {"x2": 1.0}
+    est = cf_transition_probs(post, tinychain, 0, "x0", "b")
+    assert est == {"x2": 1.0}
     rej = build_posterior(tinychain, path, 100_000, "rejection", seed=5)
-    est_rej = cf_transition(rej, tinychain, 0, "x0", "b")
-    assert est_rej.probs == {"x2": 1.0}
+    est_rej = cf_transition_probs(rej, tinychain, 0, "x0", "b")
+    assert est_rej == {"x2": 1.0}
 
 
 def test_cf_transition_disjoint_support_is_interventional():
@@ -180,10 +180,10 @@ def test_cf_transition_disjoint_support_is_interventional():
     # pad rows so the path validates
     kernel[("x2", "a")] = {"x2": 1.0}
     post = build_posterior(mdp, path, 100_000, "topdown", seed=6)
-    est = cf_transition(post, mdp, 0, "s", "b")
+    est = cf_transition_probs(post, mdp, 0, "s", "b")
     nominal = kernel[("s", "b")]
-    assert tv_distance(est.probs, nominal) < 0.02
-    assert tv_distance(est.probs, nominal) < 3.0 * np.sqrt(len(nominal) / 100_000)
+    assert tv_distance(est, nominal) < 0.02
+    assert tv_distance(est, nominal) < 3.0 * np.sqrt(len(nominal) / 100_000)
 
 
 def test_cf_support_containment():
@@ -196,9 +196,9 @@ def test_cf_support_containment():
     for t in range(3):
         for s in mdp.states:
             for a in mdp.available_actions(s):
-                est = cf_transition(post, mdp, t, s, a)
-                assert set(est.support) <= set(mdp.kernel[(s, a)])
-                assert abs(sum(est.probs.values()) - 1.0) < 1e-9
+                est = cf_transition_probs(post, mdp, t, s, a)
+                assert set(est) <= set(mdp.kernel[(s, a)])
+                assert abs(sum(est.values()) - 1.0) < 1e-9
 
 
 def test_counterfactual_stability_on_samples(tinychain):
@@ -229,8 +229,8 @@ def test_cf_mdp_layers_and_replay(epidemic_demo, epidemic_cf):
     # Replaying the observed actions reproduces the observed path w.p. 1.
     s = cf.initial_state
     for t in range(path.T - 1):
-        est = cf.kernel(t, s, path.action(t))
-        assert est.probs == {path.state(t + 1): 1.0}
+        est = cf.probs(t, s, path.action(t))
+        assert est == {path.state(t + 1): 1.0}
         s = path.state(t + 1)
 
 
@@ -238,28 +238,29 @@ def test_cf_mdp_fig2_counterfactual_edge(fig2_toy):
     # The full CF MDP keeps the counterfactual branch s3 -> s5 under a0 open.
     mdp, path = fig2_toy
     post = build_posterior(mdp, path, 500, "topdown", seed=12)
-    cf = build_cf_mdp(post, mdp, path)
-    est = cf.kernel(1, "s3", "a0")
-    assert est.probs.get("s5", 0.0) > 0.0
+    cf = build_cf_mdp(post, mdp)
+    est = cf.probs(1, "s3", "a0")
+    assert est.get("s5", 0.0) > 0.0
 
 
 def test_nominal_cf_mdp_rows_exact(fig2_toy):
     mdp, path = fig2_toy
     cf = nominal_cf_mdp(mdp, path)
-    assert cf.kernel(0, "s0", "a0").probs == {"s2": 0.5, "s3": 0.5}
+    assert cf.probs(0, "s0", "a0") == {"s2": 0.5, "s3": 0.5}
 
 
 def test_prior_posterior_matches_nominal(tinychain):
     path = ObservedPath((("x0", "a"), ("x2", "a")))
     post = prior_posterior(tinychain, path, 50_000, seed=13)
-    est = cf_transition(post, tinychain, 0, "x0", "a")
-    assert tv_distance(est.probs, tinychain.kernel[("x0", "a")]) < 0.02
+    est = cf_transition_probs(post, tinychain, 0, "x0", "a")
+    assert tv_distance(est, tinychain.kernel[("x0", "a")]) < 0.02
 
 
 def test_cf_mdp_kernel_memoized(epidemic_cf):
     built = epidemic_cf.rows_built
-    est1 = epidemic_cf.kernel(0, epidemic_cf.initial_state, "NIL")
-    est2 = epidemic_cf.kernel(0, epidemic_cf.initial_state, "NIL")
+    p = epidemic_cf.mdp.pair(epidemic_cf.initial_state, "NIL")
+    est1 = epidemic_cf.row(0, p)
+    est2 = epidemic_cf.row(0, p)
     assert est1 is est2
     assert epidemic_cf.rows_built <= built + 1
 
@@ -304,7 +305,7 @@ def test_cf_mdp_rejects_mismatched_posterior(tinychain):
     other = ObservedPath((("x0", "a"), ("x1", "a")))
     post = build_posterior(tinychain, path, 50, "topdown", seed=0)
     with pytest.raises(ValidationFailed):
-        build_cf_mdp(post, tinychain, other)
+        CfMdp(tinychain, other, post)
     other_mdp = row_mdp({"x1": 0.5, "x2": 0.5})
     with pytest.raises(ValidationFailed):
-        build_cf_mdp(post, other_mdp, path)
+        build_cf_mdp(post, other_mdp)

@@ -19,13 +19,13 @@ from oracles import random_mdp
 
 def pruned_state_sets(pruned):
     """Decision-layer states plus the terminal states actually reached."""
-    states = set(pruned.allowed_states)
+    states = set().union(*pruned.layers)
     T = pruned.horizon
     terminal = set()
     for (s, t), acts in pruned.actions.items():
         if t == T - 1:
             for a in acts:
-                terminal.update(pruned.kernel(t, s, a).support)
+                terminal.update(pruned.cf.probs(t, s, a))
     return states, terminal
 
 
@@ -100,15 +100,15 @@ def test_prune_fig2_worked_example(fig2_toy):
     cf = nominal_cf_mdp(mdp, path)
     sets = influenced_states(mdp, path)
 
-    p1 = prune_cf_mdp(cf, mdp, path, 1)
+    p1 = prune_cf_mdp(cf, 1)
     states1, term1 = pruned_state_sets(p1)
     assert states1 | term1 == (reachback(mdp, sets, 1).reachback_states | {"s0"}) - {"s4", "s6"}
 
-    p2 = prune_cf_mdp(cf, mdp, path, 2)
+    p2 = prune_cf_mdp(cf, 2)
     states2, term2 = pruned_state_sets(p2)
     assert states2 | term2 == (reachback(mdp, sets, 2).reachback_states | {"s0"}) - {"s1", "s4"}
 
-    p3 = prune_cf_mdp(cf, mdp, path, 3)
+    p3 = prune_cf_mdp(cf, 3)
     states3, term3 = pruned_state_sets(p3)
     assert states3 | term3 == set(mdp.states)
     # k = 3 recovers every original transition at some layer.
@@ -119,9 +119,9 @@ def test_prune_fig2_worked_example(fig2_toy):
 
 def test_prune_fig2_k1_keeps_s3_branch(fig2_toy):
     mdp, path = fig2_toy
-    pruned = prune_cf_mdp(nominal_cf_mdp(mdp, path), mdp, path, 1)
-    assert pruned.allowed_actions("s3", 1) == ("a0",)
-    assert pruned.allowed_actions("s0", 0) == ("a0",)
+    pruned = prune_cf_mdp(nominal_cf_mdp(mdp, path), 1)
+    assert pruned.actions[("s3", 1)] == ("a0",)
+    assert pruned.actions[("s0", 0)] == ("a0",)
 
 
 def test_prune_monotone_in_k(fig2_toy):
@@ -129,7 +129,7 @@ def test_prune_monotone_in_k(fig2_toy):
     cf = nominal_cf_mdp(mdp, path)
     previous = None
     for k in range(1, 5):
-        pruned = prune_cf_mdp(cf, mdp, path, k)
+        pruned = prune_cf_mdp(cf, k)
         nodes = {(s, t) for t, layer in enumerate(pruned.layers) for s in layer}
         pairs = {(s, t, a) for (s, t), acts in pruned.actions.items() for a in acts}
         if previous is not None:
@@ -160,12 +160,12 @@ def test_admission_matches_literal_definition(seed):
     mdp = random_mdp(rng, 6, 2, support_max=2)
     path = sample_path(mdp, Policy.constant("a0"), 4, seed=seed)
     hits = _admission_hits(mdp, path, path.T)
-    pairs = mdp.pair_table().pairs
+    pairs = [(s, a) for s in mdp.states for a in mdp.available_actions(s)]
     for k in range(1, path.T + 2):
         admitted = _admitted(k, hits)
         for t in range(path.T):
-            for p, (s, a) in enumerate(pairs):
-                assert admitted[t][p] == reference_admitted(mdp, path, k, t, s, a)
+            for s, a in pairs:
+                assert admitted[t][mdp.pair(s, a)] == reference_admitted(mdp, path, k, t, s, a)
 
 
 def test_prune_monotone_random_mdp():
@@ -173,10 +173,10 @@ def test_prune_monotone_random_mdp():
     mdp = random_mdp(rng, 5, 2, support_max=3)
     path = sample_path(mdp, Policy.constant("a0"), 4, seed=2)
     post = build_posterior(mdp, path, 400, "topdown", seed=3)
-    cf = build_cf_mdp(post, mdp, path)
+    cf = build_cf_mdp(post, mdp)
     prev = None
     for k in range(1, 6):
-        pruned = prune_cf_mdp(cf, mdp, path, k)
+        pruned = prune_cf_mdp(cf, k)
         nodes = {(s, t) for t, layer in enumerate(pruned.layers) for s in layer}
         if prev is not None:
             assert prev <= nodes
@@ -186,14 +186,14 @@ def test_prune_monotone_random_mdp():
 def test_prune_closure_no_leaks(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
     for k in (1, 3, 8):
-        pruned = prune_cf_mdp(epidemic_cf, mdp, path, k)
+        pruned = prune_cf_mdp(epidemic_cf, k)
         T = pruned.horizon
         for (s, t), acts in pruned.actions.items():
             for a in acts:
-                est = pruned.kernel(t, s, a)
+                est = pruned.cf.probs(t, s, a)
                 mass = sum(
-                    p for s2, p in est.probs.items()
-                    if t + 1 == T or pruned.allowed_node(s2, t + 1)
+                    p for s2, p in est.items()
+                    if t + 1 == T or s2 in pruned.layers[t + 1]
                 )
                 assert abs(mass - 1.0) < 1e-9
 
@@ -201,10 +201,10 @@ def test_prune_closure_no_leaks(epidemic_demo, epidemic_cf):
 def test_prune_preserves_observed_path(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
     for k in range(1, 9):
-        pruned = prune_cf_mdp(epidemic_cf, mdp, path, k)
+        pruned = prune_cf_mdp(epidemic_cf, k)
         for t in range(path.T):
-            assert pruned.allowed_node(path.state(t), t)
-            assert path.action(t) in pruned.allowed_actions(path.state(t), t)
+            assert path.state(t) in pruned.layers[t]
+            assert path.action(t) in pruned.actions[(path.state(t), t)]
 
 
 def test_prune_k_max_equals_reachable_unpruned(epidemic_demo, epidemic_cf):
@@ -212,23 +212,23 @@ def test_prune_k_max_equals_reachable_unpruned(epidemic_demo, epidemic_cf):
     # reachable counterfactual MDP itself.
     mdp, path, _ = epidemic_demo
     T = path.T
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, T + 1)
+    pruned = prune_cf_mdp(epidemic_cf, T + 1)
     reach = [{path.state(0)}]
     for t in range(T - 1):
         nxt = set()
         for s in reach[t]:
             for a in mdp.available_actions(s):
-                nxt.update(epidemic_cf.kernel(t, s, a).support)
+                nxt.update(epidemic_cf.probs(t, s, a))
         reach.append(nxt)
     for t in range(T):
         assert set(pruned.layers[t]) == reach[t]
         for s in reach[t]:
-            assert set(pruned.allowed_actions(s, t)) == set(mdp.available_actions(s))
+            assert set(pruned.actions[(s, t)]) == set(mdp.available_actions(s))
 
 
 def test_prune_k1_node_count_is_path_length(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, 1)
+    pruned = prune_cf_mdp(epidemic_cf, 1)
     report = pruned_size_report(pruned)
     distinct_pairs = len({(path.state(t), t) for t in range(path.T)})
     assert report.nodes_reachable == distinct_pairs == path.T
@@ -236,7 +236,7 @@ def test_prune_k1_node_count_is_path_length(epidemic_demo, epidemic_cf):
 
 def test_size_report_monotone(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    reports = [pruned_size_report(prune_cf_mdp(epidemic_cf, mdp, path, k)) for k in range(1, 9)]
+    reports = [pruned_size_report(prune_cf_mdp(epidemic_cf, k)) for k in range(1, 9)]
     for r1, r2 in zip(reports, reports[1:]):
         assert r1.nodes_reachable <= r2.nodes_reachable
         assert r1.nodes_all_layers <= r2.nodes_all_layers
@@ -251,5 +251,5 @@ def test_prune_empty_raises():
     path = ObservedPath((("s0", "a"), ("s1", "a")))
     cf = nominal_cf_mdp(mdp, path)
     with pytest.raises(EmptyPrunedMdp):
-        prune_cf_mdp(cf, mdp, path, 1)
+        prune_cf_mdp(cf, 1)
 

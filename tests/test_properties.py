@@ -1,0 +1,149 @@
+"""Property tests over random MDPs, and a fuzz test of the CLI's artifact loaders.
+
+Examples are derandomized so every run checks the same instances; raise
+`max_examples` locally to search further.
+"""
+
+import io
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cfmdp.cli import _policy_from_json, _pruned_from_json, _pruned_to_json, main
+from cfmdp.gumbel import build_cf_mdp, build_posterior
+from cfmdp.influence import prune_cf_mdp
+from cfmdp.mdp import Policy, mdp_from_json, mdp_to_json, path_return, sample_path
+from cfmdp.solver import policy_to_json, solve_km, sweep
+
+from oracles import km_value_oracle, random_mdp
+
+PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def instances(draw):
+    """A random MDP, a path observed on it under random actions, and its
+    counterfactual MDP."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_states = draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, n_states, draw(st.integers(1, 3)),
+                     support_max=draw(st.integers(1, n_states)))
+    actions = draw(st.lists(st.sampled_from(mdp.actions), min_size=1, max_size=5))
+    path = sample_path(mdp, Policy(lambda s, t: actions[t]), len(actions), seed=seed)
+    posterior = build_posterior(mdp, path, draw(st.integers(1, 60)),
+                                draw(st.sampled_from(["topdown", "rejection"])), seed=seed)
+    return mdp, path, build_cf_mdp(posterior, mdp)
+
+
+@PROPERTIES
+@given(instances())
+def test_no_successor_leaks_out_of_the_next_layer(instance):
+    _, path, cf = instance
+    for k in range(1, path.T + 2):
+        pruned = prune_cf_mdp(cf, k)
+        for t in range(path.T - 1):
+            for p in np.flatnonzero(pruned.usable[t]).tolist():
+                assert pruned.reach[t + 1][cf.row(t, p)[0]].all(), (k, t, p)
+
+
+@PROPERTIES
+@given(instances())
+def test_value_monotone_in_k_and_m_and_m0_replays_the_path(instance):
+    mdp, path, cf = instance
+    T = path.T
+    table = {(k, m): v for k, m, v in sweep(cf, list(range(1, T + 2)), list(range(T + 1))).rows}
+    for k in range(1, T + 2):
+        assert abs(table[(k, 0)] - path_return(mdp, path)) <= 1e-9
+        for m in range(T + 1):
+            if m < T:
+                assert table[(k, m)] <= table[(k, m + 1)] + 1e-9
+            if k <= T:
+                assert table[(k, m)] <= table[(k + 1, m)] + 1e-9
+
+
+@PROPERTIES
+@given(instances(), st.data())
+def test_solver_equals_oracle_and_artifacts_round_trip(instance, data):
+    mdp, path, cf = instance
+    k = data.draw(st.integers(1, path.T + 1))
+    m = data.draw(st.integers(0, path.T))
+    pruned = prune_cf_mdp(cf, k)
+    policy = solve_km(pruned, m)
+    assert policy.v_s0 == km_value_oracle(pruned, path, m)
+
+    assert mdp_to_json(mdp_from_json(json.loads(json.dumps(mdp_to_json(mdp))))) == mdp_to_json(mdp)
+    text = json.dumps(_pruned_to_json(pruned), default=lambda entry: entry())
+    loaded = _pruned_from_json(json.loads(text), mdp)
+    for a, b in zip(loaded.reach + loaded.usable, pruned.reach + pruned.usable):
+        np.testing.assert_array_equal(a, b)
+    assert solve_km(loaded, m).v_s0 == policy.v_s0
+    back = _policy_from_json(json.loads(json.dumps(policy_to_json(policy))), loaded)
+    assert back.v_s0 == policy.v_s0
+    for a, b in zip(back.choices, policy.choices):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def gridworld_files(tmp_path_factory):
+    """MDP, path, pruned and policy files of a gridworld run."""
+    d = tmp_path_factory.mktemp("fuzz")
+    files = {name: str(d / f"{name}.json") for name in ("mdp", "path", "pruned", "policy")}
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["env", "gridworld", "--out", files["mdp"]]) == 0
+        assert main(["sample", "--policy", "gridworld", "--out", files["path"]]) == 0
+        assert main(["prune", "--mdp", files["mdp"], "--path", files["path"], "--samples", "20",
+                     "--k", "3", "--out", files["pruned"]]) == 0
+        assert main(["solve", "--mdp", files["mdp"], "--pruned", files["pruned"], "--m", "1",
+                     "--out", files["policy"]]) == 0
+    return files
+
+
+def mutate(data, node, values):
+    """`node`, a parsed JSON value, with one drawn edit: somewhere inside it an
+    item is deleted or a value is replaced."""
+    if isinstance(node, (dict, list)) and node:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        edit = data.draw(st.sampled_from(["descend", "descend", "descend", "delete", "replace"]))
+        if edit != "replace":
+            out = dict(node) if isinstance(node, dict) else list(node)
+            if edit == "delete":
+                del out[key]
+            else:
+                out[key] = mutate(data, node[key], values)
+            return out
+    return data.draw(values)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cli_on_edited_files_exits_0_2_or_3(gridworld_files, data):
+    kind = data.draw(st.sampled_from(["mdp", "pruned", "policy"]))
+    with open(gridworld_files["mdp"]) as fh:
+        mdp = json.load(fh)
+    with open(gridworld_files[kind]) as fh:
+        original = json.load(fh)
+    values = st.sampled_from([None, True, -1, 0, 1, 2, 0.4, 1.5, -0.5, 1e308, 10**400, math.nan,
+                              math.inf, "", [], {}, mdp["states"][0], mdp["states"][-1],
+                              mdp["actions"][-1]])
+    files = dict(gridworld_files, **{kind: gridworld_files[kind] + ".edited"})
+    with open(files[kind], "w") as fh:
+        json.dump(mutate(data, original, values), fh)
+    out = gridworld_files["mdp"] + ".out"
+    commands = [
+        ["prune", "--mdp", files["mdp"], "--path", files["path"], "--nominal", "--k", "2",
+         "--out", out],
+        ["solve", "--mdp", files["mdp"], "--pruned", files["pruned"], "--m", "1", "--out", out],
+        ["rollout", "--mdp", files["mdp"], "--pruned", files["pruned"], "--policy", files["policy"],
+         "--env", "gridworld", "--feature", "dist_to_goal", "-n", "3", "--out", out],
+    ]
+    for argv in commands:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv[0], err.getvalue())
+        assert code == 0 or err.getvalue().startswith("error:")

@@ -23,31 +23,31 @@ def small_instance(seed, n_states=4, n_actions=2, horizon=4, n_samples=1000):
     policy = Policy.constant("a0")
     path = sample_path(mdp, policy, horizon, seed=seed)
     post = build_posterior(mdp, path, n_samples, "topdown", seed=seed + 1)
-    cf = build_cf_mdp(post, mdp, path)
+    cf = build_cf_mdp(post, mdp)
     return mdp, path, cf
 
 
 def test_solve_m0_equals_observed_return(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, 8)
-    policy = solve_km(pruned, path, 0)
+    pruned = prune_cf_mdp(epidemic_cf, 8)
+    policy = solve_km(pruned, 0)
     assert policy.v_s0 == path_return(mdp, path) == -38.0
 
 
 def test_solve_epidemic_headline(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, 8)
-    policy = solve_km(pruned, path, 1)
+    pruned = prune_cf_mdp(epidemic_cf, 8)
+    policy = solve_km(pruned, 1)
     assert policy.v_s0 == pytest.approx(-1.0, abs=1e-9)
     # The single change vaccinates the one infected individual at t = 0.
-    assert policy.action(path.state(0), 0, 0) == "V_I"
+    assert policy.choices[0][mdp.state_index(path.state(0)), 1] == mdp.action_index("V_I")
 
 
 def test_budget_validation(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, 2)
+    pruned = prune_cf_mdp(epidemic_cf, 2)
     with pytest.raises(ValidationFailed):
-        solve_km(pruned, path, path.T + 1)
+        solve_km(pruned, path.T + 1)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -56,29 +56,29 @@ def test_solver_matches_recursion_oracle(seed):
     rng = np.random.default_rng(seed + 100)
     k = int(rng.integers(1, path.T + 2))
     m = int(rng.integers(0, path.T + 1))
-    pruned = prune_cf_mdp(cf, mdp, path, k)
-    got = solve_km(pruned, path, m).v_s0
+    pruned = prune_cf_mdp(cf, k)
+    got = solve_km(pruned, m).v_s0
     want = km_value_oracle(pruned, path, m)
     assert got == want
 
 
 def test_bellman_consistency_of_budget_recursion(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, 4)
+    pruned = prune_cf_mdp(epidemic_cf, 4)
     m = 3
-    policy = solve_km(pruned, path, m)
+    policy = solve_km(pruned, m)
     T = pruned.horizon
     for t in range(T):
         obs = path.action(t)
         for s in pruned.layers[t]:
             for r in range(m + 1):
                 best = float("-inf")
-                for a in pruned.allowed_actions(s, t):
+                for a in pruned.actions.get((s, t), ()):
                     cost = 0 if a == obs else 1
                     if cost > r:
                         continue
                     q = mdp.reward(s, a)
-                    for s2, p in pruned.kernel(t, s, a).probs.items():
+                    for s2, p in pruned.cf.probs(t, s, a).items():
                         nxt = 0.0 if t + 1 == T else float(policy.values[t + 1][mdp.state_index(s2), r - cost])
                         q += p * nxt
                     best = max(best, q)
@@ -90,8 +90,8 @@ def test_unconstrained_equals_layered_value_iteration(epidemic_demo, epidemic_cf
     # counterfactual layers.
     mdp, path, _ = epidemic_demo
     T = path.T
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, T + 1)
-    got = solve_km(pruned, path, T).v_s0
+    pruned = prune_cf_mdp(epidemic_cf, T + 1)
+    got = solve_km(pruned, T).v_s0
 
     memo = {}
 
@@ -101,7 +101,7 @@ def test_unconstrained_equals_layered_value_iteration(epidemic_demo, epidemic_cf
         if (s, t) not in memo:
             memo[(s, t)] = max(
                 mdp.reward(s, a)
-                + sum(p * vi(s2, t + 1) for s2, p in epidemic_cf.kernel(t, s, a).probs.items())
+                + sum(p * vi(s2, t + 1) for s2, p in epidemic_cf.probs(t, s, a).items())
                 for a in mdp.available_actions(s)
             )
         return memo[(s, t)]
@@ -111,21 +111,21 @@ def test_unconstrained_equals_layered_value_iteration(epidemic_demo, epidemic_cf
 
 def test_sweep_reads_all_budgets_off_one_table(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    result = sweep(epidemic_cf, path, ks=[2, 8], ms=[1, 3, 7])
+    result = sweep(epidemic_cf, ks=[2, 8], ms=[1, 3, 7])
     table = {(k, m): v for k, m, v in result.rows}
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, 8)
+    pruned = prune_cf_mdp(epidemic_cf, 8)
     for m in (1, 3, 7):
-        assert table[(8, m)] == solve_km(pruned, path, m).v_s0
+        assert table[(8, m)] == solve_km(pruned, m).v_s0
     assert check_sweep_monotonicity(result) == []
 
 
-def independent_sweep(cf, path, ks, ms):
+def independent_sweep(cf, ks, ms):
     """The sweep as one standalone prune and one solve per k, sharing nothing."""
     rows, sizes = [], []
     for k in ks:
-        pruned = prune_cf_mdp(cf, cf.mdp, path, k)
+        pruned = prune_cf_mdp(cf, k)
         sizes.append(pruned_size_report(pruned))
-        policy = solve_km(pruned, path, max(ms))
+        policy = solve_km(pruned, max(ms))
         rows.extend((k, m, policy.initial_value(m)) for m in ms)
     return rows, sizes
 
@@ -148,30 +148,30 @@ def test_shared_sweep_equals_independent_solves(seed):
     path = sample_path(mdp, Policy.constant("a0"), int(rng.integers(1, 7)), seed=seed)
     post = build_posterior(mdp, path, 200, "topdown", seed=seed)
     for ks, ms in sweep_grids(rng, path.T):
-        result = sweep(build_cf_mdp(post, mdp, path), path, ks, ms)
-        rows, sizes = independent_sweep(build_cf_mdp(post, mdp, path), path, ks, ms)
+        result = sweep(build_cf_mdp(post, mdp), ks, ms)
+        rows, sizes = independent_sweep(build_cf_mdp(post, mdp), ks, ms)
         assert result.rows == rows and result.sizes == sizes, (ks, ms)
-        alone = build_cf_mdp(post, mdp, path)
-        prune_cf_mdp(alone, mdp, path, max(ks))
+        alone = build_cf_mdp(post, mdp)
+        prune_cf_mdp(alone, max(ks))
         assert result.cf_rows_built == alone.rows_built
 
 
 @pytest.mark.parametrize("env", ["gridworld", "epidemic"])
 def test_shared_prune_and_solve_equal_standalone(env):
     mdp, path, _ = demo_observation(env)
-    cf = build_cf_mdp(build_posterior(mdp, path, 300, "topdown", seed=3), mdp, path)
+    cf = build_cf_mdp(build_posterior(mdp, path, 300, "topdown", seed=3), mdp)
     T = path.T
-    top = prune_cf_mdp(cf, mdp, path, T + 1)
-    top_policy = solve_km(top, path, T)
+    top = prune_cf_mdp(cf, T + 1)
+    top_policy = solve_km(top, T)
     ks = list(range(1, T + 2))
-    result = sweep(cf, path, ks, list(range(T + 1)))
-    assert (result.rows, result.sizes) == independent_sweep(cf, path, ks, list(range(T + 1)))
+    result = sweep(cf, ks, list(range(T + 1)))
+    assert (result.rows, result.sizes) == independent_sweep(cf, ks, list(range(T + 1)))
     for k in ks:
-        alone = prune_cf_mdp(cf, mdp, path, k)
-        shared = prune_cf_mdp(cf, mdp, path, k, base=top)
+        alone = prune_cf_mdp(cf, k)
+        shared = prune_cf_mdp(cf, k, base=top)
         assert shared.actions == alone.actions and shared.layers == alone.layers
-        want = solve_km(alone, path, T)
-        got = solve_km(shared, path, T, base=top_policy)
+        want = solve_km(alone, T)
+        got = solve_km(shared, T, base=top_policy)
         assert policy_to_json(got) == policy_to_json(want)
         for a, b in zip(got.values, want.values):
             np.testing.assert_array_equal(a, b)
@@ -179,24 +179,24 @@ def test_shared_prune_and_solve_equal_standalone(env):
 
 def test_shared_prune_rejects_smaller_base(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    base = prune_cf_mdp(epidemic_cf, mdp, path, 3)
+    base = prune_cf_mdp(epidemic_cf, 3)
     with pytest.raises(ValidationFailed):
-        prune_cf_mdp(epidemic_cf, mdp, path, 5, base=base)
-    small = prune_cf_mdp(epidemic_cf, mdp, path, 2, base=base)
+        prune_cf_mdp(epidemic_cf, 5, base=base)
+    small = prune_cf_mdp(epidemic_cf, 2, base=base)
     with pytest.raises(ValidationFailed):
-        solve_km(small, path, 1, base=solve_km(base, path, 2))
+        solve_km(small, 1, base=solve_km(base, 2))
 
 
 def test_sweep_rejects_empty_ranges(epidemic_demo, epidemic_cf):
     _, path, _ = epidemic_demo
     with pytest.raises(ValidationFailed):
-        sweep(epidemic_cf, path, ks=[], ms=[1])
+        sweep(epidemic_cf, ks=[], ms=[1])
 
 
 def test_rollout_m0_replays_observed_path(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, 8)
-    policy = solve_km(pruned, path, 0)
+    pruned = prune_cf_mdp(epidemic_cf, 8)
+    policy = solve_km(pruned, 0)
     infected = environment_features("epidemic")["infected"]
     summary = rollout(pruned, policy, 300, infected, seed=2)
     observed = [infected(path.state(t)) for t in range(path.T)]
@@ -209,16 +209,16 @@ def test_rollout_m0_replays_observed_path(epidemic_demo, epidemic_cf):
 
 def test_rollout_single_trajectory_has_zero_std(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, 8)
-    policy = solve_km(pruned, path, 1)
+    pruned = prune_cf_mdp(epidemic_cf, 8)
+    policy = solve_km(pruned, 1)
     summary = rollout(pruned, policy, 1, environment_features("epidemic")["infected"], seed=3)
     assert np.all(summary.stds == 0.0)
 
 
 def test_rollout_epidemic_optimal_policy(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, 8)
-    policy = solve_km(pruned, path, 1)
+    pruned = prune_cf_mdp(epidemic_cf, 8)
+    policy = solve_km(pruned, 1)
     summary = rollout(pruned, policy, 500, environment_features("epidemic")["infected"], seed=4)
     assert summary.means.tolist() == [1.0] + [0.0] * path.T
     assert summary.max_changes <= 1
@@ -226,8 +226,8 @@ def test_rollout_epidemic_optimal_policy(epidemic_demo, epidemic_cf):
 
 def test_rollout_mean_stability_when_doubling_n():
     mdp, path, cf = small_instance(5, horizon=3)
-    pruned = prune_cf_mdp(cf, mdp, path, path.T + 1)
-    policy = solve_km(pruned, path, 2)
+    pruned = prune_cf_mdp(cf, path.T + 1)
+    policy = solve_km(pruned, 2)
     feature = lambda s: float(mdp.state_index(s))
     small = rollout(pruned, policy, 2000, feature, seed=6)
     big = rollout(pruned, policy, 4000, feature, seed=7)
@@ -240,8 +240,8 @@ def test_rollout_budget_and_containment_bulk(epidemic_demo, epidemic_cf):
     # rollout() itself raises if a trajectory leaves the pruned node set or
     # exceeds the budget; 10^4 trajectories exercise that check.
     mdp, path, _ = epidemic_demo
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, 5)
-    policy = solve_km(pruned, path, 3)
+    pruned = prune_cf_mdp(epidemic_cf, 5)
+    policy = solve_km(pruned, 3)
     summary = rollout(pruned, policy, 10_000, environment_features("epidemic")["infected"], seed=8)
     assert summary.max_changes <= 3
     assert summary.n == 10_000
@@ -249,8 +249,8 @@ def test_rollout_budget_and_containment_bulk(epidemic_demo, epidemic_cf):
 
 def test_policy_json_shape(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
-    pruned = prune_cf_mdp(epidemic_cf, mdp, path, 3)
-    policy = solve_km(pruned, path, 2)
+    pruned = prune_cf_mdp(epidemic_cf, 3)
+    policy = solve_km(pruned, 2)
     blob = policy_to_json(policy, meta={"samples": 1000})
     assert blob["k"] == 3 and blob["m"] == 2
     assert {"t", "s", "j", "a"} <= set(blob["actions"][0])

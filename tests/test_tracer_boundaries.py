@@ -38,14 +38,14 @@ def test_every_boundary_resolves(tracer):
 def test_counters_read_existing_attributes(tracer, fig2_toy):
     mdp, path = fig2_toy
     posterior = build_posterior(mdp, path, 50, "topdown", seed=0)
-    pruned = prune_cf_mdp(build_cf_mdp(posterior, mdp, path), mdp, path, 2)
-    policy = solve_km(pruned, path, 1)
+    pruned = prune_cf_mdp(build_cf_mdp(posterior, mdp), 2)
+    policy = solve_km(pruned, 1)
     summary = rollout(pruned, policy, 4, lambda s: 0.0, seed=0)
     counters = {name: counter for _, _, name, counter in tracer.BOUNDARIES if counter}
     counts = {
         "gumbel.posterior": counters["gumbel.posterior"]((), {}, posterior),
         "influence.prune": counters["influence.prune"]((), {}, pruned),
-        "solver.solve": counters["solver.solve"]((pruned, path, 1), {}, policy),
+        "solver.solve": counters["solver.solve"]((pruned, 1), {}, policy),
         "solver.rollout": counters["solver.rollout"]((pruned, policy), {}, summary),
     }
     assert set(counts) == set(counters)
@@ -59,13 +59,13 @@ def test_sweep_prunes_and_solves_once_per_k(tracer, fig2_toy, monkeypatch):
     # `sweep` calls these two names once per k, with shared work passed as an
     # argument rather than done inside `sweep` itself.
     mdp, path = fig2_toy
-    cf = build_cf_mdp(build_posterior(mdp, path, 50, "topdown", seed=0), mdp, path)
+    cf = build_cf_mdp(build_posterior(mdp, path, 50, "topdown", seed=0), mdp)
     recorder = tracer.Tracer()
     for module, attr, name, _ in tracer.BOUNDARIES:
         if module == "cfmdp.solver":
             monkeypatch.setattr(cfmdp.solver, attr, recorder.wrap(
                 name, getattr(cfmdp.solver, attr), lambda args, kwargs, out: {"k": out.k}))
     ks = [1, 3, 2, 4]
-    cfmdp.solver.sweep(cf, path, ks, [0, 1])
+    cfmdp.solver.sweep(cf, ks, [0, 1])
     for name in ("influence.prune", "solver.solve"):
         assert sorted(span[4]["k"] for span in recorder.spans if span[0] == name) == sorted(ks)
