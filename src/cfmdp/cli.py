@@ -149,7 +149,9 @@ def _resolve_observation(args) -> tuple[Mdp, ObservedPath, int | None]:
     mdp = _build_env(args)
     policy = envs.observed_policy(args.env, preset)
     horizon = args.horizon or envs.default_horizon(args.env)
-    seed = args.seed if args.seed is not None else envs.default_observation_seed(args.env, preset)
+    seed = args.obs_seed
+    if seed is None:
+        seed = envs.default_observation_seed(args.env, preset)
     return mdp, sample_path(mdp, policy, horizon, seed), seed
 
 
@@ -232,10 +234,8 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
         path = path_from_json(obj["path"])
         validate_path(mdp, path).require()
         T, table = path.T, mdp.pair_table()
-        cf = CfMdp(mdp, path, None)
-        for entry in obj["kernels"]:
-            p = mdp.pair(entry["s"], entry["a"])
-            cf._cache[(_layer(entry["t"], T), p)] = _artifact_row(entry, mdp)
+        rows = {(_layer(entry["t"], T), mdp.pair(entry["s"], entry["a"])): _artifact_row(entry, mdp)
+                for entry in obj["kernels"]}
         if len(obj["layers"]) != T:
             raise ValidationFailed(f"pruned artifact has {len(obj['layers'])} layers, path has {T}")
         reach = tuple(np.zeros(mdp.num_states, dtype=bool) for _ in range(T))
@@ -248,11 +248,14 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
             usable[_layer(e["t"], T)][[mdp.pair(e["s"], a) for a in e["actions"]]] = True
         for t in range(T):
             for p in np.flatnonzero(usable[t]).tolist():
-                missing = (t, p) not in cf._cache
-                if missing or (t + 1 < T and not reach[t + 1][cf._cache[(t, p)][0]].all()):
+                missing = (t, p) not in rows
+                if missing or (t + 1 < T and not reach[t + 1][rows[(t, p)][0]].all()):
                     s, a = mdp.states[table.source[p]], mdp.actions[table.action[p]]
                     fault = "missing" if missing else f"not closed in layer {t + 1}"
                     raise ValidationFailed(f"kernel row of allowed ({s}, {a}) at t={t} is {fault}")
+        # Rows stay per pair: an edited artifact may give two pairs with the
+        # same nominal row different rows.
+        cf = CfMdp(mdp, path, None, given_rows=rows)
         return PrunedCfMdp(cf=cf, k=int(obj["k"]), reach=reach, usable=usable,
                            nodes_all_layers=int(obj["nodes_all_layers"]))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
@@ -458,6 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path")
     _add_env_flags(p, with_preset=True)
     _add_shared(p)
+    p.add_argument("--obs-seed", dest="obs_seed", type=int, default=None,
+                   help="seed of the path sampled with --env (default: the preset's frozen seed); "
+                        "--seed sets only the posterior seed")
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--m-min", type=int, default=1)

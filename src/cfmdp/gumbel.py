@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -189,17 +189,19 @@ def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple
 
     Successor indices are ascending and probabilities non-zero; the support is
     always contained in the nominal support of pair p. Prefer CfMdp.row for
-    repeated queries; it memoizes per (t, p).
+    repeated queries; it memoizes per (t, nominal row).
     """
     if t >= posterior.T:
         raise ValidationFailed(f"time {t} outside posterior horizon {posterior.T}")
     idx, _, logp = mdp.pair_table().row(p)
+    if idx.shape[0] == 1:  # every sample picks the one successor: counts / N == 1.0
+        return idx, np.ones(1)
     counts = np.bincount(_winners(idx, logp, posterior.vectors(t)), minlength=idx.shape[0])
     hit = counts > 0
     return idx[hit], counts[hit] / posterior.n
 
 
-@dataclass
+@dataclass(eq=False)
 class CfMdp:
     """Time-layered counterfactual MDP over nodes (state, t), t = 0..T.
 
@@ -207,22 +209,38 @@ class CfMdp:
     through the posterior and memoized, since pruning and dynamic programming
     only touch a small fraction of (t, pair) rows. With posterior=None the
     rows are the exact nominal kernel at every layer (the interventional MDP),
-    which is useful for structural analysis and baselines. Each row is built
-    once and kept as index/probability arrays; `rows_built` counts them.
+    which is useful for structural analysis and baselines.
+
+    A row built from the nominal row of pair p (through the noise at t, or
+    the nominal row itself) depends on that nominal row only, not on the
+    labels of p, so pairs with bit-identical nominal rows share one row: rows
+    are keyed by (t, `row_key[p]`), with `row_key` = `PairTable.row_id`. Rows
+    passed as `given_rows` ({(t, pair): (idx, p)}, read from an artifact) are
+    fixed per pair and never shared, so there `row_key` is the identity.
+    Each row is built once and kept as index/probability arrays;
+    `rows_built` counts the rows built (given rows are not).
     """
 
     mdp: Mdp
     path: ObservedPath
     posterior: GumbelPosterior | None
+    given_rows: InitVar[dict | None] = None
+    row_key: np.ndarray = field(init=False, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
     rows_built: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self, given_rows):
         if self.posterior is not None:
             if self.posterior.path.steps != self.path.steps:
                 raise ValidationFailed("posterior was built from a different path")
             if self.posterior.source_mdp_hash != mdp_hash(self.mdp):
                 raise ValidationFailed("posterior was built from a different MDP")
+        table = self.mdp.pair_table()
+        if given_rows is None:
+            self.row_key = table.row_id
+        else:
+            self.row_key = np.arange(len(table.source))
+            self._cache.update(given_rows)
 
     @property
     def horizon(self) -> int:
@@ -238,7 +256,7 @@ class CfMdp:
 
     def row(self, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
         """Counterfactual row of pair p at time t as (successor indices, probabilities)."""
-        key = (t, p)
+        key = (t, int(self.row_key[p]))
         row = self._cache.get(key)
         if row is None:
             if t >= self.horizon:

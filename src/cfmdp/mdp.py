@@ -13,6 +13,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -146,6 +147,18 @@ class PairTable:
         """Nominal row of pair p as (successor indices, probs, log probs) views."""
         lo, hi = self.row_start[p], self.row_start[p + 1]
         return self.succ[lo:hi], self.prob[lo:hi], self.logp[lo:hi]
+
+    @cached_property
+    def row_id(self) -> np.ndarray:
+        """Per pair, the first pair whose nominal row is bit-identical (same
+        successors, same probabilities). Many actions leave a state's dynamics
+        unchanged, so pairs share far fewer distinct rows than there are pairs.
+        Built on first use: only counterfactual row building reads it."""
+        entries = np.stack([self.succ, self.prob.view(np.int64)], axis=1)
+        bounds = self.row_start.tolist()
+        first: dict[bytes, int] = {}
+        return np.array([first.setdefault(entries[lo:hi].tobytes(), p)
+                         for p, (lo, hi) in enumerate(zip(bounds, bounds[1:]))], dtype=np.int64)
 
 
 @dataclass(frozen=True)

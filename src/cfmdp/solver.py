@@ -73,6 +73,7 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
     shared_from = T if base is None else max(T - pruned.k + 1, 0)
 
     start, action, reward = table.start.tolist(), table.action.tolist(), table.reward.tolist()
+    row_key = cf.row_key.tolist()
     observed = [mdp.action_index(a) for _, a in cf.path.steps]
     values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
     choices = [np.full((n, m + 1), -1, dtype=np.int64) for _ in range(T)]
@@ -85,6 +86,9 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
         obs_a = observed[t]
         v_next = values[t + 1]
         usable = pruned.usable[t].tolist()
+        # Expected child value per budget column c, once per distinct row:
+        # pairs that share a counterfactual row share it.
+        expected: dict[int, list[float]] = {}
         for si in np.flatnonzero(nodes).tolist():
             pairs = [p for p in range(start[si], start[si + 1]) if usable[p]]
             # Observed action first so value ties resolve toward replay.
@@ -93,11 +97,15 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
             best_a = choices[t][si]
             for p in pairs:
                 cost = 0 if action[p] == obs_a else 1
-                idx, probs = cf.row(t, p)
-                child = v_next[idx]
+                ev = expected.get(row_key[p])
+                if ev is None or len(ev) < m + 1 - cost:
+                    idx, probs = cf.row(t, p)
+                    child = v_next[idx]
+                    ev = [float(np.dot(probs, child[:, c])) for c in range(m + 1 - cost)]
+                    expected[row_key[p]] = ev
                 r_reward = reward[p]
                 for r in range(cost, m + 1):
-                    q = r_reward + float(np.dot(probs, child[:, r - cost]))
+                    q = r_reward + ev[r - cost]
                     if q > best[r]:
                         best[r] = q
                         best_a[r] = action[p]
@@ -207,7 +215,10 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
     cf = pruned.cf
     mdp = cf.mdp
     pair_at = mdp.pair_table().pair_at
-    feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
+    try:
+        feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
+    except Exception as exc:  # the feature is chosen by the caller, e.g. another env's
+        raise ValidationFailed(f"feature cannot be evaluated on the MDP's states: {exc!r}") from exc
     observed = [mdp.action_index(a) for _, a in cf.path.steps]
     feats = np.empty((n, T + 1))
     max_changes = 0

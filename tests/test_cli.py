@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import cfmdp.mdp
-from cfmdp.cli import main
-from cfmdp.mdp import mdp_from_json, mdp_to_json
+from cfmdp.cli import _pruned_from_json, main
+from cfmdp.environments import default_observation_seed
+from cfmdp.mdp import mdp_from_json, mdp_to_json, path_from_json, path_hash
+
+from oracles import km_value_oracle
 
 
 def run(capsys, *argv):
@@ -139,6 +142,19 @@ def test_rollout_cli_unknown_feature(artifact_dir, capsys):
     assert "bogus" in err
 
 
+def test_rollout_cli_feature_of_another_env_exits_2(artifact_dir, capsys):
+    # gridworld's feature parses gridworld labels and cannot read epidemic ones.
+    code, _, err = run(
+        capsys, "rollout",
+        "--mdp", str(artifact_dir / "mdp.json"),
+        "--pruned", str(artifact_dir / "pruned.json"),
+        "--policy", str(artifact_dir / "policy.json"),
+        "--env", "gridworld", "--feature", "dist_to_goal", "-n", "10",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "feature" in err
+
+
 def test_sweep_cli_epidemic(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     code, _, _ = run(capsys, "sweep", "--env", "epidemic", "--samples", "300",
@@ -157,10 +173,27 @@ def test_sweep_cli_epidemic(tmp_path, capsys):
     sizes = (out_dir / "sizes.csv").read_text().strip().splitlines()
     assert sizes[0] == "k,nodes_all_layers,nodes_reachable,distinct_states"
     manifest = json.loads((out_dir / "manifest.json").read_text())
+    # --seed is the posterior seed; the path keeps the frozen observation seed.
+    assert manifest["config"]["observation_seed"] == default_observation_seed("epidemic")
+    assert manifest["config"]["posterior_seed"] == 7
     assert manifest["statistics"]["cf_rows_built"] > 0
     assert "posterior_builds" not in manifest["statistics"]
     assert "threads" not in manifest["config"]
     assert manifest["outputs"]["sweep.csv"]
+
+
+def test_sweep_obs_seed_sets_the_observed_path(tmp_path, capsys):
+    path_file = tmp_path / "path.json"
+    assert main(["sample", "--policy", "epidemic", "--seed", "3", "--out", str(path_file)]) == 0
+    out_dir = tmp_path / "sweep"
+    code, _, _ = run(capsys, "sweep", "--env", "epidemic", "--samples", "20", "--obs-seed", "3",
+                     "--seed", "7", "--k-min", "7", "--m-max", "1", "--out", str(out_dir))
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["observation_seed"] == 3
+    assert manifest["config"]["posterior_seed"] == 7
+    path = path_from_json(json.loads(path_file.read_text()))
+    assert manifest["input_hashes"]["path"] == path_hash(path)
 
 
 def test_sweep_cli_byte_identical_outputs(tmp_path, capsys):
@@ -335,6 +368,39 @@ def test_malformed_artifact_exits_2(case, artifact_dir, tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, (argv[0], err)
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_artifact_rows_of_one_nominal_row_stay_per_pair(tmp_path, capsys):
+    # (x0, a) and (x0, b) share one nominal row. A counterfactual MDP built
+    # from it gives them one row, but a hand-edited artifact may give them two
+    # different valid rows, and solve must read each pair's own row.
+    mdp = {"name": "twin", "states": ["x0", "x1", "x2"], "actions": ["a", "b"],
+           "transitions": [{"s": "x0", "a": "a", "to": {"x1": 0.5, "x2": 0.5}},
+                           {"s": "x0", "a": "b", "to": {"x1": 0.5, "x2": 0.5}},
+                           {"s": "x1", "a": "a", "to": {"x1": 1.0}},
+                           {"s": "x2", "a": "a", "to": {"x2": 1.0}}],
+           "rewards": [{"s": "x2", "a": "a", "r": 10.0}], "initial": {"x0": 1.0}}
+    path = {"steps": [{"t": 0, "s": "x0", "a": "a"}, {"t": 1, "s": "x1", "a": "a"}]}
+    files = {name: tmp_path / f"{name}.json" for name in ("mdp", "path", "pruned", "edited")}
+    files["mdp"].write_text(json.dumps(mdp))
+    files["path"].write_text(json.dumps(path))
+    assert main(["prune", "--mdp", str(files["mdp"]), "--path", str(files["path"]), "--nominal",
+                 "--k", "3", "--out", str(files["pruned"])]) == 0
+    pruned = json.loads(files["pruned"].read_text())
+    edited_rows = {"a": {"x1": 1.0}, "b": {"x1": 0.25, "x2": 0.75}}
+    for entry in pruned["kernels"]:
+        if (entry["t"], entry["s"]) == (0, "x0"):
+            entry["probs"] = edited_rows[entry["a"]]
+    files["edited"].write_text(json.dumps(pruned))
+    code, _, err = run(capsys, "solve", "--mdp", str(files["mdp"]), "--pruned",
+                       str(files["edited"]), "--m", "1")
+    assert code == 0
+    loaded_mdp = mdp_from_json(mdp)
+    loaded = _pruned_from_json(pruned, loaded_mdp)
+    assert loaded.cf.probs(0, "x0", "b") == edited_rows["b"]
+    # Changing a to b at t = 0 reaches x2 (reward 10) with probability 0.75.
+    oracle = km_value_oracle(loaded, path_from_json(path), 1)
+    assert oracle == 7.5 and f"V(s0) = {oracle!r}" in err
 
 
 def test_rollout_policy_without_entry_exits_3(artifact_dir, tmp_path, capsys):

@@ -69,3 +69,18 @@ def test_sweep_prunes_and_solves_once_per_k(tracer, fig2_toy, monkeypatch):
     cfmdp.solver.sweep(cf, ks, [0, 1])
     for name in ("influence.prune", "solver.solve"):
         assert sorted(span[4]["k"] for span in recorder.spans if span[0] == name) == sorted(ks)
+
+
+def test_sweep_calls_cf_transition_once_per_built_row(tracer, fig2_toy, monkeypatch):
+    # `gumbel.cf_rows_built` is the `cf_transition` call count, and the
+    # manifest's `cf_rows_built` is `rows_built`: the two must agree. fig2_toy
+    # has pairs with one nominal row (s2 and s3 under a0), which share a row.
+    mdp, path = fig2_toy
+    cf = build_cf_mdp(build_posterior(mdp, path, 50, "topdown", seed=0), mdp)
+    recorder = tracer.Tracer()
+    module, attr, name, _ = next(b for b in tracer.BOUNDARIES if b[2] == "gumbel.cf_row")
+    monkeypatch.setattr(importlib.import_module(module), attr,
+                        recorder.wrap(name, getattr(importlib.import_module(module), attr)))
+    result = cfmdp.solver.sweep(cf, list(range(1, path.T + 2)), [0, 1])
+    calls = sum(span[0] == name for span in recorder.spans)
+    assert calls == cf.rows_built == result.cf_rows_built > 0
