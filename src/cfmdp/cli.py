@@ -149,9 +149,7 @@ def _resolve_observation(args) -> tuple[Mdp, ObservedPath, int | None]:
     mdp = _build_env(args)
     policy = envs.observed_policy(args.env, preset)
     horizon = args.horizon or envs.default_horizon(args.env)
-    seed = args.obs_seed
-    if seed is None:
-        seed = envs.default_observation_seed(args.env, preset)
+    seed = envs.default_observation_seed(args.env, preset)
     return mdp, sample_path(mdp, policy, horizon, seed), seed
 
 
@@ -332,7 +330,15 @@ def cmd_rollout(args) -> int:
         raise ValidationFailed(
             f"unknown feature {args.feature!r}; available: {sorted(features)} (set --env)"
         )
-    summary = rollout(pruned, policy, args.n, features[args.feature], args.seed or 0)
+    feature = features[args.feature]
+    try:
+        for s in mdp.states:
+            feature(s)
+    except ValueError as exc:  # the feature parses another environment's state labels
+        raise ValidationFailed(
+            f"feature {args.feature!r} of --env {args.env} cannot read this MDP's states: {exc!r}"
+        ) from exc
+    summary = rollout(pruned, policy, args.n, feature, args.seed or 0)
     lines = ["t,mean,std"]
     for t, mean, std in zip(summary.times, summary.means, summary.stds):
         lines.append(f"{int(t)},{float(mean)!r},{float(std)!r}")
@@ -461,9 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path")
     _add_env_flags(p, with_preset=True)
     _add_shared(p)
-    p.add_argument("--obs-seed", dest="obs_seed", type=int, default=None,
-                   help="seed of the path sampled with --env (default: the preset's frozen seed); "
-                        "--seed sets only the posterior seed")
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--m-min", type=int, default=1)

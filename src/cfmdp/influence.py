@@ -199,10 +199,7 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
     for t, adm in enumerate(admitted):
         built = adm & nodes[table.source]
         ids = np.flatnonzero(built)
-        # Pairs with one row key share one row: build each distinct row once.
-        _, first, inverse = np.unique(cf.row_key[ids], return_index=True, return_inverse=True)
-        distinct = [cf.row(t, p)[0] for p in ids[first].tolist()]
-        supports = [distinct[i] for i in inverse.tolist()]
+        supports = [cf.row(t, p)[0] for p in ids.tolist()]
         succ = np.concatenate(supports) if supports else np.zeros(0, dtype=np.int64)
         owner = np.repeat(ids, [len(x) for x in supports])
         rows.append((built, owner, succ))

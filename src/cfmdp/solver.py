@@ -215,10 +215,7 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
     cf = pruned.cf
     mdp = cf.mdp
     pair_at = mdp.pair_table().pair_at
-    try:
-        feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
-    except Exception as exc:  # the feature is chosen by the caller, e.g. another env's
-        raise ValidationFailed(f"feature cannot be evaluated on the MDP's states: {exc!r}") from exc
+    feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
     observed = [mdp.action_index(a) for _, a in cf.path.steps]
     feats = np.empty((n, T + 1))
     max_changes = 0

@@ -6,7 +6,7 @@ import pytest
 import cfmdp.mdp
 from cfmdp.cli import _pruned_from_json, main
 from cfmdp.environments import default_observation_seed
-from cfmdp.mdp import mdp_from_json, mdp_to_json, path_from_json, path_hash
+from cfmdp.mdp import mdp_from_json, mdp_to_json, path_from_json
 
 from oracles import km_value_oracle
 
@@ -180,20 +180,6 @@ def test_sweep_cli_epidemic(tmp_path, capsys):
     assert "posterior_builds" not in manifest["statistics"]
     assert "threads" not in manifest["config"]
     assert manifest["outputs"]["sweep.csv"]
-
-
-def test_sweep_obs_seed_sets_the_observed_path(tmp_path, capsys):
-    path_file = tmp_path / "path.json"
-    assert main(["sample", "--policy", "epidemic", "--seed", "3", "--out", str(path_file)]) == 0
-    out_dir = tmp_path / "sweep"
-    code, _, _ = run(capsys, "sweep", "--env", "epidemic", "--samples", "20", "--obs-seed", "3",
-                     "--seed", "7", "--k-min", "7", "--m-max", "1", "--out", str(out_dir))
-    assert code == 0
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["config"]["observation_seed"] == 3
-    assert manifest["config"]["posterior_seed"] == 7
-    path = path_from_json(json.loads(path_file.read_text()))
-    assert manifest["input_hashes"]["path"] == path_hash(path)
 
 
 def test_sweep_cli_byte_identical_outputs(tmp_path, capsys):
