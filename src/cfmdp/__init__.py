@@ -24,12 +24,9 @@ from .mdp import (
     mdp_to_json,
     path_from_json,
     path_hash,
-    path_return,
     path_to_json,
     sample_path,
-    validate_mdp,
     validate_path,
-    value_iteration,
 )
 from .gumbel import (
     CfMdp,
@@ -37,24 +34,18 @@ from .gumbel import (
     build_cf_mdp,
     build_posterior,
     cf_transition,
-    gumbel_max_step,
     load_posterior,
     nominal_cf_mdp,
     posterior_cache_key,
-    prior_posterior,
     rejection_noise,
     save_posterior,
     topdown_noise,
 )
 from .influence import (
-    InfluenceSets,
     PrunedCfMdp,
     SizeReport,
-    influenced_states,
-    one_step_influenced,
     prune_cf_mdp,
     pruned_size_report,
-    reachback,
 )
 from .solver import (
     CfPolicy,

@@ -35,13 +35,11 @@ from .mdp import (
     Mdp,
     ObservedPath,
     mdp_from_json,
-    mdp_hash,
     mdp_to_json,
     path_from_json,
     path_hash,
     path_to_json,
     sample_path,
-    validate_mdp,
     validate_path,
 )
 from .solver import CfPolicy, check_sweep_monotonicity, policy_to_json, rollout, solve_km, sweep
@@ -133,9 +131,7 @@ def _build_env(args) -> Mdp:
 
 
 def cmd_env(args) -> int:
-    mdp = _build_env(args)
-    validate_mdp(mdp).require()
-    _emit(json.dumps(mdp_to_json(mdp), sort_keys=True, indent=2) + "\n", args.out)
+    _emit(json.dumps(mdp_to_json(_build_env(args)), sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -190,7 +186,7 @@ def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
 
     return {
         "k": pruned.k,
-        "mdp_hash": mdp_hash(cf.mdp),
+        "mdp_hash": cf.mdp.digest,
         "path": path_to_json(cf.path),
         "nodes_all_layers": pruned.nodes_all_layers,
         "layers": [sorted(layer) for layer in pruned.layers],
@@ -206,12 +202,13 @@ def _layer(t, T: int) -> int:
     return int(t)
 
 
-def _artifact_row(entry: dict, mdp: Mdp) -> tuple[np.ndarray, np.ndarray]:
+def _artifact_row(entry: dict, mdp: Mdp, p: int) -> tuple[np.ndarray, np.ndarray]:
     """A kernel entry's row as (successor indices ascending, probabilities),
-    checked to be a distribution on the nominal support of its (s, a)."""
+    checked to be a distribution on the nominal support of its pair p."""
     row = sorted((mdp.state_index(s2), float(v)) for s2, v in entry["probs"].items())
-    if not (entry["probs"].keys() <= mdp.row(entry["s"], entry["a"]).keys()
-            and all(0 < v <= 1 for _, v in row) and abs(sum(v for _, v in row) - 1.0) <= PROB_TOL):
+    support = set(mdp.row(p)[0].tolist())
+    if not (all(i in support and 0 < v <= 1 for i, v in row)
+            and abs(sum(v for _, v in row) - 1.0) <= PROB_TOL):
         raise ValidationFailed(f"kernel row ({entry['s']}, {entry['a']}) at t={entry['t']} "
                                "is not a distribution on its nominal support")
     return np.array([i for i, _ in row], dtype=np.int64), np.array([v for _, v in row])
@@ -227,13 +224,15 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
     t < T-1 lies in layer t+1.
     """
     try:
-        if obj["mdp_hash"] != mdp_hash(mdp):
+        if obj["mdp_hash"] != mdp.digest:
             raise ValidationFailed("pruned artifact was built from a different MDP")
         path = path_from_json(obj["path"])
         validate_path(mdp, path).require()
-        T, table = path.T, mdp.pair_table()
-        rows = {(_layer(entry["t"], T), mdp.pair(entry["s"], entry["a"])): _artifact_row(entry, mdp)
-                for entry in obj["kernels"]}
+        T = path.T
+        rows = {}
+        for entry in obj["kernels"]:
+            p = mdp.pair(entry["s"], entry["a"])
+            rows[(_layer(entry["t"], T), p)] = _artifact_row(entry, mdp, p)
         if len(obj["layers"]) != T:
             raise ValidationFailed(f"pruned artifact has {len(obj['layers'])} layers, path has {T}")
         reach = tuple(np.zeros(mdp.num_states, dtype=bool) for _ in range(T))
@@ -241,14 +240,14 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
             reach[t][[mdp.state_index(s) for s in layer]] = True
         if T == 0 or np.flatnonzero(reach[0]).tolist() != [mdp.state_index(path.state(0))]:
             raise ValidationFailed("pruned artifact layer 0 is not {s_0}")
-        usable = tuple(np.zeros(len(table.source), dtype=bool) for _ in range(T))
+        usable = tuple(np.zeros(len(mdp.source), dtype=bool) for _ in range(T))
         for e in obj["actions"]:
             usable[_layer(e["t"], T)][[mdp.pair(e["s"], a) for a in e["actions"]]] = True
         for t in range(T):
             for p in np.flatnonzero(usable[t]).tolist():
                 missing = (t, p) not in rows
                 if missing or (t + 1 < T and not reach[t + 1][rows[(t, p)][0]].all()):
-                    s, a = mdp.states[table.source[p]], mdp.actions[table.action[p]]
+                    s, a = mdp.states[mdp.source[p]], mdp.actions[mdp.action[p]]
                     fault = "missing" if missing else f"not closed in layer {t + 1}"
                     raise ValidationFailed(f"kernel row of allowed ({s}, {a}) at t={t} is {fault}")
         # Rows stay per pair: an edited artifact may give two pairs with the
@@ -293,7 +292,7 @@ def cmd_solve(args) -> int:
     mdp = _load_mdp(args.mdp)
     pruned = _pruned_from_json(_read_json(args.pruned), mdp)
     policy = solve_km(pruned, args.m)
-    meta = {"samples": args.samples, "seed": args.seed, "mdp_hash": mdp_hash(mdp)}
+    meta = {"samples": args.samples, "seed": args.seed, "mdp_hash": mdp.digest}
     _emit(json.dumps(policy_to_json(policy, meta), sort_keys=True, indent=2) + "\n", args.out)
     sys.stderr.write(f"V(s0) = {policy.v_s0!r}\n")
     return EXIT_OK
@@ -383,7 +382,7 @@ def cmd_sweep(args) -> int:
             "samples": args.samples, "sampler": args.sampler,
             "k_values": k_values, "m_values": m_values,
         },
-        "input_hashes": {"mdp": mdp_hash(mdp), "path": path_hash(path),
+        "input_hashes": {"mdp": mdp.digest, "path": path_hash(path),
                          "posterior_key": posterior_cache_key(mdp, path, args.samples,
                                                               args.sampler, posterior_seed)},
         "outputs": hashes,
@@ -407,11 +406,21 @@ def _add_env_flags(p: argparse.ArgumentParser, with_preset: bool = False) -> Non
         p.add_argument("--preset", choices=["catastrophic", "suboptimal"])
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+    return integer
+
+
 def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.add_argument("--samples", type=int, default=1000, help="posterior sample count N")
     p.add_argument("--sampler", choices=["topdown", "rejection"], default="topdown")
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_at_least(1), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", choices=list(envs.ENVIRONMENTS),
                    help="environment providing the feature extractor")
     p.add_argument("--feature", required=True)
-    p.add_argument("-n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("-n", type=_at_least(1), default=1000)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_rollout)
 

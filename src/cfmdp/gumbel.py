@@ -25,24 +25,12 @@ from .errors import (
     ValidationFailed,
     ZeroProbabilityObservation,
 )
-from .mdp import Action, Mdp, ObservedPath, State, mdp_hash, path_from_json, path_hash, path_to_json
+from .mdp import Action, Mdp, ObservedPath, State, path_from_json, path_hash, path_to_json
 
 REJECTION_ATTEMPT_CAP = 10**7  # proposals per requested sample before failing loudly
 
 SAMPLER_TOPDOWN = "topdown"
 SAMPLER_REJECTION = "rejection"
-SAMPLER_PRIOR = "prior"
-
-
-def gumbel_max_step(mdp: Mdp, s: State, a: Action, g: np.ndarray) -> State:
-    """Apply the mechanism: argmax over support of log P(s''|s,a) + g(s'').
-
-    Zero-probability states are excluded outright (their log-probability is a
-    -inf sentinel conceptually; they can never win). Ties break to the lowest
-    state index.
-    """
-    idx, _, logp = mdp.row_arrays(s, a)
-    return mdp.states[idx[int(np.argmax(logp + g[idx]))]]
 
 
 def _winners(idx: np.ndarray, logp: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -52,14 +40,15 @@ def _winners(idx: np.ndarray, logp: np.ndarray, noise: np.ndarray) -> np.ndarray
 
 
 def _observed_row(mdp: Mdp, s: State, a: Action, s_next: State):
-    """`row_arrays(s, a)` and the position of s_next in it, which must have
-    positive probability."""
-    if mdp.row(s, a).get(s_next, 0.0) <= 0.0:
+    """The nominal row of (s, a) and the position of s_next in it, which must
+    have positive probability."""
+    p = mdp.pair(s, a)
+    pos = mdp.position(p, s_next)
+    if pos < 0:
         raise ZeroProbabilityObservation(
             f"P({s_next} | {s}, {a}) = 0; cannot condition on this transition"
         )
-    idx, probs, logp = mdp.row_arrays(s, a)
-    return idx, probs, logp, int(np.searchsorted(idx, mdp.state_index(s_next)))
+    return (*mdp.row(p), pos)
 
 
 def rejection_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
@@ -155,14 +144,14 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
     Every returned sample provably replays the observed successor; this is
     asserted at build time so downstream replay determinism is exact.
     """
-    if sampler not in (SAMPLER_TOPDOWN, SAMPLER_REJECTION, SAMPLER_PRIOR):
+    if sampler not in (SAMPLER_TOPDOWN, SAMPLER_REJECTION):
         raise ValidationFailed(f"unknown sampler {sampler!r}")
     if n < 1:
         raise ValidationFailed(f"posterior sample count must be >= 1, got {n}")
     layers: list[np.ndarray] = []
     for t in range(path.T):
         rng = _step_rng(seed, t)
-        if t == path.T - 1 or sampler == SAMPLER_PRIOR:
+        if t == path.T - 1:
             layers.append(rng.gumbel(size=(n, mdp.num_states)))
             continue
         s, a = path.steps[t]
@@ -175,12 +164,7 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
         if not np.all(_winners(idx, logp, g) == obs_pos):
             raise InvariantViolated(f"posterior sample at t={t} fails to replay the observation")
         layers.append(g)
-    return GumbelPosterior(tuple(layers), n, sampler, seed, path, mdp_hash(mdp))
-
-
-def prior_posterior(mdp: Mdp, path: ObservedPath, n: int, seed: int = 0) -> GumbelPosterior:
-    """Unconditioned noise for every step: the interventional counterpart."""
-    return build_posterior(mdp, path, n, sampler=SAMPLER_PRIOR, seed=seed)
+    return GumbelPosterior(tuple(layers), n, sampler, seed, path, mdp.digest)
 
 
 def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +177,7 @@ def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple
     """
     if t >= posterior.T:
         raise ValidationFailed(f"time {t} outside posterior horizon {posterior.T}")
-    idx, _, logp = mdp.pair_table().row(p)
+    idx, _, logp = mdp.row(p)
     if idx.shape[0] == 1:  # every sample picks the one successor: counts / N == 1.0
         return idx, np.ones(1)
     counts = np.bincount(_winners(idx, logp, posterior.vectors(t)), minlength=idx.shape[0])
@@ -214,7 +198,7 @@ class CfMdp:
     A row built from the nominal row of pair p (through the noise at t, or
     the nominal row itself) depends on that nominal row only, not on the
     labels of p, so pairs with bit-identical nominal rows share one row: rows
-    are keyed by (t, `row_key[p]`), with `row_key` = `PairTable.row_id`. Rows
+    are keyed by (t, `row_key[p]`), with `row_key` = `Mdp.row_id`. Rows
     passed as `given_rows` ({(t, pair): (idx, p)}, read from an artifact) are
     fixed per pair and never shared, so there `row_key` is the identity.
     Each row is built once and kept as index/probability arrays;
@@ -233,13 +217,12 @@ class CfMdp:
         if self.posterior is not None:
             if self.posterior.path.steps != self.path.steps:
                 raise ValidationFailed("posterior was built from a different path")
-            if self.posterior.source_mdp_hash != mdp_hash(self.mdp):
+            if self.posterior.source_mdp_hash != self.mdp.digest:
                 raise ValidationFailed("posterior was built from a different MDP")
-        table = self.mdp.pair_table()
         if given_rows is None:
-            self.row_key = table.row_id
+            self.row_key = self.mdp.row_id
         else:
-            self.row_key = np.arange(len(table.source))
+            self.row_key = np.arange(len(self.mdp.source))
             self._cache.update(given_rows)
 
     @property
@@ -262,7 +245,7 @@ class CfMdp:
             if t >= self.horizon:
                 raise ValidationFailed(f"time {t} outside horizon {self.horizon}")
             if self.posterior is None:
-                row = self.mdp.pair_table().row(p)[:2]
+                row = self.mdp.row(p)[:2]
             else:
                 row = cf_transition(self.posterior, self.mdp, t, p)
             self._cache[key] = row
@@ -291,7 +274,7 @@ def nominal_cf_mdp(mdp: Mdp, path: ObservedPath) -> CfMdp:
 
 def posterior_cache_key(mdp: Mdp, path: ObservedPath, n: int, sampler: str, seed: int) -> str:
     blob = json.dumps(
-        {"mdp": mdp_hash(mdp), "path": path_hash(path), "n": n,
+        {"mdp": mdp.digest, "path": path_hash(path), "n": n,
          "sampler": sampler, "seed": seed},
         sort_keys=True,
     )
@@ -328,7 +311,7 @@ def load_posterior(file, mdp: Mdp) -> GumbelPosterior:
         )
     except (OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValidationFailed(f"cannot read posterior artifact {file}: {exc!r}") from exc
-    if posterior.source_mdp_hash != mdp_hash(mdp):
+    if posterior.source_mdp_hash != mdp.digest:
         raise ValidationFailed("posterior artifact was built from a different MDP")
     for t, g in enumerate(noise):
         if g.shape != (n, mdp.num_states) or g.dtype != np.float64:

@@ -1,4 +1,4 @@
-"""Influence sets and pruning of the counterfactual MDP.
+"""k-step influence pruning of the counterfactual MDP.
 
 A transition is 1-step influenced at time t when its nominal support overlaps
 the support of the observed transition at t. The k-step relaxation admits a
@@ -23,64 +23,6 @@ import numpy as np
 from .errors import EmptyPrunedMdp, ValidationFailed
 from .gumbel import CfMdp
 from .mdp import Action, Mdp, ObservedPath, State
-
-
-@dataclass(frozen=True)
-class InfluenceSets:
-    """Observed-support sets S^tau_t, their union, and the reachback set."""
-
-    per_time: tuple[frozenset[State], ...]
-    pooled: frozenset[State]
-    path_states: frozenset[State]
-    k: int | None = None
-    reachback_states: frozenset[State] | None = None
-
-
-def one_step_influenced(mdp: Mdp, path: ObservedPath, t: int, s: State, a: Action) -> bool:
-    """Whether supp P(.|s,a) overlaps supp P(.|s_t,a_t) (time-indexed form)."""
-    if t >= path.T:
-        raise ValidationFailed(f"time {t} outside path horizon {path.T}")
-    obs_s, obs_a = path.steps[t]
-    obs = mdp.row(obs_s, obs_a)
-    return any(s2 in obs for s2 in mdp.row(s, a))
-
-
-def influenced_states(mdp: Mdp, path: ObservedPath) -> InfluenceSets:
-    """S^tau_t = support of the observed row at t; pooled union across t."""
-    per_time = tuple(frozenset(mdp.row(s, a)) for s, a in path.steps)
-    pooled = frozenset().union(*per_time) if per_time else frozenset()
-    return InfluenceSets(per_time, pooled, path.visited_states)
-
-
-def _predecessors(mdp: Mdp) -> dict[State, set[State]]:
-    pred: dict[State, set[State]] = {s: set() for s in mdp.states}
-    for (s, _a), row in mdp.kernel.items():
-        for s2 in row:
-            pred[s2].add(s)
-    return pred
-
-
-def reachback(mdp: Mdp, sets: InfluenceSets, k: int) -> InfluenceSets:
-    """S^{tau,k}: S^tau plus states within k reverse-BFS steps of it.
-
-    States already on the observed path are not added by the BFS: every
-    non-initial path state sits in S^tau anyway (it is the realized successor
-    of the previous step), and the worked example counts the sets this way.
-    The pruner re-admits observed path nodes explicitly regardless.
-    """
-    if k < 1:
-        raise ValidationFailed("reachback requires k >= 1")
-    pred = _predecessors(mdp)
-    frontier = set(sets.pooled)
-    found: set[State] = set()
-    for _ in range(k):
-        frontier = {p for s in frontier for p in pred[s]} - found - sets.pooled
-        if not frontier:
-            break
-        found |= frontier
-    added = frozenset(found - sets.path_states)
-    return InfluenceSets(sets.per_time, sets.pooled, sets.path_states,
-                         k=k, reachback_states=sets.pooled | added)
 
 
 @dataclass(frozen=True)
@@ -115,7 +57,7 @@ class PrunedCfMdp:
     """Closed, reachable restriction of a counterfactual MDP.
 
     `reach[t]` marks the allowed states of decision layer t (t = 0..T-1) and
-    `usable[t]` the allowed pairs of `mdp.pair_table()` at those states; the
+    `usable[t]` the allowed pairs of the MDP at those states; the
     terminal layer T is implicit and unrestricted (influence is always granted
     at the horizon boundary). Every counterfactual successor of an allowed
     pair is itself allowed (no probability mass leaks outside). `layers` and
@@ -142,11 +84,10 @@ class PrunedCfMdp:
     @cached_property
     def actions(self) -> dict[tuple[State, int], tuple[Action, ...]]:
         mdp = self.cf.mdp
-        table = mdp.pair_table()
         out: dict[tuple[State, int], list[Action]] = {}
         for t, usable in enumerate(self.usable):
             ids = np.flatnonzero(usable)
-            for si, ai in zip(table.source[ids].tolist(), table.action[ids].tolist()):
+            for si, ai in zip(mdp.source[ids].tolist(), mdp.action[ids].tolist()):
                 out.setdefault((mdp.states[si], t), []).append(mdp.actions[ai])
         return {node: tuple(acts) for node, acts in out.items()}
 
@@ -160,13 +101,12 @@ def _admission_hits(mdp: Mdp, path: ObservedPath, depth: int) -> list[list[np.nd
     states with some pair in hits[d-1][t]; M[0] and layer T are empty.
     """
     T, n = path.T, mdp.num_states
-    table = mdp.pair_table()
 
     def pair_hits(target: np.ndarray) -> np.ndarray:
         """Pairs whose nominal support meets the boolean state mask `target`."""
-        return np.bincount(table.owner, weights=target[table.succ], minlength=len(table.source)) > 0
+        return np.bincount(mdp.owner, weights=target[mdp.succ], minlength=len(mdp.source)) > 0
 
-    stau = [np.bincount(mdp.row_arrays(s, a)[0], minlength=n) > 0 for s, a in path.steps]
+    stau = [np.bincount(mdp.row(mdp.pair(s, a))[0], minlength=n) > 0 for s, a in path.steps]
 
     empty = np.zeros(n, dtype=bool)
     frontier = [empty] * (T + 1)  # M[d][t]
@@ -174,7 +114,7 @@ def _admission_hits(mdp: Mdp, path: ObservedPath, depth: int) -> list[list[np.nd
     for d in range(depth + 1):
         hits.append([pair_hits(stau[t] | frontier[t + 1]) for t in range(T)])
         if d < depth:
-            frontier = [np.bincount(table.source, weights=h, minlength=n) > 0
+            frontier = [np.bincount(mdp.source, weights=h, minlength=n) > 0
                         for h in hits[-1]] + [empty]
     return hits
 
@@ -193,11 +133,10 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
     and their counterfactual supports as (owner pair, successor) entries.
     """
     mdp = cf.mdp
-    table = mdp.pair_table()
     nodes = np.bincount([mdp.state_index(cf.initial_state)], minlength=mdp.num_states) > 0
     rows = []
     for t, adm in enumerate(admitted):
-        built = adm & nodes[table.source]
+        built = adm & nodes[mdp.source]
         ids = np.flatnonzero(built)
         supports = [cf.row(t, p)[0] for p in ids.tolist()]
         succ = np.concatenate(supports) if supports else np.zeros(0, dtype=np.int64)
@@ -225,7 +164,6 @@ def prune_cf_mdp(cf: CfMdp, k: int, base: PrunedCfMdp | None = None) -> PrunedCf
         raise ValidationFailed("pruning requires k >= 1")
     mdp, path = cf.mdp, cf.path
     T, n = path.T, mdp.num_states
-    table = mdp.pair_table()
     if base is None:
         hits = _admission_hits(mdp, path, k - 1)
         shared_from = T
@@ -246,10 +184,10 @@ def prune_cf_mdp(cf: CfMdp, k: int, base: PrunedCfMdp | None = None) -> PrunedCf
             alive[t], closed[t] = base.closure.alive[t], base.closure.closed[t]
             continue
         built, owner, succ = rows[t]
-        leaks = np.zeros(len(table.source), dtype=bool)
+        leaks = np.zeros(len(mdp.source), dtype=bool)
         leaks[owner[~alive[t + 1][succ]]] = True
         closed[t] = built & admitted[t] & ~leaks
-        alive[t] = np.bincount(table.source[closed[t]], minlength=n) > 0
+        alive[t] = np.bincount(mdp.source[closed[t]], minlength=n) > 0
 
     s0 = mdp.state_index(path.state(0))
     if not alive[0][s0]:
@@ -263,7 +201,7 @@ def prune_cf_mdp(cf: CfMdp, k: int, base: PrunedCfMdp | None = None) -> PrunedCf
     nodes = np.bincount([s0], minlength=n) > 0
     for t in range(T):
         _, owner, succ = rows[t]
-        usable.append(closed[t] & nodes[table.source])
+        usable.append(closed[t] & nodes[mdp.source])
         reach.append(nodes)
         nodes = np.bincount(succ[usable[t][owner]], minlength=n) > 0
 
@@ -279,8 +217,8 @@ def _count_all_layers(mdp: Mdp, admitted: list[np.ndarray]) -> int:
 
     This is the Table-1 convention: at k = T+1 it equals |S| * (T+1).
     """
-    table, n = mdp.pair_table(), mdp.num_states
-    layers = [table.source[adm] for adm in admitted] + [table.succ[admitted[-1][table.owner]]]
+    n = mdp.num_states
+    layers = [mdp.source[adm] for adm in admitted] + [mdp.succ[admitted[-1][mdp.owner]]]
     return sum(int(np.count_nonzero(np.bincount(idx, minlength=n))) for idx in layers)
 
 

@@ -1,16 +1,16 @@
-"""Finite-horizon MDP core: representation, validation, path sampling and
-backward-induction value iteration.
+"""Finite-horizon MDP core: the compiled MDP, path validation and sampling,
+and the JSON interchange.
 
 States and actions are plain string identifiers so every artifact round-trips
-through JSON unchanged. Transition rows are stored sparsely: a missing
-(state, action) entry means the action is unavailable in that state.
+through JSON unchanged; everything else is integer arrays over the (state,
+action) pairs that have a transition row. A missing pair means the action is
+unavailable in that state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,28 +27,91 @@ Action = str
 PROB_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class Mdp:
-    """Immutable finite MDP with sparse transition rows.
+    """Immutable finite MDP compiled to integer arrays.
 
-    Rewards are keyed by (state, action); a missing entry means reward 0.
-    Instances are safe to share across workers: all operations on them are
-    pure functions of explicit inputs. The label dicts are the interchange
-    form; `pair_table()` is the compiled form the algorithms run on.
+    Built from label dicts: `kernel` {(s, a): {s2: P(s2|s,a)}}, `rewards`
+    {(s, a): R(s, a)} (0.0 where none is given) and `initial` {s: P(s_0 = s)}.
+    Zero-probability entries are dropped, so every entry is support. Every
+    broken invariant (unknown or duplicate labels, non-finite or negative
+    probabilities, a row or the initial distribution not summing to one) is
+    listed in one ValidationFailed.
+
+    Pair p is (state `source[p]`, action `action[p]`) with reward
+    `reward[p]`, and `pair_at[s, a]` is the pair of state s and action a, -1
+    where there is no row. Pairs are ordered by state index, then action
+    index, so the pairs of state i are `start[i]:start[i+1]`. Entries
+    `row_start[p]:row_start[p+1]` are the nominal row of pair p: entry e is
+    successor `succ[e]` of pair `owner[e]` with probability `prob[e]` and log
+    probability `logp[e]`, successors ascending within a pair, which fixes
+    argmax tie-breaking to the lowest state index everywhere downstream.
+    `initial[i]` is the initial probability of state i, and `digest` is
+    `mdp_hash` of the whole.
     """
 
-    states: tuple[State, ...]
-    actions: tuple[Action, ...]
-    kernel: dict[tuple[State, Action], dict[State, float]]
-    rewards: dict[tuple[State, Action], float]
-    initial: dict[State, float]
-    name: str = ""
+    def __init__(self, states, actions, kernel: Mapping, rewards: Mapping, initial: Mapping,
+                 name: str = ""):
+        self.states, self.actions, self.name = tuple(states), tuple(actions), name
+        n, na = len(self.states), len(self.actions)
+        self._sidx = sidx = {s: i for i, s in enumerate(self.states)}
+        self._aidx = aidx = {a: i for i, a in enumerate(self.actions)}
+        bad = [f"duplicate {kind} label {x}" for kind, labels in (("state", self.states),
+                                                                  ("action", self.actions))
+               for x, c in Counter(labels).items() if c > 1]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_sidx", {s: i for i, s in enumerate(self.states)})
-        object.__setattr__(self, "_aidx", {a: i for i, a in enumerate(self.actions)})
-        object.__setattr__(self, "_pairs", None)
-        object.__setattr__(self, "_hash", None)
+        keys = sorted(kernel, key=lambda sa: (sidx.get(sa[0], n), aidx.get(sa[1], na)))
+        rows = [kernel[key] for key in keys]
+        source = np.array([sidx.get(s, -1) for s, _ in keys], dtype=np.int64)
+        action = np.array([aidx.get(a, -1) for _, a in keys], dtype=np.int64)
+        owner = np.repeat(np.arange(len(keys)), [len(row) for row in rows])
+        succ = np.array([sidx.get(x, -1) for row in rows for x in row], dtype=np.int64)
+        prob = np.array([p for row in rows for p in row.values()], dtype=np.float64)
+
+        def row_name(p):
+            return "row ({},{})".format(*keys[p])
+
+        def at(e):  # successor label of entry e
+            return list(rows[owner[e]])[e - np.searchsorted(owner, owner[e])]
+
+        bad += [f"kernel {row_name(p)} has unknown source state {keys[p][0]}"
+                for p in np.flatnonzero(source < 0).tolist()]
+        bad += [f"kernel {row_name(p)} has unknown action {keys[p][1]}"
+                for p in np.flatnonzero(action < 0).tolist()]
+        bad += [f"{row_name(owner[e])} references unknown state {at(e)}"
+                for e in np.flatnonzero(succ < 0).tolist()]
+        bad += _distribution_faults(prob, owner, len(keys), row_name, at)
+        init_labels = list(initial)
+        init_idx = np.array([sidx.get(s, -1) for s in init_labels], dtype=np.int64)
+        init_prob = np.array(list(initial.values()), dtype=np.float64)
+        bad += [f"initial distribution references unknown state {init_labels[i]}"
+                for i in np.flatnonzero(init_idx < 0).tolist()]
+        bad += _distribution_faults(init_prob, np.zeros(len(init_labels), dtype=np.int64), 1,
+                                    lambda _: "initial distribution", init_labels.__getitem__)
+        for s, a in (sa for sa in rewards if sa not in kernel):
+            if s not in sidx:
+                bad.append(f"reward entry ({s},{a}) references unknown state {s}")
+            if a not in aidx:
+                bad.append(f"reward entry ({s},{a}) references unknown action {a}")
+        if bad:
+            raise ValidationFailed("; ".join(bad))
+
+        keep = prob != 0.0
+        owner, succ, prob = owner[keep], succ[keep], prob[keep]
+        order = np.lexsort((succ, owner))  # successors ascending within each pair
+        self.source, self.action, self.owner = source, action, owner
+        self.start = np.searchsorted(source, np.arange(n + 1))
+        self.row_start = np.searchsorted(owner, np.arange(len(keys) + 1))
+        self.succ, self.prob = succ[order], prob[order]
+        self.logp = np.log(self.prob)
+        self.reward = np.array([rewards.get(key, 0.0) for key in keys], dtype=np.float64)
+        self.pair_at = np.full((n, na), -1, dtype=np.int64)
+        self.pair_at[source, action] = np.arange(len(keys))
+        self.initial = np.zeros(n)
+        self.initial[init_idx] = init_prob
+        for a in (self.source, self.action, self.owner, self.start, self.row_start, self.succ,
+                  self.prob, self.logp, self.reward, self.pair_at, self.initial):
+            a.flags.writeable = False  # `digest` and `row_id` are computed once
+        self.digest = mdp_hash(self)
 
     @property
     def num_states(self) -> int:
@@ -60,93 +123,25 @@ class Mdp:
     def action_index(self, a: Action) -> int:
         return self._aidx[a]
 
-    def has_row(self, s: State, a: Action) -> bool:
-        return (s, a) in self.kernel
-
-    def row(self, s: State, a: Action) -> dict[State, float]:
-        try:
-            return self.kernel[(s, a)]
-        except KeyError:
-            raise MissingKernelRow(f"no kernel row for ({s}, {a})") from None
-
     def pair(self, s: State, a: Action) -> int:
-        """Index of the (s, a) row in `pair_table()`."""
-        self.row(s, a)  # MissingKernelRow if there is none
-        return int(self.pair_table().pair_at[self._sidx[s], self._aidx[a]])
-
-    def row_arrays(self, s: State, a: Action):
-        """Support of P(.|s,a) as aligned arrays (indices, probs, log probs).
-
-        Support indices are ascending, which fixes argmax tie-breaking to the
-        lowest state index everywhere downstream.
-        """
-        return self.pair_table().row(self.pair(s, a))
-
-    def available_actions(self, s: State) -> tuple[Action, ...]:
-        return tuple(a for a in self.actions if (s, a) in self.kernel)
-
-    def reward(self, s: State, a: Action) -> float:
-        return self.rewards.get((s, a), 0.0)
-
-    def pair_table(self) -> PairTable:
-        """The MDP compiled to integer arrays; built once, on first use, so an
-        invalid MDP can still be constructed and handed to `validate_mdp`."""
-        if self._pairs is None:
-            sidx, aidx = self._sidx, self._aidx
-            keys = sorted(self.kernel, key=lambda sa: (sidx[sa[0]], aidx[sa[1]]))
-            rows = [self.kernel[key] for key in keys]
-            sizes = [len(row) for row in rows]
-            owner = np.repeat(np.arange(len(keys)), sizes)
-            succ = np.array([sidx[x] for row in rows for x in row], dtype=np.int64)
-            order = np.lexsort((succ, owner))  # successors ascending within each pair
-            prob = np.array([p for row in rows for p in row.values()], dtype=np.float64)[order]
-            source = np.array([sidx[s] for s, _ in keys], dtype=np.int64)
-            action = np.array([aidx[a] for _, a in keys], dtype=np.int64)
-            pair_at = np.full((self.num_states, len(self.actions)), -1, dtype=np.int64)
-            pair_at[source, action] = np.arange(len(keys))
-            object.__setattr__(self, "_pairs", PairTable(
-                source=source,
-                action=action,
-                start=np.searchsorted(source, np.arange(self.num_states + 1)),
-                row_start=np.cumsum([0] + sizes),
-                owner=owner,
-                succ=succ[order],
-                prob=prob,
-                logp=np.log(prob),
-                reward=np.array([self.rewards.get(key, 0.0) for key in keys], dtype=np.float64),
-                pair_at=pair_at,
-            ))
-        return self._pairs
-
-
-@dataclass(frozen=True)
-class PairTable:
-    """The (state, action) pairs that have a kernel row, indexed 0..P-1.
-
-    Pair p is (state `source[p]`, action `action[p]`) with reward
-    `reward[p]`, and `pair_at[s, a]` is the pair of state s and action a, -1
-    where there is no row. Pairs are ordered by state index, then action
-    index, so the pairs of state i are `start[i]:start[i+1]`. Entries
-    `row_start[p]:row_start[p+1]` are the nominal row of pair p: entry e is
-    successor `succ[e]` of pair `owner[e]` with probability `prob[e]` and log
-    probability `logp[e]`, successors ascending within a pair.
-    """
-
-    source: np.ndarray
-    action: np.ndarray
-    start: np.ndarray
-    row_start: np.ndarray
-    owner: np.ndarray
-    succ: np.ndarray
-    prob: np.ndarray
-    logp: np.ndarray
-    reward: np.ndarray
-    pair_at: np.ndarray
+        """Index of the (s, a) pair; MissingKernelRow if it has no row."""
+        i, j = self._sidx.get(s), self._aidx.get(a)
+        p = -1 if i is None or j is None else int(self.pair_at[i, j])
+        if p < 0:
+            raise MissingKernelRow(f"no kernel row for ({s}, {a})")
+        return p
 
     def row(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nominal row of pair p as (successor indices, probs, log probs) views."""
         lo, hi = self.row_start[p], self.row_start[p + 1]
         return self.succ[lo:hi], self.prob[lo:hi], self.logp[lo:hi]
+
+    def position(self, p: int, s: State) -> int:
+        """Position of successor s in the nominal row of pair p; -1 off its support."""
+        idx = self.row(p)[0]
+        i = self._sidx.get(s, -1)
+        pos = int(np.searchsorted(idx, i))
+        return pos if pos < len(idx) and idx[pos] == i else -1
 
     @cached_property
     def row_id(self) -> np.ndarray:
@@ -159,6 +154,20 @@ class PairTable:
         first: dict[bytes, int] = {}
         return np.array([first.setdefault(entries[lo:hi].tobytes(), p)
                          for p, (lo, hi) in enumerate(zip(bounds, bounds[1:]))], dtype=np.int64)
+
+
+def _distribution_faults(prob: np.ndarray, owner: np.ndarray, count: int,
+                         name: Callable[[int], str], at: Callable[[int], State]) -> list[str]:
+    """Faults of `count` distributions: entry e of distribution `name(owner[e])`
+    has probability `prob[e]` at state `at(e)`; each must be finite and
+    non-negative, and each distribution must sum to one within PROB_TOL."""
+    bad = [f"{name(owner[e])} has non-finite probability {prob[e].item()!r} at {at(e)}"
+           for e in np.flatnonzero(~np.isfinite(prob)).tolist()]
+    bad += [f"{name(owner[e])} has negative probability {prob[e].item()!r} at {at(e)}"
+            for e in np.flatnonzero(prob < 0).tolist()]
+    totals = np.bincount(owner, weights=prob, minlength=count)
+    return bad + [f"{name(i)} sums to {float(totals[i])!r}"
+                  for i in np.flatnonzero(np.abs(totals - 1.0) > PROB_TOL).tolist()]
 
 
 @dataclass(frozen=True)
@@ -177,10 +186,6 @@ class ObservedPath:
     def action(self, t: int) -> Action:
         return self.steps[t][1]
 
-    @property
-    def visited_states(self) -> frozenset[State]:
-        return frozenset(s for s, _ in self.steps)
-
 
 @dataclass(frozen=True)
 class Policy:
@@ -194,10 +199,6 @@ class Policy:
 
     def action(self, s: State, t: int) -> Action | None:
         return self.fn(s, t)
-
-    @staticmethod
-    def tabular(table: Mapping[tuple[State, int], Action]) -> "Policy":
-        return Policy(lambda s, t: table.get((s, t)))
 
     @staticmethod
     def constant(a: Action) -> "Policy":
@@ -221,124 +222,44 @@ class ValidationReport:
             raise ValidationFailed("; ".join(self.violations))
 
 
-def validate_mdp(mdp: Mdp) -> ValidationReport:
-    """Check every structural invariant; the report lists each violation."""
-    bad: list[str] = []
-    known = set(mdp.states)
-    known_actions = set(mdp.actions)
-    for kind, labels in (("state", mdp.states), ("action", mdp.actions)):
-        bad.extend(f"duplicate {kind} label {x}" for x, c in Counter(labels).items() if c > 1)
-
-    for (s, a), row in mdp.kernel.items():
-        if s not in known:
-            bad.append(f"kernel row ({s},{a}) has unknown source state {s}")
-        if a not in known_actions:
-            bad.append(f"kernel row ({s},{a}) has unknown action {a}")
-        total = 0.0
-        for s2, p in row.items():
-            if s2 not in known:
-                bad.append(f"row ({s},{a}) references unknown state {s2}")
-            if not math.isfinite(p):
-                bad.append(f"row ({s},{a}) has non-finite probability {p!r} at {s2}")
-            if p < 0:
-                bad.append(f"row ({s},{a}) has negative probability {p!r} at {s2}")
-            total += p
-        if abs(total - 1.0) > PROB_TOL:
-            bad.append(f"row ({s},{a}) sums to {total!r}")
-
-    total = 0.0
-    for s, p in mdp.initial.items():
-        if s not in known:
-            bad.append(f"initial distribution references unknown state {s}")
-        if not math.isfinite(p):
-            bad.append(f"initial distribution has non-finite probability {p!r} at {s}")
-        if p < 0:
-            bad.append(f"initial distribution has negative probability {p!r} at {s}")
-        total += p
-    if abs(total - 1.0) > PROB_TOL:
-        bad.append(f"initial distribution sums to {total!r}")
-
-    for (s, a) in mdp.rewards:
-        if s not in known:
-            bad.append(f"reward entry ({s},{a}) references unknown state {s}")
-        if a not in known_actions:
-            bad.append(f"reward entry ({s},{a}) references unknown action {a}")
-
-    return ValidationReport(tuple(bad))
-
-
 def validate_path(mdp: Mdp, path: ObservedPath) -> ValidationReport:
     """Check ObservedPath invariants against an MDP."""
     bad: list[str] = []
     if path.T == 0:
         return ValidationReport(())
     s0 = path.state(0)
-    if mdp.initial.get(s0, 0.0) <= 0.0:
+    if s0 not in mdp._sidx or mdp.initial[mdp._sidx[s0]] <= 0.0:
         bad.append(f"initial state {s0} has zero initial probability")
-    for t in range(path.T):
-        s, a = path.steps[t]
-        if not mdp.has_row(s, a):
+    for t, (s, a) in enumerate(path.steps):
+        try:
+            p = mdp.pair(s, a)
+        except MissingKernelRow:
             bad.append(f"step {t}: no kernel row for ({s},{a})")
             continue
-        if t + 1 < path.T:
-            s_next = path.state(t + 1)
-            if mdp.row(s, a).get(s_next, 0.0) <= 0.0:
-                bad.append(f"step {t}: transition {s} -> {s_next} under {a} has probability 0")
+        if t + 1 < path.T and mdp.position(p, path.state(t + 1)) < 0:
+            bad.append(f"step {t}: transition {s} -> {path.state(t + 1)} under {a} has probability 0")
     return ValidationReport(tuple(bad))
-
-
-def _draw(rng: np.random.Generator, items: list[State], probs: np.ndarray) -> State:
-    cum = np.cumsum(probs)
-    u = rng.random() * cum[-1]
-    return items[int(np.searchsorted(cum, u, side="right").clip(0, len(items) - 1))]
 
 
 def sample_path(mdp: Mdp, policy: Policy, horizon: int, seed: int) -> ObservedPath:
     """Sample a length-`horizon` path; deterministic given the seed."""
     rng = np.random.default_rng(seed)
-    init_states = [s for s in mdp.states if mdp.initial.get(s, 0.0) > 0.0]
-    init_probs = np.array([mdp.initial[s] for s in init_states])
-    s = _draw(rng, init_states, init_probs)
+    support = np.flatnonzero(mdp.initial > 0.0)
+    cum = np.cumsum(mdp.initial[support])
+    si = int(support[min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")),
+                         len(support) - 1)])
     steps: list[tuple[State, Action]] = []
     for t in range(horizon):
+        s = mdp.states[si]
         a = policy.action(s, t)
-        if a is None or not mdp.has_row(s, a):
-            raise UndefinedPolicyAction(f"policy has no usable action at ({s}, t={t})")
+        try:
+            idx, probs, _ = mdp.row(mdp.pair(s, a))
+        except MissingKernelRow:
+            raise UndefinedPolicyAction(f"policy has no usable action at ({s}, t={t})") from None
         steps.append((s, a))
-        idx, probs, _ = mdp.row_arrays(s, a)
-        pos = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right").clip(0, len(idx) - 1))
-        s = mdp.states[idx[pos]]
+        si = int(idx[min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")),
+                         len(idx) - 1)])
     return ObservedPath(tuple(steps))
-
-
-def path_return(mdp: Mdp, path: ObservedPath) -> float:
-    """Undiscounted sum of R(s_t, a_t) over the path."""
-    return float(sum(mdp.reward(s, a) for s, a in path.steps))
-
-
-def value_iteration(mdp: Mdp, horizon: int) -> tuple[Policy, list[dict[State, float]]]:
-    """Optimal time-dependent policy for the undiscounted finite-horizon sum.
-
-    Returns the policy and V_t(s) for t = 0..T (V_T = 0). Ties are broken by
-    the lowest action index. States with no available action have value 0.
-    """
-    values: list[dict[State, float]] = [dict.fromkeys(mdp.states, 0.0)]
-    table: dict[tuple[State, int], Action] = {}
-    for t in range(horizon - 1, -1, -1):
-        v_next = values[0]
-        v_here: dict[State, float] = {}
-        for s in mdp.states:
-            best_v, best_a = 0.0, None
-            for a in mdp.available_actions(s):
-                row = mdp.kernel[(s, a)]
-                q = mdp.reward(s, a) + sum(p * v_next[s2] for s2, p in row.items())
-                if best_a is None or q > best_v:
-                    best_v, best_a = q, a
-            v_here[s] = best_v if best_a is not None else 0.0
-            if best_a is not None:
-                table[(s, t)] = best_a
-        values.insert(0, v_here)
-    return Policy.tabular(table), values
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +267,36 @@ def value_iteration(mdp: Mdp, horizon: int) -> tuple[Policy, list[dict[State, fl
 # ---------------------------------------------------------------------------
 
 def mdp_to_json(mdp: Mdp) -> dict:
+    """Transitions and rewards sorted by (state, action) label, one reward per row."""
+    states, actions = mdp.states, mdp.actions
+    succ, prob, bounds = mdp.succ.tolist(), mdp.prob.tolist(), mdp.row_start.tolist()
+    reward = mdp.reward.tolist()
+    pairs = sorted((states[s], actions[a], p)
+                   for p, (s, a) in enumerate(zip(mdp.source.tolist(), mdp.action.tolist())))
     transitions = [
-        {"s": s, "a": a, "to": {s2: p for s2, p in sorted(row.items())}}
-        for (s, a), row in sorted(mdp.kernel.items())
+        {"s": s, "a": a, "to": {states[i]: x for i, x in
+                                zip(succ[bounds[p]:bounds[p + 1]], prob[bounds[p]:bounds[p + 1]])}}
+        for s, a, p in pairs
     ]
-    rewards = [{"s": s, "a": a, "r": r} for (s, a), r in sorted(mdp.rewards.items())]
+    start = np.flatnonzero(mdp.initial).tolist()
     return {
         "name": mdp.name,
-        "states": list(mdp.states),
-        "actions": list(mdp.actions),
+        "states": list(states),
+        "actions": list(actions),
         "transitions": transitions,
-        "rewards": rewards,
-        "initial": {s: p for s, p in sorted(mdp.initial.items())},
+        "rewards": [{"s": s, "a": a, "r": reward[p]} for s, a, p in pairs],
+        "initial": {states[i]: x for i, x in zip(start, mdp.initial[start].tolist())},
     }
 
 
 def mdp_from_json(obj: Mapping) -> Mdp:
-    """Load an MDP, renormalizing rows within PROB_TOL and rejecting worse.
-
-    Zero-probability entries are dropped, so every stored entry is support.
-    """
+    """Load an MDP, renormalizing rows within PROB_TOL and rejecting worse."""
     try:
         states = tuple(str(s) for s in obj["states"])
         actions = tuple(str(a) for a in obj["actions"])
         kernel: dict[tuple[State, Action], dict[State, float]] = {}
         for tr in obj["transitions"]:
-            row = {str(s2): float(p) for s2, p in tr["to"].items() if float(p) != 0.0}
+            row = {str(s2): float(p) for s2, p in tr["to"].items()}
             total = sum(row.values())
             if abs(total - 1.0) > PROB_TOL:
                 raise ValidationFailed(
@@ -384,9 +309,7 @@ def mdp_from_json(obj: Mapping) -> Mdp:
         initial = {str(s): float(p) for s, p in obj["initial"].items()}
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed MDP JSON: {exc}") from exc
-    mdp = Mdp(states, actions, kernel, rewards, initial, name=str(obj.get("name", "")))
-    validate_mdp(mdp).require()
-    return mdp
+    return Mdp(states, actions, kernel, rewards, initial, name=str(obj.get("name", "")))
 
 
 def path_to_json(path: ObservedPath) -> dict:
@@ -408,11 +331,13 @@ def canonical_dumps(obj) -> str:
 
 
 def mdp_hash(mdp: Mdp) -> str:
-    """SHA-256 of the canonical MDP JSON; computed once per MDP."""
-    if mdp._hash is None:
-        blob = canonical_dumps(mdp_to_json(mdp)).encode()
-        object.__setattr__(mdp, "_hash", hashlib.sha256(blob).hexdigest())
-    return mdp._hash
+    """SHA-256 of the labels and the canonical arrays. Each Mdp computes it
+    once, when built, and keeps it as `mdp.digest`."""
+    h = hashlib.sha256(canonical_dumps([mdp.name, mdp.states, mdp.actions,
+                                        len(mdp.source), len(mdp.succ)]).encode())
+    for a in (mdp.source, mdp.action, mdp.row_start, mdp.succ, mdp.prob, mdp.reward, mdp.initial):
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def path_hash(path: ObservedPath) -> str:

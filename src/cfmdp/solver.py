@@ -68,11 +68,10 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
         raise ValidationFailed("base policy must be solved at the same m and at k or more")
     cf = pruned.cf
     mdp = cf.mdp
-    table = mdp.pair_table()
     n = mdp.num_states
     shared_from = T if base is None else max(T - pruned.k + 1, 0)
 
-    start, action, reward = table.start.tolist(), table.action.tolist(), table.reward.tolist()
+    start, action, reward = mdp.start.tolist(), mdp.action.tolist(), mdp.reward.tolist()
     row_key = cf.row_key.tolist()
     observed = [mdp.action_index(a) for _, a in cf.path.steps]
     values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
@@ -214,7 +213,6 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
     T = pruned.horizon
     cf = pruned.cf
     mdp = cf.mdp
-    pair_at = mdp.pair_table().pair_at
     feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
     observed = [mdp.action_index(a) for _, a in cf.path.steps]
     feats = np.empty((n, T + 1))
@@ -228,15 +226,14 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
                 raise InvariantViolated(f"rollout left the pruned node set at ({mdp.states[si]}, t={t})")
             feats[i, t] = feature_at[si]
             a = policy.choices[t][si, policy.m - j] if j <= policy.m else -1
-            p = pair_at[si, a] if a >= 0 else -1
+            p = mdp.pair_at[si, a] if a >= 0 else -1
             if p < 0 or not pruned.usable[t][p]:
                 raise UndefinedPolicyAction(
                     f"policy undefined or disallowed at ({mdp.states[si]}, t={t}, j={j})")
             if a != observed[t]:
                 j += 1
             idx, probs = cf.row(t, p)
-            pos = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right").clip(0, len(idx) - 1))
-            si = idx[pos]
+            si = idx[min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(idx) - 1)]
         feats[i, T] = feature_at[si]
         if j > policy.m:
             raise InvariantViolated(f"rollout exceeded budget: {j} > {policy.m}")

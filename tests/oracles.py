@@ -1,4 +1,5 @@
-"""Independent reference implementations used to pin expected values.
+"""Independent reference implementations used to pin expected values, and
+the label views of an MDP that only tests read.
 
 Everything here deliberately avoids the package's dynamic-programming and
 sampling code paths: values are recomputed by exhaustive recursion, literal
@@ -8,13 +9,134 @@ rather than tautology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from cfmdp.gumbel import cf_transition
+from cfmdp.errors import ValidationFailed
+from cfmdp.gumbel import GumbelPosterior, _step_rng, cf_transition
 from cfmdp.influence import PrunedCfMdp
-from cfmdp.mdp import Mdp, ObservedPath
+from cfmdp.mdp import Mdp, ObservedPath, Policy
+
+
+# -- label views of an MDP ------------------------------------------------------
+
+def kernel_row(mdp: Mdp, s, a) -> dict:
+    """P(.|s, a) as {successor: probability}."""
+    idx, probs, _ = mdp.row(mdp.pair(s, a))
+    return {mdp.states[i]: p for i, p in zip(idx.tolist(), probs.tolist())}
+
+
+def kernel(mdp: Mdp) -> dict:
+    """Every row as {(s, a): {successor: probability}}."""
+    return {(mdp.states[s], mdp.actions[a]): kernel_row(mdp, mdp.states[s], mdp.actions[a])
+            for s, a in zip(mdp.source.tolist(), mdp.action.tolist())}
+
+
+def available_actions(mdp: Mdp, s) -> tuple:
+    i = mdp.state_index(s)
+    return tuple(mdp.actions[a] for a in mdp.action[mdp.start[i]:mdp.start[i + 1]].tolist())
+
+
+def reward(mdp: Mdp, s, a) -> float:
+    return float(mdp.reward[mdp.pair(s, a)])
+
+
+def initial(mdp: Mdp) -> dict:
+    """The initial distribution as {state: probability}, support only."""
+    return {mdp.states[i]: float(mdp.initial[i]) for i in np.flatnonzero(mdp.initial).tolist()}
+
+
+def tabular_policy(table: dict) -> Policy:
+    """The policy of a {(state, t): action} table, None off the table."""
+    return Policy(lambda s, t: table.get((s, t)))
+
+
+def path_return(mdp: Mdp, path: ObservedPath) -> float:
+    """Undiscounted sum of R(s_t, a_t) over the path."""
+    return float(sum(reward(mdp, s, a) for s, a in path.steps))
+
+
+# -- reference algorithms -------------------------------------------------------
+
+def value_iteration(mdp: Mdp, horizon: int) -> tuple[Policy, list[dict]]:
+    """Optimal time-dependent policy for the undiscounted finite-horizon sum.
+
+    Returns the policy and V_t(s) for t = 0..T (V_T = 0). Ties are broken by
+    the lowest action index. States with no available action have value 0.
+    """
+    values = [dict.fromkeys(mdp.states, 0.0)]
+    table = {}
+    for t in range(horizon - 1, -1, -1):
+        v_next, v_here = values[0], {}
+        for s in mdp.states:
+            best_v, best_a = 0.0, None
+            for a in available_actions(mdp, s):
+                q = reward(mdp, s, a) + sum(p * v_next[s2] for s2, p in kernel_row(mdp, s, a).items())
+                if best_a is None or q > best_v:
+                    best_v, best_a = q, a
+            v_here[s] = best_v
+            if best_a is not None:
+                table[(s, t)] = best_a
+        values.insert(0, v_here)
+    return tabular_policy(table), values
+
+
+def gumbel_max_step(mdp: Mdp, s, a, g: np.ndarray):
+    """The mechanism: argmax over the support of log P(s2|s,a) + g(s2), ties
+    to the lowest state index."""
+    idx, _, logp = mdp.row(mdp.pair(s, a))
+    return mdp.states[idx[int(np.argmax(logp + g[idx]))]]
+
+
+def prior_posterior(mdp: Mdp, path: ObservedPath, n: int, seed: int = 0) -> GumbelPosterior:
+    """Unconditioned noise for every step: the interventional counterpart."""
+    noise = tuple(_step_rng(seed, t).gumbel(size=(n, mdp.num_states)) for t in range(path.T))
+    return GumbelPosterior(noise, n, "prior", seed, path, mdp.digest)
+
+
+def one_step_influenced(mdp: Mdp, path: ObservedPath, t: int, s, a) -> bool:
+    """Whether supp P(.|s,a) overlaps supp P(.|s_t,a_t) (time-indexed form)."""
+    return not kernel_row(mdp, *path.steps[t]).keys().isdisjoint(kernel_row(mdp, s, a))
+
+
+@dataclass(frozen=True)
+class InfluenceSets:
+    """Observed-support sets S^tau_t, their union, and the reachback set."""
+
+    per_time: tuple[frozenset, ...]
+    pooled: frozenset
+    path_states: frozenset
+    reachback_states: frozenset | None = None
+
+
+def influenced_states(mdp: Mdp, path: ObservedPath) -> InfluenceSets:
+    """S^tau_t = support of the observed row at t; pooled union across t."""
+    per_time = tuple(frozenset(kernel_row(mdp, s, a)) for s, a in path.steps)
+    return InfluenceSets(per_time, frozenset().union(*per_time), frozenset(s for s, _ in path.steps))
+
+
+def reachback(mdp: Mdp, sets: InfluenceSets, k: int) -> InfluenceSets:
+    """S^{tau,k}: S^tau plus states within k reverse-BFS steps of it.
+
+    States already on the observed path are not added by the BFS: every
+    non-initial path state sits in S^tau anyway (it is the realized successor
+    of the previous step), and the worked example counts the sets this way.
+    The pruner re-admits observed path nodes explicitly regardless.
+    """
+    if k < 1:
+        raise ValidationFailed("reachback requires k >= 1")
+    pred = {s: set() for s in mdp.states}
+    for (s, _), row in kernel(mdp).items():
+        for s2 in row:
+            pred[s2].add(s)
+    frontier, found = set(sets.pooled), set()
+    for _ in range(k):
+        frontier = {p for s in frontier for p in pred[s]} - found - sets.pooled
+        found |= frontier
+    return InfluenceSets(sets.per_time, sets.pooled, sets.path_states,
+                         reachback_states=sets.pooled | (found - sets.path_states))
 
 
 def tv_distance(p: dict, q: dict) -> float:
@@ -38,15 +160,15 @@ def exhaustive_value(mdp: Mdp, horizon: int) -> float:
     is exhaustive search over policy trees (max distributes over the
     expectation of independent subtrees).
     """
-    init = [(s, p) for s, p in mdp.initial.items() if p > 0]
+    init = initial(mdp).items()
 
     def value(s, t):
         if t == horizon:
             return 0.0
         best = None
-        for a in mdp.available_actions(s):
-            q = mdp.reward(s, a)
-            for s2, p in mdp.kernel[(s, a)].items():
+        for a in available_actions(mdp, s):
+            q = reward(mdp, s, a)
+            for s2, p in kernel_row(mdp, s, a).items():
                 q += p * value(s2, t + 1)
             if best is None or q > best:
                 best = q
@@ -61,8 +183,8 @@ def enumerated_policy_value(mdp: Mdp, horizon: int) -> float:
     Exponential; only usable on very small instances. Cross-checks
     exhaustive_value.
     """
-    nodes = [(s, t) for t in range(horizon) for s in mdp.states if mdp.available_actions(s)]
-    choices = [mdp.available_actions(s) for s, t in nodes]
+    nodes = [(s, t) for t in range(horizon) for s in mdp.states if available_actions(mdp, s)]
+    choices = [available_actions(mdp, s) for s, t in nodes]
     best = None
     for picks in product(*choices):
         table = dict(zip(nodes, picks))
@@ -71,11 +193,11 @@ def enumerated_policy_value(mdp: Mdp, horizon: int) -> float:
             if t == horizon or (s, t) not in table:
                 return 0.0
             a = table[(s, t)]
-            return mdp.reward(s, a) + sum(
-                p * policy_value(s2, t + 1) for s2, p in mdp.kernel[(s, a)].items()
+            return reward(mdp, s, a) + sum(
+                p * policy_value(s2, t + 1) for s2, p in kernel_row(mdp, s, a).items()
             )
 
-        v = sum(p * policy_value(s, 0) for s, p in mdp.initial.items() if p > 0)
+        v = sum(p * policy_value(s, 0) for s, p in initial(mdp).items())
         if best is None or v > best:
             best = v
     return best
@@ -109,7 +231,7 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
             idx, probs = cf.row(t, mdp.pair(s, a))
             child = np.zeros((len(idx), m + 1))
             child[:, r - cost] = [value(mdp.states[i], t + 1, r - cost) for i in idx]
-            q = mdp.reward(s, a) + float(np.dot(probs, child[:, r - cost]))
+            q = reward(mdp, s, a) + float(np.dot(probs, child[:, r - cost]))
             if q > best:
                 best = q
         return best

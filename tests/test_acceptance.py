@@ -9,11 +9,22 @@ import pytest
 
 from cfmdp.environments import demo_observation, environment_features
 from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
-from cfmdp.influence import influenced_states, prune_cf_mdp, reachback
-from cfmdp.mdp import Mdp, ObservedPath, Policy, path_return, sample_path
+from cfmdp.influence import prune_cf_mdp
+from cfmdp.mdp import Mdp, ObservedPath, Policy, sample_path
 from cfmdp.solver import check_sweep_monotonicity, rollout, solve_km, sweep
 
-from oracles import cf_transition_probs, km_value_oracle, random_mdp, tv_distance
+from oracles import (
+    available_actions,
+    cf_transition_probs,
+    influenced_states,
+    kernel,
+    kernel_row,
+    km_value_oracle,
+    path_return,
+    random_mdp,
+    reachback,
+    tv_distance,
+)
 
 
 def report(number: int, started: float, limit: float, text: str) -> None:
@@ -71,7 +82,7 @@ def test_criterion_01_gumbel_max_correctness():
         row = dict(zip(states, probs.tolist()))
         mdp = Mdp(("s",) + states, ("a",), {("s", "a"): row}, {}, {"s": 1.0})
         noise = rng.gumbel(size=(n, mdp.num_states))
-        idx, _, logp = mdp.row_arrays("s", "a")
+        idx, _, logp = mdp.row(mdp.pair("s", "a"))
         wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
         counts = np.bincount(wins, minlength=size)
         freqs = {states[i]: counts[i] / n for i in range(size)}
@@ -88,7 +99,7 @@ def test_criterion_02_sampler_equivalence():
     worst = 0.0
     for t in range(path.T):
         for s in mdp.states:
-            for a in mdp.available_actions(s):
+            for a in available_actions(mdp, s):
                 est_t = cf_transition_probs(top, mdp, t, s, a)
                 est_r = cf_transition_probs(rej, mdp, t, s, a)
                 worst = max(worst, tv_distance(est_t, est_r))
@@ -145,7 +156,7 @@ def test_criterion_05_counterfactual_stability():
     t = 0
     s_t, a_t = path.steps[t]
     s_obs = path.state(t + 1)
-    obs_row = mdp.kernel[(s_t, a_t)]
+    obs_row = kernel_row(mdp, s_t, a_t)
     noise = post.vectors(t)
     n_states = mdp.num_states
     violations = 0
@@ -154,7 +165,7 @@ def test_criterion_05_counterfactual_stability():
         probs = raw / raw.sum()
         p_int = {mdp.states[i]: float(probs[i]) for i in range(n_states)}
         inter = Mdp(mdp.states, ("q",), {(s_t, "q"): p_int}, {}, {s_t: 1.0})
-        idx, _, logp = inter.row_arrays(s_t, "q")
+        idx, _, logp = inter.row(inter.pair(s_t, "q"))
         wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
         for pos in np.unique(wins):
             s2 = inter.states[idx[pos]]
@@ -193,7 +204,7 @@ def test_criterion_06_fig2_worked_example(fig2_toy):
     p3, states3 = surviving_states(3)
     assert states3 == set(mdp.states)
     kept = {(s, a) for (s, t), acts in p3.actions.items() for a in acts}
-    assert kept == {(s, a) for (s, a) in mdp.kernel if s != "s8"}
+    assert kept == {(s, a) for (s, a) in kernel(mdp) if s != "s8"}
     report(6, started, 1.0,
            "worked toy example reproduced exactly: S-sets, reachback and pruned sets for k=1,2,3")
 

@@ -249,6 +249,57 @@ def test_unreadable_json_exits_2(read, content, artifact_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# Out-of-range numbers, each rejected by argparse before any work; {out} must not appear.
+BAD_NUMBERS = {
+    "sample-seed": "sample --policy epidemic --seed -1 --out {out}",
+    "sample-horizon-zero": "sample --policy epidemic --horizon 0 --out {out}",
+    "sample-horizon-negative": "sample --policy epidemic --horizon -3 --out {out}",
+    "sweep-seed": "sweep --env gridworld --seed -1 --out {out}",
+    "sweep-horizon-zero": "sweep --env gridworld --horizon 0 --out {out}",
+    "cf-build-seed": "cf-build --mdp {d}/mdp.json --path {d}/path.json --seed -1 --out {out}",
+    "prune-seed": "prune --mdp {d}/mdp.json --path {d}/path.json --k 1 --seed -1 --out {out}",
+    "rollout-seed": "rollout --mdp {d}/mdp.json --pruned {d}/pruned.json --policy {d}/policy.json"
+                    " --env epidemic --feature infected --seed -1 --out {out}",
+    "rollout-n-negative": "rollout --mdp {d}/mdp.json --pruned {d}/pruned.json"
+                          " --policy {d}/policy.json --env epidemic --feature infected -n -5"
+                          " --out {out}",
+    "rollout-n-zero": "rollout --mdp {d}/mdp.json --pruned {d}/pruned.json"
+                      " --policy {d}/policy.json --env epidemic --feature infected -n 0 --out {out}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_out_of_range_number_exits_2(case, artifact_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(BAD_NUMBERS[case].format(d=artifact_dir, out=out).split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_zero_probability_entries_drop_on_every_path(tmp_path, capsys):
+    # treat_effect 1.0 makes the sepsis builder emit entries of probability
+    # 0.0. A sweep of the built MDP and one of its JSON file must agree.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"treat_effect": [1, 1, 1]}))
+    files = {name: str(tmp_path / name) for name in ("mdp.json", "path.json", "direct", "loaded")}
+    grid = ["--samples", "20", "--k-max", "3", "--m-max", "1"]
+    assert main(["sweep", "--env", "sepsis", "--preset", "suboptimal", "--config", str(config),
+                 *grid, "--out", files["direct"]]) == 0
+    assert main(["env", "sepsis", "--config", str(config), "--out", files["mdp.json"]]) == 0
+    assert main(["sample", "--mdp", files["mdp.json"], "--policy", "sepsis-suboptimal",
+                 "--out", files["path.json"]]) == 0
+    assert main(["sweep", "--mdp", files["mdp.json"], "--path", files["path.json"], *grid,
+                 "--out", files["loaded"]]) == 0
+    direct, loaded = tmp_path / "direct", tmp_path / "loaded"
+    for name in ("sweep.csv", "sizes.csv"):
+        assert (direct / name).read_bytes() == (loaded / name).read_bytes(), name
+    stats = [json.loads((d / "manifest.json").read_text())["statistics"] for d in (direct, loaded)]
+    assert stats[0] == stats[1]
+
+
 @pytest.mark.parametrize("danger", ["1", "1,x", "1,2,3"])
 def test_env_bad_danger_exits_2(danger, capsys):
     code, out, err = run(capsys, "env", "gridworld", "--danger", danger)
@@ -403,8 +454,8 @@ def test_rollout_policy_without_entry_exits_3(artifact_dir, tmp_path, capsys):
 
 def test_sweep_hashes_the_mdp_once(tmp_path, capsys, monkeypatch):
     calls = []
-    to_json = cfmdp.mdp.mdp_to_json
-    monkeypatch.setattr(cfmdp.mdp, "mdp_to_json", lambda mdp: calls.append(mdp) or to_json(mdp))
+    hash_mdp = cfmdp.mdp.mdp_hash
+    monkeypatch.setattr(cfmdp.mdp, "mdp_hash", lambda mdp: calls.append(mdp) or hash_mdp(mdp))
     code, _, _ = run(capsys, "sweep", "--env", "gridworld", "--samples", "20",
                      "--out", str(tmp_path / "sweep"))
     assert code == 0

@@ -17,22 +17,22 @@ from cfmdp.environments import (
     sepsis_state_parts,
 )
 from cfmdp.errors import InvalidConfig, UnknownEnvironment
-from cfmdp.mdp import path_return, validate_mdp
+
+from oracles import available_actions, initial, kernel, kernel_row, path_return, reward
 
 
 # -- grid world --------------------------------------------------------------
 
 def test_gridworld_deterministic_rows_by_default():
     mdp = build_gridworld()
-    for (s, a), row in mdp.kernel.items():
+    for (s, a), row in kernel(mdp).items():
         assert abs(sum(row.values()) - 1.0) < 1e-12
         assert len(row) == 1  # slip = 0 means Dirac rows
 
 
 def test_gridworld_slip_rows_sum_to_one():
-    mdp = build_gridworld(GridWorldConfig(slip=0.2))
-    assert validate_mdp(mdp).ok
-    stochastic = [row for row in mdp.kernel.values() if len(row) > 1]
+    mdp = build_gridworld(GridWorldConfig(slip=0.2))  # the constructor validates
+    stochastic = [row for row in kernel(mdp).values() if len(row) > 1]
     assert stochastic  # slip creates genuine branching
 
 
@@ -47,9 +47,9 @@ def test_gridworld_observed_path_hits_danger_at_t3():
 def test_gridworld_terminals_absorbing():
     mdp = build_gridworld()
     for label in ("r3c3", "r1c2"):
-        assert mdp.available_actions(label) == ("stay",)
-        assert mdp.kernel[(label, "stay")] == {label: 1.0}
-        assert mdp.reward(label, "stay") == 0.0
+        assert available_actions(mdp, label) == ("stay",)
+        assert kernel_row(mdp, label, "stay") == {label: 1.0}
+        assert reward(mdp, label, "stay") == 0.0
 
 
 def test_gridworld_invalid_configs():
@@ -64,53 +64,49 @@ def test_gridworld_invalid_configs():
 # -- epidemic ----------------------------------------------------------------
 
 def test_epidemic_validates():
-    mdp = build_epidemic()
-    assert validate_mdp(mdp).ok
-    assert mdp.initial == {"S9I1V20": 1.0}
+    mdp = build_epidemic()  # the constructor validates
+    assert initial(mdp) == {"S9I1V20": 1.0}
     assert mdp.actions == ("NIL", "V_I", "V_S")
 
 
 def test_epidemic_no_infected_is_frozen_under_nil():
     mdp = build_epidemic()
-    assert mdp.kernel[("S5I0V7", "NIL")] == {"S5I0V7": 1.0}
+    assert kernel_row(mdp, "S5I0V7", "NIL") == {"S5I0V7": 1.0}
 
 
 def test_epidemic_vaccinating_last_infected_is_deterministic():
     mdp = build_epidemic()
-    assert mdp.kernel[("S9I1V20", "V_I")] == {"S9I0V19": 1.0}
+    assert kernel_row(mdp, "S9I1V20", "V_I") == {"S9I0V19": 1.0}
 
 
 def test_epidemic_action_availability():
     mdp = build_epidemic()
-    assert mdp.available_actions("S5I0V7") == ("NIL", "V_S")
-    assert mdp.available_actions("S0I5V7") == ("NIL", "V_I")
-    assert mdp.available_actions("S5I5V0") == ("NIL",)
+    assert available_actions(mdp, "S5I0V7") == ("NIL", "V_S")
+    assert available_actions(mdp, "S0I5V7") == ("NIL", "V_I")
+    assert available_actions(mdp, "S5I5V0") == ("NIL",)
 
 
 def test_epidemic_pmf_matches_scipy_oracle():
-    # Transition masses equal scipy's hypergeometric pmf to 1e-12.
+    # Transition masses equal scipy's hypergeometric pmf to 1e-12, checked
+    # over every entry at once.
     mdp = build_epidemic()
-    for (label, a), row in mdp.kernel.items():
-        S, I, V = epidemic_counts(label)
-        if a == "NIL":
-            M, n, N = S + I, min(S, I), S
-            getk = lambda lab: S - epidemic_counts(lab)[0]
-        elif a == "V_I":
-            M, n, N = S + I - 1, min(S, I - 1), S
-            getk = lambda lab: S - epidemic_counts(lab)[0]
-        else:
-            M, n, N = S + I - 1, min(S - 1, I), S - 1
-            getk = lambda lab: S - 1 - epidemic_counts(lab)[0]
-        for dest, p in row.items():
-            k = getk(dest)
-            # scipy rejects the empty-population corner; its pmf is Dirac at 0.
-            ref = 1.0 if (M == 0 and k == 0) else float(stats.hypergeom(M, n, N).pmf(k))
-            assert p == pytest.approx(ref, abs=1e-12)
+    counts = np.array([epidemic_counts(s) for s in mdp.states])
+    S, I = counts[mdp.source[mdp.owner], 0], counts[mdp.source[mdp.owner], 1]
+    act = np.array(mdp.actions)[mdp.action[mdp.owner]]
+    v_i, v_s = act == "V_I", act == "V_S"
+    # NIL: (M, n, N) = (S+I, min(S, I), S); V_I: (S+I-1, min(S, I-1), S); V_S: (S+I-1, min(S-1, I), S-1)
+    M, n, N = S + I - (v_i | v_s), np.minimum(S - v_s, I - v_i), S - v_s
+    k = N - counts[mdp.succ, 0]
+    with np.errstate(invalid="ignore"):
+        ref = stats.hypergeom.pmf(k, M, n, N)
+    # scipy rejects the empty-population corner; its pmf is Dirac at 0.
+    ref = np.where((M == 0) & (k == 0), 1.0, ref)
+    assert np.max(np.abs(mdp.prob - ref)) <= 1e-12
 
 
 def test_epidemic_rows_sum_exactly():
     mdp = build_epidemic()
-    for row in mdp.kernel.values():
+    for row in kernel(mdp).values():
         assert abs(sum(row.values()) - 1.0) < 1e-12
 
 
@@ -121,8 +117,8 @@ def test_epidemic_conservation_on_sampled_transitions():
     for _ in range(500):
         label = states[int(rng.integers(len(states)))]
         S, I, V = epidemic_counts(label)
-        for a in mdp.available_actions(label):
-            for dest in mdp.kernel[(label, a)]:
+        for a in available_actions(mdp, label):
+            for dest in kernel_row(mdp, label, a):
                 S2, I2, V2 = epidemic_counts(dest)
                 assert S2 + I2 <= S + I
                 assert V2 <= V
@@ -152,22 +148,21 @@ def test_epidemic_invalid_config():
 # -- sepsis-lite ---------------------------------------------------------------
 
 def test_sepsis_action_count():
-    mdp = build_sepsis_lite()
+    mdp = build_sepsis_lite()  # the constructor validates
     assert len(mdp.actions) == 8
-    assert validate_mdp(mdp).ok
 
 
 def test_sepsis_reward_scale_boundaries():
     cfg = SepsisLiteConfig()
     mdp = build_sepsis_lite(cfg)
     discharge = "nnnn-000"
-    assert mdp.kernel[(discharge, "t000")] == {discharge: 1.0}
-    assert mdp.reward(discharge, "t000") * cfg.horizon == pytest.approx(1000.0)
+    assert kernel_row(mdp, discharge, "t000") == {discharge: 1.0}
+    assert reward(mdp, discharge, "t000") * cfg.horizon == pytest.approx(1000.0)
     worst = "llll-000"
-    assert mdp.reward(worst, "t000") * cfg.horizon == pytest.approx(-1000.0)
+    assert reward(mdp, worst, "t000") * cfg.horizon == pytest.approx(-1000.0)
     # Death flattens the reward regardless of 3 vs 4 abnormal vitals.
     three = "lll" + "n-000"
-    assert mdp.reward(three, "t000") * cfg.horizon == pytest.approx(-1000.0)
+    assert reward(mdp, three, "t000") * cfg.horizon == pytest.approx(-1000.0)
 
 
 def test_sepsis_death_states_absorbing_under_every_action():
@@ -175,12 +170,12 @@ def test_sepsis_death_states_absorbing_under_every_action():
     for label in mdp.states:
         if abnormal_vitals(label) >= 3:
             for a in mdp.actions:
-                assert mdp.kernel[(label, a)] == {label: 1.0}
+                assert kernel_row(mdp, label, a) == {label: 1.0}
 
 
 def test_sepsis_action_sets_flags():
     mdp = build_sepsis_lite()
-    for dest in mdp.kernel[("nlnn-000", "t110")]:
+    for dest in kernel_row(mdp, "nlnn-000", "t110"):
         _, flags = sepsis_state_parts(dest)
         assert flags == (1, 1, 0)
 
@@ -188,7 +183,7 @@ def test_sepsis_action_sets_flags():
 def test_sepsis_treatment_pushes_toward_normal():
     cfg = SepsisLiteConfig()
     mdp = build_sepsis_lite(cfg)
-    row = mdp.kernel[("nlnn-000", "t010")]  # vasopressors on the low bp
+    row = kernel_row(mdp, "nlnn-000", "t010")  # vasopressors on the low bp
     mass_bp_normal = sum(
         p for dest, p in row.items() if sepsis_state_parts(dest)[0][1] == 1
     )
@@ -228,4 +223,4 @@ def test_registry_dispatch_and_unknown():
 
 def test_every_environment_validates():
     for env in ("gridworld", "epidemic", "sepsis"):
-        assert validate_mdp(build_environment(env)).ok
+        assert build_environment(env).num_states > 0  # the constructor validates

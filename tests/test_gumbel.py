@@ -7,17 +7,24 @@ from cfmdp.gumbel import (
     CfMdp,
     build_cf_mdp,
     build_posterior,
-    gumbel_max_step,
     load_posterior,
     nominal_cf_mdp,
-    prior_posterior,
     rejection_noise,
     save_posterior,
     topdown_noise,
 )
 from cfmdp.mdp import Mdp, ObservedPath
 
-from oracles import categorical_frequencies, cf_transition_probs, random_mdp, tv_distance
+from oracles import (
+    available_actions,
+    categorical_frequencies,
+    cf_transition_probs,
+    gumbel_max_step,
+    kernel_row,
+    prior_posterior,
+    random_mdp,
+    tv_distance,
+)
 
 
 def row_mdp(probs: dict, extra_rows: dict | None = None) -> Mdp:
@@ -33,7 +40,7 @@ def mechanism_frequencies(mdp, s, a, n, seed):
     rng = np.random.default_rng(seed)
     noise = rng.gumbel(size=(n, mdp.num_states))
     counts = {}
-    idx, _, logp = mdp.row_arrays(s, a)
+    idx, _, logp = mdp.row(mdp.pair(s, a))
     wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
     for pos, c in zip(*np.unique(wins, return_counts=True)):
         counts[mdp.states[idx[pos]]] = c / n
@@ -93,7 +100,7 @@ def test_rejection_zero_probability_errors():
 def test_topdown_always_replays():
     mdp = row_mdp({"x1": 0.5, "x2": 0.4, "x3": 0.1})
     samples = topdown_noise(mdp, "s", "a", "x3", 5000, np.random.default_rng(5))
-    idx, _, logp = mdp.row_arrays("s", "a")
+    idx, _, logp = mdp.row(mdp.pair("s", "a"))
     wins = np.argmax(logp[None, :] + samples[:, idx], axis=1)
     assert np.all(idx[wins] == mdp.state_index("x3"))
 
@@ -107,7 +114,7 @@ def test_topdown_matches_rejection_downstream():
     n = 100_000
     top = topdown_noise(mdp, "s", "a", "x3", n, np.random.default_rng(6))
     rej, _ = rejection_noise(mdp, "s", "a", "x3", n, np.random.default_rng(7))
-    idx, _, logp = mdp.row_arrays("s", "b")
+    idx, _, logp = mdp.row(mdp.pair("s", "b"))
 
     def row_freqs(noise):
         wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
@@ -136,7 +143,7 @@ def test_build_posterior_replays_and_final_step_prior(tinychain):
         assert est == {path.state(t + 1): 1.0}
     # The final step carries prior noise: its cf row tracks the nominal row.
     est = cf_transition_probs(post, tinychain, 2, "x0", "a")
-    assert tv_distance(est, tinychain.kernel[("x0", "a")]) < 0.1
+    assert tv_distance(est, kernel_row(tinychain, "x0", "a")) < 0.1
 
 
 def test_build_posterior_single_step_is_prior(tinychain):
@@ -174,11 +181,11 @@ def test_cf_transition_disjoint_support_is_interventional():
         ("s", "a"): {"x1": 0.6, "x2": 0.4},
         ("s", "b"): {"y1": 0.2, "y2": 0.5, "y3": 0.3},
     }
+    # pad rows so the path validates
+    kernel[("x2", "a")] = {"x2": 1.0}
     states = ("s", "x1", "x2", "y1", "y2", "y3")
     mdp = Mdp(states, ("a", "b"), kernel, {}, {"s": 1.0})
     path = ObservedPath((("s", "a"), ("x2", "a")))
-    # pad rows so the path validates
-    kernel[("x2", "a")] = {"x2": 1.0}
     post = build_posterior(mdp, path, 100_000, "topdown", seed=6)
     est = cf_transition_probs(post, mdp, 0, "s", "b")
     nominal = kernel[("s", "b")]
@@ -195,9 +202,9 @@ def test_cf_support_containment():
     post = build_posterior(mdp, path, 2000, "topdown", seed=2)
     for t in range(3):
         for s in mdp.states:
-            for a in mdp.available_actions(s):
+            for a in available_actions(mdp, s):
                 est = cf_transition_probs(post, mdp, t, s, a)
-                assert set(est) <= set(mdp.kernel[(s, a)])
+                assert set(est) <= set(kernel_row(mdp, s, a))
                 assert abs(sum(est.values()) - 1.0) < 1e-9
 
 
@@ -207,13 +214,13 @@ def test_counterfactual_stability_on_samples(tinychain):
     rng = np.random.default_rng(10)
     path = ObservedPath((("x0", "a"), ("x2", "a")))
     post = build_posterior(tinychain, path, 2000, "topdown", seed=11)
-    obs_row = tinychain.kernel[("x0", "a")]
+    obs_row = kernel_row(tinychain, "x0", "a")
     noise = post.vectors(0)
     for _ in range(200):
         raw = rng.uniform(0.05, 1.0, size=2)
         p_int = dict(zip(("x1", "x2"), raw / raw.sum()))
         inter = Mdp(tinychain.states, ("q",), {("x0", "q"): p_int}, {}, {"x0": 1.0})
-        idx, _, logp = inter.row_arrays("x0", "q")
+        idx, _, logp = inter.row(inter.pair("x0", "q"))
         wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
         for pos in np.unique(wins):
             s2 = inter.states[idx[pos]]
@@ -253,7 +260,7 @@ def test_prior_posterior_matches_nominal(tinychain):
     path = ObservedPath((("x0", "a"), ("x2", "a")))
     post = prior_posterior(tinychain, path, 50_000, seed=13)
     est = cf_transition_probs(post, tinychain, 0, "x0", "a")
-    assert tv_distance(est, tinychain.kernel[("x0", "a")]) < 0.02
+    assert tv_distance(est, kernel_row(tinychain, "x0", "a")) < 0.02
 
 
 def test_cf_mdp_kernel_memoized(epidemic_cf):
@@ -285,7 +292,7 @@ def test_build_posterior_rejects_unknown_sampler(tinychain):
 
 def test_build_posterior_rejects_empty_sample(tinychain):
     path = ObservedPath((("x0", "a"), ("x2", "a")))
-    for sampler in ("topdown", "rejection", "prior"):
+    for sampler in ("topdown", "rejection"):
         with pytest.raises(ValidationFailed, match="sample count"):
             build_posterior(tinychain, path, 0, sampler, seed=0)
 

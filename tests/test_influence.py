@@ -3,18 +3,18 @@ import pytest
 
 from cfmdp.errors import EmptyPrunedMdp, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
-from cfmdp.influence import (
-    _admission_hits,
-    _admitted,
-    influenced_states,
-    one_step_influenced,
-    prune_cf_mdp,
-    pruned_size_report,
-    reachback,
-)
+from cfmdp.influence import _admission_hits, _admitted, prune_cf_mdp, pruned_size_report
 from cfmdp.mdp import Mdp, ObservedPath, Policy, sample_path
 
-from oracles import random_mdp
+from oracles import (
+    available_actions,
+    influenced_states,
+    kernel,
+    kernel_row,
+    one_step_influenced,
+    random_mdp,
+    reachback,
+)
 
 
 def pruned_state_sets(pruned):
@@ -113,7 +113,7 @@ def test_prune_fig2_worked_example(fig2_toy):
     assert states3 | term3 == set(mdp.states)
     # k = 3 recovers every original transition at some layer.
     kept = {(s, a) for (s, t), acts in p3.actions.items() for a in acts}
-    original = {(s, a) for (s, a) in mdp.kernel if s != "s8"}
+    original = {(s, a) for (s, a) in kernel(mdp) if s != "s8"}
     assert kept == original
 
 
@@ -149,7 +149,7 @@ def reference_admitted(mdp, path, k, t, s, a):
             return True
         return d > 0 and t + 1 < T and any(
             within(t + 1, s2, a2, d - 1)
-            for s2 in mdp.row(s, a) for a2 in mdp.available_actions(s2))
+            for s2 in kernel_row(mdp, s, a) for a2 in available_actions(mdp, s2))
 
     return t >= T - k + 1 or within(t, s, a, k - 1)
 
@@ -160,7 +160,7 @@ def test_admission_matches_literal_definition(seed):
     mdp = random_mdp(rng, 6, 2, support_max=2)
     path = sample_path(mdp, Policy.constant("a0"), 4, seed=seed)
     hits = _admission_hits(mdp, path, path.T)
-    pairs = [(s, a) for s in mdp.states for a in mdp.available_actions(s)]
+    pairs = [(s, a) for s in mdp.states for a in available_actions(mdp, s)]
     for k in range(1, path.T + 2):
         admitted = _admitted(k, hits)
         for t in range(path.T):
@@ -217,13 +217,13 @@ def test_prune_k_max_equals_reachable_unpruned(epidemic_demo, epidemic_cf):
     for t in range(T - 1):
         nxt = set()
         for s in reach[t]:
-            for a in mdp.available_actions(s):
+            for a in available_actions(mdp, s):
                 nxt.update(epidemic_cf.probs(t, s, a))
         reach.append(nxt)
     for t in range(T):
         assert set(pruned.layers[t]) == reach[t]
         for s in reach[t]:
-            assert set(pruned.actions[(s, t)]) == set(mdp.available_actions(s))
+            assert set(pruned.actions[(s, t)]) == set(available_actions(mdp, s))
 
 
 def test_prune_k1_node_count_is_path_length(epidemic_demo, epidemic_cf):

@@ -4,24 +4,36 @@ import warnings
 import numpy as np
 import pytest
 
+from cfmdp.environments import SepsisLiteConfig, build_environment, build_sepsis_lite
 from cfmdp.errors import UndefinedPolicyAction, ValidationFailed
-from cfmdp.influence import influenced_states
 from cfmdp.mdp import (
     Mdp,
     ObservedPath,
     Policy,
     mdp_from_json,
+    mdp_hash,
     mdp_to_json,
     path_from_json,
-    path_return,
     path_to_json,
     sample_path,
-    validate_mdp,
     validate_path,
-    value_iteration,
 )
 
-from oracles import enumerated_policy_value, exhaustive_value, random_mdp, tv_distance
+from oracles import (
+    available_actions,
+    enumerated_policy_value,
+    exhaustive_value,
+    influenced_states,
+    initial,
+    kernel,
+    kernel_row,
+    path_return,
+    random_mdp,
+    reward,
+    tabular_policy,
+    tv_distance,
+    value_iteration,
+)
 
 
 def chain_mdp():
@@ -35,31 +47,30 @@ def chain_mdp():
 
 
 def test_validate_well_formed():
-    assert validate_mdp(chain_mdp()).ok
+    # The constructor validates; a well-formed MDP compiles to its rows.
+    assert kernel(chain_mdp()) == {("s0", "a"): {"s1": 1.0}, ("s1", "a"): {"s2": 1.0},
+                                   ("s2", "a"): {"s2": 1.0}}
 
 
 def test_validate_bad_row_sum():
-    mdp = Mdp(("s0",), ("a0",), {("s0", "a0"): {"s0": 0.9}}, {}, {"s0": 1.0})
-    report = validate_mdp(mdp)
-    assert not report.ok
-    assert any("row (s0,a0) sums to 0.9" in v for v in report.violations)
+    with pytest.raises(ValidationFailed, match=r"row \(s0,a0\) sums to 0\.9"):
+        Mdp(("s0",), ("a0",), {("s0", "a0"): {"s0": 0.9}}, {}, {"s0": 1.0})
 
 
 def test_validate_unknown_state():
-    mdp = Mdp(("s0",), ("a0",), {("s0", "a0"): {"ghost": 1.0}}, {}, {"s0": 1.0})
-    report = validate_mdp(mdp)
-    assert any("ghost" in v for v in report.violations)
+    with pytest.raises(ValidationFailed, match="ghost"):
+        Mdp(("s0",), ("a0",), {("s0", "a0"): {"ghost": 1.0}}, {}, {"s0": 1.0})
 
 
 def test_validate_initial_sum():
-    mdp = Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s1": 1.0}}, {}, {"s0": 0.5})
-    assert any("initial distribution sums" in v for v in validate_mdp(mdp).violations)
+    with pytest.raises(ValidationFailed, match="initial distribution sums"):
+        Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s1": 1.0}}, {}, {"s0": 0.5})
 
 
 def test_validate_rejects_nan_probability():
-    mdp = Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s0": 1.0, "s1": float("nan")}},
-              {}, {"s0": 1.0})
-    assert any("non-finite probability" in v for v in validate_mdp(mdp).violations)
+    with pytest.raises(ValidationFailed, match="non-finite probability"):
+        Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s0": 1.0, "s1": float("nan")}},
+            {}, {"s0": 1.0})
     obj = mdp_to_json(chain_mdp())
     obj["transitions"][0]["to"] = {"s1": 1.0, "s2": float("nan")}
     with pytest.raises(ValidationFailed, match="non-finite"):
@@ -67,17 +78,17 @@ def test_validate_rejects_nan_probability():
 
 
 def test_validate_rejects_nan_initial_probability():
-    mdp = Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s1": 1.0}}, {},
-              {"s0": 1.0, "s1": float("nan")})
-    assert any("non-finite probability" in v for v in validate_mdp(mdp).violations)
+    with pytest.raises(ValidationFailed, match="non-finite probability"):
+        Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s1": 1.0}}, {},
+            {"s0": 1.0, "s1": float("nan")})
 
 
 def test_validate_rejects_duplicate_labels():
-    kernel = {("a", "x"): {"b": 1.0}, ("b", "x"): {"b": 1.0}}
-    mdp = Mdp(("a", "a", "b"), ("x",), kernel, {}, {"a": 1.0})
-    assert any("duplicate state label a" in v for v in validate_mdp(mdp).violations)
-    mdp = Mdp(("a", "b"), ("x", "x"), kernel, {}, {"a": 1.0})
-    assert any("duplicate action label x" in v for v in validate_mdp(mdp).violations)
+    rows = {("a", "x"): {"b": 1.0}, ("b", "x"): {"b": 1.0}}
+    with pytest.raises(ValidationFailed, match="duplicate state label a"):
+        Mdp(("a", "a", "b"), ("x",), rows, {}, {"a": 1.0})
+    with pytest.raises(ValidationFailed, match="duplicate action label x"):
+        Mdp(("a", "b"), ("x", "x"), rows, {}, {"a": 1.0})
     obj = mdp_to_json(chain_mdp())
     obj["states"].append("s0")
     with pytest.raises(ValidationFailed, match="duplicate"):
@@ -100,7 +111,7 @@ def test_sample_path_same_seed_identical():
 
 def test_sample_path_undefined_policy():
     with pytest.raises(UndefinedPolicyAction):
-        sample_path(chain_mdp(), Policy.tabular({("s0", 0): "a"}), 3, seed=0)
+        sample_path(chain_mdp(), tabular_policy({("s0", 0): "a"}), 3, seed=0)
 
 
 def test_sample_path_frequencies_match_kernel():
@@ -114,7 +125,7 @@ def test_sample_path_frequencies_match_kernel():
         s1 = path.state(1)
         counts[s1] = counts.get(s1, 0) + 1
     freqs = {s: c / n for s, c in counts.items()}
-    assert tv_distance(freqs, mdp.kernel[("x0", "a0")]) < 0.02
+    assert tv_distance(freqs, kernel_row(mdp, "x0", "a0")) < 0.02
 
 
 def test_path_return_empty_and_zero():
@@ -147,8 +158,8 @@ def test_value_iteration_bellman_consistency():
     for t in range(T):
         for s in mdp.states:
             expected = max(
-                mdp.reward(s, a) + sum(p * values[t + 1][s2] for s2, p in mdp.kernel[(s, a)].items())
-                for a in mdp.available_actions(s)
+                reward(mdp, s, a) + sum(p * values[t + 1][s2] for s2, p in kernel_row(mdp, s, a).items())
+                for a in available_actions(mdp, s)
             )
             assert abs(values[t][s] - expected) < 1e-12
 
@@ -161,7 +172,7 @@ def test_value_iteration_matches_exhaustive(seed):
     horizon = int(rng.integers(1, 5))
     mdp = random_mdp(rng, n_states, n_actions)
     _, values = value_iteration(mdp, horizon)
-    v0 = sum(p * values[0][s] for s, p in mdp.initial.items())
+    v0 = sum(p * values[0][s] for s, p in initial(mdp).items())
     assert v0 == pytest.approx(exhaustive_value(mdp, horizon), abs=1e-9)
 
 
@@ -198,14 +209,56 @@ def test_mdp_json_rejects_bad_rows():
 def test_mdp_json_drops_zero_probability_entries():
     obj = mdp_to_json(chain_mdp())
     obj["transitions"][0]["to"] = {"s1": 1.0, "s2": 0.0}
-    mdp = mdp_from_json(obj)
-    assert mdp.row("s0", "a") == {"s1": 1.0}
+    with warnings.catch_warnings():  # the MDP is compiled when it is built
+        warnings.simplefilter("error")
+        mdp = mdp_from_json(obj)
+        idx, probs, logp = mdp.row(mdp.pair("s0", "a"))
+    assert kernel_row(mdp, "s0", "a") == {"s1": 1.0}
     path = ObservedPath((("s0", "a"), ("s1", "a")))
     assert influenced_states(mdp, path).per_time[0] == {"s1"}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        idx, probs, logp = mdp.row_arrays("s0", "a")
     assert idx.tolist() == [1] and probs.tolist() == [1.0] and logp.tolist() == [0.0]
+
+
+def zero_entry_mdp():
+    rows = {("s0", "a"): {"s1": 0.5, "s2": 0.0, "s0": 0.5}, ("s1", "a"): {"s1": 1.0},
+            ("s2", "a"): {"s2": 1.0}}
+    return Mdp(("s0", "s1", "s2"), ("a",), rows, {("s1", "a"): 1.0}, {"s0": 1.0, "s2": 0.0})
+
+
+# MDPs whose arrays and hash must survive a JSON round trip; the last two are
+# built with zero-probability entries, which every path drops.
+ROUND_TRIPS = {
+    "gridworld": lambda: build_environment("gridworld"),
+    "epidemic": lambda: build_environment("epidemic"),
+    "sepsis": lambda: build_environment("sepsis"),
+    "zero-entry": zero_entry_mdp,
+    "sepsis-treat-effect-1": lambda: build_sepsis_lite(SepsisLiteConfig(treat_effect=(1.0, 1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+def test_json_round_trip_keeps_arrays_and_hash(case):
+    mdp = ROUND_TRIPS[case]()
+    again = mdp_from_json(json.loads(json.dumps(mdp_to_json(mdp))))
+    assert mdp.prob.min() > 0.0
+    for name in ("source", "action", "start", "row_start", "owner", "succ", "prob", "logp",
+                 "reward", "pair_at", "initial"):
+        np.testing.assert_array_equal(getattr(mdp, name), getattr(again, name), err_msg=name)
+    assert mdp_hash(mdp) == mdp_hash(again) == mdp.digest == again.digest
+
+
+def test_hash_changes_with_each_part():
+    def build(row=(0.5, 0.5), r=1.0, label="s2", start=None):
+        states = ("s0", "s1", label)
+        rows = {("s0", "a"): {"s1": row[0], label: row[1]}, ("s1", "a"): {"s1": 1.0},
+                (label, "a"): {label: 1.0}}
+        return Mdp(states, ("a",), rows, {("s0", "a"): r}, start or {"s0": 1.0})
+
+    base = mdp_hash(build())
+    assert mdp_hash(build()) == base
+    changed = [mdp_hash(mdp) for mdp in (build(row=(0.25, 0.75)), build(r=2.0), build(label="s3"),
+                                         build(start={"s0": 0.5, "s1": 0.5}))]
+    assert base not in changed and len(set(changed)) == len(changed)
 
 
 def test_path_json_round_trip():

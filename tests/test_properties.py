@@ -16,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 from cfmdp.cli import _policy_from_json, _pruned_from_json, _pruned_to_json, main
 from cfmdp.gumbel import build_cf_mdp, build_posterior, cf_transition
 from cfmdp.influence import prune_cf_mdp
-from cfmdp.mdp import Mdp, Policy, mdp_from_json, mdp_to_json, path_return, sample_path
+from cfmdp.mdp import Mdp, Policy, mdp_from_json, mdp_to_json, sample_path
 from cfmdp.solver import policy_to_json, solve_km, sweep
 
-from oracles import km_value_oracle, random_mdp
+from oracles import initial, kernel, km_value_oracle, path_return, random_mdp, reward
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -36,12 +36,13 @@ def instances(draw, shared_rows=False):
     mdp = random_mdp(rng, n_states, draw(st.integers(1, 3)),
                      support_max=draw(st.integers(1, n_states)))
     if shared_rows:
-        pairs = sorted(mdp.kernel)
-        kernel = dict(mdp.kernel)
+        rows = kernel(mdp)
+        pairs = sorted(rows)
+        rewards = {sa: reward(mdp, *sa) for sa in pairs}
         for dst, src in draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(pairs)),
                                       min_size=1, max_size=len(pairs))):
-            kernel[dst] = dict(kernel[src])
-        mdp = Mdp(mdp.states, mdp.actions, kernel, mdp.rewards, mdp.initial, name=mdp.name)
+            rows[dst] = dict(rows[src])
+        mdp = Mdp(mdp.states, mdp.actions, rows, rewards, initial(mdp), name=mdp.name)
     actions = draw(st.lists(st.sampled_from(mdp.actions), min_size=1, max_size=5))
     path = sample_path(mdp, Policy(lambda s, t: actions[t]), len(actions), seed=seed)
     posterior = build_posterior(mdp, path, draw(st.integers(1, 60)),
@@ -64,29 +65,28 @@ def test_no_successor_leaks_out_of_the_next_layer(instance):
 @given(instances(shared_rows=True))
 def test_pairs_with_one_nominal_row_share_one_counterfactual_row(instance):
     mdp, path, cf = instance
-    table = mdp.pair_table()
-    rows = [(table.succ[table.owner == p].tobytes(), table.prob[table.owner == p].tobytes())
-            for p in range(len(table.source))]
-    assert table.row_id.tolist() == [rows.index(row) for row in rows]
+    rows = [(mdp.succ[mdp.owner == p].tobytes(), mdp.prob[mdp.owner == p].tobytes())
+            for p in range(len(mdp.source))]
+    assert mdp.row_id.tolist() == [rows.index(row) for row in rows]
 
     pruned = prune_cf_mdp(cf, path.T + 1)
-    built = {(t, table.row_id[p]) for t, (mask, _, _) in enumerate(pruned.closure.rows)
+    built = {(t, mdp.row_id[p]) for t, (mask, _, _) in enumerate(pruned.closure.rows)
              for p in np.flatnonzero(mask).tolist()}
     assert cf.rows_built == len(built)
     posterior = cf.posterior
     for t in range(path.T):
-        for p in range(len(table.source)):
+        for p in range(len(mdp.source)):
             idx, probs = cf.row(t, p)
             alone = cf_transition(posterior, mdp, t, p)
             # The mechanism's empirical law computed literally, without the
             # one-successor shortcut.
-            lo, hi = table.row_start[p], table.row_start[p + 1]
-            winners = np.argmax(table.logp[lo:hi] + posterior.vectors(t)[:, table.succ[lo:hi]], axis=1)
+            lo, hi = mdp.row_start[p], mdp.row_start[p + 1]
+            winners = np.argmax(mdp.logp[lo:hi] + posterior.vectors(t)[:, mdp.succ[lo:hi]], axis=1)
             counts = np.bincount(winners, minlength=hi - lo)
-            literal = (table.succ[lo:hi][counts > 0], counts[counts > 0] / posterior.n)
+            literal = (mdp.succ[lo:hi][counts > 0], counts[counts > 0] / posterior.n)
             for a, b in (alone, literal):
                 assert idx.tobytes() == a.tobytes() and probs.tobytes() == b.tobytes(), (t, p)
-    assert cf.rows_built == len({(t, r) for t in range(path.T) for r in table.row_id.tolist()})
+    assert cf.rows_built == len({(t, r) for t in range(path.T) for r in mdp.row_id.tolist()})
 
 
 @PROPERTIES

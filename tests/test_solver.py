@@ -5,7 +5,7 @@ from cfmdp.environments import demo_observation, environment_features
 from cfmdp.errors import ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior
 from cfmdp.influence import prune_cf_mdp, pruned_size_report
-from cfmdp.mdp import Policy, path_return, sample_path
+from cfmdp.mdp import Policy, sample_path
 from cfmdp.solver import (
     check_sweep_monotonicity,
     policy_to_json,
@@ -14,7 +14,7 @@ from cfmdp.solver import (
     sweep,
 )
 
-from oracles import km_value_oracle, random_mdp
+from oracles import available_actions, km_value_oracle, path_return, random_mdp, reward
 
 
 def small_instance(seed, n_states=4, n_actions=2, horizon=4, n_samples=1000):
@@ -77,7 +77,7 @@ def test_bellman_consistency_of_budget_recursion(epidemic_demo, epidemic_cf):
                     cost = 0 if a == obs else 1
                     if cost > r:
                         continue
-                    q = mdp.reward(s, a)
+                    q = reward(mdp, s, a)
                     for s2, p in pruned.cf.probs(t, s, a).items():
                         nxt = 0.0 if t + 1 == T else float(policy.values[t + 1][mdp.state_index(s2), r - cost])
                         q += p * nxt
@@ -100,9 +100,9 @@ def test_unconstrained_equals_layered_value_iteration(epidemic_demo, epidemic_cf
             return 0.0
         if (s, t) not in memo:
             memo[(s, t)] = max(
-                mdp.reward(s, a)
+                reward(mdp, s, a)
                 + sum(p * vi(s2, t + 1) for s2, p in epidemic_cf.probs(t, s, a).items())
-                for a in mdp.available_actions(s)
+                for a in available_actions(mdp, s)
             )
         return memo[(s, t)]
 
