@@ -202,16 +202,57 @@ def _layer(t, T: int) -> int:
     return int(t)
 
 
-def _artifact_row(entry: dict, mdp: Mdp, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """A kernel entry's row as (successor indices ascending, probabilities),
-    checked to be a distribution on the nominal support of its pair p."""
-    row = sorted((mdp.state_index(s2), float(v)) for s2, v in entry["probs"].items())
-    support = set(mdp.row(p)[0].tolist())
-    if not (all(i in support and 0 < v <= 1 for i, v in row)
-            and abs(sum(v for _, v in row) - 1.0) <= PROB_TOL):
-        raise ValidationFailed(f"kernel row ({entry['s']}, {entry['a']}) at t={entry['t']} "
-                               "is not a distribution on its nominal support")
-    return np.array([i for i, _ in row], dtype=np.int64), np.array([v for _, v in row])
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true element of `mask`, None if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _kernel_entries(entries: list, mdp: Mdp, T: int) -> tuple[np.ndarray, ...]:
+    """The artifact's kernel rows as flat arrays, checked as a whole.
+
+    Returns `times` and `pair`, the layer and pair of each row, and `owner`,
+    `succ` and `prob`, one element per row entry, ascending by (owner row,
+    successor index). Every layer must be a decision layer, every (s, a) must
+    have a nominal row and at most one row per layer, and every row must be
+    a distribution on the nominal support of its pair: each value in (0, 1],
+    the sum one within PROB_TOL.
+    """
+    state = {s: i for i, s in enumerate(mdp.states)}
+    action = {a: i for i, a in enumerate(mdp.actions)}
+    times = np.array([int(e["t"]) for e in entries], dtype=np.int64)
+    src = np.array([state.get(e["s"], -1) for e in entries], dtype=np.int64)
+    act = np.array([action.get(e["a"], -1) for e in entries], dtype=np.int64)
+    rows = [e["probs"] for e in entries]
+    owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    succ = np.array([state[s2] for row in rows for s2 in row.keys()], dtype=np.int64)
+    prob = np.array([v for row in rows for v in row.values()], dtype=np.float64)
+
+    def name(e: int) -> str:
+        return f"({entries[e]['s']}, {entries[e]['a']}) at t={entries[e]['t']}"
+
+    if (e := _first((times < 0) | (times >= T))) is not None:
+        _layer(entries[e]["t"], T)  # raises: t is outside 0..T-1
+    pair = np.where((src >= 0) & (act >= 0), mdp.pair_at[src, act], -1)
+    if (e := _first(pair < 0)) is not None:
+        raise ValidationFailed(f"kernel row {name(e)} has no nominal row")
+    key = times * len(mdp.source) + pair
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if (e := _first(key[1:] == key[:-1])) is not None:
+        raise ValidationFailed(f"kernel row {name(int(order[e + 1]))} appears twice")
+
+    order = np.lexsort((succ, owner))
+    succ, prob = succ[order], prob[order]
+    nominal = mdp.owner * mdp.num_states + mdp.succ  # ascending
+    flat = pair[owner] * mdp.num_states + succ
+    on_support = nominal[np.minimum(np.searchsorted(nominal, flat), len(nominal) - 1)] == flat
+    fine = on_support & (prob > 0) & (prob <= 1)  # NaN fails
+    bad = np.bincount(owner, weights=~fine, minlength=len(rows)) > 0
+    bad |= np.abs(np.bincount(owner, weights=prob, minlength=len(rows)) - 1.0) > PROB_TOL
+    if (e := _first(bad)) is not None:
+        raise ValidationFailed(f"kernel row {name(e)} is not a distribution on its nominal support")
+    return times, pair, owner, succ, prob
 
 
 def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
@@ -219,41 +260,46 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
     validation error.
 
     Besides its shape, the artifact must describe a closed pruned MDP: every
-    row is a distribution on the nominal support of its pair, every usable
-    pair has a row, layer 0 is {s_0}, and every successor of a usable pair at
-    t < T-1 lies in layer t+1.
+    row is a distribution on the nominal support of its pair (see
+    `_kernel_entries`), every usable pair has a row, layer 0 is {s_0}, and
+    every successor of a usable pair at t < T-1 lies in layer t+1.
     """
     try:
         if obj["mdp_hash"] != mdp.digest:
             raise ValidationFailed("pruned artifact was built from a different MDP")
         path = path_from_json(obj["path"])
         validate_path(mdp, path).require()
-        T = path.T
-        rows = {}
-        for entry in obj["kernels"]:
-            p = mdp.pair(entry["s"], entry["a"])
-            rows[(_layer(entry["t"], T), p)] = _artifact_row(entry, mdp, p)
+        T, pairs = path.T, len(mdp.source)
+        times, pair, owner, succ, prob = _kernel_entries(obj["kernels"], mdp, T)
         if len(obj["layers"]) != T:
             raise ValidationFailed(f"pruned artifact has {len(obj['layers'])} layers, path has {T}")
-        reach = tuple(np.zeros(mdp.num_states, dtype=bool) for _ in range(T))
+        reach = np.zeros((T, mdp.num_states), dtype=bool)
         for t, layer in enumerate(obj["layers"]):
             reach[t][[mdp.state_index(s) for s in layer]] = True
         if T == 0 or np.flatnonzero(reach[0]).tolist() != [mdp.state_index(path.state(0))]:
             raise ValidationFailed("pruned artifact layer 0 is not {s_0}")
-        usable = tuple(np.zeros(len(mdp.source), dtype=bool) for _ in range(T))
+        usable = np.zeros((T, pairs), dtype=bool)
         for e in obj["actions"]:
             usable[_layer(e["t"], T)][[mdp.pair(e["s"], a) for a in e["actions"]]] = True
-        for t in range(T):
-            for p in np.flatnonzero(usable[t]).tolist():
-                missing = (t, p) not in rows
-                if missing or (t + 1 < T and not reach[t + 1][rows[(t, p)][0]].all()):
-                    s, a = mdp.states[mdp.source[p]], mdp.actions[mdp.action[p]]
-                    fault = "missing" if missing else f"not closed in layer {t + 1}"
-                    raise ValidationFailed(f"kernel row of allowed ({s}, {a}) at t={t} is {fault}")
+        has_row = np.zeros((T, pairs), dtype=bool)
+        has_row[times, pair] = True
+        nxt = times[owner] + 1
+        leaks = (nxt < T) & ~reach[np.minimum(nxt, T - 1), succ]
+        leaky = np.zeros((T, pairs), dtype=bool)
+        leaky[times, pair] = np.bincount(owner, weights=leaks, minlength=len(times)) > 0
+        faults = np.argwhere(usable & (leaky | ~has_row))  # (t, pair), ascending
+        if len(faults):
+            t, p = faults[0].tolist()
+            s, a = mdp.states[mdp.source[p]], mdp.actions[mdp.action[p]]
+            fault = "missing" if not has_row[t, p] else f"not closed in layer {t + 1}"
+            raise ValidationFailed(f"kernel row of allowed ({s}, {a}) at t={t} is {fault}")
         # Rows stay per pair: an edited artifact may give two pairs with the
         # same nominal row different rows.
+        bounds = np.searchsorted(owner, np.arange(len(times) + 1)).tolist()
+        rows = {(t, p): (succ[lo:hi], prob[lo:hi])
+                for t, p, lo, hi in zip(times.tolist(), pair.tolist(), bounds, bounds[1:])}
         cf = CfMdp(mdp, path, None, given_rows=rows)
-        return PrunedCfMdp(cf=cf, k=int(obj["k"]), reach=reach, usable=usable,
+        return PrunedCfMdp(cf=cf, k=int(obj["k"]), reach=tuple(reach), usable=tuple(usable),
                            nodes_all_layers=int(obj["nodes_all_layers"]))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
         raise ValidationFailed(f"malformed pruned artifact: {exc!r}") from exc
@@ -277,8 +323,7 @@ def cmd_prune(args) -> int:
     pruned = prune_cf_mdp(cf, args.k)
     # Each kernel entry becomes a dict only while it is encoded, so the label
     # dicts of all rows never exist at once.
-    text = json.dumps(_pruned_to_json(pruned), sort_keys=True, indent=2,
-                      default=lambda entry: entry())
+    text = json.dumps(_pruned_to_json(pruned), sort_keys=True, default=lambda entry: entry())
     _emit(text + "\n", args.out)
     report = pruned_size_report(pruned)
     sys.stderr.write(
@@ -293,7 +338,7 @@ def cmd_solve(args) -> int:
     pruned = _pruned_from_json(_read_json(args.pruned), mdp)
     policy = solve_km(pruned, args.m)
     meta = {"samples": args.samples, "seed": args.seed, "mdp_hash": mdp.digest}
-    _emit(json.dumps(policy_to_json(policy, meta), sort_keys=True, indent=2) + "\n", args.out)
+    _emit(json.dumps(policy_to_json(policy, meta), sort_keys=True) + "\n", args.out)
     sys.stderr.write(f"V(s0) = {policy.v_s0!r}\n")
     return EXIT_OK
 

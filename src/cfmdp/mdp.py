@@ -289,13 +289,23 @@ def mdp_to_json(mdp: Mdp) -> dict:
     }
 
 
+def _unique_entry(table: dict, kind: str, e: Mapping) -> tuple[State, Action]:
+    """The (s, a) key of entry e of the `kind` list, which must not be in `table` yet."""
+    key = (str(e["s"]), str(e["a"]))
+    if key in table:
+        raise ValidationFailed("duplicate {} entry for ({},{})".format(kind, *key))
+    return key
+
+
 def mdp_from_json(obj: Mapping) -> Mdp:
-    """Load an MDP, renormalizing rows within PROB_TOL and rejecting worse."""
+    """Load an MDP, renormalizing rows within PROB_TOL and rejecting worse.
+    Two `transitions` or two `rewards` entries for one (s, a) are rejected."""
     try:
         states = tuple(str(s) for s in obj["states"])
         actions = tuple(str(a) for a in obj["actions"])
         kernel: dict[tuple[State, Action], dict[State, float]] = {}
         for tr in obj["transitions"]:
+            key = _unique_entry(kernel, "transitions", tr)
             row = {str(s2): float(p) for s2, p in tr["to"].items()}
             total = sum(row.values())
             if abs(total - 1.0) > PROB_TOL:
@@ -304,8 +314,10 @@ def mdp_from_json(obj: Mapping) -> Mdp:
                 )
             if abs(total - 1.0) > 1e-12:  # renormalize real drift, not float noise
                 row = {s2: p / total for s2, p in row.items()}
-            kernel[(str(tr["s"]), str(tr["a"]))] = row
-        rewards = {(str(e["s"]), str(e["a"])): float(e["r"]) for e in obj.get("rewards", [])}
+            kernel[key] = row
+        rewards: dict[tuple[State, Action], float] = {}
+        for e in obj.get("rewards", []):
+            rewards[_unique_entry(rewards, "rewards", e)] = float(e["r"])
         initial = {str(s): float(p) for s, p in obj["initial"].items()}
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed MDP JSON: {exc}") from exc

@@ -206,41 +206,62 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
             feature: Callable[[State], float], seed: int) -> RolloutSummary:
     """Sample n trajectories from the frozen CF kernels under the policy.
 
-    Trajectories cover states s_0..s_T. Rollouts never leave the pruned node
-    set and never exceed the action-change budget; both are verified on every
-    trajectory because they are probability-one guarantees.
+    Trajectories cover states s_0..s_T. Trajectory i draws its T uniforms from
+    its own stream, SeedSequence(seed, spawn_key=(i,)), so its path does not
+    depend on n. All trajectories advance one layer at a time; those whose
+    pairs share a counterfactual row are sampled with one searchsorted.
+
+    Rollouts never leave the pruned node set and never exceed the
+    action-change budget; both are verified on every trajectory because they
+    are probability-one guarantees. Of several failures, the one reported is
+    at the earliest t, then at the lowest trajectory index.
     """
     T = pruned.horizon
     cf = pruned.cf
     mdp = cf.mdp
     feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
     observed = [mdp.action_index(a) for _, a in cf.path.steps]
+    uniforms = np.array([np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+                         .random(T) for i in range(n)]).reshape(n, T)
+    si = np.full(n, policy.s0, dtype=np.int64)
+    j = np.zeros(n, dtype=np.int64)
     feats = np.empty((n, T + 1))
-    max_changes = 0
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        si = policy.s0
-        j = 0
-        for t in range(T):
-            if not pruned.reach[t][si]:
-                raise InvariantViolated(f"rollout left the pruned node set at ({mdp.states[si]}, t={t})")
-            feats[i, t] = feature_at[si]
-            a = policy.choices[t][si, policy.m - j] if j <= policy.m else -1
-            p = mdp.pair_at[si, a] if a >= 0 else -1
-            if p < 0 or not pruned.usable[t][p]:
-                raise UndefinedPolicyAction(
-                    f"policy undefined or disallowed at ({mdp.states[si]}, t={t}, j={j})")
-            if a != observed[t]:
-                j += 1
-            idx, probs = cf.row(t, p)
-            si = idx[min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(idx) - 1)]
-        feats[i, T] = feature_at[si]
-        if j > policy.m:
-            raise InvariantViolated(f"rollout exceeded budget: {j} > {policy.m}")
-        max_changes = max(max_changes, j)
+    for t in range(T):
+        inside = pruned.reach[t][si]
+        col = policy.m - j  # negative once a trajectory is over budget: no action there
+        a = np.where(col >= 0, policy.choices[t][si, np.maximum(col, 0)], -1)
+        p = np.where(a >= 0, mdp.pair_at[si, a], -1)
+        ok = inside & (p >= 0) & pruned.usable[t][p]
+        if not ok.all():
+            i = int(np.argmin(ok))
+            if not inside[i]:
+                raise InvariantViolated(f"rollout left the pruned node set at ({mdp.states[si[i]]}, t={t})")
+            raise UndefinedPolicyAction(
+                f"policy undefined or disallowed at ({mdp.states[si[i]]}, t={t}, j={j[i]})")
+        feats[:, t] = feature_at[si]
+        j += a != observed[t]
+        si = _next_states(cf, t, p, uniforms[:, t])
+    feats[:, T] = feature_at[si]
+    if (j > policy.m).any():
+        raise InvariantViolated(f"rollout exceeded budget: {j.max()} > {policy.m}")
     return RolloutSummary(
         times=np.arange(T + 1),
         means=feats.mean(axis=0),
         stds=feats.std(axis=0, ddof=0),
-        n=n, seed=seed, max_changes=max_changes,
+        n=n, seed=seed, max_changes=int(j.max(initial=0)),
     )
+
+
+def _next_states(cf: CfMdp, t: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Successor of each trajectory at layer t: the first entry of its pair's
+    row whose cumulative probability exceeds its uniform u, clamped to the
+    last entry. Trajectories on one row (pairs with one `row_key`) are
+    sampled together."""
+    keys = cf.row_key[p]
+    order = np.argsort(keys, kind="stable")
+    out = np.empty_like(p)
+    for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        idx, probs = cf.row(t, int(p[group[0]]))
+        pos = np.searchsorted(np.cumsum(probs), u[group], side="right")
+        out[group] = idx[np.minimum(pos, len(idx) - 1)]
+    return out

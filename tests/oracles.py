@@ -14,10 +14,11 @@ from itertools import product
 
 import numpy as np
 
-from cfmdp.errors import ValidationFailed
+from cfmdp.errors import InvariantViolated, UndefinedPolicyAction, ValidationFailed
 from cfmdp.gumbel import GumbelPosterior, _step_rng, cf_transition
 from cfmdp.influence import PrunedCfMdp
 from cfmdp.mdp import Mdp, ObservedPath, Policy
+from cfmdp.solver import CfPolicy, RolloutSummary
 
 
 # -- label views of an MDP ------------------------------------------------------
@@ -237,6 +238,43 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
         return best
 
     return value(cf.initial_state, 0, m)
+
+
+def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature, seed: int) -> RolloutSummary:
+    """`rollout` as one scalar loop per trajectory: trajectory i draws its T
+    uniforms one at a time from its own stream SeedSequence(seed, spawn_key=(i,)).
+    A failing trajectory raises at its first failing step, trajectories in
+    index order."""
+    T = pruned.horizon
+    cf = pruned.cf
+    mdp = cf.mdp
+    feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
+    observed = [mdp.action_index(a) for _, a in cf.path.steps]
+    feats = np.empty((n, T + 1))
+    max_changes = 0
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        si = policy.s0
+        j = 0
+        for t in range(T):
+            if not pruned.reach[t][si]:
+                raise InvariantViolated(f"rollout left the pruned node set at ({mdp.states[si]}, t={t})")
+            feats[i, t] = feature_at[si]
+            a = policy.choices[t][si, policy.m - j] if j <= policy.m else -1
+            p = mdp.pair_at[si, a] if a >= 0 else -1
+            if p < 0 or not pruned.usable[t][p]:
+                raise UndefinedPolicyAction(
+                    f"policy undefined or disallowed at ({mdp.states[si]}, t={t}, j={j})")
+            if a != observed[t]:
+                j += 1
+            idx, probs = cf.row(t, p)
+            si = idx[min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(idx) - 1)]
+        feats[i, T] = feature_at[si]
+        if j > policy.m:
+            raise InvariantViolated(f"rollout exceeded budget: {j} > {policy.m}")
+        max_changes = max(max_changes, j)
+    return RolloutSummary(times=np.arange(T + 1), means=feats.mean(axis=0),
+                          stds=feats.std(axis=0, ddof=0), n=n, seed=seed, max_changes=max_changes)
 
 
 def cf_transition_probs(posterior, mdp: Mdp, t: int, s, a) -> dict:

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import cfmdp.cli
 import cfmdp.mdp
-from cfmdp.cli import _pruned_from_json, main
+from cfmdp.cli import _pruned_from_json, _pruned_to_json, main
 from cfmdp.environments import default_observation_seed
+from cfmdp.gumbel import build_cf_mdp, load_posterior
+from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import mdp_from_json, mdp_to_json, path_from_json
 
 from oracles import km_value_oracle
@@ -308,6 +311,38 @@ def test_env_bad_danger_exits_2(danger, capsys):
     assert out == "" and "Traceback" not in err
 
 
+def test_compact_and_indented_artifacts_agree(artifact_dir, tmp_path, capsys):
+    # prune and solve write compact JSON. The indented form earlier versions
+    # wrote holds the same object, and still solves and rolls out the same.
+    mdp_file = str(artifact_dir / "mdp.json")
+    compact = {name: (artifact_dir / f"{name}.json").read_text() for name in ("pruned", "policy")}
+    for text in compact.values():
+        assert text.endswith("}\n") and text.count("\n") == 1
+    mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
+    cf = build_cf_mdp(load_posterior(artifact_dir / "posterior.npz", mdp), mdp)
+    indented = {
+        "pruned": json.dumps(_pruned_to_json(prune_cf_mdp(cf, 8)), sort_keys=True, indent=2,
+                             default=lambda entry: entry()),
+        "policy": json.dumps(json.loads(compact["policy"]), sort_keys=True, indent=2),
+    }
+    for name, text in indented.items():
+        assert json.loads(text) == json.loads(compact[name]), name
+        (tmp_path / f"{name}.json").write_text(text + "\n")
+
+    code, _, err = run(capsys, "solve", "--mdp", mdp_file, "--pruned", str(tmp_path / "pruned.json"),
+                       "--m", "1", "--out", str(tmp_path / "resolved.json"))
+    assert code == 0 and "V(s0) = -1.0" in err
+    assert (tmp_path / "resolved.json").read_text() == compact["policy"]
+    csv = {}
+    for folder in (artifact_dir, tmp_path):
+        out = tmp_path / f"rollout-{len(csv)}.csv"
+        assert main(["rollout", "--mdp", mdp_file, "--pruned", str(folder / "pruned.json"),
+                     "--policy", str(folder / "policy.json"), "--env", "epidemic",
+                     "--feature", "infected", "-n", "300", "--seed", "5", "--out", str(out)]) == 0
+        csv[folder] = out.read_bytes()
+    assert csv[artifact_dir] == csv[tmp_path]
+
+
 def test_artifacts_with_legacy_mode_key_still_load(artifact_dir, tmp_path, capsys):
     pruned = json.loads((artifact_dir / "pruned.json").read_text())
     policy = json.loads((artifact_dir / "policy.json").read_text())
@@ -358,6 +393,9 @@ BAD_ARTIFACTS = {
                                         if (k["t"], k["s"], k["a"]) == (e["t"], e["s"], "NIL")))),
     "pruned-usable-pair-without-row": ("pruned", lambda pruned, policy: dict(
         pruned, kernels=pruned["kernels"][1:])),
+    # A second row for one (t, s, a) would otherwise replace the first.
+    "pruned-duplicate-kernel-entry": ("pruned", lambda pruned, policy: dict(
+        pruned, kernels=pruned["kernels"] + pruned["kernels"][:1])),
     "pruned-first-layer-empty": ("pruned", lambda pruned, policy: dict(
         pruned, layers=[[]] + pruned["layers"][1:])),
     "pruned-successor-outside-next-layer": ("pruned", lambda pruned, policy: dict(
@@ -450,6 +488,63 @@ def test_rollout_policy_without_entry_exits_3(artifact_dir, tmp_path, capsys):
                        "--feature", "infected", "-n", "5", "--out", str(tmp_path / "r.csv"))
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _solve_m0(artifact_dir, tmp_path, capsys):
+    policy0 = tmp_path / "policy0.json"
+    code, _, _ = run(capsys, "solve", "--mdp", str(artifact_dir / "mdp.json"),
+                     "--pruned", str(artifact_dir / "pruned.json"), "--m", "0",
+                     "--out", str(policy0))
+    assert code == 0
+    return policy0
+
+
+def _rollout_argv(artifact_dir, tmp_path, policy):
+    return ["rollout", "--mdp", str(artifact_dir / "mdp.json"),
+            "--pruned", str(artifact_dir / "pruned.json"), "--policy", str(policy),
+            "--env", "epidemic", "--feature", "infected", "-n", "5",
+            "--out", str(tmp_path / "r.csv")]
+
+
+def test_rollout_leaving_the_pruned_set_exits_3(artifact_dir, tmp_path, capsys, monkeypatch):
+    # A loaded artifact is closed, so only an edit after loading can make a
+    # rollout leave it: drop the observed s_1 from layer 1.
+    load = cfmdp.cli._pruned_from_json
+
+    def load_and_edit(obj, mdp):
+        pruned = load(obj, mdp)
+        reach = [r.copy() for r in pruned.reach]
+        reach[1][mdp.state_index(obj["path"]["steps"][1]["s"])] = False
+        pruned.reach = tuple(reach)
+        return pruned
+
+    policy0 = _solve_m0(artifact_dir, tmp_path, capsys)
+    monkeypatch.setattr(cfmdp.cli, "_pruned_from_json", load_and_edit)
+    code, _, err = run(capsys, *_rollout_argv(artifact_dir, tmp_path, policy0))
+    assert code == 3
+    assert err.startswith("error:") and "left the pruned node set" in err
+    assert "Traceback" not in err
+
+
+def test_rollout_policy_changing_past_its_budget_exits_3(artifact_dir, tmp_path, capsys):
+    # The m = 0 policy's entry at (s_0, t = 0, j = m) is edited to a usable
+    # action other than the observed one. Its trajectories reach t = 1 with
+    # j = 1 > m, where the policy has no column; reading column m - j = -1
+    # as column m would replay on and fail only at the end, over budget.
+    policy0 = _solve_m0(artifact_dir, tmp_path, capsys)
+    pruned = json.loads((artifact_dir / "pruned.json").read_text())
+    policy = json.loads(policy0.read_text())
+    (s0, observed), = [(e["s"], e["a"]) for e in pruned["path"]["steps"] if e["t"] == 0]
+    usable = next(e["actions"] for e in pruned["actions"] if (e["s"], e["t"]) == (s0, 0))
+    other = next(a for a in usable if a != observed)
+    for e in policy["actions"]:
+        if (e["t"], e["s"], e["j"]) == (0, s0, 0):
+            e["a"] = other
+    policy0.write_text(json.dumps(policy))
+    code, _, err = run(capsys, *_rollout_argv(artifact_dir, tmp_path, policy0))
+    assert code == 3
+    assert err.startswith("error:") and "t=1, j=1" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_hashes_the_mdp_once(tmp_path, capsys, monkeypatch):

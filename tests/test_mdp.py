@@ -206,6 +206,18 @@ def test_mdp_json_rejects_bad_rows():
         mdp_from_json(obj)
 
 
+@pytest.mark.parametrize("kind, duplicate", [
+    ("transitions", {"s": "s0", "a": "a", "to": {"s0": 1.0}}),
+    ("rewards", {"s": "s0", "a": "a", "r": 5.0}),
+])
+def test_mdp_json_rejects_duplicate_rows(kind, duplicate):
+    # A second entry for (s0, a) would otherwise silently replace the first.
+    obj = mdp_to_json(chain_mdp())
+    obj[kind].append(duplicate)
+    with pytest.raises(ValidationFailed, match=f"duplicate {kind} entry for \\(s0,a\\)"):
+        mdp_from_json(obj)
+
+
 def test_mdp_json_drops_zero_probability_entries():
     obj = mdp_to_json(chain_mdp())
     obj["transitions"][0]["to"] = {"s1": 1.0, "s2": 0.0}

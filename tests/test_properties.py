@@ -17,9 +17,9 @@ from cfmdp.cli import _policy_from_json, _pruned_from_json, _pruned_to_json, mai
 from cfmdp.gumbel import build_cf_mdp, build_posterior, cf_transition
 from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import Mdp, Policy, mdp_from_json, mdp_to_json, sample_path
-from cfmdp.solver import policy_to_json, solve_km, sweep
+from cfmdp.solver import policy_to_json, rollout, solve_km, sweep
 
-from oracles import initial, kernel, km_value_oracle, path_return, random_mdp, reward
+from oracles import initial, kernel, km_value_oracle, path_return, random_mdp, reward, rollout_oracle
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -124,6 +124,21 @@ def test_solver_equals_oracle_and_artifacts_round_trip(instance, data):
     assert back.v_s0 == policy.v_s0
     for a, b in zip(back.choices, policy.choices):
         np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(instances(shared_rows=True), st.data())
+def test_rollout_equals_scalar_oracle(instance, data):
+    mdp, path, cf = instance
+    pruned = prune_cf_mdp(cf, data.draw(st.integers(1, path.T + 1)))
+    policy = solve_km(pruned, data.draw(st.integers(0, path.T)))
+    n, seed = data.draw(st.sampled_from([1, 7, 2000])), data.draw(st.integers(0, 2**32 - 1))
+    feature = lambda s: float(mdp.state_index(s))
+    got = rollout(pruned, policy, n, feature, seed)
+    want = rollout_oracle(pruned, policy, n, feature, seed)
+    assert got.means.tobytes() == want.means.tobytes()
+    assert got.stds.tobytes() == want.stds.tobytes()
+    assert got.max_changes == want.max_changes
 
 
 @pytest.fixture(scope="module")

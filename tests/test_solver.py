@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cfmdp.environments import demo_observation, environment_features
-from cfmdp.errors import ValidationFailed
-from cfmdp.gumbel import build_cf_mdp, build_posterior
+from cfmdp.errors import InvariantViolated, UndefinedPolicyAction, ValidationFailed
+from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import prune_cf_mdp, pruned_size_report
 from cfmdp.mdp import Policy, sample_path
 from cfmdp.solver import (
@@ -14,7 +14,14 @@ from cfmdp.solver import (
     sweep,
 )
 
-from oracles import available_actions, km_value_oracle, path_return, random_mdp, reward
+from oracles import (
+    available_actions,
+    km_value_oracle,
+    path_return,
+    random_mdp,
+    reward,
+    rollout_oracle,
+)
 
 
 def small_instance(seed, n_states=4, n_actions=2, horizon=4, n_samples=1000):
@@ -245,6 +252,98 @@ def test_rollout_budget_and_containment_bulk(epidemic_demo, epidemic_cf):
     summary = rollout(pruned, policy, 10_000, environment_features("epidemic")["infected"], seed=8)
     assert summary.max_changes <= 3
     assert summary.n == 10_000
+
+
+@pytest.fixture(scope="module", params=[("gridworld", None), ("epidemic", None),
+                                        ("sepsis", "suboptimal")], ids=lambda p: p[0])
+def solved_demo(request):
+    """A built-in environment's demo observation, pruned at k = T+1 and solved
+    at m = 2, with its feature."""
+    env, preset = request.param
+    mdp, path, _ = demo_observation(env, preset)
+    cf = build_cf_mdp(build_posterior(mdp, path, 200, "topdown", seed=5), mdp)
+    pruned = prune_cf_mdp(cf, path.T + 1)
+    feature = next(iter(environment_features(env).values()))
+    return pruned, solve_km(pruned, 2), feature
+
+
+def assert_same_summary(got, want):
+    assert got.means.tobytes() == want.means.tobytes()
+    assert got.stds.tobytes() == want.stds.tobytes()
+    assert got.max_changes == want.max_changes
+    assert got.times.tolist() == want.times.tolist() and (got.n, got.seed) == (want.n, want.seed)
+
+
+@pytest.mark.parametrize("n, seeds", [(1, (0, 1, 9)), (7, (0, 4, 21)), (2000, (3,))])
+def test_rollout_equals_scalar_oracle(solved_demo, n, seeds):
+    pruned, policy, feature = solved_demo
+    for seed in seeds:
+        assert_same_summary(rollout(pruned, policy, n, feature, seed),
+                            rollout_oracle(pruned, policy, n, feature, seed))
+
+
+def test_rollout_leaving_the_pruned_set_raises(epidemic_demo, epidemic_cf):
+    mdp, path, _ = epidemic_demo
+    pruned = prune_cf_mdp(epidemic_cf, 8)
+    policy = solve_km(pruned, 0)
+    # Replay reaches the observed s_2 at t = 2; drop it from that layer.
+    reach = [r.copy() for r in pruned.reach]
+    reach[2][mdp.state_index(path.state(2))] = False
+    pruned.reach = tuple(reach)
+    with pytest.raises(InvariantViolated, match=f"left the pruned node set at \\({path.state(2)}, t=2\\)"):
+        rollout(pruned, policy, 5, lambda s: 0.0, seed=0)
+
+
+def test_rollout_undefined_choice_raises(epidemic_demo, epidemic_cf):
+    mdp, path, _ = epidemic_demo
+    pruned = prune_cf_mdp(epidemic_cf, 8)
+    policy = solve_km(pruned, 0)  # replays the path: every trajectory reaches s_3 at t = 3
+    policy.choices[3] = policy.choices[3].copy()
+    policy.choices[3][mdp.state_index(path.state(3)), 0] = -1
+    with pytest.raises(UndefinedPolicyAction, match=f"\\({path.state(3)}, t=3, j=0\\)"):
+        rollout(pruned, policy, 5, lambda s: 0.0, seed=0)
+
+
+def test_rollout_reports_the_earliest_failing_step(fig2_toy):
+    # s0 -a0-> s2 or s3, each with probability 0.5. Trajectories through s3
+    # find no action at t = 1; those through s2 leave the pruned set at s5,
+    # t = 2. The scalar loop reports trajectory 0's failure; rollout reports
+    # the earliest t, whichever trajectory fails there.
+    mdp, path = fig2_toy
+    pruned = prune_cf_mdp(nominal_cf_mdp(mdp, path), path.T + 1)
+    policy = solve_km(pruned, 0)
+    policy.choices[1] = policy.choices[1].copy()
+    policy.choices[1][mdp.state_index("s3"), 0] = -1
+    reach = [r.copy() for r in pruned.reach]
+    reach[2][mdp.state_index("s5")] = False
+    pruned.reach = tuple(reach)
+
+    def first_failure(run, seed):
+        with pytest.raises((InvariantViolated, UndefinedPolicyAction)) as exc:
+            run(pruned, policy, 20, lambda s: 0.0, seed)
+        return exc.value
+
+    seed = next(seed for seed in range(100)
+                if isinstance(first_failure(rollout_oracle, seed), InvariantViolated))
+    failure = first_failure(rollout, seed)
+    assert isinstance(failure, UndefinedPolicyAction) and "(s3, t=1, j=0)" in str(failure)
+
+
+def test_rollout_past_the_budget_never_wraps_to_column_m(epidemic_demo, epidemic_cf):
+    # An m = 0 policy edited to change the observed action at t = 0 spends one
+    # change it does not have. At t = 1 the column m - j is -1, which must read
+    # as "no action", not as column m.
+    mdp, path, _ = epidemic_demo
+    pruned = prune_cf_mdp(epidemic_cf, 8)
+    policy = solve_km(pruned, 0)
+    s0 = mdp.state_index(path.state(0))
+    observed = mdp.action_index(path.action(0))
+    other = next(a for a in range(len(mdp.actions)) if a != observed
+                 and mdp.pair_at[s0, a] >= 0 and pruned.usable[0][mdp.pair_at[s0, a]])
+    policy.choices[0] = policy.choices[0].copy()
+    policy.choices[0][s0, 0] = other
+    with pytest.raises(UndefinedPolicyAction, match="t=1, j=1"):
+        rollout(pruned, policy, 5, lambda s: 0.0, seed=0)
 
 
 def test_policy_json_shape(epidemic_demo, epidemic_cf):
