@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from functools import partial
 
 import numpy as np
 
@@ -101,14 +100,15 @@ def _load_observation(args) -> tuple[Mdp, ObservedPath]:
     return mdp, path
 
 
-def _env_overrides(args) -> dict:
+def _build_env(args) -> Mdp:
     over = {}
     if args.config:
         loaded = _read_json(args.config)
         if not isinstance(loaded, dict):
             raise ValidationFailed("--config must contain a JSON object")
         over.update(loaded)
-    for key in ("population", "initial_infected", "slip", "shaping_scale", "flux", "horizon"):
+        over.pop("horizon", None)  # horizon is a sampling parameter, not an MDP field
+    for key in ("population", "initial_infected", "slip", "shaping_scale", "flux"):
         val = getattr(args, key, None)
         if val is not None:
             over[key] = val
@@ -118,12 +118,6 @@ def _env_overrides(args) -> dict:
         except ValueError:
             raise ValidationFailed(f"--danger must be ROW,COL, got {args.danger!r}") from None
         over["danger"] = (r, c)
-    return over
-
-
-def _build_env(args) -> Mdp:
-    over = _env_overrides(args)
-    over.pop("horizon", None)  # horizon is a sampling parameter, not an MDP field
     try:
         return envs.build_environment(args.env, **over)
     except TypeError as exc:
@@ -131,7 +125,7 @@ def _build_env(args) -> Mdp:
 
 
 def cmd_env(args) -> int:
-    _emit(json.dumps(mdp_to_json(_build_env(args)), sort_keys=True, indent=2) + "\n", args.out)
+    _emit(json.dumps(mdp_to_json(_build_env(args)), sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -160,7 +154,7 @@ def cmd_sample(args) -> int:
     horizon = args.horizon or envs.default_horizon(env_name)
     seed = args.seed if args.seed is not None else envs.default_observation_seed(env_name, preset)
     path = sample_path(mdp, policy, horizon, seed)
-    _emit(json.dumps(path_to_json(path), sort_keys=True, indent=2) + "\n", args.out)
+    _emit(json.dumps(path_to_json(path), sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -174,24 +168,29 @@ def cmd_cf_build(args) -> int:
 
 
 def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
-    """Artifact contents. Each kernel entry is a callable that the encoder
-    turns into its dict (see cmd_prune), so the label dicts of all rows never
-    exist at once."""
+    """Artifact contents. `rows[t]` holds the distinct counterfactual rows of
+    the usable pairs at decision layer t, one per `cf.row_key[t]` value in
+    ascending order; each node maps its usable actions to their rows'
+    indices in `rows[t]`."""
     cf = pruned.cf
-    n = cf.posterior.n if cf.posterior is not None else 0
-    nodes = sorted(pruned.actions.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-
-    def kernel(t, s, a):
-        return {"t": t, "s": s, "a": a, "n": n, "probs": cf.probs(t, s, a)}
-
+    mdp, states = cf.mdp, cf.mdp.states
+    rows, nodes = [], {}
+    for t, usable in enumerate(pruned.usable):
+        pairs = np.flatnonzero(usable)
+        _, first, index = np.unique(cf.row_key[t][pairs], return_index=True, return_inverse=True)
+        rows.append([dict(zip(map(states.__getitem__, idx.tolist()), probs.tolist()))
+                     for idx, probs in (cf.row(t, p) for p in pairs[first].tolist())])
+        for p, i in zip(pairs.tolist(), index.tolist()):
+            nodes.setdefault((t, states[mdp.source[p]]), {})[mdp.actions[mdp.action[p]]] = i
     return {
         "k": pruned.k,
-        "mdp_hash": cf.mdp.digest,
+        "mdp_hash": mdp.digest,
         "path": path_to_json(cf.path),
+        "samples": cf.posterior.n if cf.posterior is not None else 0,
         "nodes_all_layers": pruned.nodes_all_layers,
         "layers": [sorted(layer) for layer in pruned.layers],
-        "actions": [{"s": s, "t": t, "actions": list(acts)} for (s, t), acts in nodes],
-        "kernels": [partial(kernel, t, s, a) for (s, t), acts in nodes for a in acts],
+        "rows": rows,
+        "actions": [{"t": t, "s": s, "actions": acts} for (t, s), acts in sorted(nodes.items())],
     }
 
 
@@ -208,51 +207,38 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _kernel_entries(entries: list, mdp: Mdp, T: int) -> tuple[np.ndarray, ...]:
-    """The artifact's kernel rows as flat arrays, checked as a whole.
+def _row_key(nodes: list, rows: list, mdp: Mdp) -> np.ndarray:
+    """The artifact's (T, pairs) row indices, -1 where a pair is not usable.
 
-    Returns `times` and `pair`, the layer and pair of each row, and `owner`,
-    `succ` and `prob`, one element per row entry, ascending by (owner row,
-    successor index). Every layer must be a decision layer, every (s, a) must
-    have a nominal row and at most one row per layer, and every row must be
-    a distribution on the nominal support of its pair: each value in (0, 1],
-    the sum one within PROB_TOL.
+    No node may be listed twice, every usable action must have a nominal
+    row, and it must name one of the rows of its layer by an int index (not
+    a bool, and never negative).
     """
-    state = {s: i for i, s in enumerate(mdp.states)}
+    T, n = len(rows), mdp.num_states
+    node = np.array([_layer(e["t"], T) * n + mdp.state_index(e["s"]) for e in nodes], dtype=np.int64)
+    twice = np.sort(node)
+    if (e := _first(twice[1:] == twice[:-1])) is not None:
+        t, si = divmod(int(twice[e]), n)
+        raise ValidationFailed(f"node ({mdp.states[si]}, t={t}) is listed twice")
+    acts = [e["actions"] for e in nodes]
+    t, si = np.divmod(np.repeat(node, [len(a) for a in acts]), n)
+    labels = [a for node_acts in acts for a in node_acts]
     action = {a: i for i, a in enumerate(mdp.actions)}
-    times = np.array([int(e["t"]) for e in entries], dtype=np.int64)
-    src = np.array([state.get(e["s"], -1) for e in entries], dtype=np.int64)
-    act = np.array([action.get(e["a"], -1) for e in entries], dtype=np.int64)
-    rows = [e["probs"] for e in entries]
-    owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    succ = np.array([state[s2] for row in rows for s2 in row.keys()], dtype=np.int64)
-    prob = np.array([v for row in rows for v in row.values()], dtype=np.float64)
-
-    def name(e: int) -> str:
-        return f"({entries[e]['s']}, {entries[e]['a']}) at t={entries[e]['t']}"
-
-    if (e := _first((times < 0) | (times >= T))) is not None:
-        _layer(entries[e]["t"], T)  # raises: t is outside 0..T-1
-    pair = np.where((src >= 0) & (act >= 0), mdp.pair_at[src, act], -1)
-    if (e := _first(pair < 0)) is not None:
-        raise ValidationFailed(f"kernel row {name(e)} has no nominal row")
-    key = times * len(mdp.source) + pair
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    if (e := _first(key[1:] == key[:-1])) is not None:
-        raise ValidationFailed(f"kernel row {name(int(order[e + 1]))} appears twice")
-
-    order = np.lexsort((succ, owner))
-    succ, prob = succ[order], prob[order]
-    nominal = mdp.owner * mdp.num_states + mdp.succ  # ascending
-    flat = pair[owner] * mdp.num_states + succ
-    on_support = nominal[np.minimum(np.searchsorted(nominal, flat), len(nominal) - 1)] == flat
-    fine = on_support & (prob > 0) & (prob <= 1)  # NaN fails
-    bad = np.bincount(owner, weights=~fine, minlength=len(rows)) > 0
-    bad |= np.abs(np.bincount(owner, weights=prob, minlength=len(rows)) - 1.0) > PROB_TOL
-    if (e := _first(bad)) is not None:
-        raise ValidationFailed(f"kernel row {name(e)} is not a distribution on its nominal support")
-    return times, pair, owner, succ, prob
+    act = np.array([action.get(a, -1) for a in labels], dtype=np.int64)
+    pair = np.where(act >= 0, mdp.pair_at[si, act], -1)
+    raw = [i for node_acts in acts for i in node_acts.values()]
+    size = np.array([len(layer) for layer in rows], dtype=np.int64)
+    most = int(size.max(initial=0))
+    index = np.array([i if type(i) is int and 0 <= i < most else -1 for i in raw], dtype=np.int64)
+    if (e := _first((pair < 0) | (index < 0) | (index >= size[t]))) is not None:
+        where = f"allowed ({mdp.states[si[e]]}, {labels[e]}) at t={t[e]}"
+        if pair[e] < 0:
+            raise ValidationFailed(f"{where} has no nominal row")
+        raise ValidationFailed(f"{where} names row {raw[e]!r}, not one of the "
+                               f"{size[t[e]]} rows of layer {t[e]}")
+    key = np.full((T, len(mdp.source)), -1, dtype=np.int64)
+    key[t, pair] = index
+    return key
 
 
 def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
@@ -260,46 +246,69 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
     validation error.
 
     Besides its shape, the artifact must describe a closed pruned MDP: every
-    row is a distribution on the nominal support of its pair (see
-    `_kernel_entries`), every usable pair has a row, layer 0 is {s_0}, and
-    every successor of a usable pair at t < T-1 lies in layer t+1.
+    row is a distribution (each value in (0, 1], the sum one within
+    PROB_TOL) that lies on the nominal support of every pair naming it,
+    every row at t < T-1 stays inside layer t+1, and layer 0 is {s_0}. The
+    rows are checked as flat arrays.
     """
     try:
         if obj["mdp_hash"] != mdp.digest:
             raise ValidationFailed("pruned artifact was built from a different MDP")
         path = path_from_json(obj["path"])
         validate_path(mdp, path).require()
-        T, pairs = path.T, len(mdp.source)
-        times, pair, owner, succ, prob = _kernel_entries(obj["kernels"], mdp, T)
-        if len(obj["layers"]) != T:
-            raise ValidationFailed(f"pruned artifact has {len(obj['layers'])} layers, path has {T}")
-        reach = np.zeros((T, mdp.num_states), dtype=bool)
+        T, n, rows = path.T, mdp.num_states, obj["rows"]
+        if type(obj["samples"]) is not int or obj["samples"] < 0:
+            raise ValidationFailed(f"pruned artifact sample count {obj['samples']!r} is not >= 0")
+        if len(obj["layers"]) != T or len(rows) != T:
+            raise ValidationFailed(f"pruned artifact has {len(obj['layers'])} layers and "
+                                   f"{len(rows)} row layers, path has {T}")
+        reach = np.zeros((T, n), dtype=bool)
         for t, layer in enumerate(obj["layers"]):
             reach[t][[mdp.state_index(s) for s in layer]] = True
         if T == 0 or np.flatnonzero(reach[0]).tolist() != [mdp.state_index(path.state(0))]:
             raise ValidationFailed("pruned artifact layer 0 is not {s_0}")
-        usable = np.zeros((T, pairs), dtype=bool)
-        for e in obj["actions"]:
-            usable[_layer(e["t"], T)][[mdp.pair(e["s"], a) for a in e["actions"]]] = True
-        has_row = np.zeros((T, pairs), dtype=bool)
-        has_row[times, pair] = True
-        nxt = times[owner] + 1
+        key = _row_key(obj["actions"], rows, mdp)
+
+        # Row g is rows[row_t[g]][row_i[g]]; entries ascend by (row, successor).
+        flat = [row for layer in rows for row in layer]
+        row_t = np.repeat(np.arange(T), [len(layer) for layer in rows])
+        first = np.searchsorted(row_t, np.arange(T))
+        row_i = np.arange(len(flat)) - first[row_t]
+        owner = np.repeat(np.arange(len(flat)), [len(row) for row in flat])
+        succ = np.array([mdp.state_index(s2) for row in flat for s2 in row], dtype=np.int64)
+        prob = np.array([v for row in flat for v in row.values()], dtype=np.float64)
+        order = np.lexsort((succ, owner))
+        succ, prob = succ[order], prob[order]
+        bad = np.bincount(owner, weights=~((prob > 0) & (prob <= 1)), minlength=len(flat)) > 0
+        bad |= np.abs(np.bincount(owner, weights=prob, minlength=len(flat)) - 1.0) > PROB_TOL
+        if (g := _first(bad)) is not None:  # NaN is outside (0, 1]
+            raise ValidationFailed(f"row {row_i[g]} of layer {row_t[g]} is not a distribution")
+        nxt = row_t[owner] + 1
         leaks = (nxt < T) & ~reach[np.minimum(nxt, T - 1), succ]
-        leaky = np.zeros((T, pairs), dtype=bool)
-        leaky[times, pair] = np.bincount(owner, weights=leaks, minlength=len(times)) > 0
-        faults = np.argwhere(usable & (leaky | ~has_row))  # (t, pair), ascending
-        if len(faults):
-            t, p = faults[0].tolist()
-            s, a = mdp.states[mdp.source[p]], mdp.actions[mdp.action[p]]
-            fault = "missing" if not has_row[t, p] else f"not closed in layer {t + 1}"
-            raise ValidationFailed(f"kernel row of allowed ({s}, {a}) at t={t} is {fault}")
-        # Rows stay per pair: an edited artifact may give two pairs with the
-        # same nominal row different rows.
-        bounds = np.searchsorted(owner, np.arange(len(times) + 1)).tolist()
-        rows = {(t, p): (succ[lo:hi], prob[lo:hi])
-                for t, p, lo, hi in zip(times.tolist(), pair.tolist(), bounds, bounds[1:])}
-        cf = CfMdp(mdp, path, None, given_rows=rows)
-        return PrunedCfMdp(cf=cf, k=int(obj["k"]), reach=tuple(reach), usable=tuple(usable),
+        if (g := _first(np.bincount(owner, weights=leaks, minlength=len(flat)) > 0)) is not None:
+            raise ValidationFailed(
+                f"row {row_i[g]} of layer {row_t[g]} is not closed in layer {row_t[g] + 1}")
+
+        # Each (t, pair, row) lies on the pair's nominal support.
+        t, pair = np.nonzero(key >= 0)
+        g = first[t] + key[t, pair]
+        bounds = np.searchsorted(owner, np.arange(len(flat) + 1))
+        size = bounds[g + 1] - bounds[g]
+        entry = np.arange(size.sum()) + np.repeat(bounds[g] - np.cumsum(size) + size, size)
+        nominal = mdp.owner * n + mdp.succ  # ascending
+        want = np.repeat(pair, size) * n + succ[entry]
+        off = nominal[np.minimum(np.searchsorted(nominal, want), len(nominal) - 1)] != want
+        if (e := _first(np.bincount(np.repeat(np.arange(len(g)), size), weights=off,
+                                    minlength=len(g)) > 0)) is not None:
+            s, a = mdp.states[mdp.source[pair[e]]], mdp.actions[mdp.action[pair[e]]]
+            raise ValidationFailed(f"row {key[t[e], pair[e]]} of layer {t[e]} is off the "
+                                   f"nominal support of ({s}, {a})")
+
+        bounds = bounds.tolist()
+        cf_rows = {(t, i): (succ[lo:hi], prob[lo:hi])
+                   for t, i, lo, hi in zip(row_t.tolist(), row_i.tolist(), bounds, bounds[1:])}
+        cf = CfMdp(mdp, path, None, row_key=key, rows=cf_rows)
+        return PrunedCfMdp(cf=cf, k=int(obj["k"]), reach=tuple(reach), usable=tuple(key >= 0),
                            nodes_all_layers=int(obj["nodes_all_layers"]))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
         raise ValidationFailed(f"malformed pruned artifact: {exc!r}") from exc
@@ -321,9 +330,7 @@ def cmd_prune(args) -> int:
     mdp, path = _load_observation(args)
     cf = _posterior_cf(args, mdp, path)
     pruned = prune_cf_mdp(cf, args.k)
-    # Each kernel entry becomes a dict only while it is encoded, so the label
-    # dicts of all rows never exist at once.
-    text = json.dumps(_pruned_to_json(pruned), sort_keys=True, default=lambda entry: entry())
+    text = json.dumps(_pruned_to_json(pruned), sort_keys=True)
     _emit(text + "\n", args.out)
     report = pruned_size_report(pruned)
     sys.stderr.write(
@@ -335,9 +342,10 @@ def cmd_prune(args) -> int:
 
 def cmd_solve(args) -> int:
     mdp = _load_mdp(args.mdp)
-    pruned = _pruned_from_json(_read_json(args.pruned), mdp)
+    obj = _read_json(args.pruned)
+    pruned = _pruned_from_json(obj, mdp)
     policy = solve_km(pruned, args.m)
-    meta = {"samples": args.samples, "seed": args.seed, "mdp_hash": mdp.digest}
+    meta = {"samples": obj["samples"], "mdp_hash": mdp.digest}
     _emit(json.dumps(policy_to_json(policy, meta), sort_keys=True) + "\n", args.out)
     sys.stderr.write(f"V(s0) = {policy.v_s0!r}\n")
     return EXIT_OK
@@ -358,6 +366,8 @@ def _policy_from_json(obj: dict, pruned: PrunedCfMdp) -> CfPolicy:
                 raise ValidationFailed(f"policy entry uses {j!r} changes, outside 0..{m}")
             if not pruned.usable[t][mdp.pair(s, e["a"])]:
                 raise ValidationFailed(f"policy action {e['a']!r} is not usable at ({s}, t={t})")
+            if choices[t][mdp.state_index(s), m - j] >= 0:
+                raise ValidationFailed(f"policy entry ({s}, t={t}, j={j}) appears twice")
             choices[t][mdp.state_index(s), m - j] = mdp.action_index(e["a"])
         return CfPolicy(k=int(obj["k"]), m=m, mdp=mdp, s0=mdp.state_index(pruned.cf.initial_state),
                         choices=choices, values=[], v_s0=float(obj["v_s0"]))
@@ -461,11 +471,14 @@ def _at_least(low: int):
     return integer
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_at_least(0), default=None)
-    p.add_argument("--samples", type=int, default=1000, help="posterior sample count N")
-    p.add_argument("--sampler", choices=["topdown", "rejection"], default="topdown")
-    p.add_argument("--horizon", type=_at_least(1), default=None)
+def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named flags; each is read by several subcommands."""
+    flags = {"seed": dict(type=_at_least(0), default=None),
+             "samples": dict(type=int, default=1000, help="posterior sample count N"),
+             "sampler": dict(choices=["topdown", "rejection"], default="topdown"),
+             "horizon": dict(type=_at_least(1), default=None)}
+    for name in names:
+        p.add_argument(f"--{name}", **flags[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,14 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample an observed path under a policy preset")
     p.add_argument("--mdp", help="MDP JSON file (defaults to the preset's environment)")
     p.add_argument("--policy", required=True, choices=sorted(POLICY_PRESETS))
-    _add_shared(p)
+    _add_shared(p, "seed", "horizon")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("cf-build", help="build and store a Gumbel posterior artifact")
     p.add_argument("--mdp", required=True)
     p.add_argument("--path", required=True)
-    _add_shared(p)
+    _add_shared(p, "seed", "samples", "sampler")
     p.add_argument("--out", required=True, help="output .npz file")
     p.set_defaults(fn=cmd_cf_build)
 
@@ -503,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nominal", action="store_true",
                    help="use exact nominal rows instead of a posterior")
     p.add_argument("--k", type=int, required=True)
-    _add_shared(p)
+    _add_shared(p, "seed", "samples", "sampler")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prune)
 
@@ -511,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdp", required=True)
     p.add_argument("--pruned", required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_shared(p)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_solve)
 
@@ -520,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdp")
     p.add_argument("--path")
     _add_env_flags(p, with_preset=True)
-    _add_shared(p)
+    _add_shared(p, "seed", "samples", "sampler", "horizon")
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--m-min", type=int, default=1)
@@ -536,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="environment providing the feature extractor")
     p.add_argument("--feature", required=True)
     p.add_argument("-n", type=_at_least(1), default=1000)
-    p.add_argument("--seed", type=_at_least(0), default=None)
+    _add_shared(p, "seed")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_rollout)
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import zipfile
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     InvariantViolated,
+    MissingKernelRow,
     RejectionBudgetExceeded,
     ValidationFailed,
     ZeroProbabilityObservation,
@@ -195,43 +196,35 @@ class CfMdp:
     rows are the exact nominal kernel at every layer (the interventional MDP),
     which is useful for structural analysis and baselines.
 
-    A row built from the nominal row of pair p (through the noise at t, or
-    the nominal row itself) depends on that nominal row only, not on the
-    labels of p, so pairs with bit-identical nominal rows share one row: rows
-    are keyed by (t, `row_key[p]`), with `row_key` = `Mdp.row_id`. Rows
-    passed as `given_rows` ({(t, pair): (idx, p)}, read from an artifact) are
-    fixed per pair and never shared, so there `row_key` is the identity.
-    Each row is built once and kept as index/probability arrays;
-    `rows_built` counts the rows built (given rows are not).
+    The row of pair p at time t is `rows[(t, row_key[t, p])]`, with `row_key`
+    of shape (T, pairs). A row built from the nominal row of pair p (through
+    the noise at t, or the nominal row itself) depends on that nominal row
+    only, so by default `row_key[t]` is `Mdp.row_id` and pairs with
+    bit-identical nominal rows share one row, built on first use. A pruned
+    artifact passes its own `row_key` (its row indices, negative where a pair
+    has no row) and `rows`. Rows are index/probability arrays; `rows_built`
+    counts the rows built (given rows are not).
     """
 
     mdp: Mdp
     path: ObservedPath
     posterior: GumbelPosterior | None
-    given_rows: InitVar[dict | None] = None
-    row_key: np.ndarray = field(init=False, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    row_key: np.ndarray | None = field(default=None, repr=False)
+    rows: dict = field(default_factory=dict, repr=False)
     rows_built: int = 0
 
-    def __post_init__(self, given_rows):
+    def __post_init__(self):
         if self.posterior is not None:
             if self.posterior.path.steps != self.path.steps:
                 raise ValidationFailed("posterior was built from a different path")
             if self.posterior.source_mdp_hash != self.mdp.digest:
                 raise ValidationFailed("posterior was built from a different MDP")
-        if given_rows is None:
-            self.row_key = self.mdp.row_id
-        else:
-            self.row_key = np.arange(len(self.mdp.source))
-            self._cache.update(given_rows)
+        if self.row_key is None:
+            self.row_key = np.broadcast_to(self.mdp.row_id, (self.horizon, len(self.mdp.source)))
 
     @property
     def horizon(self) -> int:
         return self.path.T
-
-    @property
-    def layer_count(self) -> int:
-        return self.path.T + 1
 
     @property
     def initial_state(self) -> State:
@@ -239,23 +232,20 @@ class CfMdp:
 
     def row(self, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
         """Counterfactual row of pair p at time t as (successor indices, probabilities)."""
-        key = (t, int(self.row_key[p]))
-        row = self._cache.get(key)
+        if not 0 <= t < self.horizon:
+            raise ValidationFailed(f"time {t} outside horizon {self.horizon}")
+        key = (t, int(self.row_key[t, p]))
+        row = self.rows.get(key)
         if row is None:
-            if t >= self.horizon:
-                raise ValidationFailed(f"time {t} outside horizon {self.horizon}")
+            if key[1] < 0:
+                raise MissingKernelRow(f"pair {p} has no counterfactual row at t={t}")
             if self.posterior is None:
                 row = self.mdp.row(p)[:2]
             else:
                 row = cf_transition(self.posterior, self.mdp, t, p)
-            self._cache[key] = row
+            self.rows[key] = row
             self.rows_built += 1
         return row
-
-    def probs(self, t: int, s: State, a: Action) -> dict[State, float]:
-        """The counterfactual row of (s, a) at time t by label: {successor: probability}."""
-        idx, p = self.row(t, self.mdp.pair(s, a))
-        return {self.mdp.states[i]: x for i, x in zip(idx.tolist(), p.tolist())}
 
 
 def build_cf_mdp(posterior: GumbelPosterior, mdp: Mdp) -> CfMdp:

@@ -213,9 +213,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def require(self) -> None:
         """Raise ValidationFailed listing every violation, if there is one."""
         if self.violations:

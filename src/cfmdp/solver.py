@@ -72,7 +72,6 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
     shared_from = T if base is None else max(T - pruned.k + 1, 0)
 
     start, action, reward = mdp.start.tolist(), mdp.action.tolist(), mdp.reward.tolist()
-    row_key = cf.row_key.tolist()
     observed = [mdp.action_index(a) for _, a in cf.path.steps]
     values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
     choices = [np.full((n, m + 1), -1, dtype=np.int64) for _ in range(T)]
@@ -85,6 +84,7 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
         obs_a = observed[t]
         v_next = values[t + 1]
         usable = pruned.usable[t].tolist()
+        row_key = cf.row_key[t].tolist()
         # Expected child value per budget column c, once per distinct row:
         # pairs that share a counterfactual row share it.
         expected: dict[int, list[float]] = {}
@@ -255,9 +255,9 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
 def _next_states(cf: CfMdp, t: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Successor of each trajectory at layer t: the first entry of its pair's
     row whose cumulative probability exceeds its uniform u, clamped to the
-    last entry. Trajectories on one row (pairs with one `row_key`) are
+    last entry. Trajectories on one row (pairs with one `row_key[t]`) are
     sampled together."""
-    keys = cf.row_key[p]
+    keys = cf.row_key[t][p]
     order = np.argsort(keys, kind="stable")
     out = np.empty_like(p)
     for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):

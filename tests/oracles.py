@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from cfmdp.errors import InvariantViolated, UndefinedPolicyAction, ValidationFailed
-from cfmdp.gumbel import GumbelPosterior, _step_rng, cf_transition
+from cfmdp.gumbel import CfMdp, GumbelPosterior, _step_rng, cf_transition
 from cfmdp.influence import PrunedCfMdp
 from cfmdp.mdp import Mdp, ObservedPath, Policy
 from cfmdp.solver import CfPolicy, RolloutSummary
@@ -275,6 +275,12 @@ def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature, seed:
         max_changes = max(max_changes, j)
     return RolloutSummary(times=np.arange(T + 1), means=feats.mean(axis=0),
                           stds=feats.std(axis=0, ddof=0), n=n, seed=seed, max_changes=max_changes)
+
+
+def cf_probs(cf: CfMdp, t: int, s, a) -> dict:
+    """The counterfactual row of (s, a) at time t by label: {successor: probability}."""
+    idx, probs = cf.row(t, cf.mdp.pair(s, a))
+    return {cf.mdp.states[i]: p for i, p in zip(idx.tolist(), probs.tolist())}
 
 
 def cf_transition_probs(posterior, mdp: Mdp, t: int, s, a) -> dict:

@@ -15,6 +15,7 @@ from cfmdp.solver import check_sweep_monotonicity, rollout, solve_km, sweep
 
 from oracles import (
     available_actions,
+    cf_probs,
     cf_transition_probs,
     influenced_states,
     kernel,
@@ -117,7 +118,7 @@ def test_criterion_03_replay_determinism():
         posterior = build_posterior(mdp, path, 400, "topdown", seed=5)
         cf = build_cf_mdp(posterior, mdp)
         for t in range(path.T - 1):
-            est = cf.probs(t, path.state(t), path.action(t))
+            est = cf_probs(cf, t, path.state(t), path.action(t))
             assert est == {path.state(t + 1): 1.0}, (env, t)
         pruned = prune_cf_mdp(cf, 1)
         value = solve_km(pruned, 0).v_s0
@@ -194,7 +195,7 @@ def test_criterion_06_fig2_worked_example(fig2_toy):
         for (s, t), acts in pruned.actions.items():
             if t == pruned.horizon - 1:
                 for a in acts:
-                    states |= set(pruned.cf.probs(t, s, a))
+                    states |= set(cf_probs(pruned.cf, t, s, a))
         return pruned, states
 
     p1, states1 = surviving_states(1)

@@ -7,11 +7,12 @@ import cfmdp.cli
 import cfmdp.mdp
 from cfmdp.cli import _pruned_from_json, _pruned_to_json, main
 from cfmdp.environments import default_observation_seed
+from cfmdp.errors import MissingKernelRow, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, load_posterior
 from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import mdp_from_json, mdp_to_json, path_from_json
 
-from oracles import km_value_oracle
+from oracles import cf_probs, km_value_oracle
 
 
 def run(capsys, *argv):
@@ -226,6 +227,42 @@ def test_zero_samples_exits_2(command, artifact_dir, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+# Flags a subcommand does not read; each is an argparse error.
+IGNORED_FLAGS = [("solve", "--seed", "1"), ("solve", "--samples", "7"),
+                 ("solve", "--sampler", "rejection"), ("solve", "--horizon", "3"),
+                 ("sample", "--samples", "7"), ("sample", "--sampler", "rejection"),
+                 ("cf-build", "--horizon", "3"), ("prune", "--horizon", "3")]
+
+
+@pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS)
+def test_flag_a_command_does_not_read_exits_2(command, flag, value, artifact_dir, tmp_path, capsys):
+    d, out = artifact_dir, tmp_path / "out"
+    argv = {"solve": f"solve --mdp {d}/mdp.json --pruned {d}/pruned.json --m 1",
+            "sample": "sample --policy epidemic",
+            "cf-build": f"cf-build --mdp {d}/mdp.json --path {d}/path.json",
+            "prune": f"prune --mdp {d}/mdp.json --path {d}/path.json --nominal --k 1"}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_policy_meta_copies_the_artifact_sample_count(artifact_dir, tmp_path, capsys):
+    # The artifact_dir posterior has 500 samples; a nominal prune has none.
+    pruned = json.loads((artifact_dir / "pruned.json").read_text())
+    policy = json.loads((artifact_dir / "policy.json").read_text())
+    assert pruned["samples"] == 500
+    assert policy["meta"] == {"samples": 500, "mdp_hash": pruned["mdp_hash"]}
+    files = {name: tmp_path / f"{name}.json" for name in ("pruned", "policy")}
+    assert main(["prune", "--mdp", str(artifact_dir / "mdp.json"), "--path",
+                 str(artifact_dir / "path.json"), "--nominal", "--k", "8",
+                 "--out", str(files["pruned"])]) == 0
+    assert main(["solve", "--mdp", str(artifact_dir / "mdp.json"), "--pruned", str(files["pruned"]),
+                 "--m", "1", "--out", str(files["policy"])]) == 0
+    assert json.loads(files["policy"].read_text())["meta"]["samples"] == 0
+
+
 # One CLI call per JSON read; {bad} is the unreadable file, {d} holds valid artifacts.
 JSON_READS = {
     "mdp": "prune --mdp {bad} --path {d}/path.json --nominal --k 1",
@@ -312,17 +349,18 @@ def test_env_bad_danger_exits_2(danger, capsys):
 
 
 def test_compact_and_indented_artifacts_agree(artifact_dir, tmp_path, capsys):
-    # prune and solve write compact JSON. The indented form earlier versions
-    # wrote holds the same object, and still solves and rolls out the same.
+    # env, sample, prune and solve write compact JSON. The indented form
+    # earlier versions wrote holds the same object, and still solves and
+    # rolls out the same.
     mdp_file = str(artifact_dir / "mdp.json")
     compact = {name: (artifact_dir / f"{name}.json").read_text() for name in ("pruned", "policy")}
-    for text in compact.values():
-        assert text.endswith("}\n") and text.count("\n") == 1
+    for name in ("mdp", "path", "pruned", "policy"):
+        text = (artifact_dir / f"{name}.json").read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1, name
     mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
     cf = build_cf_mdp(load_posterior(artifact_dir / "posterior.npz", mdp), mdp)
     indented = {
-        "pruned": json.dumps(_pruned_to_json(prune_cf_mdp(cf, 8)), sort_keys=True, indent=2,
-                             default=lambda entry: entry()),
+        "pruned": json.dumps(_pruned_to_json(prune_cf_mdp(cf, 8)), sort_keys=True, indent=2),
         "policy": json.dumps(json.loads(compact["policy"]), sort_keys=True, indent=2),
     }
     for name, text in indented.items():
@@ -360,58 +398,118 @@ def test_artifacts_with_legacy_mode_key_still_load(artifact_dir, tmp_path, capsy
     assert code == 0
 
 
-# Artifacts that are valid JSON but break the pruned or policy schema.
+# Artifacts that are valid JSON but break the pruned or policy schema, each
+# with a fragment of the error message that names why it is rejected.
 BAD_ARTIFACTS = {
-    "pruned-empty": ("pruned", {}),
+    "pruned-empty": ("pruned", {}, "KeyError('mdp_hash')"),
     "pruned-no-kernels": ("pruned", lambda pruned, policy: {k: v for k, v in pruned.items()
-                                                            if k != "kernels"}),
+                                                            if k != "rows"}, "KeyError('rows')"),
     "pruned-kernel-without-probs": ("pruned", lambda pruned, policy: dict(
-        pruned, kernels=[{k: v for k, v in e.items() if k != "probs"} for e in pruned["kernels"]])),
+        pruned, rows=[[{} for _ in layer] for layer in pruned["rows"]]), "is not a distribution"),
     "pruned-probs-not-a-dict": ("pruned", lambda pruned, policy: dict(
-        pruned, kernels=[dict(e, probs=5) for e in pruned["kernels"]])),
-    "pruned-layers-not-lists": ("pruned", lambda pruned, policy: dict(pruned, layers=5)),
+        pruned, rows=[[5 for _ in layer] for layer in pruned["rows"]]), "has no len()"),
+    "pruned-layers-not-lists": ("pruned", lambda pruned, policy: dict(pruned, layers=5),
+                                "has no len()"),
     "pruned-unknown-state": ("pruned", lambda pruned, policy: dict(
-        pruned, actions=pruned["actions"] + [{"s": "nowhere", "t": 0, "actions": ["NIL"]}])),
+        pruned, actions=pruned["actions"] + [{"s": "nowhere", "t": 0, "actions": {"NIL": 0}}]),
+        "KeyError('nowhere')"),
     "pruned-layer-out-of-range": ("pruned", lambda pruned, policy: dict(
-        pruned, actions=[dict(e, t=99) for e in pruned["actions"]])),
-    "policy-empty": ("policy", {}),
+        pruned, actions=[dict(e, t=99) for e in pruned["actions"]]), "outside decision layers"),
+    "policy-empty": ("policy", {}, "KeyError('m')"),
     "policy-entry-without-j": ("policy", lambda pruned, policy: dict(
-        policy, actions=[{k: v for k, v in e.items() if k != "j"} for e in policy["actions"]])),
-    "policy-m-not-a-number": ("policy", lambda pruned, policy: dict(policy, m="many")),
+        policy, actions=[{k: v for k, v in e.items() if k != "j"} for e in policy["actions"]]),
+        "KeyError('j')"),
+    "policy-m-not-a-number": ("policy", lambda pruned, policy: dict(policy, m="many"),
+                              "invalid literal"),
     "policy-budget-out-of-range": ("policy", lambda pruned, policy: dict(
-        policy, actions=[dict(e, j=-1) for e in policy["actions"]])),
+        policy, actions=[dict(e, j=-1) for e in policy["actions"]]), "outside 0..1"),
+    # A second entry for (s_0, t = 0, j = 0) would otherwise replace the first.
+    "policy-duplicate-entry": ("policy", lambda pruned, policy: dict(
+        policy, actions=policy["actions"] + [dict(policy["actions"][0], a="NIL")]),
+        "appears twice"),
     "pruned-negative-entry": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda e, kernels: dict(zip(e["probs"], (1.5, -0.5))))),
+        pruned, lambda row: dict(zip(row, (1.5, -0.5)))), "is not a distribution"),
     "pruned-non-finite-entry": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda e, kernels: dict(zip(e["probs"], (float("nan"), 1.0))))),
+        pruned, lambda row: dict(zip(row, (float("nan"), 1.0)))), "is not a distribution"),
     "pruned-row-sums-to-0.4": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda e, kernels: {s: 0.4 * p for s, p in e["probs"].items()})),
-    # The edited row is V_S at s_0, which vaccinates a susceptible; the NIL
-    # successor at the same node keeps every vaccine, so it is off V_S's support.
-    "pruned-row-off-support": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda e, kernels: next(k["probs"] for k in kernels
-                                        if (k["t"], k["s"], k["a"]) == (e["t"], e["s"], "NIL")))),
+        pruned, lambda row: {s: 0.4 * p for s, p in row.items()}), "is not a distribution"),
+    # V_S at s_0 vaccinates a susceptible; the NIL successor at the same node
+    # keeps every vaccine, so it is off V_S's support: first as V_S's own row
+    # with NIL's values, then as NIL's row named by both actions.
+    "pruned-row-off-support": ("pruned", lambda pruned, policy: _at_s0(
+        pruned, lambda acts, rows: rows.__setitem__(acts["V_S"], rows[acts["NIL"]])),
+        "off the nominal support of (S9I1V20, V_S)"),
+    "pruned-shared-row-off-support": ("pruned", lambda pruned, policy: _at_s0(
+        pruned, lambda acts, rows: acts.update(V_S=acts["NIL"])),
+        "off the nominal support of (S9I1V20, V_S)"),
+    # Index edits on the rows of layer 0. Read without its check, -1 would
+    # wrap to the last row and true would be row 1, each the row the action
+    # named before, so the file would load as if unedited.
+    "pruned-row-index-negative": ("pruned", lambda pruned, policy: _at_s0(
+        pruned, lambda acts, rows: acts.update({_naming(acts, len(rows) - 1): -1})),
+        "names row -1"),
+    "pruned-row-index-true": ("pruned", lambda pruned, policy: _at_s0(
+        pruned, lambda acts, rows: acts.update({_naming(acts, 1): True})), "names row True"),
+    "pruned-row-index-past-the-end": ("pruned", lambda pruned, policy: _at_s0(
+        pruned, lambda acts, rows: acts.update({_naming(acts, 0): len(rows)})),
+        "names row 3, not one of the 3 rows of layer 0"),
     "pruned-usable-pair-without-row": ("pruned", lambda pruned, policy: dict(
-        pruned, kernels=pruned["kernels"][1:])),
-    # A second row for one (t, s, a) would otherwise replace the first.
+        pruned, rows=pruned["rows"][:-1] + [[]]), "not one of the 0 rows of layer 6"),
+    # A second entry for one node would otherwise replace the first: with
+    # another row for one action, or as an exact copy.
     "pruned-duplicate-kernel-entry": ("pruned", lambda pruned, policy: dict(
-        pruned, kernels=pruned["kernels"] + pruned["kernels"][:1])),
+        pruned, actions=pruned["actions"] + [dict(pruned["actions"][0], actions={"NIL": 0})]),
+        "listed twice"),
+    "pruned-node-listed-twice": ("pruned", lambda pruned, policy: dict(
+        pruned, actions=pruned["actions"] + pruned["actions"][:1]), "listed twice"),
     "pruned-first-layer-empty": ("pruned", lambda pruned, policy: dict(
-        pruned, layers=[[]] + pruned["layers"][1:])),
+        pruned, layers=[[]] + pruned["layers"][1:]), "layer 0 is not {s_0}"),
     "pruned-successor-outside-next-layer": ("pruned", lambda pruned, policy: dict(
         pruned, layers=[pruned["layers"][0]] + [
-            [s for s in pruned["layers"][1] if s not in pruned["kernels"][0]["probs"]]]
-        + pruned["layers"][2:])),
-    "policy-action-not-usable": ("policy", lambda pruned, policy: _unusable_action(pruned, policy)),
+            [s for s in pruned["layers"][1] if s not in pruned["rows"][0][0]]]
+        + pruned["layers"][2:]), "not closed in layer 1"),
+    # Earlier versions wrote one kernel entry per (t, s, a); such files must
+    # be rebuilt with `prune`.
+    "pruned-old-kernels-form": ("pruned", lambda pruned, policy: _kernels_form(pruned),
+                                "KeyError('rows')"),
+    # The action picked has no nominal row at its node.
+    "policy-action-not-usable": ("policy", lambda pruned, policy: _unusable_action(pruned, policy),
+                                 "no kernel row for"),
 }
 
 
 def _edit_row(pruned, new_probs):
-    """`pruned` with the first two-successor kernel row e's probs set to new_probs(e, kernels)."""
-    kernels = [dict(e) for e in pruned["kernels"]]
-    e = next(e for e in kernels if len(e["probs"]) == 2)
-    e["probs"] = new_probs(e, kernels)
-    return dict(pruned, kernels=kernels)
+    """`pruned` with its first two-successor row set to new_probs(row)."""
+    rows = [list(layer) for layer in pruned["rows"]]
+    t, i = next((t, i) for t, layer in enumerate(rows) for i, row in enumerate(layer)
+                if len(row) == 2)
+    rows[t][i] = new_probs(rows[t][i])
+    return dict(pruned, rows=rows)
+
+
+def _at_s0(pruned, edit):
+    """`pruned` after edit(actions, rows) on the usable actions at (s_0, t = 0),
+    the first node, and on the rows of layer 0."""
+    nodes = [dict(e, actions=dict(e["actions"])) for e in pruned["actions"]]
+    rows = [list(layer) for layer in pruned["rows"]]
+    assert (nodes[0]["t"], nodes[0]["s"]) == (0, pruned["path"]["steps"][0]["s"])
+    edit(nodes[0]["actions"], rows[0])
+    return dict(pruned, actions=nodes, rows=rows)
+
+
+def _naming(actions, i):
+    """The action of `actions` ({action: row index}) that names row i."""
+    return next(a for a, j in actions.items() if j == i)
+
+
+def _kernels_form(pruned):
+    """`pruned` as earlier versions wrote it: a kernel entry per (t, s, a)."""
+    old = {k: v for k, v in pruned.items() if k not in ("rows", "samples")}
+    old["actions"] = [dict(e, actions=sorted(e["actions"])) for e in pruned["actions"]]
+    old["kernels"] = [{"t": e["t"], "s": e["s"], "a": a, "n": pruned["samples"],
+                       "probs": pruned["rows"][e["t"]][i]}
+                      for e in pruned["actions"] for a, i in e["actions"].items()]
+    return old
 
 
 def _unusable_action(pruned, policy):
@@ -426,7 +524,7 @@ def _unusable_action(pruned, policy):
 
 @pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
 def test_malformed_artifact_exits_2(case, artifact_dir, tmp_path, capsys):
-    kind, edit = BAD_ARTIFACTS[case]
+    kind, edit, reason = BAD_ARTIFACTS[case]
     pruned = json.loads((artifact_dir / "pruned.json").read_text())
     policy = json.loads((artifact_dir / "policy.json").read_text())
     bad = edit(pruned, policy) if callable(edit) else edit
@@ -443,6 +541,7 @@ def test_malformed_artifact_exits_2(case, artifact_dir, tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, (argv[0], err)
         assert err.startswith("error:") and "Traceback" not in err
+        assert reason in err, (argv[0], err)
 
 
 def test_artifact_rows_of_one_nominal_row_stay_per_pair(tmp_path, capsys):
@@ -462,20 +561,37 @@ def test_artifact_rows_of_one_nominal_row_stay_per_pair(tmp_path, capsys):
     assert main(["prune", "--mdp", str(files["mdp"]), "--path", str(files["path"]), "--nominal",
                  "--k", "3", "--out", str(files["pruned"])]) == 0
     pruned = json.loads(files["pruned"].read_text())
+    x0 = pruned["actions"][0]
+    assert (x0["t"], x0["s"], x0["actions"]) == (0, "x0", {"a": 0, "b": 0})  # one stored row
     edited_rows = {"a": {"x1": 1.0}, "b": {"x1": 0.25, "x2": 0.75}}
-    for entry in pruned["kernels"]:
-        if (entry["t"], entry["s"]) == (0, "x0"):
-            entry["probs"] = edited_rows[entry["a"]]
+    pruned["rows"][0] = [edited_rows["a"], edited_rows["b"]]
+    x0["actions"] = {"a": 0, "b": 1}
     files["edited"].write_text(json.dumps(pruned))
     code, _, err = run(capsys, "solve", "--mdp", str(files["mdp"]), "--pruned",
                        str(files["edited"]), "--m", "1")
     assert code == 0
     loaded_mdp = mdp_from_json(mdp)
     loaded = _pruned_from_json(pruned, loaded_mdp)
-    assert loaded.cf.probs(0, "x0", "b") == edited_rows["b"]
+    assert cf_probs(loaded.cf, 0, "x0", "b") == edited_rows["b"]
     # Changing a to b at t = 0 reaches x2 (reward 10) with probability 0.75.
     oracle = km_value_oracle(loaded, path_from_json(path), 1)
     assert oracle == 7.5 and f"V(s0) = {oracle!r}" in err
+
+
+def test_loaded_rows_exist_only_for_usable_pairs(artifact_dir):
+    # A pair the artifact gives no row has a negative key: its row is an
+    # error, never the nominal row.
+    mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
+    loaded = _pruned_from_json(json.loads((artifact_dir / "pruned.json").read_text()), mdp)
+    t, p = (int(x) for x in np.argwhere(~np.array(loaded.usable))[0])
+    assert loaded.cf.row_key[t, p] < 0
+    with pytest.raises(MissingKernelRow):
+        loaded.cf.row(t, p)
+    p = int(np.flatnonzero(loaded.usable[0])[0])
+    assert len(loaded.cf.row(0, p)[0]) > 0
+    with pytest.raises(ValidationFailed):
+        loaded.cf.row(loaded.horizon, p)
+    assert loaded.cf.rows_built == 0
 
 
 def test_rollout_policy_without_entry_exits_3(artifact_dir, tmp_path, capsys):
@@ -561,7 +677,7 @@ def _edit_posterior(src, dst, edit):
     with np.load(src) as data:
         arrays = {name: data[name] for name in data.files}
     edit(arrays)
-    np.savez_compressed(dst, **arrays)
+    np.savez(dst, **arrays)
 
 
 BAD_POSTERIORS = {
@@ -573,6 +689,23 @@ BAD_POSTERIORS = {
     "wrong-sample-count": lambda src, dst: _edit_posterior(
         src, dst, lambda a: a.update(g2=a["g2"][:-1])),
 }
+
+
+def test_compressed_posterior_prunes_identically(tmp_path, capsys):
+    # Earlier versions wrote posteriors with savez_compressed; they still load.
+    files = {name: str(tmp_path / name) for name in ("mdp.json", "path.json", "posterior.npz",
+                                                      "compressed.npz")}
+    assert main(["env", "gridworld", "--out", files["mdp.json"]]) == 0
+    assert main(["sample", "--policy", "gridworld", "--out", files["path.json"]]) == 0
+    assert main(["cf-build", "--mdp", files["mdp.json"], "--path", files["path.json"],
+                 "--samples", "50", "--out", files["posterior.npz"]]) == 0
+    with np.load(files["posterior.npz"]) as data:
+        np.savez_compressed(files["compressed.npz"], **{name: data[name] for name in data.files})
+    for name in ("posterior.npz", "compressed.npz"):
+        assert main(["prune", "--mdp", files["mdp.json"], "--path", files["path.json"],
+                     "--posterior", files[name], "--k", "3", "--out", f"{files[name]}.json"]) == 0
+    pruned = [(tmp_path / f"{name}.json").read_bytes() for name in ("posterior.npz", "compressed.npz")]
+    assert pruned[0] == pruned[1]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_POSTERIORS))

@@ -18,6 +18,7 @@ from cfmdp.mdp import Mdp, ObservedPath
 from oracles import (
     available_actions,
     categorical_frequencies,
+    cf_probs,
     cf_transition_probs,
     gumbel_max_step,
     kernel_row,
@@ -232,11 +233,11 @@ def test_counterfactual_stability_on_samples(tinychain):
 def test_cf_mdp_layers_and_replay(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
     cf = epidemic_cf
-    assert cf.layer_count == path.T + 1
+    assert cf.horizon == path.T
     # Replaying the observed actions reproduces the observed path w.p. 1.
     s = cf.initial_state
     for t in range(path.T - 1):
-        est = cf.probs(t, s, path.action(t))
+        est = cf_probs(cf, t, s, path.action(t))
         assert est == {path.state(t + 1): 1.0}
         s = path.state(t + 1)
 
@@ -246,14 +247,14 @@ def test_cf_mdp_fig2_counterfactual_edge(fig2_toy):
     mdp, path = fig2_toy
     post = build_posterior(mdp, path, 500, "topdown", seed=12)
     cf = build_cf_mdp(post, mdp)
-    est = cf.probs(1, "s3", "a0")
+    est = cf_probs(cf, 1, "s3", "a0")
     assert est.get("s5", 0.0) > 0.0
 
 
 def test_nominal_cf_mdp_rows_exact(fig2_toy):
     mdp, path = fig2_toy
     cf = nominal_cf_mdp(mdp, path)
-    assert cf.probs(0, "s0", "a0") == {"s2": 0.5, "s3": 0.5}
+    assert cf_probs(cf, 0, "s0", "a0") == {"s2": 0.5, "s3": 0.5}
 
 
 def test_prior_posterior_matches_nominal(tinychain):

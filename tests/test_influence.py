@@ -8,6 +8,7 @@ from cfmdp.mdp import Mdp, ObservedPath, Policy, sample_path
 
 from oracles import (
     available_actions,
+    cf_probs,
     influenced_states,
     kernel,
     kernel_row,
@@ -25,7 +26,7 @@ def pruned_state_sets(pruned):
     for (s, t), acts in pruned.actions.items():
         if t == T - 1:
             for a in acts:
-                terminal.update(pruned.cf.probs(t, s, a))
+                terminal.update(cf_probs(pruned.cf, t, s, a))
     return states, terminal
 
 
@@ -190,7 +191,7 @@ def test_prune_closure_no_leaks(epidemic_demo, epidemic_cf):
         T = pruned.horizon
         for (s, t), acts in pruned.actions.items():
             for a in acts:
-                est = pruned.cf.probs(t, s, a)
+                est = cf_probs(pruned.cf, t, s, a)
                 mass = sum(
                     p for s2, p in est.items()
                     if t + 1 == T or s2 in pruned.layers[t + 1]
@@ -218,7 +219,7 @@ def test_prune_k_max_equals_reachable_unpruned(epidemic_demo, epidemic_cf):
         nxt = set()
         for s in reach[t]:
             for a in available_actions(mdp, s):
-                nxt.update(epidemic_cf.probs(t, s, a))
+                nxt.update(cf_probs(epidemic_cf, t, s, a))
         reach.append(nxt)
     for t in range(T):
         assert set(pruned.layers[t]) == reach[t]

@@ -115,7 +115,7 @@ def test_solver_equals_oracle_and_artifacts_round_trip(instance, data):
     assert policy.v_s0 == km_value_oracle(pruned, path, m)
 
     assert mdp_to_json(mdp_from_json(json.loads(json.dumps(mdp_to_json(mdp))))) == mdp_to_json(mdp)
-    text = json.dumps(_pruned_to_json(pruned), default=lambda entry: entry())
+    text = json.dumps(_pruned_to_json(pruned))
     loaded = _pruned_from_json(json.loads(text), mdp)
     for a, b in zip(loaded.reach + loaded.usable, pruned.reach + pruned.usable):
         np.testing.assert_array_equal(a, b)
@@ -124,6 +124,33 @@ def test_solver_equals_oracle_and_artifacts_round_trip(instance, data):
     assert back.v_s0 == policy.v_s0
     for a, b in zip(back.choices, policy.choices):
         np.testing.assert_array_equal(a, b)
+
+
+@PROPERTIES
+@given(instances(shared_rows=True), st.data())
+def test_pruned_artifact_stores_each_row_once_and_round_trips(instance, data):
+    mdp, path, cf = instance
+    pruned = prune_cf_mdp(cf, data.draw(st.integers(1, path.T + 1)))
+    loaded = _pruned_from_json(json.loads(json.dumps(_pruned_to_json(pruned))), mdp)
+    for t, usable in enumerate(pruned.usable):
+        pairs = np.flatnonzero(usable)
+        # The same pairs share a row: the file's indices are the memo keys
+        # renumbered in ascending order.
+        memo = np.unique(cf.row_key[t][pairs], return_inverse=True)[1]
+        np.testing.assert_array_equal(loaded.cf.row_key[t][pairs], memo)
+        assert (loaded.cf.row_key[t][~usable] < 0).all()
+        for p in pairs.tolist():
+            for a, b in zip(loaded.cf.row(t, p), cf.row(t, p)):
+                assert a.tobytes() == b.tobytes(), (t, p)
+    m = data.draw(st.integers(0, path.T))
+    policy, loaded_policy = solve_km(pruned, m), solve_km(loaded, m)
+    for a, b in zip(loaded_policy.values + loaded_policy.choices, policy.values + policy.choices):
+        assert a.tobytes() == b.tobytes()
+    n, seed = data.draw(st.sampled_from([1, 7, 300])), data.draw(st.integers(0, 2**32 - 1))
+    feature = lambda s: float(mdp.state_index(s))
+    got = rollout(loaded, loaded_policy, n, feature, seed)
+    want = rollout(pruned, policy, n, feature, seed)
+    assert (got.means.tobytes(), got.stds.tobytes()) == (want.means.tobytes(), want.stds.tobytes())
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

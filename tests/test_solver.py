@@ -16,6 +16,7 @@ from cfmdp.solver import (
 
 from oracles import (
     available_actions,
+    cf_probs,
     km_value_oracle,
     path_return,
     random_mdp,
@@ -85,7 +86,7 @@ def test_bellman_consistency_of_budget_recursion(epidemic_demo, epidemic_cf):
                     if cost > r:
                         continue
                     q = reward(mdp, s, a)
-                    for s2, p in pruned.cf.probs(t, s, a).items():
+                    for s2, p in cf_probs(pruned.cf, t, s, a).items():
                         nxt = 0.0 if t + 1 == T else float(policy.values[t + 1][mdp.state_index(s2), r - cost])
                         q += p * nxt
                     best = max(best, q)
@@ -108,7 +109,7 @@ def test_unconstrained_equals_layered_value_iteration(epidemic_demo, epidemic_cf
         if (s, t) not in memo:
             memo[(s, t)] = max(
                 reward(mdp, s, a)
-                + sum(p * vi(s2, t + 1) for s2, p in epidemic_cf.probs(t, s, a).items())
+                + sum(p * vi(s2, t + 1) for s2, p in cf_probs(epidemic_cf, t, s, a).items())
                 for a in available_actions(mdp, s)
             )
         return memo[(s, t)]
