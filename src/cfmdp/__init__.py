@@ -17,8 +17,6 @@ from .errors import (
 from .mdp import (
     Mdp,
     ObservedPath,
-    Policy,
-    ValidationReport,
     mdp_from_json,
     mdp_hash,
     mdp_to_json,
@@ -26,7 +24,6 @@ from .mdp import (
     path_hash,
     path_to_json,
     sample_path,
-    validate_path,
 )
 from .gumbel import (
     CfMdp,

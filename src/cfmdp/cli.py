@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import CfmdpError, MissingKernelRow, ValidationFailed
 from .gumbel import (
+    SAMPLER_TOPDOWN,
     CfMdp,
     build_cf_mdp,
     build_posterior,
@@ -39,7 +40,6 @@ from .mdp import (
     path_hash,
     path_to_json,
     sample_path,
-    validate_path,
 )
 from .solver import CfPolicy, check_sweep_monotonicity, policy_to_json, rollout, solve_km, sweep
 from . import environments as envs
@@ -48,12 +48,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-POLICY_PRESETS = {
-    "gridworld": ("gridworld", None),
-    "epidemic": ("epidemic", None),
-    "sepsis-catastrophic": ("sepsis", "catastrophic"),
-    "sepsis-suboptimal": ("sepsis", "suboptimal"),
-}
+DEFAULT_SAMPLES = 1000
 
 
 def _sweep_grid(args, T: int) -> tuple[list[int], list[int]]:
@@ -95,12 +90,13 @@ def _load_mdp(file: str) -> Mdp:
 
 def _load_observation(args) -> tuple[Mdp, ObservedPath]:
     """The --mdp and --path files, the path checked against the MDP."""
-    mdp, path = _load_mdp(args.mdp), path_from_json(_read_json(args.path))
-    validate_path(mdp, path).require()
-    return mdp, path
+    mdp = _load_mdp(args.mdp)
+    return mdp, path_from_json(_read_json(args.path), mdp)
 
 
 def _build_env(args) -> Mdp:
+    """The --env environment under the --config file and the flag overrides.
+    JSON arrays, as for a grid cell, become the config's tuples."""
     over = {}
     if args.config:
         loaded = _read_json(args.config)
@@ -117,9 +113,10 @@ def _build_env(args) -> Mdp:
             r, c = (int(x) for x in args.danger.split(","))
         except ValueError:
             raise ValidationFailed(f"--danger must be ROW,COL, got {args.danger!r}") from None
-        over["danger"] = (r, c)
+        over["danger"] = [r, c]
     try:
-        return envs.build_environment(args.env, **over)
+        return envs.build_environment(args.env, **{key: tuple(val) if isinstance(val, list) else val
+                                                   for key, val in over.items()})
     except TypeError as exc:
         raise ValidationFailed(f"bad option for environment {args.env!r}: {exc}") from exc
 
@@ -129,31 +126,36 @@ def cmd_env(args) -> int:
     return EXIT_OK
 
 
+def _observe(preset: str, mdp: Mdp | None, seed: int | None,
+             horizon: int | None) -> tuple[Mdp, ObservedPath, int]:
+    """(mdp, path, seed): the observed path of preset `preset` on `mdp` (by
+    default the preset's environment) at `seed` and `horizon` (by default
+    the preset's frozen ones)."""
+    env, policy, frozen_seed, default_horizon = envs.PRESETS[preset]
+    if mdp is None:
+        mdp = envs.build_environment(env)
+    seed = frozen_seed if seed is None else seed
+    return mdp, sample_path(mdp, policy, horizon or default_horizon, seed), seed
+
+
 def _resolve_observation(args) -> tuple[Mdp, ObservedPath, int | None]:
     """(mdp, path, observation seed) from an env/preset pair or explicit files."""
     if args.mdp and args.path:
         return (*_load_observation(args), None)
     if not args.env:
         raise ValidationFailed("provide either --env or both --mdp and --path")
-    preset = getattr(args, "preset", None)
-    mdp = _build_env(args)
-    policy = envs.observed_policy(args.env, preset)
-    horizon = args.horizon or envs.default_horizon(args.env)
-    seed = envs.default_observation_seed(args.env, preset)
-    return mdp, sample_path(mdp, policy, horizon, seed), seed
+    if args.env == "sepsis":
+        preset = f"sepsis-{args.preset or 'catastrophic'}"
+    elif args.preset:
+        raise ValidationFailed(f"--preset applies to --env sepsis only, not {args.env}")
+    else:
+        preset = args.env
+    return _observe(preset, _build_env(args), None, args.horizon)
 
 
 def cmd_sample(args) -> int:
-    env_name, preset = POLICY_PRESETS.get(args.policy, (None, None))
-    if env_name is None:
-        raise ValidationFailed(
-            f"unknown policy preset {args.policy!r}; choose from {sorted(POLICY_PRESETS)}"
-        )
-    mdp = _load_mdp(args.mdp) if args.mdp else envs.build_environment(env_name)
-    policy = envs.observed_policy(env_name, preset)
-    horizon = args.horizon or envs.default_horizon(env_name)
-    seed = args.seed if args.seed is not None else envs.default_observation_seed(env_name, preset)
-    path = sample_path(mdp, policy, horizon, seed)
+    mdp = _load_mdp(args.mdp) if args.mdp else None
+    _, path, _ = _observe(args.policy, mdp, args.seed, args.horizon)
     _emit(json.dumps(path_to_json(path), sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
@@ -248,14 +250,14 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
     Besides its shape, the artifact must describe a closed pruned MDP: every
     row is a distribution (each value in (0, 1], the sum one within
     PROB_TOL) that lies on the nominal support of every pair naming it,
-    every row at t < T-1 stays inside layer t+1, and layer 0 is {s_0}. The
-    rows are checked as flat arrays.
+    every row at t < T-1 stays inside layer t+1, layer 0 is {s_0}, and each
+    layer t holds exactly the states of the nodes listed at t. The rows are
+    checked as flat arrays.
     """
     try:
         if obj["mdp_hash"] != mdp.digest:
             raise ValidationFailed("pruned artifact was built from a different MDP")
-        path = path_from_json(obj["path"])
-        validate_path(mdp, path).require()
+        path = path_from_json(obj["path"], mdp)
         T, n, rows = path.T, mdp.num_states, obj["rows"]
         if type(obj["samples"]) is not int or obj["samples"] < 0:
             raise ValidationFailed(f"pruned artifact sample count {obj['samples']!r} is not >= 0")
@@ -265,7 +267,7 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
         reach = np.zeros((T, n), dtype=bool)
         for t, layer in enumerate(obj["layers"]):
             reach[t][[mdp.state_index(s) for s in layer]] = True
-        if T == 0 or np.flatnonzero(reach[0]).tolist() != [mdp.state_index(path.state(0))]:
+        if T == 0 or np.flatnonzero(reach[0]).tolist() != path.state[:1].tolist():
             raise ValidationFailed("pruned artifact layer 0 is not {s_0}")
         key = _row_key(obj["actions"], rows, mdp)
 
@@ -304,6 +306,15 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
             raise ValidationFailed(f"row {key[t[e], pair[e]]} of layer {t[e]} is off the "
                                    f"nominal support of ({s}, {a})")
 
+        # Each layer is the states of its nodes.
+        nodes = np.zeros((T, n), dtype=bool)
+        nodes[t, mdp.source[pair]] = True
+        if (e := _first(nodes.ravel() != reach.ravel())) is not None:
+            t, si = divmod(e, n)
+            if nodes[t, si]:
+                raise ValidationFailed(f"node ({mdp.states[si]}, t={t}) is outside layer {t}")
+            raise ValidationFailed(f"layer {t} lists {mdp.states[si]}, which has no usable action")
+
         bounds = bounds.tolist()
         cf_rows = {(t, i): (succ[lo:hi], prob[lo:hi])
                    for t, i, lo, hi in zip(row_t.tolist(), row_i.tolist(), bounds, bounds[1:])}
@@ -315,14 +326,20 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
 
 
 def _posterior_cf(args, mdp: Mdp, path: ObservedPath) -> CfMdp:
+    """The counterfactual MDP of one noise source: a --posterior artifact,
+    the --nominal rows, or a posterior sampled here. A flag of another
+    source would be ignored, so it is an error."""
+    source = "posterior" if args.posterior else "nominal" if args.nominal else None
+    ignored = [f"--{name}" for name in ("nominal", "samples", "sampler", "seed")
+               if source not in (None, name) and getattr(args, name) is not None]
+    if ignored:
+        raise ValidationFailed(f"prune takes one noise source: --{source} ignores {', '.join(ignored)}")
     if args.posterior:
-        posterior = load_posterior(args.posterior, mdp)
-        if posterior.path.steps != path.steps:
-            raise ValidationFailed("posterior artifact was built from a different path")
-        return build_cf_mdp(posterior, mdp)
+        return build_cf_mdp(load_posterior(args.posterior, mdp), mdp)
     if args.nominal:
         return nominal_cf_mdp(mdp, path)
-    posterior = build_posterior(mdp, path, args.samples, args.sampler, args.seed or 0)
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    posterior = build_posterior(mdp, path, samples, args.sampler or SAMPLER_TOPDOWN, args.seed or 0)
     return build_cf_mdp(posterior, mdp)
 
 
@@ -369,7 +386,7 @@ def _policy_from_json(obj: dict, pruned: PrunedCfMdp) -> CfPolicy:
             if choices[t][mdp.state_index(s), m - j] >= 0:
                 raise ValidationFailed(f"policy entry ({s}, t={t}, j={j}) appears twice")
             choices[t][mdp.state_index(s), m - j] = mdp.action_index(e["a"])
-        return CfPolicy(k=int(obj["k"]), m=m, mdp=mdp, s0=mdp.state_index(pruned.cf.initial_state),
+        return CfPolicy(k=int(obj["k"]), m=m, mdp=mdp, s0=int(pruned.cf.path.state[0]),
                         choices=choices, values=[], v_s0=float(obj["v_s0"]))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
         raise ValidationFailed(f"malformed policy artifact: {exc!r}") from exc
@@ -474,7 +491,7 @@ def _at_least(low: int):
 def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
     """Add the named flags; each is read by several subcommands."""
     flags = {"seed": dict(type=_at_least(0), default=None),
-             "samples": dict(type=int, default=1000, help="posterior sample count N"),
+             "samples": dict(type=int, default=DEFAULT_SAMPLES, help="posterior sample count N"),
              "sampler": dict(choices=["topdown", "rejection"], default="topdown"),
              "horizon": dict(type=_at_least(1), default=None)}
     for name in names:
@@ -497,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample an observed path under a policy preset")
     p.add_argument("--mdp", help="MDP JSON file (defaults to the preset's environment)")
-    p.add_argument("--policy", required=True, choices=sorted(POLICY_PRESETS))
+    p.add_argument("--policy", required=True, choices=sorted(envs.PRESETS))
     _add_shared(p, "seed", "horizon")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sample)
@@ -513,10 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdp", required=True)
     p.add_argument("--path", required=True)
     p.add_argument("--posterior", help=".npz artifact from cf-build")
-    p.add_argument("--nominal", action="store_true",
+    p.add_argument("--nominal", action="store_true", default=None,
                    help="use exact nominal rows instead of a posterior")
     p.add_argument("--k", type=int, required=True)
     _add_shared(p, "seed", "samples", "sampler")
+    p.set_defaults(samples=None, sampler=None)  # unset, so a second noise source shows
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prune)
 

@@ -1,6 +1,6 @@
 """Built-in MDPs: grid world, hypergeometric epidemic, and a documented
-sepsis-lite patient model, with the sub-optimal observed policies used to
-generate observed paths.
+sepsis-lite patient model, and the observation presets: the sub-optimal
+policies observed on them, with frozen seeds and horizons.
 
 Sepsis-lite is an original model honoring the published constraints (four
 three-level vitals, three binary treatments in the state, 8 actions, death at
@@ -13,17 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable, NamedTuple
 
 from .errors import InvalidConfig, UnknownEnvironment
-from .mdp import Action, Mdp, ObservedPath, Policy, State, sample_path
-
-# Seeds frozen so the shipped observed paths match the documented trajectories
-# (epidemic: infected counts 1,2,3,6,8,9,9; sepsis: one dead-end path and one
-# surviving suboptimal path).
-GRIDWORLD_OBSERVED_SEED = 0
-EPIDEMIC_OBSERVED_SEED = 10
-SEPSIS_CATASTROPHIC_SEED = 0
-SEPSIS_SUBOPTIMAL_SEED = 3
+from .mdp import Action, Mdp, ObservedPath, State, sample_path
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +43,6 @@ class GridWorldConfig:
     shaping_scale: float = 4.0
     goal_reward: float = 100.0
     danger_penalty: float = 100.0
-    horizon: int = 11
 
 
 def _cell_label(r: int, c: int) -> State:
@@ -74,7 +66,7 @@ def build_gridworld(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
     if cfg.danger in (cfg.goal, cfg.start) or cfg.goal == cfg.start:
         raise InvalidConfig("start, goal and danger cells must be distinct")
     for cell in (cfg.start, cfg.goal, cfg.danger):
-        if not (0 <= cell[0] < cfg.height and 0 <= cell[1] < cfg.width):
+        if len(cell) != 2 or not (0 <= cell[0] < cfg.height and 0 <= cell[1] < cfg.width):
             raise InvalidConfig(f"cell {cell} outside the grid")
 
     cells = [(r, c) for r in range(cfg.height) for c in range(cfg.width)]
@@ -123,29 +115,23 @@ def build_gridworld(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
                initial={_cell_label(*cfg.start): 1.0}, name="gridworld")
 
 
-def gridworld_observed_policy(cfg: GridWorldConfig = GridWorldConfig()) -> Policy:
+def gridworld_observed_policy(s: State, t: int, cfg: GridWorldConfig = GridWorldConfig()) -> Action:
     """Scripted walk that enters the danger cell at step 3, then idles.
 
     Off-script states fall back to a greedy move toward the goal so the policy
     is defined wherever slippage might lead.
     """
-    script = {0: "right", 1: "right", 2: "down"}
-
-    def fn(s: State, t: int) -> Action:
-        cell = _parse_cell(s)
-        if cell in (cfg.goal, cfg.danger):
-            return "stay"
-        if t in script:
-            return script[t]
-        gr, gc = cfg.goal
-        r, c = cell
-        if r < gr:
-            return "down"
-        if c < gc:
-            return "right"
-        return "up" if r > gr else "left"
-
-    return Policy(fn)
+    cell = _parse_cell(s)
+    if cell in (cfg.goal, cfg.danger):
+        return "stay"
+    if t < 3:
+        return ("right", "right", "down")[t]
+    (gr, gc), (r, c) = cfg.goal, cell
+    if r < gr:
+        return "down"
+    if c < gc:
+        return "right"
+    return "up" if r > gr else "left"
 
 
 def gridworld_features(cfg: GridWorldConfig = GridWorldConfig()):
@@ -170,7 +156,6 @@ NIL, V_I, V_S = "NIL", "V_I", "V_S"
 class EpidemicConfig:
     population: int = 10
     initial_infected: int = 1
-    horizon: int = 7
 
 
 def _hypergeom_pmf(k: int, M: int, n: int, N: int) -> float:
@@ -234,11 +219,6 @@ def build_epidemic(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
 
     s0 = _epi_label(P - cfg.initial_infected, cfg.initial_infected, 2 * P)
     return Mdp(states, (NIL, V_I, V_S), kernel, rewards, initial={s0: 1.0}, name="epidemic")
-
-
-def epidemic_observed_policy() -> Policy:
-    """The do-nothing policy used to generate the observed epidemic path."""
-    return Policy.constant(NIL)
 
 
 def epidemic_features():
@@ -362,20 +342,6 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
     return Mdp(states, actions, kernel, rewards, initial={s0: 1.0}, name="sepsis-lite")
 
 
-def sepsis_observed_policy(preset: str) -> Policy:
-    """Sub-optimal fixed policies behind the two documented regimes.
-
-    "catastrophic" withholds all treatment, so the patient usually dies;
-    "suboptimal" applies antibiotics only, which keeps the patient alive but
-    untreated on the failing vital, ending neither dead nor discharged.
-    """
-    if preset == "catastrophic":
-        return Policy.constant("t000")
-    if preset == "suboptimal":
-        return Policy.constant("t100")
-    raise UnknownEnvironment(f"unknown sepsis preset {preset!r}")
-
-
 def sepsis_features():
     return {"abnormal_vitals": lambda s: float(abnormal_vitals(s))}
 
@@ -384,62 +350,56 @@ def sepsis_features():
 # Registry
 # ---------------------------------------------------------------------------
 
-ENVIRONMENTS = ("gridworld", "epidemic", "sepsis")
+# Per environment: its config class, its builder and its rollout features.
+ENVIRONMENTS = {
+    "gridworld": (GridWorldConfig, build_gridworld, gridworld_features),
+    "epidemic": (EpidemicConfig, build_epidemic, epidemic_features),
+    "sepsis": (SepsisLiteConfig, build_sepsis_lite, sepsis_features),
+}
+
+
+class Preset(NamedTuple):
+    """An observation: the environment, the deliberately sub-optimal policy
+    observed on it, as a (state, t) -> action callable, and the frozen seed
+    and horizon of the shipped observed path."""
+
+    env: str
+    policy: Callable[[State, int], Action | None]
+    seed: int
+    horizon: int
+
+
+# Seeds frozen so the shipped observed paths match the documented trajectories
+# (epidemic: infected counts 1,2,3,6,8,9,9; sepsis: one dead-end path and one
+# surviving suboptimal path). Epidemic does nothing; sepsis "catastrophic"
+# withholds all treatment, so the patient usually dies, and "suboptimal"
+# applies antibiotics only, which keeps the patient alive but untreated on the
+# failing vital, ending neither dead nor discharged.
+PRESETS = {
+    "gridworld": Preset("gridworld", gridworld_observed_policy, 0, 11),
+    "epidemic": Preset("epidemic", lambda s, t: NIL, 10, 7),
+    "sepsis-catastrophic": Preset("sepsis", lambda s, t: "t000", 0, 10),
+    "sepsis-suboptimal": Preset("sepsis", lambda s, t: "t100", 3, 10),
+}
+
+
+def _lookup(table: dict, kind: str, name: str):
+    if name not in table:
+        raise UnknownEnvironment(f"unknown {kind} {name!r}; choose from {sorted(table)}")
+    return table[name]
 
 
 def build_environment(name: str, **overrides) -> Mdp:
-    if name == "gridworld":
-        return build_gridworld(GridWorldConfig(**overrides))
-    if name == "epidemic":
-        return build_epidemic(EpidemicConfig(**overrides))
-    if name == "sepsis":
-        return build_sepsis_lite(SepsisLiteConfig(**overrides))
-    raise UnknownEnvironment(f"unknown environment {name!r}")
-
-
-def observed_policy(env: str, preset: str | None = None) -> Policy:
-    """The deliberately sub-optimal policy each experiment observes."""
-    if env == "gridworld":
-        return gridworld_observed_policy()
-    if env == "epidemic":
-        return epidemic_observed_policy()
-    if env == "sepsis":
-        return sepsis_observed_policy(preset or "catastrophic")
-    raise UnknownEnvironment(f"unknown environment {env!r}")
-
-
-def default_observation_seed(env: str, preset: str | None = None) -> int:
-    if env == "gridworld":
-        return GRIDWORLD_OBSERVED_SEED
-    if env == "epidemic":
-        return EPIDEMIC_OBSERVED_SEED
-    if env == "sepsis":
-        return SEPSIS_SUBOPTIMAL_SEED if preset == "suboptimal" else SEPSIS_CATASTROPHIC_SEED
-    raise UnknownEnvironment(f"unknown environment {env!r}")
-
-
-def default_horizon(env: str) -> int:
-    horizons = {"gridworld": 11, "epidemic": 7, "sepsis": 10}
-    if env not in horizons:
-        raise UnknownEnvironment(f"unknown environment {env!r}")
-    return horizons[env]
+    config, build, _ = _lookup(ENVIRONMENTS, "environment", name)
+    return build(config(**overrides))
 
 
 def environment_features(env: str) -> dict:
-    if env == "gridworld":
-        return gridworld_features()
-    if env == "epidemic":
-        return epidemic_features()
-    if env == "sepsis":
-        return sepsis_features()
-    raise UnknownEnvironment(f"unknown environment {env!r}")
+    return _lookup(ENVIRONMENTS, "environment", env)[2]()
 
 
-def demo_observation(env: str, preset: str | None = None,
-                     seed: int | None = None) -> tuple[Mdp, ObservedPath, Policy]:
-    """Default environment, observed policy and frozen-seed observed path."""
+def demo_observation(preset: str) -> tuple[Mdp, ObservedPath, Callable]:
+    """A preset's default environment, observed policy and frozen-seed path."""
+    env, policy, seed, horizon = _lookup(PRESETS, "observation preset", preset)
     mdp = build_environment(env)
-    policy = observed_policy(env, preset)
-    seed = default_observation_seed(env, preset) if seed is None else seed
-    path = sample_path(mdp, policy, default_horizon(env), seed)
-    return mdp, path, policy
+    return mdp, sample_path(mdp, policy, horizon, seed), policy

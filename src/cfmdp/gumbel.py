@@ -26,7 +26,7 @@ from .errors import (
     ValidationFailed,
     ZeroProbabilityObservation,
 )
-from .mdp import Action, Mdp, ObservedPath, State, path_from_json, path_hash, path_to_json
+from .mdp import Mdp, ObservedPath, path_from_json, path_hash, path_to_json
 
 REJECTION_ATTEMPT_CAP = 10**7  # proposals per requested sample before failing loudly
 
@@ -40,40 +40,41 @@ def _winners(idx: np.ndarray, logp: np.ndarray, noise: np.ndarray) -> np.ndarray
     return np.argmax(logp[None, :] + noise[:, idx], axis=1)
 
 
-def _observed_row(mdp: Mdp, s: State, a: Action, s_next: State):
-    """The nominal row of (s, a) and the position of s_next in it, which must
-    have positive probability."""
-    p = mdp.pair(s, a)
-    pos = mdp.position(p, s_next)
-    if pos < 0:
+def _conditioned_row(mdp: Mdp, p: int, pos: int):
+    """The nominal row of pair p, whose position `pos` is the observed
+    successor; a position outside the row has probability zero."""
+    row = mdp.row(p)
+    if not 0 <= pos < len(row[0]):
+        s, a = mdp.states[mdp.source[p]], mdp.actions[mdp.action[p]]
         raise ZeroProbabilityObservation(
-            f"P({s_next} | {s}, {a}) = 0; cannot condition on this transition"
-        )
-    return (*mdp.row(p), pos)
+            f"position {pos} is outside the row of ({s}, {a}); cannot condition on it")
+    return row
 
 
-def rejection_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
+def rejection_noise(mdp: Mdp, p: int, pos: int, n: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """n posterior noise vectors via rejection, and the proposal count.
+    """n posterior noise vectors via rejection, and the proposal count, given
+    that pair p moved to position `pos` of its nominal row.
 
-    Expected cost is n / P(s_next|s,a) proposals.
+    Expected cost is n / P(observed successor | pair p) proposals.
     """
-    idx, probs, logp, obs_pos = _observed_row(mdp, s, a, s_next)
+    idx, probs, logp = _conditioned_row(mdp, p, pos)
     num_states = mdp.num_states
     out = np.empty((n, num_states))
     got = 0
     attempts = 0
     cap = REJECTION_ATTEMPT_CAP * n
     # Batch size adapts to the acceptance rate (= observation probability).
-    batch = max(256, min(int(2 * n / max(probs[obs_pos], 1e-6)), 4_000_000))
+    batch = max(256, min(int(2 * n / max(probs[pos], 1e-6)), 4_000_000))
     while got < n:
         if attempts >= cap:
+            s, a = mdp.states[mdp.source[p]], mdp.actions[mdp.action[p]]
             raise RejectionBudgetExceeded(
-                f"no {n} acceptances within {cap} proposals for ({s},{a})->{s_next}"
+                f"no {n} acceptances within {cap} proposals for ({s},{a})->{mdp.states[idx[pos]]}"
             )
         m = min(batch, cap - attempts)
         g = rng.gumbel(size=(m, num_states))
-        keep = _winners(idx, logp, g) == obs_pos
+        keep = _winners(idx, logp, g) == pos
         accept_rows = np.flatnonzero(keep)
         need = n - got
         if accept_rows.shape[0] >= need:
@@ -89,22 +90,22 @@ def rejection_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
     return out, attempts
 
 
-def topdown_noise(mdp: Mdp, s: State, a: Action, s_next: State, n: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """n exact posterior noise vectors without rejection (top-down construction).
+def topdown_noise(mdp: Mdp, p: int, pos: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n exact posterior noise vectors without rejection (top-down
+    construction), given that pair p moved to position `pos` of its nominal row.
 
     The maximum of the probability-shifted Gumbels is sampled first and
     assigned to the observed state; the remaining support states get Gumbels
     truncated below that maximum; off-support states keep fresh priors.
     """
-    idx, _, logp, obs_pos = _observed_row(mdp, s, a, s_next)
+    idx, _, logp = _conditioned_row(mdp, p, pos)
     # Prior draws double as the off-support posterior (it equals the prior).
     out = rng.gumbel(size=(n, mdp.num_states))
     top = rng.gumbel(size=n) + float(np.logaddexp.reduce(logp))
     shifted = logp[None, :] + rng.gumbel(size=(n, idx.shape[0]))
     trunc = -np.logaddexp(-shifted, -top[:, None])
     out[:, idx] = trunc - logp[None, :]
-    out[:, idx[obs_pos]] = top - logp[obs_pos]
+    out[:, idx[pos]] = top - logp[pos]
     return out
 
 
@@ -155,14 +156,13 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
         if t == path.T - 1:
             layers.append(rng.gumbel(size=(n, mdp.num_states)))
             continue
-        s, a = path.steps[t]
-        s_next = path.state(t + 1)
+        p, pos = int(path.pair[t]), int(path.next_pos[t])
         if sampler == SAMPLER_TOPDOWN:
-            g = topdown_noise(mdp, s, a, s_next, n, rng)
+            g = topdown_noise(mdp, p, pos, n, rng)
         else:
-            g, _ = rejection_noise(mdp, s, a, s_next, n, rng)
-        idx, _, logp, obs_pos = _observed_row(mdp, s, a, s_next)
-        if not np.all(_winners(idx, logp, g) == obs_pos):
+            g, _ = rejection_noise(mdp, p, pos, n, rng)
+        idx, _, logp = mdp.row(p)
+        if not np.all(_winners(idx, logp, g) == pos):
             raise InvariantViolated(f"posterior sample at t={t} fails to replay the observation")
         layers.append(g)
     return GumbelPosterior(tuple(layers), n, sampler, seed, path, mdp.digest)
@@ -215,7 +215,7 @@ class CfMdp:
 
     def __post_init__(self):
         if self.posterior is not None:
-            if self.posterior.path.steps != self.path.steps:
+            if self.posterior.path != self.path:
                 raise ValidationFailed("posterior was built from a different path")
             if self.posterior.source_mdp_hash != self.mdp.digest:
                 raise ValidationFailed("posterior was built from a different MDP")
@@ -225,10 +225,6 @@ class CfMdp:
     @property
     def horizon(self) -> int:
         return self.path.T
-
-    @property
-    def initial_state(self) -> State:
-        return self.path.state(0)
 
     def row(self, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
         """Counterfactual row of pair p at time t as (successor indices, probabilities)."""
@@ -287,22 +283,21 @@ def save_posterior(posterior: GumbelPosterior, file) -> None:
 def load_posterior(file, mdp: Mdp) -> GumbelPosterior:
     """Read a `save_posterior` artifact built for `mdp`.
 
-    A missing or unreadable file, a missing step array, or noise whose shape
-    is not (n, |S|) raises ValidationFailed.
+    A missing or unreadable file, a missing step array, noise whose shape is
+    not (n, |S|), or a path that is not one of `mdp` raises ValidationFailed.
     """
     try:
         with np.load(file) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             n, steps = int(meta["n"]), meta["path"]["steps"]
             noise = tuple(data[f"g{t}"] for t in range(len(steps)))
-        posterior = GumbelPosterior(
-            noise=noise, n=n, sampler=str(meta["sampler"]), seed=int(meta["seed"]),
-            path=path_from_json(meta["path"]), source_mdp_hash=str(meta["mdp_hash"]),
-        )
+        sampler, seed, digest = str(meta["sampler"]), int(meta["seed"]), str(meta["mdp_hash"])
     except (OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValidationFailed(f"cannot read posterior artifact {file}: {exc!r}") from exc
-    if posterior.source_mdp_hash != mdp.digest:
+    if digest != mdp.digest:
         raise ValidationFailed("posterior artifact was built from a different MDP")
+    posterior = GumbelPosterior(noise=noise, n=n, sampler=sampler, seed=seed,
+                                path=path_from_json(meta["path"], mdp), source_mdp_hash=digest)
     for t, g in enumerate(noise):
         if g.shape != (n, mdp.num_states) or g.dtype != np.float64:
             raise ValidationFailed(

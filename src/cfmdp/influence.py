@@ -106,7 +106,7 @@ def _admission_hits(mdp: Mdp, path: ObservedPath, depth: int) -> list[list[np.nd
         """Pairs whose nominal support meets the boolean state mask `target`."""
         return np.bincount(mdp.owner, weights=target[mdp.succ], minlength=len(mdp.source)) > 0
 
-    stau = [np.bincount(mdp.row(mdp.pair(s, a))[0], minlength=n) > 0 for s, a in path.steps]
+    stau = [np.bincount(mdp.row(p)[0], minlength=n) > 0 for p in path.pair.tolist()]
 
     empty = np.zeros(n, dtype=bool)
     frontier = [empty] * (T + 1)  # M[d][t]
@@ -133,7 +133,7 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
     and their counterfactual supports as (owner pair, successor) entries.
     """
     mdp = cf.mdp
-    nodes = np.bincount([mdp.state_index(cf.initial_state)], minlength=mdp.num_states) > 0
+    nodes = np.bincount(cf.path.state[:1], minlength=mdp.num_states) > 0
     rows = []
     for t, adm in enumerate(admitted):
         built = adm & nodes[mdp.source]
@@ -160,10 +160,12 @@ def prune_cf_mdp(cf: CfMdp, k: int, base: PrunedCfMdp | None = None) -> PrunedCf
     reachability pass are recomputed, and the result equals a prune without
     `base`.
     """
-    if k < 1:
-        raise ValidationFailed("pruning requires k >= 1")
     mdp, path = cf.mdp, cf.path
     T, n = path.T, mdp.num_states
+    if k < 1:
+        raise ValidationFailed("pruning requires k >= 1")
+    if T == 0:
+        raise ValidationFailed("pruning requires an observed path, got an empty one")
     if base is None:
         hits = _admission_hits(mdp, path, k - 1)
         shared_from = T
@@ -189,7 +191,7 @@ def prune_cf_mdp(cf: CfMdp, k: int, base: PrunedCfMdp | None = None) -> PrunedCf
         closed[t] = built & admitted[t] & ~leaks
         alive[t] = np.bincount(mdp.source[closed[t]], minlength=n) > 0
 
-    s0 = mdp.state_index(path.state(0))
+    s0 = int(path.state[0])
     if not alive[0][s0]:
         raise EmptyPrunedMdp(
             f"k={k} pruning left no usable action at the initial node; "

@@ -1,5 +1,5 @@
-"""Finite-horizon MDP core: the compiled MDP, path validation and sampling,
-and the JSON interchange.
+"""Finite-horizon MDP core: the compiled MDP, the checked observed path and
+path sampling, and the JSON interchange.
 
 States and actions are plain string identifiers so every artifact round-trips
 through JSON unchanged; everything else is integer arrays over the (state,
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Mapping
 
 import numpy as np
@@ -138,10 +139,9 @@ class Mdp:
 
     def position(self, p: int, s: State) -> int:
         """Position of successor s in the nominal row of pair p; -1 off its support."""
-        idx = self.row(p)[0]
-        i = self._sidx.get(s, -1)
-        pos = int(np.searchsorted(idx, i))
-        return pos if pos < len(idx) and idx[pos] == i else -1
+        lo, hi, i = self.row_start[p], self.row_start[p + 1], self._sidx.get(s, -1)
+        e = bisect_left(self.succ, i, lo, hi)
+        return int(e - lo) if e < hi and self.succ[e] == i else -1
 
     @cached_property
     def row_id(self) -> np.ndarray:
@@ -170,76 +170,51 @@ def _distribution_faults(prob: np.ndarray, owner: np.ndarray, count: int,
                   for i in np.flatnonzero(np.abs(totals - 1.0) > PROB_TOL).tolist()]
 
 
-@dataclass(frozen=True)
 class ObservedPath:
-    """Time-indexed sequence of (state, action) pairs of length T."""
+    """The observed path tau of length T, checked and compiled against its MDP.
 
-    steps: tuple[tuple[State, Action], ...]
+    `steps` holds the (state, action) labels; only JSON and `path_hash` read
+    it. The read-only int arrays `state[t]`, `action[t]` and `pair[t]` are
+    the indices of step t, and `next_pos[t]` (t < T-1) is the position of
+    s_{t+1} in the nominal row of `pair[t]`. Every broken invariant (an
+    initial state of zero initial probability, a step without a kernel row,
+    a transition of probability zero) is listed in one ValidationFailed; an
+    empty path is valid. Paths compare by `steps`.
+    """
+
+    def __init__(self, mdp: Mdp, steps):
+        self.steps = steps = tuple(steps)
+        T = len(steps)
+        state = [mdp._sidx.get(s, -1) for s, _ in steps]
+        action = [mdp._aidx.get(a, -1) for _, a in steps]
+        pair = [int(mdp.pair_at[i, j]) if i >= 0 and j >= 0 else -1 for i, j in zip(state, action)]
+        pos = [mdp.position(p, s2) if p >= 0 else -1 for p, (s2, _) in zip(pair, steps[1:])]
+        bad = []
+        if T and (state[0] < 0 or mdp.initial[state[0]] <= 0.0):
+            bad.append(f"initial state {steps[0][0]} has zero initial probability")
+        for t, (s, a) in enumerate(steps):
+            if pair[t] < 0:
+                bad.append(f"step {t}: no kernel row for ({s},{a})")
+            elif t + 1 < T and pos[t] < 0:
+                bad.append(f"step {t}: transition {s} -> {steps[t + 1][0]} under {a} has probability 0")
+        if bad:
+            raise ValidationFailed("; ".join(bad))
+        flat = np.array(state + action + pair + pos, dtype=np.int64)
+        flat.flags.writeable = False
+        self.state, self.action, self.pair, self.next_pos = (flat[i * T:(i + 1) * T] for i in range(4))
 
     @property
     def T(self) -> int:
         return len(self.steps)
 
-    def state(self, t: int) -> State:
-        return self.steps[t][0]
-
-    def action(self, t: int) -> Action:
-        return self.steps[t][1]
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ObservedPath) and self.steps == other.steps
 
 
-@dataclass(frozen=True)
-class Policy:
-    """Deterministic time-dependent policy.
-
-    The wrapped function may return None for (state, time) pairs it does not
-    cover; consumers raise UndefinedPolicyAction when such a pair is reached.
-    """
-
-    fn: Callable[[State, int], Action | None]
-
-    def action(self, s: State, t: int) -> Action | None:
-        return self.fn(s, t)
-
-    @staticmethod
-    def constant(a: Action) -> "Policy":
-        return Policy(lambda s, t: a)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def require(self) -> None:
-        """Raise ValidationFailed listing every violation, if there is one."""
-        if self.violations:
-            raise ValidationFailed("; ".join(self.violations))
-
-
-def validate_path(mdp: Mdp, path: ObservedPath) -> ValidationReport:
-    """Check ObservedPath invariants against an MDP."""
-    bad: list[str] = []
-    if path.T == 0:
-        return ValidationReport(())
-    s0 = path.state(0)
-    if s0 not in mdp._sidx or mdp.initial[mdp._sidx[s0]] <= 0.0:
-        bad.append(f"initial state {s0} has zero initial probability")
-    for t, (s, a) in enumerate(path.steps):
-        try:
-            p = mdp.pair(s, a)
-        except MissingKernelRow:
-            bad.append(f"step {t}: no kernel row for ({s},{a})")
-            continue
-        if t + 1 < path.T and mdp.position(p, path.state(t + 1)) < 0:
-            bad.append(f"step {t}: transition {s} -> {path.state(t + 1)} under {a} has probability 0")
-    return ValidationReport(tuple(bad))
-
-
-def sample_path(mdp: Mdp, policy: Policy, horizon: int, seed: int) -> ObservedPath:
-    """Sample a length-`horizon` path; deterministic given the seed."""
+def sample_path(mdp: Mdp, policy: Callable[[State, int], Action | None], horizon: int,
+                seed: int) -> ObservedPath:
+    """Sample a length-`horizon` path under `policy`, a (state, t) -> action
+    callable; deterministic given the seed."""
     rng = np.random.default_rng(seed)
     support = np.flatnonzero(mdp.initial > 0.0)
     cum = np.cumsum(mdp.initial[support])
@@ -248,15 +223,16 @@ def sample_path(mdp: Mdp, policy: Policy, horizon: int, seed: int) -> ObservedPa
     steps: list[tuple[State, Action]] = []
     for t in range(horizon):
         s = mdp.states[si]
-        a = policy.action(s, t)
-        try:
-            idx, probs, _ = mdp.row(mdp.pair(s, a))
-        except MissingKernelRow:
-            raise UndefinedPolicyAction(f"policy has no usable action at ({s}, t={t})") from None
+        a = policy(s, t)
+        j = mdp._aidx.get(a, -1)
+        p = int(mdp.pair_at[si, j]) if j >= 0 else -1
+        if p < 0:
+            raise UndefinedPolicyAction(f"policy has no usable action at ({s}, t={t})")
         steps.append((s, a))
-        si = int(idx[min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")),
-                         len(idx) - 1)])
-    return ObservedPath(tuple(steps))
+        lo, hi = mdp.row_start[p], mdp.row_start[p + 1]
+        cum = list(accumulate(mdp.prob[lo:hi].tolist()))  # np.cumsum's sums, in order
+        si = int(mdp.succ[lo + min(bisect_right(cum, rng.random()), hi - lo - 1)])
+    return ObservedPath(mdp, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +301,16 @@ def path_to_json(path: ObservedPath) -> dict:
     return {"steps": [{"t": t, "s": s, "a": a} for t, (s, a) in enumerate(path.steps)]}
 
 
-def path_from_json(obj: Mapping) -> ObservedPath:
+def path_from_json(obj: Mapping, mdp: Mdp) -> ObservedPath:
+    """The path of a `path_to_json` object, checked and compiled against `mdp`."""
     try:
         steps = sorted(obj["steps"], key=lambda e: int(e["t"]))
         if [int(e["t"]) for e in steps] != list(range(len(steps))):
             raise ValidationFailed("path steps are not consecutively indexed from 0")
-        return ObservedPath(tuple((str(e["s"]), str(e["a"])) for e in steps))
+        steps = [(str(e["s"]), str(e["a"])) for e in steps]
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed path JSON: {exc}") from exc
+    return ObservedPath(mdp, steps)
 
 
 def canonical_dumps(obj) -> str:

@@ -72,7 +72,7 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
     shared_from = T if base is None else max(T - pruned.k + 1, 0)
 
     start, action, reward = mdp.start.tolist(), mdp.action.tolist(), mdp.reward.tolist()
-    observed = [mdp.action_index(a) for _, a in cf.path.steps]
+    observed = cf.path.action.tolist()
     values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
     choices = [np.full((n, m + 1), -1, dtype=np.int64) for _ in range(T)]
     for t in range(T - 1, -1, -1):
@@ -109,7 +109,7 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
                         best[r] = q
                         best_a[r] = action[p]
 
-    s0 = mdp.state_index(cf.initial_state)
+    s0 = int(cf.path.state[0])
     v0 = float(values[0][s0, m])
     if v0 == NEG_INF:
         raise InfeasibleBudget(f"no feasible policy at m={m}")
@@ -220,7 +220,7 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
     cf = pruned.cf
     mdp = cf.mdp
     feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
-    observed = [mdp.action_index(a) for _, a in cf.path.steps]
+    observed = cf.path.action
     uniforms = np.array([np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
                          .random(T) for i in range(n)]).reshape(n, T)
     si = np.full(n, policy.s0, dtype=np.int64)

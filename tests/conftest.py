@@ -25,7 +25,7 @@ def fig2_toy():
     }
     states = ("s0", "s1", "s2", "s3", "s4", "s5", "s6", "s8")
     mdp = Mdp(states, ("a0", "a1"), kernel, {}, {"s0": 1.0}, name="fig2toy")
-    path = ObservedPath((("s0", "a0"), ("s2", "a0"), ("s5", "a0")))
+    path = ObservedPath(mdp, (("s0", "a0"), ("s2", "a0"), ("s5", "a0")))
     return mdp, path
 
 

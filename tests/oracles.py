@@ -17,7 +17,7 @@ import numpy as np
 from cfmdp.errors import InvariantViolated, UndefinedPolicyAction, ValidationFailed
 from cfmdp.gumbel import CfMdp, GumbelPosterior, _step_rng, cf_transition
 from cfmdp.influence import PrunedCfMdp
-from cfmdp.mdp import Mdp, ObservedPath, Policy
+from cfmdp.mdp import Mdp, ObservedPath
 from cfmdp.solver import CfPolicy, RolloutSummary
 
 
@@ -49,9 +49,9 @@ def initial(mdp: Mdp) -> dict:
     return {mdp.states[i]: float(mdp.initial[i]) for i in np.flatnonzero(mdp.initial).tolist()}
 
 
-def tabular_policy(table: dict) -> Policy:
-    """The policy of a {(state, t): action} table, None off the table."""
-    return Policy(lambda s, t: table.get((s, t)))
+def tabular_policy(table: dict):
+    """The (state, t) -> action policy of a {(state, t): action} table, None off the table."""
+    return lambda s, t: table.get((s, t))
 
 
 def path_return(mdp: Mdp, path: ObservedPath) -> float:
@@ -61,7 +61,7 @@ def path_return(mdp: Mdp, path: ObservedPath) -> float:
 
 # -- reference algorithms -------------------------------------------------------
 
-def value_iteration(mdp: Mdp, horizon: int) -> tuple[Policy, list[dict]]:
+def value_iteration(mdp: Mdp, horizon: int) -> tuple:
     """Optimal time-dependent policy for the undiscounted finite-horizon sum.
 
     Returns the policy and V_t(s) for t = 0..T (V_T = 0). Ties are broken by
@@ -221,7 +221,7 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
     def value(s, t, r):
         if t == T:
             return 0.0
-        obs = path.action(t)
+        obs = path.steps[t][1]
         acts = pruned.actions.get((s, t), ())
         ordered = [a for a in acts if a == obs] + [a for a in acts if a != obs]
         best = float("-inf")
@@ -237,7 +237,7 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
                 best = q
         return best
 
-    return value(cf.initial_state, 0, m)
+    return value(path.steps[0][0], 0, m)
 
 
 def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature, seed: int) -> RolloutSummary:

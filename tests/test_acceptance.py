@@ -10,7 +10,7 @@ import pytest
 from cfmdp.environments import demo_observation, environment_features
 from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import prune_cf_mdp
-from cfmdp.mdp import Mdp, ObservedPath, Policy, sample_path
+from cfmdp.mdp import Mdp, ObservedPath, sample_path
 from cfmdp.solver import check_sweep_monotonicity, rollout, solve_km, sweep
 
 from oracles import (
@@ -37,7 +37,7 @@ def report(number: int, started: float, limit: float, text: str) -> None:
 def random_five_state(seed: int) -> tuple[Mdp, ObservedPath]:
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, 5, 2, min_prob=0.08)
-    path = sample_path(mdp, Policy.constant("a0"), 3, seed=seed + 1)
+    path = sample_path(mdp, lambda s, t: "a0", 3, seed=seed + 1)
     return mdp, path
 
 
@@ -63,7 +63,7 @@ def gridworld_suite():
 def sepsis_suites():
     out = {}
     for preset in ("catastrophic", "suboptimal"):
-        mdp, path, _ = demo_observation("sepsis", preset=preset)
+        mdp, path, _ = demo_observation(f"sepsis-{preset}")
         posterior = build_posterior(mdp, path, 1000, "topdown", seed=7)
         cf = build_cf_mdp(posterior, mdp)
         result = sweep(cf, ks=list(range(1, 12)), ms=list(range(1, 11)))
@@ -111,19 +111,17 @@ def test_criterion_02_sampler_equivalence():
 
 def test_criterion_03_replay_determinism():
     started = time.time()
-    cases = [("gridworld", None), ("epidemic", None),
-             ("sepsis", "catastrophic"), ("sepsis", "suboptimal")]
-    for env, preset in cases:
-        mdp, path, _ = demo_observation(env, preset=preset)
+    for name in ("gridworld", "epidemic", "sepsis-catastrophic", "sepsis-suboptimal"):
+        mdp, path, _ = demo_observation(name)
         posterior = build_posterior(mdp, path, 400, "topdown", seed=5)
         cf = build_cf_mdp(posterior, mdp)
         for t in range(path.T - 1):
-            est = cf_probs(cf, t, path.state(t), path.action(t))
-            assert est == {path.state(t + 1): 1.0}, (env, t)
+            est = cf_probs(cf, t, path.steps[t][0], path.steps[t][1])
+            assert est == {path.steps[t + 1][0]: 1.0}, (name, t)
         pruned = prune_cf_mdp(cf, 1)
         value = solve_km(pruned, 0).v_s0
-        assert value == path_return(mdp, path), (env, preset)
-        if env == "epidemic":
+        assert value == path_return(mdp, path), name
+        if name == "epidemic":
             assert value == -38.0
     report(3, started, 120.0,
            "observed transitions replay as exact Diracs and m=0 equals the observed return "
@@ -140,7 +138,7 @@ def test_criterion_04_disjoint_support_prior_preservation():
     }
     states = ("s", "x1", "x2", "y1", "y2", "y3")
     mdp = Mdp(states, ("a", "b", "c"), kernel, {}, {"s": 1.0})
-    path = ObservedPath((("s", "a"), ("x2", "a")))
+    path = ObservedPath(mdp, (("s", "a"), ("x2", "a")))
     post = build_posterior(mdp, path, 100_000, "topdown", seed=6)
     for query in ("b", "c"):
         est = cf_transition_probs(post, mdp, 0, "s", query)
@@ -156,7 +154,7 @@ def test_criterion_05_counterfactual_stability():
     rng = np.random.default_rng(99)
     t = 0
     s_t, a_t = path.steps[t]
-    s_obs = path.state(t + 1)
+    s_obs = path.steps[t + 1][0]
     obs_row = kernel_row(mdp, s_t, a_t)
     noise = post.vectors(t)
     n_states = mdp.num_states
@@ -239,7 +237,7 @@ def test_criterion_08_monotonicity_suite(epidemic_suite, gridworld_suite, sepsis
     for name, (mdp, path, cf, result) in suites.items():
         assert check_sweep_monotonicity(result) == [], name
         k1 = next(r for r in result.sizes if r.k == 1)
-        assert k1.nodes_reachable == len({(path.state(t), t) for t in range(path.T)}), name
+        assert k1.nodes_reachable == len({(path.steps[t][0], t) for t in range(path.T)}), name
     _, gw_path, _, gw_result = gridworld_suite
     top = next(r for r in gw_result.sizes if r.k == gw_path.T + 1)
     assert top.nodes_all_layers == 192
@@ -255,7 +253,7 @@ def test_criterion_09_dp_oracle_equivalence():
         n_states = int(rng.integers(2, 5))
         horizon = int(rng.integers(2, 5))
         mdp = random_mdp(rng, n_states, 2, support_max=min(3, n_states))
-        path = sample_path(mdp, Policy.constant("a0"), horizon, seed=trial)
+        path = sample_path(mdp, lambda s, t: "a0", horizon, seed=trial)
         post = build_posterior(mdp, path, 1000, "topdown", seed=trial + 1)
         cf = build_cf_mdp(post, mdp)
         k = int(rng.integers(1, horizon + 2))

@@ -6,7 +6,7 @@ import pytest
 import cfmdp.cli
 import cfmdp.mdp
 from cfmdp.cli import _pruned_from_json, _pruned_to_json, main
-from cfmdp.environments import default_observation_seed
+from cfmdp.environments import PRESETS
 from cfmdp.errors import MissingKernelRow, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, load_posterior
 from cfmdp.influence import prune_cf_mdp
@@ -178,7 +178,7 @@ def test_sweep_cli_epidemic(tmp_path, capsys):
     assert sizes[0] == "k,nodes_all_layers,nodes_reachable,distinct_states"
     manifest = json.loads((out_dir / "manifest.json").read_text())
     # --seed is the posterior seed; the path keeps the frozen observation seed.
-    assert manifest["config"]["observation_seed"] == default_observation_seed("epidemic")
+    assert manifest["config"]["observation_seed"] == PRESETS["epidemic"].seed
     assert manifest["config"]["posterior_seed"] == 7
     assert manifest["statistics"]["cf_rows_built"] > 0
     assert "posterior_builds" not in manifest["statistics"]
@@ -212,6 +212,65 @@ def test_prune_nominal_mode(tmp_path, capsys):
                        "--nominal", "--k", "1", "--out", str(tmp_path / "pruned.json"))
     assert code == 0
     assert "nodes_reachable=11" in err
+
+
+
+def test_prune_on_an_empty_path_exits_2(artifact_dir, tmp_path, capsys):
+    # An empty path is a valid observation, but it has no layer to prune.
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"steps": []}))
+    code, _, err = run(capsys, "prune", "--mdp", str(artifact_dir / "mdp.json"), "--path", str(path),
+                       "--nominal", "--k", "1")
+    assert code == 2
+    assert err.startswith("error:") and "empty" in err
+
+# prune's noise sources are exclusive: a --posterior artifact, --nominal
+# rows, or a posterior it samples. Each case names the flag that is ignored.
+MIXED_NOISE_SOURCES = {
+    "posterior-samples": ("--posterior {post} --samples 7", "--samples"),
+    "posterior-sampler": ("--posterior {post} --sampler rejection", "--sampler"),
+    "posterior-seed-0": ("--posterior {post} --seed 0", "--seed"),
+    "posterior-nominal": ("--posterior {post} --nominal", "--nominal"),
+    "nominal-samples": ("--nominal --samples 1000", "--samples"),
+    "nominal-sampler": ("--nominal --sampler topdown", "--sampler"),
+    "nominal-seed": ("--nominal --seed 3", "--seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED_NOISE_SOURCES))
+def test_prune_takes_one_noise_source(case, artifact_dir, tmp_path, capsys):
+    flags, ignored = MIXED_NOISE_SOURCES[case]
+    out = tmp_path / "pruned.json"
+    code, _, err = run(capsys, "prune", "--mdp", str(artifact_dir / "mdp.json"),
+                       "--path", str(artifact_dir / "path.json"), "--k", "8", "--out", str(out),
+                       *flags.format(post=artifact_dir / "posterior.npz").split())
+    assert code == 2, err
+    assert err.startswith("error:") and ignored in err and "noise source" in err
+    assert not out.exists()
+
+
+def test_config_array_and_danger_flag_give_identical_env(tmp_path, capsys):
+    # A JSON array for a grid cell is the tuple that --danger sets.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"danger": [2, 1]}))
+    code, by_config, err = run(capsys, "env", "gridworld", "--config", str(config))
+    assert code == 0, err
+    code, by_flag, _ = run(capsys, "env", "gridworld", "--danger", "2,1")
+    assert code == 0 and by_config == by_flag
+    assert by_flag != run(capsys, "env", "gridworld")[1]  # the danger cell moved
+    config.write_text(json.dumps({"danger": [2, 1, 0]}))  # as --danger 2,1,0
+    code, out, err = run(capsys, "env", "gridworld", "--config", str(config))
+    assert code == 2 and out == "" and "outside the grid" in err
+
+
+def test_preset_applies_to_sepsis_only(tmp_path, capsys):
+    # The gridworld has one observed policy: --preset would be ignored.
+    out = tmp_path / "sweep"
+    code, _, err = run(capsys, "sweep", "--env", "gridworld", "--preset", "suboptimal",
+                       "--samples", "20", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "--preset" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["cf-build", "prune", "sweep"])
@@ -472,6 +531,12 @@ BAD_ARTIFACTS = {
     # be rebuilt with `prune`.
     "pruned-old-kernels-form": ("pruned", lambda pruned, policy: _kernels_form(pruned),
                                 "KeyError('rows')"),
+    # Layer t must be the states of the nodes listed at t: a node outside it
+    # would solve, and a layer state without a node would be a dead end.
+    "pruned-node-outside-layer": ("pruned", lambda pruned, policy: _extra_node(pruned, node=True),
+                                  "node (S0I10V0, t=6) is outside layer 6"),
+    "pruned-layer-state-without-actions": ("pruned", lambda pruned, policy: _extra_node(
+        pruned, layer=True), "layer 6 lists S0I10V0, which has no usable action"),
     # The action picked has no nominal row at its node.
     "policy-action-not-usable": ("policy", lambda pruned, policy: _unusable_action(pruned, policy),
                                  "no kernel row for"),
@@ -500,6 +565,22 @@ def _at_s0(pruned, edit):
 def _naming(actions, i):
     """The action of `actions` ({action: row index}) that names row i."""
     return next(a for a, j in actions.items() if j == i)
+
+
+def _extra_node(pruned, node=False, layer=False):
+    """`pruned` with S0I10V0, which no epidemic path from s_0 reaches, added
+    at the last decision layer as a node (NIL, on a row of its own) and/or as
+    a layer state. Its NIL row is a point mass on itself, a valid row."""
+    t = len(pruned["layers"]) - 1
+    out = dict(pruned, rows=list(pruned["rows"]), layers=list(pruned["layers"]),
+               actions=list(pruned["actions"]))
+    assert "S0I10V0" not in out["layers"][t]
+    if node:
+        out["rows"][t] = out["rows"][t] + [{"S0I10V0": 1.0}]
+        out["actions"].append({"t": t, "s": "S0I10V0", "actions": {"NIL": len(out["rows"][t]) - 1}})
+    if layer:
+        out["layers"][t] = sorted(out["layers"][t] + ["S0I10V0"])
+    return out
 
 
 def _kernels_form(pruned):
@@ -574,7 +655,7 @@ def test_artifact_rows_of_one_nominal_row_stay_per_pair(tmp_path, capsys):
     loaded = _pruned_from_json(pruned, loaded_mdp)
     assert cf_probs(loaded.cf, 0, "x0", "b") == edited_rows["b"]
     # Changing a to b at t = 0 reaches x2 (reward 10) with probability 0.75.
-    oracle = km_value_oracle(loaded, path_from_json(path), 1)
+    oracle = km_value_oracle(loaded, path_from_json(path, loaded_mdp), 1)
     assert oracle == 7.5 and f"V(s0) = {oracle!r}" in err
 
 

@@ -1,0 +1,44 @@
+"""The core modules read the observed path and the MDP by index only.
+
+Label lookups (`state_index`, `action_index`, `mdp.pair(s, a)`) and the
+path's label `steps` belong to the JSON/CLI boundary: `mdp.py`, `cli.py` and
+`environments.py`. This guard parses the core modules and fails on any of
+them.
+"""
+
+from pathlib import Path
+
+import ast
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cfmdp"
+CORE = ("gumbel.py", "influence.py", "solver.py")
+LOOKUPS = ("state_index", "action_index", "pair")
+
+
+def label_lookups(source: str) -> list[str]:
+    """Each call of a lookup method and each read of `.steps` in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in LOOKUPS):
+            found.append(f"line {node.lineno}: .{node.func.attr}(")
+        elif isinstance(node, ast.Attribute) and node.attr == "steps":
+            found.append(f"line {node.lineno}: .steps")
+    return found
+
+
+@pytest.mark.parametrize("module", CORE)
+def test_core_module_makes_no_label_lookup(module):
+    assert label_lookups((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("line", [
+    "s0 = mdp.state_index(cf.path.steps[0][0])",
+    "observed = [mdp.action_index(a) for a in labels]",
+    "p = cf.mdp.pair(s, a)",
+    "for s, a in path.steps: pass",
+])
+def test_guard_fails_on_a_reintroduced_lookup(line):
+    source = (SRC / "solver.py").read_text() + "\n\ndef _reintroduced():\n    " + line + "\n"
+    assert label_lookups(source)

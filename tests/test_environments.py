@@ -5,6 +5,7 @@ from scipy import stats
 from cfmdp.environments import (
     EpidemicConfig,
     GridWorldConfig,
+    PRESETS,
     SepsisLiteConfig,
     abnormal_vitals,
     build_environment,
@@ -13,7 +14,6 @@ from cfmdp.environments import (
     build_sepsis_lite,
     demo_observation,
     epidemic_counts,
-    observed_policy,
     sepsis_state_parts,
 )
 from cfmdp.errors import InvalidConfig, UnknownEnvironment
@@ -39,8 +39,8 @@ def test_gridworld_slip_rows_sum_to_one():
 def test_gridworld_observed_path_hits_danger_at_t3():
     mdp, path, _ = demo_observation("gridworld")
     assert path.T == 11
-    assert path.state(3) == "r1c2"
-    assert all(path.state(t) == "r1c2" for t in range(3, 11))
+    assert path.steps[3][0] == "r1c2"
+    assert all(path.steps[t][0] == "r1c2" for t in range(3, 11))
     assert path_return(mdp, path) == -160.0
 
 
@@ -127,15 +127,15 @@ def test_epidemic_conservation_on_sampled_transitions():
 def test_epidemic_observed_path_matches_reported_trajectory():
     mdp, path, _ = demo_observation("epidemic")
     assert [epidemic_counts(s)[1] for s, _ in path.steps] == [1, 2, 3, 6, 8, 9, 9]
-    assert path.state(0) == "S9I1V20"
+    assert path.steps[0][0] == "S9I1V20"
     assert path_return(mdp, path) == -38.0
 
 
 def test_epidemic_policy_is_nil_everywhere():
-    policy = observed_policy("epidemic")
+    policy = PRESETS["epidemic"].policy
     mdp = build_epidemic()
     for s in list(mdp.states)[::37]:
-        assert policy.action(s, 0) == "NIL"
+        assert policy(s, 0) == "NIL"
 
 
 def test_epidemic_invalid_config():
@@ -191,12 +191,12 @@ def test_sepsis_treatment_pushes_toward_normal():
 
 
 def test_sepsis_observed_presets():
-    mdp, cat_path, _ = demo_observation("sepsis", preset="catastrophic")
+    mdp, cat_path, _ = demo_observation("sepsis-catastrophic")
     abns = [abnormal_vitals(s) for s, _ in cat_path.steps]
     assert max(abns) >= 3  # the catastrophic preset dies mid-path
     assert abns[0] == 1
 
-    mdp, sub_path, _ = demo_observation("sepsis", preset="suboptimal")
+    mdp, sub_path, _ = demo_observation("sepsis-suboptimal")
     abns = [abnormal_vitals(s) for s, _ in sub_path.steps]
     assert max(abns) < 3  # alive throughout
     assert abns[-1] >= 1  # but not discharged either
@@ -216,9 +216,9 @@ def test_registry_dispatch_and_unknown():
     with pytest.raises(UnknownEnvironment):
         build_environment("chess")
     with pytest.raises(UnknownEnvironment):
-        observed_policy("chess")
+        demo_observation("chess")
     with pytest.raises(UnknownEnvironment):
-        observed_policy("sepsis", preset="mystery")
+        demo_observation("sepsis-mystery")
 
 
 def test_every_environment_validates():

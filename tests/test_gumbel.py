@@ -37,6 +37,12 @@ def row_mdp(probs: dict, extra_rows: dict | None = None) -> Mdp:
     return Mdp(states, actions, kernel, {}, {"s": 1.0})
 
 
+def observed(mdp: Mdp, s, a, s_next) -> tuple[int, int]:
+    """(pair, position) of the transition s -a-> s_next; position -1 off the row."""
+    p = mdp.pair(s, a)
+    return p, mdp.position(p, s_next)
+
+
 def mechanism_frequencies(mdp, s, a, n, seed):
     rng = np.random.default_rng(seed)
     noise = rng.gumbel(size=(n, mdp.num_states))
@@ -74,7 +80,7 @@ def test_gumbel_max_matches_categorical_oracle():
 
 def test_rejection_deterministic_acceptance():
     mdp = row_mdp({"x1": 1.0})
-    samples, attempts = rejection_noise(mdp, "s", "a", "x1", 1000, np.random.default_rng(0))
+    samples, attempts = rejection_noise(mdp, *observed(mdp, "s", "a", "x1"), 1000, np.random.default_rng(0))
     assert samples.shape[0] == 1000
     assert attempts == 1000  # acceptance rate exactly 1
 
@@ -82,7 +88,7 @@ def test_rejection_deterministic_acceptance():
 def test_rejection_acceptance_rate_matches_probability():
     mdp = row_mdp({"x1": 0.9, "x2": 0.1})
     n = 10_000
-    samples, attempts = rejection_noise(mdp, "s", "a", "x2", n, np.random.default_rng(4))
+    samples, attempts = rejection_noise(mdp, *observed(mdp, "s", "a", "x2"), n, np.random.default_rng(4))
     rate = n / attempts
     assert abs(rate - 0.1) < 0.01
     # Every accepted vector replays the observation.
@@ -93,14 +99,17 @@ def test_rejection_acceptance_rate_matches_probability():
 def test_rejection_zero_probability_errors():
     mdp = row_mdp({"x1": 0.9, "x2": 0.1}, extra_rows={("x1", "a"): {"x1": 1.0}})
     with pytest.raises(ZeroProbabilityObservation):
-        rejection_noise(mdp, "s", "a", "s", 10, np.random.default_rng(0))
+        rejection_noise(mdp, *observed(mdp, "s", "a", "s"), 10, np.random.default_rng(0))
     with pytest.raises(ZeroProbabilityObservation):
-        topdown_noise(mdp, "s", "a", "s", 10, np.random.default_rng(0))
+        topdown_noise(mdp, *observed(mdp, "s", "a", "s"), 10, np.random.default_rng(0))
+    for pos in (-1, 2):  # the row of (s, a) has positions 0 and 1
+        with pytest.raises(ZeroProbabilityObservation, match=f"position {pos} is outside"):
+            topdown_noise(mdp, mdp.pair("s", "a"), pos, 10, np.random.default_rng(0))
 
 
 def test_topdown_always_replays():
     mdp = row_mdp({"x1": 0.5, "x2": 0.4, "x3": 0.1})
-    samples = topdown_noise(mdp, "s", "a", "x3", 5000, np.random.default_rng(5))
+    samples = topdown_noise(mdp, *observed(mdp, "s", "a", "x3"), 5000, np.random.default_rng(5))
     idx, _, logp = mdp.row(mdp.pair("s", "a"))
     wins = np.argmax(logp[None, :] + samples[:, idx], axis=1)
     assert np.all(idx[wins] == mdp.state_index("x3"))
@@ -113,8 +122,8 @@ def test_topdown_matches_rejection_downstream():
     other = {("s", "b"): {"x1": 0.3, "x2": 0.3, "x3": 0.4}}
     mdp = row_mdp(probs, extra_rows=other)
     n = 100_000
-    top = topdown_noise(mdp, "s", "a", "x3", n, np.random.default_rng(6))
-    rej, _ = rejection_noise(mdp, "s", "a", "x3", n, np.random.default_rng(7))
+    top = topdown_noise(mdp, *observed(mdp, "s", "a", "x3"), n, np.random.default_rng(6))
+    rej, _ = rejection_noise(mdp, *observed(mdp, "s", "a", "x3"), n, np.random.default_rng(7))
     idx, _, logp = mdp.row(mdp.pair("s", "b"))
 
     def row_freqs(noise):
@@ -128,34 +137,34 @@ def test_topdown_matches_rejection_downstream():
 def test_topdown_off_support_marginal_is_prior():
     # The observed row never reaches "z"; its posterior must equal the prior.
     mdp = row_mdp({"x1": 0.7, "x2": 0.3}, extra_rows={("z", "a"): {"z": 1.0}})
-    samples = topdown_noise(mdp, "s", "a", "x2", 100_000, np.random.default_rng(8))
+    samples = topdown_noise(mdp, *observed(mdp, "s", "a", "x2"), 100_000, np.random.default_rng(8))
     z_col = samples[:, mdp.state_index("z")]
     ks = stats.kstest(z_col, stats.gumbel_r.cdf)
     assert ks.statistic < 0.01
 
 
 def test_build_posterior_replays_and_final_step_prior(tinychain):
-    path = ObservedPath((("x0", "a"), ("x1", "a"), ("x1", "a")))
+    path = ObservedPath(tinychain, (("x0", "a"), ("x1", "a"), ("x1", "a")))
     post = build_posterior(tinychain, path, 500, "topdown", seed=1)
     assert post.T == 3
     # Conditioned steps replay exactly.
     for t in range(2):
-        est = cf_transition_probs(post, tinychain, t, path.state(t), path.action(t))
-        assert est == {path.state(t + 1): 1.0}
+        est = cf_transition_probs(post, tinychain, t, path.steps[t][0], path.steps[t][1])
+        assert est == {path.steps[t + 1][0]: 1.0}
     # The final step carries prior noise: its cf row tracks the nominal row.
     est = cf_transition_probs(post, tinychain, 2, "x0", "a")
     assert tv_distance(est, kernel_row(tinychain, "x0", "a")) < 0.1
 
 
 def test_build_posterior_single_step_is_prior(tinychain):
-    path = ObservedPath((("x0", "a"),))
+    path = ObservedPath(tinychain, (("x0", "a"),))
     post = build_posterior(tinychain, path, 20_000, "topdown", seed=2)
     est = cf_transition_probs(post, tinychain, 0, "x0", "a")
     assert tv_distance(est, {"x1": 0.9, "x2": 0.1}) < 0.02
 
 
 def test_build_posterior_steps_independent(tinychain):
-    path = ObservedPath((("x0", "a"), ("x1", "a"), ("x1", "a")))
+    path = ObservedPath(tinychain, (("x0", "a"), ("x1", "a"), ("x1", "a")))
     post = build_posterior(tinychain, path, 10_000, "topdown", seed=9)
     for s in tinychain.states:
         i = tinychain.state_index(s)
@@ -167,7 +176,7 @@ def test_build_posterior_steps_independent(tinychain):
 def test_cf_transition_tinychain_analytic(tinychain):
     # Conditioning (x0, a) on the 0.1 outcome x2 forces the counterfactual of
     # action b to x2 with probability exactly 1 (G_x2 - G_x1 > log 9).
-    path = ObservedPath((("x0", "a"), ("x2", "a")))
+    path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
     post = build_posterior(tinychain, path, 5000, "topdown", seed=4)
     est = cf_transition_probs(post, tinychain, 0, "x0", "b")
     assert est == {"x2": 1.0}
@@ -186,7 +195,7 @@ def test_cf_transition_disjoint_support_is_interventional():
     kernel[("x2", "a")] = {"x2": 1.0}
     states = ("s", "x1", "x2", "y1", "y2", "y3")
     mdp = Mdp(states, ("a", "b"), kernel, {}, {"s": 1.0})
-    path = ObservedPath((("s", "a"), ("x2", "a")))
+    path = ObservedPath(mdp, (("s", "a"), ("x2", "a")))
     post = build_posterior(mdp, path, 100_000, "topdown", seed=6)
     est = cf_transition_probs(post, mdp, 0, "s", "b")
     nominal = kernel[("s", "b")]
@@ -197,9 +206,9 @@ def test_cf_transition_disjoint_support_is_interventional():
 def test_cf_support_containment():
     rng = np.random.default_rng(9)
     mdp = random_mdp(rng, 5, 2, support_max=3)
-    from cfmdp.mdp import Policy, sample_path
+    from cfmdp.mdp import sample_path
 
-    path = sample_path(mdp, Policy.constant("a0"), 3, seed=1)
+    path = sample_path(mdp, lambda s, t: "a0", 3, seed=1)
     post = build_posterior(mdp, path, 2000, "topdown", seed=2)
     for t in range(3):
         for s in mdp.states:
@@ -213,7 +222,7 @@ def test_counterfactual_stability_on_samples(tinychain):
     # If an intervention flips the outcome away from the observation, it must
     # have raised that outcome's relative probability.
     rng = np.random.default_rng(10)
-    path = ObservedPath((("x0", "a"), ("x2", "a")))
+    path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
     post = build_posterior(tinychain, path, 2000, "topdown", seed=11)
     obs_row = kernel_row(tinychain, "x0", "a")
     noise = post.vectors(0)
@@ -235,11 +244,11 @@ def test_cf_mdp_layers_and_replay(epidemic_demo, epidemic_cf):
     cf = epidemic_cf
     assert cf.horizon == path.T
     # Replaying the observed actions reproduces the observed path w.p. 1.
-    s = cf.initial_state
+    s = path.steps[0][0]
     for t in range(path.T - 1):
-        est = cf_probs(cf, t, s, path.action(t))
-        assert est == {path.state(t + 1): 1.0}
-        s = path.state(t + 1)
+        est = cf_probs(cf, t, s, path.steps[t][1])
+        assert est == {path.steps[t + 1][0]: 1.0}
+        s = path.steps[t + 1][0]
 
 
 def test_cf_mdp_fig2_counterfactual_edge(fig2_toy):
@@ -258,7 +267,7 @@ def test_nominal_cf_mdp_rows_exact(fig2_toy):
 
 
 def test_prior_posterior_matches_nominal(tinychain):
-    path = ObservedPath((("x0", "a"), ("x2", "a")))
+    path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
     post = prior_posterior(tinychain, path, 50_000, seed=13)
     est = cf_transition_probs(post, tinychain, 0, "x0", "a")
     assert tv_distance(est, kernel_row(tinychain, "x0", "a")) < 0.02
@@ -266,7 +275,7 @@ def test_prior_posterior_matches_nominal(tinychain):
 
 def test_cf_mdp_kernel_memoized(epidemic_cf):
     built = epidemic_cf.rows_built
-    p = epidemic_cf.mdp.pair(epidemic_cf.initial_state, "NIL")
+    p = epidemic_cf.mdp.pair(epidemic_cf.path.steps[0][0], "NIL")
     est1 = epidemic_cf.row(0, p)
     est2 = epidemic_cf.row(0, p)
     assert est1 is est2
@@ -274,7 +283,7 @@ def test_cf_mdp_kernel_memoized(epidemic_cf):
 
 
 def test_posterior_save_load_round_trip(tmp_path, tinychain):
-    path = ObservedPath((("x0", "a"), ("x2", "a")))
+    path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
     post = build_posterior(tinychain, path, 100, "topdown", seed=14)
     file = tmp_path / "posterior.npz"
     save_posterior(post, file)
@@ -286,13 +295,13 @@ def test_posterior_save_load_round_trip(tmp_path, tinychain):
 
 
 def test_build_posterior_rejects_unknown_sampler(tinychain):
-    path = ObservedPath((("x0", "a"),))
+    path = ObservedPath(tinychain, (("x0", "a"),))
     with pytest.raises(ValidationFailed):
         build_posterior(tinychain, path, 10, "bogus", seed=0)
 
 
 def test_build_posterior_rejects_empty_sample(tinychain):
-    path = ObservedPath((("x0", "a"), ("x2", "a")))
+    path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
     for sampler in ("topdown", "rejection"):
         with pytest.raises(ValidationFailed, match="sample count"):
             build_posterior(tinychain, path, 0, sampler, seed=0)
@@ -305,12 +314,12 @@ def test_rejection_attempt_cap_fails_loudly():
     # 1e7 per requested sample trips first.
     mdp = row_mdp({"x1": 1.0 - 1e-9, "x2": 1e-9})
     with pytest.raises(RejectionBudgetExceeded):
-        rejection_noise(mdp, "s", "a", "x2", 1, np.random.default_rng(0))
+        rejection_noise(mdp, *observed(mdp, "s", "a", "x2"), 1, np.random.default_rng(0))
 
 
 def test_cf_mdp_rejects_mismatched_posterior(tinychain):
-    path = ObservedPath((("x0", "a"), ("x2", "a")))
-    other = ObservedPath((("x0", "a"), ("x1", "a")))
+    path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
+    other = ObservedPath(tinychain, (("x0", "a"), ("x1", "a")))
     post = build_posterior(tinychain, path, 50, "topdown", seed=0)
     with pytest.raises(ValidationFailed):
         CfMdp(tinychain, other, post)

@@ -4,7 +4,7 @@ import pytest
 from cfmdp.errors import EmptyPrunedMdp, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import _admission_hits, _admitted, prune_cf_mdp, pruned_size_report
-from cfmdp.mdp import Mdp, ObservedPath, Policy, sample_path
+from cfmdp.mdp import Mdp, ObservedPath, sample_path
 
 from oracles import (
     available_actions,
@@ -33,7 +33,7 @@ def pruned_state_sets(pruned):
 def test_one_step_influenced_observed_pair(fig2_toy):
     mdp, path = fig2_toy
     for t in range(path.T):
-        assert one_step_influenced(mdp, path, t, path.state(t), path.action(t))
+        assert one_step_influenced(mdp, path, t, path.steps[t][0], path.steps[t][1])
 
 
 def test_one_step_influenced_fig2_cases(fig2_toy):
@@ -46,7 +46,7 @@ def test_one_step_influenced_disjoint_pair():
     kernel = {("s", "a"): {"x": 1.0}, ("s", "b"): {"y": 1.0},
               ("x", "a"): {"x": 1.0}, ("y", "a"): {"y": 1.0}}
     mdp = Mdp(("s", "x", "y"), ("a", "b"), kernel, {}, {"s": 1.0})
-    path = ObservedPath((("s", "a"),))
+    path = ObservedPath(mdp, (("s", "a"),))
     assert not one_step_influenced(mdp, path, 0, "s", "b")
 
 
@@ -60,13 +60,13 @@ def test_influenced_states_fig2(fig2_toy):
 def test_influenced_states_deterministic_chain():
     kernel = {("s0", "a"): {"s1": 1.0}, ("s1", "a"): {"s2": 1.0}, ("s2", "a"): {"s2": 1.0}}
     mdp = Mdp(("s0", "s1", "s2"), ("a",), kernel, {}, {"s0": 1.0})
-    path = sample_path(mdp, Policy.constant("a"), 2, seed=0)
+    path = sample_path(mdp, lambda s, t: "a", 2, seed=0)
     sets = influenced_states(mdp, path)
     assert sets.pooled == {"s1", "s2"}
 
 
 def test_influenced_states_single_step(tinychain):
-    path = ObservedPath((("x0", "a"),))
+    path = ObservedPath(tinychain, (("x0", "a"),))
     sets = influenced_states(tinychain, path)
     assert sets.pooled == {"x1", "x2"}
 
@@ -159,7 +159,7 @@ def reference_admitted(mdp, path, k, t, s, a):
 def test_admission_matches_literal_definition(seed):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, 6, 2, support_max=2)
-    path = sample_path(mdp, Policy.constant("a0"), 4, seed=seed)
+    path = sample_path(mdp, lambda s, t: "a0", 4, seed=seed)
     hits = _admission_hits(mdp, path, path.T)
     pairs = [(s, a) for s in mdp.states for a in available_actions(mdp, s)]
     for k in range(1, path.T + 2):
@@ -172,7 +172,7 @@ def test_admission_matches_literal_definition(seed):
 def test_prune_monotone_random_mdp():
     rng = np.random.default_rng(21)
     mdp = random_mdp(rng, 5, 2, support_max=3)
-    path = sample_path(mdp, Policy.constant("a0"), 4, seed=2)
+    path = sample_path(mdp, lambda s, t: "a0", 4, seed=2)
     post = build_posterior(mdp, path, 400, "topdown", seed=3)
     cf = build_cf_mdp(post, mdp)
     prev = None
@@ -204,8 +204,8 @@ def test_prune_preserves_observed_path(epidemic_demo, epidemic_cf):
     for k in range(1, 9):
         pruned = prune_cf_mdp(epidemic_cf, k)
         for t in range(path.T):
-            assert path.state(t) in pruned.layers[t]
-            assert path.action(t) in pruned.actions[(path.state(t), t)]
+            assert path.steps[t][0] in pruned.layers[t]
+            assert path.steps[t][1] in pruned.actions[(path.steps[t][0], t)]
 
 
 def test_prune_k_max_equals_reachable_unpruned(epidemic_demo, epidemic_cf):
@@ -214,7 +214,7 @@ def test_prune_k_max_equals_reachable_unpruned(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
     T = path.T
     pruned = prune_cf_mdp(epidemic_cf, T + 1)
-    reach = [{path.state(0)}]
+    reach = [{path.steps[0][0]}]
     for t in range(T - 1):
         nxt = set()
         for s in reach[t]:
@@ -231,7 +231,7 @@ def test_prune_k1_node_count_is_path_length(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
     pruned = prune_cf_mdp(epidemic_cf, 1)
     report = pruned_size_report(pruned)
-    distinct_pairs = len({(path.state(t), t) for t in range(path.T)})
+    distinct_pairs = len({(path.steps[t][0], t) for t in range(path.T)})
     assert report.nodes_reachable == distinct_pairs == path.T
 
 
@@ -249,7 +249,7 @@ def test_prune_empty_raises():
     # so closure removes the only action at the initial node.
     kernel = {("s0", "a"): {"s1": 0.5, "dead": 0.5}, ("s1", "a"): {"s1": 1.0}}
     mdp = Mdp(("s0", "s1", "dead"), ("a",), kernel, {}, {"s0": 1.0})
-    path = ObservedPath((("s0", "a"), ("s1", "a")))
+    path = ObservedPath(mdp, (("s0", "a"), ("s1", "a")))
     cf = nominal_cf_mdp(mdp, path)
     with pytest.raises(EmptyPrunedMdp):
         prune_cf_mdp(cf, 1)

@@ -9,14 +9,12 @@ from cfmdp.errors import UndefinedPolicyAction, ValidationFailed
 from cfmdp.mdp import (
     Mdp,
     ObservedPath,
-    Policy,
     mdp_from_json,
     mdp_hash,
     mdp_to_json,
     path_from_json,
     path_to_json,
     sample_path,
-    validate_path,
 )
 
 from oracles import (
@@ -96,16 +94,42 @@ def test_validate_rejects_duplicate_labels():
 
 
 def test_sample_path_deterministic_chain():
-    path = sample_path(chain_mdp(), Policy.constant("a"), 2, seed=0)
+    path = sample_path(chain_mdp(), lambda s, t: "a", 2, seed=0)
     assert path.steps == (("s0", "a"), ("s1", "a"))
-    assert validate_path(chain_mdp(), path).ok
+    # A sampled path is compiled like any other: pairs 0 and 1, and s1 at
+    # position 0 of the row of pair 0.
+    assert (path.state.tolist(), path.action.tolist(), path.pair.tolist(),
+            path.next_pos.tolist()) == ([0, 1], [0, 0], [0, 1], [0])
+    assert path == ObservedPath(chain_mdp(), path.steps)
+    with pytest.raises(ValueError, match="read-only"):
+        path.pair[0] = 1
+
+
+def test_observed_path_lists_every_violation():
+    steps = (("s1", "a"), ("s0", "a"), ("s2", "b"), ("ghost", "a"))
+    with pytest.raises(ValidationFailed) as exc:
+        ObservedPath(chain_mdp(), steps)
+    assert str(exc.value) == (
+        "initial state s1 has zero initial probability; "
+        "step 0: transition s1 -> s0 under a has probability 0; "
+        "step 1: transition s0 -> s2 under a has probability 0; "
+        "step 2: no kernel row for (s2,b); step 3: no kernel row for (ghost,a)")
+    bad = {"steps": [{"t": t, "s": s, "a": a} for t, (s, a) in enumerate(steps)]}
+    with pytest.raises(ValidationFailed, match="zero initial probability"):
+        path_from_json(bad, chain_mdp())
+
+
+def test_empty_path_is_valid():
+    path = ObservedPath(chain_mdp(), ())
+    assert path.T == 0 and path.pair.tolist() == [] and path.next_pos.tolist() == []
+    assert path_from_json({"steps": []}, chain_mdp()) == path
 
 
 def test_sample_path_same_seed_identical():
     rng = np.random.default_rng(1)
     mdp = random_mdp(rng, 4, 2)
-    p1 = sample_path(mdp, Policy.constant("a0"), 6, seed=42)
-    p2 = sample_path(mdp, Policy.constant("a0"), 6, seed=42)
+    p1 = sample_path(mdp, lambda s, t: "a0", 6, seed=42)
+    p2 = sample_path(mdp, lambda s, t: "a0", 6, seed=42)
     assert p1.steps == p2.steps
 
 
@@ -121,17 +145,17 @@ def test_sample_path_frequencies_match_kernel():
     n = 100_000
     counts = {}
     for seed in range(n):
-        path = sample_path(mdp, Policy.constant("a0"), 2, seed=seed)
-        s1 = path.state(1)
+        path = sample_path(mdp, lambda s, t: "a0", 2, seed=seed)
+        s1 = path.steps[1][0]
         counts[s1] = counts.get(s1, 0) + 1
     freqs = {s: c / n for s, c in counts.items()}
     assert tv_distance(freqs, kernel_row(mdp, "x0", "a0")) < 0.02
 
 
 def test_path_return_empty_and_zero():
-    assert path_return(chain_mdp(), ObservedPath(())) == 0.0
+    assert path_return(chain_mdp(), ObservedPath(chain_mdp(), ())) == 0.0
     zero = Mdp(("s0",), ("a",), {("s0", "a"): {"s0": 1.0}}, {}, {"s0": 1.0})
-    path = sample_path(zero, Policy.constant("a"), 5, seed=0)
+    path = sample_path(zero, lambda s, t: "a", 5, seed=0)
     assert path_return(zero, path) == 0.0
 
 
@@ -147,7 +171,7 @@ def test_value_iteration_two_armed():
     mdp = Mdp(("s",), ("a0", "a1"), kernel, rewards, {"s": 1.0})
     policy, values = value_iteration(mdp, 1)
     assert values[0]["s"] == pytest.approx(5.0)
-    assert policy.action("s", 0) == "a1"
+    assert policy("s", 0) == "a1"
 
 
 def test_value_iteration_bellman_consistency():
@@ -188,7 +212,7 @@ def test_ties_break_to_lowest_action_index():
     rewards = {("s", "a0"): 1.0, ("s", "a1"): 1.0}
     mdp = Mdp(("s",), ("a0", "a1"), kernel, rewards, {"s": 1.0})
     policy, _ = value_iteration(mdp, 2)
-    assert policy.action("s", 0) == "a0"
+    assert policy("s", 0) == "a0"
 
 
 def test_mdp_json_round_trip():
@@ -226,7 +250,7 @@ def test_mdp_json_drops_zero_probability_entries():
         mdp = mdp_from_json(obj)
         idx, probs, logp = mdp.row(mdp.pair("s0", "a"))
     assert kernel_row(mdp, "s0", "a") == {"s1": 1.0}
-    path = ObservedPath((("s0", "a"), ("s1", "a")))
+    path = ObservedPath(mdp, (("s0", "a"), ("s1", "a")))
     assert influenced_states(mdp, path).per_time[0] == {"s1"}
     assert idx.tolist() == [1] and probs.tolist() == [1.0] and logp.tolist() == [0.0]
 
@@ -274,5 +298,6 @@ def test_hash_changes_with_each_part():
 
 
 def test_path_json_round_trip():
-    path = ObservedPath((("s0", "a"), ("s1", "a")))
-    assert path_from_json(path_to_json(path)).steps == path.steps
+    path = ObservedPath(chain_mdp(), (("s0", "a"), ("s1", "a")))
+    again = path_from_json(path_to_json(path), chain_mdp())
+    assert again.steps == path.steps and again.pair.tolist() == path.pair.tolist()

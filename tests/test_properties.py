@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from cfmdp.cli import _policy_from_json, _pruned_from_json, _pruned_to_json, main
 from cfmdp.gumbel import build_cf_mdp, build_posterior, cf_transition
 from cfmdp.influence import prune_cf_mdp
-from cfmdp.mdp import Mdp, Policy, mdp_from_json, mdp_to_json, sample_path
+from cfmdp.mdp import Mdp, mdp_from_json, mdp_to_json, sample_path
 from cfmdp.solver import policy_to_json, rollout, solve_km, sweep
 
 from oracles import initial, kernel, km_value_oracle, path_return, random_mdp, reward, rollout_oracle
@@ -44,7 +44,7 @@ def instances(draw, shared_rows=False):
             rows[dst] = dict(rows[src])
         mdp = Mdp(mdp.states, mdp.actions, rows, rewards, initial(mdp), name=mdp.name)
     actions = draw(st.lists(st.sampled_from(mdp.actions), min_size=1, max_size=5))
-    path = sample_path(mdp, Policy(lambda s, t: actions[t]), len(actions), seed=seed)
+    path = sample_path(mdp, lambda s, t: actions[t], len(actions), seed=seed)
     posterior = build_posterior(mdp, path, draw(st.integers(1, 60)),
                                 draw(st.sampled_from(["topdown", "rejection"])), seed=seed)
     return mdp, path, build_cf_mdp(posterior, mdp)
@@ -53,12 +53,17 @@ def instances(draw, shared_rows=False):
 @PROPERTIES
 @given(instances())
 def test_no_successor_leaks_out_of_the_next_layer(instance):
-    _, path, cf = instance
+    mdp, path, cf = instance
     for k in range(1, path.T + 2):
         pruned = prune_cf_mdp(cf, k)
         for t in range(path.T - 1):
             for p in np.flatnonzero(pruned.usable[t]).tolist():
                 assert pruned.reach[t + 1][cf.row(t, p)[0]].all(), (k, t, p)
+        # Each layer is exactly the states with a usable pair, as an
+        # artifact's loader requires.
+        for t in range(path.T):
+            states = np.bincount(mdp.source[pruned.usable[t]], minlength=mdp.num_states) > 0
+            np.testing.assert_array_equal(pruned.reach[t], states, err_msg=f"k={k}, t={t}")
 
 
 @PROPERTIES

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from cfmdp.environments import demo_observation, environment_features
+from cfmdp.environments import PRESETS, demo_observation, environment_features
 from cfmdp.errors import InvariantViolated, UndefinedPolicyAction, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import prune_cf_mdp, pruned_size_report
-from cfmdp.mdp import Policy, sample_path
+from cfmdp.mdp import sample_path
 from cfmdp.solver import (
     check_sweep_monotonicity,
     policy_to_json,
@@ -28,7 +28,7 @@ from oracles import (
 def small_instance(seed, n_states=4, n_actions=2, horizon=4, n_samples=1000):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, n_states, n_actions, support_max=3)
-    policy = Policy.constant("a0")
+    policy = lambda s, t: "a0"
     path = sample_path(mdp, policy, horizon, seed=seed)
     post = build_posterior(mdp, path, n_samples, "topdown", seed=seed + 1)
     cf = build_cf_mdp(post, mdp)
@@ -48,7 +48,7 @@ def test_solve_epidemic_headline(epidemic_demo, epidemic_cf):
     policy = solve_km(pruned, 1)
     assert policy.v_s0 == pytest.approx(-1.0, abs=1e-9)
     # The single change vaccinates the one infected individual at t = 0.
-    assert policy.choices[0][mdp.state_index(path.state(0)), 1] == mdp.action_index("V_I")
+    assert policy.choices[0][mdp.state_index(path.steps[0][0]), 1] == mdp.action_index("V_I")
 
 
 def test_budget_validation(epidemic_demo, epidemic_cf):
@@ -77,7 +77,7 @@ def test_bellman_consistency_of_budget_recursion(epidemic_demo, epidemic_cf):
     policy = solve_km(pruned, m)
     T = pruned.horizon
     for t in range(T):
-        obs = path.action(t)
+        obs = path.steps[t][1]
         for s in pruned.layers[t]:
             for r in range(m + 1):
                 best = float("-inf")
@@ -114,7 +114,7 @@ def test_unconstrained_equals_layered_value_iteration(epidemic_demo, epidemic_cf
             )
         return memo[(s, t)]
 
-    assert got == pytest.approx(vi(path.state(0), 0), abs=1e-9)
+    assert got == pytest.approx(vi(path.steps[0][0], 0), abs=1e-9)
 
 
 def test_sweep_reads_all_budgets_off_one_table(epidemic_demo, epidemic_cf):
@@ -153,7 +153,7 @@ def test_shared_sweep_equals_independent_solves(seed):
     n_states = int(rng.integers(2, 8))
     mdp = random_mdp(rng, n_states, int(rng.integers(1, 4)),
                      support_max=int(rng.integers(1, min(n_states, 3) + 1)))
-    path = sample_path(mdp, Policy.constant("a0"), int(rng.integers(1, 7)), seed=seed)
+    path = sample_path(mdp, lambda s, t: "a0", int(rng.integers(1, 7)), seed=seed)
     post = build_posterior(mdp, path, 200, "topdown", seed=seed)
     for ks, ms in sweep_grids(rng, path.T):
         result = sweep(build_cf_mdp(post, mdp), ks, ms)
@@ -207,7 +207,7 @@ def test_rollout_m0_replays_observed_path(epidemic_demo, epidemic_cf):
     policy = solve_km(pruned, 0)
     infected = environment_features("epidemic")["infected"]
     summary = rollout(pruned, policy, 300, infected, seed=2)
-    observed = [infected(path.state(t)) for t in range(path.T)]
+    observed = [infected(path.steps[t][0]) for t in range(path.T)]
     # Replay is exact on every observed step; only the unobserved final
     # transition (prior noise) may vary.
     assert summary.means[: path.T].tolist() == observed
@@ -255,13 +255,13 @@ def test_rollout_budget_and_containment_bulk(epidemic_demo, epidemic_cf):
     assert summary.n == 10_000
 
 
-@pytest.fixture(scope="module", params=[("gridworld", None), ("epidemic", None),
-                                        ("sepsis", "suboptimal")], ids=lambda p: p[0])
+@pytest.fixture(scope="module", params=["gridworld", "epidemic", "sepsis-suboptimal"],
+                ids=lambda p: p.split("-")[0])
 def solved_demo(request):
     """A built-in environment's demo observation, pruned at k = T+1 and solved
     at m = 2, with its feature."""
-    env, preset = request.param
-    mdp, path, _ = demo_observation(env, preset)
+    mdp, path, _ = demo_observation(request.param)
+    env = PRESETS[request.param].env
     cf = build_cf_mdp(build_posterior(mdp, path, 200, "topdown", seed=5), mdp)
     pruned = prune_cf_mdp(cf, path.T + 1)
     feature = next(iter(environment_features(env).values()))
@@ -289,9 +289,9 @@ def test_rollout_leaving_the_pruned_set_raises(epidemic_demo, epidemic_cf):
     policy = solve_km(pruned, 0)
     # Replay reaches the observed s_2 at t = 2; drop it from that layer.
     reach = [r.copy() for r in pruned.reach]
-    reach[2][mdp.state_index(path.state(2))] = False
+    reach[2][mdp.state_index(path.steps[2][0])] = False
     pruned.reach = tuple(reach)
-    with pytest.raises(InvariantViolated, match=f"left the pruned node set at \\({path.state(2)}, t=2\\)"):
+    with pytest.raises(InvariantViolated, match=f"left the pruned node set at \\({path.steps[2][0]}, t=2\\)"):
         rollout(pruned, policy, 5, lambda s: 0.0, seed=0)
 
 
@@ -300,8 +300,8 @@ def test_rollout_undefined_choice_raises(epidemic_demo, epidemic_cf):
     pruned = prune_cf_mdp(epidemic_cf, 8)
     policy = solve_km(pruned, 0)  # replays the path: every trajectory reaches s_3 at t = 3
     policy.choices[3] = policy.choices[3].copy()
-    policy.choices[3][mdp.state_index(path.state(3)), 0] = -1
-    with pytest.raises(UndefinedPolicyAction, match=f"\\({path.state(3)}, t=3, j=0\\)"):
+    policy.choices[3][mdp.state_index(path.steps[3][0]), 0] = -1
+    with pytest.raises(UndefinedPolicyAction, match=f"\\({path.steps[3][0]}, t=3, j=0\\)"):
         rollout(pruned, policy, 5, lambda s: 0.0, seed=0)
 
 
@@ -337,8 +337,8 @@ def test_rollout_past_the_budget_never_wraps_to_column_m(epidemic_demo, epidemic
     mdp, path, _ = epidemic_demo
     pruned = prune_cf_mdp(epidemic_cf, 8)
     policy = solve_km(pruned, 0)
-    s0 = mdp.state_index(path.state(0))
-    observed = mdp.action_index(path.action(0))
+    s0 = mdp.state_index(path.steps[0][0])
+    observed = mdp.action_index(path.steps[0][1])
     other = next(a for a in range(len(mdp.actions)) if a != observed
                  and mdp.pair_at[s0, a] >= 0 and pruned.usable[0][mdp.pair_at[s0, a]])
     policy.choices[0] = policy.choices[0].copy()
