@@ -334,8 +334,8 @@ def _posterior_cf(args, mdp: Mdp, path: ObservedPath) -> CfMdp:
                if source not in (None, name) and getattr(args, name) is not None]
     if ignored:
         raise ValidationFailed(f"prune takes one noise source: --{source} ignores {', '.join(ignored)}")
-    if args.posterior:
-        return build_cf_mdp(load_posterior(args.posterior, mdp), mdp)
+    if args.posterior:  # CfMdp refuses an artifact built from another path
+        return CfMdp(mdp, path, load_posterior(args.posterior, mdp))
     if args.nominal:
         return nominal_cf_mdp(mdp, path)
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
@@ -488,14 +488,15 @@ def _at_least(low: int):
     return integer
 
 
-def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
-    """Add the named flags; each is read by several subcommands."""
+def _add_shared(p: argparse.ArgumentParser, *names: str, defaults: bool = True) -> None:
+    """Add the named flags; each is read by several subcommands. Without
+    `defaults` every flag defaults to None, so the caller sees which were given."""
     flags = {"seed": dict(type=_at_least(0), default=None),
              "samples": dict(type=int, default=DEFAULT_SAMPLES, help="posterior sample count N"),
              "sampler": dict(choices=["topdown", "rejection"], default="topdown"),
              "horizon": dict(type=_at_least(1), default=None)}
     for name in names:
-        p.add_argument(f"--{name}", **flags[name])
+        p.add_argument(f"--{name}", **(flags[name] if defaults else {**flags[name], "default": None}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -533,8 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nominal", action="store_true", default=None,
                    help="use exact nominal rows instead of a posterior")
     p.add_argument("--k", type=int, required=True)
-    _add_shared(p, "seed", "samples", "sampler")
-    p.set_defaults(samples=None, sampler=None)  # unset, so a second noise source shows
+    _add_shared(p, "seed", "samples", "sampler", defaults=False)  # resolved in _posterior_cf
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prune)
 

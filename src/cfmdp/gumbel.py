@@ -146,6 +146,8 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
     Every returned sample provably replays the observed successor; this is
     asserted at build time so downstream replay determinism is exact.
     """
+    if path.mdp_digest != mdp.digest:
+        raise ValidationFailed("path was built against a different MDP")
     if sampler not in (SAMPLER_TOPDOWN, SAMPLER_REJECTION):
         raise ValidationFailed(f"unknown sampler {sampler!r}")
     if n < 1:
@@ -214,6 +216,8 @@ class CfMdp:
     rows_built: int = 0
 
     def __post_init__(self):
+        if self.path.mdp_digest != self.mdp.digest:
+            raise ValidationFailed("path was built against a different MDP")
         if self.posterior is not None:
             if self.posterior.path != self.path:
                 raise ValidationFailed("posterior was built from a different path")

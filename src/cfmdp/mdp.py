@@ -13,6 +13,7 @@ import hashlib
 import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Mapping
@@ -140,7 +141,7 @@ class Mdp:
     def position(self, p: int, s: State) -> int:
         """Position of successor s in the nominal row of pair p; -1 off its support."""
         lo, hi, i = self.row_start[p], self.row_start[p + 1], self._sidx.get(s, -1)
-        e = bisect_left(self.succ, i, lo, hi)
+        e = bisect_left(self.succ, i, lo, hi)  # np.searchsorted costs more on rows this short
         return int(e - lo) if e < hi and self.succ[e] == i else -1
 
     @cached_property
@@ -170,45 +171,56 @@ def _distribution_faults(prob: np.ndarray, owner: np.ndarray, count: int,
                   for i in np.flatnonzero(np.abs(totals - 1.0) > PROB_TOL).tolist()]
 
 
+@dataclass(frozen=True, init=False)
 class ObservedPath:
     """The observed path tau of length T, checked and compiled against its MDP.
 
     `steps` holds the (state, action) labels; only JSON and `path_hash` read
-    it. The read-only int arrays `state[t]`, `action[t]` and `pair[t]` are
-    the indices of step t, and `next_pos[t]` (t < T-1) is the position of
-    s_{t+1} in the nominal row of `pair[t]`. Every broken invariant (an
-    initial state of zero initial probability, a step without a kernel row,
-    a transition of probability zero) is listed in one ValidationFailed; an
-    empty path is valid. Paths compare by `steps`.
+    it. `mdp_digest` is the `digest` of the MDP the path was built against;
+    every consumer checks it before reading the indices. The read-only int
+    arrays `state[t]`, `action[t]` and `pair[t]` are the indices of step t,
+    and `next_pos[t]` (t < T-1) is the position of s_{t+1} in the nominal row
+    of `pair[t]`. Every broken invariant (an initial state of zero initial
+    probability, a step without a kernel row, a transition of probability
+    zero) is listed in one ValidationFailed; an empty path is valid. Paths
+    are immutable and compare by `steps` and `mdp_digest`.
     """
 
+    steps: tuple[tuple[State, Action], ...]
+    mdp_digest: str
+    state: np.ndarray = field(compare=False, repr=False)
+    action: np.ndarray = field(compare=False, repr=False)
+    pair: np.ndarray = field(compare=False, repr=False)
+    next_pos: np.ndarray = field(compare=False, repr=False)
+
     def __init__(self, mdp: Mdp, steps):
-        self.steps = steps = tuple(steps)
-        T = len(steps)
-        state = [mdp._sidx.get(s, -1) for s, _ in steps]
-        action = [mdp._aidx.get(a, -1) for _, a in steps]
-        pair = [int(mdp.pair_at[i, j]) if i >= 0 and j >= 0 else -1 for i, j in zip(state, action)]
-        pos = [mdp.position(p, s2) if p >= 0 else -1 for p, (s2, _) in zip(pair, steps[1:])]
-        bad = []
-        if T and (state[0] < 0 or mdp.initial[state[0]] <= 0.0):
+        steps = tuple(steps)
+        bad, pair, pos = [], [], []
+        s0 = mdp._sidx.get(steps[0][0]) if steps else None
+        if steps and (s0 is None or mdp.initial[s0] <= 0.0):
             bad.append(f"initial state {steps[0][0]} has zero initial probability")
         for t, (s, a) in enumerate(steps):
-            if pair[t] < 0:
+            try:
+                pair.append(mdp.pair(s, a))
+            except MissingKernelRow:
                 bad.append(f"step {t}: no kernel row for ({s},{a})")
-            elif t + 1 < T and pos[t] < 0:
-                bad.append(f"step {t}: transition {s} -> {steps[t + 1][0]} under {a} has probability 0")
+                continue
+            if t + 1 < len(steps):
+                pos.append(mdp.position(pair[-1], steps[t + 1][0]))
+                if pos[-1] < 0:
+                    bad.append(f"step {t}: transition {s} -> {steps[t + 1][0]} under {a} has probability 0")
         if bad:
             raise ValidationFailed("; ".join(bad))
-        flat = np.array(state + action + pair + pos, dtype=np.int64)
+        T = len(steps)
+        flat = np.array([mdp.state_index(s) for s, _ in steps] +
+                        [mdp.action_index(a) for _, a in steps] + pair + pos, dtype=np.int64)
         flat.flags.writeable = False
-        self.state, self.action, self.pair, self.next_pos = (flat[i * T:(i + 1) * T] for i in range(4))
+        vars(self).update(steps=steps, mdp_digest=mdp.digest, state=flat[:T], action=flat[T:2 * T],
+                          pair=flat[2 * T:3 * T], next_pos=flat[3 * T:])  # frozen: bypass __setattr__
 
     @property
     def T(self) -> int:
         return len(self.steps)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ObservedPath) and self.steps == other.steps
 
 
 def sample_path(mdp: Mdp, policy: Callable[[State, int], Action | None], horizon: int,
@@ -224,14 +236,13 @@ def sample_path(mdp: Mdp, policy: Callable[[State, int], Action | None], horizon
     for t in range(horizon):
         s = mdp.states[si]
         a = policy(s, t)
-        j = mdp._aidx.get(a, -1)
-        p = int(mdp.pair_at[si, j]) if j >= 0 else -1
-        if p < 0:
-            raise UndefinedPolicyAction(f"policy has no usable action at ({s}, t={t})")
+        try:
+            idx, probs, _ = mdp.row(mdp.pair(s, a))
+        except MissingKernelRow:
+            raise UndefinedPolicyAction(f"policy has no usable action at ({s}, t={t})") from None
         steps.append((s, a))
-        lo, hi = mdp.row_start[p], mdp.row_start[p + 1]
-        cum = list(accumulate(mdp.prob[lo:hi].tolist()))  # np.cumsum's sums, in order
-        si = int(mdp.succ[lo + min(bisect_right(cum, rng.random()), hi - lo - 1)])
+        cum = list(accumulate(probs.tolist()))  # np.cumsum's sums: the same additions in order
+        si = int(idx[min(bisect_right(cum, rng.random()), len(idx) - 1)])
     return ObservedPath(mdp, steps)
 
 

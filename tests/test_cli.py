@@ -249,6 +249,20 @@ def test_prune_takes_one_noise_source(case, artifact_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_prune_posterior_of_another_path_exits_2(artifact_dir, tmp_path, capsys):
+    # The posterior artifact carries its own path; prune's --path must be that path.
+    other = tmp_path / "path.json"
+    assert main(["sample", "--policy", "epidemic", "--seed", "5", "--out", str(other)]) == 0
+    assert other.read_bytes() != (artifact_dir / "path.json").read_bytes()
+    out = tmp_path / "pruned.json"
+    code, _, err = run(capsys, "prune", "--mdp", str(artifact_dir / "mdp.json"),
+                       "--path", str(other), "--posterior", str(artifact_dir / "posterior.npz"),
+                       "--k", "8", "--out", str(out))
+    assert code == 2, err
+    assert err.startswith("error:") and "different path" in err
+    assert not out.exists()
+
+
 def test_config_array_and_danger_flag_give_identical_env(tmp_path, capsys):
     # A JSON array for a grid cell is the tuple that --danger sets.
     config = tmp_path / "config.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cfmdp.environments import GridWorldConfig, build_gridworld, demo_observation
 from cfmdp.errors import ValidationFailed, ZeroProbabilityObservation
 from cfmdp.gumbel import (
     CfMdp,
@@ -326,3 +327,16 @@ def test_cf_mdp_rejects_mismatched_posterior(tinychain):
     other_mdp = row_mdp({"x1": 0.5, "x2": 0.5})
     with pytest.raises(ValidationFailed):
         build_cf_mdp(post, other_mdp)
+
+
+def test_path_of_another_mdp_is_rejected():
+    # A path holds pair and position indices of the MDP it was built against.
+    # Moving the danger cell shifts the grid world's pairs, so the indices of
+    # the default grid world mean other pairs there, and each consumer refuses.
+    mdp, path, _ = demo_observation("gridworld")
+    other = build_gridworld(GridWorldConfig(danger=(2, 1)))
+    assert other.digest != mdp.digest
+    for use in (lambda: build_posterior(other, path, 10), lambda: nominal_cf_mdp(other, path),
+                lambda: CfMdp(other, path, None)):
+        with pytest.raises(ValidationFailed, match="path was built against a different MDP"):
+            use()

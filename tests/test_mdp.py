@@ -1,5 +1,6 @@
 import json
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ def test_observed_path_lists_every_violation():
         path_from_json(bad, chain_mdp())
 
 
+def test_observed_path_is_immutable_and_hashable():
+    path = ObservedPath(chain_mdp(), (("s0", "a"), ("s1", "a")))
+    for name in ("steps", "pair", "mdp_digest"):
+        with pytest.raises(AttributeError):
+            setattr(path, name, None)
+    assert {path, ObservedPath(chain_mdp(), path.steps)} == {path}
+    # The same steps on another MDP (here one more reward) are another path.
+    kernel = {(s, "a"): row for s, row in (("s0", {"s1": 1.0}), ("s1", {"s2": 1.0}),
+                                            ("s2", {"s2": 1.0}))}
+    other = Mdp(("s0", "s1", "s2"), ("a",), kernel, {("s2", "a"): 5.0}, {"s0": 1.0})
+    assert ObservedPath(other, path.steps) != path
+
+
 def test_empty_path_is_valid():
     path = ObservedPath(chain_mdp(), ())
     assert path.T == 0 and path.pair.tolist() == [] and path.next_pos.tolist() == []
@@ -136,6 +150,16 @@ def test_sample_path_same_seed_identical():
 def test_sample_path_undefined_policy():
     with pytest.raises(UndefinedPolicyAction):
         sample_path(chain_mdp(), tabular_policy({("s0", 0): "a"}), 3, seed=0)
+
+
+def test_sample_path_draws_on_the_running_sums_of_np_cumsum():
+    # sample_path sums each row in Python; its draws, and so every sampled
+    # path, stay those of np.cumsum only while the sums are bit-identical.
+    for mdp in (build_sepsis_lite(), build_environment("epidemic"),
+                random_mdp(np.random.default_rng(3), 6, 3)):
+        for p in range(len(mdp.source)):
+            probs = mdp.row(p)[1]
+            assert list(accumulate(probs.tolist())) == np.cumsum(probs).tolist()
 
 
 def test_sample_path_frequencies_match_kernel():
