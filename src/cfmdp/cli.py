@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .errors import CfmdpError, MissingKernelRow, ValidationFailed
 from .gumbel import (
-    SAMPLER_TOPDOWN,
     CfMdp,
     build_cf_mdp,
     build_posterior,
@@ -48,8 +47,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-DEFAULT_SAMPLES = 1000
-
 
 def _sweep_grid(args, T: int) -> tuple[list[int], list[int]]:
     """The sweep's k and m values, checked against the path horizon T."""
@@ -62,9 +59,16 @@ def _sweep_grid(args, T: int) -> tuple[list[int], list[int]]:
     return k_values, m_values
 
 
+def _unwritable(file: str, exc: OSError) -> ValidationFailed:
+    return ValidationFailed(f"cannot write {file}: {exc}")
+
+
 def _write_text(path: str, text: str) -> str:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -94,8 +98,8 @@ def _load_observation(args) -> tuple[Mdp, ObservedPath]:
     return mdp, path_from_json(_read_json(args.path), mdp)
 
 
-def _build_env(args) -> Mdp:
-    """The --env environment under the --config file and the flag overrides.
+def cmd_env(args) -> int:
+    """Emit the environment under the --config file and the flag overrides.
     JSON arrays, as for a grid cell, become the config's tuples."""
     over = {}
     if args.config:
@@ -103,59 +107,31 @@ def _build_env(args) -> Mdp:
         if not isinstance(loaded, dict):
             raise ValidationFailed("--config must contain a JSON object")
         over.update(loaded)
-        over.pop("horizon", None)  # horizon is a sampling parameter, not an MDP field
     for key in ("population", "initial_infected", "slip", "shaping_scale", "flux"):
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             over[key] = val
-    if getattr(args, "danger", None) is not None:
+    if args.danger is not None:
         try:
             r, c = (int(x) for x in args.danger.split(","))
         except ValueError:
             raise ValidationFailed(f"--danger must be ROW,COL, got {args.danger!r}") from None
         over["danger"] = [r, c]
     try:
-        return envs.build_environment(args.env, **{key: tuple(val) if isinstance(val, list) else val
-                                                   for key, val in over.items()})
+        mdp = envs.build_environment(args.env, **{key: tuple(val) if isinstance(val, list) else val
+                                                  for key, val in over.items()})
     except TypeError as exc:
         raise ValidationFailed(f"bad option for environment {args.env!r}: {exc}") from exc
-
-
-def cmd_env(args) -> int:
-    _emit(json.dumps(mdp_to_json(_build_env(args)), sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(mdp_to_json(mdp), sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
-def _observe(preset: str, mdp: Mdp | None, seed: int | None,
-             horizon: int | None) -> tuple[Mdp, ObservedPath, int]:
-    """(mdp, path, seed): the observed path of preset `preset` on `mdp` (by
-    default the preset's environment) at `seed` and `horizon` (by default
-    the preset's frozen ones)."""
-    env, policy, frozen_seed, default_horizon = envs.PRESETS[preset]
-    if mdp is None:
-        mdp = envs.build_environment(env)
-    seed = frozen_seed if seed is None else seed
-    return mdp, sample_path(mdp, policy, horizon or default_horizon, seed), seed
-
-
-def _resolve_observation(args) -> tuple[Mdp, ObservedPath, int | None]:
-    """(mdp, path, observation seed) from an env/preset pair or explicit files."""
-    if args.mdp and args.path:
-        return (*_load_observation(args), None)
-    if not args.env:
-        raise ValidationFailed("provide either --env or both --mdp and --path")
-    if args.env == "sepsis":
-        preset = f"sepsis-{args.preset or 'catastrophic'}"
-    elif args.preset:
-        raise ValidationFailed(f"--preset applies to --env sepsis only, not {args.env}")
-    else:
-        preset = args.env
-    return _observe(preset, _build_env(args), None, args.horizon)
-
-
 def cmd_sample(args) -> int:
-    mdp = _load_mdp(args.mdp) if args.mdp else None
-    _, path, _ = _observe(args.policy, mdp, args.seed, args.horizon)
+    """The path of preset --policy on --mdp, at the preset's frozen seed and
+    horizon unless --seed or --horizon is given."""
+    _, policy, seed, horizon = envs.PRESETS[args.policy]
+    path = sample_path(_load_mdp(args.mdp), policy, args.horizon or horizon,
+                       seed if args.seed is None else args.seed)
     _emit(json.dumps(path_to_json(path), sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
@@ -163,7 +139,10 @@ def cmd_sample(args) -> int:
 def cmd_cf_build(args) -> int:
     mdp, path = _load_observation(args)
     posterior = build_posterior(mdp, path, args.samples, args.sampler, args.seed or 0)
-    save_posterior(posterior, args.out)
+    try:
+        save_posterior(posterior, args.out)
+    except OSError as exc:
+        raise _unwritable(args.out, exc) from exc
     key = posterior_cache_key(mdp, path, args.samples, args.sampler, args.seed or 0)
     sys.stdout.write(f"posterior written to {args.out} (key {key[:16]})\n")
     return EXIT_OK
@@ -261,6 +240,8 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
         T, n, rows = path.T, mdp.num_states, obj["rows"]
         if type(obj["samples"]) is not int or obj["samples"] < 0:
             raise ValidationFailed(f"pruned artifact sample count {obj['samples']!r} is not >= 0")
+        if not 1 <= (k := int(obj["k"])) <= T + 1:
+            raise ValidationFailed(f"pruned artifact k={k} outside 1..{T + 1}")
         if len(obj["layers"]) != T or len(rows) != T:
             raise ValidationFailed(f"pruned artifact has {len(obj['layers'])} layers and "
                                    f"{len(rows)} row layers, path has {T}")
@@ -319,33 +300,18 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
         cf_rows = {(t, i): (succ[lo:hi], prob[lo:hi])
                    for t, i, lo, hi in zip(row_t.tolist(), row_i.tolist(), bounds, bounds[1:])}
         cf = CfMdp(mdp, path, None, row_key=key, rows=cf_rows)
-        return PrunedCfMdp(cf=cf, k=int(obj["k"]), reach=tuple(reach), usable=tuple(key >= 0),
+        return PrunedCfMdp(cf=cf, k=k, reach=tuple(reach), usable=tuple(key >= 0),
                            nodes_all_layers=int(obj["nodes_all_layers"]))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
         raise ValidationFailed(f"malformed pruned artifact: {exc!r}") from exc
 
 
-def _posterior_cf(args, mdp: Mdp, path: ObservedPath) -> CfMdp:
-    """The counterfactual MDP of one noise source: a --posterior artifact,
-    the --nominal rows, or a posterior sampled here. A flag of another
-    source would be ignored, so it is an error."""
-    source = "posterior" if args.posterior else "nominal" if args.nominal else None
-    ignored = [f"--{name}" for name in ("nominal", "samples", "sampler", "seed")
-               if source not in (None, name) and getattr(args, name) is not None]
-    if ignored:
-        raise ValidationFailed(f"prune takes one noise source: --{source} ignores {', '.join(ignored)}")
-    if args.posterior:  # CfMdp refuses an artifact built from another path
-        return CfMdp(mdp, path, load_posterior(args.posterior, mdp))
-    if args.nominal:
-        return nominal_cf_mdp(mdp, path)
-    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-    posterior = build_posterior(mdp, path, samples, args.sampler or SAMPLER_TOPDOWN, args.seed or 0)
-    return build_cf_mdp(posterior, mdp)
-
-
 def cmd_prune(args) -> int:
     mdp, path = _load_observation(args)
-    cf = _posterior_cf(args, mdp, path)
+    if args.nominal:
+        cf = nominal_cf_mdp(mdp, path)
+    else:  # CfMdp refuses a posterior built from another path
+        cf = CfMdp(mdp, path, load_posterior(args.posterior, mdp))
     pruned = prune_cf_mdp(cf, args.k)
     text = json.dumps(_pruned_to_json(pruned), sort_keys=True)
     _emit(text + "\n", args.out)
@@ -418,7 +384,7 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    mdp, path, obs_seed = _resolve_observation(args)
+    mdp, path = _load_observation(args)
     T = path.T
     k_values, m_values = _sweep_grid(args, T)
     posterior_seed = args.seed if args.seed is not None else 0
@@ -436,7 +402,10 @@ def cmd_sweep(args) -> int:
         f"{r.k},{r.nodes_all_layers},{r.nodes_reachable},{r.distinct_states}"
         for r in result.sizes
     ]
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(args.out, exc) from exc
     sweep_csv = os.path.join(args.out, "sweep.csv")
     sizes_csv = os.path.join(args.out, "sizes.csv")
     hashes = {
@@ -448,10 +417,8 @@ def cmd_sweep(args) -> int:
         "tool_version": __version__,
         "created_unix": time.time(),
         "config": {
-            "env": args.env, "preset": args.preset, "mdp_file": args.mdp,
-            "path_file": args.path, "horizon": T,
-            "observation_seed": obs_seed, "posterior_seed": posterior_seed,
-            "samples": args.samples, "sampler": args.sampler,
+            "mdp_file": args.mdp, "path_file": args.path, "horizon": T,
+            "posterior_seed": posterior_seed, "samples": args.samples, "sampler": args.sampler,
             "k_values": k_values, "m_values": m_values,
         },
         "input_hashes": {"mdp": mdp.digest, "path": path_hash(path),
@@ -460,22 +427,9 @@ def cmd_sweep(args) -> int:
         "outputs": hashes,
         "statistics": {"cf_rows_built": result.cf_rows_built},
     }
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+    _write_text(os.path.join(args.out, "manifest.json"), json.dumps(manifest, sort_keys=True, indent=2))
     sys.stderr.write(f"wrote {sweep_csv}, {sizes_csv} and manifest.json\n")
     return EXIT_OK
-
-
-def _add_env_flags(p: argparse.ArgumentParser, with_preset: bool = False) -> None:
-    p.add_argument("--config", help="JSON file with environment config overrides")
-    p.add_argument("--population", type=int)
-    p.add_argument("--initial-infected", dest="initial_infected", type=int)
-    p.add_argument("--slip", type=float)
-    p.add_argument("--shaping-scale", dest="shaping_scale", type=float)
-    p.add_argument("--danger", help="gridworld danger cell as ROW,COL")
-    p.add_argument("--flux", type=float)
-    if with_preset:
-        p.add_argument("--preset", choices=["catastrophic", "suboptimal"])
 
 
 def _at_least(low: int):
@@ -488,15 +442,14 @@ def _at_least(low: int):
     return integer
 
 
-def _add_shared(p: argparse.ArgumentParser, *names: str, defaults: bool = True) -> None:
-    """Add the named flags; each is read by several subcommands. Without
-    `defaults` every flag defaults to None, so the caller sees which were given."""
+def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named flags; each is read by several subcommands."""
     flags = {"seed": dict(type=_at_least(0), default=None),
-             "samples": dict(type=int, default=DEFAULT_SAMPLES, help="posterior sample count N"),
+             "samples": dict(type=int, default=1000, help="posterior sample count N"),
              "sampler": dict(choices=["topdown", "rejection"], default="topdown"),
              "horizon": dict(type=_at_least(1), default=None)}
     for name in names:
-        p.add_argument(f"--{name}", **(flags[name] if defaults else {**flags[name], "default": None}))
+        p.add_argument(f"--{name}", **flags[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,12 +462,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("env", help="emit a built-in environment as MDP JSON")
     p.add_argument("env", choices=list(envs.ENVIRONMENTS))
-    _add_env_flags(p)
+    p.add_argument("--config", help="JSON file with environment config overrides")
+    p.add_argument("--population", type=int)
+    p.add_argument("--initial-infected", dest="initial_infected", type=int)
+    p.add_argument("--slip", type=float)
+    p.add_argument("--shaping-scale", dest="shaping_scale", type=float)
+    p.add_argument("--danger", help="gridworld danger cell as ROW,COL")
+    p.add_argument("--flux", type=float)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_env)
 
     p = sub.add_parser("sample", help="sample an observed path under a policy preset")
-    p.add_argument("--mdp", help="MDP JSON file (defaults to the preset's environment)")
+    p.add_argument("--mdp", required=True)
     p.add_argument("--policy", required=True, choices=sorted(envs.PRESETS))
     _add_shared(p, "seed", "horizon")
     p.add_argument("--out")
@@ -530,11 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="prune the counterfactual MDP at a given k")
     p.add_argument("--mdp", required=True)
     p.add_argument("--path", required=True)
-    p.add_argument("--posterior", help=".npz artifact from cf-build")
-    p.add_argument("--nominal", action="store_true", default=None,
-                   help="use exact nominal rows instead of a posterior")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--posterior", help=".npz artifact from cf-build")
+    source.add_argument("--nominal", action="store_true",
+                        help="use exact nominal rows instead of a posterior")
     p.add_argument("--k", type=int, required=True)
-    _add_shared(p, "seed", "samples", "sampler", defaults=False)  # resolved in _posterior_cf
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prune)
 
@@ -546,11 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("sweep", help="full (k, m) sweep with size reports and manifest")
-    p.add_argument("--env", choices=list(envs.ENVIRONMENTS))
-    p.add_argument("--mdp")
-    p.add_argument("--path")
-    _add_env_flags(p, with_preset=True)
-    _add_shared(p, "seed", "samples", "sampler", "horizon")
+    p.add_argument("--mdp", required=True)
+    p.add_argument("--path", required=True)
+    _add_shared(p, "seed", "samples", "sampler")
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--m-min", type=int, default=1)

@@ -162,10 +162,10 @@ def prune_cf_mdp(cf: CfMdp, k: int, base: PrunedCfMdp | None = None) -> PrunedCf
     """
     mdp, path = cf.mdp, cf.path
     T, n = path.T, mdp.num_states
-    if k < 1:
-        raise ValidationFailed("pruning requires k >= 1")
     if T == 0:
         raise ValidationFailed("pruning requires an observed path, got an empty one")
+    if not 1 <= k <= T + 1:  # k = T+1 already admits every pair
+        raise ValidationFailed(f"pruning requires 1 <= k <= {T + 1} (T+1), got k={k}")
     if base is None:
         hits = _admission_hits(mdp, path, k - 1)
         shared_from = T

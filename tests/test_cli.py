@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,19 +9,41 @@ import pytest
 import cfmdp.cli
 import cfmdp.mdp
 from cfmdp.cli import _pruned_from_json, _pruned_to_json, main
-from cfmdp.environments import PRESETS
+from cfmdp.environments import build_environment
 from cfmdp.errors import MissingKernelRow, ValidationFailed
-from cfmdp.gumbel import build_cf_mdp, load_posterior
+from cfmdp.gumbel import build_cf_mdp, build_posterior, load_posterior
 from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import mdp_from_json, mdp_to_json, path_from_json
+from cfmdp.solver import sweep
 
 from oracles import cf_probs, km_value_oracle
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def walkthrough_commands() -> list[list[str]]:
+    """Each `cfmdp ...` line of the code blocks in README's CLI walkthrough,
+    as the argument list of `main`."""
+    section = README.read_text().split("\n## CLI walkthrough\n")[1].split("\n## ")[0]
+    code = "".join(re.findall(r"```bash\n(.*?)```", section, re.S)).replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:] for line in code.splitlines()
+            if line.startswith("cfmdp ")]
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    commands = walkthrough_commands()
+    assert {argv[0] for argv in commands} == {"env", "sample", "cf-build", "prune", "solve",
+                                              "rollout", "sweep"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_env_epidemic_json(capsys):
@@ -49,25 +74,27 @@ def test_env_unknown_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_sample_epidemic_preset(capsys, tmp_path):
+def test_sample_epidemic_preset(artifact_dir, capsys, tmp_path):
     out_file = tmp_path / "path.json"
-    code, _, _ = run(capsys, "sample", "--policy", "epidemic", "--out", str(out_file))
+    code, _, _ = run(capsys, "sample", "--mdp", str(artifact_dir / "mdp.json"),
+                     "--policy", "epidemic", "--out", str(out_file))
     assert code == 0
     obj = json.loads(out_file.read_text())
     assert obj["steps"][0] == {"t": 0, "s": "S9I1V20", "a": "NIL"}
     assert len(obj["steps"]) == 7
 
 
-def test_sample_identical_bytes_across_runs(capsys, tmp_path):
+def test_sample_identical_bytes_across_runs(artifact_dir, capsys, tmp_path):
     f1, f2 = tmp_path / "p1.json", tmp_path / "p2.json"
-    run(capsys, "sample", "--policy", "epidemic", "--seed", "10", "--out", str(f1))
-    run(capsys, "sample", "--policy", "epidemic", "--seed", "10", "--out", str(f2))
+    mdp = str(artifact_dir / "mdp.json")
+    run(capsys, "sample", "--mdp", mdp, "--policy", "epidemic", "--seed", "10", "--out", str(f1))
+    run(capsys, "sample", "--mdp", mdp, "--policy", "epidemic", "--seed", "10", "--out", str(f2))
     assert f1.read_bytes() == f2.read_bytes()
 
 
 def test_sample_invalid_preset_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["sample", "--policy", "nonsense"])
+        main(["sample", "--mdp", "mdp.json", "--policy", "nonsense"])
     assert exc.value.code == 2
 
 
@@ -81,7 +108,7 @@ def artifact_dir(tmp_path_factory):
     pruned_f = d / "pruned.json"
     policy_f = d / "policy.json"
     assert main(["env", "epidemic", "--out", str(mdp_f)]) == 0
-    assert main(["sample", "--policy", "epidemic", "--out", str(path_f)]) == 0
+    assert main(["sample", "--mdp", str(mdp_f), "--policy", "epidemic", "--out", str(path_f)]) == 0
     assert main(["cf-build", "--mdp", str(mdp_f), "--path", str(path_f),
                  "--samples", "500", "--seed", "7", "--out", str(post_f)]) == 0
     assert main(["prune", "--mdp", str(mdp_f), "--path", str(path_f),
@@ -159,9 +186,14 @@ def test_rollout_cli_feature_of_another_env_exits_2(artifact_dir, capsys):
     assert err.startswith("error:") and "feature" in err
 
 
-def test_sweep_cli_epidemic(tmp_path, capsys):
+def _observation(artifact_dir) -> list[str]:
+    """The --mdp and --path flags of the epidemic files in artifact_dir."""
+    return ["--mdp", str(artifact_dir / "mdp.json"), "--path", str(artifact_dir / "path.json")]
+
+
+def test_sweep_cli_epidemic(artifact_dir, tmp_path, capsys):
     out_dir = tmp_path / "sweep"
-    code, _, _ = run(capsys, "sweep", "--env", "epidemic", "--samples", "300",
+    code, _, _ = run(capsys, "sweep", *_observation(artifact_dir), "--samples", "300",
                      "--seed", "7", "--out", str(out_dir))
     assert code == 0
     rows = (out_dir / "sweep.csv").read_text().strip().splitlines()
@@ -177,27 +209,29 @@ def test_sweep_cli_epidemic(tmp_path, capsys):
     sizes = (out_dir / "sizes.csv").read_text().strip().splitlines()
     assert sizes[0] == "k,nodes_all_layers,nodes_reachable,distinct_states"
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    # --seed is the posterior seed; the path keeps the frozen observation seed.
-    assert manifest["config"]["observation_seed"] == PRESETS["epidemic"].seed
-    assert manifest["config"]["posterior_seed"] == 7
+    # The observation is read from files, so the manifest names them, not an
+    # environment or a preset.
+    assert manifest["config"] == {
+        "mdp_file": str(artifact_dir / "mdp.json"), "path_file": str(artifact_dir / "path.json"),
+        "horizon": 7, "posterior_seed": 7, "samples": 300, "sampler": "topdown",
+        "k_values": list(range(1, 9)), "m_values": list(range(1, 8))}
     assert manifest["statistics"]["cf_rows_built"] > 0
     assert "posterior_builds" not in manifest["statistics"]
-    assert "threads" not in manifest["config"]
     assert manifest["outputs"]["sweep.csv"]
 
 
-def test_sweep_cli_byte_identical_outputs(tmp_path, capsys):
+def test_sweep_cli_byte_identical_outputs(artifact_dir, tmp_path, capsys):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
-        code, _, _ = run(capsys, "sweep", "--env", "epidemic", "--samples", "200",
+        code, _, _ = run(capsys, "sweep", *_observation(artifact_dir), "--samples", "200",
                          "--seed", "9", "--k-min", "7", "--m-max", "2", "--out", str(d))
         assert code == 0
     assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
     assert (d1 / "sizes.csv").read_bytes() == (d2 / "sizes.csv").read_bytes()
 
 
-def test_sweep_rejects_bad_ranges(tmp_path, capsys):
-    code, _, err = run(capsys, "sweep", "--env", "epidemic", "--k-min", "0",
+def test_sweep_rejects_bad_ranges(artifact_dir, tmp_path, capsys):
+    code, _, err = run(capsys, "sweep", *_observation(artifact_dir), "--k-min", "0",
                        "--out", str(tmp_path / "x"))
     assert code == 2
     assert "k range" in err
@@ -207,7 +241,7 @@ def test_prune_nominal_mode(tmp_path, capsys):
     mdp_f = tmp_path / "mdp.json"
     path_f = tmp_path / "path.json"
     main(["env", "gridworld", "--out", str(mdp_f)])
-    main(["sample", "--policy", "gridworld", "--out", str(path_f)])
+    main(["sample", "--mdp", str(mdp_f), "--policy", "gridworld", "--out", str(path_f)])
     code, _, err = run(capsys, "prune", "--mdp", str(mdp_f), "--path", str(path_f),
                        "--nominal", "--k", "1", "--out", str(tmp_path / "pruned.json"))
     assert code == 0
@@ -224,35 +258,40 @@ def test_prune_on_an_empty_path_exits_2(artifact_dir, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and "empty" in err
 
-# prune's noise sources are exclusive: a --posterior artifact, --nominal
-# rows, or a posterior it samples. Each case names the flag that is ignored.
+# prune takes exactly one noise source, a --posterior artifact or the
+# --nominal rows; posteriors are sampled by cf-build only. Each case is an
+# argparse error, with a fragment of its message.
 MIXED_NOISE_SOURCES = {
-    "posterior-samples": ("--posterior {post} --samples 7", "--samples"),
-    "posterior-sampler": ("--posterior {post} --sampler rejection", "--sampler"),
-    "posterior-seed-0": ("--posterior {post} --seed 0", "--seed"),
-    "posterior-nominal": ("--posterior {post} --nominal", "--nominal"),
-    "nominal-samples": ("--nominal --samples 1000", "--samples"),
-    "nominal-sampler": ("--nominal --sampler topdown", "--sampler"),
-    "nominal-seed": ("--nominal --seed 3", "--seed"),
+    "none": ("", "one of the arguments --posterior --nominal is required"),
+    "posterior-samples": ("--posterior {post} --samples 7", "unrecognized arguments: --samples"),
+    "posterior-sampler": ("--posterior {post} --sampler rejection",
+                          "unrecognized arguments: --sampler"),
+    "posterior-seed-0": ("--posterior {post} --seed 0", "unrecognized arguments: --seed"),
+    "posterior-nominal": ("--posterior {post} --nominal", "not allowed with argument"),
+    "nominal-samples": ("--nominal --samples 1000", "unrecognized arguments: --samples"),
+    "nominal-sampler": ("--nominal --sampler topdown", "unrecognized arguments: --sampler"),
+    "nominal-seed": ("--nominal --seed 3", "unrecognized arguments: --seed"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MIXED_NOISE_SOURCES))
 def test_prune_takes_one_noise_source(case, artifact_dir, tmp_path, capsys):
-    flags, ignored = MIXED_NOISE_SOURCES[case]
+    flags, reason = MIXED_NOISE_SOURCES[case]
     out = tmp_path / "pruned.json"
-    code, _, err = run(capsys, "prune", "--mdp", str(artifact_dir / "mdp.json"),
-                       "--path", str(artifact_dir / "path.json"), "--k", "8", "--out", str(out),
-                       *flags.format(post=artifact_dir / "posterior.npz").split())
-    assert code == 2, err
-    assert err.startswith("error:") and ignored in err and "noise source" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["prune", "--mdp", str(artifact_dir / "mdp.json"), "--path",
+              str(artifact_dir / "path.json"), "--k", "8", "--out", str(out),
+              *flags.format(post=artifact_dir / "posterior.npz").split()])
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_prune_posterior_of_another_path_exits_2(artifact_dir, tmp_path, capsys):
     # The posterior artifact carries its own path; prune's --path must be that path.
     other = tmp_path / "path.json"
-    assert main(["sample", "--policy", "epidemic", "--seed", "5", "--out", str(other)]) == 0
+    assert main(["sample", "--mdp", str(artifact_dir / "mdp.json"), "--policy", "epidemic",
+                 "--seed", "5", "--out", str(other)]) == 0
     assert other.read_bytes() != (artifact_dir / "path.json").read_bytes()
     out = tmp_path / "pruned.json"
     code, _, err = run(capsys, "prune", "--mdp", str(artifact_dir / "mdp.json"),
@@ -277,22 +316,30 @@ def test_config_array_and_danger_flag_give_identical_env(tmp_path, capsys):
     assert code == 2 and out == "" and "outside the grid" in err
 
 
-def test_preset_applies_to_sepsis_only(tmp_path, capsys):
-    # The gridworld has one observed policy: --preset would be ignored.
-    out = tmp_path / "sweep"
-    code, _, err = run(capsys, "sweep", "--env", "gridworld", "--preset", "suboptimal",
-                       "--samples", "20", "--out", str(out))
-    assert code == 2
-    assert err.startswith("error:") and "--preset" in err
-    assert not out.exists()
+def test_config_horizon_sets_the_sepsis_reward(tmp_path, capsys):
+    # Sepsis-lite spreads its rewards over `horizon` steps: the per-step
+    # values are (1000 - 500 * abnormal vitals) / horizon, -1000 / horizon
+    # once dead, and 0 after discharge.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"horizon": 5}))
+    code, out, err = run(capsys, "env", "sepsis", "--config", str(config))
+    assert code == 0, err
+    assert sorted({e["r"] for e in json.loads(out)["rewards"]}) == [-200.0, 0.0, 100.0, 200.0]
 
 
-@pytest.mark.parametrize("command", ["cf-build", "prune", "sweep"])
+@pytest.mark.parametrize("env", ["epidemic", "gridworld"])
+def test_config_horizon_of_another_environment_exits_2(env, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"horizon": 5}))
+    code, out, err = run(capsys, "env", env, "--config", str(config))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "horizon" in err
+
+
+@pytest.mark.parametrize("command", ["cf-build", "sweep"])
 def test_zero_samples_exits_2(command, artifact_dir, tmp_path, capsys):
-    argv = [command, "--mdp", str(artifact_dir / "mdp.json"),
-            "--path", str(artifact_dir / "path.json"), "--samples", "0"]
+    argv = [command, *_observation(artifact_dir), "--samples", "0"]
     argv += {"cf-build": ["--out", str(tmp_path / "post.npz")],
-             "prune": ["--k", "1"],
              "sweep": ["--out", str(tmp_path / "sweep")]}[command]
     code, _, err = run(capsys, *argv)
     assert code == 2
@@ -304,21 +351,54 @@ def test_zero_samples_exits_2(command, artifact_dir, tmp_path, capsys):
 IGNORED_FLAGS = [("solve", "--seed", "1"), ("solve", "--samples", "7"),
                  ("solve", "--sampler", "rejection"), ("solve", "--horizon", "3"),
                  ("sample", "--samples", "7"), ("sample", "--sampler", "rejection"),
-                 ("cf-build", "--horizon", "3"), ("prune", "--horizon", "3")]
+                 ("cf-build", "--horizon", "3"), ("prune", "--horizon", "3"),
+                 ("prune", "--samples", "7"), ("prune", "--sampler", "rejection"),
+                 ("prune", "--seed", "3"), ("sweep", "--env", "gridworld"),
+                 ("sweep", "--preset", "suboptimal"), ("sweep", "--horizon", "3"),
+                 ("sweep", "--population", "3")]
 
 
 @pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS)
 def test_flag_a_command_does_not_read_exits_2(command, flag, value, artifact_dir, tmp_path, capsys):
     d, out = artifact_dir, tmp_path / "out"
     argv = {"solve": f"solve --mdp {d}/mdp.json --pruned {d}/pruned.json --m 1",
-            "sample": "sample --policy epidemic",
+            "sample": f"sample --mdp {d}/mdp.json --policy epidemic",
             "cf-build": f"cf-build --mdp {d}/mdp.json --path {d}/path.json",
-            "prune": f"prune --mdp {d}/mdp.json --path {d}/path.json --nominal --k 1"}[command]
+            "prune": f"prune --mdp {d}/mdp.json --path {d}/path.json --nominal --k 1",
+            "sweep": f"sweep --mdp {d}/mdp.json --path {d}/path.json"}[command]
     with pytest.raises(SystemExit) as exc:
         main([*argv.split(), flag, value, "--out", str(out)])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Each subcommand with --out where it cannot be written: a file in a missing
+# directory, or for sweep's output directory an existing file.
+UNWRITABLE_OUT = {
+    "env": "env gridworld --out {missing}/mdp.json",
+    "sample": "sample --mdp {d}/mdp.json --policy epidemic --out {missing}/path.json",
+    "cf-build": "cf-build --mdp {d}/mdp.json --path {d}/path.json --samples 20"
+                " --out {missing}/posterior.npz",
+    "prune": "prune --mdp {d}/mdp.json --path {d}/path.json --nominal --k 8"
+             " --out {missing}/pruned.json",
+    "solve": "solve --mdp {d}/mdp.json --pruned {d}/pruned.json --m 1 --out {missing}/policy.json",
+    "sweep": "sweep --mdp {d}/mdp.json --path {d}/path.json --samples 20 --k-min 8 --m-max 1"
+             " --out {file}",
+    "rollout": "rollout --mdp {d}/mdp.json --pruned {d}/pruned.json --policy {d}/policy.json"
+               " --env epidemic --feature infected -n 5 --out {missing}/rollout.csv",
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUT))
+def test_unwritable_out_exits_2(command, artifact_dir, tmp_path, capsys):
+    file, missing = tmp_path / "file", tmp_path / "missing"
+    file.write_text("kept")
+    argv = UNWRITABLE_OUT[command].format(d=artifact_dir, file=file, missing=missing).split()
+    code, _, err = run(capsys, *argv)
+    assert code == 2, err
+    assert err.startswith("error:") and argv[-1] in err
+    assert list(tmp_path.iterdir()) == [file] and file.read_text() == "kept"
 
 
 def test_policy_meta_copies_the_artifact_sample_count(artifact_dir, tmp_path, capsys):
@@ -364,13 +444,12 @@ def test_unreadable_json_exits_2(read, content, artifact_dir, tmp_path, capsys):
 
 # Out-of-range numbers, each rejected by argparse before any work; {out} must not appear.
 BAD_NUMBERS = {
-    "sample-seed": "sample --policy epidemic --seed -1 --out {out}",
-    "sample-horizon-zero": "sample --policy epidemic --horizon 0 --out {out}",
-    "sample-horizon-negative": "sample --policy epidemic --horizon -3 --out {out}",
-    "sweep-seed": "sweep --env gridworld --seed -1 --out {out}",
-    "sweep-horizon-zero": "sweep --env gridworld --horizon 0 --out {out}",
+    "sample-seed": "sample --mdp {d}/mdp.json --policy epidemic --seed -1 --out {out}",
+    "sample-horizon-zero": "sample --mdp {d}/mdp.json --policy epidemic --horizon 0 --out {out}",
+    "sample-horizon-negative": "sample --mdp {d}/mdp.json --policy epidemic --horizon -3"
+                               " --out {out}",
+    "sweep-seed": "sweep --mdp {d}/mdp.json --path {d}/path.json --seed -1 --out {out}",
     "cf-build-seed": "cf-build --mdp {d}/mdp.json --path {d}/path.json --seed -1 --out {out}",
-    "prune-seed": "prune --mdp {d}/mdp.json --path {d}/path.json --k 1 --seed -1 --out {out}",
     "rollout-seed": "rollout --mdp {d}/mdp.json --pruned {d}/pruned.json --policy {d}/policy.json"
                     " --env epidemic --feature infected --seed -1 --out {out}",
     "rollout-n-negative": "rollout --mdp {d}/mdp.json --pruned {d}/pruned.json"
@@ -394,23 +473,21 @@ def test_out_of_range_number_exits_2(case, artifact_dir, tmp_path, capsys):
 
 def test_zero_probability_entries_drop_on_every_path(tmp_path, capsys):
     # treat_effect 1.0 makes the sepsis builder emit entries of probability
-    # 0.0. A sweep of the built MDP and one of its JSON file must agree.
+    # 0.0. The built MDP and its JSON file must be the same MDP, and sweep
+    # the same.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"treat_effect": [1, 1, 1]}))
-    files = {name: str(tmp_path / name) for name in ("mdp.json", "path.json", "direct", "loaded")}
-    grid = ["--samples", "20", "--k-max", "3", "--m-max", "1"]
-    assert main(["sweep", "--env", "sepsis", "--preset", "suboptimal", "--config", str(config),
-                 *grid, "--out", files["direct"]]) == 0
+    files = {name: str(tmp_path / name) for name in ("mdp.json", "path.json")}
     assert main(["env", "sepsis", "--config", str(config), "--out", files["mdp.json"]]) == 0
     assert main(["sample", "--mdp", files["mdp.json"], "--policy", "sepsis-suboptimal",
                  "--out", files["path.json"]]) == 0
-    assert main(["sweep", "--mdp", files["mdp.json"], "--path", files["path.json"], *grid,
-                 "--out", files["loaded"]]) == 0
-    direct, loaded = tmp_path / "direct", tmp_path / "loaded"
-    for name in ("sweep.csv", "sizes.csv"):
-        assert (direct / name).read_bytes() == (loaded / name).read_bytes(), name
-    stats = [json.loads((d / "manifest.json").read_text())["statistics"] for d in (direct, loaded)]
-    assert stats[0] == stats[1]
+    built = build_environment("sepsis", treat_effect=(1, 1, 1))
+    loaded = mdp_from_json(json.loads((tmp_path / "mdp.json").read_text()))
+    assert (built.prob > 0).all() and built.digest == loaded.digest
+    path = path_from_json(json.loads((tmp_path / "path.json").read_text()), loaded)
+    results = [sweep(build_cf_mdp(build_posterior(mdp, path, 20, "topdown", 0), mdp), [1, 2, 3], [1])
+               for mdp in (built, loaded)]
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("danger", ["1", "1,x", "1,2,3"])
@@ -488,6 +565,10 @@ BAD_ARTIFACTS = {
         "KeyError('nowhere')"),
     "pruned-layer-out-of-range": ("pruned", lambda pruned, policy: dict(
         pruned, actions=[dict(e, t=99) for e in pruned["actions"]]), "outside decision layers"),
+    # The epidemic path has T = 7, and k = T+1 = 8 already admits every pair.
+    "pruned-k-zero": ("pruned", lambda pruned, policy: dict(pruned, k=0), "k=0 outside 1..8"),
+    "pruned-k-past-horizon": ("pruned", lambda pruned, policy: dict(pruned, k=9),
+                              "k=9 outside 1..8"),
     "policy-empty": ("policy", {}, "KeyError('m')"),
     "policy-entry-without-j": ("policy", lambda pruned, policy: dict(
         policy, actions=[{k: v for k, v in e.items() if k != "j"} for e in policy["actions"]]),
@@ -758,11 +839,11 @@ def test_rollout_policy_changing_past_its_budget_exits_3(artifact_dir, tmp_path,
     assert "Traceback" not in err
 
 
-def test_sweep_hashes_the_mdp_once(tmp_path, capsys, monkeypatch):
+def test_sweep_hashes_the_mdp_once(artifact_dir, tmp_path, capsys, monkeypatch):
     calls = []
     hash_mdp = cfmdp.mdp.mdp_hash
     monkeypatch.setattr(cfmdp.mdp, "mdp_hash", lambda mdp: calls.append(mdp) or hash_mdp(mdp))
-    code, _, _ = run(capsys, "sweep", "--env", "gridworld", "--samples", "20",
+    code, _, _ = run(capsys, "sweep", *_observation(artifact_dir), "--samples", "20",
                      "--out", str(tmp_path / "sweep"))
     assert code == 0
     assert len(calls) == 1
@@ -791,7 +872,8 @@ def test_compressed_posterior_prunes_identically(tmp_path, capsys):
     files = {name: str(tmp_path / name) for name in ("mdp.json", "path.json", "posterior.npz",
                                                       "compressed.npz")}
     assert main(["env", "gridworld", "--out", files["mdp.json"]]) == 0
-    assert main(["sample", "--policy", "gridworld", "--out", files["path.json"]]) == 0
+    assert main(["sample", "--mdp", files["mdp.json"], "--policy", "gridworld",
+                 "--out", files["path.json"]]) == 0
     assert main(["cf-build", "--mdp", files["mdp.json"], "--path", files["path.json"],
                  "--samples", "50", "--out", files["posterior.npz"]]) == 0
     with np.load(files["posterior.npz"]) as data:

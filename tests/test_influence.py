@@ -169,6 +169,15 @@ def test_admission_matches_literal_definition(seed):
                 assert admitted[t][mdp.pair(s, a)] == reference_admitted(mdp, path, k, t, s, a)
 
 
+@pytest.mark.parametrize("k", [0, 5])
+def test_prune_requires_k_within_one_to_horizon_plus_one(fig2_toy, k):
+    # fig2_toy's path has T = 3, and k = T+1 = 4 already admits every pair:
+    # a larger k would only build frontier layers that nothing reads.
+    mdp, path = fig2_toy
+    with pytest.raises(ValidationFailed, match=r"1 <= k <= 4"):
+        prune_cf_mdp(nominal_cf_mdp(mdp, path), k)
+
+
 def test_prune_monotone_random_mdp():
     rng = np.random.default_rng(21)
     mdp = random_mdp(rng, 5, 2, support_max=3)

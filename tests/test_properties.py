@@ -178,11 +178,15 @@ def gridworld_files(tmp_path_factory):
     """MDP, path, pruned and policy files of a gridworld run."""
     d = tmp_path_factory.mktemp("fuzz")
     files = {name: str(d / f"{name}.json") for name in ("mdp", "path", "pruned", "policy")}
+    posterior = str(d / "posterior.npz")
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(["env", "gridworld", "--out", files["mdp"]]) == 0
-        assert main(["sample", "--policy", "gridworld", "--out", files["path"]]) == 0
-        assert main(["prune", "--mdp", files["mdp"], "--path", files["path"], "--samples", "20",
-                     "--k", "3", "--out", files["pruned"]]) == 0
+        assert main(["sample", "--mdp", files["mdp"], "--policy", "gridworld",
+                     "--out", files["path"]]) == 0
+        assert main(["cf-build", "--mdp", files["mdp"], "--path", files["path"], "--samples", "20",
+                     "--out", posterior]) == 0
+        assert main(["prune", "--mdp", files["mdp"], "--path", files["path"],
+                     "--posterior", posterior, "--k", "3", "--out", files["pruned"]]) == 0
         assert main(["solve", "--mdp", files["mdp"], "--pruned", files["pruned"], "--m", "1",
                      "--out", files["policy"]]) == 0
     return files
