@@ -9,6 +9,7 @@ and reproduced.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -33,6 +34,7 @@ from .mdp import (
     PROB_TOL,
     Mdp,
     ObservedPath,
+    canonical_dumps,
     mdp_from_json,
     mdp_to_json,
     path_from_json,
@@ -128,9 +130,14 @@ def cmd_env(args) -> int:
 
 def cmd_sample(args) -> int:
     """The path of preset --policy on --mdp, at the preset's frozen seed and
-    horizon unless --seed or --horizon is given."""
-    _, policy, seed, horizon = envs.PRESETS[args.policy]
-    path = sample_path(_load_mdp(args.mdp), policy, args.horizon or horizon,
+    horizon unless --seed or --horizon is given. The MDP must be one of the
+    preset's environment."""
+    env, policy, seed, horizon = envs.PRESETS[args.policy]
+    mdp = _load_mdp(args.mdp)
+    if mdp.name != envs.MDP_NAMES[env]:
+        raise ValidationFailed(f"preset {args.policy!r} observes the {env} environment "
+                               f"(MDP name {envs.MDP_NAMES[env]!r}), but --mdp is {mdp.name!r}")
+    path = sample_path(mdp, policy, args.horizon or horizon,
                        seed if args.seed is None else args.seed)
     _emit(json.dumps(path_to_json(path), sort_keys=True) + "\n", args.out)
     return EXIT_OK
@@ -323,25 +330,39 @@ def cmd_prune(args) -> int:
     return EXIT_OK
 
 
+def _pruned_hash(obj: dict) -> str:
+    """SHA-256 of a loaded pruned artifact's fields (those `_pruned_from_json`
+    reads) as canonical JSON, so a compact and an indented copy, or a copy
+    with an unread key, agree."""
+    fields = ("k", "mdp_hash", "path", "samples", "nodes_all_layers", "layers", "rows", "actions")
+    return hashlib.sha256(canonical_dumps({key: obj[key] for key in fields}).encode()).hexdigest()
+
+
 def cmd_solve(args) -> int:
     mdp = _load_mdp(args.mdp)
     obj = _read_json(args.pruned)
     pruned = _pruned_from_json(obj, mdp)
     policy = solve_km(pruned, args.m)
     meta = {"samples": obj["samples"], "mdp_hash": mdp.digest}
-    _emit(json.dumps(policy_to_json(policy, meta), sort_keys=True) + "\n", args.out)
+    out = dict(policy_to_json(policy, meta), pruned_hash=_pruned_hash(obj))
+    _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
     sys.stderr.write(f"V(s0) = {policy.v_s0!r}\n")
     return EXIT_OK
 
 
-def _policy_from_json(obj: dict, pruned: PrunedCfMdp) -> CfPolicy:
-    """The policy stored by `policy_to_json`; a malformed artifact is a
-    validation error."""
+def _policy_from_json(obj: dict, pruned: PrunedCfMdp, pruned_hash: str) -> CfPolicy:
+    """The policy stored by `cmd_solve` for the pruned artifact whose
+    `_pruned_hash` is `pruned_hash`; a malformed policy, or one solved on
+    another pruned artifact, is a validation error. Only `m`, the actions
+    and `pruned_hash` are read: the policy's `k` is the artifact's, and its
+    `v_s0` is a report."""
     mdp, T = pruned.cf.mdp, pruned.horizon
     try:
         m = int(obj["m"])
         if not 0 <= m <= T:
             raise ValidationFailed(f"policy budget m={m} outside 0..{T}")
+        if obj.get("pruned_hash") != pruned_hash:
+            raise ValidationFailed("policy was not solved on this pruned artifact; solve it again")
         choices = [np.full((mdp.num_states, m + 1), -1, dtype=np.int64) for _ in range(T)]
         for e in obj["actions"]:
             t, j, s = _layer(e["t"], T), int(e["j"]), e["s"]
@@ -352,16 +373,17 @@ def _policy_from_json(obj: dict, pruned: PrunedCfMdp) -> CfPolicy:
             if choices[t][mdp.state_index(s), m - j] >= 0:
                 raise ValidationFailed(f"policy entry ({s}, t={t}, j={j}) appears twice")
             choices[t][mdp.state_index(s), m - j] = mdp.action_index(e["a"])
-        return CfPolicy(k=int(obj["k"]), m=m, mdp=mdp, s0=int(pruned.cf.path.state[0]),
-                        choices=choices, values=[], v_s0=float(obj["v_s0"]))
+        return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=int(pruned.cf.path.state[0]),
+                        choices=choices, values=[])
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
         raise ValidationFailed(f"malformed policy artifact: {exc!r}") from exc
 
 
 def cmd_rollout(args) -> int:
     mdp = _load_mdp(args.mdp)
-    pruned = _pruned_from_json(_read_json(args.pruned), mdp)
-    policy = _policy_from_json(_read_json(args.policy), pruned)
+    obj = _read_json(args.pruned)
+    pruned = _pruned_from_json(obj, mdp)
+    policy = _policy_from_json(_read_json(args.policy), pruned, _pruned_hash(obj))
     features = envs.environment_features(args.env) if args.env else {}
     if args.feature not in features:
         raise ValidationFailed(
@@ -452,7 +474,11 @@ def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(f"--{name}", **flags[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The cfmdp argument parser. It is built once per process: parsing does
+    not change it, and building it costs more than most commands on small
+    inputs."""
     parser = argparse.ArgumentParser(
         prog="cfmdp",
         description="Influence-constrained counterfactual policies for finite-horizon MDPs",

@@ -112,7 +112,7 @@ def build_gridworld(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
             rewards[(label, a)] = -cfg.shaping_scale * dist_to_goal(cell) + bonus
 
     return Mdp(states, actions, kernel, rewards,
-               initial={_cell_label(*cfg.start): 1.0}, name="gridworld")
+               initial={_cell_label(*cfg.start): 1.0}, name=MDP_NAMES["gridworld"])
 
 
 def gridworld_observed_policy(s: State, t: int, cfg: GridWorldConfig = GridWorldConfig()) -> Action:
@@ -218,7 +218,8 @@ def build_epidemic(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
             rewards[(label, a)] = float(-I)
 
     s0 = _epi_label(P - cfg.initial_infected, cfg.initial_infected, 2 * P)
-    return Mdp(states, (NIL, V_I, V_S), kernel, rewards, initial={s0: 1.0}, name="epidemic")
+    return Mdp(states, (NIL, V_I, V_S), kernel, rewards, initial={s0: 1.0},
+               name=MDP_NAMES["epidemic"])
 
 
 def epidemic_features():
@@ -339,7 +340,7 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
                 rewards[(label, a)] = step_reward(vitals)
 
     s0 = _sepsis_label(cfg.start_vitals, (0, 0, 0))
-    return Mdp(states, actions, kernel, rewards, initial={s0: 1.0}, name="sepsis-lite")
+    return Mdp(states, actions, kernel, rewards, initial={s0: 1.0}, name=MDP_NAMES["sepsis"])
 
 
 def sepsis_features():
@@ -356,6 +357,10 @@ ENVIRONMENTS = {
     "epidemic": (EpidemicConfig, build_epidemic, epidemic_features),
     "sepsis": (SepsisLiteConfig, build_sepsis_lite, sepsis_features),
 }
+
+# The `Mdp.name` of every MDP an environment builds, whatever its config: an
+# observation preset of that environment applies only to MDPs of this name.
+MDP_NAMES = {"gridworld": "gridworld", "epidemic": "epidemic", "sepsis": "sepsis-lite"}
 
 
 class Preset(NamedTuple):

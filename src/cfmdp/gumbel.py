@@ -8,14 +8,24 @@ that replay the observation) or by exact top-down sampling (place the maximum
 at the observed state, truncate the rest below it). States outside the
 observed row's support keep their prior noise, which is exactly why disjoint
 supports make counterfactual and interventional rows coincide.
+
+Each time step draws its noise from its own RNG stream, so a step's layer of
+posterior noise is the same whenever, and in whatever order, it is drawn. A
+posterior therefore draws (or reads from its artifact) one layer at a time
+when it is first needed and holds only that layer: the dense (T, N, |S|)
+noise tensor is never in memory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import zipfile
+import zlib
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -109,17 +119,48 @@ def topdown_noise(mdp: Mdp, p: int, pos: int, n: int, rng: np.random.Generator) 
     return out
 
 
+class _Layers(Sequence):
+    """The T noise layers of a posterior, each a read-only (n, |S|) array.
+
+    Layer t is `make(t)`, made when it is read; only the layer read last is
+    kept, so reading the layers in ascending t makes each one once and holds
+    one at a time. `make` must return equal layers on every call, as a draw
+    from the step's own RNG stream or a read of its artifact member does.
+    """
+
+    def __init__(self, count: int, make: Callable[[int], np.ndarray]):
+        self._count, self._make = count, make
+        self._t, self._layer = -1, None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        if not 0 <= t < self._count:
+            raise IndexError(f"noise layer {t} outside 0..{self._count - 1}")
+        if t != self._t:
+            self._t, self._layer = -1, None  # free the held layer before making the next
+            layer = self._make(t)
+            layer.flags.writeable = False
+            self._t, self._layer = t, layer
+        return self._layer
+
+
 @dataclass(frozen=True)
 class GumbelPosterior:
     """Per-time-step posterior noise samples conditioned on an observed path.
 
-    noise[t] has shape (n, |S|). Steps t < T-1 are conditioned on the observed
-    transition (s_t, a_t, s_{t+1}); the final step has no observed successor
-    and carries prior samples. Per-step RNG streams are derived from
-    (seed, t), so construction is order-independent and parallelizable.
+    `noise` is a sequence of T layers, and noise[t] has shape (n, |S|). Steps
+    t < T-1 are conditioned on the observed transition (s_t, a_t, s_{t+1});
+    the final step has no observed successor and carries prior samples. Per-
+    step RNG streams are derived from (seed, t), so a layer drawn late, or
+    drawn again, is bit-identical to one drawn up front in any order. Hence
+    `noise` draws a layer (or, for a loaded posterior, reads it from the
+    artifact) when it is read and keeps only the layer read last: one layer
+    is resident, never the dense (T, n, |S|) tensor.
     """
 
-    noise: tuple[np.ndarray, ...]
+    noise: Sequence[np.ndarray]
     n: int
     sampler: str
     seed: int
@@ -138,13 +179,33 @@ def _step_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
 
 
+def _draw_layer(mdp: Mdp, path: ObservedPath, n: int, sampler: str, seed: int,
+                t: int) -> np.ndarray:
+    """Posterior noise of step t from its stream `_step_rng(seed, t)`:
+    conditioned on the observed transition at t < T-1, the prior at T-1.
+    Every sample of a conditioned step is checked to replay the observation."""
+    rng = _step_rng(seed, t)
+    if t == path.T - 1:
+        return rng.gumbel(size=(n, mdp.num_states))
+    p, pos = int(path.pair[t]), int(path.next_pos[t])
+    if sampler == SAMPLER_TOPDOWN:
+        g = topdown_noise(mdp, p, pos, n, rng)
+    else:
+        g, _ = rejection_noise(mdp, p, pos, n, rng)
+    idx, _, logp = mdp.row(p)
+    if not np.all(_winners(idx, logp, g) == pos):
+        raise InvariantViolated(f"posterior sample at t={t} fails to replay the observation")
+    return g
+
+
 def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER_TOPDOWN,
                     seed: int = 0) -> GumbelPosterior:
-    """Infer posterior noise for every step of the path (Markov factorization).
+    """Posterior noise for every step of the path (Markov factorization).
 
     Each step is conditioned independently on its own observed transition.
-    Every returned sample provably replays the observed successor; this is
-    asserted at build time so downstream replay determinism is exact.
+    The inputs are checked here, an observation of probability zero at any
+    step included; each layer is drawn by `_draw_layer` when first read, and
+    every sample it returns provably replays the observed successor.
     """
     if path.mdp_digest != mdp.digest:
         raise ValidationFailed("path was built against a different MDP")
@@ -152,22 +213,10 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
         raise ValidationFailed(f"unknown sampler {sampler!r}")
     if n < 1:
         raise ValidationFailed(f"posterior sample count must be >= 1, got {n}")
-    layers: list[np.ndarray] = []
-    for t in range(path.T):
-        rng = _step_rng(seed, t)
-        if t == path.T - 1:
-            layers.append(rng.gumbel(size=(n, mdp.num_states)))
-            continue
-        p, pos = int(path.pair[t]), int(path.next_pos[t])
-        if sampler == SAMPLER_TOPDOWN:
-            g = topdown_noise(mdp, p, pos, n, rng)
-        else:
-            g, _ = rejection_noise(mdp, p, pos, n, rng)
-        idx, _, logp = mdp.row(p)
-        if not np.all(_winners(idx, logp, g) == pos):
-            raise InvariantViolated(f"posterior sample at t={t} fails to replay the observation")
-        layers.append(g)
-    return GumbelPosterior(tuple(layers), n, sampler, seed, path, mdp.digest)
+    for t in range(path.T - 1):
+        _conditioned_row(mdp, int(path.pair[t]), int(path.next_pos[t]))
+    layers = _Layers(path.T, partial(_draw_layer, mdp, path, n, sampler, seed))
+    return GumbelPosterior(layers, n, sampler, seed, path, mdp.digest)
 
 
 def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +320,18 @@ def posterior_cache_key(mdp: Mdp, path: ObservedPath, n: int, sampler: str, seed
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _write_member(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
+    # As np.savez writes a member; zip64 always, so a layer of any size fits.
+    with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
+        np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
 def save_posterior(posterior: GumbelPosterior, file) -> None:
+    """Write `posterior` to the path `file` as an .npz archive that np.load
+    reads: a `meta` member (JSON bytes) and one (n, |S|) float64 member g{t}
+    per step. Layers are drawn and written one at a time; a file left
+    unfinished by an error is removed.
+    """
     meta = {
         "n": posterior.n,
         "sampler": posterior.sampler,
@@ -279,33 +339,80 @@ def save_posterior(posterior: GumbelPosterior, file) -> None:
         "mdp_hash": posterior.source_mdp_hash,
         "path": path_to_json(posterior.path),
     }
-    arrays = {f"g{t}": posterior.noise[t] for t in range(posterior.T)}
     # Uncompressed: Gumbel noise is incompressible, and zlib dominated the save.
-    np.savez(file, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    archive = zipfile.ZipFile(file, "w", zipfile.ZIP_STORED, allowZip64=True)
+    try:
+        with archive:
+            _write_member(archive, "meta", np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+            for t in range(posterior.T):
+                _write_member(archive, f"g{t}", posterior.noise[t])
+    except BaseException:
+        os.remove(file)
+        raise
+
+
+# Faults that reading an archive member can raise.
+_READ_FAULTS = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error)
+
+
+def _check_step(t: int, shape: tuple, dtype: np.dtype, n: int, num_states: int) -> None:
+    if shape != (n, num_states) or dtype != np.float64:
+        raise ValidationFailed(f"posterior step g{t} has shape {shape} and dtype {dtype}, "
+                               f"expected ({n}, {num_states}) float64")
+
+
+def _step_header(archive: zipfile.ZipFile, t: int) -> tuple[tuple, np.dtype, int]:
+    """Shape, dtype and data byte count of member g{t}, from its npy header."""
+    name = f"g{t}.npy"
+    with archive.open(name) as fh:
+        version = np.lib.format.read_magic(fh)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"{name} has npy format version {version}")
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape, _, dtype = read_header(fh)
+        return shape, dtype, archive.getinfo(name).file_size - fh.tell()
+
+
+def _read_step(file, n: int, num_states: int, t: int) -> np.ndarray:
+    """Member g{t} of the archive at `file`; a fault reading it is a ValidationFailed."""
+    try:
+        with zipfile.ZipFile(file) as archive, archive.open(f"g{t}.npy") as fh:
+            g = np.lib.format.read_array(fh, allow_pickle=False)
+    except _READ_FAULTS as exc:
+        raise ValidationFailed(f"cannot read posterior step g{t} of {file}: {exc!r}") from exc
+    _check_step(t, g.shape, g.dtype, n, num_states)
+    return g
 
 
 def load_posterior(file, mdp: Mdp) -> GumbelPosterior:
-    """Read a `save_posterior` artifact built for `mdp`.
+    """Open a `save_posterior` archive built for `mdp`.
 
-    A missing or unreadable file, a missing step array, noise whose shape is
-    not (n, |S|), or a path that is not one of `mdp` raises ValidationFailed.
+    The whole archive is checked before any noise is read: a missing or
+    unreadable file, a sample count n < 1, a missing step member, a member
+    whose npy header is not (n, |S|) float64 or whose data does not fill that
+    shape, or a path that is not one of `mdp` raises ValidationFailed. Layer t is read from `file` when
+    it is read from `noise`; a fault then raises ValidationFailed as well.
     """
     try:
-        with np.load(file) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
+        with zipfile.ZipFile(file) as archive:
+            with archive.open("meta.npy") as fh:
+                meta = json.loads(np.lib.format.read_array(fh, allow_pickle=False).tobytes())
             n, steps = int(meta["n"]), meta["path"]["steps"]
-            noise = tuple(data[f"g{t}"] for t in range(len(steps)))
+            headers = [_step_header(archive, t) for t in range(len(steps))]
         sampler, seed, digest = str(meta["sampler"]), int(meta["seed"]), str(meta["mdp_hash"])
-    except (OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+    except (TypeError, *_READ_FAULTS) as exc:
         raise ValidationFailed(f"cannot read posterior artifact {file}: {exc!r}") from exc
     if digest != mdp.digest:
         raise ValidationFailed("posterior artifact was built from a different MDP")
-    posterior = GumbelPosterior(noise=noise, n=n, sampler=sampler, seed=seed,
-                                path=path_from_json(meta["path"], mdp), source_mdp_hash=digest)
-    for t, g in enumerate(noise):
-        if g.shape != (n, mdp.num_states) or g.dtype != np.float64:
-            raise ValidationFailed(
-                f"posterior step g{t} has shape {g.shape} and dtype {g.dtype}, "
-                f"expected ({n}, {mdp.num_states}) float64"
-            )
-    return posterior
+    if n < 1:
+        raise ValidationFailed(f"posterior sample count must be >= 1, got {n}")
+    path = path_from_json(meta["path"], mdp)
+    for t, (shape, dtype, size) in enumerate(headers):
+        _check_step(t, shape, dtype, n, mdp.num_states)
+        if size != n * mdp.num_states * dtype.itemsize:
+            raise ValidationFailed(f"posterior step g{t} holds {size} bytes of data, "
+                                   f"expected {n * mdp.num_states * dtype.itemsize}")
+    layers = _Layers(len(steps), partial(_read_step, file, n, mdp.num_states))
+    return GumbelPosterior(noise=layers, n=n, sampler=sampler, seed=seed, path=path,
+                           source_mdp_hash=digest)

@@ -193,6 +193,10 @@ def prune_cf_mdp(cf: CfMdp, k: int, base: PrunedCfMdp | None = None) -> PrunedCf
 
     s0 = int(path.state[0])
     if not alive[0][s0]:
+        if cf.posterior is None:  # the observed pairs keep their whole nominal rows
+            raise EmptyPrunedMdp(
+                f"k={k} pruning left no usable action at the initial node: under nominal rows an "
+                "observed transition can reach states that k does not admit; use a larger k")
         raise EmptyPrunedMdp(
             f"k={k} pruning left no usable action at the initial node; "
             "the counterfactual kernel is inconsistent with the path"

@@ -145,6 +145,13 @@ class Mdp:
         return int(e - lo) if e < hi and self.succ[e] == i else -1
 
     @cached_property
+    def _initial_cdf(self) -> tuple[list[int], list[float]]:
+        """The states of positive initial probability and np.cumsum of their
+        probabilities, from which `sample_path` draws s_0."""
+        support = np.flatnonzero(self.initial > 0.0)
+        return support.tolist(), np.cumsum(self.initial[support]).tolist()
+
+    @cached_property
     def row_id(self) -> np.ndarray:
         """Per pair, the first pair whose nominal row is bit-identical (same
         successors, same probabilities). Many actions leave a state's dynamics
@@ -228,10 +235,8 @@ def sample_path(mdp: Mdp, policy: Callable[[State, int], Action | None], horizon
     """Sample a length-`horizon` path under `policy`, a (state, t) -> action
     callable; deterministic given the seed."""
     rng = np.random.default_rng(seed)
-    support = np.flatnonzero(mdp.initial > 0.0)
-    cum = np.cumsum(mdp.initial[support])
-    si = int(support[min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")),
-                         len(support) - 1)])
+    support, cum = mdp._initial_cdf
+    si = support[min(bisect_right(cum, rng.random() * cum[-1]), len(support) - 1)]
     steps: list[tuple[State, Action]] = []
     for t in range(horizon):
         s = mdp.states[si]

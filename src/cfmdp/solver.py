@@ -29,7 +29,8 @@ class CfPolicy:
     over state index and remaining budget r = 0..m, so the conventional
     V_t(s, j) with j changes used is entry r = m - j. Values are -inf and
     choices (action indices) -1 where no feasible action exists or the node
-    is outside the pruned MDP. `s0` is the index of the initial state.
+    is outside the pruned MDP. `s0` is the index of the initial state. A
+    policy read back from an artifact has no value tables (`values` is empty).
     """
 
     k: int
@@ -38,7 +39,11 @@ class CfPolicy:
     s0: int
     choices: list[np.ndarray]
     values: list[np.ndarray]
-    v_s0: float
+
+    @property
+    def v_s0(self) -> float:
+        """V(s_0) under the solved cap m."""
+        return self.initial_value(self.m)
 
     def initial_value(self, m: int) -> float:
         """V(s_0) under budget cap m (m <= the solved cap)."""
@@ -113,7 +118,7 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
     v0 = float(values[0][s0, m])
     if v0 == NEG_INF:
         raise InfeasibleBudget(f"no feasible policy at m={m}")
-    return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=s0, choices=choices, values=values, v_s0=v0)
+    return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=s0, choices=choices, values=values)
 
 
 def policy_to_json(policy: CfPolicy, meta: dict | None = None) -> dict:

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import cfmdp.gumbel
 from cfmdp.environments import demo_observation
 from cfmdp.gumbel import build_cf_mdp, build_posterior
 from cfmdp.mdp import Mdp, ObservedPath
@@ -52,3 +55,19 @@ def epidemic_cf(epidemic_demo):
     mdp, path, _ = epidemic_demo
     posterior = build_posterior(mdp, path, 1000, "topdown", seed=7)
     return build_cf_mdp(posterior, mdp)
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """`layer_calls(name)` counts, per step t, the calls to the noise layer
+    maker `cfmdp.gumbel.<name>` (`_draw_layer` or `_read_step`) made after it."""
+    def count(name: str) -> Counter:
+        calls, make = Counter(), getattr(cfmdp.gumbel, name)
+
+        def counted(*args):
+            calls[args[-1]] += 1
+            return make(*args)
+
+        monkeypatch.setattr(cfmdp.gumbel, name, counted)
+        return calls
+    return count

@@ -1,16 +1,19 @@
 import json
 import re
 import shlex
+import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cfmdp.cli
+import cfmdp.gumbel
 import cfmdp.mdp
 from cfmdp.cli import _pruned_from_json, _pruned_to_json, main
 from cfmdp.environments import build_environment
-from cfmdp.errors import MissingKernelRow, ValidationFailed
+from cfmdp.errors import InvariantViolated, MissingKernelRow, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, load_posterior
 from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import mdp_from_json, mdp_to_json, path_from_json
@@ -414,6 +417,75 @@ def test_policy_meta_copies_the_artifact_sample_count(artifact_dir, tmp_path, ca
     assert main(["solve", "--mdp", str(artifact_dir / "mdp.json"), "--pruned", str(files["pruned"]),
                  "--m", "1", "--out", str(files["policy"])]) == 0
     assert json.loads(files["policy"].read_text())["meta"]["samples"] == 0
+
+
+def _rollout(capsys, artifact_dir, pruned, policy, out):
+    return run(capsys, "rollout", "--mdp", str(artifact_dir / "mdp.json"), "--pruned", str(pruned),
+               "--policy", str(policy), "--env", "epidemic", "--feature", "infected", "-n", "50",
+               "--seed", "2", "--out", str(out))
+
+
+def test_policy_solved_on_another_pruned_artifact_exits_2(artifact_dir, tmp_path, capsys):
+    # A policy records the hash of the pruned artifact it was solved on. An
+    # edit of a field rollout does not read still makes it another artifact,
+    # and a policy without the hash was solved on none that can be checked.
+    pruned = json.loads((artifact_dir / "pruned.json").read_text())
+    policy = json.loads((artifact_dir / "policy.json").read_text())
+    cases = {
+        "pruned-edited": (dict(pruned, nodes_all_layers=pruned["nodes_all_layers"] + 1), policy),
+        "policy-without-hash": (pruned, {k: v for k, v in policy.items() if k != "pruned_hash"}),
+    }
+    for case, (pruned_obj, policy_obj) in cases.items():
+        (tmp_path / "pruned.json").write_text(json.dumps(pruned_obj))
+        (tmp_path / "policy.json").write_text(json.dumps(policy_obj))
+        code, _, err = _rollout(capsys, artifact_dir, tmp_path / "pruned.json",
+                                tmp_path / "policy.json", tmp_path / "r.csv")
+        assert code == 2, (case, err)
+        assert "policy was not solved on this pruned artifact" in err, case
+        assert not (tmp_path / "r.csv").exists()
+
+
+def test_rollout_reads_neither_k_nor_v_s0_of_the_policy(artifact_dir, tmp_path, capsys):
+    policy = json.loads((artifact_dir / "policy.json").read_text())
+    edits = {"edited": dict(policy, k=99, v_s0=12345.0),
+             "dropped": {k: v for k, v in policy.items() if k not in ("k", "v_s0")}}
+    code, _, _ = _rollout(capsys, artifact_dir, artifact_dir / "pruned.json",
+                          artifact_dir / "policy.json", tmp_path / "want.csv")
+    assert code == 0
+    for name, edited in edits.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(edited))
+        code, _, err = _rollout(capsys, artifact_dir, artifact_dir / "pruned.json",
+                                tmp_path / f"{name}.json", tmp_path / f"{name}.csv")
+        assert code == 0, (name, err)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_nominal_prune_with_too_small_k_names_the_cause(artifact_dir, tmp_path, capsys):
+    # Under --nominal an observed pair keeps its whole nominal row, so on the
+    # epidemic path k = 1..3 close s_0 away; the files are consistent.
+    out = tmp_path / "pruned.json"
+    code, _, err = run(capsys, "prune", *_observation(artifact_dir), "--nominal", "--k", "1",
+                       "--out", str(out))
+    assert code == 3
+    assert "under nominal rows" in err and "use a larger k" in err and "inconsistent" not in err
+    assert not out.exists()
+    code, _, _ = run(capsys, "prune", *_observation(artifact_dir), "--nominal", "--k", "4",
+                     "--out", str(out))
+    assert code == 0
+
+
+@pytest.mark.parametrize("env, preset", [("gridworld", "epidemic"),
+                                         ("gridworld", "sepsis-suboptimal"),
+                                         ("epidemic", "gridworld")])
+def test_sample_preset_of_another_environment_exits_2(env, preset, artifact_dir, tmp_path, capsys):
+    mdp, out = artifact_dir / "mdp.json", tmp_path / "path.json"
+    if env == "gridworld":
+        mdp = tmp_path / "mdp.json"
+        assert main(["env", env, "--out", str(mdp)]) == 0
+    code, _, err = run(capsys, "sample", "--mdp", str(mdp), "--policy", preset, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and f"preset {preset!r} observes the" in err
+    assert not out.exists()
 
 
 # One CLI call per JSON read; {bad} is the unreadable file, {d} holds valid artifacts.
@@ -856,6 +928,34 @@ def _edit_posterior(src, dst, edit):
     np.savez(dst, **arrays)
 
 
+def _no_samples(arrays):
+    """The posterior's arrays as one with n = 0 would store them."""
+    meta = json.loads(arrays["meta"].tobytes())
+    arrays.update({name: a[:0] for name, a in arrays.items() if name != "meta"},
+                  meta=np.frombuffer(json.dumps(dict(meta, n=0)).encode(), dtype=np.uint8))
+
+
+def _edit_member(src, dst, name, edit):
+    """dst: the archive src with the bytes of member `name` replaced by
+    edit(bytes), its CRC and sizes those of the new bytes."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for info in zin.infolist():
+            data = zin.read(info)
+            zout.writestr(info.filename, edit(data) if info.filename == name else data)
+
+
+def _flip_last_byte(src, dst, name):
+    """dst: the archive src with the last data byte of member `name` flipped
+    and its recorded CRC left as it was, as a damaged disk would leave it."""
+    raw = bytearray(Path(src).read_bytes())
+    with zipfile.ZipFile(src) as archive:
+        info = archive.getinfo(name)
+    start = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[start + 26:start + 30])
+    raw[start + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
+    Path(dst).write_bytes(raw)
+
+
 BAD_POSTERIORS = {
     "missing": None,
     "not-npz": lambda src, dst: dst.write_text("not an npz archive"),
@@ -864,6 +964,14 @@ BAD_POSTERIORS = {
         src, dst, lambda a: a.update(g0=np.zeros((a["g0"].shape[0], a["g0"].shape[1] + 1)))),
     "wrong-sample-count": lambda src, dst: _edit_posterior(
         src, dst, lambda a: a.update(g2=a["g2"][:-1])),
+    # Consistent in itself, but its rows would be 0 / 0.
+    "no-samples": lambda src, dst: _edit_posterior(src, dst, _no_samples),
+    # The epidemic path has T = 7 steps, g0..g6. Its header still says
+    # (500, |S|), but the data stops 8 bytes short.
+    "truncated-last-step": lambda src, dst: _edit_member(src, dst, "g6.npy", lambda b: b[:-8]),
+    # The file and every header are intact; the damage shows only when the
+    # step is read, after the whole archive was checked.
+    "corrupt-last-step": lambda src, dst: _flip_last_byte(src, dst, "g6.npy"),
 }
 
 
@@ -886,7 +994,10 @@ def test_compressed_posterior_prunes_identically(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", sorted(BAD_POSTERIORS))
-def test_bad_posterior_exits_2(case, artifact_dir, tmp_path, capsys):
+def test_bad_posterior_exits_2(case, artifact_dir, tmp_path, capsys, layer_calls):
+    # The archive is checked whole before any step is read: only damage that
+    # shows when a step's data is read is found later, on that read.
+    read = layer_calls("_read_step")
     bad = tmp_path / "posterior.npz"
     if BAD_POSTERIORS[case] is not None:
         BAD_POSTERIORS[case](artifact_dir / "posterior.npz", bad)
@@ -896,3 +1007,34 @@ def test_bad_posterior_exits_2(case, artifact_dir, tmp_path, capsys):
     assert code == 2, err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "pruned.json").exists()
+    if case.endswith("-last-step"):
+        assert "g6" in err
+    assert read[6] == 1 if case == "corrupt-last-step" else not read
+
+
+def test_prune_reads_each_posterior_step_at_most_once(artifact_dir, tmp_path, capsys, layer_calls):
+    read = layer_calls("_read_step")
+    code, _, err = run(capsys, "prune", *_observation(artifact_dir),
+                       "--posterior", str(artifact_dir / "posterior.npz"), "--k", "8",
+                       "--out", str(tmp_path / "pruned.json"))
+    assert code == 0, err
+    assert (tmp_path / "pruned.json").read_bytes() == (artifact_dir / "pruned.json").read_bytes()
+    assert read and max(read.values()) == 1
+
+
+def test_cf_build_that_fails_mid_write_leaves_no_file(artifact_dir, tmp_path, capsys, monkeypatch):
+    # cf-build draws and writes one step at a time; a step that fails after
+    # earlier ones were written must not leave a partial archive behind.
+    draw = cfmdp.gumbel._draw_layer
+
+    def fail_at_3(*args):
+        if args[-1] == 3:
+            raise InvariantViolated("posterior sample at t=3 fails to replay the observation")
+        return draw(*args)
+
+    monkeypatch.setattr(cfmdp.gumbel, "_draw_layer", fail_at_3)
+    out = tmp_path / "posterior.npz"
+    code, _, err = run(capsys, "cf-build", *_observation(artifact_dir), "--samples", "20",
+                       "--out", str(out))
+    assert code == 3 and "t=3" in err
+    assert not out.exists()

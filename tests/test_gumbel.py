@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from cfmdp.environments import GridWorldConfig, build_gridworld, demo_observation
+from cfmdp.environments import PRESETS, GridWorldConfig, build_gridworld, demo_observation
 from cfmdp.errors import ValidationFailed, ZeroProbabilityObservation
 from cfmdp.gumbel import (
     CfMdp,
+    _step_rng,
     build_cf_mdp,
     build_posterior,
     load_posterior,
@@ -14,7 +17,8 @@ from cfmdp.gumbel import (
     save_posterior,
     topdown_noise,
 )
-from cfmdp.mdp import Mdp, ObservedPath
+from cfmdp.mdp import Mdp, ObservedPath, sample_path
+from cfmdp.solver import sweep
 
 from oracles import (
     available_actions,
@@ -207,8 +211,6 @@ def test_cf_transition_disjoint_support_is_interventional():
 def test_cf_support_containment():
     rng = np.random.default_rng(9)
     mdp = random_mdp(rng, 5, 2, support_max=3)
-    from cfmdp.mdp import sample_path
-
     path = sample_path(mdp, lambda s, t: "a0", 3, seed=1)
     post = build_posterior(mdp, path, 2000, "topdown", seed=2)
     for t in range(3):
@@ -340,3 +342,56 @@ def test_path_of_another_mdp_is_rejected():
                 lambda: CfMdp(other, path, None)):
         with pytest.raises(ValidationFailed, match="path was built against a different MDP"):
             use()
+
+
+@pytest.mark.parametrize("sampler", ["topdown", "rejection"])
+def test_layers_drawn_on_access_equal_an_eager_draw(tinychain, sampler):
+    # Each step draws from its own stream, so layers read in any order, and
+    # read again after another layer, equal the layers drawn up front in
+    # ascending t: conditioned steps 0 and 1, and the prior at the final step.
+    path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a"), ("x2", "a")))
+    n, seed = 300, 21
+    eager = []
+    for t in range(path.T - 1):
+        p, pos = int(path.pair[t]), int(path.next_pos[t])
+        if sampler == "topdown":
+            eager.append(topdown_noise(tinychain, p, pos, n, _step_rng(seed, t)))
+        else:
+            eager.append(rejection_noise(tinychain, p, pos, n, _step_rng(seed, t))[0])
+    eager.append(_step_rng(seed, path.T - 1).gumbel(size=(n, tinychain.num_states)))
+    post = build_posterior(tinychain, path, n, sampler, seed=seed)
+    assert len(post.noise) == post.T == 3
+    for t in (2, 0, 1, 0, 2):
+        assert post.noise[t].tobytes() == eager[t].tobytes(), t
+        assert not post.noise[t].flags.writeable
+    with pytest.raises(IndexError):
+        post.noise[3]
+
+
+def test_sweep_draws_each_layer_at_most_once(epidemic_demo, layer_calls):
+    mdp, path, _ = epidemic_demo
+    drawn = layer_calls("_draw_layer")
+    cf = build_cf_mdp(build_posterior(mdp, path, 200, "topdown", seed=3), mdp)
+    result = sweep(cf, list(range(1, path.T + 2)), list(range(path.T + 1)))
+    assert result.cf_rows_built > 0
+    assert drawn and max(drawn.values()) == 1
+
+
+def test_sweep_holds_one_layer_at_a_time():
+    # The dense noise tensor would be T = 11 layers; the sweep may hold one
+    # layer plus the per-row temporaries, well under three layers. A slippery
+    # grid world, so that the counterfactual rows read the noise.
+    mdp = build_gridworld(GridWorldConfig(slip=0.2))
+    _, policy, seed, horizon = PRESETS["gridworld"]
+    path = sample_path(mdp, policy, horizon, seed)
+    n = 10_000
+    layer_bytes = n * mdp.num_states * 8
+    assert path.T == 11
+    tracemalloc.start()
+    try:
+        cf = build_cf_mdp(build_posterior(mdp, path, n, "topdown", seed=5), mdp)
+        sweep(cf, list(range(1, path.T + 2)), [1, 2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * layer_bytes, (peak, layer_bytes)

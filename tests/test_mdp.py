@@ -162,6 +162,22 @@ def test_sample_path_draws_on_the_running_sums_of_np_cumsum():
             assert list(accumulate(probs.tolist())) == np.cumsum(probs).tolist()
 
 
+def test_sample_path_draws_s0_as_searchsorted_over_the_initial_cumsum():
+    # The initial distribution's support and cumulative sums are computed
+    # once per MDP; the draw must stay the one made with numpy on each call.
+    states = ("a", "b", "c", "d", "e")
+    kernel = {(s, "go"): {"a": 1.0} for s in states}
+    initial = {"a": 0.1, "c": 0.25, "d": 0.3, "e": 0.35}
+    mdp = Mdp(states, ("go",), kernel, {}, initial)
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        support = np.flatnonzero(mdp.initial > 0.0)
+        cum = np.cumsum(mdp.initial[support])
+        want = support[min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")),
+                           len(support) - 1)]
+        assert sample_path(mdp, lambda s, t: "go", 1, seed).steps[0][0] == states[want]
+
+
 def test_sample_path_frequencies_match_kernel():
     # Single-step empirical frequencies converge to the kernel row.
     rng = np.random.default_rng(7)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfmdp.cli import _policy_from_json, _pruned_from_json, _pruned_to_json, main
+from cfmdp.cli import _policy_from_json, _pruned_from_json, _pruned_hash, _pruned_to_json, main
 from cfmdp.gumbel import build_cf_mdp, build_posterior, cf_transition
 from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import Mdp, mdp_from_json, mdp_to_json, sample_path
@@ -120,13 +120,14 @@ def test_solver_equals_oracle_and_artifacts_round_trip(instance, data):
     assert policy.v_s0 == km_value_oracle(pruned, path, m)
 
     assert mdp_to_json(mdp_from_json(json.loads(json.dumps(mdp_to_json(mdp))))) == mdp_to_json(mdp)
-    text = json.dumps(_pruned_to_json(pruned))
-    loaded = _pruned_from_json(json.loads(text), mdp)
+    obj = json.loads(json.dumps(_pruned_to_json(pruned)))
+    loaded = _pruned_from_json(obj, mdp)
     for a, b in zip(loaded.reach + loaded.usable, pruned.reach + pruned.usable):
         np.testing.assert_array_equal(a, b)
     assert solve_km(loaded, m).v_s0 == policy.v_s0
-    back = _policy_from_json(json.loads(json.dumps(policy_to_json(policy))), loaded)
-    assert back.v_s0 == policy.v_s0
+    stored = dict(policy_to_json(policy), pruned_hash=_pruned_hash(obj))
+    back = _policy_from_json(json.loads(json.dumps(stored)), loaded, _pruned_hash(obj))
+    assert (back.k, back.m) == (policy.k, policy.m)
     for a, b in zip(back.choices, policy.choices):
         np.testing.assert_array_equal(a, b)
 
