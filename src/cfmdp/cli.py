@@ -34,12 +34,12 @@ from .mdp import (
     PROB_TOL,
     Mdp,
     ObservedPath,
-    canonical_dumps,
     mdp_from_json,
     mdp_to_json,
     path_from_json,
     path_hash,
     path_to_json,
+    read_json,
     sample_path,
 )
 from .solver import CfPolicy, check_sweep_monotonicity, policy_to_json, rollout, solve_km, sweep
@@ -81,23 +81,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_json(file: str):
-    """Parsed JSON of `file`; a missing or malformed file is a validation error."""
-    try:
-        with open(file) as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationFailed(f"cannot read JSON from {file}: {exc}") from exc
-
-
 def _load_mdp(file: str) -> Mdp:
-    return mdp_from_json(_read_json(file))
+    return mdp_from_json(read_json(file))
 
 
 def _load_observation(args) -> tuple[Mdp, ObservedPath]:
     """The --mdp and --path files, the path checked against the MDP."""
     mdp = _load_mdp(args.mdp)
-    return mdp, path_from_json(_read_json(args.path), mdp)
+    return mdp, path_from_json(read_json(args.path), mdp)
 
 
 def cmd_env(args) -> int:
@@ -105,7 +96,7 @@ def cmd_env(args) -> int:
     JSON arrays, as for a grid cell, become the config's tuples."""
     over = {}
     if args.config:
-        loaded = _read_json(args.config)
+        loaded = read_json(args.config)
         if not isinstance(loaded, dict):
             raise ValidationFailed("--config must contain a JSON object")
         over.update(loaded)
@@ -330,21 +321,30 @@ def cmd_prune(args) -> int:
     return EXIT_OK
 
 
-def _pruned_hash(obj: dict) -> str:
-    """SHA-256 of a loaded pruned artifact's fields (those `_pruned_from_json`
-    reads) as canonical JSON, so a compact and an indented copy, or a copy
-    with an unread key, agree."""
-    fields = ("k", "mdp_hash", "path", "samples", "nodes_all_layers", "layers", "rows", "actions")
-    return hashlib.sha256(canonical_dumps({key: obj[key] for key in fields}).encode()).hexdigest()
+def _pruned_hash(pruned: PrunedCfMdp, samples: int) -> str:
+    """SHA-256 of what `_pruned_from_json` built from a pruned artifact with
+    `samples` samples: its counts, the MDP and path hashes, the row keys and
+    the rows in key order. The layers are left out: the loader checks that
+    they are the states of the nodes, which the row keys fix. A compact and
+    an indented copy, or a copy with an unread key, agree."""
+    cf = pruned.cf
+    keys = sorted(cf.rows)
+    rows = [cf.rows[key] for key in keys]
+    h = hashlib.sha256(json.dumps([pruned.k, samples, pruned.nodes_all_layers, cf.mdp.digest,
+                                   path_hash(cf.path)]).encode())
+    for a in (cf.row_key, np.array(keys, dtype=np.int64), np.array([len(r[0]) for r in rows]),
+              np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])):
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def cmd_solve(args) -> int:
     mdp = _load_mdp(args.mdp)
-    obj = _read_json(args.pruned)
+    obj = read_json(args.pruned)
     pruned = _pruned_from_json(obj, mdp)
     policy = solve_km(pruned, args.m)
     meta = {"samples": obj["samples"], "mdp_hash": mdp.digest}
-    out = dict(policy_to_json(policy, meta), pruned_hash=_pruned_hash(obj))
+    out = dict(policy_to_json(policy, meta), pruned_hash=_pruned_hash(pruned, obj["samples"]))
     _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
     sys.stderr.write(f"V(s0) = {policy.v_s0!r}\n")
     return EXIT_OK
@@ -381,9 +381,9 @@ def _policy_from_json(obj: dict, pruned: PrunedCfMdp, pruned_hash: str) -> CfPol
 
 def cmd_rollout(args) -> int:
     mdp = _load_mdp(args.mdp)
-    obj = _read_json(args.pruned)
+    obj = read_json(args.pruned)
     pruned = _pruned_from_json(obj, mdp)
-    policy = _policy_from_json(_read_json(args.policy), pruned, _pruned_hash(obj))
+    policy = _policy_from_json(read_json(args.policy), pruned, _pruned_hash(pruned, obj["samples"]))
     features = envs.environment_features(args.env) if args.env else {}
     if args.feature not in features:
         raise ValidationFailed(
@@ -509,14 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdp", required=True)
     p.add_argument("--path", required=True)
     _add_shared(p, "seed", "samples", "sampler")
-    p.add_argument("--out", required=True, help="output .npz file")
+    p.add_argument("--out", required=True, help="output JSON file")
     p.set_defaults(fn=cmd_cf_build)
 
     p = sub.add_parser("prune", help="prune the counterfactual MDP at a given k")
     p.add_argument("--mdp", required=True)
     p.add_argument("--path", required=True)
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--posterior", help=".npz artifact from cf-build")
+    source.add_argument("--posterior", help="JSON artifact from cf-build")
     source.add_argument("--nominal", action="store_true",
                         help="use exact nominal rows instead of a posterior")
     p.add_argument("--k", type=int, required=True)

@@ -283,8 +283,13 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
     a full trajectory spans exactly [-1000, 1000]: constant death pays -1000,
     constant discharge +1000.
     """
+    if len(cfg.treat_effect) != len(TREATMENTS):
+        raise InvalidConfig(f"treat_effect needs one effect per treatment {TREATMENTS}, "
+                            f"got {len(cfg.treat_effect)}")
     if not all(0.0 < p <= 1.0 for p in cfg.treat_effect):
         raise InvalidConfig("treatment effects must lie in (0, 1]")
+    if cfg.horizon < 1:
+        raise InvalidConfig(f"horizon must be >= 1, got {cfg.horizon}")
     if not (0.0 <= cfg.flux < 1.0):
         raise InvalidConfig("flux must lie in [0, 1)")
     if sum(1 for v in cfg.start_vitals if v != NORMAL) >= cfg.death_threshold:

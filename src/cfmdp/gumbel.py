@@ -11,18 +11,16 @@ supports make counterfactual and interventional rows coincide.
 
 Each time step draws its noise from its own RNG stream, so a step's layer of
 posterior noise is the same whenever, and in whatever order, it is drawn. A
-posterior therefore draws (or reads from its artifact) one layer at a time
-when it is first needed and holds only that layer: the dense (T, N, |S|)
-noise tensor is never in memory.
+posterior therefore draws one layer at a time when it is first needed and
+holds only that layer: the dense (T, N, |S|) noise tensor is never in memory.
+Its artifact stores the recipe (MDP hash, path, N, sampler, seed), not the
+noise.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import zipfile
-import zlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -36,7 +34,7 @@ from .errors import (
     ValidationFailed,
     ZeroProbabilityObservation,
 )
-from .mdp import Mdp, ObservedPath, path_from_json, path_hash, path_to_json
+from .mdp import Mdp, ObservedPath, path_from_json, path_hash, path_to_json, read_json
 
 REJECTION_ATTEMPT_CAP = 10**7  # proposals per requested sample before failing loudly
 
@@ -125,7 +123,7 @@ class _Layers(Sequence):
     Layer t is `make(t)`, made when it is read; only the layer read last is
     kept, so reading the layers in ascending t makes each one once and holds
     one at a time. `make` must return equal layers on every call, as a draw
-    from the step's own RNG stream or a read of its artifact member does.
+    from the step's own RNG stream does.
     """
 
     def __init__(self, count: int, make: Callable[[int], np.ndarray]):
@@ -155,9 +153,8 @@ class GumbelPosterior:
     the final step has no observed successor and carries prior samples. Per-
     step RNG streams are derived from (seed, t), so a layer drawn late, or
     drawn again, is bit-identical to one drawn up front in any order. Hence
-    `noise` draws a layer (or, for a loaded posterior, reads it from the
-    artifact) when it is read and keeps only the layer read last: one layer
-    is resident, never the dense (T, n, |S|) tensor.
+    `noise` draws a layer when it is read and keeps only the layer read last:
+    one layer is resident, never the dense (T, n, |S|) tensor.
     """
 
     noise: Sequence[np.ndarray]
@@ -170,9 +167,6 @@ class GumbelPosterior:
     @property
     def T(self) -> int:
         return len(self.noise)
-
-    def vectors(self, t: int) -> np.ndarray:
-        return self.noise[t]
 
 
 def _step_rng(seed: int, t: int) -> np.random.Generator:
@@ -213,6 +207,8 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
         raise ValidationFailed(f"unknown sampler {sampler!r}")
     if n < 1:
         raise ValidationFailed(f"posterior sample count must be >= 1, got {n}")
+    if seed < 0:
+        raise ValidationFailed(f"posterior seed must be >= 0, got {seed}")
     for t in range(path.T - 1):
         _conditioned_row(mdp, int(path.pair[t]), int(path.next_pos[t]))
     layers = _Layers(path.T, partial(_draw_layer, mdp, path, n, sampler, seed))
@@ -232,7 +228,7 @@ def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple
     idx, _, logp = mdp.row(p)
     if idx.shape[0] == 1:  # every sample picks the one successor: counts / N == 1.0
         return idx, np.ones(1)
-    counts = np.bincount(_winners(idx, logp, posterior.vectors(t)), minlength=idx.shape[0])
+    counts = np.bincount(_winners(idx, logp, posterior.noise[t]), minlength=idx.shape[0])
     hit = counts > 0
     return idx[hit], counts[hit] / posterior.n
 
@@ -320,99 +316,43 @@ def posterior_cache_key(mdp: Mdp, path: ObservedPath, n: int, sampler: str, seed
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_member(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
-    # As np.savez writes a member; zip64 always, so a layer of any size fits.
-    with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
-        np.lib.format.write_array(fh, array, allow_pickle=False)
-
-
 def save_posterior(posterior: GumbelPosterior, file) -> None:
-    """Write `posterior` to the path `file` as an .npz archive that np.load
-    reads: a `meta` member (JSON bytes) and one (n, |S|) float64 member g{t}
-    per step. Layers are drawn and written one at a time; a file left
-    unfinished by an error is removed.
+    """Write the recipe of `posterior` to the path `file`: one line of JSON
+    {"mdp_hash", "n", "path", "sampler", "seed"}. No noise is drawn; the
+    recipe fixes every layer, which `load_posterior` draws again from its
+    own stream, bit-identically under the same numpy.
     """
-    meta = {
+    recipe = {
+        "mdp_hash": posterior.source_mdp_hash,
         "n": posterior.n,
+        "path": path_to_json(posterior.path),
         "sampler": posterior.sampler,
         "seed": posterior.seed,
-        "mdp_hash": posterior.source_mdp_hash,
-        "path": path_to_json(posterior.path),
     }
-    # Uncompressed: Gumbel noise is incompressible, and zlib dominated the save.
-    archive = zipfile.ZipFile(file, "w", zipfile.ZIP_STORED, allowZip64=True)
-    try:
-        with archive:
-            _write_member(archive, "meta", np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
-            for t in range(posterior.T):
-                _write_member(archive, f"g{t}", posterior.noise[t])
-    except BaseException:
-        os.remove(file)
-        raise
-
-
-# Faults that reading an archive member can raise.
-_READ_FAULTS = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error)
-
-
-def _check_step(t: int, shape: tuple, dtype: np.dtype, n: int, num_states: int) -> None:
-    if shape != (n, num_states) or dtype != np.float64:
-        raise ValidationFailed(f"posterior step g{t} has shape {shape} and dtype {dtype}, "
-                               f"expected ({n}, {num_states}) float64")
-
-
-def _step_header(archive: zipfile.ZipFile, t: int) -> tuple[tuple, np.dtype, int]:
-    """Shape, dtype and data byte count of member g{t}, from its npy header."""
-    name = f"g{t}.npy"
-    with archive.open(name) as fh:
-        version = np.lib.format.read_magic(fh)
-        if version not in ((1, 0), (2, 0)):
-            raise ValueError(f"{name} has npy format version {version}")
-        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                       else np.lib.format.read_array_header_2_0)
-        shape, _, dtype = read_header(fh)
-        return shape, dtype, archive.getinfo(name).file_size - fh.tell()
-
-
-def _read_step(file, n: int, num_states: int, t: int) -> np.ndarray:
-    """Member g{t} of the archive at `file`; a fault reading it is a ValidationFailed."""
-    try:
-        with zipfile.ZipFile(file) as archive, archive.open(f"g{t}.npy") as fh:
-            g = np.lib.format.read_array(fh, allow_pickle=False)
-    except _READ_FAULTS as exc:
-        raise ValidationFailed(f"cannot read posterior step g{t} of {file}: {exc!r}") from exc
-    _check_step(t, g.shape, g.dtype, n, num_states)
-    return g
+    with open(file, "w") as fh:
+        fh.write(json.dumps(recipe, sort_keys=True) + "\n")
 
 
 def load_posterior(file, mdp: Mdp) -> GumbelPosterior:
-    """Open a `save_posterior` archive built for `mdp`.
+    """The posterior whose recipe `save_posterior` wrote to `file`, built
+    for `mdp` by `build_posterior`.
 
-    The whole archive is checked before any noise is read: a missing or
-    unreadable file, a sample count n < 1, a missing step member, a member
-    whose npy header is not (n, |S|) float64 or whose data does not fill that
-    shape, or a path that is not one of `mdp` raises ValidationFailed. Layer t is read from `file` when
-    it is read from `noise`; a fault then raises ValidationFailed as well.
+    A missing file, one that is not a JSON object with every recipe key, an
+    `n` or `seed` that is not an integer, another MDP's hash, a path that is
+    not one of `mdp`, or a recipe `build_posterior` refuses raises
+    ValidationFailed. Each layer is drawn by `_draw_layer` when it is read,
+    and every sample is checked to replay the observation.
     """
-    try:
-        with zipfile.ZipFile(file) as archive:
-            with archive.open("meta.npy") as fh:
-                meta = json.loads(np.lib.format.read_array(fh, allow_pickle=False).tobytes())
-            n, steps = int(meta["n"]), meta["path"]["steps"]
-            headers = [_step_header(archive, t) for t in range(len(steps))]
-        sampler, seed, digest = str(meta["sampler"]), int(meta["seed"]), str(meta["mdp_hash"])
-    except (TypeError, *_READ_FAULTS) as exc:
-        raise ValidationFailed(f"cannot read posterior artifact {file}: {exc!r}") from exc
-    if digest != mdp.digest:
+    recipe = read_json(file)
+    if not isinstance(recipe, dict):
+        raise ValidationFailed(f"posterior artifact {file} is not a JSON object")
+    missing = [key for key in ("mdp_hash", "n", "path", "sampler", "seed") if key not in recipe]
+    if missing:
+        raise ValidationFailed(f"posterior artifact {file} has no {', '.join(missing)}")
+    for key in ("n", "seed"):
+        if type(recipe[key]) is not int:
+            raise ValidationFailed(f"posterior artifact {key} {recipe[key]!r} is not an integer")
+    if recipe["mdp_hash"] != mdp.digest:
         raise ValidationFailed("posterior artifact was built from a different MDP")
-    if n < 1:
-        raise ValidationFailed(f"posterior sample count must be >= 1, got {n}")
-    path = path_from_json(meta["path"], mdp)
-    for t, (shape, dtype, size) in enumerate(headers):
-        _check_step(t, shape, dtype, n, mdp.num_states)
-        if size != n * mdp.num_states * dtype.itemsize:
-            raise ValidationFailed(f"posterior step g{t} holds {size} bytes of data, "
-                                   f"expected {n * mdp.num_states * dtype.itemsize}")
-    layers = _Layers(len(steps), partial(_read_step, file, n, mdp.num_states))
-    return GumbelPosterior(noise=layers, n=n, sampler=sampler, seed=seed, path=path,
-                           source_mdp_hash=digest)
+    path = path_from_json(recipe["path"], mdp)
+    return build_posterior(mdp, path, recipe["n"], recipe["sampler"], recipe["seed"])

@@ -255,6 +255,15 @@ def sample_path(mdp: Mdp, policy: Callable[[State, int], Action | None], horizon
 # JSON interchange
 # ---------------------------------------------------------------------------
 
+def read_json(file):
+    """Parsed JSON of `file`; a missing or malformed file is a validation error."""
+    try:
+        with open(file) as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationFailed(f"cannot read JSON from {file}: {exc}") from exc
+
+
 def mdp_to_json(mdp: Mdp) -> dict:
     """Transitions and rewards sorted by (state, action) label, one reward per row."""
     states, actions = mdp.states, mdp.actions

@@ -58,16 +58,14 @@ def epidemic_cf(epidemic_demo):
 
 
 @pytest.fixture
-def layer_calls(monkeypatch):
-    """`layer_calls(name)` counts, per step t, the calls to the noise layer
-    maker `cfmdp.gumbel.<name>` (`_draw_layer` or `_read_step`) made after it."""
-    def count(name: str) -> Counter:
-        calls, make = Counter(), getattr(cfmdp.gumbel, name)
+def layer_draws(monkeypatch):
+    """Counts, per step t, the calls to the noise layer maker
+    `cfmdp.gumbel._draw_layer` made while the test runs."""
+    calls, draw = Counter(), cfmdp.gumbel._draw_layer
 
-        def counted(*args):
-            calls[args[-1]] += 1
-            return make(*args)
+    def counted(*args):
+        calls[args[-1]] += 1
+        return draw(*args)
 
-        monkeypatch.setattr(cfmdp.gumbel, name, counted)
-        return calls
-    return count
+    monkeypatch.setattr(cfmdp.gumbel, "_draw_layer", counted)
+    return calls

@@ -156,7 +156,7 @@ def test_criterion_05_counterfactual_stability():
     s_t, a_t = path.steps[t]
     s_obs = path.steps[t + 1][0]
     obs_row = kernel_row(mdp, s_t, a_t)
-    noise = post.vectors(t)
+    noise = post.noise[t]
     n_states = mdp.num_states
     violations = 0
     for _ in range(1000):

@@ -1,8 +1,6 @@
 import json
 import re
 import shlex
-import struct
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +14,7 @@ from cfmdp.environments import build_environment
 from cfmdp.errors import InvariantViolated, MissingKernelRow, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, load_posterior
 from cfmdp.influence import prune_cf_mdp
-from cfmdp.mdp import mdp_from_json, mdp_to_json, path_from_json
+from cfmdp.mdp import PROB_TOL, mdp_from_json, mdp_to_json, path_from_json
 from cfmdp.solver import sweep
 
 from oracles import cf_probs, km_value_oracle
@@ -107,7 +105,7 @@ def artifact_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("artifacts")
     mdp_f = d / "mdp.json"
     path_f = d / "path.json"
-    post_f = d / "posterior.npz"
+    post_f = d / "posterior.json"
     pruned_f = d / "pruned.json"
     policy_f = d / "policy.json"
     assert main(["env", "epidemic", "--out", str(mdp_f)]) == 0
@@ -284,7 +282,7 @@ def test_prune_takes_one_noise_source(case, artifact_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["prune", "--mdp", str(artifact_dir / "mdp.json"), "--path",
               str(artifact_dir / "path.json"), "--k", "8", "--out", str(out),
-              *flags.format(post=artifact_dir / "posterior.npz").split()])
+              *flags.format(post=artifact_dir / "posterior.json").split()])
     assert exc.value.code == 2
     assert reason in capsys.readouterr().err
     assert not out.exists()
@@ -298,7 +296,7 @@ def test_prune_posterior_of_another_path_exits_2(artifact_dir, tmp_path, capsys)
     assert other.read_bytes() != (artifact_dir / "path.json").read_bytes()
     out = tmp_path / "pruned.json"
     code, _, err = run(capsys, "prune", "--mdp", str(artifact_dir / "mdp.json"),
-                       "--path", str(other), "--posterior", str(artifact_dir / "posterior.npz"),
+                       "--path", str(other), "--posterior", str(artifact_dir / "posterior.json"),
                        "--k", "8", "--out", str(out))
     assert code == 2, err
     assert err.startswith("error:") and "different path" in err
@@ -330,6 +328,17 @@ def test_config_horizon_sets_the_sepsis_reward(tmp_path, capsys):
     assert sorted({e["r"] for e in json.loads(out)["rewards"]}) == [-200.0, 0.0, 100.0, 200.0]
 
 
+@pytest.mark.parametrize("config", [{"treat_effect": [0.5]}, {"treat_effect": [0.5] * 4},
+                                    {"horizon": 0}, {"horizon": -3}],
+                         ids=["one-effect", "four-effects", "horizon-0", "negative-horizon"])
+def test_bad_sepsis_config_exits_2(config, tmp_path, capsys):
+    # One effect per treatment, and rewards spread over at least one step.
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, out, err = run(capsys, "env", "sepsis", "--config", str(tmp_path / "config.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and next(iter(config)) in err
+
+
 @pytest.mark.parametrize("env", ["epidemic", "gridworld"])
 def test_config_horizon_of_another_environment_exits_2(env, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -342,7 +351,7 @@ def test_config_horizon_of_another_environment_exits_2(env, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["cf-build", "sweep"])
 def test_zero_samples_exits_2(command, artifact_dir, tmp_path, capsys):
     argv = [command, *_observation(artifact_dir), "--samples", "0"]
-    argv += {"cf-build": ["--out", str(tmp_path / "post.npz")],
+    argv += {"cf-build": ["--out", str(tmp_path / "post.json")],
              "sweep": ["--out", str(tmp_path / "sweep")]}[command]
     code, _, err = run(capsys, *argv)
     assert code == 2
@@ -382,7 +391,7 @@ UNWRITABLE_OUT = {
     "env": "env gridworld --out {missing}/mdp.json",
     "sample": "sample --mdp {d}/mdp.json --policy epidemic --out {missing}/path.json",
     "cf-build": "cf-build --mdp {d}/mdp.json --path {d}/path.json --samples 20"
-                " --out {missing}/posterior.npz",
+                " --out {missing}/posterior.json",
     "prune": "prune --mdp {d}/mdp.json --path {d}/path.json --nominal --k 8"
              " --out {missing}/pruned.json",
     "solve": "solve --mdp {d}/mdp.json --pruned {d}/pruned.json --m 1 --out {missing}/policy.json",
@@ -431,8 +440,13 @@ def test_policy_solved_on_another_pruned_artifact_exits_2(artifact_dir, tmp_path
     # and a policy without the hash was solved on none that can be checked.
     pruned = json.loads((artifact_dir / "pruned.json").read_text())
     policy = json.loads((artifact_dir / "policy.json").read_text())
+    # A probability moved by less than PROB_TOL still loads, as another artifact.
+    nudged = json.loads(json.dumps(pruned))
+    row = next(row for layer in nudged["rows"] for row in layer if len(row) > 1)
+    row[min(row)] += PROB_TOL / 10
     cases = {
         "pruned-edited": (dict(pruned, nodes_all_layers=pruned["nodes_all_layers"] + 1), policy),
+        "row-probability-edited": (nudged, policy),
         "policy-without-hash": (pruned, {k: v for k, v in policy.items() if k != "pruned_hash"}),
     }
     for case, (pruned_obj, policy_obj) in cases.items():
@@ -571,16 +585,16 @@ def test_env_bad_danger_exits_2(danger, capsys):
 
 
 def test_compact_and_indented_artifacts_agree(artifact_dir, tmp_path, capsys):
-    # env, sample, prune and solve write compact JSON. The indented form
-    # earlier versions wrote holds the same object, and still solves and
+    # env, sample, cf-build, prune and solve write compact JSON. The indented
+    # form earlier versions wrote holds the same object, and still solves and
     # rolls out the same.
     mdp_file = str(artifact_dir / "mdp.json")
     compact = {name: (artifact_dir / f"{name}.json").read_text() for name in ("pruned", "policy")}
-    for name in ("mdp", "path", "pruned", "policy"):
+    for name in ("mdp", "path", "posterior", "pruned", "policy"):
         text = (artifact_dir / f"{name}.json").read_text()
         assert text.endswith("}\n") and text.count("\n") == 1, name
     mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
-    cf = build_cf_mdp(load_posterior(artifact_dir / "posterior.npz", mdp), mdp)
+    cf = build_cf_mdp(load_posterior(artifact_dir / "posterior.json", mdp), mdp)
     indented = {
         "pruned": json.dumps(_pruned_to_json(prune_cf_mdp(cf, 8)), sort_keys=True, indent=2),
         "policy": json.dumps(json.loads(compact["policy"]), sort_keys=True, indent=2),
@@ -921,110 +935,82 @@ def test_sweep_hashes_the_mdp_once(artifact_dir, tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def _edit_posterior(src, dst, edit):
-    with np.load(src) as data:
-        arrays = {name: data[name] for name in data.files}
-    edit(arrays)
-    np.savez(dst, **arrays)
+def _edit_recipe(src, dst, **fields):
+    """dst: the posterior recipe src with `fields` set, and None fields dropped."""
+    recipe = dict(json.loads(Path(src).read_text()), **fields)
+    dst.write_text(json.dumps({key: v for key, v in recipe.items() if v is not None}))
 
 
-def _no_samples(arrays):
-    """The posterior's arrays as one with n = 0 would store them."""
-    meta = json.loads(arrays["meta"].tobytes())
-    arrays.update({name: a[:0] for name, a in arrays.items() if name != "meta"},
-                  meta=np.frombuffer(json.dumps(dict(meta, n=0)).encode(), dtype=np.uint8))
+def _off_mdp_path(src, dst):
+    """dst: the recipe src whose path starts at a state the MDP does not have."""
+    path = json.loads(Path(src).read_text())["path"]
+    steps = [dict(path["steps"][0], s="r0c0"), *path["steps"][1:]]
+    _edit_recipe(src, dst, path=dict(path, steps=steps))
 
 
-def _edit_member(src, dst, name, edit):
-    """dst: the archive src with the bytes of member `name` replaced by
-    edit(bytes), its CRC and sizes those of the new bytes."""
-    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
-        for info in zin.infolist():
-            data = zin.read(info)
-            zout.writestr(info.filename, edit(data) if info.filename == name else data)
-
-
-def _flip_last_byte(src, dst, name):
-    """dst: the archive src with the last data byte of member `name` flipped
-    and its recorded CRC left as it was, as a damaged disk would leave it."""
-    raw = bytearray(Path(src).read_bytes())
-    with zipfile.ZipFile(src) as archive:
-        info = archive.getinfo(name)
-    start = info.header_offset
-    name_len, extra_len = struct.unpack("<HH", raw[start + 26:start + 30])
-    raw[start + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
-    Path(dst).write_bytes(raw)
+def _old_npz(src, dst):
+    """dst: a posterior as earlier versions stored it, the noise itself in a
+    binary .npz archive."""
+    meta = np.frombuffer(Path(src).read_bytes(), dtype=np.uint8)
+    with open(dst, "wb") as fh:
+        np.savez(fh, meta=meta, g0=np.random.default_rng(0).gumbel(size=(500, 64)))
 
 
 BAD_POSTERIORS = {
     "missing": None,
-    "not-npz": lambda src, dst: dst.write_text("not an npz archive"),
-    "missing-step": lambda src, dst: _edit_posterior(src, dst, lambda a: a.pop("g3")),
-    "wrong-state-count": lambda src, dst: _edit_posterior(
-        src, dst, lambda a: a.update(g0=np.zeros((a["g0"].shape[0], a["g0"].shape[1] + 1)))),
-    "wrong-sample-count": lambda src, dst: _edit_posterior(
-        src, dst, lambda a: a.update(g2=a["g2"][:-1])),
+    "not-json": lambda src, dst: dst.write_text("not a posterior"),
+    "not-an-object": lambda src, dst: dst.write_text("[]"),
+    "no-sampler": lambda src, dst: _edit_recipe(src, dst, sampler=None),
     # Consistent in itself, but its rows would be 0 / 0.
-    "no-samples": lambda src, dst: _edit_posterior(src, dst, _no_samples),
-    # The epidemic path has T = 7 steps, g0..g6. Its header still says
-    # (500, |S|), but the data stops 8 bytes short.
-    "truncated-last-step": lambda src, dst: _edit_member(src, dst, "g6.npy", lambda b: b[:-8]),
-    # The file and every header are intact; the damage shows only when the
-    # step is read, after the whole archive was checked.
-    "corrupt-last-step": lambda src, dst: _flip_last_byte(src, dst, "g6.npy"),
+    "no-samples": lambda src, dst: _edit_recipe(src, dst, n=0),
+    "bool-samples": lambda src, dst: _edit_recipe(src, dst, n=True),
+    "negative-seed": lambda src, dst: _edit_recipe(src, dst, seed=-1),
+    "float-seed": lambda src, dst: _edit_recipe(src, dst, seed=1.5),
+    "unknown-sampler": lambda src, dst: _edit_recipe(src, dst, sampler="gibbs"),
+    "other-mdp": lambda src, dst: _edit_recipe(
+        src, dst, mdp_hash=build_environment("gridworld").digest),
+    "path-off-the-mdp": _off_mdp_path,
+    "old-npz": _old_npz,
 }
 
 
-def test_compressed_posterior_prunes_identically(tmp_path, capsys):
-    # Earlier versions wrote posteriors with savez_compressed; they still load.
-    files = {name: str(tmp_path / name) for name in ("mdp.json", "path.json", "posterior.npz",
-                                                      "compressed.npz")}
-    assert main(["env", "gridworld", "--out", files["mdp.json"]]) == 0
-    assert main(["sample", "--mdp", files["mdp.json"], "--policy", "gridworld",
-                 "--out", files["path.json"]]) == 0
-    assert main(["cf-build", "--mdp", files["mdp.json"], "--path", files["path.json"],
-                 "--samples", "50", "--out", files["posterior.npz"]]) == 0
-    with np.load(files["posterior.npz"]) as data:
-        np.savez_compressed(files["compressed.npz"], **{name: data[name] for name in data.files})
-    for name in ("posterior.npz", "compressed.npz"):
-        assert main(["prune", "--mdp", files["mdp.json"], "--path", files["path.json"],
-                     "--posterior", files[name], "--k", "3", "--out", f"{files[name]}.json"]) == 0
-    pruned = [(tmp_path / f"{name}.json").read_bytes() for name in ("posterior.npz", "compressed.npz")]
-    assert pruned[0] == pruned[1]
-
-
 @pytest.mark.parametrize("case", sorted(BAD_POSTERIORS))
-def test_bad_posterior_exits_2(case, artifact_dir, tmp_path, capsys, layer_calls):
-    # The archive is checked whole before any step is read: only damage that
-    # shows when a step's data is read is found later, on that read.
-    read = layer_calls("_read_step")
-    bad = tmp_path / "posterior.npz"
+def test_bad_posterior_exits_2(case, artifact_dir, tmp_path, capsys, layer_draws):
+    # The recipe is checked whole before any layer is drawn. The message is
+    # one short line, even for a binary file.
+    bad = tmp_path / "posterior.json"
     if BAD_POSTERIORS[case] is not None:
-        BAD_POSTERIORS[case](artifact_dir / "posterior.npz", bad)
+        BAD_POSTERIORS[case](artifact_dir / "posterior.json", bad)
     code, _, err = run(capsys, "prune", "--mdp", str(artifact_dir / "mdp.json"),
                        "--path", str(artifact_dir / "path.json"), "--posterior", str(bad),
                        "--k", "8", "--out", str(tmp_path / "pruned.json"))
     assert code == 2, err
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1 and len(err) < 300, err[:300]
     assert not (tmp_path / "pruned.json").exists()
-    if case.endswith("-last-step"):
-        assert "g6" in err
-    assert read[6] == 1 if case == "corrupt-last-step" else not read
+    assert not layer_draws
 
 
-def test_prune_reads_each_posterior_step_at_most_once(artifact_dir, tmp_path, capsys, layer_calls):
-    read = layer_calls("_read_step")
+def test_posterior_artifact_is_its_recipe(artifact_dir):
+    recipe = json.loads((artifact_dir / "posterior.json").read_text())
+    path = json.loads((artifact_dir / "path.json").read_text())
+    mdp_hash = json.loads((artifact_dir / "pruned.json").read_text())["mdp_hash"]
+    assert recipe == {"mdp_hash": mdp_hash, "n": 500, "path": path, "sampler": "topdown",
+                      "seed": 7}
+
+
+def test_prune_reads_each_posterior_step_at_most_once(artifact_dir, tmp_path, capsys, layer_draws):
     code, _, err = run(capsys, "prune", *_observation(artifact_dir),
-                       "--posterior", str(artifact_dir / "posterior.npz"), "--k", "8",
+                       "--posterior", str(artifact_dir / "posterior.json"), "--k", "8",
                        "--out", str(tmp_path / "pruned.json"))
     assert code == 0, err
     assert (tmp_path / "pruned.json").read_bytes() == (artifact_dir / "pruned.json").read_bytes()
-    assert read and max(read.values()) == 1
+    assert layer_draws and max(layer_draws.values()) == 1
 
 
-def test_cf_build_that_fails_mid_write_leaves_no_file(artifact_dir, tmp_path, capsys, monkeypatch):
-    # cf-build draws and writes one step at a time; a step that fails after
-    # earlier ones were written must not leave a partial archive behind.
+def test_prune_that_fails_mid_draw_writes_no_file(artifact_dir, tmp_path, capsys, monkeypatch):
+    # prune draws one layer at a time as it builds rows; a layer that fails
+    # after earlier ones were used must not leave a pruned artifact behind.
     draw = cfmdp.gumbel._draw_layer
 
     def fail_at_3(*args):
@@ -1033,8 +1019,9 @@ def test_cf_build_that_fails_mid_write_leaves_no_file(artifact_dir, tmp_path, ca
         return draw(*args)
 
     monkeypatch.setattr(cfmdp.gumbel, "_draw_layer", fail_at_3)
-    out = tmp_path / "posterior.npz"
-    code, _, err = run(capsys, "cf-build", *_observation(artifact_dir), "--samples", "20",
+    out = tmp_path / "pruned.json"
+    code, _, err = run(capsys, "prune", *_observation(artifact_dir),
+                       "--posterior", str(artifact_dir / "posterior.json"), "--k", "8",
                        "--out", str(out))
     assert code == 3 and "t=3" in err
     assert not out.exists()

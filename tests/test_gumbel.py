@@ -174,7 +174,7 @@ def test_build_posterior_steps_independent(tinychain):
     for s in tinychain.states:
         i = tinychain.state_index(s)
         for t1, t2 in ((0, 1), (0, 2), (1, 2)):
-            corr = np.corrcoef(post.vectors(t1)[:, i], post.vectors(t2)[:, i])[0, 1]
+            corr = np.corrcoef(post.noise[t1][:, i], post.noise[t2][:, i])[0, 1]
             assert abs(corr) < 0.02
 
 
@@ -228,7 +228,7 @@ def test_counterfactual_stability_on_samples(tinychain):
     path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
     post = build_posterior(tinychain, path, 2000, "topdown", seed=11)
     obs_row = kernel_row(tinychain, "x0", "a")
-    noise = post.vectors(0)
+    noise = post.noise[0]
     for _ in range(200):
         raw = rng.uniform(0.05, 1.0, size=2)
         p_int = dict(zip(("x1", "x2"), raw / raw.sum()))
@@ -288,13 +288,26 @@ def test_cf_mdp_kernel_memoized(epidemic_cf):
 def test_posterior_save_load_round_trip(tmp_path, tinychain):
     path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
     post = build_posterior(tinychain, path, 100, "topdown", seed=14)
-    file = tmp_path / "posterior.npz"
+    file = tmp_path / "posterior.json"
     save_posterior(post, file)
     loaded = load_posterior(file, tinychain)
     assert loaded.n == post.n and loaded.sampler == post.sampler
     assert loaded.path.steps == post.path.steps
     for t in range(post.T):
-        np.testing.assert_array_equal(loaded.vectors(t), post.vectors(t))
+        np.testing.assert_array_equal(loaded.noise[t], post.noise[t])
+
+
+def test_loaded_posterior_layers_replay_the_path(tmp_path, epidemic_demo):
+    # A loaded posterior draws its layers; it holds no stored noise that
+    # could skip the replay check.
+    mdp, path, _ = epidemic_demo
+    file = tmp_path / "posterior.json"
+    save_posterior(build_posterior(mdp, path, 300, "topdown", seed=15), file)
+    loaded = load_posterior(file, mdp)
+    for t in range(path.T - 1):
+        idx, _, logp = mdp.row(int(path.pair[t]))
+        winners = np.argmax(logp[None, :] + loaded.noise[t][:, idx], axis=1)
+        assert (idx[winners] == path.state[t + 1]).all(), t
 
 
 def test_build_posterior_rejects_unknown_sampler(tinychain):
@@ -368,13 +381,12 @@ def test_layers_drawn_on_access_equal_an_eager_draw(tinychain, sampler):
         post.noise[3]
 
 
-def test_sweep_draws_each_layer_at_most_once(epidemic_demo, layer_calls):
+def test_sweep_draws_each_layer_at_most_once(epidemic_demo, layer_draws):
     mdp, path, _ = epidemic_demo
-    drawn = layer_calls("_draw_layer")
     cf = build_cf_mdp(build_posterior(mdp, path, 200, "topdown", seed=3), mdp)
     result = sweep(cf, list(range(1, path.T + 2)), list(range(path.T + 1)))
     assert result.cf_rows_built > 0
-    assert drawn and max(drawn.values()) == 1
+    assert layer_draws and max(layer_draws.values()) == 1
 
 
 def test_sweep_holds_one_layer_at_a_time():

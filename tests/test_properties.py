@@ -86,7 +86,7 @@ def test_pairs_with_one_nominal_row_share_one_counterfactual_row(instance):
             # The mechanism's empirical law computed literally, without the
             # one-successor shortcut.
             lo, hi = mdp.row_start[p], mdp.row_start[p + 1]
-            winners = np.argmax(mdp.logp[lo:hi] + posterior.vectors(t)[:, mdp.succ[lo:hi]], axis=1)
+            winners = np.argmax(mdp.logp[lo:hi] + posterior.noise[t][:, mdp.succ[lo:hi]], axis=1)
             counts = np.bincount(winners, minlength=hi - lo)
             literal = (mdp.succ[lo:hi][counts > 0], counts[counts > 0] / posterior.n)
             for a, b in (alone, literal):
@@ -125,8 +125,9 @@ def test_solver_equals_oracle_and_artifacts_round_trip(instance, data):
     for a, b in zip(loaded.reach + loaded.usable, pruned.reach + pruned.usable):
         np.testing.assert_array_equal(a, b)
     assert solve_km(loaded, m).v_s0 == policy.v_s0
-    stored = dict(policy_to_json(policy), pruned_hash=_pruned_hash(obj))
-    back = _policy_from_json(json.loads(json.dumps(stored)), loaded, _pruned_hash(obj))
+    stored = dict(policy_to_json(policy), pruned_hash=_pruned_hash(loaded, obj["samples"]))
+    back = _policy_from_json(json.loads(json.dumps(stored)), loaded,
+                             _pruned_hash(loaded, obj["samples"]))
     assert (back.k, back.m) == (policy.k, policy.m)
     for a, b in zip(back.choices, policy.choices):
         np.testing.assert_array_equal(a, b)
@@ -179,7 +180,7 @@ def gridworld_files(tmp_path_factory):
     """MDP, path, pruned and policy files of a gridworld run."""
     d = tmp_path_factory.mktemp("fuzz")
     files = {name: str(d / f"{name}.json") for name in ("mdp", "path", "pruned", "policy")}
-    posterior = str(d / "posterior.npz")
+    posterior = str(d / "posterior.json")
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(["env", "gridworld", "--out", files["mdp"]]) == 0
         assert main(["sample", "--mdp", files["mdp"], "--policy", "gridworld",
