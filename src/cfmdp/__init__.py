@@ -8,6 +8,7 @@ from .errors import (
     InvalidConfig,
     InvariantViolated,
     MissingKernelRow,
+    OutOfMemory,
     RejectionBudgetExceeded,
     UndefinedPolicyAction,
     UnknownEnvironment,

@@ -41,5 +41,9 @@ class InfeasibleBudget(CfmdpError):
     """No policy satisfies the action-change budget on the pruned MDP."""
 
 
+class OutOfMemory(CfmdpError):
+    """A working array (a posterior noise layer) could not be allocated."""
+
+
 class InvariantViolated(CfmdpError):
     """A probability-one guarantee (replay, closure, change budget) failed."""

@@ -13,8 +13,9 @@ Each time step draws its noise from its own RNG stream, so a step's layer of
 posterior noise is the same whenever, and in whatever order, it is drawn. A
 posterior therefore draws one layer at a time when it is first needed and
 holds only that layer: the dense (T, N, |S|) noise tensor is never in memory.
-Its artifact stores the recipe (MDP hash, path, N, sampler, seed), not the
-noise.
+A layer is column-major, so the mechanism of a row reads each of its
+successors' N scores contiguously. Its artifact stores the recipe (MDP hash,
+path, N, sampler, seed), not the noise.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import (
     InvariantViolated,
     MissingKernelRow,
+    OutOfMemory,
     RejectionBudgetExceeded,
     ValidationFailed,
     ZeroProbabilityObservation,
@@ -37,9 +39,23 @@ from .errors import (
 from .mdp import Mdp, ObservedPath, path_from_json, path_hash, path_to_json, read_json
 
 REJECTION_ATTEMPT_CAP = 10**7  # proposals per requested sample before failing loudly
+FILL_ROWS = 128  # rows of a noise layer drawn at a time
 
 SAMPLER_TOPDOWN = "topdown"
 SAMPLER_REJECTION = "rejection"
+
+
+def _prior_layer(rng: np.random.Generator, n: int, num_states: int) -> np.ndarray:
+    """n prior Gumbel vectors as a column-major (n, |S|) array.
+
+    It is filled FILL_ROWS rows at a time, so it holds the values of one
+    `rng.gumbel(size=(n, |S|))` draw and leaves `rng` where that draw would,
+    without a second, row-major copy of the layer in memory.
+    """
+    out = np.empty((n, num_states), order="F")
+    for i in range(0, n, FILL_ROWS):
+        out[i:i + FILL_ROWS] = rng.gumbel(size=(min(FILL_ROWS, n - i), num_states))
+    return out
 
 
 def _winners(idx: np.ndarray, logp: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -61,14 +77,15 @@ def _conditioned_row(mdp: Mdp, p: int, pos: int):
 
 def rejection_noise(mdp: Mdp, p: int, pos: int, n: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """n posterior noise vectors via rejection, and the proposal count, given
-    that pair p moved to position `pos` of its nominal row.
+    """n posterior noise vectors via rejection, as a column-major (n, |S|)
+    array, and the proposal count, given that pair p moved to position `pos`
+    of its nominal row.
 
     Expected cost is n / P(observed successor | pair p) proposals.
     """
     idx, probs, logp = _conditioned_row(mdp, p, pos)
     num_states = mdp.num_states
-    out = np.empty((n, num_states))
+    out = np.empty((n, num_states), order="F")
     got = 0
     attempts = 0
     cap = REJECTION_ATTEMPT_CAP * n
@@ -100,7 +117,8 @@ def rejection_noise(mdp: Mdp, p: int, pos: int, n: int,
 
 def topdown_noise(mdp: Mdp, p: int, pos: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n exact posterior noise vectors without rejection (top-down
-    construction), given that pair p moved to position `pos` of its nominal row.
+    construction), as a column-major (n, |S|) array, given that pair p moved
+    to position `pos` of its nominal row.
 
     The maximum of the probability-shifted Gumbels is sampled first and
     assigned to the observed state; the remaining support states get Gumbels
@@ -108,7 +126,7 @@ def topdown_noise(mdp: Mdp, p: int, pos: int, n: int, rng: np.random.Generator) 
     """
     idx, _, logp = _conditioned_row(mdp, p, pos)
     # Prior draws double as the off-support posterior (it equals the prior).
-    out = rng.gumbel(size=(n, mdp.num_states))
+    out = _prior_layer(rng, n, mdp.num_states)
     top = rng.gumbel(size=n) + float(np.logaddexp.reduce(logp))
     shifted = logp[None, :] + rng.gumbel(size=(n, idx.shape[0]))
     trunc = -np.logaddexp(-shifted, -top[:, None])
@@ -118,7 +136,8 @@ def topdown_noise(mdp: Mdp, p: int, pos: int, n: int, rng: np.random.Generator) 
 
 
 class _Layers(Sequence):
-    """The T noise layers of a posterior, each a read-only (n, |S|) array.
+    """The T noise layers of a posterior, each a read-only column-major
+    (n, |S|) array.
 
     Layer t is `make(t)`, made when it is read; only the layer read last is
     kept, so reading the layers in ascending t makes each one once and holds
@@ -148,10 +167,10 @@ class _Layers(Sequence):
 class GumbelPosterior:
     """Per-time-step posterior noise samples conditioned on an observed path.
 
-    `noise` is a sequence of T layers, and noise[t] has shape (n, |S|). Steps
-    t < T-1 are conditioned on the observed transition (s_t, a_t, s_{t+1});
-    the final step has no observed successor and carries prior samples. Per-
-    step RNG streams are derived from (seed, t), so a layer drawn late, or
+    `noise` is a sequence of T layers; noise[t] is a column-major (n, |S|)
+    array. Steps t < T-1 are conditioned on the observed transition
+    (s_t, a_t, s_{t+1}); the final step has no observed successor and
+    carries prior samples. Per-step RNG streams are derived from (seed, t), so a layer drawn late, or
     drawn again, is bit-identical to one drawn up front in any order. Hence
     `noise` draws a layer when it is read and keeps only the layer read last:
     one layer is resident, never the dense (T, n, |S|) tensor.
@@ -177,17 +196,23 @@ def _draw_layer(mdp: Mdp, path: ObservedPath, n: int, sampler: str, seed: int,
                 t: int) -> np.ndarray:
     """Posterior noise of step t from its stream `_step_rng(seed, t)`:
     conditioned on the observed transition at t < T-1, the prior at T-1.
-    Every sample of a conditioned step is checked to replay the observation."""
+    Every sample of a conditioned step is checked to replay the observation,
+    and a layer numpy cannot allocate raises OutOfMemory."""
     rng = _step_rng(seed, t)
-    if t == path.T - 1:
-        return rng.gumbel(size=(n, mdp.num_states))
-    p, pos = int(path.pair[t]), int(path.next_pos[t])
-    if sampler == SAMPLER_TOPDOWN:
-        g = topdown_noise(mdp, p, pos, n, rng)
-    else:
-        g, _ = rejection_noise(mdp, p, pos, n, rng)
-    idx, _, logp = mdp.row(p)
-    if not np.all(_winners(idx, logp, g) == pos):
+    try:
+        if t == path.T - 1:
+            return _prior_layer(rng, n, mdp.num_states)
+        p, pos = int(path.pair[t]), int(path.next_pos[t])
+        if sampler == SAMPLER_TOPDOWN:
+            g = topdown_noise(mdp, p, pos, n, rng)
+        else:
+            g, _ = rejection_noise(mdp, p, pos, n, rng)
+        idx, _, logp = mdp.row(p)
+        replays = np.all(_winners(idx, logp, g) == pos)
+    except MemoryError:
+        raise OutOfMemory(f"out of memory drawing the noise layer at t={t} "
+                          f"({n}x{mdp.num_states} float64)") from None
+    if not replays:
         raise InvariantViolated(f"posterior sample at t={t} fails to replay the observation")
     return g
 
@@ -207,6 +232,9 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
         raise ValidationFailed(f"unknown sampler {sampler!r}")
     if n < 1:
         raise ValidationFailed(f"posterior sample count must be >= 1, got {n}")
+    if n * mdp.num_states * 8 > np.iinfo(np.intp).max:
+        raise ValidationFailed(f"posterior sample count {n} is too large: a noise layer of "
+                               f"{n}x{mdp.num_states} float64 cannot be addressed")
     if seed < 0:
         raise ValidationFailed(f"posterior seed must be >= 0, got {seed}")
     for t in range(path.T - 1):

@@ -130,7 +130,9 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
     """Forward sweep from s_0 through admitted pairs, building their CF rows.
 
     Per layer: the mask of pairs built (admitted at a node the sweep reached)
-    and their counterfactual supports as (owner pair, successor) entries.
+    and their counterfactual supports as (owner pair, successor) entries, in
+    pair order. Each distinct `cf.row_key[t]` among the built pairs is looked
+    up once, and its support is gathered for every pair that shares it.
     """
     mdp = cf.mdp
     nodes = np.bincount(cf.path.state[:1], minlength=mdp.num_states) > 0
@@ -138,9 +140,16 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
     for t, adm in enumerate(admitted):
         built = adm & nodes[mdp.source]
         ids = np.flatnonzero(built)
-        supports = [cf.row(t, p)[0] for p in ids.tolist()]
-        succ = np.concatenate(supports) if supports else np.zeros(0, dtype=np.int64)
-        owner = np.repeat(ids, [len(x) for x in supports])
+        _, first, which = np.unique(cf.row_key[t][ids], return_index=True, return_inverse=True)
+        supports = [cf.row(t, p)[0] for p in ids[first].tolist()]
+        length = np.array([len(x) for x in supports], dtype=np.int64)
+        size = length[which]
+        owner = np.repeat(ids, size)
+        flat = np.concatenate(supports) if supports else np.zeros(0, dtype=np.int64)
+        # Entry e of a pair is entry e of its support, which starts at
+        # `start[which]` in `flat`; the pair's own entries start at `at`.
+        start, at = np.cumsum(length) - length, np.cumsum(size) - size
+        succ = flat[np.arange(len(owner)) + np.repeat(start[which] - at, size)]
         rows.append((built, owner, succ))
         nodes = np.bincount(succ, minlength=mdp.num_states) > 0
     return rows

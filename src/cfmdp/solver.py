@@ -60,6 +60,14 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
     -inf and are avoided upstream; replaying the observed path is always
     feasible, so the initial node is always finite.
 
+    Each layer is solved in arrays. The expected child value of a budget
+    column is one `np.dot` per distinct counterfactual row and column, over
+    the column of the (successors, m+1) child table; pairs that share a row
+    share it. The best action per state is the first maximum over its pairs,
+    the observed action first so that value ties resolve toward replay.
+    At most T-t changes remain at layer t, so the budgets r > T-t are not
+    priced: their values and choices are copies of column T-t.
+
     `base`, the policy solved at the same m on the prune that `pruned` was
     derived from (a larger k), supplies the rows of the free layers
     t >= T-k+1: there the pruned MDPs agree, so the values and choices are
@@ -76,8 +84,6 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
     n = mdp.num_states
     shared_from = T if base is None else max(T - pruned.k + 1, 0)
 
-    start, action, reward = mdp.start.tolist(), mdp.action.tolist(), mdp.reward.tolist()
-    observed = cf.path.action.tolist()
     values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
     choices = [np.full((n, m + 1), -1, dtype=np.int64) for _ in range(T)]
     for t in range(T - 1, -1, -1):
@@ -86,39 +92,57 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
             values[t][nodes] = base.values[t][nodes]
             choices[t][nodes] = base.choices[t][nodes]
             continue
-        obs_a = observed[t]
-        v_next = values[t + 1]
-        usable = pruned.usable[t].tolist()
-        row_key = cf.row_key[t].tolist()
-        # Expected child value per budget column c, once per distinct row:
-        # pairs that share a counterfactual row share it.
-        expected: dict[int, list[float]] = {}
-        for si in np.flatnonzero(nodes).tolist():
-            pairs = [p for p in range(start[si], start[si + 1]) if usable[p]]
-            # Observed action first so value ties resolve toward replay.
-            pairs.sort(key=lambda p: action[p] != obs_a)
-            best = values[t][si]
-            best_a = choices[t][si]
-            for p in pairs:
-                cost = 0 if action[p] == obs_a else 1
-                ev = expected.get(row_key[p])
-                if ev is None or len(ev) < m + 1 - cost:
-                    idx, probs = cf.row(t, p)
-                    child = v_next[idx]
-                    ev = [float(np.dot(probs, child[:, c])) for c in range(m + 1 - cost)]
-                    expected[row_key[p]] = ev
-                r_reward = reward[p]
-                for r in range(cost, m + 1):
-                    q = r_reward + ev[r - cost]
-                    if q > best[r]:
-                        best[r] = q
-                        best_a[r] = action[p]
+        pairs = np.flatnonzero(pruned.usable[t] & nodes[mdp.source])
+        if not len(pairs):
+            continue
+        top = min(m, T - t)
+        cost = (mdp.action[pairs] != cf.path.action[t]).astype(np.int64)
+        # Pairs by state, the observed action first, then in pair order.
+        order = np.lexsort((pairs, cost, mdp.source[pairs]))
+        pairs, cost = pairs[order], cost[order]
+        states, first, count = np.unique(mdp.source[pairs], return_index=True, return_counts=True)
+        q = _pair_values(cf, t, pairs, cost, top, values[t + 1])
+        grid = np.full((len(states), int(count.max()), top + 1), NEG_INF)
+        grid[np.repeat(np.arange(len(states)), count),
+             np.arange(len(pairs)) - np.repeat(first, count)] = q
+        slot = grid.argmax(axis=1)
+        best = np.take_along_axis(grid, slot[:, None, :], axis=1)[:, 0]
+        chosen = np.where(best > NEG_INF, mdp.action[pairs[first[:, None] + slot]], -1)
+        budget = np.minimum(np.arange(m + 1), top)  # budgets above T-t read column T-t
+        values[t][states] = best[:, budget]
+        choices[t][states] = chosen[:, budget]
 
     s0 = int(cf.path.state[0])
     v0 = float(values[0][s0, m])
     if v0 == NEG_INF:
         raise InfeasibleBudget(f"no feasible policy at m={m}")
     return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=s0, choices=choices, values=values)
+
+
+def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: int,
+                 v_next: np.ndarray) -> np.ndarray:
+    """Q-values of `pairs` at layer t for budgets r = 0..top, -inf where the
+    pair costs more than r: reward plus the expected value of column r - cost
+    of `v_next` under the pair's counterfactual row.
+
+    The expected values are computed once per distinct row, for as many
+    columns as the pairs that share it need.
+    """
+    keys, first, which = np.unique(cf.row_key[t][pairs], return_index=True, return_inverse=True)
+    width = np.zeros(len(keys), dtype=np.int64)
+    np.maximum.at(width, which, top + 1 - cost)
+    ev = np.full((len(keys), top + 1), NEG_INF)
+    for i, (p, w) in enumerate(zip(pairs[first].tolist(), width.tolist())):
+        idx, probs = cf.row(t, p)
+        child = v_next[idx]
+        ev[i, :w] = [float(np.dot(probs, child[:, c])) for c in range(w)]
+    reward = cf.mdp.reward[pairs]
+    q = np.full((len(pairs), top + 1), NEG_INF)
+    free = cost == 0
+    q[free] = reward[free, None] + ev[which[free]]
+    q[~free, 1:] = reward[~free, None] + ev[which[~free], :top]
+    q[np.isnan(q)] = NEG_INF  # a NaN value (a NaN reward) is never the best
+    return q
 
 
 def policy_to_json(policy: CfPolicy, meta: dict | None = None) -> dict:

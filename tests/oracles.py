@@ -14,11 +14,12 @@ from itertools import product
 
 import numpy as np
 
-from cfmdp.errors import InvariantViolated, UndefinedPolicyAction, ValidationFailed
+from cfmdp.errors import (InfeasibleBudget, InvariantViolated, UndefinedPolicyAction,
+                          ValidationFailed)
 from cfmdp.gumbel import CfMdp, GumbelPosterior, _step_rng, cf_transition
 from cfmdp.influence import PrunedCfMdp
 from cfmdp.mdp import Mdp, ObservedPath
-from cfmdp.solver import CfPolicy, RolloutSummary
+from cfmdp.solver import NEG_INF, CfPolicy, RolloutSummary
 
 
 # -- label views of an MDP ------------------------------------------------------
@@ -90,6 +91,20 @@ def gumbel_max_step(mdp: Mdp, s, a, g: np.ndarray):
     idx, _, logp = mdp.row(mdp.pair(s, a))
     return mdp.states[idx[int(np.argmax(logp + g[idx]))]]
 
+
+def topdown_noise_oracle(mdp: Mdp, p: int, pos: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """`topdown_noise` drawn as one row-major (n, |S|) prior layer: the
+    maximum at the observed position, Gumbels truncated below it on the rest
+    of the row, and fresh priors off it, from the same draws in the same
+    order."""
+    idx, _, logp = mdp.row(p)
+    out = rng.gumbel(size=(n, mdp.num_states))
+    top = rng.gumbel(size=n) + float(np.logaddexp.reduce(logp))
+    shifted = logp[None, :] + rng.gumbel(size=(n, idx.shape[0]))
+    trunc = -np.logaddexp(-shifted, -top[:, None])
+    out[:, idx] = trunc - logp[None, :]
+    out[:, idx[pos]] = top - logp[pos]
+    return out
 
 def prior_posterior(mdp: Mdp, path: ObservedPath, n: int, seed: int = 0) -> GumbelPosterior:
     """Unconditioned noise for every step: the interventional counterpart."""
@@ -239,6 +254,73 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
 
     return value(path.steps[0][0], 0, m)
 
+
+def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPolicy:
+    """`solve_km` as one loop per (state, pair, budget): each reached state
+    tries its usable pairs, the observed action first, and keeps the first
+    strict maximum per budget. Expected child values are one np.dot per
+    distinct row and budget column, as in the solver, so the value and choice
+    tables agree bit for bit, -inf included."""
+    T = pruned.horizon
+    if not 0 <= m <= T:
+        raise ValidationFailed(f"budget m={m} outside 0..{T}")
+    if base is not None and (base.k < pruned.k or base.m != m):
+        raise ValidationFailed("base policy must be solved at the same m and at k or more")
+    cf = pruned.cf
+    mdp = cf.mdp
+    n = mdp.num_states
+    shared_from = T if base is None else max(T - pruned.k + 1, 0)
+
+    start, action, reward = mdp.start.tolist(), mdp.action.tolist(), mdp.reward.tolist()
+    observed = cf.path.action.tolist()
+    values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
+    choices = [np.full((n, m + 1), -1, dtype=np.int64) for _ in range(T)]
+    for t in range(T - 1, -1, -1):
+        nodes = pruned.reach[t]
+        if t >= shared_from:
+            values[t][nodes] = base.values[t][nodes]
+            choices[t][nodes] = base.choices[t][nodes]
+            continue
+        obs_a = observed[t]
+        v_next = values[t + 1]
+        usable = pruned.usable[t].tolist()
+        row_key = cf.row_key[t].tolist()
+        # Expected child value per budget column c, once per distinct row:
+        # pairs that share a counterfactual row share it.
+        expected: dict[int, list[float]] = {}
+        for si in np.flatnonzero(nodes).tolist():
+            pairs = [p for p in range(start[si], start[si + 1]) if usable[p]]
+            # Observed action first so value ties resolve toward replay.
+            pairs.sort(key=lambda p: action[p] != obs_a)
+            best = values[t][si]
+            best_a = choices[t][si]
+            for p in pairs:
+                cost = 0 if action[p] == obs_a else 1
+                ev = expected.get(row_key[p])
+                if ev is None or len(ev) < m + 1 - cost:
+                    idx, probs = cf.row(t, p)
+                    child = v_next[idx]
+                    ev = [float(np.dot(probs, child[:, c])) for c in range(m + 1 - cost)]
+                    expected[row_key[p]] = ev
+                r_reward = reward[p]
+                for r in range(cost, m + 1):
+                    q = r_reward + ev[r - cost]
+                    if q > best[r]:
+                        best[r] = q
+                        best_a[r] = action[p]
+
+    s0 = int(cf.path.state[0])
+    v0 = float(values[0][s0, m])
+    if v0 == NEG_INF:
+        raise InfeasibleBudget(f"no feasible policy at m={m}")
+    return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=s0, choices=choices, values=values)
+
+
+def same_tables(policy: CfPolicy, other: CfPolicy) -> bool:
+    """Whether two policies have bit-identical value and choice tables."""
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for tables in ((policy.values, other.values), (policy.choices, other.choices))
+               for a, b in zip(*tables, strict=True))
 
 def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature, seed: int) -> RolloutSummary:
     """`rollout` as one scalar loop per trajectory: trajectory i draws its T

@@ -1,0 +1,40 @@
+"""The benchmark's pinned outputs, reproduced in the test suite.
+
+`perfbench` counts an execution as failed unless its outputs at seed 7 match
+`perfbench/reference/seed-7/` byte for byte. This runs the same commands on
+sepsis-suboptimal through `cli.main`, so a change that moves those bytes
+fails here, not only under the benchmark. The reference files are read from
+the checkout, as `test_tracer_boundaries` reads `perfbench/tracer.py`.
+"""
+
+from pathlib import Path
+
+from cfmdp.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "seed-7"
+
+
+def test_sepsis_sweep_and_pipeline_equal_the_benchmark_reference(tmp_path):
+    mdp, path = str(tmp_path / "mdp.json"), str(tmp_path / "path.json")
+    sweep, staged = tmp_path / "sweep", tmp_path / "staged"
+    staged.mkdir()
+    posterior = ["--mdp", mdp, "--path", path, "--samples", "1000", "--seed", "7"]
+    post, pruned, policy = (str(staged / name) for name in ("posterior.json", "pruned.json",
+                                                             "policy.json"))
+    commands = [
+        ["env", "sepsis", "--out", mdp],
+        ["sample", "--mdp", mdp, "--policy", "sepsis-suboptimal", "--out", path],
+        ["sweep", *posterior, "--out", str(sweep)],
+        ["cf-build", *posterior, "--out", post],
+        ["prune", "--mdp", mdp, "--path", path, "--posterior", post, "--k", "11", "--out", pruned],
+        ["solve", "--mdp", mdp, "--pruned", pruned, "--m", "2", "--out", policy],
+        ["rollout", "--mdp", mdp, "--pruned", pruned, "--policy", policy, "--env", "sepsis",
+         "--feature", "abnormal_vitals", "-n", "10000", "--seed", "3",
+         "--out", str(staged / "rollout.csv")],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    for name in ("sweep.csv", "sizes.csv"):
+        assert (sweep / name).read_bytes() == (REFERENCE / "sepsis-sweep" / name).read_bytes(), name
+    assert ((staged / "rollout.csv").read_bytes()
+            == (REFERENCE / "sepsis-pipeline" / "rollout.csv").read_bytes())

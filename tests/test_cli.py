@@ -359,6 +359,37 @@ def test_zero_samples_exits_2(command, artifact_dir, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["cf-build", "sweep"])
+def test_oversize_samples_exits_2(command, artifact_dir, tmp_path, capsys, layer_draws):
+    # A layer of N x |S| float64 that no array can hold is refused before any
+    # draw, with one line.
+    argv = [command, *_observation(artifact_dir), "--samples", str(10**30)]
+    argv += {"cf-build": ["--out", str(tmp_path / "post.json")],
+             "sweep": ["--out", str(tmp_path / "sweep")]}[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2, err
+    assert err.startswith("error:") and "sample count" in err and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+    assert not layer_draws
+
+
+def test_layer_out_of_memory_exits_3(artifact_dir, tmp_path, capsys, monkeypatch):
+    # A layer numpy cannot allocate is a runtime error naming the step and
+    # the layer's shape, not a traceback.
+    def no_memory(rng, n, num_states):
+        raise MemoryError
+
+    monkeypatch.setattr(cfmdp.gumbel, "_prior_layer", no_memory)
+    out = tmp_path / "pruned.json"
+    code, _, err = run(capsys, "prune", *_observation(artifact_dir),
+                       "--posterior", str(artifact_dir / "posterior.json"), "--k", "8",
+                       "--out", str(out))
+    assert code == 3, err
+    assert err.startswith("error:") and "Traceback" not in err and err.count("\n") == 1
+    assert "t=0" in err and "500x" in err, err
+    assert not out.exists()
+
+
 # Flags a subcommand does not read; each is an argparse error.
 IGNORED_FLAGS = [("solve", "--seed", "1"), ("solve", "--samples", "7"),
                  ("solve", "--sampler", "rejection"), ("solve", "--horizon", "3"),
@@ -965,6 +996,7 @@ BAD_POSTERIORS = {
     "no-samples": lambda src, dst: _edit_recipe(src, dst, n=0),
     "bool-samples": lambda src, dst: _edit_recipe(src, dst, n=True),
     "negative-seed": lambda src, dst: _edit_recipe(src, dst, seed=-1),
+    "oversize-samples": lambda src, dst: _edit_recipe(src, dst, n=10**30),
     "float-seed": lambda src, dst: _edit_recipe(src, dst, seed=1.5),
     "unknown-sampler": lambda src, dst: _edit_recipe(src, dst, sampler="gibbs"),
     "other-mdp": lambda src, dst: _edit_recipe(

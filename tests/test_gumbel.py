@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import cfmdp.gumbel
 from cfmdp.environments import PRESETS, GridWorldConfig, build_gridworld, demo_observation
 from cfmdp.errors import ValidationFailed, ZeroProbabilityObservation
 from cfmdp.gumbel import (
+    FILL_ROWS,
     CfMdp,
+    _prior_layer,
     _step_rng,
     build_cf_mdp,
     build_posterior,
@@ -29,6 +32,7 @@ from oracles import (
     kernel_row,
     prior_posterior,
     random_mdp,
+    topdown_noise_oracle,
     tv_distance,
 )
 
@@ -362,6 +366,7 @@ def test_layers_drawn_on_access_equal_an_eager_draw(tinychain, sampler):
     # Each step draws from its own stream, so layers read in any order, and
     # read again after another layer, equal the layers drawn up front in
     # ascending t: conditioned steps 0 and 1, and the prior at the final step.
+    # Every layer is column-major and read-only.
     path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a"), ("x2", "a")))
     n, seed = 300, 21
     eager = []
@@ -376,7 +381,7 @@ def test_layers_drawn_on_access_equal_an_eager_draw(tinychain, sampler):
     assert len(post.noise) == post.T == 3
     for t in (2, 0, 1, 0, 2):
         assert post.noise[t].tobytes() == eager[t].tobytes(), t
-        assert not post.noise[t].flags.writeable
+        assert post.noise[t].flags.f_contiguous and not post.noise[t].flags.writeable
     with pytest.raises(IndexError):
         post.noise[3]
 
@@ -407,3 +412,33 @@ def test_sweep_holds_one_layer_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 3 * layer_bytes, (peak, layer_bytes)
+
+
+@pytest.mark.parametrize("rows", [16, FILL_ROWS])
+@pytest.mark.parametrize("n", [1, 15, 17, 1000])
+def test_prior_layer_equals_one_row_major_draw(n, rows, monkeypatch):
+    # Filled a block of rows at a time, the column-major layer holds the
+    # values of one row-major draw and leaves the stream where it would.
+    monkeypatch.setattr(cfmdp.gumbel, "FILL_ROWS", rows)
+    filled, plain = np.random.default_rng(5), np.random.default_rng(5)
+    layer = _prior_layer(filled, n, 37)
+    assert layer.flags.f_contiguous and layer.shape == (n, 37)
+    assert np.array_equal(layer, plain.gumbel(size=(n, 37)))
+    assert filled.random() == plain.random()
+
+
+@pytest.mark.parametrize("n", [1, 15, 17, 1000])
+def test_posterior_layers_are_column_major_and_equal_row_major_draws(epidemic_demo, n):
+    # Every layer is F-contiguous and read-only; the conditioned layers equal
+    # the row-major top-down draw, and the final layer a plain prior draw.
+    mdp, path, _ = epidemic_demo
+    post = build_posterior(mdp, path, n, "topdown", seed=11)
+    for t in range(path.T):
+        layer = post.noise[t]
+        assert layer.flags.f_contiguous and not layer.flags.writeable, t
+        rng = _step_rng(11, t)
+        if t == path.T - 1:
+            expected = rng.gumbel(size=(n, mdp.num_states))
+        else:
+            expected = topdown_noise_oracle(mdp, int(path.pair[t]), int(path.next_pos[t]), n, rng)
+        assert np.array_equal(layer, expected), t

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from cfmdp.errors import EmptyPrunedMdp, ValidationFailed
-from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
-from cfmdp.influence import _admission_hits, _admitted, prune_cf_mdp, pruned_size_report
+from cfmdp.gumbel import CfMdp, build_cf_mdp, build_posterior, nominal_cf_mdp
+from cfmdp.influence import _admission_hits, _admitted, _cf_rows, prune_cf_mdp, pruned_size_report
 from cfmdp.mdp import Mdp, ObservedPath, sample_path
 
 from oracles import (
@@ -263,3 +265,26 @@ def test_prune_empty_raises():
     with pytest.raises(EmptyPrunedMdp):
         prune_cf_mdp(cf, 1)
 
+
+def test_cf_rows_look_up_each_distinct_row_once(epidemic_demo, monkeypatch):
+    # Pairs with one nominal row share one counterfactual row: `_cf_rows`
+    # reads it once and gathers its support for every pair, and the entries
+    # equal the per-pair concatenation in pair order.
+    mdp, path, _ = epidemic_demo
+    cf = build_cf_mdp(build_posterior(mdp, path, 200, "topdown", seed=4), mdp)
+    calls, row = Counter(), CfMdp.row
+
+    def counted(self, t, p):
+        calls[t, int(self.row_key[t, p])] += 1
+        return row(self, t, p)
+
+    monkeypatch.setattr(CfMdp, "row", counted)
+    rows = _cf_rows(cf, _admitted(path.T + 1, _admission_hits(mdp, path, path.T)))
+    monkeypatch.undo()
+    assert max(calls.values()) == 1 and len(calls) == cf.rows_built
+    assert sum(int(built.sum()) for built, _, _ in rows) > len(calls)  # some rows are shared
+    for t, (built, owner, succ) in enumerate(rows):
+        ids = np.flatnonzero(built).tolist()
+        supports = [cf.row(t, p)[0] for p in ids]
+        assert np.array_equal(owner, np.repeat(ids, [len(x) for x in supports])), t
+        assert np.array_equal(succ, np.concatenate(supports or [np.zeros(0, dtype=np.int64)])), t

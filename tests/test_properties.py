@@ -19,7 +19,8 @@ from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import Mdp, mdp_from_json, mdp_to_json, sample_path
 from cfmdp.solver import policy_to_json, rollout, solve_km, sweep
 
-from oracles import initial, kernel, km_value_oracle, path_return, random_mdp, reward, rollout_oracle
+from oracles import (initial, kernel, km_value_oracle, path_return, random_mdp, reward,
+                     rollout_oracle, same_tables, solve_km_oracle)
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -131,6 +132,28 @@ def test_solver_equals_oracle_and_artifacts_round_trip(instance, data):
     assert (back.k, back.m) == (policy.k, policy.m)
     for a, b in zip(back.choices, policy.choices):
         np.testing.assert_array_equal(a, b)
+
+
+@PROPERTIES
+@given(instances(shared_rows=True))
+def test_solver_tables_equal_the_per_pair_oracle(instance):
+    # Every k, every m in 0..T, with and without `base`: the array solver's
+    # value and choice tables equal the per-pair loop's bit for bit, and the
+    # budgets above the steps left are copies of column T-t.
+    mdp, path, cf = instance
+    T = path.T
+    top = prune_cf_mdp(cf, T + 1)
+    for m in range(T + 1):
+        top_policy, top_oracle = solve_km(top, m), solve_km_oracle(top, m)
+        for k in range(1, T + 2):
+            pruned = top if k == T + 1 else prune_cf_mdp(cf, k, base=top)
+            policy = solve_km(pruned, m)
+            assert same_tables(policy, solve_km_oracle(pruned, m)), (k, m)
+            assert same_tables(solve_km(pruned, m, base=top_policy),
+                               solve_km_oracle(pruned, m, base=top_oracle)), (k, m)
+            for t in range(max(T - m, 0), T):
+                for table in (policy.values[t], policy.choices[t]):
+                    assert (table[:, T - t:] == table[:, T - t, None]).all(), (k, m, t)
 
 
 @PROPERTIES

@@ -5,7 +5,7 @@ from cfmdp.environments import PRESETS, demo_observation, environment_features
 from cfmdp.errors import InvariantViolated, UndefinedPolicyAction, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import prune_cf_mdp, pruned_size_report
-from cfmdp.mdp import sample_path
+from cfmdp.mdp import Mdp, ObservedPath, sample_path
 from cfmdp.solver import (
     check_sweep_monotonicity,
     policy_to_json,
@@ -22,6 +22,8 @@ from oracles import (
     random_mdp,
     reward,
     rollout_oracle,
+    same_tables,
+    solve_km_oracle,
 )
 
 
@@ -68,6 +70,56 @@ def test_solver_matches_recursion_oracle(seed):
     got = solve_km(pruned, m).v_s0
     want = km_value_oracle(pruned, path, m)
     assert got == want
+
+
+def test_pairs_sharing_one_row_at_mixed_cost_equal_the_oracle():
+    # The three pairs of x0 share one nominal row, and so one counterfactual
+    # row; the observed one costs nothing and the others one change. The row
+    # is priced for the widest of its pairs: at m = 0 the observed pair
+    # needs one column although the others need none. a and c tie above the
+    # observed b, and the tie goes to the first pair, a.
+    row = {"x1": 0.4, "x2": 0.6}
+    kernel = {("x0", "a"): row, ("x0", "b"): row, ("x0", "c"): row,
+              ("x1", "a"): {"x1": 1.0}, ("x2", "a"): {"x1": 0.5, "x2": 0.5}, ("x2", "b"): {"x1": 1.0}}
+    rewards = {("x0", "a"): 9.0, ("x0", "b"): 1.0, ("x0", "c"): 9.0, ("x1", "a"): 1.0,
+               ("x2", "a"): 0.0, ("x2", "b"): 2.0}
+    mdp = Mdp(("x0", "x1", "x2"), ("a", "b", "c"), kernel, rewards, {"x0": 1.0}, name="shared")
+    path = ObservedPath(mdp, (("x0", "b"), ("x2", "a"), ("x2", "a")))
+    cf = build_cf_mdp(build_posterior(mdp, path, 300, "topdown", seed=1), mdp)
+    assert len({int(cf.row_key[0, mdp.pair("x0", a)]) for a in "abc"}) == 1
+    for k in range(1, path.T + 2):
+        pruned = prune_cf_mdp(cf, k)
+        for m in range(path.T + 1):
+            policy = solve_km(pruned, m)
+            assert same_tables(policy, solve_km_oracle(pruned, m)), (k, m)
+            assert policy.choices[0][mdp.state_index("x0"), 1:].tolist() == [0] * m
+
+
+def test_nan_rewards_are_never_chosen_as_in_the_oracle():
+    # An MDP file may carry a NaN reward; a NaN Q-value never beats another
+    # action, and a node whose only actions have one stays infeasible.
+    kernel = {("x0", "a"): {"x1": 0.5, "x2": 0.5}, ("x0", "b"): {"x1": 1.0},
+              ("x1", "a"): {"x1": 1.0}, ("x2", "a"): {"x2": 1.0}, ("x2", "b"): {"x1": 1.0}}
+    rewards = {("x0", "b"): float("nan"), ("x2", "b"): float("nan"), ("x1", "a"): 1.0}
+    mdp = Mdp(("x0", "x1", "x2"), ("a", "b"), kernel, rewards, {"x0": 1.0}, name="nan")
+    path = ObservedPath(mdp, (("x0", "a"), ("x2", "a"), ("x2", "a")))
+    cf = build_cf_mdp(build_posterior(mdp, path, 100, "topdown", seed=3), mdp)
+    for k in range(1, path.T + 2):
+        pruned = prune_cf_mdp(cf, k)
+        for m in range(path.T + 1):
+            policy = solve_km(pruned, m)
+            assert same_tables(policy, solve_km_oracle(pruned, m)), (k, m)
+            assert not any(np.isnan(v).any() for v in policy.values)
+
+
+def test_sepsis_catastrophic_k1_m0_equals_the_oracle():
+    # Its absorbing states have eight pairs on one row, one of them observed.
+    mdp, path, _ = demo_observation("sepsis-catastrophic")
+    cf = build_cf_mdp(build_posterior(mdp, path, 200, "topdown", seed=7), mdp)
+    pruned = prune_cf_mdp(cf, 1)
+    policy = solve_km(pruned, 0)
+    assert same_tables(policy, solve_km_oracle(pruned, 0))
+    assert policy.v_s0 == path_return(mdp, path)
 
 
 def test_bellman_consistency_of_budget_recursion(epidemic_demo, epidemic_cf):
