@@ -1,5 +1,16 @@
 """Counterfactual inference for finite-horizon MDPs via Gumbel-max SCMs,
-with k-step influence pruning and optimal (k, m)-constrained policies."""
+with k-step influence pruning and optimal (k, m)-constrained policies.
+
+Importing cfmdp sets OPENBLAS_NUM_THREADS to 1, for this process and its
+children, unless it is already set; numpy reads it when it is first
+imported, which is below unless the caller imported numpy first. The
+library's only BLAS calls are single-row dot products, far below OpenBLAS's
+threading size, so a thread pool would only cost start-up time.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (
     CfmdpError,

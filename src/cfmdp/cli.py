@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain, islice
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .mdp import (
     PROB_TOL,
     Mdp,
     ObservedPath,
+    json_integers,
     mdp_from_json,
     mdp_to_json,
     path_from_json,
@@ -150,17 +152,27 @@ def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
     """Artifact contents. `rows[t]` holds the distinct counterfactual rows of
     the usable pairs at decision layer t, one per `cf.row_key[t]` value in
     ascending order; each node maps its usable actions to their rows'
-    indices in `rows[t]`."""
+    indices in `rows[t]`. Nodes are listed by t, then state label."""
     cf = pruned.cf
-    mdp, states = cf.mdp, cf.mdp.states
-    rows, nodes = [], {}
+    mdp, states, actions = cf.mdp, cf.mdp.states, cf.mdp.actions
+    label_rank = np.empty(len(states), dtype=np.int64)
+    label_rank[sorted(range(len(states)), key=states.__getitem__)] = np.arange(len(states))
+    rows, nodes = [], []
     for t, usable in enumerate(pruned.usable):
         pairs = np.flatnonzero(usable)
         _, first, index = np.unique(cf.row_key[t][pairs], return_index=True, return_inverse=True)
-        rows.append([dict(zip(map(states.__getitem__, idx.tolist()), probs.tolist()))
-                     for idx, probs in (cf.row(t, p) for p in pairs[first].tolist())])
-        for p, i in zip(pairs.tolist(), index.tolist()):
-            nodes.setdefault((t, states[mdp.source[p]]), {})[mdp.actions[mdp.action[p]]] = i
+        built = [cf.row(t, p) for p in pairs[first].tolist()]
+        # One (label, probability) stream for the layer, cut into its rows.
+        entries = zip([states[i] for idx, _ in built for i in idx.tolist()],
+                      [x for _, probs in built for x in probs.tolist()])
+        rows.append([dict(islice(entries, len(idx))) for idx, _ in built])
+        # The layer's pairs by state label; a state's pairs stay in action order.
+        order = np.argsort(label_rank[mdp.source[pairs]], kind="stable")
+        source = mdp.source[pairs[order]]
+        start = np.flatnonzero(np.diff(source, prepend=-1))  # each state's first pair
+        entries = zip([actions[a] for a in mdp.action[pairs[order]].tolist()], index[order].tolist())
+        nodes += [{"t": t, "s": states[si], "actions": dict(islice(entries, size))}
+                  for si, size in zip(source[start].tolist(), np.diff(np.r_[start, len(pairs)]).tolist())]
     return {
         "k": pruned.k,
         "mdp_hash": mdp.digest,
@@ -169,15 +181,15 @@ def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
         "nodes_all_layers": pruned.nodes_all_layers,
         "layers": [sorted(layer) for layer in pruned.layers],
         "rows": rows,
-        "actions": [{"t": t, "s": s, "actions": acts} for (t, s), acts in sorted(nodes.items())],
+        "actions": nodes,
     }
 
 
-def _layer(t, T: int) -> int:
-    """Artifact time index t, checked to be a decision layer 0..T-1."""
-    if not 0 <= int(t) < T:
-        raise ValidationFailed(f"time {t!r} outside decision layers 0..{T - 1}")
-    return int(t)
+def _layers(t: np.ndarray, T: int) -> np.ndarray:
+    """Artifact time indices t, checked to be decision layers 0..T-1."""
+    if (e := _first((t < 0) | (t >= T))) is not None:
+        raise ValidationFailed(f"time {int(t[e])!r} outside decision layers 0..{T - 1}")
+    return t
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -186,26 +198,28 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _row_key(nodes: list, rows: list, mdp: Mdp) -> np.ndarray:
+def _row_key(nodes: list, rows: list, mdp: Mdp, state_at: dict) -> np.ndarray:
     """The artifact's (T, pairs) row indices, -1 where a pair is not usable.
 
-    No node may be listed twice, every usable action must have a nominal
-    row, and it must name one of the rows of its layer by an int index (not
-    a bool, and never negative).
+    Each node's `t` must be a JSON integer naming a decision layer, no node
+    may be listed twice, every usable action must have a nominal row, and it
+    must name one of the rows of its layer by an int index (not a bool, and
+    never negative). `state_at` maps state labels to indices.
     """
     T, n = len(rows), mdp.num_states
-    node = np.array([_layer(e["t"], T) * n + mdp.state_index(e["s"]) for e in nodes], dtype=np.int64)
+    node = (_layers(json_integers([e["t"] for e in nodes], "pruned node t"), T) * n
+            + np.array([state_at[e["s"]] for e in nodes], dtype=np.int64))
     twice = np.sort(node)
     if (e := _first(twice[1:] == twice[:-1])) is not None:
         t, si = divmod(int(twice[e]), n)
         raise ValidationFailed(f"node ({mdp.states[si]}, t={t}) is listed twice")
     acts = [e["actions"] for e in nodes]
     t, si = np.divmod(np.repeat(node, [len(a) for a in acts]), n)
-    labels = [a for node_acts in acts for a in node_acts]
-    action = {a: i for i, a in enumerate(mdp.actions)}
-    act = np.array([action.get(a, -1) for a in labels], dtype=np.int64)
+    labels = list(chain.from_iterable(acts))
+    action_at = dict(zip(mdp.actions, range(len(mdp.actions))))
+    act = np.array([action_at.get(a, -1) for a in labels], dtype=np.int64)
     pair = np.where(act >= 0, mdp.pair_at[si, act], -1)
-    raw = [i for node_acts in acts for i in node_acts.values()]
+    raw = list(chain.from_iterable(map(dict.values, acts)))
     size = np.array([len(layer) for layer in rows], dtype=np.int64)
     most = int(size.max(initial=0))
     index = np.array([i if type(i) is int and 0 <= i < most else -1 for i in raw], dtype=np.int64)
@@ -224,12 +238,13 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
     """The pruned MDP stored by `_pruned_to_json`; a malformed artifact is a
     validation error.
 
+    `k`, `nodes_all_layers` and each node's `t` must be JSON integers.
     Besides its shape, the artifact must describe a closed pruned MDP: every
     row is a distribution (each value in (0, 1], the sum one within
     PROB_TOL) that lies on the nominal support of every pair naming it,
     every row at t < T-1 stays inside layer t+1, layer 0 is {s_0}, and each
     layer t holds exactly the states of the nodes listed at t. The rows are
-    checked as flat arrays.
+    read into flat arrays, one list pass per column, and checked as masks.
     """
     try:
         if obj["mdp_hash"] != mdp.digest:
@@ -238,26 +253,30 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
         T, n, rows = path.T, mdp.num_states, obj["rows"]
         if type(obj["samples"]) is not int or obj["samples"] < 0:
             raise ValidationFailed(f"pruned artifact sample count {obj['samples']!r} is not >= 0")
-        if not 1 <= (k := int(obj["k"])) <= T + 1:
+        for field in ("k", "nodes_all_layers"):
+            if type(obj[field]) is not int:
+                raise ValidationFailed(f"pruned artifact {field} {obj[field]!r} is not an integer")
+        if not 1 <= (k := obj["k"]) <= T + 1:
             raise ValidationFailed(f"pruned artifact k={k} outside 1..{T + 1}")
         if len(obj["layers"]) != T or len(rows) != T:
             raise ValidationFailed(f"pruned artifact has {len(obj['layers'])} layers and "
                                    f"{len(rows)} row layers, path has {T}")
+        state_at = dict(zip(mdp.states, range(n)))
         reach = np.zeros((T, n), dtype=bool)
         for t, layer in enumerate(obj["layers"]):
-            reach[t][[mdp.state_index(s) for s in layer]] = True
+            reach[t][[state_at[s] for s in layer]] = True
         if T == 0 or np.flatnonzero(reach[0]).tolist() != path.state[:1].tolist():
             raise ValidationFailed("pruned artifact layer 0 is not {s_0}")
-        key = _row_key(obj["actions"], rows, mdp)
+        key = _row_key(obj["actions"], rows, mdp, state_at)
 
         # Row g is rows[row_t[g]][row_i[g]]; entries ascend by (row, successor).
-        flat = [row for layer in rows for row in layer]
+        flat = list(chain.from_iterable(rows))
         row_t = np.repeat(np.arange(T), [len(layer) for layer in rows])
         first = np.searchsorted(row_t, np.arange(T))
         row_i = np.arange(len(flat)) - first[row_t]
         owner = np.repeat(np.arange(len(flat)), [len(row) for row in flat])
-        succ = np.array([mdp.state_index(s2) for row in flat for s2 in row], dtype=np.int64)
-        prob = np.array([v for row in flat for v in row.values()], dtype=np.float64)
+        succ = np.array([state_at[s2] for s2 in chain.from_iterable(flat)], dtype=np.int64)
+        prob = np.array(list(chain.from_iterable(map(dict.values, flat))), dtype=np.float64)
         order = np.lexsort((succ, owner))
         succ, prob = succ[order], prob[order]
         bad = np.bincount(owner, weights=~((prob > 0) & (prob <= 1)), minlength=len(flat)) > 0
@@ -270,17 +289,21 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
             raise ValidationFailed(
                 f"row {row_i[g]} of layer {row_t[g]} is not closed in layer {row_t[g] + 1}")
 
-        # Each (t, pair, row) lies on the pair's nominal support.
+        # Each (t, pair, row) lies on the pair's nominal support. Pairs with
+        # one nominal row have one support, so each (row, nominal row) is
+        # checked once, at its first pair.
         t, pair = np.nonzero(key >= 0)
         g = first[t] + key[t, pair]
+        _, rep, which = np.unique(g * len(mdp.source) + mdp.row_id[pair], return_index=True,
+                                  return_inverse=True)
         bounds = np.searchsorted(owner, np.arange(len(flat) + 1))
-        size = bounds[g + 1] - bounds[g]
-        entry = np.arange(size.sum()) + np.repeat(bounds[g] - np.cumsum(size) + size, size)
+        size = bounds[g[rep] + 1] - bounds[g[rep]]
+        entry = np.arange(size.sum()) + np.repeat(bounds[g[rep]] - np.cumsum(size) + size, size)
         nominal = mdp.owner * n + mdp.succ  # ascending
-        want = np.repeat(pair, size) * n + succ[entry]
+        want = np.repeat(pair[rep], size) * n + succ[entry]
         off = nominal[np.minimum(np.searchsorted(nominal, want), len(nominal) - 1)] != want
-        if (e := _first(np.bincount(np.repeat(np.arange(len(g)), size), weights=off,
-                                    minlength=len(g)) > 0)) is not None:
+        off = np.bincount(np.repeat(np.arange(len(rep)), size), weights=off, minlength=len(rep)) > 0
+        if (e := _first(off[which])) is not None:
             s, a = mdp.states[mdp.source[pair[e]]], mdp.actions[mdp.action[pair[e]]]
             raise ValidationFailed(f"row {key[t[e], pair[e]]} of layer {t[e]} is off the "
                                    f"nominal support of ({s}, {a})")
@@ -299,7 +322,7 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
                    for t, i, lo, hi in zip(row_t.tolist(), row_i.tolist(), bounds, bounds[1:])}
         cf = CfMdp(mdp, path, None, row_key=key, rows=cf_rows)
         return PrunedCfMdp(cf=cf, k=k, reach=tuple(reach), usable=tuple(key >= 0),
-                           nodes_all_layers=int(obj["nodes_all_layers"]))
+                           nodes_all_layers=obj["nodes_all_layers"])
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
         raise ValidationFailed(f"malformed pruned artifact: {exc!r}") from exc
 
@@ -355,26 +378,42 @@ def _policy_from_json(obj: dict, pruned: PrunedCfMdp, pruned_hash: str) -> CfPol
     `_pruned_hash` is `pruned_hash`; a malformed policy, or one solved on
     another pruned artifact, is a validation error. Only `m`, the actions
     and `pruned_hash` are read: the policy's `k` is the artifact's, and its
-    `v_s0` is a report."""
-    mdp, T = pruned.cf.mdp, pruned.horizon
+    `v_s0` is a report. `m` and each entry's `t` and `j` must be JSON
+    integers. The entries are read one list pass per field and checked as
+    masks."""
+    mdp, T, n = pruned.cf.mdp, pruned.horizon, pruned.cf.mdp.num_states
     try:
-        m = int(obj["m"])
+        if type(m := obj["m"]) is not int:
+            raise ValidationFailed(f"policy m {m!r} is not an integer")
         if not 0 <= m <= T:
             raise ValidationFailed(f"policy budget m={m} outside 0..{T}")
         if obj.get("pruned_hash") != pruned_hash:
             raise ValidationFailed("policy was not solved on this pruned artifact; solve it again")
-        choices = [np.full((mdp.num_states, m + 1), -1, dtype=np.int64) for _ in range(T)]
-        for e in obj["actions"]:
-            t, j, s = _layer(e["t"], T), int(e["j"]), e["s"]
-            if not 0 <= j <= m:
-                raise ValidationFailed(f"policy entry uses {j!r} changes, outside 0..{m}")
-            if not pruned.usable[t][mdp.pair(s, e["a"])]:
-                raise ValidationFailed(f"policy action {e['a']!r} is not usable at ({s}, t={t})")
-            if choices[t][mdp.state_index(s), m - j] >= 0:
-                raise ValidationFailed(f"policy entry ({s}, t={t}, j={j}) appears twice")
-            choices[t][mdp.state_index(s), m - j] = mdp.action_index(e["a"])
+        entries = obj["actions"]
+        t = _layers(json_integers([e["t"] for e in entries], "policy entry t"), T)
+        j = json_integers([e["j"] for e in entries], "policy entry j")
+        if (e := _first((j < 0) | (j > m))) is not None:
+            raise ValidationFailed(f"policy entry uses {int(j[e])!r} changes, outside 0..{m}")
+        s, a = [e["s"] for e in entries], [e["a"] for e in entries]
+        state_at = dict(zip(mdp.states, range(n)))
+        action_at = dict(zip(mdp.actions, range(len(mdp.actions))))
+        si = np.array([state_at.get(x, -1) for x in s], dtype=np.int64)
+        ai = np.array([action_at.get(x, -1) for x in a], dtype=np.int64)
+        pair = np.where((si >= 0) & (ai >= 0), mdp.pair_at[si, ai], -1)
+        if (e := _first(pair < 0)) is not None:
+            mdp.pair(s[e], a[e])  # raises MissingKernelRow naming (s, a)
+        if (e := _first(~np.array(pruned.usable)[t, pair])) is not None:
+            raise ValidationFailed(f"policy action {a[e]!r} is not usable at ({s[e]}, t={t[e]})")
+        slot = (t * n + si) * (m + 1) + m - j
+        order = np.argsort(slot, kind="stable")
+        later = order[1:][slot[order[1:]] == slot[order[:-1]]]
+        if later.size:  # the first entry, in file order, that repeats an earlier one
+            e = int(later.min())
+            raise ValidationFailed(f"policy entry ({s[e]}, t={t[e]}, j={j[e]}) appears twice")
+        choices = np.full((T, n, m + 1), -1, dtype=np.int64)
+        choices[t, si, m - j] = mdp.action[pair]
         return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=int(pruned.cf.path.state[0]),
-                        choices=choices, values=[])
+                        choices=list(choices), values=[])
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
         raise ValidationFailed(f"malformed policy artifact: {exc!r}") from exc
 

@@ -42,7 +42,8 @@ class InfeasibleBudget(CfmdpError):
 
 
 class OutOfMemory(CfmdpError):
-    """A working array (a posterior noise layer) could not be allocated."""
+    """A working array (a posterior noise layer, the rollout uniforms) could
+    not be allocated."""
 
 
 class InvariantViolated(CfmdpError):

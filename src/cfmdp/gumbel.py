@@ -250,13 +250,24 @@ def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple
     Successor indices are ascending and probabilities non-zero; the support is
     always contained in the nominal support of pair p. Prefer CfMdp.row for
     repeated queries; it memoizes per (t, nominal row).
+
+    A successor's count is the number of samples whose score equals the
+    sample's maximum score, a reduction down each column of the column-major
+    scores. When the counts sum to N, every sample has exactly one maximum
+    and they equal the counts of the mechanism's argmax; otherwise (an exact
+    tie, or a NaN) the argmax decides, the first maximum winning.
     """
     if t >= posterior.T:
         raise ValidationFailed(f"time {t} outside posterior horizon {posterior.T}")
     idx, _, logp = mdp.row(p)
     if idx.shape[0] == 1:  # every sample picks the one successor: counts / N == 1.0
         return idx, np.ones(1)
-    counts = np.bincount(_winners(idx, logp, posterior.noise[t]), minlength=idx.shape[0])
+    scores = posterior.noise[t][:, idx]  # a column-major copy
+    scores += logp
+    top = scores.max(axis=1, keepdims=True)
+    counts = (scores == top).sum(axis=0)
+    if counts.sum() != posterior.n or np.isnan(top).any():
+        counts = np.bincount(scores.argmax(axis=1), minlength=idx.shape[0])
     hit = counts > 0
     return idx[hit], counts[hit] / posterior.n
 

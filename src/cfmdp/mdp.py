@@ -36,8 +36,8 @@ class Mdp:
     {(s, a): R(s, a)} (0.0 where none is given) and `initial` {s: P(s_0 = s)}.
     Zero-probability entries are dropped, so every entry is support. Every
     broken invariant (unknown or duplicate labels, non-finite or negative
-    probabilities, a row or the initial distribution not summing to one) is
-    listed in one ValidationFailed.
+    probabilities, a non-finite reward of a row, a row or the initial
+    distribution not summing to one) is listed in one ValidationFailed.
 
     Pair p is (state `source[p]`, action `action[p]`) with reward
     `reward[p]`, and `pair_at[s, a]` is the pair of state s and action a, -1
@@ -82,6 +82,9 @@ class Mdp:
         bad += [f"{row_name(owner[e])} references unknown state {at(e)}"
                 for e in np.flatnonzero(succ < 0).tolist()]
         bad += _distribution_faults(prob, owner, len(keys), row_name, at)
+        reward = np.array([rewards.get(key, 0.0) for key in keys], dtype=np.float64)
+        bad += [f"{row_name(p)} has non-finite reward {reward[p].item()!r}"
+                for p in np.flatnonzero(~np.isfinite(reward)).tolist()]
         init_labels = list(initial)
         init_idx = np.array([sidx.get(s, -1) for s in init_labels], dtype=np.int64)
         init_prob = np.array(list(initial.values()), dtype=np.float64)
@@ -105,7 +108,7 @@ class Mdp:
         self.row_start = np.searchsorted(owner, np.arange(len(keys) + 1))
         self.succ, self.prob = succ[order], prob[order]
         self.logp = np.log(self.prob)
-        self.reward = np.array([rewards.get(key, 0.0) for key in keys], dtype=np.float64)
+        self.reward = reward
         self.pair_at = np.full((n, na), -1, dtype=np.int64)
         self.pair_at[source, action] = np.arange(len(keys))
         self.initial = np.zeros(n)
@@ -327,15 +330,27 @@ def path_to_json(path: ObservedPath) -> dict:
 
 
 def path_from_json(obj: Mapping, mdp: Mdp) -> ObservedPath:
-    """The path of a `path_to_json` object, checked and compiled against `mdp`."""
+    """The path of a `path_to_json` object, checked and compiled against `mdp`.
+    Each step's `t` must be a JSON integer, and the steps are 0..T-1."""
     try:
-        steps = sorted(obj["steps"], key=lambda e: int(e["t"]))
-        if [int(e["t"]) for e in steps] != list(range(len(steps))):
+        steps = obj["steps"]
+        t = json_integers([e["t"] for e in steps], "path step t")
+        if sorted(t.tolist()) != list(range(len(steps))):
             raise ValidationFailed("path steps are not consecutively indexed from 0")
-        steps = [(str(e["s"]), str(e["a"])) for e in steps]
+        steps = [(str(steps[i]["s"]), str(steps[i]["a"])) for i in np.argsort(t).tolist()]
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed path JSON: {exc}") from exc
     return ObservedPath(mdp, steps)
+
+
+def json_integers(values: list, field: str) -> np.ndarray:
+    """`values` as an int64 array. Each must be a JSON integer: a float (even
+    a whole one), a string, a bool or any other value is a validation error
+    naming `field`, never truncated or parsed."""
+    if not set(map(type, values)) <= {int}:
+        value = next(v for v in values if type(v) is not int)
+        raise ValidationFailed(f"{field} {value!r} is not an integer")
+    return np.array(values, dtype=np.int64)
 
 
 def canonical_dumps(obj) -> str:

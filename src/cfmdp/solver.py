@@ -8,12 +8,19 @@ table independent of the cap m, so one backward pass prices every budget
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleBudget, InvariantViolated, UndefinedPolicyAction, ValidationFailed
+from .errors import (
+    InfeasibleBudget,
+    InvariantViolated,
+    OutOfMemory,
+    UndefinedPolicyAction,
+    ValidationFailed,
+)
 from .gumbel import CfMdp
 from .influence import PrunedCfMdp, SizeReport, prune_cf_mdp, pruned_size_report
 from .mdp import Mdp, State
@@ -146,12 +153,16 @@ def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: in
 
 
 def policy_to_json(policy: CfPolicy, meta: dict | None = None) -> dict:
+    """Artifact contents: one action entry per (t, s, j) with an action, by
+    t, then state label, then j."""
     states, actions, m = policy.mdp.states, policy.mdp.actions, policy.m
-    entries = []
-    for t, chosen in enumerate(policy.choices):
-        for si in sorted(np.flatnonzero((chosen >= 0).any(axis=1)).tolist(), key=states.__getitem__):
-            entries.extend({"t": t, "s": states[si], "j": j, "a": actions[chosen[si, m - j]]}
-                           for j in range(m + 1) if chosen[si, m - j] >= 0)
+    by_label = np.array(sorted(range(len(states)), key=states.__getitem__), dtype=np.int64)
+    # Budget column r = m - j, so reversing the columns puts j in ascending order.
+    chosen = np.array(policy.choices, dtype=np.int64).reshape(-1, len(states), m + 1)
+    chosen = chosen[:, by_label, ::-1]
+    t, rank, j = np.nonzero(chosen >= 0)
+    entries = [{"t": ti, "s": states[si], "j": ji, "a": actions[ai]} for ti, si, ji, ai in
+               zip(t.tolist(), by_label[rank].tolist(), j.tolist(), chosen[t, rank, j].tolist())]
     out = {"k": policy.k, "m": policy.m, "v_s0": policy.v_s0, "actions": entries}
     if meta:
         out["meta"] = meta
@@ -237,8 +248,13 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
 
     Trajectories cover states s_0..s_T. Trajectory i draws its T uniforms from
     its own stream, SeedSequence(seed, spawn_key=(i,)), so its path does not
-    depend on n. All trajectories advance one layer at a time; those whose
-    pairs share a counterfactual row are sampled with one searchsorted.
+    depend on n; `_stream_uniforms` computes all n streams at once. All
+    trajectories advance one layer at a time; those whose pairs share a
+    counterfactual row are sampled with one searchsorted. An n above 2**32
+    (the streams' spawn keys are single uint32 words), an (n, T) float64
+    array that cannot be addressed or a negative seed is refused before
+    anything is allocated, and uniforms that cannot be allocated raise
+    OutOfMemory.
 
     Rollouts never leave the pruned node set and never exceed the
     action-change budget; both are verified on every trajectory because they
@@ -246,12 +262,20 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
     at the earliest t, then at the lowest trajectory index.
     """
     T = pruned.horizon
+    if n > 2**32 or n * T * 8 > np.iinfo(np.intp).max:
+        raise ValidationFailed(f"rollout count {n} is too large: at most 2**32 trajectories, "
+                               f"and {n}x{T} float64 uniforms must be addressable")
+    seed = operator.index(seed)  # an int, as SeedSequence requires
+    if seed < 0:
+        raise ValidationFailed(f"rollout seed must be >= 0, got {seed}")
+    try:
+        uniforms = _stream_uniforms(seed, n, T)
+    except MemoryError:
+        raise OutOfMemory(f"out of memory drawing the rollout uniforms ({n}x{T} float64)") from None
     cf = pruned.cf
     mdp = cf.mdp
     feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
     observed = cf.path.action
-    uniforms = np.array([np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-                         .random(T) for i in range(n)]).reshape(n, T)
     si = np.full(n, policy.s0, dtype=np.int64)
     j = np.zeros(n, dtype=np.int64)
     feats = np.empty((n, T + 1))
@@ -293,4 +317,88 @@ def _next_states(cf: CfMdp, t: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         idx, probs = cf.row(t, int(p[group[0]]))
         pos = np.searchsorted(np.cumsum(probs), u[group], side="right")
         out[group] = idx[np.minimum(pos, len(idx) - 1)]
+    return out
+
+
+# SeedSequence's hash constants and PCG64's multiplier, both fixed by NEP 19.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+
+
+def _stream_uniforms(seed: int, n: int, T: int) -> np.ndarray:
+    """(n, T) array whose row i (i < 2**32) equals
+    `np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))).random(T)`,
+    computed for every i at once.
+
+    SeedSequence hashes its entropy words, the seed's uint32 words padded to
+    four (a spawn key is present) and then i, into a pool of four words, and
+    `generate_state(4, uint64)` expands the pool into PCG64's initial state
+    and increment. PCG64 steps a 128-bit LCG and emits the XSL-RR of each new
+    state, of which `random` keeps the top 53 bits. Every uint32 word and
+    every 32-bit limb of a 128-bit number (low limb first) is a uint64
+    array, so each product fits and is masked back to 32 bits.
+    """
+    hash_a = _INIT_A
+
+    def hashmix(v):
+        nonlocal hash_a
+        v = v ^ hash_a
+        hash_a = hash_a * _MULT_A & _M32
+        v = v * hash_a & _M32
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        v = (_MIX_L * x - _MIX_R * y) & _M32
+        return v ^ (v >> 16)
+
+    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(n, w, dtype=np.uint64) for w in words + [0] * (4 - len(words))]
+    entropy.append(np.arange(n, dtype=np.uint64))
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hash_b, state = _INIT_B, []
+    for k in range(8):
+        v = pool[k % 4] ^ hash_b
+        hash_b = hash_b * _MULT_B & _M32
+        v = v * hash_b & _M32
+        state.append(v ^ (v >> 16))
+    # uint64 word w is state[2w] + state[2w+1] << 32; initstate is words 0
+    # (high) and 1, initseq words 2 (high) and 3, and inc = initseq << 1 | 1.
+    initstate = [state[2], state[3], state[0], state[1]]
+    seq = [state[6], state[7], state[4], state[5]]
+    inc = [(seq[0] << 1 | 1) & _M32] + [(seq[k] << 1 | seq[k - 1] >> 31) & _M32 for k in (1, 2, 3)]
+    mult = [_PCG_MULT >> (32 * k) & _M32 for k in range(4)]
+    # Seeding: state 0, step (to inc), add initstate, step.
+    lcg = _mul_add(_mul_add(inc, [1, 0, 0, 0], initstate), mult, inc)
+    out = np.empty((n, T))
+    for t in range(T):
+        lcg = _mul_add(lcg, mult, inc)
+        x = (lcg[2] | lcg[3] << 32) ^ (lcg[0] | lcg[1] << 32)
+        rot = lcg[3] >> 26
+        x = x >> rot | x << ((64 - rot) & 63)
+        out[:, t] = (x >> 11) * 2.0**-53
+    return out
+
+
+def _mul_add(a: list, b: list, c: list) -> list:
+    """a * b + c mod 2**128 on 32-bit limbs, low limb first; `a` and `c` are
+    lists of uint64 arrays, `b` a list of ints."""
+    out, carry, high = [], 0, 0
+    for k in range(4):
+        acc = c[k] + carry + high
+        high = 0
+        for i in range(k + 1):
+            prod = a[i] * b[k - i]
+            acc = acc + (prod & _M32)
+            high = high + (prod >> 32)
+        out.append(acc & _M32)
+        carry = acc >> 32
     return out

@@ -106,6 +106,19 @@ def topdown_noise_oracle(mdp: Mdp, p: int, pos: int, n: int, rng: np.random.Gene
     out[:, idx[pos]] = top - logp[pos]
     return out
 
+def cf_transition_oracle(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int):
+    """`cf_transition` as it was first written: the mechanism's argmax per
+    sample, the first maximum winning ties and NaNs, and a bincount of the
+    winners."""
+    idx, _, logp = mdp.row(p)
+    if idx.shape[0] == 1:
+        return idx, np.ones(1)
+    counts = np.bincount(np.argmax(logp[None, :] + posterior.noise[t][:, idx], axis=1),
+                         minlength=idx.shape[0])
+    hit = counts > 0
+    return idx[hit], counts[hit] / posterior.n
+
+
 def prior_posterior(mdp: Mdp, path: ObservedPath, n: int, seed: int = 0) -> GumbelPosterior:
     """Unconditioned noise for every step: the interventional counterpart."""
     noise = tuple(_step_rng(seed, t).gumbel(size=(n, mdp.num_states)) for t in range(path.T))

@@ -7,11 +7,16 @@ fails here, not only under the benchmark. The reference files are read from
 the checkout, as `test_tracer_boundaries` reads `perfbench/tracer.py`.
 """
 
+import hashlib
 from pathlib import Path
 
 from cfmdp.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "seed-7"
+STAGED_SHA256 = {
+    "pruned.json": "3d60a39ba38a20062cacb300e8a117c193bad5d2ff02be4fbe58238195627051",
+    "policy.json": "2e84539b1123df3d7144901162c18a13f05ef18bf82d7e225bd2528b928e022b",
+}
 
 
 def test_sepsis_sweep_and_pipeline_equal_the_benchmark_reference(tmp_path):
@@ -38,3 +43,7 @@ def test_sepsis_sweep_and_pipeline_equal_the_benchmark_reference(tmp_path):
         assert (sweep / name).read_bytes() == (REFERENCE / "sepsis-sweep" / name).read_bytes(), name
     assert ((staged / "rollout.csv").read_bytes()
             == (REFERENCE / "sepsis-pipeline" / "rollout.csv").read_bytes())
+    # The staged artifacts are not pinned by the benchmark; their bytes are
+    # those the per-entry codecs wrote before the codecs became array passes.
+    for name, digest in STAGED_SHA256.items():
+        assert hashlib.sha256((staged / name).read_bytes()).hexdigest() == digest, name

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 import cfmdp.cli
 import cfmdp.gumbel
 import cfmdp.mdp
+import cfmdp.solver
 from cfmdp.cli import _pruned_from_json, _pruned_to_json, main
 from cfmdp.environments import build_environment
 from cfmdp.errors import InvariantViolated, MissingKernelRow, ValidationFailed
@@ -390,6 +394,73 @@ def test_layer_out_of_memory_exits_3(artifact_dir, tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t", [0.25, "0"])
+def test_path_step_t_not_an_integer_exits_2(t, artifact_dir, tmp_path, capsys):
+    # int() would read either as step 0, and the path would load.
+    path = json.loads((artifact_dir / "path.json").read_text())
+    path["steps"][0]["t"] = t
+    (tmp_path / "path.json").write_text(json.dumps(path))
+    code, _, err = run(capsys, "cf-build", "--mdp", str(artifact_dir / "mdp.json"),
+                       "--path", str(tmp_path / "path.json"), "--out", str(tmp_path / "post.json"))
+    assert code == 2
+    assert err == f"error: path step t {t!r} is not an integer\n"
+    assert not (tmp_path / "post.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_reward_exits_2(value, tmp_path, capsys):
+    # A NaN reward made sweep exit 3 ("no feasible policy"), an infinite one
+    # gave V_s0 = inf; each is now refused where the MDP is loaded.
+    mdp = tmp_path / "mdp.json"
+    assert main(["env", "gridworld", "--slip", "0.2", "--out", str(mdp)]) == 0
+    obj = json.loads(mdp.read_text())
+    for e in obj["rewards"][:3]:
+        e["r"] = float(value)
+    mdp.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "sample", "--mdp", str(mdp), "--policy", "gridworld",
+                       "--out", str(tmp_path / "path.json"))
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert err.count(f"has non-finite reward {value}") == 3
+    assert not (tmp_path / "path.json").exists()
+
+
+def test_rollout_count_above_2_32_exits_2(artifact_dir, tmp_path, capsys, monkeypatch):
+    # Refused before the uniforms are drawn: nothing of size n is made.
+    def no_uniforms(seed, n, T):
+        raise AssertionError("the rollout uniforms were drawn")
+
+    monkeypatch.setattr(cfmdp.solver, "_stream_uniforms", no_uniforms)
+    code, _, err = run(capsys, *_rollout_argv(artifact_dir, tmp_path, artifact_dir / "policy.json"),
+                       "-n", str(2**32 + 1))
+    assert code == 2
+    assert err.startswith("error: rollout count 4294967297 is too large") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_rollout_out_of_memory_exits_3(artifact_dir, tmp_path, capsys, monkeypatch):
+    def no_memory(seed, n, T):
+        raise MemoryError
+
+    monkeypatch.setattr(cfmdp.solver, "_stream_uniforms", no_memory)
+    code, _, err = run(capsys, *_rollout_argv(artifact_dir, tmp_path, artifact_dir / "policy.json"),
+                       "-n", str(2**32))
+    assert code == 3
+    assert err == "error: out of memory drawing the rollout uniforms (4294967296x7 float64)\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_importing_cfmdp_sets_one_openblas_thread_unless_set(preset, want):
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(README.parent / "src")
+    code = "import os, cfmdp; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == want + "\n"
+
+
 # Flags a subcommand does not read; each is an argparse error.
 IGNORED_FLAGS = [("solve", "--seed", "1"), ("solve", "--samples", "7"),
                  ("solve", "--sampler", "rejection"), ("solve", "--horizon", "3"),
@@ -690,8 +761,32 @@ BAD_ARTIFACTS = {
     "policy-entry-without-j": ("policy", lambda pruned, policy: dict(
         policy, actions=[{k: v for k, v in e.items() if k != "j"} for e in policy["actions"]]),
         "KeyError('j')"),
+    # Integer fields must be JSON integers: int() would truncate or parse
+    # each of these into a value the artifact loads with.
     "policy-m-not-a-number": ("policy", lambda pruned, policy: dict(policy, m="many"),
-                              "invalid literal"),
+                              "policy m 'many' is not an integer"),
+    "policy-m-not-an-integer": ("policy", lambda pruned, policy: dict(policy, m=1.5),
+                                "policy m 1.5 is not an integer"),
+    "policy-j-not-an-integer": ("policy", lambda pruned, policy: dict(
+        policy, actions=[dict(e, j=e["j"] + 0.9) for e in policy["actions"]]),
+        "policy entry j 0.9 is not an integer"),
+    "policy-t-a-string": ("policy", lambda pruned, policy: dict(
+        policy, actions=[dict(e, t=str(e["t"])) for e in policy["actions"]]),
+        "policy entry t '0' is not an integer"),
+    "policy-t-not-an-integer": ("policy", lambda pruned, policy: dict(
+        policy, actions=[dict(e, t=e["t"] + 0.5) for e in policy["actions"]]),
+        "policy entry t 0.5 is not an integer"),
+    "pruned-k-not-an-integer": ("pruned", lambda pruned, policy: dict(pruned, k=7.7),
+                                "pruned artifact k 7.7 is not an integer"),
+    "pruned-nodes-all-layers-a-string": ("pruned", lambda pruned, policy: dict(
+        pruned, nodes_all_layers=str(pruned["nodes_all_layers"])),
+        "pruned artifact nodes_all_layers '"),
+    "pruned-node-t-not-an-integer": ("pruned", lambda pruned, policy: dict(
+        pruned, actions=[dict(e, t=e["t"] + 0.5) for e in pruned["actions"]]),
+        "pruned node t 0.5 is not an integer"),
+    "pruned-path-t-not-an-integer": ("pruned", lambda pruned, policy: dict(
+        pruned, path={"steps": [dict(e, t=e["t"] + 0.25) for e in pruned["path"]["steps"]]}),
+        "path step t 0.25 is not an integer"),
     "policy-budget-out-of-range": ("policy", lambda pruned, policy: dict(
         policy, actions=[dict(e, j=-1) for e in policy["actions"]]), "outside 0..1"),
     # A second entry for (s_0, t = 0, j = 0) would otherwise replace the first.

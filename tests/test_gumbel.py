@@ -13,7 +13,9 @@ from cfmdp.gumbel import (
     _prior_layer,
     _step_rng,
     build_cf_mdp,
+    GumbelPosterior,
     build_posterior,
+    cf_transition,
     load_posterior,
     nominal_cf_mdp,
     rejection_noise,
@@ -27,6 +29,7 @@ from oracles import (
     available_actions,
     categorical_frequencies,
     cf_probs,
+    cf_transition_oracle,
     cf_transition_probs,
     gumbel_max_step,
     kernel_row,
@@ -192,6 +195,35 @@ def test_cf_transition_tinychain_analytic(tinychain):
     rej = build_posterior(tinychain, path, 100_000, "rejection", seed=5)
     est_rej = cf_transition_probs(rej, tinychain, 0, "x0", "b")
     assert est_rej == {"x2": 1.0}
+
+
+# Hand-made noise layers (samples x states s, x1, x2, x3) for the row of
+# (s, a), where x1 and x2 have one log probability, so equal noise ties them
+# exactly: each with the row the argmax gives, the first maximum winning a
+# tie and the first NaN winning over any number.
+TIED_LAYERS = {
+    "ties": ([[0, 0, 0, -9], [0, 0, 0, -9], [0, 0, -9, 5]], {"x1": 2 / 3, "x3": 1 / 3}),
+    "nan": ([[0, 0, 0, -9], [0, 9, np.nan, 0], [0, 0, -9, 5]], {"x1": 1 / 3, "x2": 1 / 3,
+                                                                 "x3": 1 / 3}),
+    # One tie (two maxima) and one NaN sample (no maximum): the counts sum to N.
+    "tie-and-nan": ([[0, 0, 0, -9], [0, np.nan, 0, 0], [0, 0, -9, 5]], {"x1": 2 / 3,
+                                                                        "x3": 1 / 3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIED_LAYERS))
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_cf_transition_breaks_ties_and_nans_as_the_argmax(case, order):
+    mdp = row_mdp({"x1": 0.25, "x2": 0.25, "x3": 0.5})
+    path = ObservedPath(mdp, [("s", "a")])
+    layer, want = TIED_LAYERS[case]
+    layer = np.array(layer, dtype=np.float64, order=order)
+    posterior = GumbelPosterior((layer,), len(layer), "hand", 0, path, mdp.digest)
+    p = mdp.pair("s", "a")
+    got = cf_transition(posterior, mdp, 0, p)
+    assert {mdp.states[i]: x for i, x in zip(got[0].tolist(), got[1].tolist())} == want
+    assert [a.tobytes() for a in got] == [
+        b.tobytes() for b in cf_transition_oracle(posterior, mdp, 0, p)]
 
 
 def test_cf_transition_disjoint_support_is_interventional():

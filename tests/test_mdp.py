@@ -82,6 +82,29 @@ def test_validate_rejects_nan_initial_probability():
             {"s0": 1.0, "s1": float("nan")})
 
 
+def test_validate_rejects_non_finite_rewards():
+    # Each non-finite reward of a row is listed, naming its pair; a NaN would
+    # never be chosen by the solver, and an infinity would give V(s0) = inf.
+    kernel = {("s0", "a0"): {"s0": 1.0}, ("s0", "a1"): {"s0": 1.0}, ("s0", "a2"): {"s0": 1.0}}
+    rewards = {("s0", "a0"): float("nan"), ("s0", "a1"): 2.0, ("s0", "a2"): float("inf")}
+    with pytest.raises(ValidationFailed) as exc:
+        Mdp(("s0",), ("a0", "a1", "a2"), kernel, rewards, {"s0": 1.0})
+    assert str(exc.value) == ("row (s0,a0) has non-finite reward nan; "
+                              "row (s0,a2) has non-finite reward inf")
+    obj = mdp_to_json(chain_mdp())
+    obj["rewards"][1]["r"] = float("-inf")
+    with pytest.raises(ValidationFailed, match=r"row \(s1,a\) has non-finite reward -inf"):
+        mdp_from_json(obj)
+
+
+@pytest.mark.parametrize("t", [1.25, "1", True])
+def test_path_step_t_must_be_an_integer(t):
+    # int() would read each of these as step 1.
+    obj = {"steps": [{"t": 0, "s": "s0", "a": "a"}, {"t": t, "s": "s1", "a": "a"}]}
+    with pytest.raises(ValidationFailed, match=f"path step t {t!r} is not an integer"):
+        path_from_json(obj, chain_mdp())
+
+
 def test_validate_rejects_duplicate_labels():
     rows = {("a", "x"): {"b": 1.0}, ("b", "x"): {"b": 1.0}}
     with pytest.raises(ValidationFailed, match="duplicate state label a"):

@@ -19,8 +19,8 @@ from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import Mdp, mdp_from_json, mdp_to_json, sample_path
 from cfmdp.solver import policy_to_json, rollout, solve_km, sweep
 
-from oracles import (initial, kernel, km_value_oracle, path_return, random_mdp, reward,
-                     rollout_oracle, same_tables, solve_km_oracle)
+from oracles import (cf_transition_oracle, initial, kernel, km_value_oracle, path_return,
+                     random_mdp, reward, rollout_oracle, same_tables, solve_km_oracle)
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -65,6 +65,19 @@ def test_no_successor_leaks_out_of_the_next_layer(instance):
         for t in range(path.T):
             states = np.bincount(mdp.source[pruned.usable[t]], minlength=mdp.num_states) > 0
             np.testing.assert_array_equal(pruned.reach[t], states, err_msg=f"k={k}, t={t}")
+
+
+@PROPERTIES
+@given(instances(shared_rows=True))
+def test_cf_rows_equal_the_argmax_oracle(instance):
+    # Counting the samples at each row's maximum gives the argmax's counts
+    # bit for bit, on every pair at every layer.
+    mdp, path, cf = instance
+    for t in range(path.T):
+        for p in range(len(mdp.source)):
+            got = cf_transition(cf.posterior, mdp, t, p)
+            want = cf_transition_oracle(cf.posterior, mdp, t, p)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (t, p)
 
 
 @PROPERTIES

@@ -1,12 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import cfmdp.solver
 from cfmdp.environments import PRESETS, demo_observation, environment_features
 from cfmdp.errors import InvariantViolated, UndefinedPolicyAction, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import prune_cf_mdp, pruned_size_report
 from cfmdp.mdp import Mdp, ObservedPath, sample_path
 from cfmdp.solver import (
+    _stream_uniforms,
     check_sweep_monotonicity,
     policy_to_json,
     rollout,
@@ -95,21 +99,33 @@ def test_pairs_sharing_one_row_at_mixed_cost_equal_the_oracle():
             assert policy.choices[0][mdp.state_index("x0"), 1:].tolist() == [0] * m
 
 
-def test_nan_rewards_are_never_chosen_as_in_the_oracle():
-    # An MDP file may carry a NaN reward; a NaN Q-value never beats another
-    # action, and a node whose only actions have one stays infeasible.
-    kernel = {("x0", "a"): {"x1": 0.5, "x2": 0.5}, ("x0", "b"): {"x1": 1.0},
-              ("x1", "a"): {"x1": 1.0}, ("x2", "a"): {"x2": 1.0}, ("x2", "b"): {"x1": 1.0}}
-    rewards = {("x0", "b"): float("nan"), ("x2", "b"): float("nan"), ("x1", "a"): 1.0}
-    mdp = Mdp(("x0", "x1", "x2"), ("a", "b"), kernel, rewards, {"x0": 1.0}, name="nan")
-    path = ObservedPath(mdp, (("x0", "a"), ("x2", "a"), ("x2", "a")))
+def test_nan_q_values_from_finite_rewards_are_never_chosen_as_in_the_oracle():
+    # Rewards are finite (non-finite ones are refused), yet a Q-value can be
+    # NaN: x1's value overflows to +inf, x2 has no observed action and so is
+    # infeasible (-inf) with no budget left, and the counterfactual row of
+    # (x0, b) reaches both, so its expected value is inf - inf. A NaN
+    # Q-value never beats another action, as the oracle's `q > best` never
+    # picks one.
+    kernel = {("x0", "a"): {"x1": 0.5, "x2": 0.5}, ("x0", "b"): {"x1": 0.3, "x2": 0.7},
+              ("x1", "a"): {"x1": 1.0}, ("x2", "b"): {"x1": 1.0}}
+    mdp = Mdp(("x0", "x1", "x2"), ("a", "b"), kernel, {("x1", "a"): 1e308}, {"x0": 1.0},
+              name="overflow")
+    path = ObservedPath(mdp, (("x0", "a"), ("x1", "a"), ("x1", "a")))
     cf = build_cf_mdp(build_posterior(mdp, path, 100, "topdown", seed=3), mdp)
-    for k in range(1, path.T + 2):
-        pruned = prune_cf_mdp(cf, k)
-        for m in range(path.T + 1):
-            policy = solve_km(pruned, m)
-            assert same_tables(policy, solve_km_oracle(pruned, m)), (k, m)
-            assert not any(np.isnan(v).any() for v in policy.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pruned = prune_cf_mdp(cf, path.T + 1)
+        policy = solve_km(pruned, 1)
+        idx, probs = cf.row(0, mdp.pair("x0", "b"))
+        child = policy.values[1][idx, 0]
+        assert child.tolist() == [float("inf"), float("-inf")]  # x1, x2
+        assert np.isnan(np.dot(probs, child))
+        assert mdp.actions[policy.choices[0][policy.s0, 1]] == "a"
+        for k in range(1, path.T + 2):
+            pruned = prune_cf_mdp(cf, k)
+            for m in range(path.T + 1):
+                policy = solve_km(pruned, m)
+                assert same_tables(policy, solve_km_oracle(pruned, m)), (k, m)
+                assert not any(np.isnan(v).any() for v in policy.values)
 
 
 def test_sepsis_catastrophic_k1_m0_equals_the_oracle():
@@ -333,6 +349,38 @@ def test_rollout_equals_scalar_oracle(solved_demo, n, seeds):
     for seed in seeds:
         assert_same_summary(rollout(pruned, policy, n, feature, seed),
                             rollout_oracle(pruned, policy, n, feature, seed))
+
+
+def test_stream_uniforms_equal_numpy_generators():
+    # Row i is trajectory i's Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))),
+    # for seeds of one to five uint32 words.
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 7):
+        want = np.array([np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+                         .random(10) for i in range(1000)])
+        for n in (1, 2, 17, 1000):
+            for T in (0, 1, 10):
+                got = _stream_uniforms(seed, n, T)
+                assert got.shape == (n, T) and got.tobytes() == want[:n, :T].tobytes(), (seed, n, T)
+
+
+def _no_uniforms(seed, n, T):
+    raise AssertionError("the rollout uniforms were drawn")
+
+
+def test_rollout_uniforms_beyond_intp_are_refused_before_any_draw(monkeypatch):
+    # 2**32 trajectories are allowed, but not 2**32 x 2**61 float64 uniforms
+    # (`test_rollout_count_above_2_32_exits_2` covers larger n). Nothing of
+    # size n is ever made.
+    monkeypatch.setattr(cfmdp.solver, "_stream_uniforms", _no_uniforms)
+    with pytest.raises(ValidationFailed, match=f"rollout count {2**32} is too large"):
+        rollout(SimpleNamespace(horizon=2**61), None, 2**32, None, seed=0)
+
+
+def test_rollout_rejects_a_negative_seed(epidemic_demo, epidemic_cf, monkeypatch):
+    monkeypatch.setattr(cfmdp.solver, "_stream_uniforms", _no_uniforms)
+    pruned = prune_cf_mdp(epidemic_cf, 1)
+    with pytest.raises(ValidationFailed, match="seed must be >= 0"):
+        rollout(pruned, solve_km(pruned, 0), 5, lambda s: 0.0, seed=-1)
 
 
 def test_rollout_leaving_the_pruned_set_raises(epidemic_demo, epidemic_cf):
