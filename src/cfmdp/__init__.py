@@ -20,7 +20,6 @@ from .errors import (
     InvariantViolated,
     MissingKernelRow,
     OutOfMemory,
-    RejectionBudgetExceeded,
     UndefinedPolicyAction,
     UnknownEnvironment,
     ValidationFailed,
@@ -46,7 +45,6 @@ from .gumbel import (
     load_posterior,
     nominal_cf_mdp,
     posterior_cache_key,
-    rejection_noise,
     save_posterior,
     topdown_noise,
 )

@@ -36,6 +36,7 @@ from .mdp import (
     Mdp,
     ObservedPath,
     json_integers,
+    json_numbers,
     mdp_from_json,
     mdp_to_json,
     path_from_json,
@@ -54,8 +55,8 @@ EXIT_RUNTIME = 3
 
 def _sweep_grid(args, T: int) -> tuple[list[int], list[int]]:
     """The sweep's k and m values, checked against the path horizon T."""
-    k_values = list(range(args.k_min, (args.k_max or T + 1) + 1))
-    m_values = list(range(args.m_min, (args.m_max or T) + 1))
+    k_values = list(range(args.k_min, (T + 1 if args.k_max is None else args.k_max) + 1))
+    m_values = list(range(args.m_min, (T if args.m_max is None else args.m_max) + 1))
     if not k_values or min(k_values) < 1 or max(k_values) > T + 1:
         raise ValidationFailed(f"k range must lie within [1, {T + 1}]")
     if not m_values or min(m_values) < 0 or max(m_values) > T:
@@ -138,12 +139,12 @@ def cmd_sample(args) -> int:
 
 def cmd_cf_build(args) -> int:
     mdp, path = _load_observation(args)
-    posterior = build_posterior(mdp, path, args.samples, args.sampler, args.seed or 0)
+    posterior = build_posterior(mdp, path, args.samples, args.seed or 0)
     try:
         save_posterior(posterior, args.out)
     except OSError as exc:
         raise _unwritable(args.out, exc) from exc
-    key = posterior_cache_key(mdp, path, args.samples, args.sampler, args.seed or 0)
+    key = posterior_cache_key(mdp, path, args.samples, args.seed or 0)
     sys.stdout.write(f"posterior written to {args.out} (key {key[:16]})\n")
     return EXIT_OK
 
@@ -238,13 +239,14 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
     """The pruned MDP stored by `_pruned_to_json`; a malformed artifact is a
     validation error.
 
-    `k`, `nodes_all_layers` and each node's `t` must be JSON integers.
-    Besides its shape, the artifact must describe a closed pruned MDP: every
-    row is a distribution (each value in (0, 1], the sum one within
-    PROB_TOL) that lies on the nominal support of every pair naming it,
-    every row at t < T-1 stays inside layer t+1, layer 0 is {s_0}, and each
-    layer t holds exactly the states of the nodes listed at t. The rows are
-    read into flat arrays, one list pass per column, and checked as masks.
+    `k`, `nodes_all_layers` and each node's `t` must be JSON integers, and
+    each row probability a JSON number. Besides its shape, the artifact must
+    describe a closed pruned MDP: every row is a distribution (each value in
+    (0, 1], the sum one within PROB_TOL) that lies on the nominal support of
+    every pair naming it, every row at t < T-1 stays inside layer t+1, layer
+    0 is {s_0}, and each layer t holds exactly the states of the nodes
+    listed at t. The rows are read into flat arrays, one list pass per
+    column, and checked as masks.
     """
     try:
         if obj["mdp_hash"] != mdp.digest:
@@ -276,7 +278,7 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
         row_i = np.arange(len(flat)) - first[row_t]
         owner = np.repeat(np.arange(len(flat)), [len(row) for row in flat])
         succ = np.array([state_at[s2] for s2 in chain.from_iterable(flat)], dtype=np.int64)
-        prob = np.array(list(chain.from_iterable(map(dict.values, flat))), dtype=np.float64)
+        prob = json_numbers(list(chain.from_iterable(map(dict.values, flat))), "pruned row probability")
         order = np.lexsort((succ, owner))
         succ, prob = succ[order], prob[order]
         bad = np.bincount(owner, weights=~((prob > 0) & (prob <= 1)), minlength=len(flat)) > 0
@@ -450,7 +452,7 @@ def cmd_sweep(args) -> int:
     k_values, m_values = _sweep_grid(args, T)
     posterior_seed = args.seed if args.seed is not None else 0
 
-    posterior = build_posterior(mdp, path, args.samples, args.sampler, posterior_seed)
+    posterior = build_posterior(mdp, path, args.samples, posterior_seed)
     cf = build_cf_mdp(posterior, mdp)
     result = sweep(cf, k_values, m_values)
 
@@ -479,12 +481,12 @@ def cmd_sweep(args) -> int:
         "created_unix": time.time(),
         "config": {
             "mdp_file": args.mdp, "path_file": args.path, "horizon": T,
-            "posterior_seed": posterior_seed, "samples": args.samples, "sampler": args.sampler,
+            "posterior_seed": posterior_seed, "samples": args.samples,
             "k_values": k_values, "m_values": m_values,
         },
         "input_hashes": {"mdp": mdp.digest, "path": path_hash(path),
                          "posterior_key": posterior_cache_key(mdp, path, args.samples,
-                                                              args.sampler, posterior_seed)},
+                                                              posterior_seed)},
         "outputs": hashes,
         "statistics": {"cf_rows_built": result.cf_rows_built},
     }
@@ -507,7 +509,6 @@ def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
     """Add the named flags; each is read by several subcommands."""
     flags = {"seed": dict(type=_at_least(0), default=None),
              "samples": dict(type=int, default=1000, help="posterior sample count N"),
-             "sampler": dict(choices=["topdown", "rejection"], default="topdown"),
              "horizon": dict(type=_at_least(1), default=None)}
     for name in names:
         p.add_argument(f"--{name}", **flags[name])
@@ -547,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cf-build", help="build and store a Gumbel posterior artifact")
     p.add_argument("--mdp", required=True)
     p.add_argument("--path", required=True)
-    _add_shared(p, "seed", "samples", "sampler")
+    _add_shared(p, "seed", "samples")
     p.add_argument("--out", required=True, help="output JSON file")
     p.set_defaults(fn=cmd_cf_build)
 
@@ -572,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="full (k, m) sweep with size reports and manifest")
     p.add_argument("--mdp", required=True)
     p.add_argument("--path", required=True)
-    _add_shared(p, "seed", "samples", "sampler")
+    _add_shared(p, "seed", "samples")
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--m-min", type=int, default=1)

@@ -29,10 +29,6 @@ class ZeroProbabilityObservation(CfmdpError):
     """Posterior conditioning on a transition the kernel assigns probability 0."""
 
 
-class RejectionBudgetExceeded(CfmdpError):
-    """Rejection sampler hit its attempt cap; the observation is too unlikely."""
-
-
 class EmptyPrunedMdp(CfmdpError):
     """Pruning eliminated the observed path itself (inconsistent inputs)."""
 

@@ -3,11 +3,11 @@ counterfactual MDP built from Monte-Carlo posterior samples.
 
 The mechanism draws one standard Gumbel per state per time step and picks the
 next state as argmax over log-probability-shifted noise. Conditioning on an
-observed transition is done either by rejection (draw priors, keep vectors
-that replay the observation) or by exact top-down sampling (place the maximum
-at the observed state, truncate the rest below it). States outside the
-observed row's support keep their prior noise, which is exactly why disjoint
-supports make counterfactual and interventional rows coincide.
+observed transition is exact top-down sampling (Maddison, Tarlow & Minka,
+2014): the maximum is placed at the observed state and the rest of the row is
+truncated below it, in one pass. States outside the observed row's support
+keep their prior noise, which is exactly why disjoint supports make
+counterfactual and interventional rows coincide.
 
 Each time step draws its noise from its own RNG stream, so a step's layer of
 posterior noise is the same whenever, and in whatever order, it is drawn. A
@@ -15,7 +15,7 @@ posterior therefore draws one layer at a time when it is first needed and
 holds only that layer: the dense (T, N, |S|) noise tensor is never in memory.
 A layer is column-major, so the mechanism of a row reads each of its
 successors' N scores contiguously. Its artifact stores the recipe (MDP hash,
-path, N, sampler, seed), not the noise.
+path, N, seed), not the noise.
 """
 
 from __future__ import annotations
@@ -32,17 +32,13 @@ from .errors import (
     InvariantViolated,
     MissingKernelRow,
     OutOfMemory,
-    RejectionBudgetExceeded,
     ValidationFailed,
     ZeroProbabilityObservation,
 )
 from .mdp import Mdp, ObservedPath, path_from_json, path_hash, path_to_json, read_json
 
-REJECTION_ATTEMPT_CAP = 10**7  # proposals per requested sample before failing loudly
 FILL_ROWS = 128  # rows of a noise layer drawn at a time
-
-SAMPLER_TOPDOWN = "topdown"
-SAMPLER_REJECTION = "rejection"
+TOPDOWN = {"sampler": "topdown"}  # the recipe's name of its one noise draw
 
 
 def _prior_layer(rng: np.random.Generator, n: int, num_states: int) -> np.ndarray:
@@ -58,12 +54,6 @@ def _prior_layer(rng: np.random.Generator, n: int, num_states: int) -> np.ndarra
     return out
 
 
-def _winners(idx: np.ndarray, logp: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Vectorized mechanism of the row (idx, logp) over rows of `noise`;
-    returns support positions."""
-    return np.argmax(logp[None, :] + noise[:, idx], axis=1)
-
-
 def _conditioned_row(mdp: Mdp, p: int, pos: int):
     """The nominal row of pair p, whose position `pos` is the observed
     successor; a position outside the row has probability zero."""
@@ -75,50 +65,10 @@ def _conditioned_row(mdp: Mdp, p: int, pos: int):
     return row
 
 
-def rejection_noise(mdp: Mdp, p: int, pos: int, n: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """n posterior noise vectors via rejection, as a column-major (n, |S|)
-    array, and the proposal count, given that pair p moved to position `pos`
-    of its nominal row.
-
-    Expected cost is n / P(observed successor | pair p) proposals.
-    """
-    idx, probs, logp = _conditioned_row(mdp, p, pos)
-    num_states = mdp.num_states
-    out = np.empty((n, num_states), order="F")
-    got = 0
-    attempts = 0
-    cap = REJECTION_ATTEMPT_CAP * n
-    # Batch size adapts to the acceptance rate (= observation probability).
-    batch = max(256, min(int(2 * n / max(probs[pos], 1e-6)), 4_000_000))
-    while got < n:
-        if attempts >= cap:
-            s, a = mdp.states[mdp.source[p]], mdp.actions[mdp.action[p]]
-            raise RejectionBudgetExceeded(
-                f"no {n} acceptances within {cap} proposals for ({s},{a})->{mdp.states[idx[pos]]}"
-            )
-        m = min(batch, cap - attempts)
-        g = rng.gumbel(size=(m, num_states))
-        keep = _winners(idx, logp, g) == pos
-        accept_rows = np.flatnonzero(keep)
-        need = n - got
-        if accept_rows.shape[0] >= need:
-            # Count only proposals up to and including the final acceptance, so
-            # the reported attempt count reflects true rejection-sampling cost.
-            attempts += int(accept_rows[need - 1]) + 1
-            accept_rows = accept_rows[:need]
-        else:
-            attempts += m
-        take = g[accept_rows]
-        out[got: got + take.shape[0]] = take
-        got += take.shape[0]
-    return out, attempts
-
-
 def topdown_noise(mdp: Mdp, p: int, pos: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n exact posterior noise vectors without rejection (top-down
-    construction), as a column-major (n, |S|) array, given that pair p moved
-    to position `pos` of its nominal row.
+    """n exact posterior noise vectors in one pass (top-down construction),
+    as a column-major (n, |S|) array, given that pair p moved to position
+    `pos` of its nominal row.
 
     The maximum of the probability-shifted Gumbels is sampled first and
     assigned to the observed state; the remaining support states get Gumbels
@@ -170,18 +120,17 @@ class GumbelPosterior:
     `noise` is a sequence of T layers; noise[t] is a column-major (n, |S|)
     array. Steps t < T-1 are conditioned on the observed transition
     (s_t, a_t, s_{t+1}); the final step has no observed successor and
-    carries prior samples. Per-step RNG streams are derived from (seed, t), so a layer drawn late, or
-    drawn again, is bit-identical to one drawn up front in any order. Hence
-    `noise` draws a layer when it is read and keeps only the layer read last:
-    one layer is resident, never the dense (T, n, |S|) tensor.
+    carries prior samples. Per-step RNG streams are derived from (seed, t),
+    so a layer drawn late, or drawn again, is bit-identical to one drawn up
+    front in any order. Hence `noise` draws a layer when it is read and
+    keeps only the layer read last: one layer is resident, never the dense
+    (T, n, |S|) tensor. The posterior's MDP is its path's, `path.mdp_digest`.
     """
 
     noise: Sequence[np.ndarray]
     n: int
-    sampler: str
     seed: int
     path: ObservedPath
-    source_mdp_hash: str
 
     @property
     def T(self) -> int:
@@ -192,8 +141,7 @@ def _step_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
 
 
-def _draw_layer(mdp: Mdp, path: ObservedPath, n: int, sampler: str, seed: int,
-                t: int) -> np.ndarray:
+def _draw_layer(mdp: Mdp, path: ObservedPath, n: int, seed: int, t: int) -> np.ndarray:
     """Posterior noise of step t from its stream `_step_rng(seed, t)`:
     conditioned on the observed transition at t < T-1, the prior at T-1.
     Every sample of a conditioned step is checked to replay the observation,
@@ -203,12 +151,9 @@ def _draw_layer(mdp: Mdp, path: ObservedPath, n: int, sampler: str, seed: int,
         if t == path.T - 1:
             return _prior_layer(rng, n, mdp.num_states)
         p, pos = int(path.pair[t]), int(path.next_pos[t])
-        if sampler == SAMPLER_TOPDOWN:
-            g = topdown_noise(mdp, p, pos, n, rng)
-        else:
-            g, _ = rejection_noise(mdp, p, pos, n, rng)
+        g = topdown_noise(mdp, p, pos, n, rng)
         idx, _, logp = mdp.row(p)
-        replays = np.all(_winners(idx, logp, g) == pos)
+        replays = np.all(np.argmax(logp + g[:, idx], axis=1) == pos)
     except MemoryError:
         raise OutOfMemory(f"out of memory drawing the noise layer at t={t} "
                           f"({n}x{mdp.num_states} float64)") from None
@@ -217,8 +162,7 @@ def _draw_layer(mdp: Mdp, path: ObservedPath, n: int, sampler: str, seed: int,
     return g
 
 
-def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER_TOPDOWN,
-                    seed: int = 0) -> GumbelPosterior:
+def build_posterior(mdp: Mdp, path: ObservedPath, n: int, seed: int = 0) -> GumbelPosterior:
     """Posterior noise for every step of the path (Markov factorization).
 
     Each step is conditioned independently on its own observed transition.
@@ -228,8 +172,6 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
     """
     if path.mdp_digest != mdp.digest:
         raise ValidationFailed("path was built against a different MDP")
-    if sampler not in (SAMPLER_TOPDOWN, SAMPLER_REJECTION):
-        raise ValidationFailed(f"unknown sampler {sampler!r}")
     if n < 1:
         raise ValidationFailed(f"posterior sample count must be >= 1, got {n}")
     if n * mdp.num_states * 8 > np.iinfo(np.intp).max:
@@ -239,8 +181,7 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, sampler: str = SAMPLER
         raise ValidationFailed(f"posterior seed must be >= 0, got {seed}")
     for t in range(path.T - 1):
         _conditioned_row(mdp, int(path.pair[t]), int(path.next_pos[t]))
-    layers = _Layers(path.T, partial(_draw_layer, mdp, path, n, sampler, seed))
-    return GumbelPosterior(layers, n, sampler, seed, path, mdp.digest)
+    return GumbelPosterior(_Layers(path.T, partial(_draw_layer, mdp, path, n, seed)), n, seed, path)
 
 
 def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,8 +246,6 @@ class CfMdp:
         if self.posterior is not None:
             if self.posterior.path != self.path:
                 raise ValidationFailed("posterior was built from a different path")
-            if self.posterior.source_mdp_hash != self.mdp.digest:
-                raise ValidationFailed("posterior was built from a different MDP")
         if self.row_key is None:
             self.row_key = np.broadcast_to(self.mdp.row_id, (self.horizon, len(self.mdp.source)))
 
@@ -343,29 +282,26 @@ def nominal_cf_mdp(mdp: Mdp, path: ObservedPath) -> CfMdp:
 
 
 # ---------------------------------------------------------------------------
-# Posterior persistence (one artifact per (mdp, path, n, sampler, seed) key)
+# Posterior persistence (one artifact per (mdp, path, n, seed) key)
 # ---------------------------------------------------------------------------
 
-def posterior_cache_key(mdp: Mdp, path: ObservedPath, n: int, sampler: str, seed: int) -> str:
-    blob = json.dumps(
-        {"mdp": mdp.digest, "path": path_hash(path), "n": n,
-         "sampler": sampler, "seed": seed},
-        sort_keys=True,
-    )
+def posterior_cache_key(mdp: Mdp, path: ObservedPath, n: int, seed: int) -> str:
+    blob = json.dumps({"mdp": mdp.digest, "path": path_hash(path), "n": n, **TOPDOWN, "seed": seed},
+                      sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def save_posterior(posterior: GumbelPosterior, file) -> None:
     """Write the recipe of `posterior` to the path `file`: one line of JSON
-    {"mdp_hash", "n", "path", "sampler", "seed"}. No noise is drawn; the
-    recipe fixes every layer, which `load_posterior` draws again from its
-    own stream, bit-identically under the same numpy.
+    {"mdp_hash", "n", "path", "seed"} and the TOPDOWN entry. No noise is
+    drawn; the recipe fixes every layer, which `load_posterior` draws again
+    from its own stream, bit-identically under the same numpy.
     """
     recipe = {
-        "mdp_hash": posterior.source_mdp_hash,
+        "mdp_hash": posterior.path.mdp_digest,
         "n": posterior.n,
         "path": path_to_json(posterior.path),
-        "sampler": posterior.sampler,
+        **TOPDOWN,
         "seed": posterior.seed,
     }
     with open(file, "w") as fh:
@@ -376,9 +312,10 @@ def load_posterior(file, mdp: Mdp) -> GumbelPosterior:
     """The posterior whose recipe `save_posterior` wrote to `file`, built
     for `mdp` by `build_posterior`.
 
-    A missing file, one that is not a JSON object with every recipe key, an
-    `n` or `seed` that is not an integer, another MDP's hash, a path that is
-    not one of `mdp`, or a recipe `build_posterior` refuses raises
+    A missing file, one that is not a JSON object with every recipe key, a
+    draw other than TOPDOWN's (a recipe of an older build may name another),
+    an `n` or `seed` that is not an integer, another MDP's hash, a path that
+    is not one of `mdp`, or a recipe `build_posterior` refuses raises
     ValidationFailed. Each layer is drawn by `_draw_layer` when it is read,
     and every sample is checked to replay the observation.
     """
@@ -388,10 +325,12 @@ def load_posterior(file, mdp: Mdp) -> GumbelPosterior:
     missing = [key for key in ("mdp_hash", "n", "path", "sampler", "seed") if key not in recipe]
     if missing:
         raise ValidationFailed(f"posterior artifact {file} has no {', '.join(missing)}")
+    if recipe["sampler"] != "topdown":
+        raise ValidationFailed(f"posterior artifact sampler {recipe['sampler']!r} is not 'topdown'")
     for key in ("n", "seed"):
         if type(recipe[key]) is not int:
             raise ValidationFailed(f"posterior artifact {key} {recipe[key]!r} is not an integer")
     if recipe["mdp_hash"] != mdp.digest:
         raise ValidationFailed("posterior artifact was built from a different MDP")
     path = path_from_json(recipe["path"], mdp)
-    return build_posterior(mdp, path, recipe["n"], recipe["sampler"], recipe["seed"])
+    return build_posterior(mdp, path, recipe["n"], recipe["seed"])

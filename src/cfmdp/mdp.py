@@ -299,27 +299,29 @@ def _unique_entry(table: dict, kind: str, e: Mapping) -> tuple[State, Action]:
 
 
 def mdp_from_json(obj: Mapping) -> Mdp:
-    """Load an MDP, renormalizing rows within PROB_TOL and rejecting worse.
-    Two `transitions` or two `rewards` entries for one (s, a) are rejected."""
+    """Load an MDP. Probabilities and rewards must be JSON numbers. A row off
+    one by more than float noise but within PROB_TOL is renormalized; a row
+    off by more is left to `Mdp`, which lists it with every other fault. Two
+    `transitions` or two `rewards` entries for one (s, a) are rejected."""
     try:
         states = tuple(str(s) for s in obj["states"])
         actions = tuple(str(a) for a in obj["actions"])
-        kernel: dict[tuple[State, Action], dict[State, float]] = {}
+        kernel: dict[tuple[State, Action], Mapping[State, float]] = {}
         for tr in obj["transitions"]:
-            key = _unique_entry(kernel, "transitions", tr)
-            row = {str(s2): float(p) for s2, p in tr["to"].items()}
-            total = sum(row.values())
-            if abs(total - 1.0) > PROB_TOL:
-                raise ValidationFailed(
-                    f"row ({tr['s']},{tr['a']}) sums to {total!r}, outside tolerance {PROB_TOL}"
-                )
-            if abs(total - 1.0) > 1e-12:  # renormalize real drift, not float noise
-                row = {s2: p / total for s2, p in row.items()}
-            kernel[key] = row
+            kernel[_unique_entry(kernel, "transitions", tr)] = tr["to"]
+        keys, rows = list(kernel), list(kernel.values())
+        prob = json_numbers([p for row in rows for p in row.values()], "MDP transition probability")
+        total = np.bincount(np.repeat(np.arange(len(rows)), [len(row) for row in rows]),
+                            weights=prob, minlength=len(rows))
+        drift = np.abs(total - 1.0)
+        for i in np.flatnonzero((drift > 1e-12) & (drift <= PROB_TOL)).tolist():
+            kernel[keys[i]] = {s2: p / total[i].item() for s2, p in rows[i].items()}
         rewards: dict[tuple[State, Action], float] = {}
         for e in obj.get("rewards", []):
-            rewards[_unique_entry(rewards, "rewards", e)] = float(e["r"])
-        initial = {str(s): float(p) for s, p in obj["initial"].items()}
+            rewards[_unique_entry(rewards, "rewards", e)] = e["r"]
+        initial = {str(s): p for s, p in obj["initial"].items()}
+        json_numbers(list(rewards.values()), "MDP reward")
+        json_numbers(list(initial.values()), "MDP initial probability")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed MDP JSON: {exc}") from exc
     return Mdp(states, actions, kernel, rewards, initial, name=str(obj.get("name", "")))
@@ -351,6 +353,16 @@ def json_integers(values: list, field: str) -> np.ndarray:
         value = next(v for v in values if type(v) is not int)
         raise ValidationFailed(f"{field} {value!r} is not an integer")
     return np.array(values, dtype=np.int64)
+
+
+def json_numbers(values: list, field: str) -> np.ndarray:
+    """`values` as a float64 array. Each must be a JSON number, an integer
+    or a float: a string, a bool or any other value is a validation error
+    naming `field`, never parsed."""
+    if not set(map(type, values)) <= {int, float}:
+        value = next(v for v in values if type(v) not in (int, float))
+        raise ValidationFailed(f"{field} {value!r} is not a number")
+    return np.array(values, dtype=np.float64)
 
 
 def canonical_dumps(obj) -> str:

@@ -53,7 +53,7 @@ def epidemic_demo():
 @pytest.fixture(scope="session")
 def epidemic_cf(epidemic_demo):
     mdp, path, _ = epidemic_demo
-    posterior = build_posterior(mdp, path, 1000, "topdown", seed=7)
+    posterior = build_posterior(mdp, path, 1000, seed=7)
     return build_cf_mdp(posterior, mdp)
 
 

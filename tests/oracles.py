@@ -16,7 +16,8 @@ import numpy as np
 
 from cfmdp.errors import (InfeasibleBudget, InvariantViolated, UndefinedPolicyAction,
                           ValidationFailed)
-from cfmdp.gumbel import CfMdp, GumbelPosterior, _step_rng, cf_transition
+from cfmdp.gumbel import (CfMdp, GumbelPosterior, _conditioned_row, _Layers, _prior_layer,
+                          _step_rng, cf_transition)
 from cfmdp.influence import PrunedCfMdp
 from cfmdp.mdp import Mdp, ObservedPath
 from cfmdp.solver import NEG_INF, CfPolicy, RolloutSummary
@@ -106,6 +107,55 @@ def topdown_noise_oracle(mdp: Mdp, p: int, pos: int, n: int, rng: np.random.Gene
     out[:, idx[pos]] = top - logp[pos]
     return out
 
+
+def rejection_noise(mdp: Mdp, p: int, pos: int, n: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """n posterior noise vectors via rejection, as a column-major (n, |S|)
+    array, and the proposal count, given that pair p moved to position `pos`
+    of its nominal row: prior vectors are drawn in batches and those that
+    replay the observation kept. It is the independent check of
+    `topdown_noise`, which draws the same law in one pass.
+
+    Expected cost is n / P(observed successor | pair p) proposals; after
+    1e7 proposals per requested sample it gives up.
+    """
+    idx, probs, logp = _conditioned_row(mdp, p, pos)
+    out = np.empty((n, mdp.num_states), order="F")
+    got = attempts = 0
+    cap = 10**7 * n
+    # Batch size adapts to the acceptance rate (= observation probability).
+    batch = max(256, min(int(2 * n / max(probs[pos], 1e-6)), 4_000_000))
+    while got < n and attempts < cap:
+        g = rng.gumbel(size=(min(batch, cap - attempts), mdp.num_states))
+        accept_rows = np.flatnonzero(np.argmax(logp[None, :] + g[:, idx], axis=1) == pos)
+        need = n - got
+        if accept_rows.shape[0] >= need:
+            # Count only proposals up to and including the final acceptance, so
+            # the count reflects true rejection-sampling cost.
+            attempts += int(accept_rows[need - 1]) + 1
+            accept_rows = accept_rows[:need]
+        else:
+            attempts += g.shape[0]
+        out[got: got + accept_rows.shape[0]] = g[accept_rows]
+        got += accept_rows.shape[0]
+    assert got == n, f"no {n} acceptances within {cap} proposals"
+    return out, attempts
+
+
+def rejection_posterior(mdp: Mdp, path: ObservedPath, n: int, seed: int = 0) -> GumbelPosterior:
+    """The posterior `build_posterior` draws, with each conditioned layer
+    drawn by `rejection_noise` instead, from the same per-step stream
+    `_step_rng(seed, t)`; the final, unconditioned layer is the same prior
+    draw. Layers are made on access, as `build_posterior` makes them."""
+    def layer(t: int) -> np.ndarray:
+        rng = _step_rng(seed, t)
+        if t == path.T - 1:
+            return _prior_layer(rng, n, mdp.num_states)
+        return rejection_noise(mdp, int(path.pair[t]), int(path.next_pos[t]), n, rng)[0]
+
+    return GumbelPosterior(_Layers(path.T, layer), n, seed, path)
+
+
 def cf_transition_oracle(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int):
     """`cf_transition` as it was first written: the mechanism's argmax per
     sample, the first maximum winning ties and NaNs, and a bincount of the
@@ -122,7 +172,7 @@ def cf_transition_oracle(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int):
 def prior_posterior(mdp: Mdp, path: ObservedPath, n: int, seed: int = 0) -> GumbelPosterior:
     """Unconditioned noise for every step: the interventional counterpart."""
     noise = tuple(_step_rng(seed, t).gumbel(size=(n, mdp.num_states)) for t in range(path.T))
-    return GumbelPosterior(noise, n, "prior", seed, path, mdp.digest)
+    return GumbelPosterior(noise, n, seed, path)
 
 
 def one_step_influenced(mdp: Mdp, path: ObservedPath, t: int, s, a) -> bool:

@@ -24,6 +24,7 @@ from oracles import (
     path_return,
     random_mdp,
     reachback,
+    rejection_posterior,
     tv_distance,
 )
 
@@ -44,7 +45,7 @@ def random_five_state(seed: int) -> tuple[Mdp, ObservedPath]:
 @pytest.fixture(scope="module")
 def epidemic_suite():
     mdp, path, _ = demo_observation("epidemic")
-    posterior = build_posterior(mdp, path, 1000, "topdown", seed=7)
+    posterior = build_posterior(mdp, path, 1000, seed=7)
     cf = build_cf_mdp(posterior, mdp)
     result = sweep(cf, ks=list(range(1, 9)), ms=list(range(1, 8)))
     return mdp, path, cf, result
@@ -53,7 +54,7 @@ def epidemic_suite():
 @pytest.fixture(scope="module")
 def gridworld_suite():
     mdp, path, _ = demo_observation("gridworld")
-    posterior = build_posterior(mdp, path, 1000, "topdown", seed=7)
+    posterior = build_posterior(mdp, path, 1000, seed=7)
     cf = build_cf_mdp(posterior, mdp)
     result = sweep(cf, ks=list(range(1, 13)), ms=list(range(1, 12)))
     return mdp, path, cf, result
@@ -64,7 +65,7 @@ def sepsis_suites():
     out = {}
     for preset in ("catastrophic", "suboptimal"):
         mdp, path, _ = demo_observation(f"sepsis-{preset}")
-        posterior = build_posterior(mdp, path, 1000, "topdown", seed=7)
+        posterior = build_posterior(mdp, path, 1000, seed=7)
         cf = build_cf_mdp(posterior, mdp)
         result = sweep(cf, ks=list(range(1, 12)), ms=list(range(1, 11)))
         out[preset] = (mdp, path, cf, result)
@@ -95,8 +96,8 @@ def test_criterion_02_sampler_equivalence():
     started = time.time()
     mdp, path = random_five_state(seed=202)
     n = 100_000
-    top = build_posterior(mdp, path, n, "topdown", seed=11)
-    rej = build_posterior(mdp, path, n, "rejection", seed=12)
+    top = build_posterior(mdp, path, n, seed=11)
+    rej = rejection_posterior(mdp, path, n, seed=12)
     worst = 0.0
     for t in range(path.T):
         for s in mdp.states:
@@ -113,7 +114,7 @@ def test_criterion_03_replay_determinism():
     started = time.time()
     for name in ("gridworld", "epidemic", "sepsis-catastrophic", "sepsis-suboptimal"):
         mdp, path, _ = demo_observation(name)
-        posterior = build_posterior(mdp, path, 400, "topdown", seed=5)
+        posterior = build_posterior(mdp, path, 400, seed=5)
         cf = build_cf_mdp(posterior, mdp)
         for t in range(path.T - 1):
             est = cf_probs(cf, t, path.steps[t][0], path.steps[t][1])
@@ -139,7 +140,7 @@ def test_criterion_04_disjoint_support_prior_preservation():
     states = ("s", "x1", "x2", "y1", "y2", "y3")
     mdp = Mdp(states, ("a", "b", "c"), kernel, {}, {"s": 1.0})
     path = ObservedPath(mdp, (("s", "a"), ("x2", "a")))
-    post = build_posterior(mdp, path, 100_000, "topdown", seed=6)
+    post = build_posterior(mdp, path, 100_000, seed=6)
     for query in ("b", "c"):
         est = cf_transition_probs(post, mdp, 0, "s", query)
         assert tv_distance(est, kernel[("s", query)]) < 0.02
@@ -150,7 +151,7 @@ def test_criterion_04_disjoint_support_prior_preservation():
 def test_criterion_05_counterfactual_stability():
     started = time.time()
     mdp, path = random_five_state(seed=505)
-    post = build_posterior(mdp, path, 2000, "topdown", seed=13)
+    post = build_posterior(mdp, path, 2000, seed=13)
     rng = np.random.default_rng(99)
     t = 0
     s_t, a_t = path.steps[t]
@@ -254,7 +255,7 @@ def test_criterion_09_dp_oracle_equivalence():
         horizon = int(rng.integers(2, 5))
         mdp = random_mdp(rng, n_states, 2, support_max=min(3, n_states))
         path = sample_path(mdp, lambda s, t: "a0", horizon, seed=trial)
-        post = build_posterior(mdp, path, 1000, "topdown", seed=trial + 1)
+        post = build_posterior(mdp, path, 1000, seed=trial + 1)
         cf = build_cf_mdp(post, mdp)
         k = int(rng.integers(1, horizon + 2))
         m = int(rng.integers(0, horizon + 1))

@@ -218,7 +218,7 @@ def test_sweep_cli_epidemic(artifact_dir, tmp_path, capsys):
     # environment or a preset.
     assert manifest["config"] == {
         "mdp_file": str(artifact_dir / "mdp.json"), "path_file": str(artifact_dir / "path.json"),
-        "horizon": 7, "posterior_seed": 7, "samples": 300, "sampler": "topdown",
+        "horizon": 7, "posterior_seed": 7, "samples": 300,
         "k_values": list(range(1, 9)), "m_values": list(range(1, 8))}
     assert manifest["statistics"]["cf_rows_built"] > 0
     assert "posterior_builds" not in manifest["statistics"]
@@ -240,6 +240,21 @@ def test_sweep_rejects_bad_ranges(artifact_dir, tmp_path, capsys):
                        "--out", str(tmp_path / "x"))
     assert code == 2
     assert "k range" in err
+
+
+def test_sweep_bounds_of_zero_are_bounds(artifact_dir, tmp_path, capsys):
+    # 0 is a bound like any other: the replay-only grid k = 1, m = 0 is one
+    # row, and a k range ending at 0 is empty.
+    out = tmp_path / "one"
+    code, _, err = run(capsys, "sweep", *_observation(artifact_dir), "--samples", "20",
+                       "--k-min", "1", "--k-max", "1", "--m-min", "0", "--m-max", "0",
+                       "--out", str(out))
+    assert code == 0, err
+    assert (out / "sweep.csv").read_text().splitlines()[1:] == ["1,0,-38.0"]
+    code, _, err = run(capsys, "sweep", *_observation(artifact_dir), "--samples", "20",
+                       "--k-max", "0", "--out", str(tmp_path / "none"))
+    assert code == 2 and "k range" in err
+    assert not (tmp_path / "none").exists()
 
 
 def test_prune_nominal_mode(tmp_path, capsys):
@@ -469,7 +484,8 @@ IGNORED_FLAGS = [("solve", "--seed", "1"), ("solve", "--samples", "7"),
                  ("prune", "--samples", "7"), ("prune", "--sampler", "rejection"),
                  ("prune", "--seed", "3"), ("sweep", "--env", "gridworld"),
                  ("sweep", "--preset", "suboptimal"), ("sweep", "--horizon", "3"),
-                 ("sweep", "--population", "3")]
+                 ("sweep", "--population", "3"), ("cf-build", "--sampler", "topdown"),
+                 ("sweep", "--sampler", "rejection")]
 
 
 @pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS)
@@ -673,7 +689,7 @@ def test_zero_probability_entries_drop_on_every_path(tmp_path, capsys):
     loaded = mdp_from_json(json.loads((tmp_path / "mdp.json").read_text()))
     assert (built.prob > 0).all() and built.digest == loaded.digest
     path = path_from_json(json.loads((tmp_path / "path.json").read_text()), loaded)
-    results = [sweep(build_cf_mdp(build_posterior(mdp, path, 20, "topdown", 0), mdp), [1, 2, 3], [1])
+    results = [sweep(build_cf_mdp(build_posterior(mdp, path, 20, 0), mdp), [1, 2, 3], [1])
                for mdp in (built, loaded)]
     assert results[0] == results[1]
 
@@ -736,8 +752,9 @@ def test_artifacts_with_legacy_mode_key_still_load(artifact_dir, tmp_path, capsy
     assert code == 0
 
 
-# Artifacts that are valid JSON but break the pruned or policy schema, each
-# with a fragment of the error message that names why it is rejected.
+# Artifacts that are valid JSON but break the MDP, pruned or policy schema,
+# each with a fragment of the error message that names why it is rejected.
+# An MDP edit takes the MDP object, the others the pruned and policy objects.
 BAD_ARTIFACTS = {
     "pruned-empty": ("pruned", {}, "KeyError('mdp_hash')"),
     "pruned-no-kernels": ("pruned", lambda pruned, policy: {k: v for k, v in pruned.items()
@@ -799,6 +816,23 @@ BAD_ARTIFACTS = {
         pruned, lambda row: dict(zip(row, (float("nan"), 1.0)))), "is not a distribution"),
     "pruned-row-sums-to-0.4": ("pruned", lambda pruned, policy: _edit_row(
         pruned, lambda row: {s: 0.4 * p for s, p in row.items()}), "is not a distribution"),
+    # Numbers must be JSON numbers: float() would parse a string, and a bool
+    # would read as 0 or 1.
+    "pruned-probability-a-string": ("pruned", lambda pruned, policy: _edit_row(
+        pruned, lambda row: {s: str(p) for s, p in row.items()}), "pruned row probability '0."),
+    "pruned-probability-true": ("pruned", lambda pruned, policy: _edit_row(
+        pruned, lambda row: dict.fromkeys(row, True), size=1),
+        "pruned row probability True is not a number"),
+    "mdp-probability-a-string": ("mdp", lambda mdp: _edit_transition(
+        mdp, lambda to: {s: str(p) for s, p in to.items()}), "MDP transition probability '0."),
+    "mdp-probability-true": ("mdp", lambda mdp: _edit_transition(
+        mdp, lambda to: dict.fromkeys(to, True), size=1),
+        "MDP transition probability True is not a number"),
+    "mdp-reward-a-string": ("mdp", lambda mdp: dict(
+        mdp, rewards=[dict(mdp["rewards"][0], r="3"), *mdp["rewards"][1:]]),
+        "MDP reward '3' is not a number"),
+    "mdp-initial-a-string": ("mdp", lambda mdp: dict(mdp, initial=dict.fromkeys(mdp["initial"], "1")),
+                             "MDP initial probability '1' is not a number"),
     # V_S at s_0 vaccinates a susceptible; the NIL successor at the same node
     # keeps every vaccine, so it is off V_S's support: first as V_S's own row
     # with NIL's values, then as NIL's row named by both actions.
@@ -850,13 +884,21 @@ BAD_ARTIFACTS = {
 }
 
 
-def _edit_row(pruned, new_probs):
-    """`pruned` with its first two-successor row set to new_probs(row)."""
+def _edit_row(pruned, new_probs, size=2):
+    """`pruned` with its first row of `size` successors set to new_probs(row)."""
     rows = [list(layer) for layer in pruned["rows"]]
     t, i = next((t, i) for t, layer in enumerate(rows) for i, row in enumerate(layer)
-                if len(row) == 2)
+                if len(row) == size)
     rows[t][i] = new_probs(rows[t][i])
     return dict(pruned, rows=rows)
+
+
+def _edit_transition(mdp, new_to, size=2):
+    """`mdp` with the row of its first transition of `size` successors set to new_to(row)."""
+    transitions = list(mdp["transitions"])
+    i = next(i for i, e in enumerate(transitions) if len(e["to"]) == size)
+    transitions[i] = dict(transitions[i], to=new_to(transitions[i]["to"]))
+    return dict(mdp, transitions=transitions)
 
 
 def _at_s0(pruned, edit):
@@ -913,17 +955,21 @@ def _unusable_action(pruned, policy):
 @pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
 def test_malformed_artifact_exits_2(case, artifact_dir, tmp_path, capsys):
     kind, edit, reason = BAD_ARTIFACTS[case]
-    pruned = json.loads((artifact_dir / "pruned.json").read_text())
-    policy = json.loads((artifact_dir / "policy.json").read_text())
-    bad = edit(pruned, policy) if callable(edit) else edit
-    files = {"pruned": artifact_dir / "pruned.json", "policy": artifact_dir / "policy.json"}
+    files = {name: artifact_dir / f"{name}.json" for name in ("mdp", "pruned", "policy")}
+    good = {name: json.loads(file.read_text()) for name, file in files.items()}
+    if not callable(edit):
+        bad = edit
+    elif kind == "mdp":
+        bad = edit(good["mdp"])
+    else:
+        bad = edit(good["pruned"], good["policy"])
     files[kind] = tmp_path / f"{kind}.json"
     files[kind].write_text(json.dumps(bad))
-    mdp = str(artifact_dir / "mdp.json")
+    mdp = str(files["mdp"])
     commands = [["rollout", "--mdp", mdp, "--pruned", str(files["pruned"]),
                  "--policy", str(files["policy"]), "--env", "epidemic", "--feature", "infected",
                  "-n", "5", "--out", str(tmp_path / "r.csv")]]
-    if kind == "pruned":
+    if kind != "policy":
         commands.append(["solve", "--mdp", mdp, "--pruned", str(files["pruned"]), "--m", "1"])
     for argv in commands:
         code, _, err = run(capsys, *argv)
@@ -1094,6 +1140,9 @@ BAD_POSTERIORS = {
     "oversize-samples": lambda src, dst: _edit_recipe(src, dst, n=10**30),
     "float-seed": lambda src, dst: _edit_recipe(src, dst, seed=1.5),
     "unknown-sampler": lambda src, dst: _edit_recipe(src, dst, sampler="gibbs"),
+    # Recipes of earlier versions could name rejection sampling; top-down
+    # noise drawn for one would be another posterior under the same recipe.
+    "rejection-sampler": lambda src, dst: _edit_recipe(src, dst, sampler="rejection"),
     "other-mdp": lambda src, dst: _edit_recipe(
         src, dst, mdp_hash=build_environment("gridworld").digest),
     "path-off-the-mdp": _off_mdp_path,

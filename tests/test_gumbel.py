@@ -18,7 +18,6 @@ from cfmdp.gumbel import (
     cf_transition,
     load_posterior,
     nominal_cf_mdp,
-    rejection_noise,
     save_posterior,
     topdown_noise,
 )
@@ -35,6 +34,8 @@ from oracles import (
     kernel_row,
     prior_posterior,
     random_mdp,
+    rejection_noise,
+    rejection_posterior,
     topdown_noise_oracle,
     tv_distance,
 )
@@ -157,7 +158,7 @@ def test_topdown_off_support_marginal_is_prior():
 
 def test_build_posterior_replays_and_final_step_prior(tinychain):
     path = ObservedPath(tinychain, (("x0", "a"), ("x1", "a"), ("x1", "a")))
-    post = build_posterior(tinychain, path, 500, "topdown", seed=1)
+    post = build_posterior(tinychain, path, 500, seed=1)
     assert post.T == 3
     # Conditioned steps replay exactly.
     for t in range(2):
@@ -170,14 +171,14 @@ def test_build_posterior_replays_and_final_step_prior(tinychain):
 
 def test_build_posterior_single_step_is_prior(tinychain):
     path = ObservedPath(tinychain, (("x0", "a"),))
-    post = build_posterior(tinychain, path, 20_000, "topdown", seed=2)
+    post = build_posterior(tinychain, path, 20_000, seed=2)
     est = cf_transition_probs(post, tinychain, 0, "x0", "a")
     assert tv_distance(est, {"x1": 0.9, "x2": 0.1}) < 0.02
 
 
 def test_build_posterior_steps_independent(tinychain):
     path = ObservedPath(tinychain, (("x0", "a"), ("x1", "a"), ("x1", "a")))
-    post = build_posterior(tinychain, path, 10_000, "topdown", seed=9)
+    post = build_posterior(tinychain, path, 10_000, seed=9)
     for s in tinychain.states:
         i = tinychain.state_index(s)
         for t1, t2 in ((0, 1), (0, 2), (1, 2)):
@@ -189,10 +190,10 @@ def test_cf_transition_tinychain_analytic(tinychain):
     # Conditioning (x0, a) on the 0.1 outcome x2 forces the counterfactual of
     # action b to x2 with probability exactly 1 (G_x2 - G_x1 > log 9).
     path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
-    post = build_posterior(tinychain, path, 5000, "topdown", seed=4)
+    post = build_posterior(tinychain, path, 5000, seed=4)
     est = cf_transition_probs(post, tinychain, 0, "x0", "b")
     assert est == {"x2": 1.0}
-    rej = build_posterior(tinychain, path, 100_000, "rejection", seed=5)
+    rej = rejection_posterior(tinychain, path, 100_000, seed=5)
     est_rej = cf_transition_probs(rej, tinychain, 0, "x0", "b")
     assert est_rej == {"x2": 1.0}
 
@@ -218,7 +219,7 @@ def test_cf_transition_breaks_ties_and_nans_as_the_argmax(case, order):
     path = ObservedPath(mdp, [("s", "a")])
     layer, want = TIED_LAYERS[case]
     layer = np.array(layer, dtype=np.float64, order=order)
-    posterior = GumbelPosterior((layer,), len(layer), "hand", 0, path, mdp.digest)
+    posterior = GumbelPosterior((layer,), len(layer), 0, path)
     p = mdp.pair("s", "a")
     got = cf_transition(posterior, mdp, 0, p)
     assert {mdp.states[i]: x for i, x in zip(got[0].tolist(), got[1].tolist())} == want
@@ -237,7 +238,7 @@ def test_cf_transition_disjoint_support_is_interventional():
     states = ("s", "x1", "x2", "y1", "y2", "y3")
     mdp = Mdp(states, ("a", "b"), kernel, {}, {"s": 1.0})
     path = ObservedPath(mdp, (("s", "a"), ("x2", "a")))
-    post = build_posterior(mdp, path, 100_000, "topdown", seed=6)
+    post = build_posterior(mdp, path, 100_000, seed=6)
     est = cf_transition_probs(post, mdp, 0, "s", "b")
     nominal = kernel[("s", "b")]
     assert tv_distance(est, nominal) < 0.02
@@ -248,7 +249,7 @@ def test_cf_support_containment():
     rng = np.random.default_rng(9)
     mdp = random_mdp(rng, 5, 2, support_max=3)
     path = sample_path(mdp, lambda s, t: "a0", 3, seed=1)
-    post = build_posterior(mdp, path, 2000, "topdown", seed=2)
+    post = build_posterior(mdp, path, 2000, seed=2)
     for t in range(3):
         for s in mdp.states:
             for a in available_actions(mdp, s):
@@ -262,7 +263,7 @@ def test_counterfactual_stability_on_samples(tinychain):
     # have raised that outcome's relative probability.
     rng = np.random.default_rng(10)
     path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
-    post = build_posterior(tinychain, path, 2000, "topdown", seed=11)
+    post = build_posterior(tinychain, path, 2000, seed=11)
     obs_row = kernel_row(tinychain, "x0", "a")
     noise = post.noise[0]
     for _ in range(200):
@@ -293,7 +294,7 @@ def test_cf_mdp_layers_and_replay(epidemic_demo, epidemic_cf):
 def test_cf_mdp_fig2_counterfactual_edge(fig2_toy):
     # The full CF MDP keeps the counterfactual branch s3 -> s5 under a0 open.
     mdp, path = fig2_toy
-    post = build_posterior(mdp, path, 500, "topdown", seed=12)
+    post = build_posterior(mdp, path, 500, seed=12)
     cf = build_cf_mdp(post, mdp)
     est = cf_probs(cf, 1, "s3", "a0")
     assert est.get("s5", 0.0) > 0.0
@@ -323,11 +324,11 @@ def test_cf_mdp_kernel_memoized(epidemic_cf):
 
 def test_posterior_save_load_round_trip(tmp_path, tinychain):
     path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
-    post = build_posterior(tinychain, path, 100, "topdown", seed=14)
+    post = build_posterior(tinychain, path, 100, seed=14)
     file = tmp_path / "posterior.json"
     save_posterior(post, file)
     loaded = load_posterior(file, tinychain)
-    assert loaded.n == post.n and loaded.sampler == post.sampler
+    assert loaded.n == post.n and loaded.seed == post.seed
     assert loaded.path.steps == post.path.steps
     for t in range(post.T):
         np.testing.assert_array_equal(loaded.noise[t], post.noise[t])
@@ -338,7 +339,7 @@ def test_loaded_posterior_layers_replay_the_path(tmp_path, epidemic_demo):
     # could skip the replay check.
     mdp, path, _ = epidemic_demo
     file = tmp_path / "posterior.json"
-    save_posterior(build_posterior(mdp, path, 300, "topdown", seed=15), file)
+    save_posterior(build_posterior(mdp, path, 300, seed=15), file)
     loaded = load_posterior(file, mdp)
     for t in range(path.T - 1):
         idx, _, logp = mdp.row(int(path.pair[t]))
@@ -346,33 +347,16 @@ def test_loaded_posterior_layers_replay_the_path(tmp_path, epidemic_demo):
         assert (idx[winners] == path.state[t + 1]).all(), t
 
 
-def test_build_posterior_rejects_unknown_sampler(tinychain):
-    path = ObservedPath(tinychain, (("x0", "a"),))
-    with pytest.raises(ValidationFailed):
-        build_posterior(tinychain, path, 10, "bogus", seed=0)
-
-
 def test_build_posterior_rejects_empty_sample(tinychain):
     path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
-    for sampler in ("topdown", "rejection"):
-        with pytest.raises(ValidationFailed, match="sample count"):
-            build_posterior(tinychain, path, 0, sampler, seed=0)
-
-
-def test_rejection_attempt_cap_fails_loudly():
-    from cfmdp.errors import RejectionBudgetExceeded
-
-    # Observation probability 1e-9 needs ~1e9 proposals per sample; the cap of
-    # 1e7 per requested sample trips first.
-    mdp = row_mdp({"x1": 1.0 - 1e-9, "x2": 1e-9})
-    with pytest.raises(RejectionBudgetExceeded):
-        rejection_noise(mdp, *observed(mdp, "s", "a", "x2"), 1, np.random.default_rng(0))
+    with pytest.raises(ValidationFailed, match="sample count"):
+        build_posterior(tinychain, path, 0, seed=0)
 
 
 def test_cf_mdp_rejects_mismatched_posterior(tinychain):
     path = ObservedPath(tinychain, (("x0", "a"), ("x2", "a")))
     other = ObservedPath(tinychain, (("x0", "a"), ("x1", "a")))
-    post = build_posterior(tinychain, path, 50, "topdown", seed=0)
+    post = build_posterior(tinychain, path, 50, seed=0)
     with pytest.raises(ValidationFailed):
         CfMdp(tinychain, other, post)
     other_mdp = row_mdp({"x1": 0.5, "x2": 0.5})
@@ -409,7 +393,8 @@ def test_layers_drawn_on_access_equal_an_eager_draw(tinychain, sampler):
         else:
             eager.append(rejection_noise(tinychain, p, pos, n, _step_rng(seed, t))[0])
     eager.append(_step_rng(seed, path.T - 1).gumbel(size=(n, tinychain.num_states)))
-    post = build_posterior(tinychain, path, n, sampler, seed=seed)
+    post = {"topdown": build_posterior, "rejection": rejection_posterior}[sampler](
+        tinychain, path, n, seed=seed)
     assert len(post.noise) == post.T == 3
     for t in (2, 0, 1, 0, 2):
         assert post.noise[t].tobytes() == eager[t].tobytes(), t
@@ -420,7 +405,7 @@ def test_layers_drawn_on_access_equal_an_eager_draw(tinychain, sampler):
 
 def test_sweep_draws_each_layer_at_most_once(epidemic_demo, layer_draws):
     mdp, path, _ = epidemic_demo
-    cf = build_cf_mdp(build_posterior(mdp, path, 200, "topdown", seed=3), mdp)
+    cf = build_cf_mdp(build_posterior(mdp, path, 200, seed=3), mdp)
     result = sweep(cf, list(range(1, path.T + 2)), list(range(path.T + 1)))
     assert result.cf_rows_built > 0
     assert layer_draws and max(layer_draws.values()) == 1
@@ -438,7 +423,7 @@ def test_sweep_holds_one_layer_at_a_time():
     assert path.T == 11
     tracemalloc.start()
     try:
-        cf = build_cf_mdp(build_posterior(mdp, path, n, "topdown", seed=5), mdp)
+        cf = build_cf_mdp(build_posterior(mdp, path, n, seed=5), mdp)
         sweep(cf, list(range(1, path.T + 2)), [1, 2])
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -464,7 +449,7 @@ def test_posterior_layers_are_column_major_and_equal_row_major_draws(epidemic_de
     # Every layer is F-contiguous and read-only; the conditioned layers equal
     # the row-major top-down draw, and the final layer a plain prior draw.
     mdp, path, _ = epidemic_demo
-    post = build_posterior(mdp, path, n, "topdown", seed=11)
+    post = build_posterior(mdp, path, n, seed=11)
     for t in range(path.T):
         layer = post.noise[t]
         assert layer.flags.f_contiguous and not layer.flags.writeable, t

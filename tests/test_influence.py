@@ -184,7 +184,7 @@ def test_prune_monotone_random_mdp():
     rng = np.random.default_rng(21)
     mdp = random_mdp(rng, 5, 2, support_max=3)
     path = sample_path(mdp, lambda s, t: "a0", 4, seed=2)
-    post = build_posterior(mdp, path, 400, "topdown", seed=3)
+    post = build_posterior(mdp, path, 400, seed=3)
     cf = build_cf_mdp(post, mdp)
     prev = None
     for k in range(1, 6):
@@ -271,7 +271,7 @@ def test_cf_rows_look_up_each_distinct_row_once(epidemic_demo, monkeypatch):
     # reads it once and gathers its support for every pair, and the entries
     # equal the per-pair concatenation in pair order.
     mdp, path, _ = epidemic_demo
-    cf = build_cf_mdp(build_posterior(mdp, path, 200, "topdown", seed=4), mdp)
+    cf = build_cf_mdp(build_posterior(mdp, path, 200, seed=4), mdp)
     calls, row = Counter(), CfMdp.row
 
     def counted(self, t, p):

@@ -293,6 +293,54 @@ def test_mdp_json_rejects_bad_rows():
         mdp_from_json(obj)
 
 
+def test_mdp_json_lists_a_bad_row_sum_with_every_other_fault():
+    # A row off by more than PROB_TOL is one fault among the others, not one
+    # that hides them.
+    obj = mdp_to_json(chain_mdp())
+    obj["transitions"][0]["to"] = {"s1": 0.6, "s2": 0.5}
+    obj["transitions"][1]["to"] = {"zz": 1.0}
+    obj["initial"] = {"q": 1.0}
+    with pytest.raises(ValidationFailed) as exc:
+        mdp_from_json(obj)
+    faults = str(exc.value).split("; ")
+    assert "row (s0,a) sums to 1.1" in faults
+    assert "row (s1,a) references unknown state zz" in faults
+    assert "initial distribution references unknown state q" in faults
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj["transitions"][0].update(to={"s1": "0.5", "s2": "0.5"}),
+     "MDP transition probability '0.5' is not a number"),
+    (lambda obj: obj["transitions"][0].update(to={"s2": True}),
+     "MDP transition probability True is not a number"),
+    (lambda obj: obj["rewards"][0].update(r="3"), "MDP reward '3' is not a number"),
+    (lambda obj: obj.update(initial={"s0": "1"}), "MDP initial probability '1' is not a number"),
+], ids=["probability-a-string", "probability-true", "reward-a-string", "initial-a-string"])
+def test_mdp_json_numbers_must_be_json_numbers(edit, message):
+    obj = mdp_to_json(chain_mdp())
+    edit(obj)
+    with pytest.raises(ValidationFailed) as exc:
+        mdp_from_json(obj)
+    assert str(exc.value) == message
+
+
+def test_mdp_json_integer_numbers_stay_valid():
+    # A hand-written 1 is a JSON number: the MDP is the one written with 1.0.
+    obj = mdp_to_json(chain_mdp())
+    obj["transitions"][0]["to"] = {"s1": 1}
+    obj["rewards"][0]["r"] = 1
+    obj["initial"] = {"s0": 1}
+    assert mdp_from_json(obj).digest == chain_mdp().digest
+
+
+def test_mdp_json_renormalizes_a_row_within_tolerance():
+    obj = mdp_to_json(chain_mdp())
+    obj["transitions"][0]["to"] = {"s1": 0.5 + 2e-10, "s2": 0.5}
+    row = kernel_row(mdp_from_json(obj), "s0", "a")
+    total = (0.5 + 2e-10) + 0.5
+    assert row == {"s1": (0.5 + 2e-10) / total, "s2": 0.5 / total}
+
+
 @pytest.mark.parametrize("kind, duplicate", [
     ("transitions", {"s": "s0", "a": "a", "to": {"s0": 1.0}}),
     ("rewards", {"s": "s0", "a": "a", "r": 5.0}),

@@ -20,7 +20,8 @@ from cfmdp.mdp import Mdp, mdp_from_json, mdp_to_json, sample_path
 from cfmdp.solver import policy_to_json, rollout, solve_km, sweep
 
 from oracles import (cf_transition_oracle, initial, kernel, km_value_oracle, path_return,
-                     random_mdp, reward, rollout_oracle, same_tables, solve_km_oracle)
+                     random_mdp, rejection_posterior, reward, rollout_oracle, same_tables,
+                     solve_km_oracle)
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -46,8 +47,9 @@ def instances(draw, shared_rows=False):
         mdp = Mdp(mdp.states, mdp.actions, rows, rewards, initial(mdp), name=mdp.name)
     actions = draw(st.lists(st.sampled_from(mdp.actions), min_size=1, max_size=5))
     path = sample_path(mdp, lambda s, t: actions[t], len(actions), seed=seed)
-    posterior = build_posterior(mdp, path, draw(st.integers(1, 60)),
-                                draw(st.sampled_from(["topdown", "rejection"])), seed=seed)
+    n = draw(st.integers(1, 60))
+    draw_posterior = draw(st.sampled_from([build_posterior, rejection_posterior]))
+    posterior = draw_posterior(mdp, path, n, seed=seed)
     return mdp, path, build_cf_mdp(posterior, mdp)
 
 

@@ -36,7 +36,7 @@ def small_instance(seed, n_states=4, n_actions=2, horizon=4, n_samples=1000):
     mdp = random_mdp(rng, n_states, n_actions, support_max=3)
     policy = lambda s, t: "a0"
     path = sample_path(mdp, policy, horizon, seed=seed)
-    post = build_posterior(mdp, path, n_samples, "topdown", seed=seed + 1)
+    post = build_posterior(mdp, path, n_samples, seed=seed + 1)
     cf = build_cf_mdp(post, mdp)
     return mdp, path, cf
 
@@ -89,7 +89,7 @@ def test_pairs_sharing_one_row_at_mixed_cost_equal_the_oracle():
                ("x2", "a"): 0.0, ("x2", "b"): 2.0}
     mdp = Mdp(("x0", "x1", "x2"), ("a", "b", "c"), kernel, rewards, {"x0": 1.0}, name="shared")
     path = ObservedPath(mdp, (("x0", "b"), ("x2", "a"), ("x2", "a")))
-    cf = build_cf_mdp(build_posterior(mdp, path, 300, "topdown", seed=1), mdp)
+    cf = build_cf_mdp(build_posterior(mdp, path, 300, seed=1), mdp)
     assert len({int(cf.row_key[0, mdp.pair("x0", a)]) for a in "abc"}) == 1
     for k in range(1, path.T + 2):
         pruned = prune_cf_mdp(cf, k)
@@ -111,7 +111,7 @@ def test_nan_q_values_from_finite_rewards_are_never_chosen_as_in_the_oracle():
     mdp = Mdp(("x0", "x1", "x2"), ("a", "b"), kernel, {("x1", "a"): 1e308}, {"x0": 1.0},
               name="overflow")
     path = ObservedPath(mdp, (("x0", "a"), ("x1", "a"), ("x1", "a")))
-    cf = build_cf_mdp(build_posterior(mdp, path, 100, "topdown", seed=3), mdp)
+    cf = build_cf_mdp(build_posterior(mdp, path, 100, seed=3), mdp)
     with np.errstate(over="ignore", invalid="ignore"):
         pruned = prune_cf_mdp(cf, path.T + 1)
         policy = solve_km(pruned, 1)
@@ -131,7 +131,7 @@ def test_nan_q_values_from_finite_rewards_are_never_chosen_as_in_the_oracle():
 def test_sepsis_catastrophic_k1_m0_equals_the_oracle():
     # Its absorbing states have eight pairs on one row, one of them observed.
     mdp, path, _ = demo_observation("sepsis-catastrophic")
-    cf = build_cf_mdp(build_posterior(mdp, path, 200, "topdown", seed=7), mdp)
+    cf = build_cf_mdp(build_posterior(mdp, path, 200, seed=7), mdp)
     pruned = prune_cf_mdp(cf, 1)
     policy = solve_km(pruned, 0)
     assert same_tables(policy, solve_km_oracle(pruned, 0))
@@ -222,7 +222,7 @@ def test_shared_sweep_equals_independent_solves(seed):
     mdp = random_mdp(rng, n_states, int(rng.integers(1, 4)),
                      support_max=int(rng.integers(1, min(n_states, 3) + 1)))
     path = sample_path(mdp, lambda s, t: "a0", int(rng.integers(1, 7)), seed=seed)
-    post = build_posterior(mdp, path, 200, "topdown", seed=seed)
+    post = build_posterior(mdp, path, 200, seed=seed)
     for ks, ms in sweep_grids(rng, path.T):
         result = sweep(build_cf_mdp(post, mdp), ks, ms)
         rows, sizes = independent_sweep(build_cf_mdp(post, mdp), ks, ms)
@@ -235,7 +235,7 @@ def test_shared_sweep_equals_independent_solves(seed):
 @pytest.mark.parametrize("env", ["gridworld", "epidemic"])
 def test_shared_prune_and_solve_equal_standalone(env):
     mdp, path, _ = demo_observation(env)
-    cf = build_cf_mdp(build_posterior(mdp, path, 300, "topdown", seed=3), mdp)
+    cf = build_cf_mdp(build_posterior(mdp, path, 300, seed=3), mdp)
     T = path.T
     top = prune_cf_mdp(cf, T + 1)
     top_policy = solve_km(top, T)
@@ -330,7 +330,7 @@ def solved_demo(request):
     at m = 2, with its feature."""
     mdp, path, _ = demo_observation(request.param)
     env = PRESETS[request.param].env
-    cf = build_cf_mdp(build_posterior(mdp, path, 200, "topdown", seed=5), mdp)
+    cf = build_cf_mdp(build_posterior(mdp, path, 200, seed=5), mdp)
     pruned = prune_cf_mdp(cf, path.T + 1)
     feature = next(iter(environment_features(env).values()))
     return pruned, solve_km(pruned, 2), feature

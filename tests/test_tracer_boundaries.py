@@ -37,7 +37,7 @@ def test_every_boundary_resolves(tracer):
 
 def test_counters_read_existing_attributes(tracer, fig2_toy):
     mdp, path = fig2_toy
-    posterior = build_posterior(mdp, path, 50, "topdown", seed=0)
+    posterior = build_posterior(mdp, path, 50, seed=0)
     pruned = prune_cf_mdp(build_cf_mdp(posterior, mdp), 2)
     policy = solve_km(pruned, 1)
     summary = rollout(pruned, policy, 4, lambda s: 0.0, seed=0)
@@ -59,7 +59,7 @@ def test_sweep_prunes_and_solves_once_per_k(tracer, fig2_toy, monkeypatch):
     # `sweep` calls these two names once per k, with shared work passed as an
     # argument rather than done inside `sweep` itself.
     mdp, path = fig2_toy
-    cf = build_cf_mdp(build_posterior(mdp, path, 50, "topdown", seed=0), mdp)
+    cf = build_cf_mdp(build_posterior(mdp, path, 50, seed=0), mdp)
     recorder = tracer.Tracer()
     for module, attr, name, _ in tracer.BOUNDARIES:
         if module == "cfmdp.solver":
@@ -76,7 +76,7 @@ def test_sweep_calls_cf_transition_once_per_built_row(tracer, fig2_toy, monkeypa
     # manifest's `cf_rows_built` is `rows_built`: the two must agree. fig2_toy
     # has pairs with one nominal row (s2 and s3 under a0), which share a row.
     mdp, path = fig2_toy
-    cf = build_cf_mdp(build_posterior(mdp, path, 50, "topdown", seed=0), mdp)
+    cf = build_cf_mdp(build_posterior(mdp, path, 50, seed=0), mdp)
     recorder = tracer.Tracer()
     module, attr, name, _ = next(b for b in tracer.BOUNDARIES if b[2] == "gumbel.cf_row")
     monkeypatch.setattr(importlib.import_module(module), attr,
