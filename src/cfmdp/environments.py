@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .errors import InvalidConfig, UnknownEnvironment
 from .mdp import Action, Mdp, ObservedPath, State, sample_path
@@ -183,43 +185,48 @@ def build_epidemic(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
     from the population permanently and draws infections from the reduced
     pool. Vaccination actions exist only while stock and targets remain.
     Reward is -I for every action.
+
+    A row depends on (S, I, action) only: it is computed once and shifted
+    to each of the 2P+1 vaccine stocks V. State (S, I, V) has index
+    block(S, I) * (2P+1) + V, the blocks numbered in (S, I) order.
     """
     P = cfg.population
     if P < 1 or not (0 <= cfg.initial_infected <= P):
         raise InvalidConfig("population must be >= 1 and 0 <= I0 <= population")
-    states = tuple(
-        _epi_label(s, i, v)
-        for s in range(P + 1) for i in range(P + 1 - s) for v in range(2 * P + 1)
-    )
-    kernel: dict[tuple[State, Action], dict[State, float]] = {}
-    rewards: dict[tuple[State, Action], float] = {}
-    for label in states:
-        S, I, V = epidemic_counts(label)
-        rows: dict[Action, dict[State, float]] = {}
-        rows[NIL] = {
-            _epi_label(S - k, I + k, V): p
-            for k in range(S + 1)
-            if (p := _hypergeom_pmf(k, S + I, min(S, I), S)) > 0.0
-        }
-        if I >= 1 and V >= 1:
-            rows[V_I] = {
-                _epi_label(S - k, I - 1 + k, V - 1): p
-                for k in range(S + 1)
-                if (p := _hypergeom_pmf(k, S + I - 1, min(S, I - 1), S)) > 0.0
-            }
-        if S >= 1 and V >= 1:
-            rows[V_S] = {
-                _epi_label(S - 1 - k, I + k, V - 1): p
-                for k in range(S)
-                if (p := _hypergeom_pmf(k, S + I - 1, min(S - 1, I), S - 1)) > 0.0
-            }
-        for a, row in rows.items():
-            kernel[(label, a)] = row
-            rewards[(label, a)] = float(-I)
-
-    s0 = _epi_label(P - cfg.initial_infected, cfg.initial_infected, 2 * P)
-    return Mdp(states, (NIL, V_I, V_S), kernel, rewards, initial={s0: 1.0},
-               name=MDP_NAMES["epidemic"])
+    stocks = 2 * P + 1
+    block = {(s, i): b for b, (s, i) in
+             enumerate((s, i) for s in range(P + 1) for i in range(P + 1 - s))}
+    states = tuple(_epi_label(s, i, v) for s, i in block for v in range(stocks))
+    every, stocked = np.arange(stocks), np.arange(1, stocks)
+    source, action, reward, lengths, succ, prob = [], [], [], [], [], []
+    for (S, I), b in block.items():
+        # Per action: the stocks it is available at, the stock it leaves, and
+        # its successors' (S, I) blocks with their probabilities.
+        rows = [(0, every, 0, [((S - k, I + k), _hypergeom_pmf(k, S + I, min(S, I), S))
+                               for k in range(S + 1)])]
+        if I >= 1:
+            rows.append((1, stocked, -1, [((S - k, I - 1 + k),
+                                           _hypergeom_pmf(k, S + I - 1, min(S, I - 1), S))
+                                          for k in range(S + 1)]))
+        if S >= 1:
+            rows.append((2, stocked, -1, [((S - 1 - k, I + k),
+                                           _hypergeom_pmf(k, S + I - 1, min(S - 1, I), S - 1))
+                                          for k in range(S)]))
+        for a, vs, spent, entries in rows:
+            entries = [(block[dest], p) for dest, p in entries if p > 0.0]
+            dest = np.array([d for d, _ in entries], dtype=np.int64) * stocks + spent
+            source.append(b * stocks + vs)
+            action.append(np.full(len(vs), a))
+            reward.append(np.full(len(vs), float(-I)))
+            lengths.append(np.full(len(vs), len(entries)))
+            succ.append((vs[:, None] + dest).ravel())
+            prob.append(np.tile([p for _, p in entries], len(vs)))
+    lengths = np.concatenate(lengths)
+    s0 = block[(P - cfg.initial_infected, cfg.initial_infected)] * stocks + 2 * P
+    return Mdp.from_arrays(states, (NIL, V_I, V_S), np.concatenate(source), np.concatenate(action),
+                           np.concatenate(reward), np.repeat(np.arange(len(lengths)), lengths),
+                           np.concatenate(succ), np.concatenate(prob), [s0], [1.0],
+                           name=MDP_NAMES["epidemic"])
 
 
 def epidemic_features():
@@ -282,6 +289,12 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
     every action. Per-step reward is the end-scale divided by the horizon, so
     a full trajectory spans exactly [-1000, 1000]: constant death pays -1000,
     constant discharge +1000.
+
+    A living state's row depends on (vitals, action) only: it is computed
+    once, with each entry the product of its four vitals' probabilities in
+    `itertools.product` order, and shared by all 8 flag settings. State
+    (vitals, flags) has index 8 * (vitals in base 3) + (flags in base 2), and
+    action bits b lead to flags b, so action index a leads to flags index a.
     """
     if len(cfg.treat_effect) != len(TREATMENTS):
         raise InvalidConfig(f"treat_effect needs one effect per treatment {TREATMENTS}, "
@@ -292,6 +305,9 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
         raise InvalidConfig(f"horizon must be >= 1, got {cfg.horizon}")
     if not (0.0 <= cfg.flux < 1.0):
         raise InvalidConfig("flux must lie in [0, 1)")
+    if len(cfg.start_vitals) != len(VITALS) or not set(cfg.start_vitals) <= {LOW, NORMAL, HIGH}:
+        raise InvalidConfig(f"start_vitals must be {len(VITALS)} levels of {LOW, NORMAL, HIGH}, "
+                            f"got {cfg.start_vitals}")
     if sum(1 for v in cfg.start_vitals if v != NORMAL) >= cfg.death_threshold:
         raise InvalidConfig("start state would be dead on arrival")
 
@@ -300,6 +316,7 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
     states = tuple(_sepsis_label(v, f) for v in all_vitals for f in all_flags)
     action_bits = list(product((0, 1), repeat=3))
     actions = tuple(_action_label(b) for b in action_bits)
+    nf, na = len(all_flags), len(actions)
 
     def vital_dist(level: int, treated: bool, p_treat: float) -> dict[int, float]:
         if treated:
@@ -316,36 +333,43 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
             return -cfg.reward_scale / cfg.horizon
         return (cfg.reward_scale - 500.0 * abn) / cfg.horizon
 
-    kernel: dict[tuple[State, Action], dict[State, float]] = {}
-    rewards: dict[tuple[State, Action], float] = {}
-    for vitals in all_vitals:
-        abn = sum(1 for v in vitals if v != NORMAL)
-        dead = abn >= cfg.death_threshold
-        for flags in all_flags:
-            label = _sepsis_label(vitals, flags)
-            discharged = abn == 0 and flags == (0, 0, 0)
-            for bits in action_bits:
-                a = _action_label(bits)
-                if dead or discharged:
-                    kernel[(label, a)] = {label: 1.0}
-                    rewards[(label, a)] = step_reward(vitals)
-                    continue
-                dists = [
-                    vital_dist(v, i < 3 and bits[i] == 1,
-                               cfg.treat_effect[i] if i < 3 else 0.0)
-                    for i, v in enumerate(vitals)
-                ]
-                row: dict[State, float] = {}
-                for combo in product(*(d.items() for d in dists)):
-                    nxt = tuple(lv for lv, _ in combo)
-                    p = math.prod(pr for _, pr in combo)
-                    dest = _sepsis_label(nxt, bits)
-                    row[dest] = row.get(dest, 0.0) + p
-                kernel[(label, a)] = row
-                rewards[(label, a)] = step_reward(vitals)
-
-    s0 = _sepsis_label(cfg.start_vitals, (0, 0, 0))
-    return Mdp(states, actions, kernel, rewards, initial={s0: 1.0}, name=MDP_NAMES["sepsis"])
+    # Per vitals, the rows of its 8 x 8 pairs as entry counts, successors and
+    # probabilities, pair by pair.
+    reward, lengths, succ, prob = [], [], [], []
+    for v, vitals in enumerate(all_vitals):
+        abn = sum(1 for x in vitals if x != NORMAL)
+        if abn >= cfg.death_threshold:  # dead: absorbing under every action
+            lens, p = np.ones(nf * na, dtype=np.int64), np.ones(nf * na)
+            s2 = np.repeat(np.arange(v * nf, (v + 1) * nf), na)
+        else:
+            lens, s2, p = [], [], []
+            for a, bits in enumerate(action_bits):
+                dists = [vital_dist(x, i < 3 and bits[i] == 1,
+                                    cfg.treat_effect[i] if i < 3 else 0.0)
+                         for i, x in enumerate(vitals)]
+                row = [(((l0 * 3 + l1) * 3 + l2) * 3 + l3, math.prod((p0, p1, p2, p3)))
+                       for (l0, p0), (l1, p1), (l2, p2), (l3, p3) in
+                       product(*(d.items() for d in dists))]
+                lens.append(len(row))
+                s2.extend(nxt * nf + a for nxt, _ in row)
+                p.extend(x for _, x in row)
+            per_flags = sum(lens)  # the entries of one flag setting's 8 pairs
+            lens, s2, p = np.tile(lens, nf), np.tile(s2, nf), np.tile(p, nf)
+            if abn == 0:  # discharged with all flags off: absorbing under every action
+                lens[:na] = 1
+                s2 = np.concatenate([np.full(na, v * nf), s2[per_flags:]])
+                p = np.concatenate([np.ones(na), p[per_flags:]])
+        lengths.append(lens)
+        succ.append(s2)
+        prob.append(p)
+        reward.append(np.full(nf * na, step_reward(vitals)))
+    lengths = np.concatenate(lengths)
+    n = len(states)
+    s0 = sum(x * 3 ** (3 - i) for i, x in enumerate(cfg.start_vitals)) * nf
+    return Mdp.from_arrays(states, actions, np.repeat(np.arange(n), na), np.tile(np.arange(na), n),
+                           np.concatenate(reward), np.repeat(np.arange(len(lengths)), lengths),
+                           np.concatenate(succ), np.concatenate(prob), [s0], [1.0],
+                           name=MDP_NAMES["sepsis"])
 
 
 def sepsis_features():
@@ -399,8 +423,32 @@ def _lookup(table: dict, kind: str, name: str):
     return table[name]
 
 
+def _of_type(value, kind) -> bool:
+    """Whether `value` is of the config field type `kind`: an int for int, an
+    int or a float for float (a bool is neither), and a list or tuple of
+    such values for a tuple, whose elements share one type. The builders
+    check a tuple's length, with the rest of its range."""
+    if get_origin(kind) is tuple:
+        return isinstance(value, (list, tuple)) and all(_of_type(x, get_args(kind)[0])
+                                                        for x in value)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else int)
+
+
+def _type_name(kind) -> str:
+    if get_origin(kind) is tuple:
+        return "a list of " + ("integers" if get_args(kind)[0] is int else "numbers")
+    return "an integer" if kind is int else "a number"
+
+
 def build_environment(name: str, **overrides) -> Mdp:
+    """The environment `name` under its default config with `overrides`,
+    each checked against the type of its config field."""
     config, build, _ = _lookup(ENVIRONMENTS, "environment", name)
+    fields = get_type_hints(config)
+    for key, value in overrides.items():
+        if key in fields and not _of_type(value, fields[key]):
+            raise InvalidConfig(f"config field {key} must be {_type_name(fields[key])}, "
+                                f"got {value!r}")
     return build(config(**overrides))
 
 

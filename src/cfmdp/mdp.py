@@ -32,12 +32,14 @@ PROB_TOL = 1e-9
 class Mdp:
     """Immutable finite MDP compiled to integer arrays.
 
-    Built from label dicts: `kernel` {(s, a): {s2: P(s2|s,a)}}, `rewards`
-    {(s, a): R(s, a)} (0.0 where none is given) and `initial` {s: P(s_0 = s)}.
-    Zero-probability entries are dropped, so every entry is support. Every
-    broken invariant (unknown or duplicate labels, non-finite or negative
-    probabilities, a non-finite reward of a row, a row or the initial
-    distribution not summing to one) is listed in one ValidationFailed.
+    `Mdp.from_arrays` builds one from index arrays; `Mdp(states, actions,
+    kernel, rewards, initial)` builds one from label dicts: `kernel` {(s, a):
+    {s2: P(s2|s,a)}}, `rewards` {(s, a): R(s, a)} (0.0 where none is given)
+    and `initial` {s: P(s_0 = s)}. Zero-probability entries are dropped, so
+    every entry is support. Every broken invariant (unknown or duplicate
+    labels, non-finite or negative probabilities, a non-finite reward of a
+    row, a row or the initial distribution not summing to one) is listed in
+    one ValidationFailed.
 
     Pair p is (state `source[p]`, action `action[p]`) with reward
     `reward[p]`, and `pair_at[s, a]` is the pair of state s and action a, -1
@@ -53,66 +55,126 @@ class Mdp:
 
     def __init__(self, states, actions, kernel: Mapping, rewards: Mapping, initial: Mapping,
                  name: str = ""):
+        states, actions = tuple(states), tuple(actions)
+        sidx, aidx = _index(states), _index(actions)
+        keys, rows = list(kernel), list(kernel.values())
+        succ = [x for row in rows for x in row]
+        self._compile(states, actions, [sidx.get(s, -1) for s, _ in keys],
+                      [aidx.get(a, -1) for _, a in keys], [rewards.get(key, 0.0) for key in keys],
+                      np.repeat(np.arange(len(rows)), [len(row) for row in rows]),
+                      [sidx.get(x, -1) for x in succ], [p for row in rows for p in row.values()],
+                      [sidx.get(s, -1) for s in initial], list(initial.values()), name,
+                      (keys, succ, list(initial)),
+                      _reward_entry_faults(rewards, kernel, sidx, aidx))
+
+    @classmethod
+    def from_arrays(cls, states, actions, source, action, reward, owner, succ, prob, init_state,
+                    init_prob, name: str = "", labels=None, faults=()) -> Mdp:
+        """The MDP of index arrays, in any order: pair p is (state `source[p]`,
+        action `action[p]`) with reward `reward[p]`, entry e is successor
+        `succ[e]` of pair `owner[e]` with probability `prob[e]`, and initial
+        entry i gives state `init_state[i]` probability `init_prob[i]`. An
+        index outside the labels (-1, say) is an unknown label; an `owner`
+        outside the pairs is refused before any other fault is looked for.
+        A pair, a pair's successor or an initial state given twice is a fault.
+
+        Only fault texts read `labels`, the labels the indices were resolved
+        from: a list of (s, a) per pair, a successor per entry and a state per
+        initial entry; without it, known indices are named by their labels
+        and unknown ones as #index. `faults` are the caller's own, listed
+        last. Faults list pairs in the compiled order (unknown labels last,
+        in the given order), and a pair's entries in the given order."""
+        mdp = cls.__new__(cls)
+        mdp._compile(states, actions, source, action, reward, owner, succ, prob, init_state,
+                     init_prob, name, labels, faults)
+        return mdp
+
+    def _compile(self, states, actions, source, action, reward, owner, succ, prob, init_state,
+                 init_prob, name, labels, faults):
         self.states, self.actions, self.name = tuple(states), tuple(actions), name
         n, na = len(self.states), len(self.actions)
-        self._sidx = sidx = {s: i for i, s in enumerate(self.states)}
-        self._aidx = aidx = {a: i for i, a in enumerate(self.actions)}
-        bad = [f"duplicate {kind} label {x}" for kind, labels in (("state", self.states),
-                                                                  ("action", self.actions))
-               for x, c in Counter(labels).items() if c > 1]
+        self._sidx, self._aidx = _index(self.states), _index(self.actions)
+        source, action, owner, succ, init_state = (np.asarray(x, dtype=np.int64) for x in
+                                                   (source, action, owner, succ, init_state))
+        reward, prob, init_prob = (np.asarray(x, dtype=np.float64)
+                                   for x in (reward, prob, init_prob))
+        if not ((owner >= 0) & (owner < len(source))).all():  # no pair to name the fault by
+            raise ValidationFailed("; ".join(
+                f"entry {e} has unknown pair #{o}" for e, o in enumerate(owner.tolist())
+                if not 0 <= o < len(source)))
+        known_s, known_a = (source >= 0) & (source < n), (action >= 0) & (action < na)
+        known_e, known_i = (succ >= 0) & (succ < n), (init_state >= 0) & (init_state < n)
+        # Pairs by (state, action) and entries by (pair, successor), unknown
+        # labels last in the given order: one stable sort of a combined key
+        # each, which is the order of a lexsort.
+        key = np.where(known_s, source, n) * (na + 1) + np.where(known_a, action, na)
+        order = np.argsort(key, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        pos = rank[owner]
+        entry_key = pos * (n + 1) + np.where(known_e, succ, n)
+        entries = np.argsort(entry_key, kind="stable")
+        pair_twice = _repeats(key, order, known_s & known_a)
+        entry_twice = _repeats(entry_key, entries, known_e)
+        init_twice = _repeats(init_state, np.argsort(init_state, kind="stable"), known_i)
+        total = np.bincount(owner, weights=prob, minlength=len(order))
+        init_total = np.bincount(np.zeros(len(init_prob), dtype=np.int64), weights=init_prob,
+                                 minlength=1)
+        if (faults or len(self._sidx) < n or len(self._aidx) < na
+                or not all(m.all() for m in (known_s, known_a, known_e, known_i, np.isfinite(prob),
+                                             prob >= 0, np.abs(total - 1.0) <= PROB_TOL,
+                                             np.isfinite(reward), np.isfinite(init_prob),
+                                             init_prob >= 0, np.abs(init_total - 1.0) <= PROB_TOL))
+                or pair_twice.any() or entry_twice.any() or init_twice.any()):
+            pairs, at, initials = labels or (
+                [(_label(self.states, s), _label(self.actions, a))
+                 for s, a in zip(source.tolist(), action.tolist())],
+                [_label(self.states, x) for x in succ.tolist()],
+                [_label(self.states, x) for x in init_state.tolist()])
 
-        keys = sorted(kernel, key=lambda sa: (sidx.get(sa[0], n), aidx.get(sa[1], na)))
-        rows = [kernel[key] for key in keys]
-        source = np.array([sidx.get(s, -1) for s, _ in keys], dtype=np.int64)
-        action = np.array([aidx.get(a, -1) for _, a in keys], dtype=np.int64)
-        owner = np.repeat(np.arange(len(keys)), [len(row) for row in rows])
-        succ = np.array([sidx.get(x, -1) for row in rows for x in row], dtype=np.int64)
-        prob = np.array([p for row in rows for p in row.values()], dtype=np.float64)
+            def row_name(p):
+                return "row ({},{})".format(*pairs[p])
 
-        def row_name(p):
-            return "row ({},{})".format(*keys[p])
+            by_pair = np.argsort(pos, kind="stable")  # entries listed pair by pair
 
-        def at(e):  # successor label of entry e
-            return list(rows[owner[e]])[e - np.searchsorted(owner, owner[e])]
+            def listed(mask, by=order):
+                return by[mask[by]].tolist()
 
-        bad += [f"kernel {row_name(p)} has unknown source state {keys[p][0]}"
-                for p in np.flatnonzero(source < 0).tolist()]
-        bad += [f"kernel {row_name(p)} has unknown action {keys[p][1]}"
-                for p in np.flatnonzero(action < 0).tolist()]
-        bad += [f"{row_name(owner[e])} references unknown state {at(e)}"
-                for e in np.flatnonzero(succ < 0).tolist()]
-        bad += _distribution_faults(prob, owner, len(keys), row_name, at)
-        reward = np.array([rewards.get(key, 0.0) for key in keys], dtype=np.float64)
-        bad += [f"{row_name(p)} has non-finite reward {reward[p].item()!r}"
-                for p in np.flatnonzero(~np.isfinite(reward)).tolist()]
-        init_labels = list(initial)
-        init_idx = np.array([sidx.get(s, -1) for s in init_labels], dtype=np.int64)
-        init_prob = np.array(list(initial.values()), dtype=np.float64)
-        bad += [f"initial distribution references unknown state {init_labels[i]}"
-                for i in np.flatnonzero(init_idx < 0).tolist()]
-        bad += _distribution_faults(init_prob, np.zeros(len(init_labels), dtype=np.int64), 1,
-                                    lambda _: "initial distribution", init_labels.__getitem__)
-        for s, a in (sa for sa in rewards if sa not in kernel):
-            if s not in sidx:
-                bad.append(f"reward entry ({s},{a}) references unknown state {s}")
-            if a not in aidx:
-                bad.append(f"reward entry ({s},{a}) references unknown action {a}")
-        if bad:
-            raise ValidationFailed("; ".join(bad))
+            bad = [f"duplicate {kind} label {x}" for kind, names in (("state", self.states),
+                                                                     ("action", self.actions))
+                   for x, c in Counter(names).items() if c > 1]
+            bad += [f"kernel {row_name(p)} has unknown source state {pairs[p][0]}"
+                    for p in listed(~known_s)]
+            bad += [f"kernel {row_name(p)} has unknown action {pairs[p][1]}"
+                    for p in listed(~known_a)]
+            bad += [f"{row_name(p)} is given twice" for p in listed(pair_twice)]
+            bad += [f"{row_name(owner[e])} references unknown state {at[e]}"
+                    for e in listed(~known_e, by_pair)]
+            bad += [f"{row_name(owner[e])} lists successor {at[e]} twice"
+                    for e in listed(entry_twice, by_pair)]
+            bad += _distribution_faults(prob[by_pair], pos[by_pair], total[order],
+                                        lambda i: row_name(order[i]), lambda e: at[by_pair[e]])
+            bad += [f"{row_name(p)} has non-finite reward {reward[p].item()!r}"
+                    for p in listed(~np.isfinite(reward))]
+            bad += [f"initial distribution references unknown state {initials[i]}"
+                    for i in np.flatnonzero(~known_i).tolist()]
+            bad += [f"initial distribution lists state {initials[i]} twice"
+                    for i in np.flatnonzero(init_twice).tolist()]
+            bad += _distribution_faults(init_prob, np.zeros(len(init_prob), dtype=np.int64),
+                                        init_total, lambda _: "initial distribution",
+                                        initials.__getitem__)
+            raise ValidationFailed("; ".join(bad + list(faults)))
 
-        keep = prob != 0.0
-        owner, succ, prob = owner[keep], succ[keep], prob[keep]
-        order = np.lexsort((succ, owner))  # successors ascending within each pair
-        self.source, self.action, self.owner = source, action, owner
-        self.start = np.searchsorted(source, np.arange(n + 1))
-        self.row_start = np.searchsorted(owner, np.arange(len(keys) + 1))
-        self.succ, self.prob = succ[order], prob[order]
+        entries = entries[prob[entries] != 0.0]
+        self.source, self.action, self.reward = source[order], action[order], reward[order]
+        self.owner, self.succ, self.prob = pos[entries], succ[entries], prob[entries]
+        self.start = np.searchsorted(self.source, np.arange(n + 1))
+        self.row_start = np.searchsorted(self.owner, np.arange(len(order) + 1))
         self.logp = np.log(self.prob)
-        self.reward = reward
         self.pair_at = np.full((n, na), -1, dtype=np.int64)
-        self.pair_at[source, action] = np.arange(len(keys))
+        self.pair_at[self.source, self.action] = np.arange(len(order))
         self.initial = np.zeros(n)
-        self.initial[init_idx] = init_prob
+        self.initial[init_state] = init_prob
         for a in (self.source, self.action, self.owner, self.start, self.row_start, self.succ,
                   self.prob, self.logp, self.reward, self.pair_at, self.initial):
             a.flags.writeable = False  # `digest` and `row_id` are computed once
@@ -167,18 +229,43 @@ class Mdp:
                          for p, (lo, hi) in enumerate(zip(bounds, bounds[1:]))], dtype=np.int64)
 
 
-def _distribution_faults(prob: np.ndarray, owner: np.ndarray, count: int,
+def _index(labels: tuple) -> dict:
+    """{label: index}; a duplicated label maps to its last index."""
+    return {x: i for i, x in enumerate(labels)}
+
+
+def _repeats(key: np.ndarray, order: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Mask of the `known` items whose `key` equals that of the item before
+    them in `order`, a stable sort of `key`: each repeat after the first."""
+    twice = np.zeros(len(key), dtype=bool)
+    twice[order[1:]] = (key[order[1:]] == key[order[:-1]]) & known[order[1:]]
+    return twice
+
+
+def _label(labels: tuple, i: int):
+    """Label i, or #i where i is not an index of `labels`."""
+    return labels[i] if 0 <= i < len(labels) else f"#{i}"
+
+
+def _reward_entry_faults(rewards: Mapping, kernel, sidx: dict, aidx: dict) -> list[str]:
+    """The unknown labels of the reward entries of pairs without a row in `kernel`."""
+    return [f"reward entry ({s},{a}) references unknown {kind} {x}"
+            for s, a in rewards if (s, a) not in kernel
+            for kind, x, index in (("state", s, sidx), ("action", a, aidx)) if x not in index]
+
+
+def _distribution_faults(prob: np.ndarray, owner: np.ndarray, total: np.ndarray,
                          name: Callable[[int], str], at: Callable[[int], State]) -> list[str]:
-    """Faults of `count` distributions: entry e of distribution `name(owner[e])`
-    has probability `prob[e]` at state `at(e)`; each must be finite and
-    non-negative, and each distribution must sum to one within PROB_TOL."""
+    """Faults of distributions whose entries sum to `total`: entry e, in the
+    order listed, of distribution `name(owner[e])` has probability `prob[e]`
+    at state `at(e)`; each must be finite and non-negative, and each
+    distribution must sum to one within PROB_TOL."""
     bad = [f"{name(owner[e])} has non-finite probability {prob[e].item()!r} at {at(e)}"
            for e in np.flatnonzero(~np.isfinite(prob)).tolist()]
     bad += [f"{name(owner[e])} has negative probability {prob[e].item()!r} at {at(e)}"
             for e in np.flatnonzero(prob < 0).tolist()]
-    totals = np.bincount(owner, weights=prob, minlength=count)
-    return bad + [f"{name(i)} sums to {float(totals[i])!r}"
-                  for i in np.flatnonzero(np.abs(totals - 1.0) > PROB_TOL).tolist()]
+    return bad + [f"{name(i)} sums to {float(total[i])!r}"
+                  for i in np.flatnonzero(np.abs(total - 1.0) > PROB_TOL).tolist()]
 
 
 @dataclass(frozen=True, init=False)
@@ -268,34 +355,28 @@ def read_json(file):
 
 
 def mdp_to_json(mdp: Mdp) -> dict:
-    """Transitions and rewards sorted by (state, action) label, one reward per row."""
+    """Transitions and rewards sorted by (state, action) label, one reward per
+    row. One argsort of the labels each orders the pairs."""
     states, actions = mdp.states, mdp.actions
+    by_label = mdp.pair_at[np.ix_(sorted(range(len(states)), key=states.__getitem__),
+                                  sorted(range(len(actions)), key=actions.__getitem__))]
+    pairs = by_label[by_label >= 0].tolist()
+    source, action, reward = mdp.source.tolist(), mdp.action.tolist(), mdp.reward.tolist()
     succ, prob, bounds = mdp.succ.tolist(), mdp.prob.tolist(), mdp.row_start.tolist()
-    reward = mdp.reward.tolist()
-    pairs = sorted((states[s], actions[a], p)
-                   for p, (s, a) in enumerate(zip(mdp.source.tolist(), mdp.action.tolist())))
-    transitions = [
-        {"s": s, "a": a, "to": {states[i]: x for i, x in
-                                zip(succ[bounds[p]:bounds[p + 1]], prob[bounds[p]:bounds[p + 1]])}}
-        for s, a, p in pairs
-    ]
     start = np.flatnonzero(mdp.initial).tolist()
     return {
         "name": mdp.name,
         "states": list(states),
         "actions": list(actions),
-        "transitions": transitions,
-        "rewards": [{"s": s, "a": a, "r": reward[p]} for s, a, p in pairs],
+        "transitions": [
+            {"s": states[source[p]], "a": actions[action[p]],
+             "to": {states[i]: x for i, x in zip(succ[bounds[p]:bounds[p + 1]],
+                                                 prob[bounds[p]:bounds[p + 1]])}}
+            for p in pairs],
+        "rewards": [{"s": states[source[p]], "a": actions[action[p]], "r": reward[p]}
+                    for p in pairs],
         "initial": {states[i]: x for i, x in zip(start, mdp.initial[start].tolist())},
     }
-
-
-def _unique_entry(table: dict, kind: str, e: Mapping) -> tuple[State, Action]:
-    """The (s, a) key of entry e of the `kind` list, which must not be in `table` yet."""
-    key = (str(e["s"]), str(e["a"]))
-    if key in table:
-        raise ValidationFailed("duplicate {} entry for ({},{})".format(kind, *key))
-    return key
 
 
 def mdp_from_json(obj: Mapping) -> Mdp:
@@ -306,25 +387,41 @@ def mdp_from_json(obj: Mapping) -> Mdp:
     try:
         states = tuple(str(s) for s in obj["states"])
         actions = tuple(str(a) for a in obj["actions"])
-        kernel: dict[tuple[State, Action], Mapping[State, float]] = {}
-        for tr in obj["transitions"]:
-            kernel[_unique_entry(kernel, "transitions", tr)] = tr["to"]
-        keys, rows = list(kernel), list(kernel.values())
+        keys, rows, kernel = [], [], set()
+        for tr in obj["transitions"]:  # each entry read as "to", "s", "a", then checked
+            rows.append(tr["to"])
+            key = (str(tr["s"]), str(tr["a"]))
+            if key in kernel:
+                raise ValidationFailed("duplicate transitions entry for ({},{})".format(*key))
+            kernel.add(key)
+            keys.append(key)
         prob = json_numbers([p for row in rows for p in row.values()], "MDP transition probability")
-        total = np.bincount(np.repeat(np.arange(len(rows)), [len(row) for row in rows]),
-                            weights=prob, minlength=len(rows))
+        owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        total = np.bincount(owner, weights=prob, minlength=len(rows))
         drift = np.abs(total - 1.0)
-        for i in np.flatnonzero((drift > 1e-12) & (drift <= PROB_TOL)).tolist():
-            kernel[keys[i]] = {s2: p / total[i].item() for s2, p in rows[i].items()}
+        near = (drift > 1e-12) & (drift <= PROB_TOL)
+        if near.any():
+            prob = np.where(near[owner], prob / total[owner], prob)
         rewards: dict[tuple[State, Action], float] = {}
         for e in obj.get("rewards", []):
-            rewards[_unique_entry(rewards, "rewards", e)] = e["r"]
+            r, key = e["r"], (str(e["s"]), str(e["a"]))
+            if key in rewards:
+                raise ValidationFailed("duplicate rewards entry for ({},{})".format(*key))
+            rewards[key] = r
         initial = {str(s): p for s, p in obj["initial"].items()}
         json_numbers(list(rewards.values()), "MDP reward")
-        json_numbers(list(initial.values()), "MDP initial probability")
+        init_prob = json_numbers(list(initial.values()), "MDP initial probability")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed MDP JSON: {exc}") from exc
-    return Mdp(states, actions, kernel, rewards, initial, name=str(obj.get("name", "")))
+    sidx, aidx = _index(states), _index(actions)
+    succ = [x for row in rows for x in row]
+    return Mdp.from_arrays(states, actions, [sidx.get(s, -1) for s, _ in keys],
+                           [aidx.get(a, -1) for _, a in keys],
+                           [rewards.get(key, 0.0) for key in keys], owner,
+                           [sidx.get(x, -1) for x in succ], prob,
+                           [sidx.get(s, -1) for s in initial], init_prob,
+                           name=str(obj.get("name", "")), labels=(keys, succ, list(initial)),
+                           faults=_reward_entry_faults(rewards, kernel, sidx, aidx))
 
 
 def path_to_json(path: ObservedPath) -> dict:

@@ -9,21 +9,50 @@ rather than tautology.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from cfmdp.errors import (InfeasibleBudget, InvariantViolated, UndefinedPolicyAction,
-                          ValidationFailed)
+from cfmdp.environments import (HIGH, LOW, MDP_NAMES, NIL, NORMAL, TREATMENTS, V_I, V_S,
+                                EpidemicConfig, SepsisLiteConfig, _action_label, _epi_label,
+                                _hypergeom_pmf, _sepsis_label, epidemic_counts)
+from cfmdp.errors import (InfeasibleBudget, InvalidConfig, InvariantViolated,
+                          UndefinedPolicyAction, ValidationFailed)
 from cfmdp.gumbel import (CfMdp, GumbelPosterior, _conditioned_row, _Layers, _prior_layer,
                           _step_rng, cf_transition)
 from cfmdp.influence import PrunedCfMdp
-from cfmdp.mdp import Mdp, ObservedPath
+from cfmdp.mdp import Action, Mdp, ObservedPath, State
 from cfmdp.solver import NEG_INF, CfPolicy, RolloutSummary
 
 
 # -- label views of an MDP ------------------------------------------------------
+
+def mdp_to_json_oracle(mdp: Mdp) -> dict:
+    """The MDP as a JSON object built from label dicts, as `mdp_to_json` was
+    before it ordered the pairs by label argsorts: one Python sort of (state,
+    action, pair) tuples orders transitions and rewards, one reward per row."""
+    states, actions = mdp.states, mdp.actions
+    succ, prob, bounds = mdp.succ.tolist(), mdp.prob.tolist(), mdp.row_start.tolist()
+    reward = mdp.reward.tolist()
+    pairs = sorted((states[s], actions[a], p)
+                   for p, (s, a) in enumerate(zip(mdp.source.tolist(), mdp.action.tolist())))
+    transitions = [
+        {"s": s, "a": a, "to": {states[i]: x for i, x in
+                                zip(succ[bounds[p]:bounds[p + 1]], prob[bounds[p]:bounds[p + 1]])}}
+        for s, a, p in pairs
+    ]
+    start = np.flatnonzero(mdp.initial).tolist()
+    return {
+        "name": mdp.name,
+        "states": list(states),
+        "actions": list(actions),
+        "transitions": transitions,
+        "rewards": [{"s": s, "a": a, "r": reward[p]} for s, a, p in pairs],
+        "initial": {states[i]: x for i, x in zip(start, mdp.initial[start].tolist())},
+    }
+
 
 def kernel_row(mdp: Mdp, s, a) -> dict:
     """P(.|s, a) as {successor: probability}."""
@@ -455,3 +484,130 @@ def random_mdp(rng: np.random.Generator, n_states: int, n_actions: int,
             kernel[(s, a)] = {states[int(i)]: float(p) for i, p in zip(targets, raw)}
             rewards[(s, a)] = float(rng.uniform(-reward_scale, reward_scale))
     return Mdp(states, actions, kernel, rewards, {states[0]: 1.0}, name="random")
+
+
+# -- the built-in environments from label dicts ----------------------------------
+# The builders as they were before they emitted index arrays: one label dict
+# per row, computed for every pair. The array builders must give the same
+# MDP, digest and `mdp_to_json` bytes.
+
+def build_epidemic_oracle(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
+    """Exact transition rows of the vaccination MDP.
+
+    Doing nothing keeps the vaccine stock and infects k ~ Hypergeom(S+I,
+    min(S, I), S) susceptibles; vaccinating removes the vaccinated individual
+    from the population permanently and draws infections from the reduced
+    pool. Vaccination actions exist only while stock and targets remain.
+    Reward is -I for every action.
+    """
+    P = cfg.population
+    if P < 1 or not (0 <= cfg.initial_infected <= P):
+        raise InvalidConfig("population must be >= 1 and 0 <= I0 <= population")
+    states = tuple(
+        _epi_label(s, i, v)
+        for s in range(P + 1) for i in range(P + 1 - s) for v in range(2 * P + 1)
+    )
+    kernel: dict[tuple[State, Action], dict[State, float]] = {}
+    rewards: dict[tuple[State, Action], float] = {}
+    for label in states:
+        S, I, V = epidemic_counts(label)
+        rows: dict[Action, dict[State, float]] = {}
+        rows[NIL] = {
+            _epi_label(S - k, I + k, V): p
+            for k in range(S + 1)
+            if (p := _hypergeom_pmf(k, S + I, min(S, I), S)) > 0.0
+        }
+        if I >= 1 and V >= 1:
+            rows[V_I] = {
+                _epi_label(S - k, I - 1 + k, V - 1): p
+                for k in range(S + 1)
+                if (p := _hypergeom_pmf(k, S + I - 1, min(S, I - 1), S)) > 0.0
+            }
+        if S >= 1 and V >= 1:
+            rows[V_S] = {
+                _epi_label(S - 1 - k, I + k, V - 1): p
+                for k in range(S)
+                if (p := _hypergeom_pmf(k, S + I - 1, min(S - 1, I), S - 1)) > 0.0
+            }
+        for a, row in rows.items():
+            kernel[(label, a)] = row
+            rewards[(label, a)] = float(-I)
+
+    s0 = _epi_label(P - cfg.initial_infected, cfg.initial_infected, 2 * P)
+    return Mdp(states, (NIL, V_I, V_S), kernel, rewards, initial={s0: 1.0},
+               name=MDP_NAMES["epidemic"])
+
+
+def build_sepsis_lite_oracle(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
+    """Patient model over (4 vitals x 3 levels, 3 treatment flags); 8 actions.
+
+    An action sets the treatment flags for the next state and its active
+    treatments act on their target vitals immediately. Death (>= 3 abnormal
+    vitals) and discharge (all normal, all treatments off) are absorbing under
+    every action. Per-step reward is the end-scale divided by the horizon, so
+    a full trajectory spans exactly [-1000, 1000]: constant death pays -1000,
+    constant discharge +1000.
+    """
+    if len(cfg.treat_effect) != len(TREATMENTS):
+        raise InvalidConfig(f"treat_effect needs one effect per treatment {TREATMENTS}, "
+                            f"got {len(cfg.treat_effect)}")
+    if not all(0.0 < p <= 1.0 for p in cfg.treat_effect):
+        raise InvalidConfig("treatment effects must lie in (0, 1]")
+    if cfg.horizon < 1:
+        raise InvalidConfig(f"horizon must be >= 1, got {cfg.horizon}")
+    if not (0.0 <= cfg.flux < 1.0):
+        raise InvalidConfig("flux must lie in [0, 1)")
+    if sum(1 for v in cfg.start_vitals if v != NORMAL) >= cfg.death_threshold:
+        raise InvalidConfig("start state would be dead on arrival")
+
+    all_vitals = list(product((LOW, NORMAL, HIGH), repeat=4))
+    all_flags = list(product((0, 1), repeat=3))
+    states = tuple(_sepsis_label(v, f) for v in all_vitals for f in all_flags)
+    action_bits = list(product((0, 1), repeat=3))
+    actions = tuple(_action_label(b) for b in action_bits)
+
+    def vital_dist(level: int, treated: bool, p_treat: float) -> dict[int, float]:
+        if treated:
+            if level == NORMAL:
+                return {NORMAL: 1.0}
+            return {NORMAL: p_treat, level: 1.0 - p_treat}
+        if level == NORMAL and cfg.flux > 0.0:
+            return {NORMAL: 1.0 - cfg.flux, LOW: cfg.flux / 2.0, HIGH: cfg.flux / 2.0}
+        return {level: 1.0}
+
+    def step_reward(vitals) -> float:
+        abn = sum(1 for v in vitals if v != NORMAL)
+        if abn >= cfg.death_threshold:
+            return -cfg.reward_scale / cfg.horizon
+        return (cfg.reward_scale - 500.0 * abn) / cfg.horizon
+
+    kernel: dict[tuple[State, Action], dict[State, float]] = {}
+    rewards: dict[tuple[State, Action], float] = {}
+    for vitals in all_vitals:
+        abn = sum(1 for v in vitals if v != NORMAL)
+        dead = abn >= cfg.death_threshold
+        for flags in all_flags:
+            label = _sepsis_label(vitals, flags)
+            discharged = abn == 0 and flags == (0, 0, 0)
+            for bits in action_bits:
+                a = _action_label(bits)
+                if dead or discharged:
+                    kernel[(label, a)] = {label: 1.0}
+                    rewards[(label, a)] = step_reward(vitals)
+                    continue
+                dists = [
+                    vital_dist(v, i < 3 and bits[i] == 1,
+                               cfg.treat_effect[i] if i < 3 else 0.0)
+                    for i, v in enumerate(vitals)
+                ]
+                row: dict[State, float] = {}
+                for combo in product(*(d.items() for d in dists)):
+                    nxt = tuple(lv for lv, _ in combo)
+                    p = math.prod(pr for _, pr in combo)
+                    dest = _sepsis_label(nxt, bits)
+                    row[dest] = row.get(dest, 0.0) + p
+                kernel[(label, a)] = row
+                rewards[(label, a)] = step_reward(vitals)
+
+    s0 = _sepsis_label(cfg.start_vitals, (0, 0, 0))
+    return Mdp(states, actions, kernel, rewards, initial={s0: 1.0}, name=MDP_NAMES["sepsis"])

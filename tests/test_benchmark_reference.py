@@ -10,9 +10,19 @@ the checkout, as `test_tracer_boundaries` reads `perfbench/tracer.py`.
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from cfmdp.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "seed-7"
+# SHA-256 of `cfmdp env` output, recorded when each builder still compiled
+# one label dict per row. A builder change that moves a byte fails here.
+ENV_SHA256 = {
+    "gridworld": "7bf770bc5c2dd3c7f059e57c2ceb228952e3101f7defdbc5bb6a7542ab3e3d66",
+    "epidemic": "f43376f2fcb2b40b02c77ef1aefe52be712a2a8141eb940d1ef8c016aacdc13b",
+    "epidemic --population 14": "3531a592aca5c02eddde9b96a9ee3172640a84696453c6862e1fdc591a1a5a0c",
+    "sepsis": "f3bcc77cd6db8921a2c73e225c32cfd243240eb821570abb3b3e95618ee15f3b",
+}
 STAGED_SHA256 = {
     "pruned.json": "3d60a39ba38a20062cacb300e8a117c193bad5d2ff02be4fbe58238195627051",
     "policy.json": "2e84539b1123df3d7144901162c18a13f05ef18bf82d7e225bd2528b928e022b",
@@ -47,3 +57,9 @@ def test_sepsis_sweep_and_pipeline_equal_the_benchmark_reference(tmp_path):
     # those the per-entry codecs wrote before the codecs became array passes.
     for name, digest in STAGED_SHA256.items():
         assert hashlib.sha256((staged / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("args", sorted(ENV_SHA256))
+def test_env_output_equals_its_recorded_hash(args, capsys):
+    assert main(["env", *args.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ENV_SHA256[args]

@@ -358,6 +358,51 @@ def test_bad_sepsis_config_exits_2(config, tmp_path, capsys):
     assert err.startswith("error:") and next(iter(config)) in err
 
 
+# Config values of the wrong JSON kind, each with the field the error must
+# name. A float field takes a JSON int or float, an int field a JSON int, and
+# a tuple field an array of those; a bool is neither. Read unchecked, false
+# would build as --slip 0, and [0.8, true, 0.8] as an effect of 1.
+BAD_CONFIG_KINDS = {
+    "slip-false": ("gridworld", {"slip": False}, "slip"),
+    "slip-a-string": ("gridworld", {"slip": "0.2"}, "slip"),
+    "goal-reward-null": ("gridworld", {"goal_reward": None}, "goal_reward"),
+    "danger-not-an-array": ("gridworld", {"danger": 5}, "danger"),
+    "danger-float-cell": ("gridworld", {"danger": [1.0, 2]}, "danger"),
+    "population-float": ("epidemic", {"population": 5.5}, "population"),
+    "population-whole-float": ("epidemic", {"population": 5.0}, "population"),
+    "initial-infected-true": ("epidemic", {"initial_infected": True}, "initial_infected"),
+    "treat-effect-true": ("sepsis", {"treat_effect": [0.8, True, 0.8]}, "treat_effect"),
+    "treat-effect-a-string": ("sepsis", {"treat_effect": "0.8"}, "treat_effect"),
+    "flux-a-list": ("sepsis", {"flux": [0.2]}, "flux"),
+    "horizon-float": ("sepsis", {"horizon": 10.5}, "horizon"),
+    "start-vitals-float": ("sepsis", {"start_vitals": [1, 0.5, 1, 1]}, "start_vitals"),
+    # Right kinds, out of range: the level index and the vital count.
+    "start-vitals-level-3": ("sepsis", {"start_vitals": [1, 1, 1, 3]}, "start_vitals"),
+    "start-vitals-three": ("sepsis", {"start_vitals": [1, 1, 1]}, "start_vitals"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_KINDS))
+def test_config_value_of_the_wrong_kind_exits_2(case, tmp_path, capsys):
+    env, config, field = BAD_CONFIG_KINDS[case]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, out, err = run(capsys, "env", env, "--config", str(tmp_path / "config.json"))
+    assert code == 2 and out == "", err
+    assert err.startswith("error:") and field in err and "Traceback" not in err
+    assert "object" not in err and "interpreted" not in err  # not a Python TypeError text
+
+
+def test_config_json_numbers_of_either_kind_build_the_same_env(tmp_path, capsys):
+    # A float field takes a JSON int: 1 is the effect 1.0.
+    outs = []
+    for effect in ([1, 1, 1], [1.0, 1.0, 1.0]):
+        (tmp_path / "config.json").write_text(json.dumps({"treat_effect": effect, "flux": 0}))
+        code, out, err = run(capsys, "env", "sepsis", "--config", str(tmp_path / "config.json"))
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("env", ["epidemic", "gridworld"])
 def test_config_horizon_of_another_environment_exits_2(env, tmp_path, capsys):
     config = tmp_path / "config.json"

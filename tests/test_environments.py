@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,8 +19,10 @@ from cfmdp.environments import (
     sepsis_state_parts,
 )
 from cfmdp.errors import InvalidConfig, UnknownEnvironment
+from cfmdp.mdp import mdp_to_json
 
-from oracles import available_actions, initial, kernel, kernel_row, path_return, reward
+from oracles import (available_actions, build_epidemic_oracle, build_sepsis_lite_oracle, initial,
+                     kernel, kernel_row, mdp_to_json_oracle, path_return, reward)
 
 
 # -- grid world --------------------------------------------------------------
@@ -207,6 +211,36 @@ def test_sepsis_invalid_config():
         build_sepsis_lite(SepsisLiteConfig(flux=1.0))
     with pytest.raises(InvalidConfig):
         build_sepsis_lite(SepsisLiteConfig(start_vitals=(0, 0, 0, 1)))
+    # The start state's index is computed from its levels, so a level that
+    # is not one, or a vital too few, must not map to another state.
+    for start in ((1, 1, 1, 3), (1, 1, -1, 1), (1, 1, 1)):
+        with pytest.raises(InvalidConfig, match="start_vitals"):
+            build_sepsis_lite(SepsisLiteConfig(start_vitals=start))
+
+
+# -- the array builders against the label-dict oracles --------------------------
+
+def assert_same_mdp(mdp, oracle):
+    # The same arrays, and the bytes `env` writes are those of the label dicts.
+    assert mdp.digest == oracle.digest
+    assert (json.dumps(mdp_to_json(mdp), sort_keys=True)
+            == json.dumps(mdp_to_json_oracle(oracle), sort_keys=True))
+
+
+# treat_effect 1.0 gives entries of probability 0.0, which both drop.
+@pytest.mark.parametrize("cfg", [SepsisLiteConfig(), SepsisLiteConfig(flux=0.0),
+                                 SepsisLiteConfig(flux=0.5),
+                                 SepsisLiteConfig(treat_effect=(1.0, 0.5, 0.8))],
+                         ids=["default", "flux-0", "flux-0.5", "treat-effect-1-0.5-0.8"])
+def test_sepsis_builder_equals_the_label_dict_oracle(cfg):
+    assert_same_mdp(build_sepsis_lite(cfg), build_sepsis_lite_oracle(cfg))
+
+
+@pytest.mark.parametrize("cfg", [EpidemicConfig(p, i) for p in range(1, 13)
+                                 for i in sorted({0, 1, p})],
+                         ids=lambda cfg: f"P{cfg.population}-I{cfg.initial_infected}")
+def test_epidemic_builder_equals_the_label_dict_oracle(cfg):
+    assert_same_mdp(build_epidemic(cfg), build_epidemic_oracle(cfg))
 
 
 # -- registry ------------------------------------------------------------------

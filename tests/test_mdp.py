@@ -26,6 +26,7 @@ from oracles import (
     initial,
     kernel,
     kernel_row,
+    mdp_to_json_oracle,
     path_return,
     random_mdp,
     reward,
@@ -353,6 +354,143 @@ def test_mdp_json_rejects_duplicate_rows(kind, duplicate):
         mdp_from_json(obj)
 
 
+# An MDP with every fault kind, as label dicts. The state label s1 and the
+# action label b are duplicated, so s1 and b name their last index. Rows and
+# the initial distribution are listed out of index order: faults list pairs
+# in index order with unknown labels last, entries in the order given.
+FAULTY_STATES = ("s0", "s1", "s2", "s1", "s3")
+FAULTY_ACTIONS = ("a", "b", "b")
+FAULTY_KERNEL = {
+    ("s2", "b"): {"s3": 0.75},
+    ("s0", "a"): {"s1": 0.5, "s2": float("nan")},
+    ("ghost", "a"): {"s0": 1.0},
+    ("s0", "zap"): {"s0": 0.5, "nowhere": 0.5},
+    ("s3", "a"): {"void": 0.5, "s3": -0.5},
+    ("s1", "a"): {"s0": -0.25, "s1": 1.25},
+    ("s1", "b"): {"s1": 1.0},
+    ("s2", "a"): {"s2": 1.0},
+}
+# (s3, b) has no row: its reward is ignored, as it names known labels.
+FAULTY_REWARDS = {("s1", "b"): float("inf"), ("s0", "a"): 1.0, ("s2", "a"): float("-inf"),
+                  ("ghost2", "b"): 3.0, ("s0", "nope"): 2.0, ("who", "what"): 1.0, ("s3", "b"): 4.0}
+FAULTY_INITIALS = {
+    "nan": {"s3": float("nan"), "elsewhere": 0.5, "s0": -0.5, "s2": 0.25},
+    "sum": {"s3": 0.5, "elsewhere": 0.25, "s0": -0.125, "s2": 0.125},
+}
+# The texts the label-dict constructor and mdp_from_json gave for these
+# MDPs when each row was still compiled from its label dict.
+KERNEL_FAULTS = [
+    "duplicate state label s1",
+    "duplicate action label b",
+    "kernel row (ghost,a) has unknown source state ghost",
+    "kernel row (s0,zap) has unknown action zap",
+    "row (s0,zap) references unknown state nowhere",
+    "row (s3,a) references unknown state void",
+    "row (s0,a) has non-finite probability nan at s2",
+    "row (s1,a) has negative probability -0.25 at s0",
+    "row (s3,a) has negative probability -0.5 at s3",
+    "row (s2,b) sums to 0.75",
+    "row (s3,a) sums to 0.0",
+    "row (s2,a) has non-finite reward -inf",
+    "row (s1,b) has non-finite reward inf",
+]
+INITIAL_FAULTS = {
+    "nan": ["initial distribution references unknown state elsewhere",
+            "initial distribution has non-finite probability nan at s3",
+            "initial distribution has negative probability -0.5 at s0"],
+    "sum": ["initial distribution references unknown state elsewhere",
+            "initial distribution has negative probability -0.125 at s0",
+            "initial distribution sums to 0.75"],
+}
+REWARD_ENTRY_FAULTS = [
+    "reward entry (ghost2,b) references unknown state ghost2",
+    "reward entry (s0,nope) references unknown action nope",
+    "reward entry (who,what) references unknown state who",
+    "reward entry (who,what) references unknown action what",
+]
+
+
+def faulty_json(initial):
+    return {"name": "faulty", "states": list(FAULTY_STATES), "actions": list(FAULTY_ACTIONS),
+            "transitions": [{"s": s, "a": a, "to": dict(to)}
+                            for (s, a), to in FAULTY_KERNEL.items()],
+            "rewards": [{"s": s, "a": a, "r": r} for (s, a), r in FAULTY_REWARDS.items()],
+            "initial": dict(initial)}
+
+
+@pytest.mark.parametrize("source", ["dicts", "json"])
+@pytest.mark.parametrize("initial", sorted(FAULTY_INITIALS))
+def test_every_fault_kind_is_listed_with_its_text(source, initial):
+    with pytest.raises(ValidationFailed) as exc:
+        if source == "dicts":
+            Mdp(FAULTY_STATES, FAULTY_ACTIONS, FAULTY_KERNEL, FAULTY_REWARDS,
+                FAULTY_INITIALS[initial])
+        else:
+            mdp_from_json(faulty_json(FAULTY_INITIALS[initial]))
+    assert str(exc.value) == "; ".join(KERNEL_FAULTS + INITIAL_FAULTS[initial]
+                                       + REWARD_ENTRY_FAULTS)
+
+
+def test_duplicate_transitions_entry_is_named_before_other_faults():
+    obj = faulty_json(FAULTY_INITIALS["nan"])
+    obj["transitions"].append({"s": "s1", "a": "b", "to": {"s1": 1.0}})
+    with pytest.raises(ValidationFailed) as exc:
+        mdp_from_json(obj)
+    assert str(exc.value) == "duplicate transitions entry for (s1,b)"
+
+
+@pytest.mark.parametrize("kind, entry, missing", [
+    ("transitions", {}, "to"), ("transitions", {"to": {"s1": 1.0}, "a": "a"}, "s"),
+    ("rewards", {}, "r"), ("rewards", {"r": 1.0, "s": "s0"}, "a"),
+])
+def test_mdp_json_names_the_first_missing_field_of_an_entry(kind, entry, missing):
+    # An entry's value ("to", "r") is read before its (s, a) key.
+    obj = mdp_to_json(chain_mdp())
+    obj[kind][0] = entry
+    with pytest.raises(ValidationFailed) as exc:
+        mdp_from_json(obj)
+    assert str(exc.value) == f"malformed MDP JSON: {missing!r}"
+
+
+def chain_arrays(**edits):
+    """chain_mdp as the index arrays of `Mdp.from_arrays`, pairs and entries
+    given in reverse, with `edits` replacing some of them."""
+    arrays = dict(source=[2, 1, 0], action=[0, 0, 0], reward=[0.0, 2.0, 1.0],
+                  owner=[0, 1, 2], succ=[2, 2, 1], prob=[1.0, 1.0, 1.0],
+                  init_state=[0], init_prob=[1.0])
+    arrays.update(edits)
+    return arrays
+
+
+def test_array_constructor_builds_the_label_dict_mdp():
+    mdp = Mdp.from_arrays(("s0", "s1", "s2"), ("a",), **chain_arrays())
+    assert mdp.digest == chain_mdp().digest
+    assert mdp.source.tolist() == [0, 1, 2] and mdp.reward.tolist() == [1.0, 2.0, 0.0]
+    # Zero entries drop, and successors ascend within a row whatever the given order.
+    mdp = Mdp.from_arrays(("s0", "s1", "s2"), ("a",), **chain_arrays(
+        owner=[2, 2, 2, 1, 0], succ=[2, 0, 1, 2, 2], prob=[0.25, 0.0, 0.75, 1.0, 1.0]))
+    assert kernel_row(mdp, "s0", "a") == {"s1": 0.75, "s2": 0.25}
+    assert mdp.succ[mdp.row_start[0]:mdp.row_start[1]].tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("edits, faults", [
+    (dict(source=[2, 7, 0]), ["kernel row (#7,a) has unknown source state #7"]),
+    (dict(succ=[2, -1, 1]), ["row (s1,a) references unknown state #-1"]),
+    (dict(source=[2, 0, 0]), ["row (s0,a) is given twice"]),
+    (dict(owner=[0, 1, 1], succ=[2, 2, 2], prob=[1.0, 0.5, 0.5]),
+     ["row (s1,a) lists successor s2 twice", "row (s0,a) sums to 0.0"]),
+    (dict(init_state=[3], init_prob=[1.0]), ["initial distribution references unknown state #3"]),
+    # A repeated initial state would keep only its last probability.
+    (dict(init_state=[0, 0], init_prob=[0.5, 0.5]), ["initial distribution lists state s0 twice"]),
+    (dict(owner=[0, 3, 2, -1]), ["entry 1 has unknown pair #3", "entry 3 has unknown pair #-1"]),
+], ids=["unknown-source", "unknown-successor", "pair-twice", "successor-twice", "unknown-initial",
+        "initial-twice", "unknown-owner"])
+def test_array_constructor_names_faults_by_label_or_index(edits, faults):
+    with pytest.raises(ValidationFailed) as exc:
+        Mdp.from_arrays(("s0", "s1", "s2"), ("a",), **chain_arrays(**edits))
+    assert str(exc.value) == "; ".join(faults)
+
+
 def test_mdp_json_drops_zero_probability_entries():
     obj = mdp_to_json(chain_mdp())
     obj["transitions"][0]["to"] = {"s1": 1.0, "s2": 0.0}
@@ -374,13 +512,38 @@ def zero_entry_mdp():
 
 # MDPs whose arrays and hash must survive a JSON round trip; the last two are
 # built with zero-probability entries, which every path drops.
+def odd_label_mdp():
+    """Labels JSON must escape or that sort apart from their index order, a
+    reward of -0.0, and an initial distribution over two states."""
+    states = ("zeta", 'say "hi"', "back\\slash", "caf\u00e9", "\u2603", "line\nbreak", "A", "x10",
+              "x9")
+    actions = ("go", "Go", "\u00fc")
+    kernel = {(s, a): {states[(i + j) % 9]: 0.25, states[(i + j + 1 + i % 7) % 9]: 0.75}
+              for i, s in enumerate(states) for j, a in enumerate(actions) if (i + j) % 4}
+    rewards = {key: float(k) - 3.0 for k, key in enumerate(kernel)}
+    rewards[next(iter(kernel))] = -0.0
+    return Mdp(states, actions, kernel, rewards, {"x9": 0.5, "A": 0.5}, name='odd "one"')
+
+
 ROUND_TRIPS = {
     "gridworld": lambda: build_environment("gridworld"),
     "epidemic": lambda: build_environment("epidemic"),
     "sepsis": lambda: build_environment("sepsis"),
     "zero-entry": zero_entry_mdp,
     "sepsis-treat-effect-1": lambda: build_sepsis_lite(SepsisLiteConfig(treat_effect=(1.0, 1.0, 1.0))),
+    "odd-labels": odd_label_mdp,
+    "random": lambda: random_mdp(np.random.default_rng(11), 12, 3),
 }
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+def test_json_object_is_that_of_the_sorted_label_tuples(case):
+    # The pairs ordered by label argsorts give the object, and the text `env`
+    # writes, of one Python sort of (state, action) label tuples.
+    mdp = ROUND_TRIPS[case]()
+    assert mdp_to_json(mdp) == mdp_to_json_oracle(mdp)
+    assert (json.dumps(mdp_to_json(mdp), sort_keys=True)
+            == json.dumps(mdp_to_json_oracle(mdp), sort_keys=True))
 
 
 @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
