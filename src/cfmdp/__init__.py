@@ -59,7 +59,6 @@ from .solver import (
     RolloutSummary,
     SweepResult,
     check_sweep_monotonicity,
-    policy_to_json,
     rollout,
     solve_km,
     sweep,

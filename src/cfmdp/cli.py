@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from itertools import chain, islice
 
 import numpy as np
 
@@ -30,7 +29,8 @@ from .gumbel import (
     posterior_cache_key,
     save_posterior,
 )
-from .influence import PrunedCfMdp, prune_cf_mdp, pruned_size_report
+from .influence import (PrunedCfMdp, _admission_hits, _admitted, _count_all_layers, prune_cf_mdp,
+                        pruned_size_report)
 from .mdp import (
     PROB_TOL,
     Mdp,
@@ -45,7 +45,7 @@ from .mdp import (
     read_json,
     sample_path,
 )
-from .solver import CfPolicy, check_sweep_monotonicity, policy_to_json, rollout, solve_km, sweep
+from .solver import CfPolicy, check_sweep_monotonicity, rollout, solve_km, sweep
 from . import environments as envs
 
 EXIT_OK = 0
@@ -150,47 +150,29 @@ def cmd_cf_build(args) -> int:
 
 
 def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
-    """Artifact contents. `rows[t]` holds the distinct counterfactual rows of
-    the usable pairs at decision layer t, one per `cf.row_key[t]` value in
-    ascending order; each node maps its usable actions to their rows'
-    indices in `rows[t]`. Nodes are listed by t, then state label."""
+    """Artifact contents, in the core's indexing. Per decision layer t,
+    `layers[t]` lists its states, ascending; `actions[t]` is the row-major
+    len(layers[t]) x |A| table of the row each action uses, -1 where the
+    action is not usable; and `rows[t]` holds the distinct counterfactual
+    rows of the usable pairs, one per `cf.row_key[t]` value in ascending
+    order, as the columns `size`, `succ` (ascending per row) and `prob`."""
     cf = pruned.cf
-    mdp, states, actions = cf.mdp, cf.mdp.states, cf.mdp.actions
-    label_rank = np.empty(len(states), dtype=np.int64)
-    label_rank[sorted(range(len(states)), key=states.__getitem__)] = np.arange(len(states))
-    rows, nodes = [], []
-    for t, usable in enumerate(pruned.usable):
+    mdp = cf.mdp
+    layers, tables, rows = [], [], []
+    for t, (reach, usable) in enumerate(zip(pruned.reach, pruned.usable)):
         pairs = np.flatnonzero(usable)
         _, first, index = np.unique(cf.row_key[t][pairs], return_index=True, return_inverse=True)
-        built = [cf.row(t, p) for p in pairs[first].tolist()]
-        # One (label, probability) stream for the layer, cut into its rows.
-        entries = zip([states[i] for idx, _ in built for i in idx.tolist()],
-                      [x for _, probs in built for x in probs.tolist()])
-        rows.append([dict(islice(entries, len(idx))) for idx, _ in built])
-        # The layer's pairs by state label; a state's pairs stay in action order.
-        order = np.argsort(label_rank[mdp.source[pairs]], kind="stable")
-        source = mdp.source[pairs[order]]
-        start = np.flatnonzero(np.diff(source, prepend=-1))  # each state's first pair
-        entries = zip([actions[a] for a in mdp.action[pairs[order]].tolist()], index[order].tolist())
-        nodes += [{"t": t, "s": states[si], "actions": dict(islice(entries, size))}
-                  for si, size in zip(source[start].tolist(), np.diff(np.r_[start, len(pairs)]).tolist())]
-    return {
-        "k": pruned.k,
-        "mdp_hash": mdp.digest,
-        "path": path_to_json(cf.path),
-        "samples": cf.posterior.n if cf.posterior is not None else 0,
-        "nodes_all_layers": pruned.nodes_all_layers,
-        "layers": [sorted(layer) for layer in pruned.layers],
-        "rows": rows,
-        "actions": nodes,
-    }
-
-
-def _layers(t: np.ndarray, T: int) -> np.ndarray:
-    """Artifact time indices t, checked to be decision layers 0..T-1."""
-    if (e := _first((t < 0) | (t >= T))) is not None:
-        raise ValidationFailed(f"time {int(t[e])!r} outside decision layers 0..{T - 1}")
-    return t
+        succ, prob = zip(*[cf.row(t, p) for p in pairs[first].tolist()])
+        table = np.full(mdp.pair_at.shape, -1)
+        table[mdp.source[pairs], mdp.action[pairs]] = index
+        layers.append(np.flatnonzero(reach).tolist())
+        tables.append(table[reach].ravel().tolist())
+        rows.append({"size": [len(x) for x in succ], "succ": np.concatenate(succ).tolist(),
+                     "prob": np.concatenate(prob).tolist()})
+    samples = cf.posterior.n if cf.posterior is not None else 0
+    return {"k": pruned.k, "mdp_hash": mdp.digest, "path": path_to_json(cf.path), "samples": samples,
+            "nodes_all_layers": pruned.nodes_all_layers, "layers": layers, "rows": rows,
+            "actions": tables}
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -199,60 +181,17 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _row_key(nodes: list, rows: list, mdp: Mdp, state_at: dict) -> np.ndarray:
-    """The artifact's (T, pairs) row indices, -1 where a pair is not usable.
-
-    Each node's `t` must be a JSON integer naming a decision layer, no node
-    may be listed twice, every usable action must have a nominal row, and it
-    must name one of the rows of its layer by an int index (not a bool, and
-    never negative). `state_at` maps state labels to indices.
-    """
-    T, n = len(rows), mdp.num_states
-    node = (_layers(json_integers([e["t"] for e in nodes], "pruned node t"), T) * n
-            + np.array([state_at[e["s"]] for e in nodes], dtype=np.int64))
-    twice = np.sort(node)
-    if (e := _first(twice[1:] == twice[:-1])) is not None:
-        t, si = divmod(int(twice[e]), n)
-        raise ValidationFailed(f"node ({mdp.states[si]}, t={t}) is listed twice")
-    acts = [e["actions"] for e in nodes]
-    t, si = np.divmod(np.repeat(node, [len(a) for a in acts]), n)
-    labels = list(chain.from_iterable(acts))
-    action_at = dict(zip(mdp.actions, range(len(mdp.actions))))
-    act = np.array([action_at.get(a, -1) for a in labels], dtype=np.int64)
-    pair = np.where(act >= 0, mdp.pair_at[si, act], -1)
-    raw = list(chain.from_iterable(map(dict.values, acts)))
-    size = np.array([len(layer) for layer in rows], dtype=np.int64)
-    most = int(size.max(initial=0))
-    index = np.array([i if type(i) is int and 0 <= i < most else -1 for i in raw], dtype=np.int64)
-    if (e := _first((pair < 0) | (index < 0) | (index >= size[t]))) is not None:
-        where = f"allowed ({mdp.states[si[e]]}, {labels[e]}) at t={t[e]}"
-        if pair[e] < 0:
-            raise ValidationFailed(f"{where} has no nominal row")
-        raise ValidationFailed(f"{where} names row {raw[e]!r}, not one of the "
-                               f"{size[t[e]]} rows of layer {t[e]}")
-    key = np.full((T, len(mdp.source)), -1, dtype=np.int64)
-    key[t, pair] = index
-    return key
-
-
 def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
     """The pruned MDP stored by `_pruned_to_json`; a malformed artifact is a
-    validation error.
-
-    `k`, `nodes_all_layers` and each node's `t` must be JSON integers, and
-    each row probability a JSON number. Besides its shape, the artifact must
-    describe a closed pruned MDP: every row is a distribution (each value in
-    (0, 1], the sum one within PROB_TOL) that lies on the nominal support of
-    every pair naming it, every row at t < T-1 stays inside layer t+1, layer
-    0 is {s_0}, and each layer t holds exactly the states of the nodes
-    listed at t. The rows are read into flat arrays, one list pass per
-    column, and checked as masks.
-    """
+    validation error. Counts, states and row indices must be JSON integers,
+    and probabilities JSON numbers. The artifact must be a closed pruned MDP
+    at its k (README, "Pruned artifact", lists each rule); each layer's
+    checks are masks over its columns."""
     try:
         if obj["mdp_hash"] != mdp.digest:
             raise ValidationFailed("pruned artifact was built from a different MDP")
         path = path_from_json(obj["path"], mdp)
-        T, n, rows = path.T, mdp.num_states, obj["rows"]
+        T, n, na = path.T, mdp.num_states, len(mdp.actions)
         if type(obj["samples"]) is not int or obj["samples"] < 0:
             raise ValidationFailed(f"pruned artifact sample count {obj['samples']!r} is not >= 0")
         for field in ("k", "nodes_all_layers"):
@@ -260,68 +199,81 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
                 raise ValidationFailed(f"pruned artifact {field} {obj[field]!r} is not an integer")
         if not 1 <= (k := obj["k"]) <= T + 1:
             raise ValidationFailed(f"pruned artifact k={k} outside 1..{T + 1}")
-        if len(obj["layers"]) != T or len(rows) != T:
-            raise ValidationFailed(f"pruned artifact has {len(obj['layers'])} layers and "
-                                   f"{len(rows)} row layers, path has {T}")
-        state_at = dict(zip(mdp.states, range(n)))
+        layers, tables, rows = obj["layers"], obj["actions"], obj["rows"]
+        if not len(layers) == len(tables) == len(rows) == T:
+            raise ValidationFailed(f"pruned artifact has {len(layers)} layers, {len(tables)} action "
+                                   f"tables and {len(rows)} row layers, path has {T}")
+        layers = [json_integers(layer, "pruned layer state") for layer in layers]
         reach = np.zeros((T, n), dtype=bool)
-        for t, layer in enumerate(obj["layers"]):
-            reach[t][[state_at[s] for s in layer]] = True
+        for t, layer in enumerate(layers):
+            if ((layer < 0) | (layer >= n)).any() or (np.diff(layer) <= 0).any():
+                raise ValidationFailed(f"pruned layer {t} is not a strictly ascending list of "
+                                       f"states 0..{n - 1}")
+            reach[t, layer] = True
         if T == 0 or np.flatnonzero(reach[0]).tolist() != path.state[:1].tolist():
             raise ValidationFailed("pruned artifact layer 0 is not {s_0}")
-        key = _row_key(obj["actions"], rows, mdp, state_at)
 
-        # Row g is rows[row_t[g]][row_i[g]]; entries ascend by (row, successor).
-        flat = list(chain.from_iterable(rows))
-        row_t = np.repeat(np.arange(T), [len(layer) for layer in rows])
-        first = np.searchsorted(row_t, np.arange(T))
-        row_i = np.arange(len(flat)) - first[row_t]
-        owner = np.repeat(np.arange(len(flat)), [len(row) for row in flat])
-        succ = np.array([state_at[s2] for s2 in chain.from_iterable(flat)], dtype=np.int64)
-        prob = json_numbers(list(chain.from_iterable(map(dict.values, flat))), "pruned row probability")
-        order = np.lexsort((succ, owner))
-        succ, prob = succ[order], prob[order]
-        bad = np.bincount(owner, weights=~((prob > 0) & (prob <= 1)), minlength=len(flat)) > 0
-        bad |= np.abs(np.bincount(owner, weights=prob, minlength=len(flat)) - 1.0) > PROB_TOL
-        if (g := _first(bad)) is not None:  # NaN is outside (0, 1]
-            raise ValidationFailed(f"row {row_i[g]} of layer {row_t[g]} is not a distribution")
-        nxt = row_t[owner] + 1
-        leaks = (nxt < T) & ~reach[np.minimum(nxt, T - 1), succ]
-        if (g := _first(np.bincount(owner, weights=leaks, minlength=len(flat)) > 0)) is not None:
-            raise ValidationFailed(
-                f"row {row_i[g]} of layer {row_t[g]} is not closed in layer {row_t[g] + 1}")
-
-        # Each (t, pair, row) lies on the pair's nominal support. Pairs with
-        # one nominal row have one support, so each (row, nominal row) is
-        # checked once, at its first pair.
-        t, pair = np.nonzero(key >= 0)
-        g = first[t] + key[t, pair]
-        _, rep, which = np.unique(g * len(mdp.source) + mdp.row_id[pair], return_index=True,
-                                  return_inverse=True)
-        bounds = np.searchsorted(owner, np.arange(len(flat) + 1))
-        size = bounds[g[rep] + 1] - bounds[g[rep]]
-        entry = np.arange(size.sum()) + np.repeat(bounds[g[rep]] - np.cumsum(size) + size, size)
+        admitted = _admitted(k, _admission_hits(mdp, path, k - 1))
         nominal = mdp.owner * n + mdp.succ  # ascending
-        want = np.repeat(pair[rep], size) * n + succ[entry]
-        off = nominal[np.minimum(np.searchsorted(nominal, want), len(nominal) - 1)] != want
-        off = np.bincount(np.repeat(np.arange(len(rep)), size), weights=off, minlength=len(rep)) > 0
-        if (e := _first(off[which])) is not None:
-            s, a = mdp.states[mdp.source[pair[e]]], mdp.actions[mdp.action[pair[e]]]
-            raise ValidationFailed(f"row {key[t[e], pair[e]]} of layer {t[e]} is off the "
-                                   f"nominal support of ({s}, {a})")
+        key = np.full((T, len(mdp.source)), -1, dtype=np.int64)
+        cf_rows = {}
+        for t, (layer, table, r) in enumerate(zip(layers, tables, rows)):
+            # Entry e of the layer's rows is successor succ[e] of row owner[e].
+            size = json_integers(r["size"], "pruned row size")
+            succ = json_integers(r["succ"], "pruned row successor")
+            prob = json_numbers(r["prob"], "pruned row probability")
+            if (size < 0).any() or not sum(r["size"]) == len(succ) == len(prob):
+                raise ValidationFailed(f"the row sizes of layer {t} do not split its {len(succ)} "
+                                       f"successors and {len(prob)} probabilities")
+            owner = np.repeat(np.arange(len(size)), size)
+            bad = (succ < 0) | (succ >= n) | ~((prob > 0) & (prob <= 1))  # NaN is outside (0, 1]
+            bad[1:] |= (succ[1:] <= succ[:-1]) & (owner[1:] == owner[:-1])
+            bad = np.bincount(owner, weights=bad, minlength=len(size)) > 0
+            bad |= np.abs(np.bincount(owner, weights=prob, minlength=len(size)) - 1.0) > PROB_TOL
+            if (i := _first(bad)) is not None:
+                raise ValidationFailed(f"row {i} of layer {t} is not a distribution over strictly "
+                                       f"ascending states 0..{n - 1}")
+            if t < T - 1 and (e := _first(~reach[t + 1, succ])) is not None:
+                raise ValidationFailed(f"row {owner[e]} of layer {t} is not closed in layer {t + 1}")
 
-        # Each layer is the states of its nodes.
-        nodes = np.zeros((T, n), dtype=bool)
-        nodes[t, mdp.source[pair]] = True
-        if (e := _first(nodes.ravel() != reach.ravel())) is not None:
-            t, si = divmod(e, n)
-            if nodes[t, si]:
-                raise ValidationFailed(f"node ({mdp.states[si]}, t={t}) is outside layer {t}")
-            raise ValidationFailed(f"layer {t} lists {mdp.states[si]}, which has no usable action")
-
-        bounds = bounds.tolist()
-        cf_rows = {(t, i): (succ[lo:hi], prob[lo:hi])
-                   for t, i, lo, hi in zip(row_t.tolist(), row_i.tolist(), bounds, bounds[1:])}
+            # Table entry e names row index[e] for action act[e] of state src[e].
+            index = json_integers(table, "pruned row index")
+            if len(index) != len(layer) * na:
+                raise ValidationFailed(f"pruned actions[{t}] has {len(index)} row indices, not "
+                                       f"{len(layer)} states x {na} actions")
+            src, act = np.repeat(layer, na), np.tile(np.arange(na), len(layer))
+            pair, named = mdp.pair_at[src, act], index != -1
+            bad = (pair < 0) | ~admitted[t][pair] | (index < 0) | (index >= len(size))
+            if (e := _first(named & bad)) is not None:
+                where = f"allowed ({mdp.states[src[e]]}, {mdp.actions[act[e]]}) at t={t}"
+                if pair[e] < 0:
+                    raise ValidationFailed(f"{where} has no nominal row")
+                if not admitted[t][pair[e]]:
+                    raise ValidationFailed(f"{where} is not admitted at k={k}")
+                raise ValidationFailed(f"{where} names row {index[e]}, not one of the {len(size)} "
+                                       f"rows of layer {t}")
+            if (e := _first(~named.reshape(-1, na).any(axis=1))) is not None:
+                raise ValidationFailed(f"layer {t} lists {mdp.states[layer[e]]}, which has no "
+                                       "usable action")
+            src, act, pair, index = src[named], act[named], pair[named], index[named]
+            # Each usable pair's row lies on the pair's nominal support: entry
+            # e is entry e - at[claim[e]] of row index[claim[e]].
+            bounds = np.cumsum(np.r_[0, size])
+            claim = np.repeat(np.arange(len(index)), size[index])
+            at = np.cumsum(size[index]) - size[index]
+            want = pair[claim] * n + succ[bounds[index][claim] + np.arange(len(claim)) - at[claim]]
+            off = nominal[np.minimum(np.searchsorted(nominal, want), len(nominal) - 1)] != want
+            if (e := _first(off)) is not None:
+                e = claim[e]
+                raise ValidationFailed(f"row {index[e]} of layer {t} is off the nominal support "
+                                       f"of ({mdp.states[src[e]]}, {mdp.actions[act[e]]})")
+            key[t, pair] = index
+            bounds = bounds.tolist()
+            cf_rows.update(((t, i), (succ[lo:hi], prob[lo:hi]))
+                           for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
+        if obj["nodes_all_layers"] != (admitted_count := _count_all_layers(mdp, admitted)):
+            raise ValidationFailed(f"pruned artifact nodes_all_layers {obj['nodes_all_layers']} is "
+                                   f"not {admitted_count}, the admitted count at k={k}")
         cf = CfMdp(mdp, path, None, row_key=key, rows=cf_rows)
         return PrunedCfMdp(cf=cf, k=k, reach=tuple(reach), usable=tuple(key >= 0),
                            nodes_all_layers=obj["nodes_all_layers"])
@@ -336,8 +288,7 @@ def cmd_prune(args) -> int:
     else:  # CfMdp refuses a posterior built from another path
         cf = CfMdp(mdp, path, load_posterior(args.posterior, mdp))
     pruned = prune_cf_mdp(cf, args.k)
-    text = json.dumps(_pruned_to_json(pruned), sort_keys=True)
-    _emit(text + "\n", args.out)
+    _emit(json.dumps(_pruned_to_json(pruned), sort_keys=True) + "\n", args.out)
     report = pruned_size_report(pruned)
     sys.stderr.write(
         f"k={report.k} nodes_all_layers={report.nodes_all_layers} "
@@ -350,8 +301,8 @@ def _pruned_hash(pruned: PrunedCfMdp, samples: int) -> str:
     """SHA-256 of what `_pruned_from_json` built from a pruned artifact with
     `samples` samples: its counts, the MDP and path hashes, the row keys and
     the rows in key order. The layers are left out: the loader checks that
-    they are the states of the nodes, which the row keys fix. A compact and
-    an indented copy, or a copy with an unread key, agree."""
+    they are the states with a usable pair, which the row keys fix. A
+    compact and an indented copy, or a copy with an unread key, agree."""
     cf = pruned.cf
     keys = sorted(cf.rows)
     rows = [cf.rows[key] for key in keys]
@@ -363,57 +314,63 @@ def _pruned_hash(pruned: PrunedCfMdp, samples: int) -> str:
     return h.hexdigest()
 
 
+def _policy_to_json(policy: CfPolicy, pruned: PrunedCfMdp, samples: int) -> dict:
+    """Artifact contents of `policy`, solved on `pruned` as read from its
+    artifact, which has `samples` samples. `actions[t]` is the row-major
+    len(layers[t]) x (m+1) table of the action index chosen at each state
+    of pruned layer t with j = 0..m changes used, -1 where there is none."""
+    # Budget column r = m - j, so reversing the columns puts j in ascending order.
+    return {"k": policy.k, "m": policy.m, "v_s0": policy.v_s0,
+            "meta": {"samples": samples, "mdp_hash": policy.mdp.digest},
+            "pruned_hash": _pruned_hash(pruned, samples),
+            "actions": [c[r, ::-1].ravel().tolist() for c, r in zip(policy.choices, pruned.reach)]}
+
+
 def cmd_solve(args) -> int:
     mdp = _load_mdp(args.mdp)
     obj = read_json(args.pruned)
     pruned = _pruned_from_json(obj, mdp)
     policy = solve_km(pruned, args.m)
-    meta = {"samples": obj["samples"], "mdp_hash": mdp.digest}
-    out = dict(policy_to_json(policy, meta), pruned_hash=_pruned_hash(pruned, obj["samples"]))
-    _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(_policy_to_json(policy, pruned, obj["samples"]), sort_keys=True) + "\n",
+          args.out)
     sys.stderr.write(f"V(s0) = {policy.v_s0!r}\n")
     return EXIT_OK
 
 
-def _policy_from_json(obj: dict, pruned: PrunedCfMdp, pruned_hash: str) -> CfPolicy:
-    """The policy stored by `cmd_solve` for the pruned artifact whose
-    `_pruned_hash` is `pruned_hash`; a malformed policy, or one solved on
+def _policy_from_json(obj: dict, pruned: PrunedCfMdp, samples: int) -> CfPolicy:
+    """The policy stored by `_policy_to_json` for `pruned`, read from an
+    artifact with `samples` samples; a malformed policy, or one solved on
     another pruned artifact, is a validation error. Only `m`, the actions
     and `pruned_hash` are read: the policy's `k` is the artifact's, and its
-    `v_s0` is a report. `m` and each entry's `t` and `j` must be JSON
-    integers. The entries are read one list pass per field and checked as
-    masks."""
-    mdp, T, n = pruned.cf.mdp, pruned.horizon, pruned.cf.mdp.num_states
+    `v_s0` is a report."""
+    mdp, T, na = pruned.cf.mdp, pruned.horizon, len(pruned.cf.mdp.actions)
     try:
         if type(m := obj["m"]) is not int:
             raise ValidationFailed(f"policy m {m!r} is not an integer")
         if not 0 <= m <= T:
             raise ValidationFailed(f"policy budget m={m} outside 0..{T}")
-        if obj.get("pruned_hash") != pruned_hash:
+        if obj.get("pruned_hash") != _pruned_hash(pruned, samples):
             raise ValidationFailed("policy was not solved on this pruned artifact; solve it again")
-        entries = obj["actions"]
-        t = _layers(json_integers([e["t"] for e in entries], "policy entry t"), T)
-        j = json_integers([e["j"] for e in entries], "policy entry j")
-        if (e := _first((j < 0) | (j > m))) is not None:
-            raise ValidationFailed(f"policy entry uses {int(j[e])!r} changes, outside 0..{m}")
-        s, a = [e["s"] for e in entries], [e["a"] for e in entries]
-        state_at = dict(zip(mdp.states, range(n)))
-        action_at = dict(zip(mdp.actions, range(len(mdp.actions))))
-        si = np.array([state_at.get(x, -1) for x in s], dtype=np.int64)
-        ai = np.array([action_at.get(x, -1) for x in a], dtype=np.int64)
-        pair = np.where((si >= 0) & (ai >= 0), mdp.pair_at[si, ai], -1)
-        if (e := _first(pair < 0)) is not None:
-            mdp.pair(s[e], a[e])  # raises MissingKernelRow naming (s, a)
-        if (e := _first(~np.array(pruned.usable)[t, pair])) is not None:
-            raise ValidationFailed(f"policy action {a[e]!r} is not usable at ({s[e]}, t={t[e]})")
-        slot = (t * n + si) * (m + 1) + m - j
-        order = np.argsort(slot, kind="stable")
-        later = order[1:][slot[order[1:]] == slot[order[:-1]]]
-        if later.size:  # the first entry, in file order, that repeats an earlier one
-            e = int(later.min())
-            raise ValidationFailed(f"policy entry ({s[e]}, t={t[e]}, j={j[e]}) appears twice")
-        choices = np.full((T, n, m + 1), -1, dtype=np.int64)
-        choices[t, si, m - j] = mdp.action[pair]
+        if len(tables := obj["actions"]) != T:
+            raise ValidationFailed(f"policy has {len(tables)} action tables, path has {T}")
+        choices = np.full((T, mdp.num_states, m + 1), -1, dtype=np.int64)
+        for t, (table, reach, usable) in enumerate(zip(tables, pruned.reach, pruned.usable)):
+            states = np.flatnonzero(reach)
+            a = json_integers(table, "policy action index")
+            if len(a) != len(states) * (m + 1):
+                raise ValidationFailed(f"policy actions[{t}] has {len(a)} action indices, not "
+                                       f"{len(states)} states x {m + 1} budgets")
+            a = a.reshape(len(states), m + 1)  # by state, then j
+            if (e := _first((a < -1) | (a >= na))) is not None:
+                i, j = divmod(e, m + 1)
+                raise ValidationFailed(f"policy action index {a[i, j]} at ({mdp.states[states[i]]}, "
+                                       f"t={t}, j={j}) is outside -1..{na - 1}")
+            pair = mdp.pair_at[states[:, None], np.maximum(a, 0)]
+            if (e := _first((a >= 0) & ((pair < 0) | ~usable[pair]))) is not None:
+                s, action = mdp.states[states[e // (m + 1)]], mdp.actions[a.flat[e]]
+                mdp.pair(s, action)  # raises MissingKernelRow naming (s, a) where there is no row
+                raise ValidationFailed(f"policy action {action!r} is not usable at ({s}, t={t})")
+            choices[t][states] = a[:, ::-1]
         return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=int(pruned.cf.path.state[0]),
                         choices=list(choices), values=[])
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
@@ -424,7 +381,7 @@ def cmd_rollout(args) -> int:
     mdp = _load_mdp(args.mdp)
     obj = read_json(args.pruned)
     pruned = _pruned_from_json(obj, mdp)
-    policy = _policy_from_json(read_json(args.policy), pruned, _pruned_hash(pruned, obj["samples"]))
+    policy = _policy_from_json(read_json(args.policy), pruned, obj["samples"])
     features = envs.environment_features(args.env) if args.env else {}
     if args.feature not in features:
         raise ValidationFailed(

@@ -40,10 +40,11 @@ class _Closure:
     """What a prune at horizon k leaves for any prune at a smaller k.
 
     `hits[d][t]` marks the pairs whose nominal support meets S^tau_t or
-    M[d][t+1], for d = 0..k-1. `rows[t]` is the layer's counterfactual rows
-    as a built-pair mask plus (owner pair, successor) entries: the admitted
-    pairs at the nodes the forward sweep reached. `alive[t]` (t = 0..T) and
-    `closed[t]` are the nodes and pairs left by the backward closure.
+    M[d][t+1], for d = 0..k-1 and t < T-d. `rows[t]` is the layer's
+    counterfactual rows as a built-pair mask plus (owner pair, successor)
+    entries: the admitted pairs at the nodes the forward sweep reached.
+    `alive[t]` (t = 0..T) and `closed[t]` are the nodes and pairs left by the
+    backward closure.
     """
 
     hits: list[list[np.ndarray]]
@@ -61,7 +62,7 @@ class PrunedCfMdp:
     terminal layer T is implicit and unrestricted (influence is always granted
     at the horizon boundary). Every counterfactual successor of an allowed
     pair is itself allowed (no probability mass leaks outside). `layers` and
-    `actions` give the same sets by label, for artifacts and reports.
+    `actions` give the same sets by label, for reports.
     `closure` is None for a pruned MDP read back from an artifact.
     """
 
@@ -93,29 +94,29 @@ class PrunedCfMdp:
 
 
 def _admission_hits(mdp: Mdp, path: ObservedPath, depth: int) -> list[list[np.ndarray]]:
-    """hits[d][t] for d = 0..depth: pairs at t admitted through M[d].
+    """hits[d][t] for d = 0..depth and t < T-d: pairs at t admitted through M[d].
 
     A pair (s, a) at t < T-k+1 is k-step admitted when its nominal support
     meets S^tau_t, or meets M[k-1][t+1], the states of layer t+1 with an
-    influenced pair within k-1 steps: that is hits[k-1][t]. M[d][t] holds the
+    influenced pair within k-1 steps: that is hits[k-1][t]. Every pair at
+    t >= T-k+1 is admitted, so hits[d] stops at t = T-d-1. M[d][t] holds the
     states with some pair in hits[d-1][t]; M[0] and layer T are empty.
     """
     T, n = path.T, mdp.num_states
-
-    def pair_hits(target: np.ndarray) -> np.ndarray:
-        """Pairs whose nominal support meets the boolean state mask `target`."""
-        return np.bincount(mdp.owner, weights=target[mdp.succ], minlength=len(mdp.source)) > 0
-
-    stau = [np.bincount(mdp.row(p)[0], minlength=n) > 0 for p in path.pair.tolist()]
-
-    empty = np.zeros(n, dtype=bool)
-    frontier = [empty] * (T + 1)  # M[d][t]
+    stau = np.zeros((T, n), dtype=bool)
+    for t, p in enumerate(path.pair.tolist()):
+        stau[t, mdp.row(p)[0]] = True
+    frontier = np.zeros((T + 1, n), dtype=bool)  # M[d][t]
     hits: list[list[np.ndarray]] = []
     for d in range(depth + 1):
-        hits.append([pair_hits(stau[t] | frontier[t + 1]) for t in range(T)])
+        # Per layer, the pairs whose nominal support meets the layer's target
+        # states: an OR over each row's entries (every row has one or more).
+        target = (stau[:T - d] | frontier[1:T - d + 1])[:, mdp.succ]
+        hits.append(list(np.logical_or.reduceat(target, mdp.row_start[:-1], axis=1)))
         if d < depth:
-            frontier = [np.bincount(mdp.source, weights=h, minlength=n) > 0
-                        for h in hits[-1]] + [empty]
+            t, p = np.nonzero(hits[-1])
+            frontier = np.zeros((T + 1, n), dtype=bool)
+            frontier[t, mdp.source[p]] = True
     return hits
 
 

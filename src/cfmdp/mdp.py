@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -179,6 +179,7 @@ class Mdp:
                   self.prob, self.logp, self.reward, self.pair_at, self.initial):
             a.flags.writeable = False  # `digest` and `row_id` are computed once
         self.digest = mdp_hash(self)
+        self._cdfs: dict[int, tuple[list[int], list[float]]] = {}
 
     @property
     def num_states(self) -> int:
@@ -205,16 +206,19 @@ class Mdp:
 
     def position(self, p: int, s: State) -> int:
         """Position of successor s in the nominal row of pair p; -1 off its support."""
-        lo, hi, i = self.row_start[p], self.row_start[p + 1], self._sidx.get(s, -1)
-        e = bisect_left(self.succ, i, lo, hi)  # np.searchsorted costs more on rows this short
-        return int(e - lo) if e < hi and self.succ[e] == i else -1
+        succ, i = self._cdf(p)[0], self._sidx.get(s, -1)
+        return succ.index(i) if i in succ else -1
 
-    @cached_property
-    def _initial_cdf(self) -> tuple[list[int], list[float]]:
-        """The states of positive initial probability and np.cumsum of their
-        probabilities, from which `sample_path` draws s_0."""
-        support = np.flatnonzero(self.initial > 0.0)
-        return support.tolist(), np.cumsum(self.initial[support]).tolist()
+    def _cdf(self, p: int) -> tuple[list[int], list[float]]:
+        """The successors of pair p's row, or for p = -1 the states of
+        positive initial probability, and np.cumsum of their probabilities
+        (the same additions in order), as lists, from which `sample_path`
+        draws. Memoised per p: paths are checked and sampled a step at a time."""
+        if (cdf := self._cdfs.get(p)) is None:
+            support = np.flatnonzero(self.initial > 0.0) if p < 0 else self.row(p)[0]
+            probs = self.initial[support] if p < 0 else self.row(p)[1]
+            cdf = self._cdfs[p] = support.tolist(), list(accumulate(probs.tolist()))
+        return cdf
 
     @cached_property
     def row_id(self) -> np.ndarray:
@@ -277,18 +281,16 @@ class ObservedPath:
     every consumer checks it before reading the indices. The read-only int
     arrays `state[t]`, `action[t]` and `pair[t]` are the indices of step t,
     and `next_pos[t]` (t < T-1) is the position of s_{t+1} in the nominal row
-    of `pair[t]`. Every broken invariant (an initial state of zero initial
-    probability, a step without a kernel row, a transition of probability
-    zero) is listed in one ValidationFailed; an empty path is valid. Paths
-    are immutable and compare by `steps` and `mdp_digest`.
+    of `pair[t]`; they are built when first read, so a path that is only
+    written out never builds them. Every broken invariant (an initial state
+    of zero initial probability, a step without a kernel row, a transition
+    of probability zero) is listed in one ValidationFailed; an empty path is
+    valid. Paths are immutable and compare by `steps` and `mdp_digest`.
     """
 
     steps: tuple[tuple[State, Action], ...]
     mdp_digest: str
-    state: np.ndarray = field(compare=False, repr=False)
-    action: np.ndarray = field(compare=False, repr=False)
-    pair: np.ndarray = field(compare=False, repr=False)
-    next_pos: np.ndarray = field(compare=False, repr=False)
+    _index: list[int] = field(compare=False, repr=False)  # the four arrays' values, in order
 
     def __init__(self, mdp: Mdp, steps):
         steps = tuple(steps)
@@ -308,12 +310,20 @@ class ObservedPath:
                     bad.append(f"step {t}: transition {s} -> {steps[t + 1][0]} under {a} has probability 0")
         if bad:
             raise ValidationFailed("; ".join(bad))
-        T = len(steps)
-        flat = np.array([mdp.state_index(s) for s, _ in steps] +
-                        [mdp.action_index(a) for _, a in steps] + pair + pos, dtype=np.int64)
+        index = [mdp.state_index(s) for s, _ in steps] + [mdp.action_index(a) for _, a in steps]
+        vars(self).update(steps=steps, mdp_digest=mdp.digest, _index=index + pair + pos)  # frozen
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        T = self.T
+        flat = np.array(self._index, dtype=np.int64)
         flat.flags.writeable = False
-        vars(self).update(steps=steps, mdp_digest=mdp.digest, state=flat[:T], action=flat[T:2 * T],
-                          pair=flat[2 * T:3 * T], next_pos=flat[3 * T:])  # frozen: bypass __setattr__
+        return flat[:T], flat[T:2 * T], flat[2 * T:3 * T], flat[3 * T:]
+
+    state = property(lambda self: self._arrays[0])
+    action = property(lambda self: self._arrays[1])
+    pair = property(lambda self: self._arrays[2])
+    next_pos = property(lambda self: self._arrays[3])
 
     @property
     def T(self) -> int:
@@ -324,20 +334,19 @@ def sample_path(mdp: Mdp, policy: Callable[[State, int], Action | None], horizon
                 seed: int) -> ObservedPath:
     """Sample a length-`horizon` path under `policy`, a (state, t) -> action
     callable; deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    support, cum = mdp._initial_cdf
-    si = support[min(bisect_right(cum, rng.random() * cum[-1]), len(support) - 1)]
+    u = np.random.default_rng(seed).random(horizon + 1).tolist()  # the scalar draws' values
+    support, cum = mdp._cdf(-1)
+    si = support[min(bisect_right(cum, u[0] * cum[-1]), len(support) - 1)]
     steps: list[tuple[State, Action]] = []
     for t in range(horizon):
         s = mdp.states[si]
         a = policy(s, t)
         try:
-            idx, probs, _ = mdp.row(mdp.pair(s, a))
+            succ, cum = mdp._cdf(mdp.pair(s, a))
         except MissingKernelRow:
             raise UndefinedPolicyAction(f"policy has no usable action at ({s}, t={t})") from None
         steps.append((s, a))
-        cum = list(accumulate(probs.tolist()))  # np.cumsum's sums: the same additions in order
-        si = int(idx[min(bisect_right(cum, rng.random()), len(idx) - 1)])
+        si = succ[min(bisect_right(cum, u[t + 1]), len(succ) - 1)]
     return ObservedPath(mdp, steps)
 
 

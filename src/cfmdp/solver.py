@@ -152,23 +152,6 @@ def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: in
     return q
 
 
-def policy_to_json(policy: CfPolicy, meta: dict | None = None) -> dict:
-    """Artifact contents: one action entry per (t, s, j) with an action, by
-    t, then state label, then j."""
-    states, actions, m = policy.mdp.states, policy.mdp.actions, policy.m
-    by_label = np.array(sorted(range(len(states)), key=states.__getitem__), dtype=np.int64)
-    # Budget column r = m - j, so reversing the columns puts j in ascending order.
-    chosen = np.array(policy.choices, dtype=np.int64).reshape(-1, len(states), m + 1)
-    chosen = chosen[:, by_label, ::-1]
-    t, rank, j = np.nonzero(chosen >= 0)
-    entries = [{"t": ti, "s": states[si], "j": ji, "a": actions[ai]} for ti, si, ji, ai in
-               zip(t.tolist(), by_label[rank].tolist(), j.tolist(), chosen[t, rank, j].tolist())]
-    out = {"k": policy.k, "m": policy.m, "v_s0": policy.v_s0, "actions": entries}
-    if meta:
-        out["meta"] = meta
-    return out
-
-
 @dataclass
 class SweepResult:
     """V(s_0) grid over (k, m) plus per-k size reports."""

@@ -24,8 +24,8 @@ ENV_SHA256 = {
     "sepsis": "f3bcc77cd6db8921a2c73e225c32cfd243240eb821570abb3b3e95618ee15f3b",
 }
 STAGED_SHA256 = {
-    "pruned.json": "3d60a39ba38a20062cacb300e8a117c193bad5d2ff02be4fbe58238195627051",
-    "policy.json": "2e84539b1123df3d7144901162c18a13f05ef18bf82d7e225bd2528b928e022b",
+    "pruned.json": "6dd15ed46a2bd712209ae35f2522eeb374c533ff269170a51cda199b0ac56636",
+    "policy.json": "97dbc3702d63fe6bd341167ceabcd135aab26bfe505015375493ae86ef6e0618",
 }
 
 
@@ -54,7 +54,8 @@ def test_sepsis_sweep_and_pipeline_equal_the_benchmark_reference(tmp_path):
     assert ((staged / "rollout.csv").read_bytes()
             == (REFERENCE / "sepsis-pipeline" / "rollout.csv").read_bytes())
     # The staged artifacts are not pinned by the benchmark; their bytes are
-    # those the per-entry codecs wrote before the codecs became array passes.
+    # those of the columnar codecs, which store the rows the label-keyed
+    # form stored (the policy's `pruned_hash` did not change with them).
     for name, digest in STAGED_SHA256.items():
         assert hashlib.sha256((staged / name).read_bytes()).hexdigest() == digest, name
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -604,11 +605,9 @@ def test_policy_solved_on_another_pruned_artifact_exits_2(artifact_dir, tmp_path
     pruned = json.loads((artifact_dir / "pruned.json").read_text())
     policy = json.loads((artifact_dir / "policy.json").read_text())
     # A probability moved by less than PROB_TOL still loads, as another artifact.
-    nudged = json.loads(json.dumps(pruned))
-    row = next(row for layer in nudged["rows"] for row in layer if len(row) > 1)
-    row[min(row)] += PROB_TOL / 10
+    nudged = _edit_row(pruned, lambda probs: [probs[0] + PROB_TOL / 10, *probs[1:]])
     cases = {
-        "pruned-edited": (dict(pruned, nodes_all_layers=pruned["nodes_all_layers"] + 1), policy),
+        "pruned-edited": (dict(pruned, samples=pruned["samples"] + 1), policy),
         "row-probability-edited": (nudged, policy),
         "policy-without-hash": (pruned, {k: v for k, v in policy.items() if k != "pruned_hash"}),
     }
@@ -800,74 +799,86 @@ def test_artifacts_with_legacy_mode_key_still_load(artifact_dir, tmp_path, capsy
 # Artifacts that are valid JSON but break the MDP, pruned or policy schema,
 # each with a fragment of the error message that names why it is rejected.
 # An MDP edit takes the MDP object, the others the pruned and policy objects.
+# The epidemic path has T = 7 and |S| = 1386; layer 0 is s_0 = S9I1V20 alone.
 BAD_ARTIFACTS = {
     "pruned-empty": ("pruned", {}, "KeyError('mdp_hash')"),
     "pruned-no-kernels": ("pruned", lambda pruned, policy: {k: v for k, v in pruned.items()
                                                             if k != "rows"}, "KeyError('rows')"),
     "pruned-kernel-without-probs": ("pruned", lambda pruned, policy: dict(
-        pruned, rows=[[{} for _ in layer] for layer in pruned["rows"]]), "is not a distribution"),
+        pruned, rows=[{"size": [0] * len(r["size"]), "succ": [], "prob": []}
+                      for r in pruned["rows"]]), "is not a distribution"),
     "pruned-probs-not-a-dict": ("pruned", lambda pruned, policy: dict(
-        pruned, rows=[[5 for _ in layer] for layer in pruned["rows"]]), "has no len()"),
+        pruned, rows=[5 for _ in pruned["rows"]]), "is not subscriptable"),
     "pruned-layers-not-lists": ("pruned", lambda pruned, policy: dict(pruned, layers=5),
                                 "has no len()"),
-    "pruned-unknown-state": ("pruned", lambda pruned, policy: dict(
-        pruned, actions=pruned["actions"] + [{"s": "nowhere", "t": 0, "actions": {"NIL": 0}}]),
-        "KeyError('nowhere')"),
+    "pruned-unknown-state": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 6, lambda layer, table: (layer + [1386], table + [-1, -1, -1])),
+        "pruned layer 6 is not a strictly ascending list of states 0..1385"),
     "pruned-layer-out-of-range": ("pruned", lambda pruned, policy: dict(
-        pruned, actions=[dict(e, t=99) for e in pruned["actions"]]), "outside decision layers"),
+        pruned, layers=pruned["layers"] + [[]]),
+        "pruned artifact has 8 layers, 7 action tables and 7 row layers, path has 7"),
     # The epidemic path has T = 7, and k = T+1 = 8 already admits every pair.
     "pruned-k-zero": ("pruned", lambda pruned, policy: dict(pruned, k=0), "k=0 outside 1..8"),
     "pruned-k-past-horizon": ("pruned", lambda pruned, policy: dict(pruned, k=9),
                               "k=9 outside 1..8"),
+    # k and nodes_all_layers are recomputed on the nominal graph: an artifact
+    # pruned at k = 8 is not one at k = 3, and its admitted count is fixed.
+    "pruned-k-not-admitted": ("pruned", lambda pruned, policy: dict(pruned, k=3),
+                              "is not admitted at k=3"),
+    "pruned-nodes-all-layers-edited": ("pruned", lambda pruned, policy: dict(
+        pruned, nodes_all_layers=1), "pruned artifact nodes_all_layers 1 is not"),
     "policy-empty": ("policy", {}, "KeyError('m')"),
-    "policy-entry-without-j": ("policy", lambda pruned, policy: dict(
-        policy, actions=[{k: v for k, v in e.items() if k != "j"} for e in policy["actions"]]),
-        "KeyError('j')"),
+    # Layer 0 is s_0 alone, so the m = 1 policy's table there is [a(j=0), a(j=1)].
+    "policy-entry-without-j": ("policy", lambda pruned, policy: _policy_edit(
+        policy, lambda table: table[:-1]), "policy actions[0] has 1 action indices, not "
+        "1 states x 2 budgets"),
     # Integer fields must be JSON integers: int() would truncate or parse
     # each of these into a value the artifact loads with.
     "policy-m-not-a-number": ("policy", lambda pruned, policy: dict(policy, m="many"),
                               "policy m 'many' is not an integer"),
     "policy-m-not-an-integer": ("policy", lambda pruned, policy: dict(policy, m=1.5),
                                 "policy m 1.5 is not an integer"),
-    "policy-j-not-an-integer": ("policy", lambda pruned, policy: dict(
-        policy, actions=[dict(e, j=e["j"] + 0.9) for e in policy["actions"]]),
-        "policy entry j 0.9 is not an integer"),
-    "policy-t-a-string": ("policy", lambda pruned, policy: dict(
-        policy, actions=[dict(e, t=str(e["t"])) for e in policy["actions"]]),
-        "policy entry t '0' is not an integer"),
-    "policy-t-not-an-integer": ("policy", lambda pruned, policy: dict(
-        policy, actions=[dict(e, t=e["t"] + 0.5) for e in policy["actions"]]),
-        "policy entry t 0.5 is not an integer"),
+    "policy-j-not-an-integer": ("policy", lambda pruned, policy: _policy_edit(
+        policy, lambda table: [table[0] + 0.9, *table[1:]]), "policy action index 1.9 is not an integer"),
+    "policy-t-a-string": ("policy", lambda pruned, policy: _policy_edit(
+        policy, lambda table: [str(table[0]), *table[1:]]),
+        "policy action index '1' is not an integer"),
+    "policy-t-not-an-integer": ("policy", lambda pruned, policy: _policy_edit(
+        policy, lambda table: [True, *table[1:]]), "policy action index True is not an integer"),
+    "policy-table-not-a-list": ("policy", lambda pruned, policy: _policy_edit(
+        policy, lambda table: 0.5), "is not iterable"),
+    "policy-table-count": ("policy", lambda pruned, policy: dict(
+        policy, actions=policy["actions"] + [[]]), "policy has 8 action tables, path has 7"),
     "pruned-k-not-an-integer": ("pruned", lambda pruned, policy: dict(pruned, k=7.7),
                                 "pruned artifact k 7.7 is not an integer"),
     "pruned-nodes-all-layers-a-string": ("pruned", lambda pruned, policy: dict(
         pruned, nodes_all_layers=str(pruned["nodes_all_layers"])),
         "pruned artifact nodes_all_layers '"),
-    "pruned-node-t-not-an-integer": ("pruned", lambda pruned, policy: dict(
-        pruned, actions=[dict(e, t=e["t"] + 0.5) for e in pruned["actions"]]),
-        "pruned node t 0.5 is not an integer"),
+    "pruned-node-t-not-an-integer": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 0, lambda layer, table: ([layer[0] + 0.5], table)),
+        "pruned layer state 1364.5 is not an integer"),
     "pruned-path-t-not-an-integer": ("pruned", lambda pruned, policy: dict(
         pruned, path={"steps": [dict(e, t=e["t"] + 0.25) for e in pruned["path"]["steps"]]}),
         "path step t 0.25 is not an integer"),
-    "policy-budget-out-of-range": ("policy", lambda pruned, policy: dict(
-        policy, actions=[dict(e, j=-1) for e in policy["actions"]]), "outside 0..1"),
-    # A second entry for (s_0, t = 0, j = 0) would otherwise replace the first.
-    "policy-duplicate-entry": ("policy", lambda pruned, policy: dict(
-        policy, actions=policy["actions"] + [dict(policy["actions"][0], a="NIL")]),
-        "appears twice"),
+    # -1 is "no action"; any other index must name an action.
+    "policy-budget-out-of-range": ("policy", lambda pruned, policy: _policy_edit(
+        policy, lambda table: [-2, *table[1:]]),
+        "policy action index -2 at (S9I1V20, t=0, j=0) is outside -1..2"),
+    "policy-action-index-past-the-end": ("policy", lambda pruned, policy: _policy_edit(
+        policy, lambda table: [table[0], 3]),
+        "policy action index 3 at (S9I1V20, t=0, j=1) is outside -1..2"),
     "pruned-negative-entry": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda row: dict(zip(row, (1.5, -0.5)))), "is not a distribution"),
+        pruned, lambda probs: [1.5, -0.5]), "is not a distribution"),
     "pruned-non-finite-entry": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda row: dict(zip(row, (float("nan"), 1.0)))), "is not a distribution"),
+        pruned, lambda probs: [float("nan"), 1.0]), "is not a distribution"),
     "pruned-row-sums-to-0.4": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda row: {s: 0.4 * p for s, p in row.items()}), "is not a distribution"),
+        pruned, lambda probs: [0.4 * p for p in probs]), "is not a distribution"),
     # Numbers must be JSON numbers: float() would parse a string, and a bool
     # would read as 0 or 1.
     "pruned-probability-a-string": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda row: {s: str(p) for s, p in row.items()}), "pruned row probability '0."),
+        pruned, lambda probs: [str(p) for p in probs]), "pruned row probability '0."),
     "pruned-probability-true": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda row: dict.fromkeys(row, True), size=1),
-        "pruned row probability True is not a number"),
+        pruned, lambda probs: [True], size=1), "pruned row probability True is not a number"),
     "mdp-probability-a-string": ("mdp", lambda mdp: _edit_transition(
         mdp, lambda to: {s: str(p) for s, p in to.items()}), "MDP transition probability '0."),
     "mdp-probability-true": ("mdp", lambda mdp: _edit_transition(
@@ -882,60 +893,113 @@ BAD_ARTIFACTS = {
     # keeps every vaccine, so it is off V_S's support: first as V_S's own row
     # with NIL's values, then as NIL's row named by both actions.
     "pruned-row-off-support": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda acts, rows: rows.__setitem__(acts["V_S"], rows[acts["NIL"]])),
+        pruned, lambda table, rows: rows.__setitem__(table[V_S], rows[table[NIL]])),
         "off the nominal support of (S9I1V20, V_S)"),
     "pruned-shared-row-off-support": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda acts, rows: acts.update(V_S=acts["NIL"])),
+        pruned, lambda table, rows: table.__setitem__(V_S, table[NIL])),
         "off the nominal support of (S9I1V20, V_S)"),
-    # Index edits on the rows of layer 0. Read without its check, -1 would
-    # wrap to the last row and true would be row 1, each the row the action
-    # named before, so the file would load as if unedited.
+    # Index edits on the rows of layer 0. Read without its check, -2 would
+    # wrap to a row and true would be row 1, the row the action named
+    # before, so the file would load as if unedited.
     "pruned-row-index-negative": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda acts, rows: acts.update({_naming(acts, len(rows) - 1): -1})),
-        "names row -1"),
+        pruned, lambda table, rows: table.__setitem__(table.index(len(rows) - 1), -2)),
+        "names row -2"),
     "pruned-row-index-true": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda acts, rows: acts.update({_naming(acts, 1): True})), "names row True"),
+        pruned, lambda table, rows: table.__setitem__(table.index(1), True)),
+        "pruned row index True is not an integer"),
+    "pruned-row-index-a-float": ("pruned", lambda pruned, policy: _at_s0(
+        pruned, lambda table, rows: table.__setitem__(table.index(1), 1.0)),
+        "pruned row index 1.0 is not an integer"),
     "pruned-row-index-past-the-end": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda acts, rows: acts.update({_naming(acts, 0): len(rows)})),
+        pruned, lambda table, rows: table.__setitem__(table.index(0), len(rows))),
         "names row 3, not one of the 3 rows of layer 0"),
     "pruned-usable-pair-without-row": ("pruned", lambda pruned, policy: dict(
-        pruned, rows=pruned["rows"][:-1] + [[]]), "not one of the 0 rows of layer 6"),
-    # A second entry for one node would otherwise replace the first: with
+        pruned, rows=pruned["rows"][:-1] + [{"size": [], "succ": [], "prob": []}]),
+        "not one of the 0 rows of layer 6"),
+    "pruned-row-size-negative": ("pruned", lambda pruned, policy: _at_s0(
+        pruned, lambda table, rows: None, size=[-1, 4, 1]),
+        "the row sizes of layer 0 do not split its 4 successors and 4 probabilities"),
+    # A size that cannot be allocated is refused before the rows are split.
+    "pruned-row-size-too-large": ("pruned", lambda pruned, policy: _at_s0(
+        pruned, lambda table, rows: None, size=[10**15, 1, 1]),
+        "the row sizes of layer 0 do not split its 4 successors and 4 probabilities"),
+    "pruned-row-columns-disagree": ("pruned", lambda pruned, policy: dict(
+        pruned, rows=[dict(pruned["rows"][0], prob=pruned["rows"][0]["prob"][:-1]),
+                      *pruned["rows"][1:]]),
+        "the row sizes of layer 0 do not split its 4 successors and 3 probabilities"),
+    "pruned-row-successor-out-of-range": ("pruned", lambda pruned, policy: _at_s0(
+        pruned, lambda table, rows: rows[table[NIL]].__setitem__(0, [1386])),
+        "row 2 of layer 0 is not a distribution over strictly ascending states 0..1385"),
+    "pruned-row-successors-not-ascending": ("pruned", lambda pruned, policy: _at_s0(
+        pruned, lambda table, rows: rows.__setitem__(
+            table[V_S], [row[::-1] for row in rows[table[V_S]]])),
+        "row 0 of layer 0 is not a distribution over strictly ascending states"),
+    # A state listed twice in a layer would have two rows of the table: with
     # another row for one action, or as an exact copy.
-    "pruned-duplicate-kernel-entry": ("pruned", lambda pruned, policy: dict(
-        pruned, actions=pruned["actions"] + [dict(pruned["actions"][0], actions={"NIL": 0})]),
-        "listed twice"),
-    "pruned-node-listed-twice": ("pruned", lambda pruned, policy: dict(
-        pruned, actions=pruned["actions"] + pruned["actions"][:1]), "listed twice"),
-    "pruned-first-layer-empty": ("pruned", lambda pruned, policy: dict(
-        pruned, layers=[[]] + pruned["layers"][1:]), "layer 0 is not {s_0}"),
-    "pruned-successor-outside-next-layer": ("pruned", lambda pruned, policy: dict(
-        pruned, layers=[pruned["layers"][0]] + [
-            [s for s in pruned["layers"][1] if s not in pruned["rows"][0][0]]]
-        + pruned["layers"][2:]), "not closed in layer 1"),
-    # Earlier versions wrote one kernel entry per (t, s, a); such files must
-    # be rebuilt with `prune`.
+    "pruned-duplicate-kernel-entry": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 1, lambda layer, table: (layer[:1] + layer, [0, -1, -1] + table)),
+        "pruned layer 1 is not a strictly ascending list of states 0..1385"),
+    "pruned-node-listed-twice": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 1, lambda layer, table: (layer[:1] + layer, table[:3] + table)),
+        "pruned layer 1 is not a strictly ascending list of states 0..1385"),
+    "pruned-layer-not-ascending": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 1, lambda layer, table: (layer[::-1], [a for i in range(len(layer) - 1, -1, -1)
+                                                       for a in table[3 * i:3 * i + 3]])),
+        "pruned layer 1 is not a strictly ascending list of states 0..1385"),
+    "pruned-first-layer-empty": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 0, lambda layer, table: ([], [])), "layer 0 is not {s_0}"),
+    "pruned-successor-outside-next-layer": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 1, lambda layer, table: _without(layer, table, pruned["rows"][0]["succ"][:2])),
+        "row 0 of layer 0 is not closed in layer 1"),
+    # Each form earlier versions wrote, keyed by labels, must be rebuilt with
+    # `prune` and `solve`: one kernel entry per (t, s, a), then one row dict
+    # per distinct row and one action dict per node, and one policy entry
+    # per (t, s, j).
     "pruned-old-kernels-form": ("pruned", lambda pruned, policy: _kernels_form(pruned),
-                                "KeyError('rows')"),
-    # Layer t must be the states of the nodes listed at t: a node outside it
-    # would solve, and a layer state without a node would be a dead end.
-    "pruned-node-outside-layer": ("pruned", lambda pruned, policy: _extra_node(pruned, node=True),
-                                  "node (S0I10V0, t=6) is outside layer 6"),
-    "pruned-layer-state-without-actions": ("pruned", lambda pruned, policy: _extra_node(
-        pruned, layer=True), "layer 6 lists S0I10V0, which has no usable action"),
+                                "KeyError('samples')"),
+    "pruned-label-form": ("pruned", lambda pruned, policy: _label_form(pruned),
+                          "pruned artifact has 7 layers, 165 action tables"),
+    "pruned-label-layers": ("pruned", lambda pruned, policy: dict(
+        pruned, layers=_label_form(pruned)["layers"]),
+        "pruned layer state 'S9I1V20' is not an integer"),
+    "pruned-label-rows": ("pruned", lambda pruned, policy: dict(
+        pruned, rows=_label_form(pruned)["rows"]), "list indices must be integers"),
+    "policy-label-form": ("policy", lambda pruned, policy: _policy_label_form(pruned, policy),
+                          "action tables, path has 7"),
+    # The table has len(layers[t]) x |A| entries: one state more is one row
+    # too many, and a layer state needs a usable action.
+    "pruned-node-outside-layer": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 6, lambda layer, table: (layer, table + [-1, -1, -1])),
+        "pruned actions[6] has 141 row indices, not 46 states x 3 actions"),
+    "pruned-layer-state-without-actions": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 6, lambda layer, table: _with(layer, table, 210)),
+        "layer 6 lists S0I10V0, which has no usable action"),
     # The action picked has no nominal row at its node.
     "policy-action-not-usable": ("policy", lambda pruned, policy: _unusable_action(pruned, policy),
                                  "no kernel row for"),
 }
+NIL, V_I, V_S = range(3)  # the epidemic MDP's action indices
+
+
+def _rows(layer: dict) -> list:
+    """The rows of one `rows[t]` entry, each as [successors, probabilities]."""
+    bounds = np.cumsum([0] + layer["size"]).tolist()
+    return [[layer["succ"][lo:hi], layer["prob"][lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _row_columns(rows: list) -> dict:
+    """The `rows[t]` entry of rows given as [successors, probabilities]."""
+    return {"size": [len(succ) for succ, _ in rows], "succ": [x for succ, _ in rows for x in succ],
+            "prob": [x for _, probs in rows for x in probs]}
 
 
 def _edit_row(pruned, new_probs, size=2):
-    """`pruned` with its first row of `size` successors set to new_probs(row)."""
-    rows = [list(layer) for layer in pruned["rows"]]
-    t, i = next((t, i) for t, layer in enumerate(rows) for i, row in enumerate(layer)
-                if len(row) == size)
-    rows[t][i] = new_probs(rows[t][i])
-    return dict(pruned, rows=rows)
+    """`pruned` with the probabilities of its first row of `size`
+    successors set to new_probs(probabilities)."""
+    layers = [_rows(layer) for layer in pruned["rows"]]
+    row = next(row for rows in layers for row in rows if len(row[0]) == size)
+    row[1] = new_probs(row[1])
+    return dict(pruned, rows=[_row_columns(rows) for rows in layers])
 
 
 def _edit_transition(mdp, new_to, size=2):
@@ -946,55 +1010,96 @@ def _edit_transition(mdp, new_to, size=2):
     return dict(mdp, transitions=transitions)
 
 
-def _at_s0(pruned, edit):
-    """`pruned` after edit(actions, rows) on the usable actions at (s_0, t = 0),
-    the first node, and on the rows of layer 0."""
-    nodes = [dict(e, actions=dict(e["actions"])) for e in pruned["actions"]]
-    rows = [list(layer) for layer in pruned["rows"]]
-    assert (nodes[0]["t"], nodes[0]["s"]) == (0, pruned["path"]["steps"][0]["s"])
-    edit(nodes[0]["actions"], rows[0])
-    return dict(pruned, actions=nodes, rows=rows)
+def _at_s0(pruned, edit, size=None):
+    """`pruned` after edit(table, rows) on the row indices of the actions at
+    s_0, the one state of layer 0, and on the rows of layer 0; with `size`,
+    the rows' sizes are then replaced by it."""
+    table, rows = list(pruned["actions"][0]), _rows(pruned["rows"][0])
+    edit(table, rows)
+    layer = _row_columns(rows) if size is None else dict(_row_columns(rows), size=size)
+    return dict(pruned, actions=[table, *pruned["actions"][1:]],
+                rows=[layer, *pruned["rows"][1:]])
 
 
-def _naming(actions, i):
-    """The action of `actions` ({action: row index}) that names row i."""
-    return next(a for a, j in actions.items() if j == i)
+def _layer_edit(pruned, t, edit):
+    """`pruned` with layer t and its table set to edit(layer, table)."""
+    layers, tables = list(pruned["layers"]), list(pruned["actions"])
+    layers[t], tables[t] = edit(layers[t], tables[t])
+    return dict(pruned, layers=layers, actions=tables)
 
 
-def _extra_node(pruned, node=False, layer=False):
-    """`pruned` with S0I10V0, which no epidemic path from s_0 reaches, added
-    at the last decision layer as a node (NIL, on a row of its own) and/or as
-    a layer state. Its NIL row is a point mass on itself, a valid row."""
-    t = len(pruned["layers"]) - 1
-    out = dict(pruned, rows=list(pruned["rows"]), layers=list(pruned["layers"]),
-               actions=list(pruned["actions"]))
-    assert "S0I10V0" not in out["layers"][t]
-    if node:
-        out["rows"][t] = out["rows"][t] + [{"S0I10V0": 1.0}]
-        out["actions"].append({"t": t, "s": "S0I10V0", "actions": {"NIL": len(out["rows"][t]) - 1}})
-    if layer:
-        out["layers"][t] = sorted(out["layers"][t] + ["S0I10V0"])
-    return out
+def _without(layer, table, states):
+    """`layer` and its table without `states`."""
+    kept = [i for i, s in enumerate(layer) if s not in states]
+    return [layer[i] for i in kept], [a for i in kept for a in table[3 * i:3 * i + 3]]
+
+
+def _with(layer, table, state):
+    """`layer` and its table with `state` added, all of its actions unusable."""
+    i = int(np.searchsorted(layer, state))
+    assert state not in layer
+    return layer[:i] + [state] + layer[i:], table[:3 * i] + [-1, -1, -1] + table[3 * i:]
+
+
+def _policy_edit(policy, edit):
+    """`policy` with its table at layer 0 set to edit(table)."""
+    return dict(policy, actions=[edit(policy["actions"][0]), *policy["actions"][1:]])
+
+
+@functools.cache
+def _labels() -> tuple:
+    """The epidemic MDP's state and action labels."""
+    mdp = build_environment("epidemic")
+    return mdp.states, mdp.actions
+
+
+def _label_form(pruned):
+    """`pruned` as the previous version wrote it: layers of state labels,
+    each row a {successor: probability} dict, and one {"t", "s", "actions":
+    {action: row index}} entry per node."""
+    states, actions = _labels()
+    nodes = [{"t": t, "s": states[s], "actions": {actions[a]: i for a, i in
+                                                   enumerate(table[3 * r:3 * r + 3]) if i >= 0}}
+             for t, (layer, table) in enumerate(zip(pruned["layers"], pruned["actions"]))
+             for r, s in enumerate(layer)]
+    rows = [[dict(zip([states[s] for s in succ], probs)) for succ, probs in _rows(layer)]
+            for layer in pruned["rows"]]
+    return dict(pruned, layers=[sorted(states[s] for s in layer) for layer in pruned["layers"]],
+                rows=rows, actions=nodes)
 
 
 def _kernels_form(pruned):
     """`pruned` as earlier versions wrote it: a kernel entry per (t, s, a)."""
-    old = {k: v for k, v in pruned.items() if k not in ("rows", "samples")}
-    old["actions"] = [dict(e, actions=sorted(e["actions"])) for e in pruned["actions"]]
+    labelled = _label_form(pruned)
+    old = {k: v for k, v in labelled.items() if k not in ("rows", "samples")}
+    old["actions"] = [dict(e, actions=sorted(e["actions"])) for e in labelled["actions"]]
     old["kernels"] = [{"t": e["t"], "s": e["s"], "a": a, "n": pruned["samples"],
-                       "probs": pruned["rows"][e["t"]][i]}
-                      for e in pruned["actions"] for a, i in e["actions"].items()]
+                       "probs": labelled["rows"][e["t"]][i]}
+                      for e in labelled["actions"] for a, i in e["actions"].items()]
     return old
 
 
+def _policy_label_form(pruned, policy):
+    """`policy` as earlier versions wrote it: one {"t", "s", "j", "a"} entry
+    per (t, s, j) with an action."""
+    states, actions = _labels()
+    width = policy["m"] + 1
+    entries = [{"t": t, "s": states[s], "j": j, "a": actions[a]}
+               for t, (layer, table) in enumerate(zip(pruned["layers"], policy["actions"]))
+               for r, s in enumerate(layer)
+               for j, a in enumerate(table[width * r:width * r + width]) if a >= 0]
+    return dict(policy, actions=entries)
+
+
 def _unusable_action(pruned, policy):
-    """`policy` with one entry's action replaced by an action not usable at its node."""
-    usable = {(e["s"], e["t"]): set(e["actions"]) for e in pruned["actions"]}
-    everything = {"NIL", "V_I", "V_S"}
-    actions = [dict(e) for e in policy["actions"]]
-    e = next(e for e in actions if usable[(e["s"], e["t"])] != everything)
-    e["a"] = min(everything - usable[(e["s"], e["t"])])
-    return dict(policy, actions=actions)
+    """`policy` with one state's action at j = 0 replaced by an action the
+    pruned table marks as not usable there."""
+    width = policy["m"] + 1
+    t, r, a = next((t, r, a) for t, table in enumerate(pruned["actions"])
+                   for r in range(len(table) // 3) for a in range(3) if table[3 * r + a] == -1)
+    tables = [list(table) for table in policy["actions"]]
+    tables[t][width * r] = a
+    return dict(policy, actions=tables)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
@@ -1040,11 +1145,10 @@ def test_artifact_rows_of_one_nominal_row_stay_per_pair(tmp_path, capsys):
     assert main(["prune", "--mdp", str(files["mdp"]), "--path", str(files["path"]), "--nominal",
                  "--k", "3", "--out", str(files["pruned"])]) == 0
     pruned = json.loads(files["pruned"].read_text())
-    x0 = pruned["actions"][0]
-    assert (x0["t"], x0["s"], x0["actions"]) == (0, "x0", {"a": 0, "b": 0})  # one stored row
+    assert (pruned["layers"][0], pruned["actions"][0]) == ([0], [0, 0])  # x0: one stored row
     edited_rows = {"a": {"x1": 1.0}, "b": {"x1": 0.25, "x2": 0.75}}
-    pruned["rows"][0] = [edited_rows["a"], edited_rows["b"]]
-    x0["actions"] = {"a": 0, "b": 1}
+    pruned["rows"][0] = {"size": [1, 2], "succ": [1, 1, 2], "prob": [1.0, 0.25, 0.75]}
+    pruned["actions"][0] = [0, 1]
     files["edited"].write_text(json.dumps(pruned))
     code, _, err = run(capsys, "solve", "--mdp", str(files["mdp"]), "--pruned",
                        str(files["edited"]), "--m", "1")
@@ -1075,7 +1179,7 @@ def test_loaded_rows_exist_only_for_usable_pairs(artifact_dir):
 
 def test_rollout_policy_without_entry_exits_3(artifact_dir, tmp_path, capsys):
     policy = json.loads((artifact_dir / "policy.json").read_text())
-    policy["actions"] = [e for e in policy["actions"] if (e["t"], e["j"]) != (0, 0)]
+    policy["actions"][0][0] = -1  # no action at (s_0, t = 0, j = 0)
     (tmp_path / "policy.json").write_text(json.dumps(policy))
     code, _, err = run(capsys, "rollout", "--mdp", str(artifact_dir / "mdp.json"),
                        "--pruned", str(artifact_dir / "pruned.json"),
@@ -1104,17 +1208,16 @@ def _rollout_argv(artifact_dir, tmp_path, policy):
 def test_rollout_leaving_the_pruned_set_exits_3(artifact_dir, tmp_path, capsys, monkeypatch):
     # A loaded artifact is closed, so only an edit after loading can make a
     # rollout leave it: drop the observed s_1 from layer 1.
-    load = cfmdp.cli._pruned_from_json
+    roll = cfmdp.cli.rollout
 
-    def load_and_edit(obj, mdp):
-        pruned = load(obj, mdp)
+    def edit_and_roll(pruned, *args):
         reach = [r.copy() for r in pruned.reach]
-        reach[1][mdp.state_index(obj["path"]["steps"][1]["s"])] = False
+        reach[1][pruned.cf.path.state[1]] = False
         pruned.reach = tuple(reach)
-        return pruned
+        return roll(pruned, *args)
 
     policy0 = _solve_m0(artifact_dir, tmp_path, capsys)
-    monkeypatch.setattr(cfmdp.cli, "_pruned_from_json", load_and_edit)
+    monkeypatch.setattr(cfmdp.cli, "rollout", edit_and_roll)
     code, _, err = run(capsys, *_rollout_argv(artifact_dir, tmp_path, policy0))
     assert code == 3
     assert err.startswith("error:") and "left the pruned node set" in err
@@ -1129,12 +1232,11 @@ def test_rollout_policy_changing_past_its_budget_exits_3(artifact_dir, tmp_path,
     policy0 = _solve_m0(artifact_dir, tmp_path, capsys)
     pruned = json.loads((artifact_dir / "pruned.json").read_text())
     policy = json.loads(policy0.read_text())
-    (s0, observed), = [(e["s"], e["a"]) for e in pruned["path"]["steps"] if e["t"] == 0]
-    usable = next(e["actions"] for e in pruned["actions"] if (e["s"], e["t"]) == (s0, 0))
-    other = next(a for a in usable if a != observed)
-    for e in policy["actions"]:
-        if (e["t"], e["s"], e["j"]) == (0, s0, 0):
-            e["a"] = other
+    # Layer 0 is s_0 alone: its pruned table is [row of a for each action a],
+    # and the m = 0 policy's table is [action at j = 0].
+    observed = policy["actions"][0][0]
+    policy["actions"][0][0] = next(a for a, row in enumerate(pruned["actions"][0])
+                                   if row >= 0 and a != observed)
     policy0.write_text(json.dumps(policy))
     code, _, err = run(capsys, *_rollout_argv(artifact_dir, tmp_path, policy0))
     assert code == 3

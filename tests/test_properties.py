@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfmdp.cli import _policy_from_json, _pruned_from_json, _pruned_hash, _pruned_to_json, main
+from cfmdp.cli import _policy_from_json, _policy_to_json, _pruned_from_json, _pruned_to_json, main
+from cfmdp.errors import ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, cf_transition
 from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import Mdp, mdp_from_json, mdp_to_json, sample_path
-from cfmdp.solver import policy_to_json, rollout, solve_km, sweep
+from cfmdp.solver import rollout, solve_km, sweep
 
 from oracles import (cf_transition_oracle, initial, kernel, km_value_oracle, path_return,
                      random_mdp, rejection_posterior, reward, rollout_oracle, same_tables,
@@ -141,9 +142,8 @@ def test_solver_equals_oracle_and_artifacts_round_trip(instance, data):
     for a, b in zip(loaded.reach + loaded.usable, pruned.reach + pruned.usable):
         np.testing.assert_array_equal(a, b)
     assert solve_km(loaded, m).v_s0 == policy.v_s0
-    stored = dict(policy_to_json(policy), pruned_hash=_pruned_hash(loaded, obj["samples"]))
-    back = _policy_from_json(json.loads(json.dumps(stored)), loaded,
-                             _pruned_hash(loaded, obj["samples"]))
+    stored = json.loads(json.dumps(_policy_to_json(policy, loaded, obj["samples"])))
+    back = _policy_from_json(stored, loaded, obj["samples"])
     assert (back.k, back.m) == (policy.k, policy.m)
     for a, b in zip(back.choices, policy.choices):
         np.testing.assert_array_equal(a, b)
@@ -171,31 +171,69 @@ def test_solver_tables_equal_the_per_pair_oracle(instance):
                     assert (table[:, T - t:] == table[:, T - t, None]).all(), (k, m, t)
 
 
+def _swap_axes(tables: list, width: int) -> list:
+    """Each row-major table of `width` columns, written column-major instead."""
+    return [np.reshape(np.array(x, dtype=np.int64), (-1, width)).T.ravel().tolist()
+            for x in tables]
+
+
+def _loads(load):
+    """load(), or None where it raises ValidationFailed."""
+    try:
+        return load()
+    except ValidationFailed:
+        return None
+
+
 @PROPERTIES
 @given(instances(shared_rows=True), st.data())
 def test_pruned_artifact_stores_each_row_once_and_round_trips(instance, data):
     mdp, path, cf = instance
     pruned = prune_cf_mdp(cf, data.draw(st.integers(1, path.T + 1)))
-    loaded = _pruned_from_json(json.loads(json.dumps(_pruned_to_json(pruned))), mdp)
-    for t, usable in enumerate(pruned.usable):
-        pairs = np.flatnonzero(usable)
+    obj = json.loads(json.dumps(_pruned_to_json(pruned)))
+    loaded = _pruned_from_json(obj, mdp)
+
+    def same_keys(got):
         # The same pairs share a row: the file's indices are the memo keys
-        # renumbered in ascending order.
-        memo = np.unique(cf.row_key[t][pairs], return_inverse=True)[1]
-        np.testing.assert_array_equal(loaded.cf.row_key[t][pairs], memo)
-        assert (loaded.cf.row_key[t][~usable] < 0).all()
-        for p in pairs.tolist():
+        # renumbered in ascending order, -1 where a pair is not usable.
+        return got is not None and all(
+            np.array_equal(got.cf.row_key[t][usable],
+                           np.unique(cf.row_key[t][usable], return_inverse=True)[1])
+            and (got.cf.row_key[t][~usable] < 0).all()
+            for t, usable in enumerate(pruned.usable))
+
+    assert same_keys(loaded)
+    for t, usable in enumerate(pruned.usable):
+        assert obj["layers"][t] == np.flatnonzero(pruned.reach[t]).tolist()
+        assert len(obj["rows"][t]["size"]) == len(np.unique(cf.row_key[t][usable]))
+        for p in np.flatnonzero(usable).tolist():
             for a, b in zip(loaded.cf.row(t, p), cf.row(t, p)):
                 assert a.tobytes() == b.tobytes(), (t, p)
     m = data.draw(st.integers(0, path.T))
     policy, loaded_policy = solve_km(pruned, m), solve_km(loaded, m)
-    for a, b in zip(loaded_policy.values + loaded_policy.choices, policy.values + policy.choices):
-        assert a.tobytes() == b.tobytes()
+    assert same_tables(loaded_policy, policy)
+
+    # The policy artifact reads back as solve_km's choices, and rolls out the same.
+    samples = obj["samples"]
+    stored = json.loads(json.dumps(_policy_to_json(policy, loaded, samples)))
+    back = _policy_from_json(stored, loaded, samples)
+    assert [c.tobytes() for c in back.choices] == [c.tobytes() for c in policy.choices]
     n, seed = data.draw(st.sampled_from([1, 7, 300])), data.draw(st.integers(0, 2**32 - 1))
     feature = lambda s: float(mdp.state_index(s))
-    got = rollout(loaded, loaded_policy, n, feature, seed)
+    got = rollout(loaded, back, n, feature, seed)
     want = rollout(pruned, policy, n, feature, seed)
     assert (got.means.tobytes(), got.stds.tobytes()) == (want.means.tobytes(), want.stds.tobytes())
+
+    # Either table read with its axes swapped is another artifact: refused, or
+    # read as other rows or other choices.
+    swapped = _swap_axes(obj["actions"], len(mdp.actions))
+    if swapped != obj["actions"]:
+        assert not same_keys(_loads(lambda: _pruned_from_json(dict(obj, actions=swapped), mdp)))
+    swapped = _swap_axes(stored["actions"], m + 1)
+    if swapped != stored["actions"]:
+        other = _loads(lambda: _policy_from_json(dict(stored, actions=swapped), loaded, samples))
+        assert other is None or any(a.tobytes() != b.tobytes()
+                                    for a, b in zip(other.choices, policy.choices))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

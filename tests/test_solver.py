@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cfmdp.solver
+from cfmdp.cli import _policy_to_json
 from cfmdp.environments import PRESETS, demo_observation, environment_features
 from cfmdp.errors import InvariantViolated, UndefinedPolicyAction, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
@@ -12,7 +13,6 @@ from cfmdp.mdp import Mdp, ObservedPath, sample_path
 from cfmdp.solver import (
     _stream_uniforms,
     check_sweep_monotonicity,
-    policy_to_json,
     rollout,
     solve_km,
     sweep,
@@ -248,8 +248,7 @@ def test_shared_prune_and_solve_equal_standalone(env):
         assert shared.actions == alone.actions and shared.layers == alone.layers
         want = solve_km(alone, T)
         got = solve_km(shared, T, base=top_policy)
-        assert policy_to_json(got) == policy_to_json(want)
-        for a, b in zip(got.values, want.values):
+        for a, b in zip(got.values + got.choices, want.values + want.choices):
             np.testing.assert_array_equal(a, b)
 
 
@@ -451,7 +450,11 @@ def test_policy_json_shape(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
     pruned = prune_cf_mdp(epidemic_cf, 3)
     policy = solve_km(pruned, 2)
-    blob = policy_to_json(policy, meta={"samples": 1000})
+    blob = _policy_to_json(policy, pruned, 1000)
     assert blob["k"] == 3 and blob["m"] == 2
-    assert {"t", "s", "j", "a"} <= set(blob["actions"][0])
+    assert blob["meta"] == {"samples": 1000, "mdp_hash": mdp.digest}
+    # Layer t's table holds m+1 action indices per state of the layer, by j.
+    assert [len(x) for x in blob["actions"]] == [3 * int(r.sum()) for r in pruned.reach]
+    s0 = mdp.state_index(path.steps[0][0])
+    assert blob["actions"][0] == [int(policy.choices[0][s0, 2 - j]) for j in range(3)]
     assert blob["v_s0"] == policy.v_s0
