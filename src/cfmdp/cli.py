@@ -35,14 +35,17 @@ from .mdp import (
     PROB_TOL,
     Mdp,
     ObservedPath,
+    _first,
+    gather_rows,
     json_integers,
-    json_numbers,
     mdp_from_json,
     mdp_to_json,
     path_from_json,
     path_hash,
     path_to_json,
     read_json,
+    rows_from_json,
+    rows_to_json,
     sample_path,
 )
 from .solver import CfPolicy, check_sweep_monotonicity, rollout, solve_km, sweep
@@ -167,33 +170,27 @@ def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
         table[mdp.source[pairs], mdp.action[pairs]] = index
         layers.append(np.flatnonzero(reach).tolist())
         tables.append(table[reach].ravel().tolist())
-        rows.append({"size": [len(x) for x in succ], "succ": np.concatenate(succ).tolist(),
-                     "prob": np.concatenate(prob).tolist()})
+        rows.append(rows_to_json(np.array([len(x) for x in succ]), np.concatenate(succ),
+                                 np.concatenate(prob)))
     samples = cf.posterior.n if cf.posterior is not None else 0
     return {"k": pruned.k, "mdp_hash": mdp.digest, "path": path_to_json(cf.path), "samples": samples,
             "nodes_all_layers": pruned.nodes_all_layers, "layers": layers, "rows": rows,
             "actions": tables}
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first true element of `mask`, None if there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
 def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
     """The pruned MDP stored by `_pruned_to_json`; a malformed artifact is a
     validation error. Counts, states and row indices must be JSON integers,
     and probabilities JSON numbers. The artifact must be a closed pruned MDP
-    at its k (README, "Pruned artifact", lists each rule); each layer's
-    checks are masks over its columns."""
+    at its k whose rows fit its `samples` (README, "Pruned artifact", lists
+    each rule); each layer's checks are masks over its columns."""
     try:
         if obj["mdp_hash"] != mdp.digest:
             raise ValidationFailed("pruned artifact was built from a different MDP")
         path = path_from_json(obj["path"], mdp)
         T, n, na = path.T, mdp.num_states, len(mdp.actions)
-        if type(obj["samples"]) is not int or obj["samples"] < 0:
-            raise ValidationFailed(f"pruned artifact sample count {obj['samples']!r} is not >= 0")
+        if type(samples := obj["samples"]) is not int or samples < 0:
+            raise ValidationFailed(f"pruned artifact sample count {samples!r} is not >= 0")
         for field in ("k", "nodes_all_layers"):
             if type(obj[field]) is not int:
                 raise ValidationFailed(f"pruned artifact {field} {obj[field]!r} is not an integer")
@@ -219,13 +216,7 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
         cf_rows = {}
         for t, (layer, table, r) in enumerate(zip(layers, tables, rows)):
             # Entry e of the layer's rows is successor succ[e] of row owner[e].
-            size = json_integers(r["size"], "pruned row size")
-            succ = json_integers(r["succ"], "pruned row successor")
-            prob = json_numbers(r["prob"], "pruned row probability")
-            if (size < 0).any() or not sum(r["size"]) == len(succ) == len(prob):
-                raise ValidationFailed(f"the row sizes of layer {t} do not split its {len(succ)} "
-                                       f"successors and {len(prob)} probabilities")
-            owner = np.repeat(np.arange(len(size)), size)
+            size, succ, prob, owner = rows_from_json(r, "pruned", f"layer {t}")
             bad = (succ < 0) | (succ >= n) | ~((prob > 0) & (prob <= 1))  # NaN is outside (0, 1]
             bad[1:] |= (succ[1:] <= succ[:-1]) & (owner[1:] == owner[:-1])
             bad = np.bincount(owner, weights=bad, minlength=len(size)) > 0
@@ -256,21 +247,36 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
                 raise ValidationFailed(f"layer {t} lists {mdp.states[layer[e]]}, which has no "
                                        "usable action")
             src, act, pair, index = src[named], act[named], pair[named], index[named]
-            # Each usable pair's row lies on the pair's nominal support: entry
-            # e is entry e - at[claim[e]] of row index[claim[e]].
-            bounds = np.cumsum(np.r_[0, size])
-            claim = np.repeat(np.arange(len(index)), size[index])
-            at = np.cumsum(size[index]) - size[index]
-            want = pair[claim] * n + succ[bounds[index][claim] + np.arange(len(claim)) - at[claim]]
-            off = nominal[np.minimum(np.searchsorted(nominal, want), len(nominal) - 1)] != want
-            if (e := _first(off)) is not None:
+            # Each usable pair's row lies on the pair's nominal support, and
+            # without samples it is that nominal row, bit for bit: entry e is
+            # entry at[e] of the layer's rows and nominal entry found[e].
+            claim, at = gather_rows(size, index)
+            want = pair[claim] * n + succ[at]
+            found = np.minimum(np.searchsorted(nominal, want), len(nominal) - 1)
+            if (e := _first(nominal[found] != want)) is not None:
                 e = claim[e]
                 raise ValidationFailed(f"row {index[e]} of layer {t} is off the nominal support "
                                        f"of ({mdp.states[src[e]]}, {mdp.actions[act[e]]})")
+            if not samples:
+                bad = size[index] != np.diff(mdp.row_start)[pair]
+                bad[claim[prob[at] != mdp.prob[found]]] = True
+                if (e := _first(bad)) is not None:
+                    raise ValidationFailed(f"row {index[e]} of layer {t} is not the nominal row "
+                                           f"of ({mdp.states[src[e]]}, {mdp.actions[act[e]]}), "
+                                           "which a pruned artifact without samples stores")
             key[t, pair] = index
-            bounds = bounds.tolist()
+            bounds = np.cumsum(np.r_[0, size]).tolist()
             cf_rows.update(((t, i), (succ[lo:hi], prob[lo:hi]))
                            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
+            # Every posterior sample replays the observed step: its pair is
+            # usable, and before T-1 its row is the point mass on s_{t+1}.
+            if samples and (i := key[t, path.pair[t]]) < 0:
+                raise ValidationFailed("the observed pair ({}, {}) at t={} is not usable, as every "
+                                       "posterior sample replays it".format(*path.steps[t], t))
+            if samples and t < T - 1 and (size[i], succ[bounds[i]], prob[bounds[i]]) != (
+                    1, path.state[t + 1], 1.0):
+                raise ValidationFailed(f"row {i} of layer {t}, the observed pair's, is not the "
+                                       f"point mass on the observed {path.steps[t + 1][0]}")
         if obj["nodes_all_layers"] != (admitted_count := _count_all_layers(mdp, admitted)):
             raise ValidationFailed(f"pruned artifact nodes_all_layers {obj['nodes_all_layers']} is "
                                    f"not {admitted_count}, the admitted count at k={k}")

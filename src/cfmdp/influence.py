@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EmptyPrunedMdp, ValidationFailed
 from .gumbel import CfMdp
-from .mdp import Action, Mdp, ObservedPath, State
+from .mdp import Action, Mdp, ObservedPath, State, gather_rows
 
 
 @dataclass(frozen=True)
@@ -143,15 +143,10 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
         ids = np.flatnonzero(built)
         _, first, which = np.unique(cf.row_key[t][ids], return_index=True, return_inverse=True)
         supports = [cf.row(t, p)[0] for p in ids[first].tolist()]
-        length = np.array([len(x) for x in supports], dtype=np.int64)
-        size = length[which]
-        owner = np.repeat(ids, size)
         flat = np.concatenate(supports) if supports else np.zeros(0, dtype=np.int64)
-        # Entry e of a pair is entry e of its support, which starts at
-        # `start[which]` in `flat`; the pair's own entries start at `at`.
-        start, at = np.cumsum(length) - length, np.cumsum(size) - size
-        succ = flat[np.arange(len(owner)) + np.repeat(start[which] - at, size)]
-        rows.append((built, owner, succ))
+        pair, at = gather_rows(np.array([len(x) for x in supports], dtype=np.int64), which)
+        succ = flat[at]
+        rows.append((built, ids[pair], succ))
         nodes = np.bincount(succ, minlength=mdp.num_states) > 0
     return rows
 

@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import MissingKernelRow, UndefinedPolicyAction, ValidationFailed
+from .errors import MissingKernelRow, OutOfMemory, UndefinedPolicyAction, ValidationFailed
 
 State = str
 Action = str
@@ -69,7 +69,7 @@ class Mdp:
 
     @classmethod
     def from_arrays(cls, states, actions, source, action, reward, owner, succ, prob, init_state,
-                    init_prob, name: str = "", labels=None, faults=()) -> Mdp:
+                    init_prob, name: str = "") -> Mdp:
         """The MDP of index arrays, in any order: pair p is (state `source[p]`,
         action `action[p]`) with reward `reward[p]`, entry e is successor
         `succ[e]` of pair `owner[e]` with probability `prob[e]`, and initial
@@ -77,20 +77,17 @@ class Mdp:
         index outside the labels (-1, say) is an unknown label; an `owner`
         outside the pairs is refused before any other fault is looked for.
         A pair, a pair's successor or an initial state given twice is a fault.
-
-        Only fault texts read `labels`, the labels the indices were resolved
-        from: a list of (s, a) per pair, a successor per entry and a state per
-        initial entry; without it, known indices are named by their labels
-        and unknown ones as #index. `faults` are the caller's own, listed
-        last. Faults list pairs in the compiled order (unknown labels last,
-        in the given order), and a pair's entries in the given order."""
+        Faults name known indices by their labels and unknown ones as #index,
+        pairs in the compiled order (unknown labels last, in the given order),
+        and a pair's entries in the given order."""
         mdp = cls.__new__(cls)
         mdp._compile(states, actions, source, action, reward, owner, succ, prob, init_state,
-                     init_prob, name, labels, faults)
+                     init_prob, name)
         return mdp
 
     def _compile(self, states, actions, source, action, reward, owner, succ, prob, init_state,
-                 init_prob, name, labels, faults):
+                 init_prob, name, labels=None, faults=()):
+        """`from_arrays`; `__init__` passes its label dicts' `labels` and `faults`."""
         self.states, self.actions, self.name = tuple(states), tuple(actions), name
         n, na = len(self.states), len(self.actions)
         self._sidx, self._aidx = _index(self.states), _index(self.actions)
@@ -246,6 +243,12 @@ def _repeats(key: np.ndarray, order: np.ndarray, known: np.ndarray) -> np.ndarra
     return twice
 
 
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true element of `mask`, None if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
 def _label(labels: tuple, i: int):
     """Label i, or #i where i is not an index of `labels`."""
     return labels[i] if 0 <= i < len(labels) else f"#{i}"
@@ -364,73 +367,85 @@ def read_json(file):
 
 
 def mdp_to_json(mdp: Mdp) -> dict:
-    """Transitions and rewards sorted by (state, action) label, one reward per
-    row. One argsort of the labels each orders the pairs."""
-    states, actions = mdp.states, mdp.actions
-    by_label = mdp.pair_at[np.ix_(sorted(range(len(states)), key=states.__getitem__),
-                                  sorted(range(len(actions)), key=actions.__getitem__))]
-    pairs = by_label[by_label >= 0].tolist()
-    source, action, reward = mdp.source.tolist(), mdp.action.tolist(), mdp.reward.tolist()
-    succ, prob, bounds = mdp.succ.tolist(), mdp.prob.tolist(), mdp.row_start.tolist()
-    start = np.flatnonzero(mdp.initial).tolist()
-    return {
-        "name": mdp.name,
-        "states": list(states),
-        "actions": list(actions),
-        "transitions": [
-            {"s": states[source[p]], "a": actions[action[p]],
-             "to": {states[i]: x for i, x in zip(succ[bounds[p]:bounds[p + 1]],
-                                                 prob[bounds[p]:bounds[p + 1]])}}
-            for p in pairs],
-        "rewards": [{"s": states[source[p]], "a": actions[action[p]], "r": reward[p]}
-                    for p in pairs],
-        "initial": {states[i]: x for i, x in zip(start, mdp.initial[start].tolist())},
-    }
+    """The MDP in its own indexing: label lists, the pairs in compiled order as
+    columns `s`, `a`, `r` and `row`, which indexes a row table of the distinct
+    nominal rows (by `Mdp.row_id`), and the initial support as columns `s`, `p`."""
+    first, row = np.unique(mdp.row_id, return_inverse=True)
+    size = np.diff(mdp.row_start)
+    _, at = gather_rows(size, first)
+    start = np.flatnonzero(mdp.initial)
+    return {"name": mdp.name, "states": list(mdp.states), "actions": list(mdp.actions),
+            "pairs": {"s": mdp.source.tolist(), "a": mdp.action.tolist(),
+                      "r": mdp.reward.tolist(), "row": row.tolist()},
+            "rows": rows_to_json(size[first], mdp.succ[at], mdp.prob[at]),
+            "initial": {"s": start.tolist(), "p": mdp.initial[start].tolist()}}
 
 
 def mdp_from_json(obj: Mapping) -> Mdp:
-    """Load an MDP. Probabilities and rewards must be JSON numbers. A row off
-    one by more than float noise but within PROB_TOL is renormalized; a row
-    off by more is left to `Mdp`, which lists it with every other fault. Two
-    `transitions` or two `rewards` entries for one (s, a) are rejected."""
+    """The MDP of a `mdp_to_json` object: JSON integer columns (numbers for
+    probabilities and rewards) of matching lengths, each pair naming a table
+    row. A row off one by over 1e-12 but within PROB_TOL is renormalized; other
+    faults are left to `Mdp.from_arrays`. Too many entries are OutOfMemory."""
     try:
-        states = tuple(str(s) for s in obj["states"])
-        actions = tuple(str(a) for a in obj["actions"])
-        keys, rows, kernel = [], [], set()
-        for tr in obj["transitions"]:  # each entry read as "to", "s", "a", then checked
-            rows.append(tr["to"])
-            key = (str(tr["s"]), str(tr["a"]))
-            if key in kernel:
-                raise ValidationFailed("duplicate transitions entry for ({},{})".format(*key))
-            kernel.add(key)
-            keys.append(key)
-        prob = json_numbers([p for row in rows for p in row.values()], "MDP transition probability")
-        owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-        total = np.bincount(owner, weights=prob, minlength=len(rows))
-        drift = np.abs(total - 1.0)
-        near = (drift > 1e-12) & (drift <= PROB_TOL)
-        if near.any():
-            prob = np.where(near[owner], prob / total[owner], prob)
-        rewards: dict[tuple[State, Action], float] = {}
-        for e in obj.get("rewards", []):
-            r, key = e["r"], (str(e["s"]), str(e["a"]))
-            if key in rewards:
-                raise ValidationFailed("duplicate rewards entry for ({},{})".format(*key))
-            rewards[key] = r
-        initial = {str(s): p for s, p in obj["initial"].items()}
-        json_numbers(list(rewards.values()), "MDP reward")
-        init_prob = json_numbers(list(initial.values()), "MDP initial probability")
+        states, actions = (tuple(map(str, obj[key])) for key in ("states", "actions"))
+        pairs, initial = obj["pairs"], obj["initial"]
+        source = json_integers(pairs["s"], "MDP pair state")
+        action = json_integers(pairs["a"], "MDP pair action")
+        reward = json_numbers(pairs["r"], "MDP reward")
+        row = json_integers(pairs["row"], "MDP pair row")
+        size, succ, prob, owner = rows_from_json(obj["rows"], "MDP", "the MDP's row table")
+        init_state = json_integers(initial["s"], "MDP initial state")
+        init_prob = json_numbers(initial["p"], "MDP initial probability")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed MDP JSON: {exc}") from exc
-    sidx, aidx = _index(states), _index(actions)
-    succ = [x for row in rows for x in row]
-    return Mdp.from_arrays(states, actions, [sidx.get(s, -1) for s, _ in keys],
-                           [aidx.get(a, -1) for _, a in keys],
-                           [rewards.get(key, 0.0) for key in keys], owner,
-                           [sidx.get(x, -1) for x in succ], prob,
-                           [sidx.get(s, -1) for s in initial], init_prob,
-                           name=str(obj.get("name", "")), labels=(keys, succ, list(initial)),
-                           faults=_reward_entry_faults(rewards, kernel, sidx, aidx))
+    lengths = [len(x) for x in (source, action, reward, row, init_state, init_prob)]
+    if len(set(lengths[:4])) > 1 or lengths[4] != lengths[5]:
+        raise ValidationFailed("MDP pair columns s, a, r, row and initial columns s, p have "
+                               f"{', '.join(map(str, lengths))} entries")
+    if (p := _first((row < 0) | (row >= len(size)))) is not None:
+        raise ValidationFailed(f"row ({_label(states, int(source[p]))},"
+                               f"{_label(actions, int(action[p]))}) names row {row[p]}, not one "
+                               f"of the {len(size)} rows of the MDP's row table")
+    total = np.bincount(owner, weights=prob, minlength=len(size))
+    drift = np.abs(total - 1.0)
+    near = (drift > 1e-12) & (drift <= PROB_TOL)
+    if near.any():
+        prob = np.where(near[owner], prob / total[owner], prob)
+    try:
+        pair, at = gather_rows(size, row)
+        return Mdp.from_arrays(states, actions, source, action, reward, pair, succ[at], prob[at],
+                               init_state, init_prob, name=str(obj.get("name", "")))
+    except MemoryError:
+        raise OutOfMemory(f"out of memory expanding the MDP's {len(row)} pairs to "
+                          f"{int(size[row].sum())} row entries") from None
+
+
+def rows_to_json(size: np.ndarray, succ: np.ndarray, prob: np.ndarray) -> dict:
+    """Row-table columns, as `mdp.json` and each `pruned.json` layer store rows."""
+    return {"size": size.tolist(), "succ": succ.tolist(), "prob": prob.tolist()}
+
+
+def rows_from_json(obj: Mapping, field: str, where: str) -> tuple[np.ndarray, ...]:
+    """The columns of a `rows_to_json` object and each entry's row, as (size,
+    succ, prob, owner). Only the JSON types, and that the sizes split `succ`
+    and `prob`, are checked here; `field` and `where` name the faults."""
+    size = json_integers(obj["size"], f"{field} row size")
+    succ = json_integers(obj["succ"], f"{field} row successor")
+    prob = json_numbers(obj["prob"], f"{field} row probability")
+    if (size < 0).any() or not sum(obj["size"]) == len(succ) == len(prob):  # sum cannot overflow
+        raise ValidationFailed(f"the row sizes of {where} do not split its {len(succ)} "
+                               f"successors and {len(prob)} probabilities")
+    return size, succ, prob, np.repeat(np.arange(len(size)), size)
+
+
+def gather_rows(size: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shared rows expanded per item: row r of a table holds the `size[r]`
+    entries after rows 0..r-1, and item i names row `index[i]`. Returns each
+    entry's item and its position in the table, item by item."""
+    length = size[index]
+    item = np.repeat(np.arange(len(index)), length)
+    at = np.cumsum(length) - length
+    return item, np.arange(len(item)) + np.repeat((np.cumsum(size) - size)[index] - at, length)
 
 
 def path_to_json(path: ObservedPath) -> dict:

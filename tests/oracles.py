@@ -30,9 +30,10 @@ from cfmdp.solver import NEG_INF, CfPolicy, RolloutSummary
 # -- label views of an MDP ------------------------------------------------------
 
 def mdp_to_json_oracle(mdp: Mdp) -> dict:
-    """The MDP as a JSON object built from label dicts, as `mdp_to_json` was
-    before it ordered the pairs by label argsorts: one Python sort of (state,
-    action, pair) tuples orders transitions and rewards, one reward per row."""
+    """The MDP as a JSON object of label dicts, as `mdp_to_json` wrote it
+    before `mdp.json` took the core's indexing: one Python sort of (state,
+    action, pair) tuples orders transitions and rewards, one reward per row.
+    `label_form` of the file `mdp_to_json` writes must equal it."""
     states, actions = mdp.states, mdp.actions
     succ, prob, bounds = mdp.succ.tolist(), mdp.prob.tolist(), mdp.row_start.tolist()
     reward = mdp.reward.tolist()
@@ -51,6 +52,41 @@ def mdp_to_json_oracle(mdp: Mdp) -> dict:
         "transitions": transitions,
         "rewards": [{"s": s, "a": a, "r": reward[p]} for s, a, p in pairs],
         "initial": {states[i]: x for i, x in zip(start, mdp.initial[start].tolist())},
+    }
+
+
+def table_rows(columns: dict) -> list:
+    """The rows of row-table columns {"size", "succ", "prob"} (a layer of
+    `pruned.json`, or `mdp.json`'s rows), each as [successors, probabilities],
+    read in pure Python."""
+    rows, lo = [], 0
+    for size in columns["size"]:
+        rows.append([columns["succ"][lo:lo + size], columns["prob"][lo:lo + size]])
+        lo += size
+    return rows
+
+
+def row_columns(rows: list) -> dict:
+    """The row-table columns of rows given as [successors, probabilities]."""
+    return {"size": [len(succ) for succ, _ in rows], "succ": [x for succ, _ in rows for x in succ],
+            "prob": [x for _, probs in rows for x in probs]}
+
+
+def label_form(obj: dict) -> dict:
+    """An `mdp.json` object as the label dicts of `mdp_to_json_oracle`: each
+    pair's row read from the row table by its `row` index, the pairs sorted
+    by (state, action) label."""
+    states, actions, pairs = obj["states"], obj["actions"], obj["pairs"]
+    rows = [{states[i]: x for i, x in zip(succ, probs)} for succ, probs in table_rows(obj["rows"])]
+    entries = sorted((states[s], actions[a], r, row)
+                     for s, a, r, row in zip(pairs["s"], pairs["a"], pairs["r"], pairs["row"]))
+    return {
+        "name": obj["name"],
+        "states": obj["states"],
+        "actions": obj["actions"],
+        "transitions": [{"s": s, "a": a, "to": rows[row]} for s, a, _, row in entries],
+        "rewards": [{"s": s, "a": a, "r": r} for s, a, r, _ in entries],
+        "initial": {states[i]: x for i, x in zip(obj["initial"]["s"], obj["initial"]["p"])},
     }
 
 
@@ -489,7 +525,7 @@ def random_mdp(rng: np.random.Generator, n_states: int, n_actions: int,
 # -- the built-in environments from label dicts ----------------------------------
 # The builders as they were before they emitted index arrays: one label dict
 # per row, computed for every pair. The array builders must give the same
-# MDP, digest and `mdp_to_json` bytes.
+# MDP and digest, and a file whose rows expand to the same label dicts.
 
 def build_epidemic_oracle(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
     """Exact transition rows of the vaccination MDP.

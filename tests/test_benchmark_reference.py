@@ -15,13 +15,15 @@ import pytest
 from cfmdp.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "seed-7"
-# SHA-256 of `cfmdp env` output, recorded when each builder still compiled
-# one label dict per row. A builder change that moves a byte fails here.
+# SHA-256 of `cfmdp env` output in the index form of `mdp.json` (label
+# lists, pair columns, one row table of the distinct nominal rows). The
+# builders still give the label-dict oracles' digests (`test_environments`),
+# so a byte that moves here is a change of the writer or of a builder.
 ENV_SHA256 = {
-    "gridworld": "7bf770bc5c2dd3c7f059e57c2ceb228952e3101f7defdbc5bb6a7542ab3e3d66",
-    "epidemic": "f43376f2fcb2b40b02c77ef1aefe52be712a2a8141eb940d1ef8c016aacdc13b",
-    "epidemic --population 14": "3531a592aca5c02eddde9b96a9ee3172640a84696453c6862e1fdc591a1a5a0c",
-    "sepsis": "f3bcc77cd6db8921a2c73e225c32cfd243240eb821570abb3b3e95618ee15f3b",
+    "gridworld": "8435dd9869734c9b6601cbaa96d49ad279e4d31b8ce03d501d67137f5e3ee3bc",
+    "epidemic": "b96979d9375082a7de90ea8004d3af8216b9a994d32879e167190967b5d06534",
+    "epidemic --population 14": "6db8128ff4e0f2f5f173a8787c7fd4889f469c1d8043ab6b360645e2de8be91b",
+    "sepsis": "e0c70a4308b84a509ada3907ccd6fe28d8c7c8971266bad74a17fedf7a489e4b",
 }
 STAGED_SHA256 = {
     "pruned.json": "6dd15ed46a2bd712209ae35f2522eeb374c533ff269170a51cda199b0ac56636",

@@ -19,10 +19,10 @@ from cfmdp.environments import build_environment
 from cfmdp.errors import InvariantViolated, MissingKernelRow, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, load_posterior
 from cfmdp.influence import prune_cf_mdp
-from cfmdp.mdp import PROB_TOL, mdp_from_json, mdp_to_json, path_from_json
+from cfmdp.mdp import PROB_TOL, Mdp, mdp_from_json, mdp_to_json, path_from_json
 from cfmdp.solver import sweep
 
-from oracles import cf_probs, km_value_oracle
+from oracles import cf_probs, km_value_oracle, label_form, row_columns, table_rows
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -63,7 +63,7 @@ def test_env_gridworld_slip_zero_deterministic(capsys):
     code, out, _ = run(capsys, "env", "gridworld", "--slip", "0")
     assert code == 0
     obj = json.loads(out)
-    assert all(len(tr["to"]) == 1 for tr in obj["transitions"])
+    assert set(obj["rows"]["size"]) == {1}
 
 
 def test_env_round_trips_through_loader(capsys, tmp_path):
@@ -345,7 +345,7 @@ def test_config_horizon_sets_the_sepsis_reward(tmp_path, capsys):
     config.write_text(json.dumps({"horizon": 5}))
     code, out, err = run(capsys, "env", "sepsis", "--config", str(config))
     assert code == 0, err
-    assert sorted({e["r"] for e in json.loads(out)["rewards"]}) == [-200.0, 0.0, 100.0, 200.0]
+    assert sorted(set(json.loads(out)["pairs"]["r"])) == [-200.0, 0.0, 100.0, 200.0]
 
 
 @pytest.mark.parametrize("config", [{"treat_effect": [0.5]}, {"treat_effect": [0.5] * 4},
@@ -455,6 +455,33 @@ def test_layer_out_of_memory_exits_3(artifact_dir, tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_mdp_rows_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # Pairs share rows, so a small file can name far more entries than fit
+    # in memory: here 2000 pairs of one 2000-successor row, 4,000,000
+    # entries. Expanding them is a runtime error naming the count, not a
+    # traceback; the stand-in raises before anything is allocated.
+    n = 2000
+    states = [f"s{i}" for i in range(n)]
+    obj = {"name": "dense", "states": states, "actions": ["a"],
+           "pairs": {"s": list(range(n)), "a": [0] * n, "r": [0.0] * n, "row": [0] * n},
+           "rows": {"size": [n], "succ": list(range(n)), "prob": [1 / n] * n},
+           "initial": {"s": [0], "p": [1.0]}}
+    (tmp_path / "mdp.json").write_text(json.dumps(obj))
+    asked = []
+
+    def no_memory(size, index):
+        asked.append(int(size[index].sum()))
+        raise MemoryError
+
+    monkeypatch.setattr(cfmdp.mdp, "gather_rows", no_memory)
+    out = tmp_path / "path.json"
+    code, _, err = run(capsys, "sample", "--mdp", str(tmp_path / "mdp.json"),
+                       "--policy", "gridworld", "--out", str(out))
+    assert code == 3 and asked == [n * n]
+    assert err == "error: out of memory expanding the MDP's 2000 pairs to 4000000 row entries\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t", [0.25, "0"])
 def test_path_step_t_not_an_integer_exits_2(t, artifact_dir, tmp_path, capsys):
     # int() would read either as step 0, and the path would load.
@@ -475,8 +502,7 @@ def test_non_finite_reward_exits_2(value, tmp_path, capsys):
     mdp = tmp_path / "mdp.json"
     assert main(["env", "gridworld", "--slip", "0.2", "--out", str(mdp)]) == 0
     obj = json.loads(mdp.read_text())
-    for e in obj["rewards"][:3]:
-        e["r"] = float(value)
+    obj["pairs"]["r"][:3] = [float(value)] * 3
     mdp.write_text(json.dumps(obj))
     code, _, err = run(capsys, "sample", "--mdp", str(mdp), "--policy", "gridworld",
                        "--out", str(tmp_path / "path.json"))
@@ -879,16 +905,37 @@ BAD_ARTIFACTS = {
         pruned, lambda probs: [str(p) for p in probs]), "pruned row probability '0."),
     "pruned-probability-true": ("pruned", lambda pruned, policy: _edit_row(
         pruned, lambda probs: [True], size=1), "pruned row probability True is not a number"),
-    "mdp-probability-a-string": ("mdp", lambda mdp: _edit_transition(
-        mdp, lambda to: {s: str(p) for s, p in to.items()}), "MDP transition probability '0."),
-    "mdp-probability-true": ("mdp", lambda mdp: _edit_transition(
-        mdp, lambda to: dict.fromkeys(to, True), size=1),
-        "MDP transition probability True is not a number"),
-    "mdp-reward-a-string": ("mdp", lambda mdp: dict(
-        mdp, rewards=[dict(mdp["rewards"][0], r="3"), *mdp["rewards"][1:]]),
-        "MDP reward '3' is not a number"),
-    "mdp-initial-a-string": ("mdp", lambda mdp: dict(mdp, initial=dict.fromkeys(mdp["initial"], "1")),
+    "mdp-probability-a-string": ("mdp", lambda mdp: _edit_mdp_row(
+        mdp, lambda succ, probs: (succ, [str(p) for p in probs])), "MDP row probability '0."),
+    "mdp-probability-true": ("mdp", lambda mdp: _edit_mdp_row(
+        mdp, lambda succ, probs: (succ, [True]), size=1), "MDP row probability True is not a number"),
+    "mdp-reward-a-string": ("mdp", lambda mdp: _edit_pairs(mdp, "r", lambda r: ["3", *r[1:]]),
+                            "MDP reward '3' is not a number"),
+    "mdp-initial-a-string": ("mdp", lambda mdp: dict(mdp, initial=dict(mdp["initial"], p=["1"])),
                              "MDP initial probability '1' is not a number"),
+    # `mdp.json` holds the core's indices: pair columns, and a row table
+    # that each pair's `row` indexes (the epidemic table has 1386 rows).
+    "mdp-row-index-negative": ("mdp", lambda mdp: _edit_pairs(mdp, "row", lambda row: [-1, *row[1:]]),
+                               "row (S0I0V0,NIL) names row -1, not one of the 1386 rows"),
+    "mdp-row-index-past-the-end": ("mdp", lambda mdp: _edit_pairs(
+        mdp, "row", lambda row: [*row[:-1], 1386]),
+        "row (S10I0V20,V_S) names row 1386, not one of the 1386 rows"),
+    "mdp-row-index-true": ("mdp", lambda mdp: _edit_pairs(mdp, "row", lambda row: [True, *row[1:]]),
+                           "MDP pair row True is not an integer"),
+    "mdp-row-sizes-do-not-split": ("mdp", lambda mdp: dict(
+        mdp, rows=dict(mdp["rows"], size=[mdp["rows"]["size"][0] + 1, *mdp["rows"]["size"][1:]])),
+        "the row sizes of the MDP's row table do not split its "),
+    "mdp-pair-columns-unequal": ("mdp", lambda mdp: _edit_pairs(mdp, "r", lambda r: r[:-1]),
+                                 "MDP pair columns s, a, r, row and initial columns s, p have "
+                                 "3586, 3586, 3585, 3586, 1, 1 entries"),
+    # Keyed by successor, the first probability of a successor given twice
+    # was dropped and the row loaded as the unedited one. A shared row's
+    # fault is named for each pair: here the three pairs of one row.
+    "mdp-successor-listed-twice": ("mdp", lambda mdp: _edit_mdp_row(
+        mdp, lambda succ, probs: (succ + succ[:1], [probs[0] / 2, *probs[1:], probs[0] / 2])),
+        "error: row (S1I1V0,NIL) lists successor S0I2V0 twice; row (S1I2V1,V_I) lists successor "
+        "S0I2V0 twice; row (S2I1V1,V_S) lists successor S0I2V0 twice\n"),
+    "mdp-label-form": ("mdp", lambda mdp: label_form(mdp), "malformed MDP JSON: 'pairs'"),
     # V_S at s_0 vaccinates a susceptible; the NIL successor at the same node
     # keeps every vaccine, so it is off V_S's support: first as V_S's own row
     # with NIL's values, then as NIL's row named by both actions.
@@ -981,42 +1028,36 @@ BAD_ARTIFACTS = {
 NIL, V_I, V_S = range(3)  # the epidemic MDP's action indices
 
 
-def _rows(layer: dict) -> list:
-    """The rows of one `rows[t]` entry, each as [successors, probabilities]."""
-    bounds = np.cumsum([0] + layer["size"]).tolist()
-    return [[layer["succ"][lo:hi], layer["prob"][lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _row_columns(rows: list) -> dict:
-    """The `rows[t]` entry of rows given as [successors, probabilities]."""
-    return {"size": [len(succ) for succ, _ in rows], "succ": [x for succ, _ in rows for x in succ],
-            "prob": [x for _, probs in rows for x in probs]}
-
-
 def _edit_row(pruned, new_probs, size=2):
     """`pruned` with the probabilities of its first row of `size`
     successors set to new_probs(probabilities)."""
-    layers = [_rows(layer) for layer in pruned["rows"]]
+    layers = [table_rows(layer) for layer in pruned["rows"]]
     row = next(row for rows in layers for row in rows if len(row[0]) == size)
     row[1] = new_probs(row[1])
-    return dict(pruned, rows=[_row_columns(rows) for rows in layers])
+    return dict(pruned, rows=[row_columns(rows) for rows in layers])
 
 
-def _edit_transition(mdp, new_to, size=2):
-    """`mdp` with the row of its first transition of `size` successors set to new_to(row)."""
-    transitions = list(mdp["transitions"])
-    i = next(i for i, e in enumerate(transitions) if len(e["to"]) == size)
-    transitions[i] = dict(transitions[i], to=new_to(transitions[i]["to"]))
-    return dict(mdp, transitions=transitions)
+def _edit_mdp_row(mdp, edit, size=2):
+    """`mdp` with the first row of its table of `size` successors set to
+    edit(successors, probabilities)."""
+    rows = table_rows(mdp["rows"])
+    i = next(i for i, (succ, _) in enumerate(rows) if len(succ) == size)
+    rows[i] = edit(*rows[i])
+    return dict(mdp, rows=row_columns(rows))
+
+
+def _edit_pairs(mdp, column, edit):
+    """`mdp` with pair column `column` set to edit(column)."""
+    return dict(mdp, pairs=dict(mdp["pairs"], **{column: edit(mdp["pairs"][column])}))
 
 
 def _at_s0(pruned, edit, size=None):
     """`pruned` after edit(table, rows) on the row indices of the actions at
     s_0, the one state of layer 0, and on the rows of layer 0; with `size`,
     the rows' sizes are then replaced by it."""
-    table, rows = list(pruned["actions"][0]), _rows(pruned["rows"][0])
+    table, rows = list(pruned["actions"][0]), table_rows(pruned["rows"][0])
     edit(table, rows)
-    layer = _row_columns(rows) if size is None else dict(_row_columns(rows), size=size)
+    layer = row_columns(rows) if size is None else dict(row_columns(rows), size=size)
     return dict(pruned, actions=[table, *pruned["actions"][1:]],
                 rows=[layer, *pruned["rows"][1:]])
 
@@ -1062,7 +1103,7 @@ def _label_form(pruned):
                                                    enumerate(table[3 * r:3 * r + 3]) if i >= 0}}
              for t, (layer, table) in enumerate(zip(pruned["layers"], pruned["actions"]))
              for r, s in enumerate(layer)]
-    rows = [[dict(zip([states[s] for s in succ], probs)) for succ, probs in _rows(layer)]
+    rows = [[dict(zip([states[s] for s in succ], probs)) for succ, probs in table_rows(layer)]
             for layer in pruned["rows"]]
     return dict(pruned, layers=[sorted(states[s] for s in layer) for layer in pruned["layers"]],
                 rows=rows, actions=nodes)
@@ -1131,13 +1172,13 @@ def test_malformed_artifact_exits_2(case, artifact_dir, tmp_path, capsys):
 def test_artifact_rows_of_one_nominal_row_stay_per_pair(tmp_path, capsys):
     # (x0, a) and (x0, b) share one nominal row. A counterfactual MDP built
     # from it gives them one row, but a hand-edited artifact may give them two
-    # different valid rows, and solve must read each pair's own row.
-    mdp = {"name": "twin", "states": ["x0", "x1", "x2"], "actions": ["a", "b"],
-           "transitions": [{"s": "x0", "a": "a", "to": {"x1": 0.5, "x2": 0.5}},
-                           {"s": "x0", "a": "b", "to": {"x1": 0.5, "x2": 0.5}},
-                           {"s": "x1", "a": "a", "to": {"x1": 1.0}},
-                           {"s": "x2", "a": "a", "to": {"x2": 1.0}}],
-           "rewards": [{"s": "x2", "a": "a", "r": 10.0}], "initial": {"x0": 1.0}}
+    # different valid rows, and solve must read each pair's own row. Rows
+    # other than the nominal ones are a posterior's, so the edited artifact
+    # gives a sample count; the observed (x0, a) replays its step to x1.
+    mdp = mdp_to_json(Mdp(("x0", "x1", "x2"), ("a", "b"),
+                          {("x0", "a"): {"x1": 0.5, "x2": 0.5}, ("x0", "b"): {"x1": 0.5, "x2": 0.5},
+                           ("x1", "a"): {"x1": 1.0}, ("x2", "a"): {"x2": 1.0}},
+                          {("x2", "a"): 10.0}, {"x0": 1.0}, name="twin"))
     path = {"steps": [{"t": 0, "s": "x0", "a": "a"}, {"t": 1, "s": "x1", "a": "a"}]}
     files = {name: tmp_path / f"{name}.json" for name in ("mdp", "path", "pruned", "edited")}
     files["mdp"].write_text(json.dumps(mdp))
@@ -1149,16 +1190,93 @@ def test_artifact_rows_of_one_nominal_row_stay_per_pair(tmp_path, capsys):
     edited_rows = {"a": {"x1": 1.0}, "b": {"x1": 0.25, "x2": 0.75}}
     pruned["rows"][0] = {"size": [1, 2], "succ": [1, 1, 2], "prob": [1.0, 0.25, 0.75]}
     pruned["actions"][0] = [0, 1]
+    pruned["samples"] = 4
     files["edited"].write_text(json.dumps(pruned))
     code, _, err = run(capsys, "solve", "--mdp", str(files["mdp"]), "--pruned",
                        str(files["edited"]), "--m", "1")
-    assert code == 0
+    assert code == 0, err
     loaded_mdp = mdp_from_json(mdp)
     loaded = _pruned_from_json(pruned, loaded_mdp)
     assert cf_probs(loaded.cf, 0, "x0", "b") == edited_rows["b"]
     # Changing a to b at t = 0 reaches x2 (reward 10) with probability 0.75.
     oracle = km_value_oracle(loaded, path_from_json(path, loaded_mdp), 1)
     assert oracle == 7.5 and f"V(s0) = {oracle!r}" in err
+
+
+def _edited_epidemic_path(tmp_path, capsys):
+    """The epidemic observation pruned at k = 4 on a 50-sample posterior,
+    then the artifact with its last observed state edited from S1I9V20 to
+    S0I10V20, another successor of the step-5 pair: the MDP file and the
+    edited artifact."""
+    files = {name: str(tmp_path / f"{name}.json") for name in ("mdp", "path", "post", "pruned")}
+    for argv in (["env", "epidemic", "--out", files["mdp"]],
+                 ["sample", "--mdp", files["mdp"], "--policy", "epidemic", "--out", files["path"]],
+                 ["cf-build", "--mdp", files["mdp"], "--path", files["path"], "--samples", "50",
+                  "--seed", "7", "--out", files["post"]],
+                 ["prune", "--mdp", files["mdp"], "--path", files["path"], "--posterior",
+                  files["post"], "--k", "4", "--out", files["pruned"]]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    pruned = json.loads(Path(files["pruned"]).read_text())
+    assert pruned["path"]["steps"][6]["s"] == "S1I9V20"
+    pruned["path"]["steps"][6]["s"] = "S0I10V20"
+    Path(files["pruned"]).write_text(json.dumps(pruned))
+    return files["mdp"], files["pruned"]
+
+
+def test_pruned_artifact_with_an_edited_path_exits_2(tmp_path, capsys):
+    # Each posterior sample replays the observation, so the rows of the
+    # observed pairs are fixed by the path: the edited step 6 makes the
+    # step-5 row, the point mass on S1I9V20, another path's.
+    mdp, pruned = _edited_epidemic_path(tmp_path, capsys)
+    code, _, err = run(capsys, "solve", "--mdp", mdp, "--pruned", pruned, "--m", "1")
+    assert code == 2, err
+    assert err.startswith("error: row ") and err.endswith(
+        " of layer 5, the observed pair's, is not the point mass on the observed S0I10V20\n")
+
+
+def test_pruned_artifact_without_the_observed_pair_exits_2(artifact_dir, tmp_path, capsys):
+    # The observed pair at t = 1 is made unusable; its state keeps another
+    # usable action, so the layer is otherwise a valid closed one.
+    mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
+    pruned = json.loads((artifact_dir / "pruned.json").read_text())
+    s, a = pruned["path"]["steps"][1]["s"], pruned["path"]["steps"][1]["a"]
+    i, na = pruned["layers"][1].index(mdp.state_index(s)), len(mdp.actions)
+    table = pruned["actions"][1]
+    assert sum(x >= 0 for x in table[na * i:na * i + na]) > 1
+    table[na * i + mdp.action_index(a)] = -1
+    (tmp_path / "pruned.json").write_text(json.dumps(pruned))
+    code, _, err = run(capsys, "solve", "--mdp", str(artifact_dir / "mdp.json"),
+                       "--pruned", str(tmp_path / "pruned.json"), "--m", "1")
+    assert code == 2
+    assert err == (f"error: the observed pair ({s}, {a}) at t=1 is not usable, as every "
+                   "posterior sample replays it\n")
+
+
+def test_reweighted_nominal_artifact_exits_2(tmp_path, capsys):
+    # Without samples every row is the nominal row of each pair naming it.
+    # Made uniform on its support, a sepsis row solved a different MDP.
+    files = {name: str(tmp_path / f"{name}.json") for name in ("mdp", "path", "pruned")}
+    for argv in (["env", "sepsis", "--out", files["mdp"]],
+                 ["sample", "--mdp", files["mdp"], "--policy", "sepsis-suboptimal",
+                  "--out", files["path"]],
+                 ["prune", "--mdp", files["mdp"], "--path", files["path"], "--nominal",
+                  "--k", "11", "--out", files["pruned"]]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    code, _, err = run(capsys, "solve", "--mdp", files["mdp"], "--pruned", files["pruned"],
+                       "--m", "2")
+    assert code == 0 and err == "V(s0) = 218.0730683122205\n"
+    pruned = json.loads(Path(files["pruned"]).read_text())
+    for layer in pruned["rows"]:
+        layer.update(row_columns([[succ, [1 / len(succ)] * len(succ)]
+                                  for succ, _ in table_rows(layer)]))
+    Path(files["pruned"]).write_text(json.dumps(pruned))
+    code, _, err = run(capsys, "solve", "--mdp", files["mdp"], "--pruned", files["pruned"],
+                       "--m", "2")
+    assert code == 2
+    assert re.fullmatch(r"error: row \d+ of layer 0 is not the nominal row of \(\S+, \S+\), "
+                        r"which a pruned artifact without samples stores\n", err)
 
 
 def test_loaded_rows_exist_only_for_usable_pairs(artifact_dir):

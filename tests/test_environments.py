@@ -22,7 +22,7 @@ from cfmdp.errors import InvalidConfig, UnknownEnvironment
 from cfmdp.mdp import mdp_to_json
 
 from oracles import (available_actions, build_epidemic_oracle, build_sepsis_lite_oracle, initial,
-                     kernel, kernel_row, mdp_to_json_oracle, path_return, reward)
+                     kernel, kernel_row, label_form, mdp_to_json_oracle, path_return, reward)
 
 
 # -- grid world --------------------------------------------------------------
@@ -221,9 +221,9 @@ def test_sepsis_invalid_config():
 # -- the array builders against the label-dict oracles --------------------------
 
 def assert_same_mdp(mdp, oracle):
-    # The same arrays, and the bytes `env` writes are those of the label dicts.
+    # The same arrays, and the file `env` writes expands to the oracle's label dicts.
     assert mdp.digest == oracle.digest
-    assert (json.dumps(mdp_to_json(mdp), sort_keys=True)
+    assert (json.dumps(label_form(mdp_to_json(mdp)), sort_keys=True)
             == json.dumps(mdp_to_json_oracle(oracle), sort_keys=True))
 
 

@@ -1,6 +1,8 @@
 import json
+import re
 import warnings
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +28,13 @@ from oracles import (
     initial,
     kernel,
     kernel_row,
+    label_form,
     mdp_to_json_oracle,
     path_return,
     random_mdp,
     reward,
+    row_columns,
+    table_rows,
     tabular_policy,
     tv_distance,
     value_iteration,
@@ -44,6 +49,17 @@ def chain_mdp():
     }
     rewards = {("s0", "a"): 1.0, ("s1", "a"): 2.0, ("s2", "a"): 0.0}
     return Mdp(("s0", "s1", "s2"), ("a",), kernel, rewards, {"s0": 1.0})
+
+
+def chain_json(**rows):
+    """chain_mdp's `mdp.json` object, with `rows` replacing rows of its table,
+    each given as row{i}={successor index: probability}. Row 0 is the row of
+    (s0, a); (s1, a) and (s2, a) share row 1, the point mass on s2."""
+    obj = mdp_to_json(chain_mdp())
+    table = table_rows(obj["rows"])
+    for name, to in rows.items():
+        table[int(name[3:])] = [list(to), list(to.values())]
+    return dict(obj, rows=row_columns(table))
 
 
 def test_validate_well_formed():
@@ -71,10 +87,8 @@ def test_validate_rejects_nan_probability():
     with pytest.raises(ValidationFailed, match="non-finite probability"):
         Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s0": 1.0, "s1": float("nan")}},
             {}, {"s0": 1.0})
-    obj = mdp_to_json(chain_mdp())
-    obj["transitions"][0]["to"] = {"s1": 1.0, "s2": float("nan")}
     with pytest.raises(ValidationFailed, match="non-finite"):
-        mdp_from_json(obj)
+        mdp_from_json(chain_json(row0={1: 1.0, 2: float("nan")}))
 
 
 def test_validate_rejects_nan_initial_probability():
@@ -93,7 +107,7 @@ def test_validate_rejects_non_finite_rewards():
     assert str(exc.value) == ("row (s0,a0) has non-finite reward nan; "
                               "row (s0,a2) has non-finite reward inf")
     obj = mdp_to_json(chain_mdp())
-    obj["rewards"][1]["r"] = float("-inf")
+    obj["pairs"]["r"][1] = float("-inf")
     with pytest.raises(ValidationFailed, match=r"row \(s1,a\) has non-finite reward -inf"):
         mdp_from_json(obj)
 
@@ -288,35 +302,39 @@ def test_mdp_json_round_trip():
 
 
 def test_mdp_json_rejects_bad_rows():
-    obj = mdp_to_json(chain_mdp())
-    obj["transitions"][0]["to"] = {"s1": 0.5}
     with pytest.raises(ValidationFailed):
-        mdp_from_json(obj)
+        mdp_from_json(chain_json(row0={1: 0.5}))
 
 
 def test_mdp_json_lists_a_bad_row_sum_with_every_other_fault():
     # A row off by more than PROB_TOL is one fault among the others, not one
-    # that hides them.
-    obj = mdp_to_json(chain_mdp())
-    obj["transitions"][0]["to"] = {"s1": 0.6, "s2": 0.5}
-    obj["transitions"][1]["to"] = {"zz": 1.0}
-    obj["initial"] = {"q": 1.0}
+    # that hides them. A fault of a shared row is listed for each of its pairs.
+    obj = chain_json(row0={1: 0.6, 2: 0.5}, row1={7: 1.0})
+    obj["initial"] = {"s": [9], "p": [1.0]}
     with pytest.raises(ValidationFailed) as exc:
         mdp_from_json(obj)
     faults = str(exc.value).split("; ")
     assert "row (s0,a) sums to 1.1" in faults
-    assert "row (s1,a) references unknown state zz" in faults
-    assert "initial distribution references unknown state q" in faults
+    assert "row (s1,a) references unknown state #7" in faults
+    assert "row (s2,a) references unknown state #7" in faults
+    assert "initial distribution references unknown state #9" in faults
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda obj: obj["transitions"][0].update(to={"s1": "0.5", "s2": "0.5"}),
-     "MDP transition probability '0.5' is not a number"),
-    (lambda obj: obj["transitions"][0].update(to={"s2": True}),
-     "MDP transition probability True is not a number"),
-    (lambda obj: obj["rewards"][0].update(r="3"), "MDP reward '3' is not a number"),
-    (lambda obj: obj.update(initial={"s0": "1"}), "MDP initial probability '1' is not a number"),
-], ids=["probability-a-string", "probability-true", "reward-a-string", "initial-a-string"])
+    (lambda obj: obj["rows"].update(prob=["1.0", 1.0]), "MDP row probability '1.0' is not a number"),
+    (lambda obj: obj["rows"].update(prob=[True, 1.0]), "MDP row probability True is not a number"),
+    (lambda obj: obj["pairs"]["r"].__setitem__(0, "3"), "MDP reward '3' is not a number"),
+    (lambda obj: obj["initial"].update(p=["1"]), "MDP initial probability '1' is not a number"),
+    # Indices must be JSON integers: int() would truncate or parse each.
+    (lambda obj: obj["pairs"]["s"].__setitem__(1, 1.0), "MDP pair state 1.0 is not an integer"),
+    (lambda obj: obj["pairs"]["a"].__setitem__(0, "0"), "MDP pair action '0' is not an integer"),
+    (lambda obj: obj["pairs"]["row"].__setitem__(2, True), "MDP pair row True is not an integer"),
+    (lambda obj: obj["rows"].update(size=[1.0, 1]), "MDP row size 1.0 is not an integer"),
+    (lambda obj: obj["rows"].update(succ=[1, "2"]), "MDP row successor '2' is not an integer"),
+    (lambda obj: obj["initial"].update(s=[False]), "MDP initial state False is not an integer"),
+], ids=["probability-a-string", "probability-true", "reward-a-string", "initial-a-string",
+        "pair-state-a-float", "pair-action-a-string", "row-index-true", "size-a-float",
+        "successor-a-string", "initial-state-false"])
 def test_mdp_json_numbers_must_be_json_numbers(edit, message):
     obj = mdp_to_json(chain_mdp())
     edit(obj)
@@ -328,30 +346,78 @@ def test_mdp_json_numbers_must_be_json_numbers(edit, message):
 def test_mdp_json_integer_numbers_stay_valid():
     # A hand-written 1 is a JSON number: the MDP is the one written with 1.0.
     obj = mdp_to_json(chain_mdp())
-    obj["transitions"][0]["to"] = {"s1": 1}
-    obj["rewards"][0]["r"] = 1
-    obj["initial"] = {"s0": 1}
+    obj["rows"]["prob"] = [1, 1]
+    obj["pairs"]["r"][0] = 1
+    obj["initial"]["p"] = [1]
     assert mdp_from_json(obj).digest == chain_mdp().digest
 
 
 def test_mdp_json_renormalizes_a_row_within_tolerance():
-    obj = mdp_to_json(chain_mdp())
-    obj["transitions"][0]["to"] = {"s1": 0.5 + 2e-10, "s2": 0.5}
-    row = kernel_row(mdp_from_json(obj), "s0", "a")
+    # Once per row of the table: every pair of a shared row gets the same row.
+    mdp = mdp_from_json(chain_json(row0={1: 0.5 + 2e-10, 2: 0.5}, row1={2: 1.0 - 3e-10}))
     total = (0.5 + 2e-10) + 0.5
-    assert row == {"s1": (0.5 + 2e-10) / total, "s2": 0.5 / total}
+    assert kernel_row(mdp, "s0", "a") == {"s1": (0.5 + 2e-10) / total, "s2": 0.5 / total}
+    assert kernel_row(mdp, "s1", "a") == kernel_row(mdp, "s2", "a") == {"s2": 1.0}
 
 
-@pytest.mark.parametrize("kind, duplicate", [
-    ("transitions", {"s": "s0", "a": "a", "to": {"s0": 1.0}}),
-    ("rewards", {"s": "s0", "a": "a", "r": 5.0}),
-])
-def test_mdp_json_rejects_duplicate_rows(kind, duplicate):
-    # A second entry for (s0, a) would otherwise silently replace the first.
+@pytest.mark.parametrize("edit, fault", [
+    (lambda obj: obj["pairs"].update(s=[0, 1, 0]), "row (s0,a) is given twice"),
+    # A JSON object keyed by successor kept the last of two equal keys; a
+    # row lists its successors, so a successor listed twice is refused.
+    (lambda obj: obj.update(rows=row_columns([[[1, 2, 1], [0.5, 0.3, 0.2]], [[2], [1.0]]])),
+     "row (s0,a) lists successor s1 twice"),
+], ids=["pair-twice", "successor-twice"])
+def test_mdp_json_rejects_duplicate_rows(edit, fault):
     obj = mdp_to_json(chain_mdp())
-    obj[kind].append(duplicate)
-    with pytest.raises(ValidationFailed, match=f"duplicate {kind} entry for \\(s0,a\\)"):
+    edit(obj)
+    with pytest.raises(ValidationFailed) as exc:
         mdp_from_json(obj)
+    assert str(exc.value) == fault
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda obj: obj["pairs"]["row"].__setitem__(1, -1),
+     "row (s1,a) names row -1, not one of the 2 rows of the MDP's row table"),
+    (lambda obj: obj["pairs"]["row"].__setitem__(2, 2),
+     "row (s2,a) names row 2, not one of the 2 rows of the MDP's row table"),
+    (lambda obj: obj["pairs"].update(s=[0, 9, 2], row=[0, 5, 1]),
+     "row (#9,a) names row 5, not one of the 2 rows of the MDP's row table"),
+    (lambda obj: obj["rows"].update(size=[1, 2]),
+     "the row sizes of the MDP's row table do not split its 2 successors and 2 probabilities"),
+    (lambda obj: obj["rows"].update(size=[-1, 3]),
+     "the row sizes of the MDP's row table do not split its 2 successors and 2 probabilities"),
+    (lambda obj: obj["rows"].update(prob=[1.0]),
+     "the row sizes of the MDP's row table do not split its 2 successors and 1 probabilities"),
+    (lambda obj: obj["pairs"]["r"].pop(),
+     "MDP pair columns s, a, r, row and initial columns s, p have 3, 3, 2, 3, 1, 1 entries"),
+    (lambda obj: obj["pairs"]["row"].append(0),
+     "MDP pair columns s, a, r, row and initial columns s, p have 3, 3, 3, 4, 1, 1 entries"),
+    (lambda obj: obj["initial"]["s"].append(1),
+     "MDP pair columns s, a, r, row and initial columns s, p have 3, 3, 3, 3, 2, 1 entries"),
+], ids=["row-negative", "row-past-the-end", "unknown-state-row-past-the-end", "sizes-short",
+        "size-negative", "prob-column-short", "reward-column-short", "row-column-long",
+        "initial-columns"])
+def test_mdp_json_refuses_columns_that_do_not_index_the_rows(edit, fault):
+    # Refused before any row is expanded, each fault alone.
+    obj = mdp_to_json(chain_mdp())
+    edit(obj)
+    with pytest.raises(ValidationFailed) as exc:
+        mdp_from_json(obj)
+    assert str(exc.value) == fault
+
+
+def test_readme_mdp_example_is_the_chain_mdp():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = json.loads(re.search(r"```json\n(.*?)```", text, re.S)[1])
+    assert dict(example, name="") == mdp_to_json(chain_mdp())
+    assert mdp_from_json(dict(example, name="")).digest == chain_mdp().digest
+
+
+def test_mdp_json_of_label_dicts_is_malformed():
+    # The form `env` wrote before the core's indexing has no second reader.
+    with pytest.raises(ValidationFailed) as exc:
+        mdp_from_json(mdp_to_json_oracle(chain_mdp()))
+    assert str(exc.value) == "malformed MDP JSON: 'pairs'"
 
 
 # An MDP with every fault kind, as label dicts. The state label s1 and the
@@ -410,12 +476,30 @@ REWARD_ENTRY_FAULTS = [
 ]
 
 
+# In `mdp.json` a label is its index. The unknown labels become indices
+# outside the label lists, each named as #index; a reward is a pair column,
+# so a reward without a row cannot be written.
+UNKNOWN_INDEX = {"ghost": 5, "zap": 3, "nowhere": 6, "void": 7, "elsewhere": 8}
+
+
 def faulty_json(initial):
+    """The faulty MDP as an `mdp.json` object, one table row per kernel row."""
+    index = {**{s: i for i, s in enumerate(FAULTY_STATES)},
+             **{a: i for i, a in enumerate(FAULTY_ACTIONS)}, **UNKNOWN_INDEX}
     return {"name": "faulty", "states": list(FAULTY_STATES), "actions": list(FAULTY_ACTIONS),
-            "transitions": [{"s": s, "a": a, "to": dict(to)}
-                            for (s, a), to in FAULTY_KERNEL.items()],
-            "rewards": [{"s": s, "a": a, "r": r} for (s, a), r in FAULTY_REWARDS.items()],
-            "initial": dict(initial)}
+            "pairs": {"s": [index[s] for s, _ in FAULTY_KERNEL],
+                      "a": [index[a] for _, a in FAULTY_KERNEL],
+                      "r": [FAULTY_REWARDS.get(key, 0.0) for key in FAULTY_KERNEL],
+                      "row": list(range(len(FAULTY_KERNEL)))},
+            "rows": row_columns([[[index[x] for x in to], list(to.values())]
+                                 for to in FAULTY_KERNEL.values()]),
+            "initial": {"s": [index[s] for s in initial], "p": list(initial.values())}}
+
+
+def by_index(fault: str) -> str:
+    """`fault` with each unknown label named by its index in `faulty_json`."""
+    return re.sub(r"\b(" + "|".join(UNKNOWN_INDEX) + r")\b", lambda m: f"#{UNKNOWN_INDEX[m[1]]}",
+                  fault)
 
 
 @pytest.mark.parametrize("source", ["dicts", "json"])
@@ -427,29 +511,31 @@ def test_every_fault_kind_is_listed_with_its_text(source, initial):
                 FAULTY_INITIALS[initial])
         else:
             mdp_from_json(faulty_json(FAULTY_INITIALS[initial]))
-    assert str(exc.value) == "; ".join(KERNEL_FAULTS + INITIAL_FAULTS[initial]
-                                       + REWARD_ENTRY_FAULTS)
+    faults = KERNEL_FAULTS + INITIAL_FAULTS[initial]
+    if source == "dicts":
+        assert str(exc.value) == "; ".join(faults + REWARD_ENTRY_FAULTS)
+    else:
+        assert str(exc.value) == "; ".join(map(by_index, faults))
 
 
-def test_duplicate_transitions_entry_is_named_before_other_faults():
+def test_bad_row_index_is_named_before_other_faults():
+    # No pair can be expanded before every row index is checked.
     obj = faulty_json(FAULTY_INITIALS["nan"])
-    obj["transitions"].append({"s": "s1", "a": "b", "to": {"s1": 1.0}})
+    obj["pairs"]["row"][0] = 99
     with pytest.raises(ValidationFailed) as exc:
         mdp_from_json(obj)
-    assert str(exc.value) == "duplicate transitions entry for (s1,b)"
+    assert str(exc.value) == "row (s2,b) names row 99, not one of the 8 rows of the MDP's row table"
 
 
-@pytest.mark.parametrize("kind, entry, missing", [
-    ("transitions", {}, "to"), ("transitions", {"to": {"s1": 1.0}, "a": "a"}, "s"),
-    ("rewards", {}, "r"), ("rewards", {"r": 1.0, "s": "s0"}, "a"),
-])
-def test_mdp_json_names_the_first_missing_field_of_an_entry(kind, entry, missing):
-    # An entry's value ("to", "r") is read before its (s, a) key.
+@pytest.mark.parametrize("part, column", [
+    ("pairs", "row"), ("rows", "succ"), ("initial", "p"), (None, "rows"),
+], ids=["pairs-row", "rows-succ", "initial-p", "rows"])
+def test_mdp_json_names_a_missing_column(part, column):
     obj = mdp_to_json(chain_mdp())
-    obj[kind][0] = entry
+    del (obj if part is None else obj[part])[column]
     with pytest.raises(ValidationFailed) as exc:
         mdp_from_json(obj)
-    assert str(exc.value) == f"malformed MDP JSON: {missing!r}"
+    assert str(exc.value) == f"malformed MDP JSON: {column!r}"
 
 
 def chain_arrays(**edits):
@@ -492,8 +578,7 @@ def test_array_constructor_names_faults_by_label_or_index(edits, faults):
 
 
 def test_mdp_json_drops_zero_probability_entries():
-    obj = mdp_to_json(chain_mdp())
-    obj["transitions"][0]["to"] = {"s1": 1.0, "s2": 0.0}
+    obj = chain_json(row0={1: 1.0, 2: 0.0})
     with warnings.catch_warnings():  # the MDP is compiled when it is built
         warnings.simplefilter("error")
         mdp = mdp_from_json(obj)
@@ -538,12 +623,17 @@ ROUND_TRIPS = {
 
 @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
 def test_json_object_is_that_of_the_sorted_label_tuples(case):
-    # The pairs ordered by label argsorts give the object, and the text `env`
-    # writes, of one Python sort of (state, action) label tuples.
+    # The file's rows, expanded per pair and sorted by (state, action) label
+    # tuples, are the label dicts of the MDP; the table holds each distinct
+    # row once, in the order of `Mdp.row_id`.
     mdp = ROUND_TRIPS[case]()
-    assert mdp_to_json(mdp) == mdp_to_json_oracle(mdp)
-    assert (json.dumps(mdp_to_json(mdp), sort_keys=True)
+    obj = json.loads(json.dumps(mdp_to_json(mdp)))
+    assert label_form(obj) == mdp_to_json_oracle(mdp)
+    assert (json.dumps(label_form(obj), sort_keys=True)
             == json.dumps(mdp_to_json_oracle(mdp), sort_keys=True))
+    first = sorted(set(mdp.row_id.tolist()))
+    assert len(obj["rows"]["size"]) == len(first)
+    assert obj["pairs"]["row"] == [first.index(r) for r in mdp.row_id.tolist()]
 
 
 @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
