@@ -1021,6 +1021,13 @@ BAD_ARTIFACTS = {
     "pruned-layer-state-without-actions": ("pruned", lambda pruned, policy: _layer_edit(
         pruned, 6, lambda layer, table: _with(layer, table, 210)),
         "layer 6 lists S0I10V0, which has no usable action"),
+    # Every posterior sample replays the observation, so the observed pair
+    # at t = 1, (S8I2V20, NIL), must stay usable; its state keeps another
+    # usable action, so the layer is otherwise a valid closed one.
+    "pruned-observed-pair-not-usable": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 1, lambda layer, table: _without_action(layer, table, "S8I2V20", NIL)),
+        "the observed pair (S8I2V20, NIL) at t=1 is not usable, as every posterior sample "
+        "replays it"),
     # The action picked has no nominal row at its node.
     "policy-action-not-usable": ("policy", lambda pruned, policy: _unusable_action(pruned, policy),
                                  "no kernel row for"),
@@ -1080,6 +1087,15 @@ def _with(layer, table, state):
     i = int(np.searchsorted(layer, state))
     assert state not in layer
     return layer[:i] + [state] + layer[i:], table[:3 * i] + [-1, -1, -1] + table[3 * i:]
+
+
+def _without_action(layer, table, state, action):
+    """`layer` and its table with `action` not usable at `state`, which keeps another."""
+    i = layer.index(_labels()[0].index(state))
+    table = list(table)
+    table[3 * i + action] = -1
+    assert max(table[3 * i:3 * i + 3]) >= 0
+    return layer, table
 
 
 def _policy_edit(policy, edit):
@@ -1233,24 +1249,6 @@ def test_pruned_artifact_with_an_edited_path_exits_2(tmp_path, capsys):
     assert code == 2, err
     assert err.startswith("error: row ") and err.endswith(
         " of layer 5, the observed pair's, is not the point mass on the observed S0I10V20\n")
-
-
-def test_pruned_artifact_without_the_observed_pair_exits_2(artifact_dir, tmp_path, capsys):
-    # The observed pair at t = 1 is made unusable; its state keeps another
-    # usable action, so the layer is otherwise a valid closed one.
-    mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
-    pruned = json.loads((artifact_dir / "pruned.json").read_text())
-    s, a = pruned["path"]["steps"][1]["s"], pruned["path"]["steps"][1]["a"]
-    i, na = pruned["layers"][1].index(mdp.state_index(s)), len(mdp.actions)
-    table = pruned["actions"][1]
-    assert sum(x >= 0 for x in table[na * i:na * i + na]) > 1
-    table[na * i + mdp.action_index(a)] = -1
-    (tmp_path / "pruned.json").write_text(json.dumps(pruned))
-    code, _, err = run(capsys, "solve", "--mdp", str(artifact_dir / "mdp.json"),
-                       "--pruned", str(tmp_path / "pruned.json"), "--m", "1")
-    assert code == 2
-    assert err == (f"error: the observed pair ({s}, {a}) at t=1 is not usable, as every "
-                   "posterior sample replays it\n")
 
 
 def test_reweighted_nominal_artifact_exits_2(tmp_path, capsys):
