@@ -211,7 +211,7 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
             raise ValidationFailed("pruned artifact layer 0 is not {s_0}")
 
         admitted = _admitted(k, _admission_hits(mdp, path, k - 1))
-        nominal = mdp.owner * n + mdp.succ  # ascending
+        nominal = mdp.owner * n + mdp.succ  # the MDP's row table, ascending
         key = np.full((T, len(mdp.source)), -1, dtype=np.int64)
         cf_rows = {}
         for t, (layer, table, r) in enumerate(zip(layers, tables, rows)):
@@ -251,14 +251,14 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
             # without samples it is that nominal row, bit for bit: entry e is
             # entry at[e] of the layer's rows and nominal entry found[e].
             claim, at = gather_rows(size, index)
-            want = pair[claim] * n + succ[at]
+            want = mdp.row_id[pair[claim]] * n + succ[at]
             found = np.minimum(np.searchsorted(nominal, want), len(nominal) - 1)
             if (e := _first(nominal[found] != want)) is not None:
                 e = claim[e]
                 raise ValidationFailed(f"row {index[e]} of layer {t} is off the nominal support "
                                        f"of ({mdp.states[src[e]]}, {mdp.actions[act[e]]})")
             if not samples:
-                bad = size[index] != np.diff(mdp.row_start)[pair]
+                bad = size[index] != np.diff(mdp.row_start)[mdp.row_id[pair]]
                 bad[claim[prob[at] != mdp.prob[found]]] = True
                 if (e := _first(bad)) is not None:
                     raise ValidationFailed(f"row {index[e]} of layer {t} is not the nominal row "

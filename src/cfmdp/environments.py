@@ -221,10 +221,10 @@ def build_epidemic(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
             lengths.append(np.full(len(vs), len(entries)))
             succ.append((vs[:, None] + dest).ravel())
             prob.append(np.tile([p for _, p in entries], len(vs)))
-    lengths = np.concatenate(lengths)
+    pairs = np.arange(sum(map(len, lengths)))
     s0 = block[(P - cfg.initial_infected, cfg.initial_infected)] * stocks + 2 * P
     return Mdp.from_arrays(states, (NIL, V_I, V_S), np.concatenate(source), np.concatenate(action),
-                           np.concatenate(reward), np.repeat(np.arange(len(lengths)), lengths),
+                           np.concatenate(reward), pairs, np.repeat(pairs, np.concatenate(lengths)),
                            np.concatenate(succ), np.concatenate(prob), [s0], [1.0],
                            name=MDP_NAMES["epidemic"])
 
@@ -363,11 +363,11 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
         succ.append(s2)
         prob.append(p)
         reward.append(np.full(nf * na, step_reward(vitals)))
-    lengths = np.concatenate(lengths)
     n = len(states)
+    pairs = np.arange(n * na)
     s0 = sum(x * 3 ** (3 - i) for i, x in enumerate(cfg.start_vitals)) * nf
     return Mdp.from_arrays(states, actions, np.repeat(np.arange(n), na), np.tile(np.arange(na), n),
-                           np.concatenate(reward), np.repeat(np.arange(len(lengths)), lengths),
+                           np.concatenate(reward), pairs, np.repeat(pairs, np.concatenate(lengths)),
                            np.concatenate(succ), np.concatenate(prob), [s0], [1.0],
                            name=MDP_NAMES["sepsis"])
 

@@ -39,7 +39,7 @@ class InfeasibleBudget(CfmdpError):
 
 class OutOfMemory(CfmdpError):
     """A working array (a posterior noise layer, the rollout uniforms, the
-    MDP's rows expanded per pair) could not be allocated."""
+    MDP's rows expanded per pair for its digest) could not be allocated."""
 
 
 class InvariantViolated(CfmdpError):

@@ -109,10 +109,10 @@ def _admission_hits(mdp: Mdp, path: ObservedPath, depth: int) -> list[list[np.nd
     frontier = np.zeros((T + 1, n), dtype=bool)  # M[d][t]
     hits: list[list[np.ndarray]] = []
     for d in range(depth + 1):
-        # Per layer, the pairs whose nominal support meets the layer's target
-        # states: an OR over each row's entries (every row has one or more).
+        # Per layer, the pairs whose nominal row meets the layer's target
+        # states: an OR over each table row's entries (one or more), per pair.
         target = (stau[:T - d] | frontier[1:T - d + 1])[:, mdp.succ]
-        hits.append(list(np.logical_or.reduceat(target, mdp.row_start[:-1], axis=1)))
+        hits.append(list(np.logical_or.reduceat(target, mdp.row_start[:-1], axis=1)[:, mdp.row_id]))
         if d < depth:
             t, p = np.nonzero(hits[-1])
             frontier = np.zeros((T + 1, n), dtype=bool)
@@ -229,7 +229,8 @@ def _count_all_layers(mdp: Mdp, admitted: list[np.ndarray]) -> int:
     This is the Table-1 convention: at k = T+1 it equals |S| * (T+1).
     """
     n = mdp.num_states
-    layers = [mdp.source[adm] for adm in admitted] + [mdp.succ[admitted[-1][mdp.owner]]]
+    last = np.bincount(mdp.row_id[admitted[-1]], minlength=len(mdp.row_start) - 1) > 0
+    layers = [mdp.source[adm] for adm in admitted] + [mdp.succ[last[mdp.owner]]]
     return sum(int(np.count_nonzero(np.bincount(idx, minlength=n))) for idx in layers)
 
 

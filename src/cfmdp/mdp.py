@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Mapping
 
 import numpy as np
@@ -42,12 +42,14 @@ class Mdp:
     one ValidationFailed.
 
     Pair p is (state `source[p]`, action `action[p]`) with reward
-    `reward[p]`, and `pair_at[s, a]` is the pair of state s and action a, -1
-    where there is no row. Pairs are ordered by state index, then action
-    index, so the pairs of state i are `start[i]:start[i+1]`. Entries
-    `row_start[p]:row_start[p+1]` are the nominal row of pair p: entry e is
-    successor `succ[e]` of pair `owner[e]` with probability `prob[e]` and log
-    probability `logp[e]`, successors ascending within a pair, which fixes
+    `reward[p]` and nominal row `row_id[p]`; `pair_at[s, a]` is the pair of
+    state s and action a, -1 where there is no row. Pairs are ordered by
+    state index, then action index, so the pairs of state i are
+    `start[i]:start[i+1]`. The rows are a table of the distinct nominal rows
+    (pairs with bit-identical rows share one), numbered by their first pair:
+    entries `row_start[r]:row_start[r+1]` are row r, entry e is successor
+    `succ[e]` of row `owner[e]` with probability `prob[e]` and log
+    probability `logp[e]`, successors ascending within a row, which fixes
     argmax tie-breaking to the lowest state index everywhere downstream.
     `initial[i]` is the initial probability of state i, and `digest` is
     `mdp_hash` of the whole.
@@ -58,63 +60,74 @@ class Mdp:
         states, actions = tuple(states), tuple(actions)
         sidx, aidx = _index(states), _index(actions)
         keys, rows = list(kernel), list(kernel.values())
-        succ = [x for row in rows for x in row]
+        pairs, succ = np.arange(len(rows)), [x for row in rows for x in row]
         self._compile(states, actions, [sidx.get(s, -1) for s, _ in keys],
                       [aidx.get(a, -1) for _, a in keys], [rewards.get(key, 0.0) for key in keys],
-                      np.repeat(np.arange(len(rows)), [len(row) for row in rows]),
+                      pairs, np.repeat(pairs, [len(row) for row in rows]),
                       [sidx.get(x, -1) for x in succ], [p for row in rows for p in row.values()],
                       [sidx.get(s, -1) for s in initial], list(initial.values()), name,
                       (keys, succ, list(initial)),
                       _reward_entry_faults(rewards, kernel, sidx, aidx))
+        self.digest = mdp_hash(self)
 
     @classmethod
-    def from_arrays(cls, states, actions, source, action, reward, owner, succ, prob, init_state,
-                    init_prob, name: str = "") -> Mdp:
+    def from_arrays(cls, states, actions, source, action, reward, row, owner, succ, prob,
+                    init_state, init_prob, name: str = "") -> Mdp:
         """The MDP of index arrays, in any order: pair p is (state `source[p]`,
-        action `action[p]`) with reward `reward[p]`, entry e is successor
-        `succ[e]` of pair `owner[e]` with probability `prob[e]`, and initial
-        entry i gives state `init_state[i]` probability `init_prob[i]`. An
-        index outside the labels (-1, say) is an unknown label; an `owner`
-        outside the pairs is refused before any other fault is looked for.
-        A pair, a pair's successor or an initial state given twice is a fault.
-        Faults name known indices by their labels and unknown ones as #index,
-        pairs in the compiled order (unknown labels last, in the given order),
-        and a pair's entries in the given order."""
+        action `action[p]`) with reward `reward[p]` and row `row[p]` of a table
+        whose entry e is successor `succ[e]` of row `owner[e]` (rows 0 to the
+        largest `owner`) with probability `prob[e]`, and initial entry i gives
+        state `init_state[i]` probability `init_prob[i]`. An index outside the
+        labels (-1, say) is an unknown label. A negative `owner`, a `row`
+        outside the table or a row no pair names is refused before any other
+        fault is looked for. A pair, a row's successor or an initial state
+        given twice is a fault. Faults name known indices by their labels and
+        unknown ones as #index, pairs in the compiled order (unknown labels
+        last, in the given order), and a row's entries in the given order,
+        once for each pair that names the row."""
         mdp = cls.__new__(cls)
-        mdp._compile(states, actions, source, action, reward, owner, succ, prob, init_state,
+        mdp._compile(states, actions, source, action, reward, row, owner, succ, prob, init_state,
                      init_prob, name)
+        mdp.digest = mdp_hash(mdp)  # once the compile's working arrays are freed
         return mdp
 
-    def _compile(self, states, actions, source, action, reward, owner, succ, prob, init_state,
-                 init_prob, name, labels=None, faults=()):
+    def _compile(self, states, actions, source, action, reward, row, owner, succ, prob,
+                 init_state, init_prob, name, labels=None, faults=()):
         """`from_arrays`; `__init__` passes its label dicts' `labels` and `faults`."""
         self.states, self.actions, self.name = tuple(states), tuple(actions), name
         n, na = len(self.states), len(self.actions)
         self._sidx, self._aidx = _index(self.states), _index(self.actions)
-        source, action, owner, succ, init_state = (np.asarray(x, dtype=np.int64) for x in
-                                                   (source, action, owner, succ, init_state))
+        source, action, row, owner, succ, init_state = (
+            np.asarray(x, dtype=np.int64) for x in (source, action, row, owner, succ, init_state))
         reward, prob, init_prob = (np.asarray(x, dtype=np.float64)
                                    for x in (reward, prob, init_prob))
-        if not ((owner >= 0) & (owner < len(source))).all():  # no pair to name the fault by
-            raise ValidationFailed("; ".join(
-                f"entry {e} has unknown pair #{o}" for e, o in enumerate(owner.tolist())
-                if not 0 <= o < len(source)))
+        if (owner < 0).any():  # no row to name the fault by
+            raise ValidationFailed("; ".join(f"entry {e} has unknown row #{o}"
+                                             for e, o in enumerate(owner.tolist()) if o < 0))
+        rows = int(owner.max(initial=-1)) + 1
+        if (p := _first((row < 0) | (row >= rows))) is not None:
+            raise ValidationFailed(f"row ({_label(self.states, int(source[p]))},"
+                                   f"{_label(self.actions, int(action[p]))}) names row {row[p]}, "
+                                   f"not one of the {rows} rows of the MDP's row table")
+        if (unnamed := np.flatnonzero(np.bincount(row, minlength=rows) == 0)).size:
+            raise ValidationFailed("; ".join(f"row {r} of the MDP's row table is named by no pair"
+                                             for r in unnamed.tolist()))
         known_s, known_a = (source >= 0) & (source < n), (action >= 0) & (action < na)
         known_e, known_i = (succ >= 0) & (succ < n), (init_state >= 0) & (init_state < n)
-        # Pairs by (state, action) and entries by (pair, successor), unknown
-        # labels last in the given order: one stable sort of a combined key
-        # each, which is the order of a lexsort.
+        # Pairs by (state, action), rows renumbered by the first pair naming
+        # each, and entries by (row, successor), unknown labels last in the
+        # given order: one stable sort of a combined key each, which is the
+        # order of a lexsort.
         key = np.where(known_s, source, n) * (na + 1) + np.where(known_a, action, na)
         order = np.argsort(key, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        pos = rank[owner]
-        entry_key = pos * (n + 1) + np.where(known_e, succ, n)
+        rank = np.argsort(np.argsort(np.unique(row[order], return_index=True)[1]))
+        row, owner = rank[row], rank[owner]
+        entry_key = owner * (n + 1) + np.where(known_e, succ, n)
         entries = np.argsort(entry_key, kind="stable")
         pair_twice = _repeats(key, order, known_s & known_a)
         entry_twice = _repeats(entry_key, entries, known_e)
         init_twice = _repeats(init_state, np.argsort(init_state, kind="stable"), known_i)
-        total = np.bincount(owner, weights=prob, minlength=len(order))
+        total = np.bincount(owner, weights=prob, minlength=rows)
         init_total = np.bincount(np.zeros(len(init_prob), dtype=np.int64), weights=init_prob,
                                  minlength=1)
         if (faults or len(self._sidx) < n or len(self._aidx) < na
@@ -132,10 +145,17 @@ class Mdp:
             def row_name(p):
                 return "row ({},{})".format(*pairs[p])
 
-            by_pair = np.argsort(pos, kind="stable")  # entries listed pair by pair
+            def listed(mask):
+                return order[mask[order]].tolist()
 
-            def listed(mask, by=order):
-                return by[mask[by]].tolist()
+            # Pair by pair, the entries of its row in the given order: entry
+            # `listing[i]` of pair `order[item[i]]`.
+            item, at_row = gather_rows(np.bincount(owner, minlength=rows), row[order])
+            listing = np.argsort(owner, kind="stable")[at_row]
+
+            def entry_faults(mask):
+                hit = mask[listing]
+                return zip(order[item[hit]].tolist(), listing[hit].tolist())
 
             bad = [f"duplicate {kind} label {x}" for kind, names in (("state", self.states),
                                                                      ("action", self.actions))
@@ -145,12 +165,12 @@ class Mdp:
             bad += [f"kernel {row_name(p)} has unknown action {pairs[p][1]}"
                     for p in listed(~known_a)]
             bad += [f"{row_name(p)} is given twice" for p in listed(pair_twice)]
-            bad += [f"{row_name(owner[e])} references unknown state {at[e]}"
-                    for e in listed(~known_e, by_pair)]
-            bad += [f"{row_name(owner[e])} lists successor {at[e]} twice"
-                    for e in listed(entry_twice, by_pair)]
-            bad += _distribution_faults(prob[by_pair], pos[by_pair], total[order],
-                                        lambda i: row_name(order[i]), lambda e: at[by_pair[e]])
+            bad += [f"{row_name(p)} references unknown state {at[e]}"
+                    for p, e in entry_faults(~known_e)]
+            bad += [f"{row_name(p)} lists successor {at[e]} twice"
+                    for p, e in entry_faults(entry_twice)]
+            bad += _distribution_faults(prob[listing], item, total[row[order]],
+                                        lambda i: row_name(order[i]), lambda i: at[listing[i]])
             bad += [f"{row_name(p)} has non-finite reward {reward[p].item()!r}"
                     for p in listed(~np.isfinite(reward))]
             bad += [f"initial distribution references unknown state {initials[i]}"
@@ -162,20 +182,26 @@ class Mdp:
                                         initials.__getitem__)
             raise ValidationFailed("; ".join(bad + list(faults)))
 
+        # Zero entries dropped (a row keeps one or more: it sums to one), and
+        # of the rows of one content the first by pair kept, renumbered.
         entries = entries[prob[entries] != 0.0]
+        owner, succ, prob = owner[entries], succ[entries], prob[entries]
+        same = _same_rows(owner, succ, prob, rows)
+        first = same == np.arange(rows)
+        kept, number = first[owner], np.cumsum(first) - 1
         self.source, self.action, self.reward = source[order], action[order], reward[order]
-        self.owner, self.succ, self.prob = pos[entries], succ[entries], prob[entries]
+        self.row_id = number[same[row[order]]]
+        self.owner, self.succ, self.prob = number[owner[kept]], succ[kept], prob[kept]
         self.start = np.searchsorted(self.source, np.arange(n + 1))
-        self.row_start = np.searchsorted(self.owner, np.arange(len(order) + 1))
+        self.row_start = np.searchsorted(self.owner, np.arange(first.sum() + 1))
         self.logp = np.log(self.prob)
         self.pair_at = np.full((n, na), -1, dtype=np.int64)
         self.pair_at[self.source, self.action] = np.arange(len(order))
         self.initial = np.zeros(n)
         self.initial[init_state] = init_prob
-        for a in (self.source, self.action, self.owner, self.start, self.row_start, self.succ,
-                  self.prob, self.logp, self.reward, self.pair_at, self.initial):
-            a.flags.writeable = False  # `digest` and `row_id` are computed once
-        self.digest = mdp_hash(self)
+        for a in (self.source, self.action, self.row_id, self.owner, self.start, self.row_start,
+                  self.succ, self.prob, self.logp, self.reward, self.pair_at, self.initial):
+            a.flags.writeable = False  # `digest` is computed once
         self._cdfs: dict[int, tuple[list[int], list[float]]] = {}
 
     @property
@@ -198,7 +224,8 @@ class Mdp:
 
     def row(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nominal row of pair p as (successor indices, probs, log probs) views."""
-        lo, hi = self.row_start[p], self.row_start[p + 1]
+        r = self.row_id[p]
+        lo, hi = self.row_start[r], self.row_start[r + 1]
         return self.succ[lo:hi], self.prob[lo:hi], self.logp[lo:hi]
 
     def position(self, p: int, s: State) -> int:
@@ -217,18 +244,6 @@ class Mdp:
             cdf = self._cdfs[p] = support.tolist(), list(accumulate(probs.tolist()))
         return cdf
 
-    @cached_property
-    def row_id(self) -> np.ndarray:
-        """Per pair, the first pair whose nominal row is bit-identical (same
-        successors, same probabilities). Many actions leave a state's dynamics
-        unchanged, so pairs share far fewer distinct rows than there are pairs.
-        Built on first use: only counterfactual row building reads it."""
-        entries = np.stack([self.succ, self.prob.view(np.int64)], axis=1)
-        bounds = self.row_start.tolist()
-        first: dict[bytes, int] = {}
-        return np.array([first.setdefault(entries[lo:hi].tobytes(), p)
-                         for p, (lo, hi) in enumerate(zip(bounds, bounds[1:]))], dtype=np.int64)
-
 
 def _index(labels: tuple) -> dict:
     """{label: index}; a duplicated label maps to its last index."""
@@ -241,6 +256,24 @@ def _repeats(key: np.ndarray, order: np.ndarray, known: np.ndarray) -> np.ndarra
     twice = np.zeros(len(key), dtype=bool)
     twice[order[1:]] = (key[order[1:]] == key[order[:-1]]) & known[order[1:]]
     return twice
+
+
+def _same_rows(owner: np.ndarray, succ: np.ndarray, prob: np.ndarray, rows: int) -> np.ndarray:
+    """Per row of a table whose entries are listed row by row (entry e is
+    successor `succ[e]` of row `owner[e]` with probability `prob[e]`), a row
+    with the same successors and the same probability bits: one np.unique
+    over the rows of each size, each row's entries as one opaque item."""
+    size = np.bincount(owner, minlength=rows)
+    start = np.cumsum(size) - size
+    same = np.arange(rows)
+    for k in set(size.tolist()):
+        r = np.flatnonzero(size == k)
+        at = start[r, None] + np.arange(k)
+        items = np.concatenate([succ[at], prob[at].view(np.int64)], axis=1)
+        _, first, inverse = np.unique(items.view(np.dtype((np.void, items.shape[1] * 8))).ravel(),
+                                      return_index=True, return_inverse=True)
+        same[r] = r[first[inverse]]
+    return same
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -368,24 +401,21 @@ def read_json(file):
 
 def mdp_to_json(mdp: Mdp) -> dict:
     """The MDP in its own indexing: label lists, the pairs in compiled order as
-    columns `s`, `a`, `r` and `row`, which indexes a row table of the distinct
-    nominal rows (by `Mdp.row_id`), and the initial support as columns `s`, `p`."""
-    first, row = np.unique(mdp.row_id, return_inverse=True)
-    size = np.diff(mdp.row_start)
-    _, at = gather_rows(size, first)
+    columns `s`, `a`, `r` and `row`, which indexes the MDP's row table of the
+    distinct nominal rows, and the initial support as columns `s`, `p`."""
     start = np.flatnonzero(mdp.initial)
     return {"name": mdp.name, "states": list(mdp.states), "actions": list(mdp.actions),
             "pairs": {"s": mdp.source.tolist(), "a": mdp.action.tolist(),
-                      "r": mdp.reward.tolist(), "row": row.tolist()},
-            "rows": rows_to_json(size[first], mdp.succ[at], mdp.prob[at]),
+                      "r": mdp.reward.tolist(), "row": mdp.row_id.tolist()},
+            "rows": rows_to_json(np.diff(mdp.row_start), mdp.succ, mdp.prob),
             "initial": {"s": start.tolist(), "p": mdp.initial[start].tolist()}}
 
 
 def mdp_from_json(obj: Mapping) -> Mdp:
     """The MDP of a `mdp_to_json` object: JSON integer columns (numbers for
-    probabilities and rewards) of matching lengths, each pair naming a table
-    row. A row off one by over 1e-12 but within PROB_TOL is renormalized; other
-    faults are left to `Mdp.from_arrays`. Too many entries are OutOfMemory."""
+    probabilities and rewards) of matching lengths. A row off one by over
+    1e-12 but within PROB_TOL is renormalized; other faults are left to
+    `Mdp.from_arrays`, which takes the row table as it is."""
     try:
         states, actions = (tuple(map(str, obj[key])) for key in ("states", "actions"))
         pairs, initial = obj["pairs"], obj["initial"]
@@ -402,22 +432,13 @@ def mdp_from_json(obj: Mapping) -> Mdp:
     if len(set(lengths[:4])) > 1 or lengths[4] != lengths[5]:
         raise ValidationFailed("MDP pair columns s, a, r, row and initial columns s, p have "
                                f"{', '.join(map(str, lengths))} entries")
-    if (p := _first((row < 0) | (row >= len(size)))) is not None:
-        raise ValidationFailed(f"row ({_label(states, int(source[p]))},"
-                               f"{_label(actions, int(action[p]))}) names row {row[p]}, not one "
-                               f"of the {len(size)} rows of the MDP's row table")
     total = np.bincount(owner, weights=prob, minlength=len(size))
     drift = np.abs(total - 1.0)
     near = (drift > 1e-12) & (drift <= PROB_TOL)
     if near.any():
         prob = np.where(near[owner], prob / total[owner], prob)
-    try:
-        pair, at = gather_rows(size, row)
-        return Mdp.from_arrays(states, actions, source, action, reward, pair, succ[at], prob[at],
-                               init_state, init_prob, name=str(obj.get("name", "")))
-    except MemoryError:
-        raise OutOfMemory(f"out of memory expanding the MDP's {len(row)} pairs to "
-                          f"{int(size[row].sum())} row entries") from None
+    return Mdp.from_arrays(states, actions, source, action, reward, row, owner, succ, prob,
+                           init_state, init_prob, name=str(obj.get("name", "")))
 
 
 def rows_to_json(size: np.ndarray, succ: np.ndarray, prob: np.ndarray) -> dict:
@@ -443,9 +464,9 @@ def gather_rows(size: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.nda
     entries after rows 0..r-1, and item i names row `index[i]`. Returns each
     entry's item and its position in the table, item by item."""
     length = size[index]
-    item = np.repeat(np.arange(len(index)), length)
-    at = np.cumsum(length) - length
-    return item, np.arange(len(item)) + np.repeat((np.cumsum(size) - size)[index] - at, length)
+    at = np.repeat((np.cumsum(size) - size)[index] - (np.cumsum(length) - length), length)
+    at += np.arange(len(at))
+    return np.repeat(np.arange(len(index)), length), at
 
 
 def path_to_json(path: ObservedPath) -> dict:
@@ -491,12 +512,21 @@ def canonical_dumps(obj) -> str:
 
 
 def mdp_hash(mdp: Mdp) -> str:
-    """SHA-256 of the labels and the canonical arrays. Each Mdp computes it
-    once, when built, and keeps it as `mdp.digest`."""
+    """SHA-256 of the labels and the arrays, each pair's row expanded from the
+    row table for the hash only. Each Mdp computes it once, when built, and
+    keeps it as `mdp.digest`. Too many expanded entries are OutOfMemory."""
+    size = np.diff(mdp.row_start)
+    try:
+        _, at = gather_rows(size, mdp.row_id)
+    except MemoryError:
+        raise OutOfMemory(f"out of memory expanding the MDP's {len(mdp.row_id)} pairs to "
+                          f"{int(size[mdp.row_id].sum())} row entries") from None
     h = hashlib.sha256(canonical_dumps([mdp.name, mdp.states, mdp.actions,
-                                        len(mdp.source), len(mdp.succ)]).encode())
-    for a in (mdp.source, mdp.action, mdp.row_start, mdp.succ, mdp.prob, mdp.reward, mdp.initial):
-        h.update(a.tobytes())
+                                        len(mdp.source), len(at)]).encode())
+    row_start = np.concatenate([[0], np.cumsum(size[mdp.row_id])])
+    for a in chain((mdp.source, mdp.action, row_start), (x[at] for x in (mdp.succ, mdp.prob)),
+                   (mdp.reward, mdp.initial)):  # one expanded column at a time
+        h.update(a)
     return h.hexdigest()
 
 

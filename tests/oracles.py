@@ -35,13 +35,12 @@ def mdp_to_json_oracle(mdp: Mdp) -> dict:
     action, pair) tuples orders transitions and rewards, one reward per row.
     `label_form` of the file `mdp_to_json` writes must equal it."""
     states, actions = mdp.states, mdp.actions
-    succ, prob, bounds = mdp.succ.tolist(), mdp.prob.tolist(), mdp.row_start.tolist()
     reward = mdp.reward.tolist()
     pairs = sorted((states[s], actions[a], p)
                    for p, (s, a) in enumerate(zip(mdp.source.tolist(), mdp.action.tolist())))
     transitions = [
         {"s": s, "a": a, "to": {states[i]: x for i, x in
-                                zip(succ[bounds[p]:bounds[p + 1]], prob[bounds[p]:bounds[p + 1]])}}
+                                zip(*(col.tolist() for col in mdp.row(p)[:2]))}}
         for s, a, p in pairs
     ]
     start = np.flatnonzero(mdp.initial).tolist()

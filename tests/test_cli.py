@@ -920,6 +920,11 @@ BAD_ARTIFACTS = {
     "mdp-row-index-past-the-end": ("mdp", lambda mdp: _edit_pairs(
         mdp, "row", lambda row: [*row[:-1], 1386]),
         "row (S10I0V20,V_S) names row 1386, not one of the 1386 rows"),
+    # A row no pair names would never be checked: this one loaded with its
+    # NaN and negative probability, and the digest did not change.
+    "mdp-row-named-by-no-pair": ("mdp", lambda mdp: dict(
+        mdp, rows=row_columns(table_rows(mdp["rows"]) + [[[0, 1], [float("nan"), -3.0]]])),
+        "error: row 1386 of the MDP's row table is named by no pair\n"),
     "mdp-row-index-true": ("mdp", lambda mdp: _edit_pairs(mdp, "row", lambda row: [True, *row[1:]]),
                            "MDP pair row True is not an integer"),
     "mdp-row-sizes-do-not-split": ("mdp", lambda mdp: dict(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cfmdp.cli import main
 from cfmdp.environments import (
     EpidemicConfig,
     GridWorldConfig,
@@ -19,7 +20,7 @@ from cfmdp.environments import (
     sepsis_state_parts,
 )
 from cfmdp.errors import InvalidConfig, UnknownEnvironment
-from cfmdp.mdp import mdp_to_json
+from cfmdp.mdp import gather_rows, mdp_from_json, mdp_to_json
 
 from oracles import (available_actions, build_epidemic_oracle, build_sepsis_lite_oracle, initial,
                      kernel, kernel_row, label_form, mdp_to_json_oracle, path_return, reward)
@@ -92,20 +93,21 @@ def test_epidemic_action_availability():
 
 def test_epidemic_pmf_matches_scipy_oracle():
     # Transition masses equal scipy's hypergeometric pmf to 1e-12, checked
-    # over every entry at once.
+    # over every entry of every pair's row at once.
     mdp = build_epidemic()
+    pair, at = gather_rows(np.diff(mdp.row_start), mdp.row_id)
     counts = np.array([epidemic_counts(s) for s in mdp.states])
-    S, I = counts[mdp.source[mdp.owner], 0], counts[mdp.source[mdp.owner], 1]
-    act = np.array(mdp.actions)[mdp.action[mdp.owner]]
+    S, I = counts[mdp.source[pair], 0], counts[mdp.source[pair], 1]
+    act = np.array(mdp.actions)[mdp.action[pair]]
     v_i, v_s = act == "V_I", act == "V_S"
     # NIL: (M, n, N) = (S+I, min(S, I), S); V_I: (S+I-1, min(S, I-1), S); V_S: (S+I-1, min(S-1, I), S-1)
     M, n, N = S + I - (v_i | v_s), np.minimum(S - v_s, I - v_i), S - v_s
-    k = N - counts[mdp.succ, 0]
+    k = N - counts[mdp.succ[at], 0]
     with np.errstate(invalid="ignore"):
         ref = stats.hypergeom.pmf(k, M, n, N)
     # scipy rejects the empty-population corner; its pmf is Dirac at 0.
     ref = np.where((M == 0) & (k == 0), 1.0, ref)
-    assert np.max(np.abs(mdp.prob - ref)) <= 1e-12
+    assert np.max(np.abs(mdp.prob[at] - ref)) <= 1e-12
 
 
 def test_epidemic_rows_sum_exactly():
@@ -241,6 +243,19 @@ def test_sepsis_builder_equals_the_label_dict_oracle(cfg):
                          ids=lambda cfg: f"P{cfg.population}-I{cfg.initial_infected}")
 def test_epidemic_builder_equals_the_label_dict_oracle(cfg):
     assert_same_mdp(build_epidemic(cfg), build_epidemic_oracle(cfg))
+
+
+@pytest.mark.parametrize("args", ["sepsis", "epidemic --population 14"])
+def test_loaded_mdp_keeps_the_file_row_table(args, tmp_path):
+    # The file stores each distinct row once, and so does the loaded MDP: no
+    # stored array grows to one element per (pair, successor) entry.
+    assert main(["env", *args.split(), "--out", str(tmp_path / "mdp.json")]) == 0
+    obj = json.loads((tmp_path / "mdp.json").read_text())
+    mdp = mdp_from_json(obj)
+    entries = sum(obj["rows"]["size"])
+    assert len(mdp.succ) == len(mdp.prob) == len(mdp.logp) == len(mdp.owner) == entries
+    assert len(mdp.row_start) == len(obj["rows"]["size"]) + 1
+    assert entries < sum(obj["rows"]["size"][r] for r in obj["pairs"]["row"])
 
 
 # -- registry ------------------------------------------------------------------

@@ -539,9 +539,9 @@ def test_mdp_json_names_a_missing_column(part, column):
 
 
 def chain_arrays(**edits):
-    """chain_mdp as the index arrays of `Mdp.from_arrays`, pairs and entries
-    given in reverse, with `edits` replacing some of them."""
-    arrays = dict(source=[2, 1, 0], action=[0, 0, 0], reward=[0.0, 2.0, 1.0],
+    """chain_mdp as the index arrays of `Mdp.from_arrays`, pairs and rows
+    given in reverse, one row per pair, with `edits` replacing some of them."""
+    arrays = dict(source=[2, 1, 0], action=[0, 0, 0], reward=[0.0, 2.0, 1.0], row=[0, 1, 2],
                   owner=[0, 1, 2], succ=[2, 2, 1], prob=[1.0, 1.0, 1.0],
                   init_state=[0], init_prob=[1.0])
     arrays.update(edits)
@@ -563,14 +563,19 @@ def test_array_constructor_builds_the_label_dict_mdp():
     (dict(source=[2, 7, 0]), ["kernel row (#7,a) has unknown source state #7"]),
     (dict(succ=[2, -1, 1]), ["row (s1,a) references unknown state #-1"]),
     (dict(source=[2, 0, 0]), ["row (s0,a) is given twice"]),
-    (dict(owner=[0, 1, 1], succ=[2, 2, 2], prob=[1.0, 0.5, 0.5]),
+    (dict(owner=[0, 1, 1, 2], succ=[2, 2, 2, 1], prob=[1.0, 0.5, 0.5, 0.0]),
      ["row (s1,a) lists successor s2 twice", "row (s0,a) sums to 0.0"]),
     (dict(init_state=[3], init_prob=[1.0]), ["initial distribution references unknown state #3"]),
     # A repeated initial state would keep only its last probability.
     (dict(init_state=[0, 0], init_prob=[0.5, 0.5]), ["initial distribution lists state s0 twice"]),
-    (dict(owner=[0, 3, 2, -1]), ["entry 1 has unknown pair #3", "entry 3 has unknown pair #-1"]),
+    (dict(owner=[0, -1, 2, -2], succ=[2, 2, 1, 0], prob=[1.0] * 4),
+     ["entry 1 has unknown row #-1", "entry 3 has unknown row #-2"]),
+    (dict(row=[0, 3, 2]), ["row (s1,a) names row 3, not one of the 3 rows of the MDP's row table"]),
+    (dict(row=[0, 0, 2], owner=[0, 1, 2, 3], succ=[2, 2, 1, -9], prob=[1.0, 0.5, 1.0, 2.0]),
+     ["row 1 of the MDP's row table is named by no pair",
+      "row 3 of the MDP's row table is named by no pair"]),
 ], ids=["unknown-source", "unknown-successor", "pair-twice", "successor-twice", "unknown-initial",
-        "initial-twice", "unknown-owner"])
+        "initial-twice", "unknown-owner", "row-past-the-table", "row-named-by-no-pair"])
 def test_array_constructor_names_faults_by_label_or_index(edits, faults):
     with pytest.raises(ValidationFailed) as exc:
         Mdp.from_arrays(("s0", "s1", "s2"), ("a",), **chain_arrays(**edits))
@@ -624,16 +629,17 @@ ROUND_TRIPS = {
 @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
 def test_json_object_is_that_of_the_sorted_label_tuples(case):
     # The file's rows, expanded per pair and sorted by (state, action) label
-    # tuples, are the label dicts of the MDP; the table holds each distinct
-    # row once, in the order of `Mdp.row_id`.
+    # tuples, are the label dicts of the MDP; the table is the MDP's, each
+    # distinct row once, numbered by the first pair that names it.
     mdp = ROUND_TRIPS[case]()
     obj = json.loads(json.dumps(mdp_to_json(mdp)))
     assert label_form(obj) == mdp_to_json_oracle(mdp)
     assert (json.dumps(label_form(obj), sort_keys=True)
             == json.dumps(mdp_to_json_oracle(mdp), sort_keys=True))
-    first = sorted(set(mdp.row_id.tolist()))
-    assert len(obj["rows"]["size"]) == len(first)
-    assert obj["pairs"]["row"] == [first.index(r) for r in mdp.row_id.tolist()]
+    table = [(tuple(succ), tuple(probs)) for succ, probs in table_rows(obj["rows"])]
+    assert len(set(table)) == len(table)
+    assert obj["pairs"]["row"] == mdp.row_id.tolist()
+    assert list(dict.fromkeys(mdp.row_id.tolist())) == list(range(len(table)))
 
 
 @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
@@ -641,10 +647,39 @@ def test_json_round_trip_keeps_arrays_and_hash(case):
     mdp = ROUND_TRIPS[case]()
     again = mdp_from_json(json.loads(json.dumps(mdp_to_json(mdp))))
     assert mdp.prob.min() > 0.0
-    for name in ("source", "action", "start", "row_start", "owner", "succ", "prob", "logp",
-                 "reward", "pair_at", "initial"):
+    for name in ("source", "action", "start", "row_id", "row_start", "owner", "succ", "prob",
+                 "logp", "reward", "pair_at", "initial"):
         np.testing.assert_array_equal(getattr(mdp, name), getattr(again, name), err_msg=name)
     assert mdp_hash(mdp) == mdp_hash(again) == mdp.digest == again.digest
+
+
+def twin_mdp():
+    """(x, a) and (x, b) share the row {x: .5, y: .5}."""
+    rows = {("x", "a"): {"x": 0.5, "y": 0.5}, ("x", "b"): {"x": 0.5, "y": 0.5},
+            ("y", "a"): {"y": 1.0}, ("z", "a"): {"z": 1.0}}
+    return Mdp(("x", "y", "z"), ("a", "b"), rows, {("y", "a"): 1.0}, {"x": 1.0})
+
+
+@pytest.mark.parametrize("copy, names", [
+    ([[0, 1], [0.5, 0.5]], [3, 0]),
+    ([[0, 1], [0.5, 0.5]], [0, 3]),
+    ([[0, 1, 2], [0.5, 0.5, 0.0]], [0, 3]),
+    ([[2, 1, 0], [0.0, 0.5, 0.5]], [3, 0]),
+], ids=["copy-first", "copy-second", "copy-with-zero-entry", "copy-reversed-with-zero-entry"])
+def test_rows_of_one_content_under_two_indices_load_as_one_row(copy, names):
+    # twin_mdp's file with its shared row stored twice, the copy as row 3,
+    # and (x, a) and (x, b) naming rows `names`: the copy matches once its
+    # zero entries are dropped and its successors sorted, and loads as the
+    # canonical file's row.
+    mdp = twin_mdp()
+    obj = json.loads(json.dumps(mdp_to_json(mdp)))
+    assert obj["pairs"]["row"] == [0, 0, 1, 2]
+    edited = dict(obj, pairs=dict(obj["pairs"], row=[*names, 1, 2]),
+                  rows=row_columns(table_rows(obj["rows"]) + [copy]))
+    loaded = mdp_from_json(edited)
+    assert loaded.row_id.tolist() == mdp.row_id.tolist() == [0, 0, 1, 2]
+    assert loaded.digest == mdp.digest
+    assert json.dumps(mdp_to_json(loaded)) == json.dumps(obj)
 
 
 def test_hash_changes_with_each_part():

@@ -20,32 +20,42 @@ from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import Mdp, mdp_from_json, mdp_to_json, sample_path
 from cfmdp.solver import rollout, solve_km, sweep
 
-from oracles import (cf_transition_oracle, initial, kernel, km_value_oracle, path_return,
-                     random_mdp, rejection_posterior, reward, rollout_oracle, same_tables,
-                     solve_km_oracle)
+from oracles import (cf_transition_oracle, initial, kernel, kernel_row, km_value_oracle,
+                     path_return, random_mdp, rejection_posterior, reward, rollout_oracle,
+                     same_tables, solve_km_oracle)
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def instances(draw, shared_rows=False):
-    """A random MDP, a path observed on it under random actions, and its
-    counterfactual MDP. With `shared_rows`, some pairs are given a copy of
+def random_mdps(draw, shared_rows=False):
+    """A seed, a random MDP drawn from it, and the label dicts {(s, a): {s2:
+    p}} it was built from. With `shared_rows`, some pairs are given a copy of
     another pair's nominal row, as when an action leaves a state's dynamics
-    unchanged."""
+    unchanged: its entries in reverse, with a zero entry added where a state
+    is off the row, so a copy equals its row only once compiled."""
     seed = draw(st.integers(0, 2**32 - 1))
     n_states = draw(st.integers(1, 6))
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, n_states, draw(st.integers(1, 3)),
                      support_max=draw(st.integers(1, n_states)))
+    rows = kernel(mdp)
     if shared_rows:
-        rows = kernel(mdp)
         pairs = sorted(rows)
         rewards = {sa: reward(mdp, *sa) for sa in pairs}
         for dst, src in draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(pairs)),
                                       min_size=1, max_size=len(pairs))):
-            rows[dst] = dict(rows[src])
+            spare = [s for s in mdp.states if s not in rows[src]][:1]
+            rows[dst] = {**dict(reversed(rows[src].items())), **dict.fromkeys(spare, 0.0)}
         mdp = Mdp(mdp.states, mdp.actions, rows, rewards, initial(mdp), name=mdp.name)
+    return seed, mdp, rows
+
+
+@st.composite
+def instances(draw, shared_rows=False):
+    """A random MDP of `random_mdps`, a path observed on it under random
+    actions, and its counterfactual MDP."""
+    seed, mdp, _ = draw(random_mdps(shared_rows))
     actions = draw(st.lists(st.sampled_from(mdp.actions), min_size=1, max_size=5))
     path = sample_path(mdp, lambda s, t: actions[t], len(actions), seed=seed)
     n = draw(st.integers(1, 60))
@@ -87,9 +97,9 @@ def test_cf_rows_equal_the_argmax_oracle(instance):
 @given(instances(shared_rows=True))
 def test_pairs_with_one_nominal_row_share_one_counterfactual_row(instance):
     mdp, path, cf = instance
-    rows = [(mdp.succ[mdp.owner == p].tobytes(), mdp.prob[mdp.owner == p].tobytes())
-            for p in range(len(mdp.source))]
-    assert mdp.row_id.tolist() == [rows.index(row) for row in rows]
+    rows = [tuple(a.tobytes() for a in mdp.row(p)[:2]) for p in range(len(mdp.source))]
+    first = list(dict.fromkeys(rows))
+    assert mdp.row_id.tolist() == [first.index(row) for row in rows]
 
     pruned = prune_cf_mdp(cf, path.T + 1)
     built = {(t, mdp.row_id[p]) for t, (mask, _, _) in enumerate(pruned.closure.rows)
@@ -102,13 +112,50 @@ def test_pairs_with_one_nominal_row_share_one_counterfactual_row(instance):
             alone = cf_transition(posterior, mdp, t, p)
             # The mechanism's empirical law computed literally, without the
             # one-successor shortcut.
-            lo, hi = mdp.row_start[p], mdp.row_start[p + 1]
-            winners = np.argmax(mdp.logp[lo:hi] + posterior.noise[t][:, mdp.succ[lo:hi]], axis=1)
-            counts = np.bincount(winners, minlength=hi - lo)
-            literal = (mdp.succ[lo:hi][counts > 0], counts[counts > 0] / posterior.n)
+            succ, _, logp = mdp.row(p)
+            winners = np.argmax(logp + posterior.noise[t][:, succ], axis=1)
+            counts = np.bincount(winners, minlength=len(succ))
+            literal = (succ[counts > 0], counts[counts > 0] / posterior.n)
             for a, b in (alone, literal):
                 assert idx.tobytes() == a.tobytes() and probs.tobytes() == b.tobytes(), (t, p)
     assert cf.rows_built == len({(t, r) for t in range(path.T) for r in mdp.row_id.tolist()})
+
+
+@PROPERTIES
+@given(random_mdps(shared_rows=True))
+def test_row_table_is_canonical(case):
+    # Each distinct nominal row once, successors ascending, numbered by the
+    # first pair (in compiled order) whose label dict has it once its zero
+    # entries are dropped; every pair reads its label dict's row.
+    _, mdp, rows = case
+    bounds = mdp.row_start.tolist()
+    table = [(tuple(mdp.succ[lo:hi].tolist()), mdp.prob[lo:hi].tobytes())
+             for lo, hi in zip(bounds, bounds[1:])]
+    assert all(np.all(np.diff(succ) > 0) for succ, _ in table)
+    assert mdp.owner.tolist() == [r for r, (succ, _) in enumerate(table) for _ in succ]
+    pairs = [(mdp.states[s], mdp.actions[a])
+             for s, a in zip(mdp.source.tolist(), mdp.action.tolist())]
+    want = []
+    for sa in pairs:
+        row = sorted((mdp.state_index(x), q) for x, q in rows[sa].items() if q != 0.0)
+        want.append((tuple(i for i, _ in row), np.array([q for _, q in row]).tobytes()))
+    first = list(dict.fromkeys(want))
+    assert table == first
+    assert mdp.row_id.tolist() == [first.index(row) for row in want]
+    for p, sa in enumerate(pairs):
+        assert kernel_row(mdp, *sa) == {x: q for x, q in rows[sa].items() if q != 0.0}, sa
+
+
+@PROPERTIES
+@given(random_mdps(shared_rows=True))
+def test_mdp_json_round_trip_is_byte_identical(case):
+    _, mdp, _ = case
+    text = json.dumps(mdp_to_json(mdp), sort_keys=True)
+    again = mdp_from_json(json.loads(text))
+    assert json.dumps(mdp_to_json(again), sort_keys=True) == text
+    assert again.digest == mdp.digest
+    for name in ("row_id", "row_start", "owner", "succ", "prob"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(mdp, name), err_msg=name)
 
 
 @PROPERTIES
