@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import CfmdpError, MissingKernelRow, ValidationFailed
+from .errors import CfmdpError, MissingKernelRow, OutOfMemory, ValidationFailed
 from .gumbel import (
     CfMdp,
     build_cf_mdp,
@@ -134,8 +134,11 @@ def cmd_sample(args) -> int:
     if mdp.name != envs.MDP_NAMES[env]:
         raise ValidationFailed(f"preset {args.policy!r} observes the {env} environment "
                                f"(MDP name {envs.MDP_NAMES[env]!r}), but --mdp is {mdp.name!r}")
-    path = sample_path(mdp, policy, args.horizon or horizon,
-                       seed if args.seed is None else args.seed)
+    horizon = args.horizon or horizon
+    try:
+        path = sample_path(mdp, policy, horizon, seed if args.seed is None else args.seed)
+    except MemoryError:
+        raise OutOfMemory(f"out of memory drawing the path uniforms ({horizon + 1} float64)") from None
     _emit(json.dumps(path_to_json(path), sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

@@ -186,9 +186,12 @@ def build_epidemic(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
     pool. Vaccination actions exist only while stock and targets remain.
     Reward is -I for every action.
 
-    A row depends on (S, I, action) only: it is computed once and shifted
-    to each of the 2P+1 vaccine stocks V. State (S, I, V) has index
-    block(S, I) * (2P+1) + V, the blocks numbered in (S, I) order.
+    Vaccinating an infected at (S, I+1, V+1), or a susceptible at (S+1, I,
+    V+1), moves as doing nothing at (S, I, V), so the row table holds one
+    row per state, its NIL row, computed once per (S, I) and shifted to each
+    of the 2P+1 vaccine stocks V; each pair names the row of the state it
+    moves as. State (S, I, V) and its row have index block(S, I) * (2P+1) +
+    V, the blocks numbered in (S, I) order.
     """
     P = cfg.population
     if P < 1 or not (0 <= cfg.initial_infected <= P):
@@ -197,34 +200,29 @@ def build_epidemic(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
     block = {(s, i): b for b, (s, i) in
              enumerate((s, i) for s in range(P + 1) for i in range(P + 1 - s))}
     states = tuple(_epi_label(s, i, v) for s, i in block for v in range(stocks))
-    every, stocked = np.arange(stocks), np.arange(1, stocks)
-    source, action, reward, lengths, succ, prob = [], [], [], [], [], []
+    every = np.arange(stocks)
+    source, action, row, lengths, succ, prob = [], [], [], [], [], []
     for (S, I), b in block.items():
-        # Per action: the stocks it is available at, the stock it leaves, and
-        # its successors' (S, I) blocks with their probabilities.
-        rows = [(0, every, 0, [((S - k, I + k), _hypergeom_pmf(k, S + I, min(S, I), S))
-                               for k in range(S + 1)])]
-        if I >= 1:
-            rows.append((1, stocked, -1, [((S - k, I - 1 + k),
-                                           _hypergeom_pmf(k, S + I - 1, min(S, I - 1), S))
-                                          for k in range(S + 1)]))
-        if S >= 1:
-            rows.append((2, stocked, -1, [((S - 1 - k, I + k),
-                                           _hypergeom_pmf(k, S + I - 1, min(S - 1, I), S - 1))
-                                          for k in range(S)]))
-        for a, vs, spent, entries in rows:
-            entries = [(block[dest], p) for dest, p in entries if p > 0.0]
-            dest = np.array([d for d, _ in entries], dtype=np.int64) * stocks + spent
-            source.append(b * stocks + vs)
-            action.append(np.full(len(vs), a))
-            reward.append(np.full(len(vs), float(-I)))
-            lengths.append(np.full(len(vs), len(entries)))
-            succ.append((vs[:, None] + dest).ravel())
-            prob.append(np.tile([p for _, p in entries], len(vs)))
-    pairs = np.arange(sum(map(len, lengths)))
+        entries = [(block[(S - k, I + k)], p) for k in range(S + 1)
+                   if (p := _hypergeom_pmf(k, S + I, min(S, I), S)) > 0.0]
+        dest = np.array([d for d, _ in entries], dtype=np.int64) * stocks
+        lengths.append(np.full(stocks, len(entries)))
+        succ.append((every[:, None] + dest).ravel())
+        prob.append(np.tile([p for _, p in entries], stocks))
+        # Per action, the block its pairs move as: NIL as (S, I), and with a
+        # vaccine left, V_I as (S, I-1) and V_S as (S-1, I), one vaccine less.
+        for a, target in enumerate(((S, I), (S, I - 1), (S - 1, I))):
+            if target in block:
+                vs = every[1:] if a else every
+                source.append(b * stocks + vs)
+                action.append(np.full(len(vs), a))
+                row.append(block[target] * stocks + vs - (1 if a else 0))
+    source = np.concatenate(source)
     s0 = block[(P - cfg.initial_infected, cfg.initial_infected)] * stocks + 2 * P
-    return Mdp.from_arrays(states, (NIL, V_I, V_S), np.concatenate(source), np.concatenate(action),
-                           np.concatenate(reward), pairs, np.repeat(pairs, np.concatenate(lengths)),
+    return Mdp.from_arrays(states, (NIL, V_I, V_S), source, np.concatenate(action),
+                           np.repeat([float(-I) for _, I in block], stocks)[source],
+                           np.concatenate(row),
+                           np.repeat(np.arange(len(states)), np.concatenate(lengths)),
                            np.concatenate(succ), np.concatenate(prob), [s0], [1.0],
                            name=MDP_NAMES["epidemic"])
 
@@ -292,7 +290,7 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
 
     A living state's row depends on (vitals, action) only: it is computed
     once, with each entry the product of its four vitals' probabilities in
-    `itertools.product` order, and shared by all 8 flag settings. State
+    `itertools.product` order, and named by all 8 flag settings' pairs. State
     (vitals, flags) has index 8 * (vitals in base 3) + (flags in base 2), and
     action bits b lead to flags b, so action index a leads to flags index a.
     """
@@ -333,43 +331,37 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
             return -cfg.reward_scale / cfg.horizon
         return (cfg.reward_scale - 500.0 * abn) / cfg.horizon
 
-    # Per vitals, the rows of its 8 x 8 pairs as entry counts, successors and
-    # probabilities, pair by pair.
-    reward, lengths, succ, prob = [], [], [], []
+    # Each distinct row once, as (successor, probability) entries, and per
+    # vitals the rows its 8 x 8 pairs name, pair by pair.
+    row, table = [], []
     for v, vitals in enumerate(all_vitals):
         abn = sum(1 for x in vitals if x != NORMAL)
-        if abn >= cfg.death_threshold:  # dead: absorbing under every action
-            lens, p = np.ones(nf * na, dtype=np.int64), np.ones(nf * na)
-            s2 = np.repeat(np.arange(v * nf, (v + 1) * nf), na)
-        else:
-            lens, s2, p = [], [], []
+        first = len(table)
+        if abn >= cfg.death_threshold:  # dead: each flag setting's own absorbing row
+            named = np.repeat(np.arange(nf), na)
+            table += [[(v * nf + f, 1.0)] for f in range(nf)]
+        else:  # action a's row, named by the 8 flag settings
+            named = np.tile(np.arange(na), nf)
             for a, bits in enumerate(action_bits):
                 dists = [vital_dist(x, i < 3 and bits[i] == 1,
                                     cfg.treat_effect[i] if i < 3 else 0.0)
                          for i, x in enumerate(vitals)]
-                row = [(((l0 * 3 + l1) * 3 + l2) * 3 + l3, math.prod((p0, p1, p2, p3)))
-                       for (l0, p0), (l1, p1), (l2, p2), (l3, p3) in
-                       product(*(d.items() for d in dists))]
-                lens.append(len(row))
-                s2.extend(nxt * nf + a for nxt, _ in row)
-                p.extend(x for _, x in row)
-            per_flags = sum(lens)  # the entries of one flag setting's 8 pairs
-            lens, s2, p = np.tile(lens, nf), np.tile(s2, nf), np.tile(p, nf)
+                table.append([((((l0 * 3 + l1) * 3 + l2) * 3 + l3) * nf + a,
+                               math.prod((p0, p1, p2, p3)))
+                              for (l0, p0), (l1, p1), (l2, p2), (l3, p3) in
+                              product(*(d.items() for d in dists))])
             if abn == 0:  # discharged with all flags off: absorbing under every action
-                lens[:na] = 1
-                s2 = np.concatenate([np.full(na, v * nf), s2[per_flags:]])
-                p = np.concatenate([np.ones(na), p[per_flags:]])
-        lengths.append(lens)
-        succ.append(s2)
-        prob.append(p)
-        reward.append(np.full(nf * na, step_reward(vitals)))
+                named[:na] = na
+                table.append([(v * nf, 1.0)])
+        row.append(first + named)
     n = len(states)
-    pairs = np.arange(n * na)
+    succ, prob = zip(*(entry for r in table for entry in r))
     s0 = sum(x * 3 ** (3 - i) for i, x in enumerate(cfg.start_vitals)) * nf
     return Mdp.from_arrays(states, actions, np.repeat(np.arange(n), na), np.tile(np.arange(na), n),
-                           np.concatenate(reward), pairs, np.repeat(pairs, np.concatenate(lengths)),
-                           np.concatenate(succ), np.concatenate(prob), [s0], [1.0],
-                           name=MDP_NAMES["sepsis"])
+                           np.repeat([step_reward(vitals) for vitals in all_vitals], nf * na),
+                           np.concatenate(row),
+                           np.repeat(np.arange(len(table)), [len(r) for r in table]), succ, prob,
+                           [s0], [1.0], name=MDP_NAMES["sepsis"])
 
 
 def sepsis_features():

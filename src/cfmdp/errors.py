@@ -38,8 +38,8 @@ class InfeasibleBudget(CfmdpError):
 
 
 class OutOfMemory(CfmdpError):
-    """A working array (a posterior noise layer, the rollout uniforms, the
-    MDP's rows expanded per pair for its digest) could not be allocated."""
+    """A working array (a posterior noise layer, the rollout uniforms, a
+    sampled path's uniforms) could not be allocated."""
 
 
 class InvariantViolated(CfmdpError):

@@ -15,12 +15,12 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import MissingKernelRow, OutOfMemory, UndefinedPolicyAction, ValidationFailed
+from .errors import MissingKernelRow, UndefinedPolicyAction, ValidationFailed
 
 State = str
 Action = str
@@ -88,7 +88,7 @@ class Mdp:
         mdp = cls.__new__(cls)
         mdp._compile(states, actions, source, action, reward, row, owner, succ, prob, init_state,
                      init_prob, name)
-        mdp.digest = mdp_hash(mdp)  # once the compile's working arrays are freed
+        mdp.digest = mdp_hash(mdp)
         return mdp
 
     def _compile(self, states, actions, source, action, reward, row, owner, succ, prob,
@@ -369,7 +369,11 @@ class ObservedPath:
 def sample_path(mdp: Mdp, policy: Callable[[State, int], Action | None], horizon: int,
                 seed: int) -> ObservedPath:
     """Sample a length-`horizon` path under `policy`, a (state, t) -> action
-    callable; deterministic given the seed."""
+    callable; deterministic given the seed. A horizon whose `horizon + 1`
+    float64 uniforms cannot be addressed is refused before any draw."""
+    if (horizon + 1) * 8 > np.iinfo(np.intp).max:
+        raise ValidationFailed(f"sample horizon {horizon} is too large: its {horizon + 1} "
+                               "float64 uniforms must be addressable")
     u = np.random.default_rng(seed).random(horizon + 1).tolist()  # the scalar draws' values
     support, cum = mdp._cdf(-1)
     si = support[min(bisect_right(cum, u[0] * cum[-1]), len(support) - 1)]
@@ -412,12 +416,14 @@ def mdp_to_json(mdp: Mdp) -> dict:
 
 
 def mdp_from_json(obj: Mapping) -> Mdp:
-    """The MDP of a `mdp_to_json` object: JSON integer columns (numbers for
-    probabilities and rewards) of matching lengths. A row off one by over
-    1e-12 but within PROB_TOL is renormalized; other faults are left to
-    `Mdp.from_arrays`, which takes the row table as it is."""
+    """The MDP of a `mdp_to_json` object: a JSON string name, JSON arrays of
+    string labels and JSON integer columns (numbers for probabilities and
+    rewards) of matching lengths. A row off one by over 1e-12 but within
+    PROB_TOL is renormalized; other faults are left to `Mdp.from_arrays`,
+    which takes the row table as it is."""
     try:
-        states, actions = (tuple(map(str, obj[key])) for key in ("states", "actions"))
+        name, = json_strings([obj.get("name", "")], "MDP name")
+        states, actions = (json_strings(obj[f"{key}s"], f"MDP {key}") for key in ("state", "action"))
         pairs, initial = obj["pairs"], obj["initial"]
         source = json_integers(pairs["s"], "MDP pair state")
         action = json_integers(pairs["a"], "MDP pair action")
@@ -438,7 +444,7 @@ def mdp_from_json(obj: Mapping) -> Mdp:
     if near.any():
         prob = np.where(near[owner], prob / total[owner], prob)
     return Mdp.from_arrays(states, actions, source, action, reward, row, owner, succ, prob,
-                           init_state, init_prob, name=str(obj.get("name", "")))
+                           init_state, init_prob, name=name)
 
 
 def rows_to_json(size: np.ndarray, succ: np.ndarray, prob: np.ndarray) -> dict:
@@ -475,13 +481,15 @@ def path_to_json(path: ObservedPath) -> dict:
 
 def path_from_json(obj: Mapping, mdp: Mdp) -> ObservedPath:
     """The path of a `path_to_json` object, checked and compiled against `mdp`.
-    Each step's `t` must be a JSON integer, and the steps are 0..T-1."""
+    Each step's `t` must be a JSON integer, the steps are 0..T-1, and each
+    step's `s` and `a` are JSON strings."""
     try:
         steps = obj["steps"]
         t = json_integers([e["t"] for e in steps], "path step t")
         if sorted(t.tolist()) != list(range(len(steps))):
             raise ValidationFailed("path steps are not consecutively indexed from 0")
-        steps = [(str(steps[i]["s"]), str(steps[i]["a"])) for i in np.argsort(t).tolist()]
+        s, a = (json_strings([e[key] for e in steps], f"path step {key}") for key in "sa")
+        steps = [(s[i], a[i]) for i in np.argsort(t).tolist()]
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed path JSON: {exc}") from exc
     return ObservedPath(mdp, steps)
@@ -495,6 +503,18 @@ def json_integers(values: list, field: str) -> np.ndarray:
         value = next(v for v in values if type(v) is not int)
         raise ValidationFailed(f"{field} {value!r} is not an integer")
     return np.array(values, dtype=np.int64)
+
+
+def json_strings(values: list, field: str) -> tuple:
+    """`values`, a JSON array of JSON strings, as a tuple. Any other value in
+    its place or in it is a validation error naming `field`, never passed
+    through str()."""
+    if type(values) is not list:
+        raise ValidationFailed(f"{field} list {values!r} is not a JSON array")
+    if not set(map(type, values)) <= {str}:
+        value = next(v for v in values if type(v) is not str)
+        raise ValidationFailed(f"{field} {value!r} is not a string")
+    return tuple(values)
 
 
 def json_numbers(values: list, field: str) -> np.ndarray:
@@ -512,20 +532,13 @@ def canonical_dumps(obj) -> str:
 
 
 def mdp_hash(mdp: Mdp) -> str:
-    """SHA-256 of the labels and the arrays, each pair's row expanded from the
-    row table for the hash only. Each Mdp computes it once, when built, and
-    keeps it as `mdp.digest`. Too many expanded entries are OutOfMemory."""
-    size = np.diff(mdp.row_start)
-    try:
-        _, at = gather_rows(size, mdp.row_id)
-    except MemoryError:
-        raise OutOfMemory(f"out of memory expanding the MDP's {len(mdp.row_id)} pairs to "
-                          f"{int(size[mdp.row_id].sum())} row entries") from None
+    """SHA-256 of the labels and the stored arrays, whose row table `_compile`
+    makes canonical: one kernel has one digest however its rows are
+    factored. Each Mdp keeps it as `mdp.digest`, computed once when built."""
     h = hashlib.sha256(canonical_dumps([mdp.name, mdp.states, mdp.actions,
-                                        len(mdp.source), len(at)]).encode())
-    row_start = np.concatenate([[0], np.cumsum(size[mdp.row_id])])
-    for a in chain((mdp.source, mdp.action, row_start), (x[at] for x in (mdp.succ, mdp.prob)),
-                   (mdp.reward, mdp.initial)):  # one expanded column at a time
+                                        len(mdp.source), len(mdp.succ)]).encode())
+    for a in (mdp.source, mdp.action, mdp.row_id, mdp.row_start, mdp.succ, mdp.prob, mdp.reward,
+              mdp.initial):
         h.update(a)
     return h.hexdigest()
 

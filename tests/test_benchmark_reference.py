@@ -26,8 +26,8 @@ ENV_SHA256 = {
     "sepsis": "e0c70a4308b84a509ada3907ccd6fe28d8c7c8971266bad74a17fedf7a489e4b",
 }
 STAGED_SHA256 = {
-    "pruned.json": "6dd15ed46a2bd712209ae35f2522eeb374c533ff269170a51cda199b0ac56636",
-    "policy.json": "97dbc3702d63fe6bd341167ceabcd135aab26bfe505015375493ae86ef6e0618",
+    "pruned.json": "6193fa20919cd2b16fc161039ccca1ac43aed7f58ee1aa7f7b72ce2d39572c7a",
+    "policy.json": "0c6fa2ad35ed13bd9662163b2e8fd8c95c7a03a605dca2a314a164bf0cc655c2",
 }
 
 
@@ -56,8 +56,9 @@ def test_sepsis_sweep_and_pipeline_equal_the_benchmark_reference(tmp_path):
     assert ((staged / "rollout.csv").read_bytes()
             == (REFERENCE / "sepsis-pipeline" / "rollout.csv").read_bytes())
     # The staged artifacts are not pinned by the benchmark; their bytes are
-    # those of the columnar codecs, which store the rows the label-keyed
-    # form stored (the policy's `pruned_hash` did not change with them).
+    # those of the columnar codecs, and they record the MDP's digest (the
+    # pruned artifact's `mdp_hash`, the policy's `meta.mdp_hash` and
+    # `pruned_hash`), which hashes the MDP's canonical row table.
     for name, digest in STAGED_SHA256.items():
         assert hashlib.sha256((staged / name).read_bytes()).hexdigest() == digest, name
 

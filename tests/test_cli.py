@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from cfmdp.environments import build_environment
 from cfmdp.errors import InvariantViolated, MissingKernelRow, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, load_posterior
 from cfmdp.influence import prune_cf_mdp
-from cfmdp.mdp import PROB_TOL, Mdp, mdp_from_json, mdp_to_json, path_from_json
+from cfmdp.mdp import PROB_TOL, Mdp, mdp_from_json, mdp_hash, mdp_to_json, path_from_json
 from cfmdp.solver import sweep
 
 from oracles import cf_probs, km_value_oracle, label_form, row_columns, table_rows
@@ -455,31 +456,29 @@ def test_layer_out_of_memory_exits_3(artifact_dir, tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-def test_mdp_rows_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
-    # Pairs share rows, so a small file can name far more entries than fit
-    # in memory: here 2000 pairs of one 2000-successor row, 4,000,000
-    # entries. Expanding them is a runtime error naming the count, not a
-    # traceback; the stand-in raises before anything is allocated.
+def test_mdp_of_one_shared_dense_row_loads_and_hashes_its_table(tmp_path, capsys):
+    # 2000 pairs name one 2000-successor row: 2000 stored entries, 4,000,000
+    # expanded per pair (64 MB of successors and probabilities). The file
+    # loads, and its digest reads the stored table, never a per-pair view.
     n = 2000
-    states = [f"s{i}" for i in range(n)]
-    obj = {"name": "dense", "states": states, "actions": ["a"],
+    obj = {"name": "epidemic", "states": [f"s{i}" for i in range(n)], "actions": ["NIL"],
            "pairs": {"s": list(range(n)), "a": [0] * n, "r": [0.0] * n, "row": [0] * n},
            "rows": {"size": [n], "succ": list(range(n)), "prob": [1 / n] * n},
            "initial": {"s": [0], "p": [1.0]}}
     (tmp_path / "mdp.json").write_text(json.dumps(obj))
-    asked = []
-
-    def no_memory(size, index):
-        asked.append(int(size[index].sum()))
-        raise MemoryError
-
-    monkeypatch.setattr(cfmdp.mdp, "gather_rows", no_memory)
     out = tmp_path / "path.json"
     code, _, err = run(capsys, "sample", "--mdp", str(tmp_path / "mdp.json"),
-                       "--policy", "gridworld", "--out", str(out))
-    assert code == 3 and asked == [n * n]
-    assert err == "error: out of memory expanding the MDP's 2000 pairs to 4000000 row entries\n"
-    assert not out.exists()
+                       "--policy", "epidemic", "--out", str(out))
+    assert code == 0, err
+    assert len(json.loads(out.read_text())["steps"]) == 7
+    mdp = mdp_from_json(obj)
+    tracemalloc.start()
+    try:
+        digest = mdp_hash(mdp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == mdp.digest and peak < 2**20, peak
 
 
 @pytest.mark.parametrize("t", [0.25, "0"])
@@ -534,6 +533,38 @@ def test_rollout_out_of_memory_exits_3(artifact_dir, tmp_path, capsys, monkeypat
     assert code == 3
     assert err == "error: out of memory drawing the rollout uniforms (4294967296x7 float64)\n"
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("horizon", [2**60, 10**22])
+def test_sample_horizon_too_large_to_address_exits_2(horizon, artifact_dir, tmp_path, capsys):
+    # horizon + 1 float64 uniforms beyond the address space are refused
+    # before any draw: 10**22 raised a ValueError traceback.
+    out = tmp_path / "path.json"
+    code, _, err = run(capsys, "sample", "--mdp", str(artifact_dir / "mdp.json"),
+                       "--policy", "epidemic", "--horizon", str(horizon), "--out", str(out))
+    assert code == 2, err
+    assert err == (f"error: sample horizon {horizon} is too large: its {horizon + 1} float64 "
+                   "uniforms must be addressable\n")
+    assert not out.exists()
+
+
+def test_sample_out_of_memory_exits_3(artifact_dir, tmp_path, capsys, monkeypatch):
+    # Uniforms numpy cannot allocate are a runtime error, not a traceback;
+    # the stand-in generator raises before anything is allocated.
+    asked = []
+
+    class NoMemory:
+        def random(self, size):
+            asked.append(size)
+            raise MemoryError
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoMemory())
+    out = tmp_path / "path.json"
+    code, _, err = run(capsys, "sample", "--mdp", str(artifact_dir / "mdp.json"),
+                       "--policy", "epidemic", "--horizon", str(10**14), "--out", str(out))
+    assert code == 3 and asked == [10**14 + 1]
+    assert err == "error: out of memory drawing the path uniforms (100000000000001 float64)\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
@@ -941,6 +972,22 @@ BAD_ARTIFACTS = {
         "error: row (S1I1V0,NIL) lists successor S0I2V0 twice; row (S1I2V1,V_I) lists successor "
         "S0I2V0 twice; row (S2I1V1,V_S) lists successor S0I2V0 twice\n"),
     "mdp-label-form": ("mdp", lambda mdp: label_form(mdp), "malformed MDP JSON: 'pairs'"),
+    # Labels must be JSON strings: str() read "xy" as states x and y, the
+    # number 1 as state "1" and the list ["x"] as the name "['x']".
+    "mdp-states-a-string": ("mdp", lambda mdp: dict(mdp, states="xy"),
+                            "error: MDP state list 'xy' is not a JSON array\n"),
+    "mdp-state-an-integer": ("mdp", lambda mdp: dict(mdp, states=[1, *mdp["states"][1:]]),
+                             "error: MDP state 1 is not a string\n"),
+    "mdp-actions-an-object": ("mdp", lambda mdp: dict(mdp, actions={"NIL": 0}),
+                              "error: MDP action list {'NIL': 0} is not a JSON array\n"),
+    "mdp-action-null": ("mdp", lambda mdp: dict(mdp, actions=[*mdp["actions"][:-1], None]),
+                        "error: MDP action None is not a string\n"),
+    "mdp-name-a-list": ("mdp", lambda mdp: dict(mdp, name=["x"]),
+                        "error: MDP name ['x'] is not a string\n"),
+    "pruned-path-state-an-integer": ("pruned", lambda pruned, policy: _edit_first_step(
+        pruned, s=1), "error: path step s 1 is not a string\n"),
+    "pruned-path-action-a-list": ("pruned", lambda pruned, policy: _edit_first_step(
+        pruned, a=["NIL"]), "error: path step a ['NIL'] is not a string\n"),
     # V_S at s_0 vaccinates a susceptible; the NIL successor at the same node
     # keeps every vaccine, so it is off V_S's support: first as V_S's own row
     # with NIL's values, then as NIL's row named by both actions.
@@ -1056,6 +1103,12 @@ def _edit_mdp_row(mdp, edit, size=2):
     i = next(i for i, (succ, _) in enumerate(rows) if len(succ) == size)
     rows[i] = edit(*rows[i])
     return dict(mdp, rows=row_columns(rows))
+
+
+def _edit_first_step(pruned, **fields):
+    """`pruned` with `fields` set in the first step of its observed path."""
+    steps = pruned["path"]["steps"]
+    return dict(pruned, path={"steps": [dict(steps[0], **fields), *steps[1:]]})
 
 
 def _edit_pairs(mdp, column, edit):

@@ -20,7 +20,7 @@ from cfmdp.environments import (
     sepsis_state_parts,
 )
 from cfmdp.errors import InvalidConfig, UnknownEnvironment
-from cfmdp.mdp import gather_rows, mdp_from_json, mdp_to_json
+from cfmdp.mdp import Mdp, gather_rows, mdp_from_json, mdp_to_json
 
 from oracles import (available_actions, build_epidemic_oracle, build_sepsis_lite_oracle, initial,
                      kernel, kernel_row, label_form, mdp_to_json_oracle, path_return, reward)
@@ -229,13 +229,35 @@ def assert_same_mdp(mdp, oracle):
             == json.dumps(mdp_to_json_oracle(oracle), sort_keys=True))
 
 
-# treat_effect 1.0 gives entries of probability 0.0, which both drop.
+# treat_effect 1.0 gives entries of probability 0.0, which both drop; the
+# death threshold moves which vitals levels share their action rows.
 @pytest.mark.parametrize("cfg", [SepsisLiteConfig(), SepsisLiteConfig(flux=0.0),
                                  SepsisLiteConfig(flux=0.5),
-                                 SepsisLiteConfig(treat_effect=(1.0, 0.5, 0.8))],
-                         ids=["default", "flux-0", "flux-0.5", "treat-effect-1-0.5-0.8"])
+                                 SepsisLiteConfig(treat_effect=(1.0, 0.5, 0.8)),
+                                 SepsisLiteConfig(death_threshold=2),
+                                 SepsisLiteConfig(treat_effect=(1.0, 0.5, 0.3), death_threshold=4)],
+                         ids=["default", "flux-0", "flux-0.5", "treat-effect-1-0.5-0.8",
+                              "death-threshold-2", "treat-effect-1-0.5-0.3-death-threshold-4"])
 def test_sepsis_builder_equals_the_label_dict_oracle(cfg):
     assert_same_mdp(build_sepsis_lite(cfg), build_sepsis_lite_oracle(cfg))
+
+
+# The entries each builder stores; per pair they were 27,336 and 8,381.
+@pytest.mark.parametrize("env, entries", [("sepsis", 3441), ("epidemic", 3381)])
+def test_builder_passes_each_distinct_row_once(env, entries, monkeypatch):
+    # A builder names each shared row once: the 8 flag settings of a living
+    # sepsis state, or the epidemic pairs that move as one state's NIL, are
+    # not given copies for the constructor to merge back.
+    passed = []
+    from_arrays = Mdp.from_arrays.__func__
+
+    def counting(cls, *args, **kwargs):
+        passed.append(len(args[7]))  # succ
+        return from_arrays(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Mdp, "from_arrays", classmethod(counting))
+    mdp = build_environment(env)
+    assert passed == [len(mdp.succ)] == [entries]
 
 
 @pytest.mark.parametrize("cfg", [EpidemicConfig(p, i) for p in range(1, 13)

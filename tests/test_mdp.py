@@ -683,17 +683,28 @@ def test_rows_of_one_content_under_two_indices_load_as_one_row(copy, names):
 
 
 def test_hash_changes_with_each_part():
-    def build(row=(0.5, 0.5), r=1.0, label="s2", start=None):
+    def build(row=(0.5, 0.5), r=1.0, label="s2", start=None, name="", reverse=False):
         states = ("s0", "s1", label)
-        rows = {("s0", "a"): {"s1": row[0], label: row[1]}, ("s1", "a"): {"s1": 1.0},
+        first = [("s1", row[0]), (label, row[1])]
+        rows = {("s0", "a"): dict(first[::-1] if reverse else first), ("s1", "a"): {"s1": 1.0},
                 (label, "a"): {label: 1.0}}
-        return Mdp(states, ("a",), rows, {("s0", "a"): r}, start or {"s0": 1.0})
+        return Mdp(states, ("a",), rows, {("s0", "a"): r}, start or {"s0": 1.0}, name=name)
 
     base = mdp_hash(build())
     assert mdp_hash(build()) == base
     changed = [mdp_hash(mdp) for mdp in (build(row=(0.25, 0.75)), build(r=2.0), build(label="s3"),
-                                         build(start={"s0": 0.5, "s1": 0.5}))]
+                                         build(start={"s0": 0.5, "s1": 0.5}), build(name="x"))]
     assert base not in changed and len(set(changed)) == len(changed)
+    # The digest hashes the canonical row table, successors ascending,
+    # whatever order a row lists them in.
+    assert mdp_hash(build(reverse=True)) == base
+    assert mdp_hash(build(row=(0.25, 0.75), reverse=True)) == changed[0]
+    # Which row each pair names is hashed, not only the table: here the
+    # same two rows, named by (y, a) in turn.
+    named = [mdp_hash(Mdp(("x", "y"), ("a", "b"), {("x", "a"): {"x": 1.0}, ("x", "b"): {"y": 1.0},
+                                                   ("y", "a"): {s: 1.0}}, {}, {"x": 1.0}))
+             for s in ("x", "y")]
+    assert named[0] != named[1]
 
 
 def test_path_json_round_trip():

@@ -22,7 +22,7 @@ from cfmdp.solver import rollout, solve_km, sweep
 
 from oracles import (cf_transition_oracle, initial, kernel, kernel_row, km_value_oracle,
                      path_return, random_mdp, rejection_posterior, reward, rollout_oracle,
-                     same_tables, solve_km_oracle)
+                     row_columns, same_tables, solve_km_oracle, table_rows)
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -156,6 +156,37 @@ def test_mdp_json_round_trip_is_byte_identical(case):
     assert again.digest == mdp.digest
     for name in ("row_id", "row_start", "owner", "succ", "prob"):
         np.testing.assert_array_equal(getattr(again, name), getattr(mdp, name), err_msg=name)
+
+
+@PROPERTIES
+@given(random_mdps(shared_rows=True), st.data())
+def test_digest_is_that_of_the_canonical_row_table(case, data):
+    # One kernel, one digest, however its rows are factored: rebuilt one row
+    # per pair through the label-dict adapter, or loaded from its file with
+    # one row listed in reverse, given a zero entry, or, where pairs share
+    # it, duplicated for one of them.
+    _, mdp, _ = case
+    per_pair = Mdp(mdp.states, mdp.actions, kernel(mdp),
+                   {(mdp.states[s], mdp.actions[a]): r for s, a, r in
+                    zip(mdp.source.tolist(), mdp.action.tolist(), mdp.reward.tolist())},
+                   initial(mdp), name=mdp.name)
+    assert per_pair.digest == mdp.digest
+    obj = mdp_to_json(mdp)
+    rows = table_rows(obj["rows"])
+    r = data.draw(st.integers(0, len(rows) - 1))
+    succ, probs = rows[r]
+    spare = [i for i in range(mdp.num_states) if i not in succ]
+    edit = data.draw(st.sampled_from(["reverse"] + ["zero entry"] * bool(spare)
+                                     + ["duplicate"] * (obj["pairs"]["row"].count(r) > 1)))
+    if edit == "duplicate":
+        obj["pairs"]["row"][obj["pairs"]["row"].index(r)] = len(rows)
+        rows.append([succ, probs])
+    elif edit == "reverse":
+        rows[r] = [succ[::-1], probs[::-1]]
+    else:
+        rows[r] = [succ + spare[:1], probs + [0.0]]
+    obj["rows"] = row_columns(rows)
+    assert mdp_from_json(json.loads(json.dumps(obj))).digest == mdp.digest, edit
 
 
 @PROPERTIES
