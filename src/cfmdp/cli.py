@@ -58,13 +58,16 @@ EXIT_RUNTIME = 3
 
 def _sweep_grid(args, T: int) -> tuple[list[int], list[int]]:
     """The sweep's k and m values, checked against the path horizon T."""
-    k_values = list(range(args.k_min, (T + 1 if args.k_max is None else args.k_max) + 1))
-    m_values = list(range(args.m_min, (T if args.m_max is None else args.m_max) + 1))
-    if not k_values or min(k_values) < 1 or max(k_values) > T + 1:
-        raise ValidationFailed(f"k range must lie within [1, {T + 1}]")
-    if not m_values or min(m_values) < 0 or max(m_values) > T:
-        raise ValidationFailed(f"m range must lie within [0, {T}]")
-    return k_values, m_values
+    grid = []
+    for name, low, high in (("k", 1, T + 1), ("m", 0, T)):
+        first, last = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+        last = high if last is None else last
+        if first > last:
+            raise ValidationFailed(f"{name} range [{first}, {last}] is empty")
+        if first < low or last > high:
+            raise ValidationFailed(f"{name} range [{first}, {last}] must lie within [{low}, {high}]")
+        grid.append(list(range(first, last + 1)))
+    return grid[0], grid[1]
 
 
 def _unwritable(file: str, exc: OSError) -> ValidationFailed:
@@ -442,6 +445,9 @@ def cmd_sweep(args) -> int:
         "sizes.csv": _write_text(sizes_csv, "\n".join(size_lines) + "\n"),
     }
 
+    # Monte-Carlo standard error of each entry of the rows built with > 1 successor
+    probs = np.concatenate([q for _, q in cf.rows.values() if len(q) > 1] or [np.zeros(0)])
+    se = np.sqrt(probs * (1 - probs) / args.samples)
     manifest = {
         "tool_version": __version__,
         "created_unix": time.time(),
@@ -454,7 +460,9 @@ def cmd_sweep(args) -> int:
                          "posterior_key": posterior_cache_key(mdp, path, args.samples,
                                                               posterior_seed)},
         "outputs": hashes,
-        "statistics": {"cf_rows_built": result.cf_rows_built},
+        "statistics": {"cf_rows_built": result.cf_rows_built,
+                       "cf_row_se_max": float(se.max(initial=0.0)),
+                       "cf_row_se_mean": float(se.mean()) if se.size else 0.0},
     }
     _write_text(os.path.join(args.out, "manifest.json"), json.dumps(manifest, sort_keys=True, indent=2))
     sys.stderr.write(f"wrote {sweep_csv}, {sizes_csv} and manifest.json\n")

@@ -2,8 +2,11 @@
 counterfactual MDP built from Monte-Carlo posterior samples.
 
 The mechanism draws one standard Gumbel per state per time step and picks the
-next state as argmax over log-probability-shifted noise. Conditioning on an
-observed transition is exact top-down sampling (Maddison, Tarlow & Minka,
+next state as argmax over log-probability-shifted noise. A standard Gumbel is
+`0.0 - log(-log(1 - U))` over a row-major `rng.random` stream, numpy's own
+formula with numpy's vectorised log: within 1 ulp of `rng.gumbel`, and
+bit-identical under the same numpy on the same CPU features. Conditioning on
+an observed transition is exact top-down sampling (Maddison, Tarlow & Minka,
 2014): the maximum is placed at the observed state and the rest of the row is
 truncated below it, in one pass. States outside the observed row's support
 keep their prior noise, which is exactly why disjoint supports make
@@ -41,16 +44,28 @@ FILL_ROWS = 128  # rows of a noise layer drawn at a time
 TOPDOWN = {"sampler": "topdown"}  # the recipe's name of its one noise draw
 
 
+def _gumbel(rng: np.random.Generator, shape) -> np.ndarray:
+    """`rng.gumbel(size=shape)` within 1 ulp of max(|g|, 1): numpy's formula
+    `0.0 - log(-log(1 - U))` in place with numpy's vectorised log, and its
+    stream, a U of exactly 0.0 drawn again."""
+    u = rng.random(size=shape)
+    while not u.all():
+        kept = u[u != 0]
+        u = np.concatenate([kept, rng.random(size=u.size - kept.size)]).reshape(shape)
+    np.negative(np.log(np.subtract(1.0, u, out=u), out=u), out=u)
+    return np.subtract(0.0, np.log(u, out=u), out=u)
+
+
 def _prior_layer(rng: np.random.Generator, n: int, num_states: int) -> np.ndarray:
     """n prior Gumbel vectors as a column-major (n, |S|) array.
 
     It is filled FILL_ROWS rows at a time, so it holds the values of one
-    `rng.gumbel(size=(n, |S|))` draw and leaves `rng` where that draw would,
+    `_gumbel(rng, (n, |S|))` draw and leaves `rng` where that draw would,
     without a second, row-major copy of the layer in memory.
     """
     out = np.empty((n, num_states), order="F")
     for i in range(0, n, FILL_ROWS):
-        out[i:i + FILL_ROWS] = rng.gumbel(size=(min(FILL_ROWS, n - i), num_states))
+        out[i:i + FILL_ROWS] = _gumbel(rng, (min(FILL_ROWS, n - i), num_states))
     return out
 
 
@@ -77,8 +92,8 @@ def topdown_noise(mdp: Mdp, p: int, pos: int, n: int, rng: np.random.Generator) 
     idx, _, logp = _conditioned_row(mdp, p, pos)
     # Prior draws double as the off-support posterior (it equals the prior).
     out = _prior_layer(rng, n, mdp.num_states)
-    top = rng.gumbel(size=n) + float(np.logaddexp.reduce(logp))
-    shifted = logp[None, :] + rng.gumbel(size=(n, idx.shape[0]))
+    top = _gumbel(rng, n) + float(np.logaddexp.reduce(logp))
+    shifted = logp[None, :] + _gumbel(rng, (n, idx.shape[0]))
     trunc = -np.logaddexp(-shifted, -top[:, None])
     out[:, idx] = trunc - logp[None, :]
     out[:, idx[pos]] = top - logp[pos]
@@ -295,7 +310,8 @@ def save_posterior(posterior: GumbelPosterior, file) -> None:
     """Write the recipe of `posterior` to the path `file`: one line of JSON
     {"mdp_hash", "n", "path", "seed"} and the TOPDOWN entry. No noise is
     drawn; the recipe fixes every layer, which `load_posterior` draws again
-    from its own stream, bit-identically under the same numpy.
+    from its own stream, bit-identically under the same numpy on the same
+    CPU features (numpy picks its vectorised log by CPU).
     """
     recipe = {
         "mdp_hash": posterior.path.mdp_digest,

@@ -157,15 +157,28 @@ def gumbel_max_step(mdp: Mdp, s, a, g: np.ndarray):
     return mdp.states[idx[int(np.argmax(logp + g[idx]))]]
 
 
+def gumbel_oracle(rng: np.random.Generator, shape) -> np.ndarray:
+    """The library's standard Gumbel draw written out: the first nonzero
+    uniforms of `rng.random`'s row-major stream (a uniform of exactly 0.0 is
+    dropped and drawn again, as `rng.gumbel` does), mapped out of place to
+    `0.0 - log(-log(1 - U))`."""
+    size = int(np.prod(shape))
+    u = np.empty(0)
+    while u.size < size:
+        more = rng.random(size=size - u.size)
+        u = np.concatenate([u, more[more != 0]])
+    return 0.0 - np.log(-np.log(1.0 - u.reshape(shape)))
+
+
 def topdown_noise_oracle(mdp: Mdp, p: int, pos: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """`topdown_noise` drawn as one row-major (n, |S|) prior layer: the
     maximum at the observed position, Gumbels truncated below it on the rest
     of the row, and fresh priors off it, from the same draws in the same
     order."""
     idx, _, logp = mdp.row(p)
-    out = rng.gumbel(size=(n, mdp.num_states))
-    top = rng.gumbel(size=n) + float(np.logaddexp.reduce(logp))
-    shifted = logp[None, :] + rng.gumbel(size=(n, idx.shape[0]))
+    out = gumbel_oracle(rng, (n, mdp.num_states))
+    top = gumbel_oracle(rng, n) + float(np.logaddexp.reduce(logp))
+    shifted = logp[None, :] + gumbel_oracle(rng, (n, idx.shape[0]))
     trunc = -np.logaddexp(-shifted, -top[:, None])
     out[:, idx] = trunc - logp[None, :]
     out[:, idx[pos]] = top - logp[pos]

@@ -244,6 +244,41 @@ def test_sweep_rejects_bad_ranges(artifact_dir, tmp_path, capsys):
     assert "k range" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--k-min", "5", "--k-max", "3"), "k range [5, 3] is empty"),
+    (("--m-min", "4", "--m-max", "2"), "m range [4, 2] is empty"),
+    (("--k-min", "0"), "k range [0, 8] must lie within [1, 8]"),
+    (("--m-max", "9"), "m range [1, 9] must lie within [0, 7]"),
+], ids=["k-empty", "m-empty", "k-below", "m-above"])
+def test_sweep_range_error_names_the_bounds_given(artifact_dir, tmp_path, capsys, flags, message):
+    # A minimum above the maximum is an empty range, even when both bounds lie
+    # within the horizon's; each message names the range that was given.
+    code, _, err = run(capsys, "sweep", *_observation(artifact_dir), *flags,
+                       "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert message in err
+
+
+def test_sweep_manifest_reports_the_rows_standard_errors(artifact_dir, tmp_path, capsys):
+    # sqrt(p(1-p)/N) over every entry of the built rows with more than one
+    # successor, computed here entry by entry from the library's sweep.
+    n, seed = 200, 9
+    code, _, err = run(capsys, "sweep", *_observation(artifact_dir), "--samples", str(n),
+                       "--seed", str(seed), "--k-min", "7", "--m-max", "2",
+                       "--out", str(tmp_path / "s"))
+    assert code == 0, err
+    stats = json.loads((tmp_path / "s" / "manifest.json").read_text())["statistics"]
+    mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
+    path = path_from_json(json.loads((artifact_dir / "path.json").read_text()), mdp)
+    cf = build_cf_mdp(build_posterior(mdp, path, n, seed), mdp)
+    sweep(cf, [7, 8], [1, 2])
+    se = [(p * (1 - p) / n) ** 0.5 for _, probs in cf.rows.values() if len(probs) > 1
+          for p in probs.tolist()]
+    assert len(se) > 10 and stats["cf_rows_built"] == cf.rows_built
+    assert stats["cf_row_se_max"] == max(se) > 0
+    assert stats["cf_row_se_mean"] == pytest.approx(sum(se) / len(se), rel=1e-12)
+
+
 def test_sweep_bounds_of_zero_are_bounds(artifact_dir, tmp_path, capsys):
     # 0 is a bound like any other: the replay-only grid k = 1, m = 0 is one
     # row, and a k range ending at 0 is empty.

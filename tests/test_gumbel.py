@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from cfmdp.errors import ValidationFailed, ZeroProbabilityObservation
 from cfmdp.gumbel import (
     FILL_ROWS,
     CfMdp,
+    _gumbel,
     _prior_layer,
     _step_rng,
     build_cf_mdp,
@@ -31,6 +33,7 @@ from oracles import (
     cf_transition_oracle,
     cf_transition_probs,
     gumbel_max_step,
+    gumbel_oracle,
     kernel_row,
     prior_posterior,
     random_mdp,
@@ -392,7 +395,7 @@ def test_layers_drawn_on_access_equal_an_eager_draw(tinychain, sampler):
             eager.append(topdown_noise(tinychain, p, pos, n, _step_rng(seed, t)))
         else:
             eager.append(rejection_noise(tinychain, p, pos, n, _step_rng(seed, t))[0])
-    eager.append(_step_rng(seed, path.T - 1).gumbel(size=(n, tinychain.num_states)))
+    eager.append(gumbel_oracle(_step_rng(seed, path.T - 1), (n, tinychain.num_states)))
     post = {"topdown": build_posterior, "rejection": rejection_posterior}[sampler](
         tinychain, path, n, seed=seed)
     assert len(post.noise) == post.T == 3
@@ -431,16 +434,52 @@ def test_sweep_holds_one_layer_at_a_time():
     assert peak < 3 * layer_bytes, (peak, layer_bytes)
 
 
+def assert_numpys_gumbel_within_one_ulp(rng: np.random.Generator, shape):
+    # `_gumbel` computes numpy's formula with numpy's vectorised log, which
+    # may round the last bit otherwise than the C library's log that
+    # `rng.gumbel` calls; it reads the same uniforms and stops where it does.
+    ours, numpys = copy.deepcopy(rng), copy.deepcopy(rng)
+    g, expected = _gumbel(ours, shape), numpys.gumbel(size=shape)
+    assert g.shape == expected.shape
+    assert np.all(np.abs(g - expected) <= np.spacing(np.maximum(np.abs(expected), 1.0)))
+    assert ours.random() == numpys.random()
+    return g
+
+
+@pytest.mark.parametrize("shape", [(1,), (15, 37), (1000, 648)], ids=["1", "15x37", "1000x648"])
+def test_gumbel_draw_is_numpys_within_one_ulp(shape):
+    for seed in (0, 5, 11, 2024):
+        assert_numpys_gumbel_within_one_ulp(np.random.default_rng(seed), shape)
+
+
+def test_gumbel_draw_redraws_a_uniform_of_zero():
+    # A PCG64 generator whose next 64-bit output, hence next double, is 0:
+    # the state it steps to has equal halves, whose XSL-RR output is 0.
+    # numpy's gumbel draws again in place of that uniform (else -log(-log(1))
+    # is +inf), and so must `_gumbel`.
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    x = 0x0123456789ABCDEF
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (((x << 64) | x) - inc) * pow(mult, -1, 2**128) % 2**128
+    rng.bit_generator.state = state
+    assert copy.deepcopy(rng).random() == 0.0
+    g = assert_numpys_gumbel_within_one_ulp(rng, (3, 4))
+    assert np.isfinite(g).all()
+
+
 @pytest.mark.parametrize("rows", [16, FILL_ROWS])
 @pytest.mark.parametrize("n", [1, 15, 17, 1000])
 def test_prior_layer_equals_one_row_major_draw(n, rows, monkeypatch):
     # Filled a block of rows at a time, the column-major layer holds the
     # values of one row-major draw and leaves the stream where it would.
+    # The oracle is that draw: one `rng.random` stream, transformed at once.
     monkeypatch.setattr(cfmdp.gumbel, "FILL_ROWS", rows)
     filled, plain = np.random.default_rng(5), np.random.default_rng(5)
     layer = _prior_layer(filled, n, 37)
     assert layer.flags.f_contiguous and layer.shape == (n, 37)
-    assert np.array_equal(layer, plain.gumbel(size=(n, 37)))
+    assert np.array_equal(layer, gumbel_oracle(plain, (n, 37)))
     assert filled.random() == plain.random()
 
 
@@ -455,7 +494,7 @@ def test_posterior_layers_are_column_major_and_equal_row_major_draws(epidemic_de
         assert layer.flags.f_contiguous and not layer.flags.writeable, t
         rng = _step_rng(11, t)
         if t == path.T - 1:
-            expected = rng.gumbel(size=(n, mdp.num_states))
+            expected = gumbel_oracle(rng, (n, mdp.num_states))
         else:
             expected = topdown_noise_oracle(mdp, int(path.pair[t]), int(path.next_pos[t]), n, rng)
         assert np.array_equal(layer, expected), t
