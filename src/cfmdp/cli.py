@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import CfmdpError, MissingKernelRow, OutOfMemory, ValidationFailed
+from .errors import CfmdpError, EmptyPrunedMdp, MissingKernelRow, OutOfMemory, ValidationFailed
 from .gumbel import (
     CfMdp,
     build_cf_mdp,
@@ -29,8 +29,7 @@ from .gumbel import (
     posterior_cache_key,
     save_posterior,
 )
-from .influence import (PrunedCfMdp, _admission_hits, _admitted, _count_all_layers, prune_cf_mdp,
-                        pruned_size_report)
+from .influence import PrunedCfMdp, prune_cf_mdp, pruned_size_report
 from .mdp import (
     PROB_TOL,
     Mdp,
@@ -38,14 +37,13 @@ from .mdp import (
     _first,
     gather_rows,
     json_integers,
+    json_numbers,
     mdp_from_json,
     mdp_to_json,
     path_from_json,
     path_hash,
     path_to_json,
     read_json,
-    rows_from_json,
-    rows_to_json,
     sample_path,
 )
 from .solver import CfPolicy, check_sweep_monotonicity, rollout, solve_km, sweep
@@ -159,42 +157,45 @@ def cmd_cf_build(args) -> int:
 
 
 def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
-    """Artifact contents, in the core's indexing. Per decision layer t,
-    `layers[t]` lists its states, ascending; `actions[t]` is the row-major
-    len(layers[t]) x |A| table of the row each action uses, -1 where the
-    action is not usable; and `rows[t]` holds the distinct counterfactual
-    rows of the usable pairs, one per `cf.row_key[t]` value in ascending
-    order, as the columns `size`, `succ` (ascending per row) and `prob`."""
+    """Artifact contents, in the core's indexing. `rows[t]` holds the
+    counterfactual rows the prune built at layer t: `row` lists their
+    nominal rows (`Mdp.row_id` values), ascending, and `prob` the
+    counterfactual probability of each nominal successor of those rows, in
+    the MDP's entry order, 0.0 off the counterfactual support. Without a
+    posterior the rows are the MDP's, and every list is empty. `layers[t]`
+    lists the states of layer t, ascending. `pruned` must be a prune
+    without `base`, whose closure holds the rows built at its own k."""
     cf = pruned.cf
-    mdp = cf.mdp
-    layers, tables, rows = [], [], []
-    for t, (reach, usable) in enumerate(zip(pruned.reach, pruned.usable)):
-        pairs = np.flatnonzero(usable)
-        _, first, index = np.unique(cf.row_key[t][pairs], return_index=True, return_inverse=True)
-        succ, prob = zip(*[cf.row(t, p) for p in pairs[first].tolist()])
-        table = np.full(mdp.pair_at.shape, -1)
-        table[mdp.source[pairs], mdp.action[pairs]] = index
-        layers.append(np.flatnonzero(reach).tolist())
-        tables.append(table[reach].ravel().tolist())
-        rows.append(rows_to_json(np.array([len(x) for x in succ]), np.concatenate(succ),
-                                 np.concatenate(prob)))
+    mdp, n = cf.mdp, cf.mdp.num_states
+    nominal = mdp.owner * n + mdp.succ  # the MDP's row table, ascending
+    rows = []
+    for t, (built, _, _) in enumerate(pruned.closure.rows):
+        ids = np.unique(mdp.row_id[built]) if cf.posterior is not None else np.zeros(0, np.int64)
+        got = [cf.rows[t, r] for r in ids.tolist()]
+        key = np.repeat(ids, [len(succ) for succ, _ in got]) * n + np.concatenate(
+            [succ for succ, _ in got] + [np.zeros(0, np.int64)])
+        at = gather_rows(np.diff(mdp.row_start), ids)[1]  # the listed rows' nominal entries
+        prob = np.zeros(len(at))
+        prob[np.searchsorted(at, np.searchsorted(nominal, key))] = np.concatenate(
+            [q for _, q in got] + [np.zeros(0)])
+        rows.append({"row": ids.tolist(), "prob": prob.tolist()})
     samples = cf.posterior.n if cf.posterior is not None else 0
     return {"k": pruned.k, "mdp_hash": mdp.digest, "path": path_to_json(cf.path), "samples": samples,
-            "nodes_all_layers": pruned.nodes_all_layers, "layers": layers, "rows": rows,
-            "actions": tables}
+            "nodes_all_layers": pruned.nodes_all_layers, "rows": rows,
+            "layers": [np.flatnonzero(reach).tolist() for reach in pruned.reach]}
 
 
 def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
-    """The pruned MDP stored by `_pruned_to_json`; a malformed artifact is a
-    validation error. Counts, states and row indices must be JSON integers,
-    and probabilities JSON numbers. The artifact must be a closed pruned MDP
-    at its k whose rows fit its `samples` (README, "Pruned artifact", lists
-    each rule); each layer's checks are masks over its columns."""
+    """The pruned MDP stored by `_pruned_to_json`, pruned again at its k from
+    its rows; a malformed artifact is a validation error. Counts, states and
+    row ids must be JSON integers, and probabilities JSON numbers. The rows
+    must fit `samples`, and the stored rows, layers and count must be the
+    prune's (README, "Pruned artifact", lists each rule)."""
     try:
         if obj["mdp_hash"] != mdp.digest:
             raise ValidationFailed("pruned artifact was built from a different MDP")
         path = path_from_json(obj["path"], mdp)
-        T, n, na = path.T, mdp.num_states, len(mdp.actions)
+        T = path.T
         if type(samples := obj["samples"]) is not int or samples < 0:
             raise ValidationFailed(f"pruned artifact sample count {samples!r} is not >= 0")
         for field in ("k", "nodes_all_layers"):
@@ -202,94 +203,65 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
                 raise ValidationFailed(f"pruned artifact {field} {obj[field]!r} is not an integer")
         if not 1 <= (k := obj["k"]) <= T + 1:
             raise ValidationFailed(f"pruned artifact k={k} outside 1..{T + 1}")
-        layers, tables, rows = obj["layers"], obj["actions"], obj["rows"]
-        if not len(layers) == len(tables) == len(rows) == T:
-            raise ValidationFailed(f"pruned artifact has {len(layers)} layers, {len(tables)} action "
-                                   f"tables and {len(rows)} row layers, path has {T}")
-        layers = [json_integers(layer, "pruned layer state") for layer in layers]
-        reach = np.zeros((T, n), dtype=bool)
-        for t, layer in enumerate(layers):
-            if ((layer < 0) | (layer >= n)).any() or (np.diff(layer) <= 0).any():
-                raise ValidationFailed(f"pruned layer {t} is not a strictly ascending list of "
-                                       f"states 0..{n - 1}")
-            reach[t, layer] = True
-        if T == 0 or np.flatnonzero(reach[0]).tolist() != path.state[:1].tolist():
-            raise ValidationFailed("pruned artifact layer 0 is not {s_0}")
+        if len(stored := obj["rows"]) != T:
+            raise ValidationFailed(f"pruned artifact has {len(stored)} row layers, path has {T}")
 
-        admitted = _admitted(k, _admission_hits(mdp, path, k - 1))
-        nominal = mdp.owner * n + mdp.succ  # the MDP's row table, ascending
-        key = np.full((T, len(mdp.source)), -1, dtype=np.int64)
-        cf_rows = {}
-        for t, (layer, table, r) in enumerate(zip(layers, tables, rows)):
-            # Entry e of the layer's rows is successor succ[e] of row owner[e].
-            size, succ, prob, owner = rows_from_json(r, "pruned", f"layer {t}")
-            bad = (succ < 0) | (succ >= n) | ~((prob > 0) & (prob <= 1))  # NaN is outside (0, 1]
-            bad[1:] |= (succ[1:] <= succ[:-1]) & (owner[1:] == owner[:-1])
-            bad = np.bincount(owner, weights=bad, minlength=len(size)) > 0
-            bad |= np.abs(np.bincount(owner, weights=prob, minlength=len(size)) - 1.0) > PROB_TOL
-            if (i := _first(bad)) is not None:
-                raise ValidationFailed(f"row {i} of layer {t} is not a distribution over strictly "
-                                       f"ascending states 0..{n - 1}")
-            if t < T - 1 and (e := _first(~reach[t + 1, succ])) is not None:
-                raise ValidationFailed(f"row {owner[e]} of layer {t} is not closed in layer {t + 1}")
-
-            # Table entry e names row index[e] for action act[e] of state src[e].
-            index = json_integers(table, "pruned row index")
-            if len(index) != len(layer) * na:
-                raise ValidationFailed(f"pruned actions[{t}] has {len(index)} row indices, not "
-                                       f"{len(layer)} states x {na} actions")
-            src, act = np.repeat(layer, na), np.tile(np.arange(na), len(layer))
-            pair, named = mdp.pair_at[src, act], index != -1
-            bad = (pair < 0) | ~admitted[t][pair] | (index < 0) | (index >= len(size))
-            if (e := _first(named & bad)) is not None:
-                where = f"allowed ({mdp.states[src[e]]}, {mdp.actions[act[e]]}) at t={t}"
-                if pair[e] < 0:
-                    raise ValidationFailed(f"{where} has no nominal row")
-                if not admitted[t][pair[e]]:
-                    raise ValidationFailed(f"{where} is not admitted at k={k}")
-                raise ValidationFailed(f"{where} names row {index[e]}, not one of the {len(size)} "
-                                       f"rows of layer {t}")
-            if (e := _first(~named.reshape(-1, na).any(axis=1))) is not None:
-                raise ValidationFailed(f"layer {t} lists {mdp.states[layer[e]]}, which has no "
-                                       "usable action")
-            src, act, pair, index = src[named], act[named], pair[named], index[named]
-            # Each usable pair's row lies on the pair's nominal support, and
-            # without samples it is that nominal row, bit for bit: entry e is
-            # entry at[e] of the layer's rows and nominal entry found[e].
-            claim, at = gather_rows(size, index)
-            want = mdp.row_id[pair[claim]] * n + succ[at]
-            found = np.minimum(np.searchsorted(nominal, want), len(nominal) - 1)
-            if (e := _first(nominal[found] != want)) is not None:
-                e = claim[e]
-                raise ValidationFailed(f"row {index[e]} of layer {t} is off the nominal support "
-                                       f"of ({mdp.states[src[e]]}, {mdp.actions[act[e]]})")
-            if not samples:
-                bad = size[index] != np.diff(mdp.row_start)[mdp.row_id[pair]]
-                bad[claim[prob[at] != mdp.prob[found]]] = True
-                if (e := _first(bad)) is not None:
-                    raise ValidationFailed(f"row {index[e]} of layer {t} is not the nominal row "
-                                           f"of ({mdp.states[src[e]]}, {mdp.actions[act[e]]}), "
-                                           "which a pruned artifact without samples stores")
-            key[t, pair] = index
-            bounds = np.cumsum(np.r_[0, size]).tolist()
-            cf_rows.update(((t, i), (succ[lo:hi], prob[lo:hi]))
-                           for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
-            # Every posterior sample replays the observed step: its pair is
-            # usable, and before T-1 its row is the point mass on s_{t+1}.
-            if samples and (i := key[t, path.pair[t]]) < 0:
-                raise ValidationFailed("the observed pair ({}, {}) at t={} is not usable, as every "
-                                       "posterior sample replays it".format(*path.steps[t], t))
-            if samples and t < T - 1 and (size[i], succ[bounds[i]], prob[bounds[i]]) != (
-                    1, path.state[t + 1], 1.0):
-                raise ValidationFailed(f"row {i} of layer {t}, the observed pair's, is not the "
+        sizes, rows, ids = np.diff(mdp.row_start), {}, []
+        for t, layer in enumerate(stored):
+            ids.append(json_integers(layer["row"], "pruned row id"))
+            prob = json_numbers(layer["prob"], "pruned row probability")
+            if not samples and (len(ids[t]) or len(prob)):
+                raise ValidationFailed(f"pruned layer {t} stores rows, but an artifact without "
+                                       "samples has the MDP's rows")
+            if ((ids[t] < 0) | (ids[t] >= len(sizes))).any() or (np.diff(ids[t]) <= 0).any():
+                raise ValidationFailed(f"pruned layer {t} row ids are not strictly ascending rows "
+                                       f"0..{len(sizes) - 1} of the MDP's row table")
+            # Entry e is nominal entry at[e], of the layer's row ids[t][owner[e]].
+            owner, at = gather_rows(sizes, ids[t])
+            if len(prob) != len(at):
+                raise ValidationFailed(f"pruned layer {t} has {len(prob)} probabilities, not one "
+                                       f"per nominal successor of its rows ({len(at)})")
+            bad = np.bincount(owner, weights=~((prob >= 0) & (prob <= 1)), minlength=len(ids[t]))
+            total = np.bincount(owner, weights=prob, minlength=len(ids[t]))
+            if (i := _first((bad > 0) | (np.abs(total - 1.0) > PROB_TOL))) is not None:
+                raise ValidationFailed(f"row {ids[t][i]} of layer {t} is not a distribution over "
+                                       "its nominal successors")
+            hit = prob > 0
+            succ, prob = mdp.succ[at[hit]], prob[hit]
+            bounds = [0, *np.cumsum(np.bincount(owner[hit], minlength=len(ids[t]))).tolist()]
+            rows.update(((t, r), (succ[lo:hi], prob[lo:hi]))
+                        for r, lo, hi in zip(ids[t].tolist(), bounds, bounds[1:]))
+            # Every posterior sample replays the observed step: before T-1
+            # the observed pair's row is the point mass on s_{t+1}.
+            r = int(mdp.row_id[path.pair[t]])
+            succ, q = rows.get((t, r), (np.zeros(0), np.zeros(0)))
+            if samples and t < T - 1 and (succ.tolist(), q.tolist()) != (
+                    [int(path.state[t + 1])], [1.0]):
+                raise ValidationFailed(f"row {r} of layer {t}, the observed pair's, is not the "
                                        f"point mass on the observed {path.steps[t + 1][0]}")
-        if obj["nodes_all_layers"] != (admitted_count := _count_all_layers(mdp, admitted)):
+
+        pruned = prune_cf_mdp(CfMdp(mdp, path, None, rows=rows), k)
+        # A row the artifact does not store is the nominal row: with samples,
+        # the stored rows must be exactly those the prune builds.
+        for t, (built, _, _) in enumerate(pruned.closure.rows if samples else ()):
+            want = np.unique(mdp.row_id[built])
+            if (e := _first(~np.isin(want, ids[t]))) is not None:
+                raise ValidationFailed(f"pruned layer {t} has no row for nominal row {want[e]}, "
+                                       f"which the prune at k={k} builds")
+            if (e := _first(~np.isin(ids[t], want))) is not None:
+                raise ValidationFailed(f"pruned layer {t} stores nominal row {ids[t][e]}, which "
+                                       f"the prune at k={k} does not build")
+        layers = obj["layers"]
+        if len(layers) != T or any(not np.array_equal(json_integers(layer, "pruned layer state"),
+                                                      np.flatnonzero(reach))
+                                   for layer, reach in zip(layers, pruned.reach)):
+            raise ValidationFailed(f"pruned artifact layers are not the states the prune at k={k} "
+                                   "reaches")
+        if obj["nodes_all_layers"] != pruned.nodes_all_layers:
             raise ValidationFailed(f"pruned artifact nodes_all_layers {obj['nodes_all_layers']} is "
-                                   f"not {admitted_count}, the admitted count at k={k}")
-        cf = CfMdp(mdp, path, None, row_key=key, rows=cf_rows)
-        return PrunedCfMdp(cf=cf, k=k, reach=tuple(reach), usable=tuple(key >= 0),
-                           nodes_all_layers=obj["nodes_all_layers"])
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
+                                   f"not {pruned.nodes_all_layers}, the admitted count at k={k}")
+        return pruned
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, EmptyPrunedMdp) as exc:
         raise ValidationFailed(f"malformed pruned artifact: {exc!r}") from exc
 
 
@@ -311,16 +283,16 @@ def cmd_prune(args) -> int:
 
 def _pruned_hash(pruned: PrunedCfMdp, samples: int) -> str:
     """SHA-256 of what `_pruned_from_json` built from a pruned artifact with
-    `samples` samples: its counts, the MDP and path hashes, the row keys and
-    the rows in key order. The layers are left out: the loader checks that
-    they are the states with a usable pair, which the row keys fix. A
-    compact and an indented copy, or a copy with an unread key, agree."""
+    `samples` samples: its counts, the MDP and path hashes, and the
+    counterfactual rows in (t, nominal row) order. The layers are left out:
+    the prune derives them from the rows. A compact and an indented copy, or
+    a copy with an unread key, agree."""
     cf = pruned.cf
     keys = sorted(cf.rows)
     rows = [cf.rows[key] for key in keys]
     h = hashlib.sha256(json.dumps([pruned.k, samples, pruned.nodes_all_layers, cf.mdp.digest,
                                    path_hash(cf.path)]).encode())
-    for a in (cf.row_key, np.array(keys, dtype=np.int64), np.array([len(r[0]) for r in rows]),
+    for a in (np.array(keys, dtype=np.int64), np.array([len(r[0]) for r in rows]),
               np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])):
         h.update(a.tobytes())
     return h.hexdigest()

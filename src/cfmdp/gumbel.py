@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import (
     InvariantViolated,
-    MissingKernelRow,
     OutOfMemory,
     ValidationFailed,
     ZeroProbabilityObservation,
@@ -238,31 +237,26 @@ class CfMdp:
     rows are the exact nominal kernel at every layer (the interventional MDP),
     which is useful for structural analysis and baselines.
 
-    The row of pair p at time t is `rows[(t, row_key[t, p])]`, with `row_key`
-    of shape (T, pairs). A row built from the nominal row of pair p (through
-    the noise at t, or the nominal row itself) depends on that nominal row
-    only, so by default `row_key[t]` is `Mdp.row_id` and pairs with
-    bit-identical nominal rows share one row, built on first use. A pruned
-    artifact passes its own `row_key` (its row indices, negative where a pair
-    has no row) and `rows`. Rows are index/probability arrays; `rows_built`
+    The row of pair p at time t is `rows[(t, mdp.row_id[p])]`. A row built
+    from the nominal row of pair p (through the noise at t, or the nominal
+    row itself) depends on that nominal row only, so pairs with bit-identical
+    nominal rows share one row, built on first use. A pruned artifact passes
+    its stored rows as `rows`, with posterior=None: a row it does not store
+    is the nominal row. Rows are index/probability arrays; `rows_built`
     counts the rows built (given rows are not).
     """
 
     mdp: Mdp
     path: ObservedPath
     posterior: GumbelPosterior | None
-    row_key: np.ndarray | None = field(default=None, repr=False)
     rows: dict = field(default_factory=dict, repr=False)
     rows_built: int = 0
 
     def __post_init__(self):
         if self.path.mdp_digest != self.mdp.digest:
             raise ValidationFailed("path was built against a different MDP")
-        if self.posterior is not None:
-            if self.posterior.path != self.path:
-                raise ValidationFailed("posterior was built from a different path")
-        if self.row_key is None:
-            self.row_key = np.broadcast_to(self.mdp.row_id, (self.horizon, len(self.mdp.source)))
+        if self.posterior is not None and self.posterior.path != self.path:
+            raise ValidationFailed("posterior was built from a different path")
 
     @property
     def horizon(self) -> int:
@@ -272,11 +266,9 @@ class CfMdp:
         """Counterfactual row of pair p at time t as (successor indices, probabilities)."""
         if not 0 <= t < self.horizon:
             raise ValidationFailed(f"time {t} outside horizon {self.horizon}")
-        key = (t, int(self.row_key[t, p]))
+        key = (t, int(self.mdp.row_id[p]))
         row = self.rows.get(key)
         if row is None:
-            if key[1] < 0:
-                raise MissingKernelRow(f"pair {p} has no counterfactual row at t={t}")
             if self.posterior is None:
                 row = self.mdp.row(p)[:2]
             else:

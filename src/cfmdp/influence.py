@@ -63,7 +63,6 @@ class PrunedCfMdp:
     at the horizon boundary). Every counterfactual successor of an allowed
     pair is itself allowed (no probability mass leaks outside). `layers` and
     `actions` give the same sets by label, for reports.
-    `closure` is None for a pruned MDP read back from an artifact.
     """
 
     cf: CfMdp
@@ -71,7 +70,7 @@ class PrunedCfMdp:
     reach: tuple[np.ndarray, ...]
     usable: tuple[np.ndarray, ...]
     nodes_all_layers: int
-    closure: _Closure | None = None
+    closure: _Closure
 
     @property
     def horizon(self) -> int:
@@ -132,8 +131,9 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
 
     Per layer: the mask of pairs built (admitted at a node the sweep reached)
     and their counterfactual supports as (owner pair, successor) entries, in
-    pair order. Each distinct `cf.row_key[t]` among the built pairs is looked
-    up once, and its support is gathered for every pair that shares it.
+    pair order. Each distinct nominal row (`mdp.row_id`) among the built
+    pairs is looked up once, and its support is gathered for every pair that
+    shares it.
     """
     mdp = cf.mdp
     nodes = np.bincount(cf.path.state[:1], minlength=mdp.num_states) > 0
@@ -141,7 +141,7 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
     for t, adm in enumerate(admitted):
         built = adm & nodes[mdp.source]
         ids = np.flatnonzero(built)
-        _, first, which = np.unique(cf.row_key[t][ids], return_index=True, return_inverse=True)
+        _, first, which = np.unique(mdp.row_id[ids], return_index=True, return_inverse=True)
         supports = [cf.row(t, p)[0] for p in ids[first].tolist()]
         flat = np.concatenate(supports) if supports else np.zeros(0, dtype=np.int64)
         pair, at = gather_rows(np.array([len(x) for x in supports], dtype=np.int64), which)
@@ -175,7 +175,7 @@ def prune_cf_mdp(cf: CfMdp, k: int, base: PrunedCfMdp | None = None) -> PrunedCf
         hits = _admission_hits(mdp, path, k - 1)
         shared_from = T
     else:
-        if base.closure is None or base.cf is not cf or base.k < k:
+        if base.cf is not cf or base.k < k:
             raise ValidationFailed("base must be a prune of the same counterfactual MDP at k or more")
         hits = base.closure.hits
         shared_from = max(T - k + 1, 0)  # the free layers

@@ -395,11 +395,12 @@ def sample_path(mdp: Mdp, policy: Callable[[State, int], Action | None], horizon
 # ---------------------------------------------------------------------------
 
 def read_json(file):
-    """Parsed JSON of `file`; a missing or malformed file is a validation error."""
+    """Parsed JSON of `file`; a missing or malformed file, or one nested
+    deeper than `json` can recurse, is a validation error."""
     try:
         with open(file) as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationFailed(f"cannot read JSON from {file}: {exc}") from exc
 
 
@@ -411,7 +412,8 @@ def mdp_to_json(mdp: Mdp) -> dict:
     return {"name": mdp.name, "states": list(mdp.states), "actions": list(mdp.actions),
             "pairs": {"s": mdp.source.tolist(), "a": mdp.action.tolist(),
                       "r": mdp.reward.tolist(), "row": mdp.row_id.tolist()},
-            "rows": rows_to_json(np.diff(mdp.row_start), mdp.succ, mdp.prob),
+            "rows": {"size": np.diff(mdp.row_start).tolist(), "succ": mdp.succ.tolist(),
+                     "prob": mdp.prob.tolist()},
             "initial": {"s": start.tolist(), "p": mdp.initial[start].tolist()}}
 
 
@@ -424,16 +426,22 @@ def mdp_from_json(obj: Mapping) -> Mdp:
     try:
         name, = json_strings([obj.get("name", "")], "MDP name")
         states, actions = (json_strings(obj[f"{key}s"], f"MDP {key}") for key in ("state", "action"))
-        pairs, initial = obj["pairs"], obj["initial"]
+        pairs, rows, initial = obj["pairs"], obj["rows"], obj["initial"]
         source = json_integers(pairs["s"], "MDP pair state")
         action = json_integers(pairs["a"], "MDP pair action")
         reward = json_numbers(pairs["r"], "MDP reward")
         row = json_integers(pairs["row"], "MDP pair row")
-        size, succ, prob, owner = rows_from_json(obj["rows"], "MDP", "the MDP's row table")
+        size = json_integers(rows["size"], "MDP row size")
+        succ = json_integers(rows["succ"], "MDP row successor")
+        prob = json_numbers(rows["prob"], "MDP row probability")
+        if (size < 0).any() or not sum(rows["size"]) == len(succ) == len(prob):  # cannot overflow
+            raise ValidationFailed("the row sizes of the MDP's row table do not split its "
+                                   f"{len(succ)} successors and {len(prob)} probabilities")
         init_state = json_integers(initial["s"], "MDP initial state")
         init_prob = json_numbers(initial["p"], "MDP initial probability")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed MDP JSON: {exc}") from exc
+    owner = np.repeat(np.arange(len(size)), size)  # each entry's row
     lengths = [len(x) for x in (source, action, reward, row, init_state, init_prob)]
     if len(set(lengths[:4])) > 1 or lengths[4] != lengths[5]:
         raise ValidationFailed("MDP pair columns s, a, r, row and initial columns s, p have "
@@ -445,24 +453,6 @@ def mdp_from_json(obj: Mapping) -> Mdp:
         prob = np.where(near[owner], prob / total[owner], prob)
     return Mdp.from_arrays(states, actions, source, action, reward, row, owner, succ, prob,
                            init_state, init_prob, name=name)
-
-
-def rows_to_json(size: np.ndarray, succ: np.ndarray, prob: np.ndarray) -> dict:
-    """Row-table columns, as `mdp.json` and each `pruned.json` layer store rows."""
-    return {"size": size.tolist(), "succ": succ.tolist(), "prob": prob.tolist()}
-
-
-def rows_from_json(obj: Mapping, field: str, where: str) -> tuple[np.ndarray, ...]:
-    """The columns of a `rows_to_json` object and each entry's row, as (size,
-    succ, prob, owner). Only the JSON types, and that the sizes split `succ`
-    and `prob`, are checked here; `field` and `where` name the faults."""
-    size = json_integers(obj["size"], f"{field} row size")
-    succ = json_integers(obj["succ"], f"{field} row successor")
-    prob = json_numbers(obj["prob"], f"{field} row probability")
-    if (size < 0).any() or not sum(obj["size"]) == len(succ) == len(prob):  # sum cannot overflow
-        raise ValidationFailed(f"the row sizes of {where} do not split its {len(succ)} "
-                               f"successors and {len(prob)} probabilities")
-    return size, succ, prob, np.repeat(np.arange(len(size)), size)
 
 
 def gather_rows(size: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -135,7 +135,7 @@ def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: in
     The expected values are computed once per distinct row, for as many
     columns as the pairs that share it need.
     """
-    keys, first, which = np.unique(cf.row_key[t][pairs], return_index=True, return_inverse=True)
+    keys, first, which = np.unique(cf.mdp.row_id[pairs], return_index=True, return_inverse=True)
     width = np.zeros(len(keys), dtype=np.int64)
     np.maximum.at(width, which, top + 1 - cost)
     ev = np.full((len(keys), top + 1), NEG_INF)
@@ -291,9 +291,9 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
 def _next_states(cf: CfMdp, t: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Successor of each trajectory at layer t: the first entry of its pair's
     row whose cumulative probability exceeds its uniform u, clamped to the
-    last entry. Trajectories on one row (pairs with one `row_key[t]`) are
+    last entry. Trajectories on one row (pairs with one nominal row) are
     sampled together."""
-    keys = cf.row_key[t][p]
+    keys = cf.mdp.row_id[p]
     order = np.argsort(keys, kind="stable")
     out = np.empty_like(p)
     for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):

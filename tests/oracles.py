@@ -55,9 +55,8 @@ def mdp_to_json_oracle(mdp: Mdp) -> dict:
 
 
 def table_rows(columns: dict) -> list:
-    """The rows of row-table columns {"size", "succ", "prob"} (a layer of
-    `pruned.json`, or `mdp.json`'s rows), each as [successors, probabilities],
-    read in pure Python."""
+    """The rows of row-table columns {"size", "succ", "prob"} (`mdp.json`'s
+    rows), each as [successors, probabilities], read in pure Python."""
     rows, lo = [], 0
     for size in columns["size"]:
         rows.append([columns["succ"][lo:lo + size], columns["prob"][lo:lo + size]])
@@ -412,6 +411,7 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
     shared_from = T if base is None else max(T - pruned.k + 1, 0)
 
     start, action, reward = mdp.start.tolist(), mdp.action.tolist(), mdp.reward.tolist()
+    row_id = mdp.row_id.tolist()
     observed = cf.path.action.tolist()
     values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
     choices = [np.full((n, m + 1), -1, dtype=np.int64) for _ in range(T)]
@@ -424,7 +424,6 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
         obs_a = observed[t]
         v_next = values[t + 1]
         usable = pruned.usable[t].tolist()
-        row_key = cf.row_key[t].tolist()
         # Expected child value per budget column c, once per distinct row:
         # pairs that share a counterfactual row share it.
         expected: dict[int, list[float]] = {}
@@ -436,12 +435,12 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
             best_a = choices[t][si]
             for p in pairs:
                 cost = 0 if action[p] == obs_a else 1
-                ev = expected.get(row_key[p])
+                ev = expected.get(row_id[p])
                 if ev is None or len(ev) < m + 1 - cost:
                     idx, probs = cf.row(t, p)
                     child = v_next[idx]
                     ev = [float(np.dot(probs, child[:, c])) for c in range(m + 1 - cost)]
-                    expected[row_key[p]] = ev
+                    expected[row_id[p]] = ev
                 r_reward = reward[p]
                 for r in range(cost, m + 1):
                     q = r_reward + ev[r - cost]

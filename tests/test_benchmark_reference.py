@@ -4,17 +4,23 @@
 `perfbench/reference/seed-7/` byte for byte. This runs the same commands on
 sepsis-suboptimal through `cli.main`, so a change that moves those bytes
 fails here, not only under the benchmark. The reference files are read from
-the checkout, as `test_tracer_boundaries` reads `perfbench/tracer.py`.
+the checkout, and the benchmark's own output check is run from
+`perfbench/run.py`, loaded read-only as `test_tracer_boundaries` loads
+`perfbench/tracer.py`: a staged artifact the benchmark cannot read fails
+here too.
 """
 
 import hashlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from cfmdp.cli import main
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "seed-7"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = PERFBENCH / "reference" / "seed-7"
 # SHA-256 of `cfmdp env` output in the index form of `mdp.json` (label
 # lists, pair columns, one row table of the distinct nominal rows). The
 # builders still give the label-dict oracles' digests (`test_environments`),
@@ -26,12 +32,23 @@ ENV_SHA256 = {
     "sepsis": "e0c70a4308b84a509ada3907ccd6fe28d8c7c8971266bad74a17fedf7a489e4b",
 }
 STAGED_SHA256 = {
-    "pruned.json": "6193fa20919cd2b16fc161039ccca1ac43aed7f58ee1aa7f7b72ce2d39572c7a",
-    "policy.json": "0c6fa2ad35ed13bd9662163b2e8fd8c95c7a03a605dca2a314a164bf0cc655c2",
+    "pruned.json": "427d4ae43428d1a34dfc804ccd97c442f75d8ddd4e05afecbb85608de2e81f21",
+    "policy.json": "f51074ccbd532a8265a6dc1ed138b4c95bb40c4fb97f9334e6e17f63884d0eb8",
 }
 
 
-def test_sepsis_sweep_and_pipeline_equal_the_benchmark_reference(tmp_path):
+def _perfbench_run(monkeypatch):
+    """`perfbench/run.py` as a module. It imports `tracer` from its folder,
+    and its dataclasses look their module up in `sys.modules`."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sepsis_sweep_and_pipeline_equal_the_benchmark_reference(tmp_path, monkeypatch):
     mdp, path = str(tmp_path / "mdp.json"), str(tmp_path / "path.json")
     sweep, staged = tmp_path / "sweep", tmp_path / "staged"
     staged.mkdir()
@@ -61,6 +78,14 @@ def test_sepsis_sweep_and_pipeline_equal_the_benchmark_reference(tmp_path):
     # `pruned_hash`), which hashes the MDP's canonical row table.
     for name, digest in STAGED_SHA256.items():
         assert hashlib.sha256((staged / name).read_bytes()).hexdigest() == digest, name
+    # The benchmark checks the staged outputs against its one-cell in-memory
+    # sweep: here the full sweep's (k=11, m=2) row and k=11 size row.
+    rows = {name: [line.split(",") for line in (sweep / name).read_text().splitlines()[1:]]
+            for name in ("sweep.csv", "sizes.csv")}
+    cross = {"row": next(r for r in rows["sweep.csv"] if r[:2] == ["11", "2"]),
+             "sizes": next(r for r in rows["sizes.csv"] if r[0] == "11")}
+    run = _perfbench_run(monkeypatch)
+    assert run.check_outputs(run.WORKLOADS["sepsis-pipeline"], staged, 7, cross) == []
 
 
 @pytest.mark.parametrize("args", sorted(ENV_SHA256))

@@ -17,7 +17,7 @@ import cfmdp.mdp
 import cfmdp.solver
 from cfmdp.cli import _pruned_from_json, _pruned_to_json, main
 from cfmdp.environments import build_environment
-from cfmdp.errors import InvariantViolated, MissingKernelRow, ValidationFailed
+from cfmdp.errors import InvariantViolated, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, load_posterior
 from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import PROB_TOL, Mdp, mdp_from_json, mdp_hash, mdp_to_json, path_from_json
@@ -740,6 +740,14 @@ def test_nominal_prune_with_too_small_k_names_the_cause(artifact_dir, tmp_path, 
     code, _, _ = run(capsys, "prune", *_observation(artifact_dir), "--nominal", "--k", "4",
                      "--out", str(out))
     assert code == 0
+    # `solve` prunes the artifact again at its k: edited to k = 3, it
+    # empties the same way, and a file that does not load exits 2.
+    out.write_text(json.dumps(dict(json.loads(out.read_text()), k=3)))
+    code, _, err = run(capsys, "solve", "--mdp", str(artifact_dir / "mdp.json"), "--pruned",
+                       str(out), "--m", "1")
+    assert code == 2
+    assert err.startswith("error: malformed pruned artifact: EmptyPrunedMdp('k=3 pruning left no "
+                          "usable action at the initial node")
 
 
 @pytest.mark.parametrize("env, preset", [("gridworld", "epidemic"),
@@ -838,6 +846,28 @@ def test_env_bad_danger_exits_2(danger, capsys):
     assert out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--mdp", "--path", "--posterior", "--pruned", "--policy",
+                                  "--config"])
+def test_deeply_nested_json_exits_2(flag, artifact_dir, tmp_path, capsys):
+    # `json` raises RecursionError, not JSONDecodeError, on arrays nested
+    # deeper than the interpreter's recursion limit.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    mdp, path, pruned = (str(artifact_dir / f"{name}.json") for name in ("mdp", "path", "pruned"))
+    argv = {
+        "--mdp": ["sample", "--mdp", str(deep), "--policy", "epidemic"],
+        "--path": ["cf-build", "--mdp", mdp, "--path", str(deep), "--out", str(tmp_path / "p.json")],
+        "--posterior": ["prune", "--mdp", mdp, "--path", path, "--posterior", str(deep), "--k", "8"],
+        "--pruned": ["solve", "--mdp", mdp, "--pruned", str(deep), "--m", "1"],
+        "--policy": ["rollout", "--mdp", mdp, "--pruned", pruned, "--policy", str(deep),
+                     "--env", "epidemic", "--feature", "infected"],
+        "--config": ["env", "epidemic", "--config", str(deep)],
+    }[flag]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read JSON from {deep}: maximum recursion depth exceeded")
+
+
 def test_compact_and_indented_artifacts_agree(artifact_dir, tmp_path, capsys):
     # env, sample, cf-build, prune and solve write compact JSON. The indented
     # form earlier versions wrote holds the same object, and still solves and
@@ -888,35 +918,41 @@ def test_artifacts_with_legacy_mode_key_still_load(artifact_dir, tmp_path, capsy
     assert code == 0
 
 
+NOT_A_DISTRIBUTION = "is not a distribution over its nominal successors"
+NOT_ROW_IDS = "pruned layer 0 row ids are not strictly ascending rows 0..1385 of the MDP's row table"
+NOT_THE_LAYERS = "pruned artifact layers are not the states the prune at k=8 reaches"
+
+
 # Artifacts that are valid JSON but break the MDP, pruned or policy schema,
 # each with a fragment of the error message that names why it is rejected.
 # An MDP edit takes the MDP object, the others the pruned and policy objects.
-# The epidemic path has T = 7 and |S| = 1386; layer 0 is s_0 = S9I1V20 alone.
+# The epidemic path has T = 7, |S| = 1386 and 1386 nominal rows; layer 0 is
+# s_0 = S9I1V20 alone, whose stored rows are V_S's 1300, V_I's 1342 and the
+# observed NIL's 1364. The loader prunes again from the stored rows, so an
+# edited layer, k or count is refused as not the prune's.
 BAD_ARTIFACTS = {
     "pruned-empty": ("pruned", {}, "KeyError('mdp_hash')"),
     "pruned-no-kernels": ("pruned", lambda pruned, policy: {k: v for k, v in pruned.items()
                                                             if k != "rows"}, "KeyError('rows')"),
     "pruned-kernel-without-probs": ("pruned", lambda pruned, policy: dict(
-        pruned, rows=[{"size": [0] * len(r["size"]), "succ": [], "prob": []}
-                      for r in pruned["rows"]]), "is not a distribution"),
+        pruned, rows=[dict(r, prob=[]) for r in pruned["rows"]]),
+        "pruned layer 0 has 0 probabilities, not one per nominal successor of its rows (5)"),
     "pruned-probs-not-a-dict": ("pruned", lambda pruned, policy: dict(
         pruned, rows=[5 for _ in pruned["rows"]]), "is not subscriptable"),
     "pruned-layers-not-lists": ("pruned", lambda pruned, policy: dict(pruned, layers=5),
                                 "has no len()"),
     "pruned-unknown-state": ("pruned", lambda pruned, policy: _layer_edit(
-        pruned, 6, lambda layer, table: (layer + [1386], table + [-1, -1, -1])),
-        "pruned layer 6 is not a strictly ascending list of states 0..1385"),
+        pruned, 6, lambda layer: layer + [1386]), NOT_THE_LAYERS),
     "pruned-layer-out-of-range": ("pruned", lambda pruned, policy: dict(
-        pruned, layers=pruned["layers"] + [[]]),
-        "pruned artifact has 8 layers, 7 action tables and 7 row layers, path has 7"),
+        pruned, layers=pruned["layers"] + [[]]), NOT_THE_LAYERS),
     # The epidemic path has T = 7, and k = T+1 = 8 already admits every pair.
     "pruned-k-zero": ("pruned", lambda pruned, policy: dict(pruned, k=0), "k=0 outside 1..8"),
     "pruned-k-past-horizon": ("pruned", lambda pruned, policy: dict(pruned, k=9),
                               "k=9 outside 1..8"),
-    # k and nodes_all_layers are recomputed on the nominal graph: an artifact
-    # pruned at k = 8 is not one at k = 3, and its admitted count is fixed.
+    # An artifact pruned at k = 8 is not one at k = 3: the prune at k = 3
+    # builds fewer rows. Its admitted count is fixed too.
     "pruned-k-not-admitted": ("pruned", lambda pruned, policy: dict(pruned, k=3),
-                              "is not admitted at k=3"),
+                              "which the prune at k=3 does not build"),
     "pruned-nodes-all-layers-edited": ("pruned", lambda pruned, policy: dict(
         pruned, nodes_all_layers=1), "pruned artifact nodes_all_layers 1 is not"),
     "policy-empty": ("policy", {}, "KeyError('m')"),
@@ -947,7 +983,7 @@ BAD_ARTIFACTS = {
         pruned, nodes_all_layers=str(pruned["nodes_all_layers"])),
         "pruned artifact nodes_all_layers '"),
     "pruned-node-t-not-an-integer": ("pruned", lambda pruned, policy: _layer_edit(
-        pruned, 0, lambda layer, table: ([layer[0] + 0.5], table)),
+        pruned, 0, lambda layer: [layer[0] + 0.5]),
         "pruned layer state 1364.5 is not an integer"),
     "pruned-path-t-not-an-integer": ("pruned", lambda pruned, policy: dict(
         pruned, path={"steps": [dict(e, t=e["t"] + 0.25) for e in pruned["path"]["steps"]]}),
@@ -960,11 +996,11 @@ BAD_ARTIFACTS = {
         policy, lambda table: [table[0], 3]),
         "policy action index 3 at (S9I1V20, t=0, j=1) is outside -1..2"),
     "pruned-negative-entry": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda probs: [1.5, -0.5]), "is not a distribution"),
+        pruned, lambda probs: [1.5, -0.5]), NOT_A_DISTRIBUTION),
     "pruned-non-finite-entry": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda probs: [float("nan"), 1.0]), "is not a distribution"),
+        pruned, lambda probs: [float("nan"), 1.0]), NOT_A_DISTRIBUTION),
     "pruned-row-sums-to-0.4": ("pruned", lambda pruned, policy: _edit_row(
-        pruned, lambda probs: [0.4 * p for p in probs]), "is not a distribution"),
+        pruned, lambda probs: [0.4 * p for p in probs]), NOT_A_DISTRIBUTION),
     # Numbers must be JSON numbers: float() would parse a string, and a bool
     # would read as 0 or 1.
     "pruned-probability-a-string": ("pruned", lambda pruned, policy: _edit_row(
@@ -1023,68 +1059,57 @@ BAD_ARTIFACTS = {
         pruned, s=1), "error: path step s 1 is not a string\n"),
     "pruned-path-action-a-list": ("pruned", lambda pruned, policy: _edit_first_step(
         pruned, a=["NIL"]), "error: path step a ['NIL'] is not a string\n"),
-    # V_S at s_0 vaccinates a susceptible; the NIL successor at the same node
-    # keeps every vaccine, so it is off V_S's support: first as V_S's own row
-    # with NIL's values, then as NIL's row named by both actions.
-    "pruned-row-off-support": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda table, rows: rows.__setitem__(table[V_S], rows[table[NIL]])),
-        "off the nominal support of (S9I1V20, V_S)"),
-    "pruned-shared-row-off-support": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda table, rows: table.__setitem__(V_S, table[NIL])),
-        "off the nominal support of (S9I1V20, V_S)"),
-    # Index edits on the rows of layer 0. Read without its check, -2 would
-    # wrap to a row and true would be row 1, the row the action named
-    # before, so the file would load as if unedited.
-    "pruned-row-index-negative": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda table, rows: table.__setitem__(table.index(len(rows) - 1), -2)),
-        "names row -2"),
-    "pruned-row-index-true": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda table, rows: table.__setitem__(table.index(1), True)),
-        "pruned row index True is not an integer"),
-    "pruned-row-index-a-float": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda table, rows: table.__setitem__(table.index(1), 1.0)),
-        "pruned row index 1.0 is not an integer"),
-    "pruned-row-index-past-the-end": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda table, rows: table.__setitem__(table.index(0), len(rows))),
-        "names row 3, not one of the 3 rows of layer 0"),
-    "pruned-usable-pair-without-row": ("pruned", lambda pruned, policy: dict(
-        pruned, rows=pruned["rows"][:-1] + [{"size": [], "succ": [], "prob": []}]),
-        "not one of the 0 rows of layer 6"),
-    "pruned-row-size-negative": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda table, rows: None, size=[-1, 4, 1]),
-        "the row sizes of layer 0 do not split its 4 successors and 4 probabilities"),
-    # A size that cannot be allocated is refused before the rows are split.
-    "pruned-row-size-too-large": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda table, rows: None, size=[10**15, 1, 1]),
-        "the row sizes of layer 0 do not split its 4 successors and 4 probabilities"),
+    # Row ids, like row indices before them, must be JSON integers naming
+    # rows of the MDP's table, strictly ascending: read without its check,
+    # true would be row 1 and -1 the table's last row.
+    "pruned-row-index-negative": ("pruned", lambda pruned, policy: _edit_rows(
+        pruned, 0, lambda ids, probs: ([-1, *ids[1:]], probs)), NOT_ROW_IDS),
+    "pruned-row-index-true": ("pruned", lambda pruned, policy: _edit_rows(
+        pruned, 0, lambda ids, probs: ([True, *ids[1:]], probs)),
+        "pruned row id True is not an integer"),
+    "pruned-row-index-a-float": ("pruned", lambda pruned, policy: _edit_rows(
+        pruned, 0, lambda ids, probs: ([1300.0, *ids[1:]], probs)),
+        "pruned row id 1300.0 is not an integer"),
+    "pruned-row-index-past-the-end": ("pruned", lambda pruned, policy: _edit_rows(
+        pruned, 0, lambda ids, probs: ([*ids[:-1], 1386], probs)), NOT_ROW_IDS),
+    "pruned-row-ids-not-ascending": ("pruned", lambda pruned, policy: _edit_rows(
+        pruned, 0, lambda ids, probs: (ids[::-1], probs[::-1])), NOT_ROW_IDS),
+    "pruned-duplicate-kernel-entry": ("pruned", lambda pruned, policy: _edit_rows(
+        pruned, 0, lambda ids, probs: (ids[:1] + ids, probs[:1] + probs)), NOT_ROW_IDS),
     "pruned-row-columns-disagree": ("pruned", lambda pruned, policy: dict(
         pruned, rows=[dict(pruned["rows"][0], prob=pruned["rows"][0]["prob"][:-1]),
                       *pruned["rows"][1:]]),
-        "the row sizes of layer 0 do not split its 4 successors and 3 probabilities"),
-    "pruned-row-successor-out-of-range": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda table, rows: rows[table[NIL]].__setitem__(0, [1386])),
-        "row 2 of layer 0 is not a distribution over strictly ascending states 0..1385"),
-    "pruned-row-successors-not-ascending": ("pruned", lambda pruned, policy: _at_s0(
-        pruned, lambda table, rows: rows.__setitem__(
-            table[V_S], [row[::-1] for row in rows[table[V_S]]])),
-        "row 0 of layer 0 is not a distribution over strictly ascending states"),
-    # A state listed twice in a layer would have two rows of the table: with
-    # another row for one action, or as an exact copy.
-    "pruned-duplicate-kernel-entry": ("pruned", lambda pruned, policy: _layer_edit(
-        pruned, 1, lambda layer, table: (layer[:1] + layer, [0, -1, -1] + table)),
-        "pruned layer 1 is not a strictly ascending list of states 0..1385"),
+        "pruned layer 0 has 4 probabilities, not one per nominal successor of its rows (5)"),
+    # Without samples the rows are the MDP's, and none is stored.
+    "pruned-nominal-with-rows": ("pruned", lambda pruned, policy: dict(pruned, samples=0),
+                                 "pruned layer 0 stores rows, but an artifact without samples "
+                                 "has the MDP's rows"),
+    # A row the prune builds but the artifact does not store would be read
+    # as the nominal row; a stored row the prune does not build is refused too.
+    "pruned-usable-pair-without-row": ("pruned", lambda pruned, policy: _edit_rows(
+        pruned, 6, lambda ids, probs: ([], [])), "pruned layer 6 has no row for nominal row 76, "
+        "which the prune at k=8 builds"),
+    "pruned-missing-row": ("pruned", lambda pruned, policy: _edit_rows(
+        pruned, 3, lambda ids, probs: (ids[1:], probs[1:])),
+        "pruned layer 3 has no row for nominal row 142, which the prune at k=8 builds"),
+    "pruned-extra-row": ("pruned", lambda pruned, policy: _edit_rows(
+        pruned, 6, lambda ids, probs: ([0, *ids], [_nominal_row(0), *probs])),
+        "pruned layer 6 stores nominal row 0, which the prune at k=8 does not build"),
+    # Layers that are not the prune's: a state listed twice, out of order,
+    # missing (the observed s_1, or a reached node), or added without a
+    # usable action.
     "pruned-node-listed-twice": ("pruned", lambda pruned, policy: _layer_edit(
-        pruned, 1, lambda layer, table: (layer[:1] + layer, table[:3] + table)),
-        "pruned layer 1 is not a strictly ascending list of states 0..1385"),
+        pruned, 1, lambda layer: layer[:1] + layer), NOT_THE_LAYERS),
     "pruned-layer-not-ascending": ("pruned", lambda pruned, policy: _layer_edit(
-        pruned, 1, lambda layer, table: (layer[::-1], [a for i in range(len(layer) - 1, -1, -1)
-                                                       for a in table[3 * i:3 * i + 3]])),
-        "pruned layer 1 is not a strictly ascending list of states 0..1385"),
+        pruned, 1, lambda layer: layer[::-1]), NOT_THE_LAYERS),
     "pruned-first-layer-empty": ("pruned", lambda pruned, policy: _layer_edit(
-        pruned, 0, lambda layer, table: ([], [])), "layer 0 is not {s_0}"),
+        pruned, 0, lambda layer: []), NOT_THE_LAYERS),
     "pruned-successor-outside-next-layer": ("pruned", lambda pruned, policy: _layer_edit(
-        pruned, 1, lambda layer, table: _without(layer, table, pruned["rows"][0]["succ"][:2])),
-        "row 0 of layer 0 is not closed in layer 1"),
+        pruned, 1, lambda layer: [s for s in layer if s != 1322]), NOT_THE_LAYERS),
+    "pruned-node-outside-layer": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 6, lambda layer: layer[:-1]), NOT_THE_LAYERS),
+    "pruned-layer-state-without-actions": ("pruned", lambda pruned, policy: _layer_edit(
+        pruned, 6, lambda layer: sorted(layer + [210])), NOT_THE_LAYERS),
     # Each form earlier versions wrote, keyed by labels, must be rebuilt with
     # `prune` and `solve`: one kernel entry per (t, s, a), then one row dict
     # per distinct row and one action dict per node, and one policy entry
@@ -1092,7 +1117,7 @@ BAD_ARTIFACTS = {
     "pruned-old-kernels-form": ("pruned", lambda pruned, policy: _kernels_form(pruned),
                                 "KeyError('samples')"),
     "pruned-label-form": ("pruned", lambda pruned, policy: _label_form(pruned),
-                          "pruned artifact has 7 layers, 165 action tables"),
+                          "list indices must be integers"),
     "pruned-label-layers": ("pruned", lambda pruned, policy: dict(
         pruned, layers=_label_form(pruned)["layers"]),
         "pruned layer state 'S9I1V20' is not an integer"),
@@ -1100,35 +1125,51 @@ BAD_ARTIFACTS = {
         pruned, rows=_label_form(pruned)["rows"]), "list indices must be integers"),
     "policy-label-form": ("policy", lambda pruned, policy: _policy_label_form(pruned, policy),
                           "action tables, path has 7"),
-    # The table has len(layers[t]) x |A| entries: one state more is one row
-    # too many, and a layer state needs a usable action.
-    "pruned-node-outside-layer": ("pruned", lambda pruned, policy: _layer_edit(
-        pruned, 6, lambda layer, table: (layer, table + [-1, -1, -1])),
-        "pruned actions[6] has 141 row indices, not 46 states x 3 actions"),
-    "pruned-layer-state-without-actions": ("pruned", lambda pruned, policy: _layer_edit(
-        pruned, 6, lambda layer, table: _with(layer, table, 210)),
-        "layer 6 lists S0I10V0, which has no usable action"),
-    # Every posterior sample replays the observation, so the observed pair
-    # at t = 1, (S8I2V20, NIL), must stay usable; its state keeps another
-    # usable action, so the layer is otherwise a valid closed one.
-    "pruned-observed-pair-not-usable": ("pruned", lambda pruned, policy: _layer_edit(
-        pruned, 1, lambda layer, table: _without_action(layer, table, "S8I2V20", NIL)),
-        "the observed pair (S8I2V20, NIL) at t=1 is not usable, as every posterior sample "
-        "replays it"),
+    # Every posterior sample replays the observation, so the row of the
+    # observed pair at t = 1, (S8I2V20, NIL), is the point mass on s_2.
+    "pruned-observed-pair-not-usable": ("pruned", lambda pruned, policy: _edit_rows(
+        pruned, 1, lambda ids, probs: ([i for i in ids if i != 1322],
+                                       [q for i, q in zip(ids, probs) if i != 1322])),
+        "row 1322 of layer 1, the observed pair's, is not the point mass on the observed "
+        "S7I3V20"),
     # The action picked has no nominal row at its node.
     "policy-action-not-usable": ("policy", lambda pruned, policy: _unusable_action(pruned, policy),
                                  "no kernel row for"),
 }
-NIL, V_I, V_S = range(3)  # the epidemic MDP's action indices
+@functools.cache
+def _epidemic() -> Mdp:
+    """The epidemic MDP, which the edited artifacts were built on."""
+    return build_environment("epidemic")
+
+
+def _nominal_row(r: int) -> list:
+    """The probabilities of row r of the epidemic MDP's row table."""
+    lo, hi = _epidemic().row_start[r:r + 2]
+    return _epidemic().prob[lo:hi].tolist()
+
+
+def _layer_rows(pruned, t) -> tuple[list, list]:
+    """The rows stored at layer t: their row ids, and each row's probabilities."""
+    sizes = np.diff(_epidemic().row_start)
+    layer, bounds = pruned["rows"][t], np.cumsum([0, *sizes[pruned["rows"][t]["row"]]]).tolist()
+    return list(layer["row"]), [layer["prob"][lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _edit_rows(pruned, t, edit):
+    """`pruned` with the rows of layer t set to edit(row ids, probabilities per row)."""
+    ids, probs = edit(*_layer_rows(pruned, t))
+    layer = {"row": ids, "prob": [q for row in probs for q in row]}
+    return dict(pruned, rows=[*pruned["rows"][:t], layer, *pruned["rows"][t + 1:]])
 
 
 def _edit_row(pruned, new_probs, size=2):
-    """`pruned` with the probabilities of its first row of `size`
-    successors set to new_probs(probabilities)."""
-    layers = [table_rows(layer) for layer in pruned["rows"]]
-    row = next(row for rows in layers for row in rows if len(row[0]) == size)
-    row[1] = new_probs(row[1])
-    return dict(pruned, rows=[row_columns(rows) for rows in layers])
+    """`pruned` with the probabilities of its first row of `size` nominal
+    successors, each on the counterfactual support, set to
+    new_probs(probabilities)."""
+    t, i = next((t, i) for t in range(len(pruned["rows"]))
+                for i, row in enumerate(_layer_rows(pruned, t)[1]) if len(row) == size and min(row) > 0)
+    return _edit_rows(pruned, t, lambda ids, probs: (ids, [*probs[:i], new_probs(probs[i]),
+                                                           *probs[i + 1:]]))
 
 
 def _edit_mdp_row(mdp, edit, size=2):
@@ -1151,44 +1192,11 @@ def _edit_pairs(mdp, column, edit):
     return dict(mdp, pairs=dict(mdp["pairs"], **{column: edit(mdp["pairs"][column])}))
 
 
-def _at_s0(pruned, edit, size=None):
-    """`pruned` after edit(table, rows) on the row indices of the actions at
-    s_0, the one state of layer 0, and on the rows of layer 0; with `size`,
-    the rows' sizes are then replaced by it."""
-    table, rows = list(pruned["actions"][0]), table_rows(pruned["rows"][0])
-    edit(table, rows)
-    layer = row_columns(rows) if size is None else dict(row_columns(rows), size=size)
-    return dict(pruned, actions=[table, *pruned["actions"][1:]],
-                rows=[layer, *pruned["rows"][1:]])
-
-
 def _layer_edit(pruned, t, edit):
-    """`pruned` with layer t and its table set to edit(layer, table)."""
-    layers, tables = list(pruned["layers"]), list(pruned["actions"])
-    layers[t], tables[t] = edit(layers[t], tables[t])
-    return dict(pruned, layers=layers, actions=tables)
-
-
-def _without(layer, table, states):
-    """`layer` and its table without `states`."""
-    kept = [i for i, s in enumerate(layer) if s not in states]
-    return [layer[i] for i in kept], [a for i in kept for a in table[3 * i:3 * i + 3]]
-
-
-def _with(layer, table, state):
-    """`layer` and its table with `state` added, all of its actions unusable."""
-    i = int(np.searchsorted(layer, state))
-    assert state not in layer
-    return layer[:i] + [state] + layer[i:], table[:3 * i] + [-1, -1, -1] + table[3 * i:]
-
-
-def _without_action(layer, table, state, action):
-    """`layer` and its table with `action` not usable at `state`, which keeps another."""
-    i = layer.index(_labels()[0].index(state))
-    table = list(table)
-    table[3 * i + action] = -1
-    assert max(table[3 * i:3 * i + 3]) >= 0
-    return layer, table
+    """`pruned` with layer t set to edit(layer)."""
+    layers = list(pruned["layers"])
+    layers[t] = edit(layers[t])
+    return dict(pruned, layers=layers)
 
 
 def _policy_edit(policy, edit):
@@ -1196,25 +1204,22 @@ def _policy_edit(policy, edit):
     return dict(policy, actions=[edit(policy["actions"][0]), *policy["actions"][1:]])
 
 
-@functools.cache
-def _labels() -> tuple:
-    """The epidemic MDP's state and action labels."""
-    mdp = build_environment("epidemic")
-    return mdp.states, mdp.actions
-
-
 def _label_form(pruned):
     """`pruned` as the previous version wrote it: layers of state labels,
-    each row a {successor: probability} dict, and one {"t", "s", "actions":
-    {action: row index}} entry per node."""
-    states, actions = _labels()
-    nodes = [{"t": t, "s": states[s], "actions": {actions[a]: i for a, i in
-                                                   enumerate(table[3 * r:3 * r + 3]) if i >= 0}}
-             for t, (layer, table) in enumerate(zip(pruned["layers"], pruned["actions"]))
-             for r, s in enumerate(layer)]
-    rows = [[dict(zip([states[s] for s in succ], probs)) for succ, probs in table_rows(layer)]
-            for layer in pruned["rows"]]
-    return dict(pruned, layers=[sorted(states[s] for s in layer) for layer in pruned["layers"]],
+    each usable pair's row a {successor: probability} dict, and one {"t",
+    "s", "actions": {action: row index}} entry per node."""
+    mdp = _epidemic()
+    loaded = _pruned_from_json(pruned, mdp)
+    nodes, rows = [], []
+    for t, usable in enumerate(loaded.usable):
+        ids = np.unique(mdp.row_id[usable]).tolist()
+        rows.append([dict(zip([mdp.states[s] for s in loaded.cf.rows[t, r][0].tolist()],
+                              loaded.cf.rows[t, r][1].tolist())) for r in ids])
+        nodes += [{"t": t, "s": mdp.states[s], "actions": {
+            mdp.actions[mdp.action[p]]: ids.index(mdp.row_id[p])
+            for p in range(mdp.start[s], mdp.start[s + 1]) if usable[p]}}
+            for s in np.flatnonzero(loaded.reach[t]).tolist()]
+    return dict(pruned, layers=[sorted(mdp.states[s] for s in layer) for layer in pruned["layers"]],
                 rows=rows, actions=nodes)
 
 
@@ -1232,7 +1237,7 @@ def _kernels_form(pruned):
 def _policy_label_form(pruned, policy):
     """`policy` as earlier versions wrote it: one {"t", "s", "j", "a"} entry
     per (t, s, j) with an action."""
-    states, actions = _labels()
+    states, actions = _epidemic().states, _epidemic().actions
     width = policy["m"] + 1
     entries = [{"t": t, "s": states[s], "j": j, "a": actions[a]}
                for t, (layer, table) in enumerate(zip(pruned["layers"], policy["actions"]))
@@ -1242,11 +1247,13 @@ def _policy_label_form(pruned, policy):
 
 
 def _unusable_action(pruned, policy):
-    """`policy` with one state's action at j = 0 replaced by an action the
-    pruned table marks as not usable there."""
-    width = policy["m"] + 1
-    t, r, a = next((t, r, a) for t, table in enumerate(pruned["actions"])
-                   for r in range(len(table) // 3) for a in range(3) if table[3 * r + a] == -1)
+    """`policy` with one state's action at j = 0 replaced by an action that
+    is not usable there in the pruned MDP."""
+    mdp, width = _epidemic(), policy["m"] + 1
+    loaded = _pruned_from_json(pruned, mdp)
+    t, r, a = next((t, r, a) for t, reach in enumerate(loaded.reach)
+                   for r, s in enumerate(np.flatnonzero(reach).tolist()) for a in range(3)
+                   if mdp.pair_at[s, a] < 0 or not loaded.usable[t][mdp.pair_at[s, a]])
     tables = [list(table) for table in policy["actions"]]
     tables[t][width * r] = a
     return dict(policy, actions=tables)
@@ -1278,38 +1285,40 @@ def test_malformed_artifact_exits_2(case, artifact_dir, tmp_path, capsys):
         assert reason in err, (argv[0], err)
 
 
-def test_artifact_rows_of_one_nominal_row_stay_per_pair(tmp_path, capsys):
-    # (x0, a) and (x0, b) share one nominal row. A counterfactual MDP built
-    # from it gives them one row, but a hand-edited artifact may give them two
-    # different valid rows, and solve must read each pair's own row. Rows
-    # other than the nominal ones are a posterior's, so the edited artifact
-    # gives a sample count; the observed (x0, a) replays its step to x1.
+def test_pairs_of_one_nominal_row_share_their_stored_row(tmp_path, capsys):
+    # (x0, a) and (x0, b) share one nominal row, so the artifact stores one
+    # counterfactual row for both, keyed by the nominal row: that of the
+    # observed (x0, a), which replays its step to x1. A row moved towards x2
+    # (reward 10), as a row of b alone would be, no longer replays the
+    # observation and is refused.
     mdp = mdp_to_json(Mdp(("x0", "x1", "x2"), ("a", "b"),
                           {("x0", "a"): {"x1": 0.5, "x2": 0.5}, ("x0", "b"): {"x1": 0.5, "x2": 0.5},
                            ("x1", "a"): {"x1": 1.0}, ("x2", "a"): {"x2": 1.0}},
                           {("x2", "a"): 10.0}, {"x0": 1.0}, name="twin"))
     path = {"steps": [{"t": 0, "s": "x0", "a": "a"}, {"t": 1, "s": "x1", "a": "a"}]}
-    files = {name: tmp_path / f"{name}.json" for name in ("mdp", "path", "pruned", "edited")}
-    files["mdp"].write_text(json.dumps(mdp))
-    files["path"].write_text(json.dumps(path))
-    assert main(["prune", "--mdp", str(files["mdp"]), "--path", str(files["path"]), "--nominal",
-                 "--k", "3", "--out", str(files["pruned"])]) == 0
-    pruned = json.loads(files["pruned"].read_text())
-    assert (pruned["layers"][0], pruned["actions"][0]) == ([0], [0, 0])  # x0: one stored row
-    edited_rows = {"a": {"x1": 1.0}, "b": {"x1": 0.25, "x2": 0.75}}
-    pruned["rows"][0] = {"size": [1, 2], "succ": [1, 1, 2], "prob": [1.0, 0.25, 0.75]}
-    pruned["actions"][0] = [0, 1]
-    pruned["samples"] = 4
-    files["edited"].write_text(json.dumps(pruned))
-    code, _, err = run(capsys, "solve", "--mdp", str(files["mdp"]), "--pruned",
-                       str(files["edited"]), "--m", "1")
-    assert code == 0, err
+    files = {name: str(tmp_path / f"{name}.json") for name in ("mdp", "path", "post", "pruned")}
+    Path(files["mdp"]).write_text(json.dumps(mdp))
+    Path(files["path"]).write_text(json.dumps(path))
+    assert main(["cf-build", "--mdp", files["mdp"], "--path", files["path"], "--samples", "4",
+                 "--out", files["post"]]) == 0
+    assert main(["prune", "--mdp", files["mdp"], "--path", files["path"], "--posterior",
+                 files["post"], "--k", "3", "--out", files["pruned"]]) == 0
+    pruned = json.loads(Path(files["pruned"]).read_text())
+    assert pruned["rows"][0] == {"row": [0], "prob": [1.0, 0.0]}  # x0: one stored row
     loaded_mdp = mdp_from_json(mdp)
     loaded = _pruned_from_json(pruned, loaded_mdp)
-    assert cf_probs(loaded.cf, 0, "x0", "b") == edited_rows["b"]
-    # Changing a to b at t = 0 reaches x2 (reward 10) with probability 0.75.
-    oracle = km_value_oracle(loaded, path_from_json(path, loaded_mdp), 1)
-    assert oracle == 7.5 and f"V(s0) = {oracle!r}" in err
+    assert cf_probs(loaded.cf, 0, "x0", "a") == cf_probs(loaded.cf, 0, "x0", "b") == {"x1": 1.0}
+    capsys.readouterr()
+    code, _, err = run(capsys, "solve", "--mdp", files["mdp"], "--pruned", files["pruned"], "--m", "1")
+    # Changing a to b at t = 0 reaches x1 as replay does.
+    assert code == 0 and err == "V(s0) = 0.0\n"
+    assert km_value_oracle(loaded, path_from_json(path, loaded_mdp), 1) == 0.0
+    pruned["rows"][0]["prob"] = [0.25, 0.75]
+    Path(files["pruned"]).write_text(json.dumps(pruned))
+    code, _, err = run(capsys, "solve", "--mdp", files["mdp"], "--pruned", files["pruned"], "--m", "1")
+    assert code == 2
+    assert err == ("error: row 0 of layer 0, the observed pair's, is not the point mass on the "
+                   "observed x1\n")
 
 
 def _edited_epidemic_path(tmp_path, capsys):
@@ -1345,8 +1354,8 @@ def test_pruned_artifact_with_an_edited_path_exits_2(tmp_path, capsys):
 
 
 def test_reweighted_nominal_artifact_exits_2(tmp_path, capsys):
-    # Without samples every row is the nominal row of each pair naming it.
-    # Made uniform on its support, a sepsis row solved a different MDP.
+    # Without samples the rows are the MDP's, and the artifact stores none.
+    # A sepsis row made uniform on its support would solve a different MDP.
     files = {name: str(tmp_path / f"{name}.json") for name in ("mdp", "path", "pruned")}
     for argv in (["env", "sepsis", "--out", files["mdp"]],
                  ["sample", "--mdp", files["mdp"], "--policy", "sepsis-suboptimal",
@@ -1359,26 +1368,27 @@ def test_reweighted_nominal_artifact_exits_2(tmp_path, capsys):
                        "--m", "2")
     assert code == 0 and err == "V(s0) = 218.0730683122205\n"
     pruned = json.loads(Path(files["pruned"]).read_text())
-    for layer in pruned["rows"]:
-        layer.update(row_columns([[succ, [1 / len(succ)] * len(succ)]
-                                  for succ, _ in table_rows(layer)]))
+    assert all(layer == {"row": [], "prob": []} for layer in pruned["rows"])
+    mdp = mdp_from_json(json.loads(Path(files["mdp"]).read_text()))
+    r = int(mdp.row_id[path_from_json(pruned["path"], mdp).pair[0]])
+    size = int(mdp.row_start[r + 1] - mdp.row_start[r])
+    pruned["rows"][0] = {"row": [r], "prob": [1 / size] * size}
     Path(files["pruned"]).write_text(json.dumps(pruned))
     code, _, err = run(capsys, "solve", "--mdp", files["mdp"], "--pruned", files["pruned"],
                        "--m", "2")
     assert code == 2
-    assert re.fullmatch(r"error: row \d+ of layer 0 is not the nominal row of \(\S+, \S+\), "
-                        r"which a pruned artifact without samples stores\n", err)
+    assert err == ("error: pruned layer 0 stores rows, but an artifact without samples has the "
+                   "MDP's rows\n")
 
 
-def test_loaded_rows_exist_only_for_usable_pairs(artifact_dir):
-    # A pair the artifact gives no row has a negative key: its row is an
-    # error, never the nominal row.
+def test_loaded_rows_are_the_stored_rows(artifact_dir):
+    # The loader prunes again from the stored rows and builds none: they are
+    # the rows the prune looks up, each keyed by (t, nominal row).
     mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
-    loaded = _pruned_from_json(json.loads((artifact_dir / "pruned.json").read_text()), mdp)
-    t, p = (int(x) for x in np.argwhere(~np.array(loaded.usable))[0])
-    assert loaded.cf.row_key[t, p] < 0
-    with pytest.raises(MissingKernelRow):
-        loaded.cf.row(t, p)
+    obj = json.loads((artifact_dir / "pruned.json").read_text())
+    loaded = _pruned_from_json(obj, mdp)
+    assert sorted(loaded.cf.rows) == [(t, r) for t, layer in enumerate(obj["rows"])
+                                      for r in layer["row"]]
     p = int(np.flatnonzero(loaded.usable[0])[0])
     assert len(loaded.cf.row(0, p)[0]) > 0
     with pytest.raises(ValidationFailed):
@@ -1439,13 +1449,13 @@ def test_rollout_policy_changing_past_its_budget_exits_3(artifact_dir, tmp_path,
     # j = 1 > m, where the policy has no column; reading column m - j = -1
     # as column m would replay on and fail only at the end, over budget.
     policy0 = _solve_m0(artifact_dir, tmp_path, capsys)
-    pruned = json.loads((artifact_dir / "pruned.json").read_text())
+    mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
+    pruned = _pruned_from_json(json.loads((artifact_dir / "pruned.json").read_text()), mdp)
     policy = json.loads(policy0.read_text())
-    # Layer 0 is s_0 alone: its pruned table is [row of a for each action a],
-    # and the m = 0 policy's table is [action at j = 0].
-    observed = policy["actions"][0][0]
-    policy["actions"][0][0] = next(a for a, row in enumerate(pruned["actions"][0])
-                                   if row >= 0 and a != observed)
+    # Layer 0 is s_0 alone, and the m = 0 policy's table is [action at j = 0].
+    observed, pairs = policy["actions"][0][0], mdp.pair_at[pruned.cf.path.state[0]]
+    policy["actions"][0][0] = next(a for a, p in enumerate(pairs.tolist())
+                                   if p >= 0 and pruned.usable[0][p] and a != observed)
     policy0.write_text(json.dumps(policy))
     code, _, err = run(capsys, *_rollout_argv(artifact_dir, tmp_path, policy0))
     assert code == 3

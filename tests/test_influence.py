@@ -275,7 +275,7 @@ def test_cf_rows_look_up_each_distinct_row_once(epidemic_demo, monkeypatch):
     calls, row = Counter(), CfMdp.row
 
     def counted(self, t, p):
-        calls[t, int(self.row_key[t, p])] += 1
+        calls[t, int(self.mdp.row_id[p])] += 1
         return row(self, t, p)
 
     monkeypatch.setattr(CfMdp, "row", counted)

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfmdp.cli import _policy_from_json, _policy_to_json, _pruned_from_json, _pruned_to_json, main
-from cfmdp.errors import ValidationFailed
-from cfmdp.gumbel import build_cf_mdp, build_posterior, cf_transition
+from cfmdp.errors import EmptyPrunedMdp, ValidationFailed
+from cfmdp.gumbel import build_cf_mdp, build_posterior, cf_transition, nominal_cf_mdp
 from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import Mdp, mdp_from_json, mdp_to_json, sample_path
 from cfmdp.solver import rollout, solve_km, sweep
@@ -266,33 +266,38 @@ def _loads(load):
 @PROPERTIES
 @given(instances(shared_rows=True), st.data())
 def test_pruned_artifact_stores_each_row_once_and_round_trips(instance, data):
+    # At every k, from the posterior and from the nominal rows: the artifact
+    # stores each row the prune built once, under its nominal row (none
+    # under nominal rows), and the loader's prune from them is the prune
+    # the artifact was written from.
     mdp, path, cf = instance
-    pruned = prune_cf_mdp(cf, data.draw(st.integers(1, path.T + 1)))
-    obj = json.loads(json.dumps(_pruned_to_json(pruned)))
-    loaded = _pruned_from_json(obj, mdp)
-
-    def same_keys(got):
-        # The same pairs share a row: the file's indices are the memo keys
-        # renumbered in ascending order, -1 where a pair is not usable.
-        return got is not None and all(
-            np.array_equal(got.cf.row_key[t][usable],
-                           np.unique(cf.row_key[t][usable], return_inverse=True)[1])
-            and (got.cf.row_key[t][~usable] < 0).all()
-            for t, usable in enumerate(pruned.usable))
-
-    assert same_keys(loaded)
-    for t, usable in enumerate(pruned.usable):
-        assert obj["layers"][t] == np.flatnonzero(pruned.reach[t]).tolist()
-        assert len(obj["rows"][t]["size"]) == len(np.unique(cf.row_key[t][usable]))
-        for p in np.flatnonzero(usable).tolist():
-            for a, b in zip(loaded.cf.row(t, p), cf.row(t, p)):
-                assert a.tobytes() == b.tobytes(), (t, p)
     m = data.draw(st.integers(0, path.T))
-    policy, loaded_policy = solve_km(pruned, m), solve_km(loaded, m)
-    assert same_tables(loaded_policy, policy)
+    for source in (cf, nominal_cf_mdp(mdp, path)):
+        for k in range(1, path.T + 2):
+            try:
+                pruned = prune_cf_mdp(source, k)
+            except EmptyPrunedMdp:  # under nominal rows a small k can empty the prune
+                continue
+            obj = json.loads(json.dumps(_pruned_to_json(pruned)))
+            loaded = _pruned_from_json(obj, mdp)
+            for t, (built, _, _) in enumerate(pruned.closure.rows):
+                stored = np.unique(mdp.row_id[built]) if source.posterior is not None else []
+                assert obj["rows"][t]["row"] == list(stored), (k, t)
+            for a, b in zip(loaded.reach + loaded.usable, pruned.reach + pruned.usable):
+                np.testing.assert_array_equal(a, b, err_msg=f"k={k}")
+            assert loaded.nodes_all_layers == pruned.nodes_all_layers
+            for t, usable in enumerate(pruned.usable):
+                for p in np.flatnonzero(usable).tolist():
+                    assert ([a.tobytes() for a in loaded.cf.row(t, p)]
+                            == [b.tobytes() for b in source.row(t, p)]), (k, t, p)
+            assert solve_km(loaded, m).v_s0 == solve_km(pruned, m).v_s0, k
 
     # The policy artifact reads back as solve_km's choices, and rolls out the same.
-    samples = obj["samples"]
+    pruned = prune_cf_mdp(cf, data.draw(st.integers(1, path.T + 1)))
+    obj = json.loads(json.dumps(_pruned_to_json(pruned)))
+    loaded, samples = _pruned_from_json(obj, mdp), obj["samples"]
+    policy = solve_km(pruned, m)
+    assert same_tables(solve_km(loaded, m), policy)
     stored = json.loads(json.dumps(_policy_to_json(policy, loaded, samples)))
     back = _policy_from_json(stored, loaded, samples)
     assert [c.tobytes() for c in back.choices] == [c.tobytes() for c in policy.choices]
@@ -302,11 +307,8 @@ def test_pruned_artifact_stores_each_row_once_and_round_trips(instance, data):
     want = rollout(pruned, policy, n, feature, seed)
     assert (got.means.tobytes(), got.stds.tobytes()) == (want.means.tobytes(), want.stds.tobytes())
 
-    # Either table read with its axes swapped is another artifact: refused, or
-    # read as other rows or other choices.
-    swapped = _swap_axes(obj["actions"], len(mdp.actions))
-    if swapped != obj["actions"]:
-        assert not same_keys(_loads(lambda: _pruned_from_json(dict(obj, actions=swapped), mdp)))
+    # The policy table read with its axes swapped is another artifact:
+    # refused, or read as other choices.
     swapped = _swap_axes(stored["actions"], m + 1)
     if swapped != stored["actions"]:
         other = _loads(lambda: _policy_from_json(dict(stored, actions=swapped), loaded, samples))

@@ -90,7 +90,7 @@ def test_pairs_sharing_one_row_at_mixed_cost_equal_the_oracle():
     mdp = Mdp(("x0", "x1", "x2"), ("a", "b", "c"), kernel, rewards, {"x0": 1.0}, name="shared")
     path = ObservedPath(mdp, (("x0", "b"), ("x2", "a"), ("x2", "a")))
     cf = build_cf_mdp(build_posterior(mdp, path, 300, seed=1), mdp)
-    assert len({int(cf.row_key[0, mdp.pair("x0", a)]) for a in "abc"}) == 1
+    assert len({int(mdp.row_id[mdp.pair("x0", a)]) for a in "abc"}) == 1
     for k in range(1, path.T + 2):
         pruned = prune_cf_mdp(cf, k)
         for m in range(path.T + 1):
