@@ -44,7 +44,6 @@ from .gumbel import (
     cf_transition,
     load_posterior,
     nominal_cf_mdp,
-    posterior_cache_key,
     save_posterior,
     topdown_noise,
 )

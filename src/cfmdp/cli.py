@@ -26,7 +26,6 @@ from .gumbel import (
     build_posterior,
     load_posterior,
     nominal_cf_mdp,
-    posterior_cache_key,
     save_posterior,
 )
 from .influence import PrunedCfMdp, prune_cf_mdp, pruned_size_report
@@ -99,24 +98,16 @@ def _load_observation(args) -> tuple[Mdp, ObservedPath]:
 
 
 def cmd_env(args) -> int:
-    """Emit the environment under the --config file and the flag overrides.
-    JSON arrays, as for a grid cell, become the config's tuples."""
+    """Emit the environment under the --config file and --population. JSON
+    arrays, as for a grid cell, become the config's tuples."""
     over = {}
     if args.config:
         loaded = read_json(args.config)
         if not isinstance(loaded, dict):
             raise ValidationFailed("--config must contain a JSON object")
         over.update(loaded)
-    for key in ("population", "initial_infected", "slip", "shaping_scale", "flux"):
-        val = getattr(args, key)
-        if val is not None:
-            over[key] = val
-    if args.danger is not None:
-        try:
-            r, c = (int(x) for x in args.danger.split(","))
-        except ValueError:
-            raise ValidationFailed(f"--danger must be ROW,COL, got {args.danger!r}") from None
-        over["danger"] = [r, c]
+    if args.population is not None:
+        over["population"] = args.population
     try:
         mdp = envs.build_environment(args.env, **{key: tuple(val) if isinstance(val, list) else val
                                                   for key, val in over.items()})
@@ -151,8 +142,7 @@ def cmd_cf_build(args) -> int:
         save_posterior(posterior, args.out)
     except OSError as exc:
         raise _unwritable(args.out, exc) from exc
-    key = posterior_cache_key(mdp, path, args.samples, args.seed or 0)
-    sys.stdout.write(f"posterior written to {args.out} (key {key[:16]})\n")
+    sys.stdout.write(f"posterior written to {args.out}\n")
     return EXIT_OK
 
 
@@ -428,9 +418,7 @@ def cmd_sweep(args) -> int:
             "posterior_seed": posterior_seed, "samples": args.samples,
             "k_values": k_values, "m_values": m_values,
         },
-        "input_hashes": {"mdp": mdp.digest, "path": path_hash(path),
-                         "posterior_key": posterior_cache_key(mdp, path, args.samples,
-                                                              posterior_seed)},
+        "input_hashes": {"mdp": mdp.digest, "path": path_hash(path)},
         "outputs": hashes,
         "statistics": {"cf_rows_built": result.cf_rows_built,
                        "cf_row_se_max": float(se.max(initial=0.0)),
@@ -476,11 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("env", choices=list(envs.ENVIRONMENTS))
     p.add_argument("--config", help="JSON file with environment config overrides")
     p.add_argument("--population", type=int)
-    p.add_argument("--initial-infected", dest="initial_infected", type=int)
-    p.add_argument("--slip", type=float)
-    p.add_argument("--shaping-scale", dest="shaping_scale", type=float)
-    p.add_argument("--danger", help="gridworld danger cell as ROW,COL")
-    p.add_argument("--flux", type=float)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_env)
 

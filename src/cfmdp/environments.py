@@ -28,6 +28,10 @@ from .mdp import Action, Mdp, ObservedPath, State, sample_path
 MOVES = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
 _PERP = {"up": ("left", "right"), "down": ("left", "right"),
          "left": ("up", "down"), "right": ("up", "down")}
+# Per-step penalty per Manhattan distance unit to the goal. Steep enough that
+# loitering next to the danger cell never beats heading for the goal.
+SHAPING_SCALE = 4.0
+DANGER_PENALTY = 100.0  # for entering the danger cell
 
 
 @dataclass(frozen=True)
@@ -40,11 +44,7 @@ class GridWorldConfig:
     # Movement is deterministic by default; with slip > 0 the agent deviates to
     # a perpendicular direction with probability slip (split evenly).
     slip: float = 0.0
-    # Per-step penalty per Manhattan distance unit. Steep enough that loitering
-    # next to the danger cell never beats heading for the goal.
-    shaping_scale: float = 4.0
     goal_reward: float = 100.0
-    danger_penalty: float = 100.0
 
 
 def _cell_label(r: int, c: int) -> State:
@@ -110,8 +110,8 @@ def build_gridworld(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
                 if dest == cfg.goal:
                     bonus += p * cfg.goal_reward
                 elif dest == cfg.danger:
-                    bonus -= p * cfg.danger_penalty
-            rewards[(label, a)] = -cfg.shaping_scale * dist_to_goal(cell) + bonus
+                    bonus -= p * DANGER_PENALTY
+            rewards[(label, a)] = -SHAPING_SCALE * dist_to_goal(cell) + bonus
 
     return Mdp(states, actions, kernel, rewards,
                initial={_cell_label(*cfg.start): 1.0}, name=MDP_NAMES["gridworld"])

@@ -23,7 +23,6 @@ path, N, seed), not the noise.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from .errors import (
     ValidationFailed,
     ZeroProbabilityObservation,
 )
-from .mdp import Mdp, ObservedPath, path_from_json, path_hash, path_to_json, read_json
+from .mdp import Mdp, ObservedPath, path_from_json, path_to_json, read_json
 
 FILL_ROWS = 128  # rows of a noise layer drawn at a time
 TOPDOWN = {"sampler": "topdown"}  # the recipe's name of its one noise draw
@@ -289,14 +288,8 @@ def nominal_cf_mdp(mdp: Mdp, path: ObservedPath) -> CfMdp:
 
 
 # ---------------------------------------------------------------------------
-# Posterior persistence (one artifact per (mdp, path, n, seed) key)
+# Posterior persistence: the recipe (MDP hash, path, N, seed)
 # ---------------------------------------------------------------------------
-
-def posterior_cache_key(mdp: Mdp, path: ObservedPath, n: int, seed: int) -> str:
-    blob = json.dumps({"mdp": mdp.digest, "path": path_hash(path), "n": n, **TOPDOWN, "seed": seed},
-                      sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
 
 def save_posterior(posterior: GumbelPosterior, file) -> None:
     """Write the recipe of `posterior` to the path `file`: one line of JSON

@@ -1,4 +1,6 @@
+import argparse
 import functools
+import hashlib
 import json
 import os
 import re
@@ -60,8 +62,9 @@ def test_env_epidemic_json(capsys):
     assert obj["actions"] == ["NIL", "V_I", "V_S"]
 
 
-def test_env_gridworld_slip_zero_deterministic(capsys):
-    code, out, _ = run(capsys, "env", "gridworld", "--slip", "0")
+def test_env_gridworld_slip_zero_deterministic(tmp_path, capsys):
+    (tmp_path / "config.json").write_text(json.dumps({"slip": 0}))
+    code, out, _ = run(capsys, "env", "gridworld", "--config", str(tmp_path / "config.json"))
     assert code == 0
     obj = json.loads(out)
     assert set(obj["rows"]["size"]) == {1}
@@ -360,15 +363,15 @@ def test_prune_posterior_of_another_path_exits_2(artifact_dir, tmp_path, capsys)
 
 
 def test_config_array_and_danger_flag_give_identical_env(tmp_path, capsys):
-    # A JSON array for a grid cell is the tuple that --danger sets.
+    # A JSON array for a grid cell is the tuple the builder takes.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"danger": [2, 1]}))
     code, by_config, err = run(capsys, "env", "gridworld", "--config", str(config))
     assert code == 0, err
-    code, by_flag, _ = run(capsys, "env", "gridworld", "--danger", "2,1")
-    assert code == 0 and by_config == by_flag
-    assert by_flag != run(capsys, "env", "gridworld")[1]  # the danger cell moved
-    config.write_text(json.dumps({"danger": [2, 1, 0]}))  # as --danger 2,1,0
+    by_tuple = mdp_to_json(build_environment("gridworld", danger=(2, 1)))
+    assert by_config == json.dumps(by_tuple, sort_keys=True) + "\n"
+    assert by_config != run(capsys, "env", "gridworld")[1]  # the danger cell moved
+    config.write_text(json.dumps({"danger": [2, 1, 0]}))
     code, out, err = run(capsys, "env", "gridworld", "--config", str(config))
     assert code == 2 and out == "" and "outside the grid" in err
 
@@ -398,7 +401,7 @@ def test_bad_sepsis_config_exits_2(config, tmp_path, capsys):
 # Config values of the wrong JSON kind, each with the field the error must
 # name. A float field takes a JSON int or float, an int field a JSON int, and
 # a tuple field an array of those; a bool is neither. Read unchecked, false
-# would build as --slip 0, and [0.8, true, 0.8] as an effect of 1.
+# would build as a slip of 0, and [0.8, true, 0.8] as an effect of 1.
 BAD_CONFIG_KINDS = {
     "slip-false": ("gridworld", {"slip": False}, "slip"),
     "slip-a-string": ("gridworld", {"slip": "0.2"}, "slip"),
@@ -440,13 +443,80 @@ def test_config_json_numbers_of_either_kind_build_the_same_env(tmp_path, capsys)
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("env", ["epidemic", "gridworld"])
-def test_config_horizon_of_another_environment_exits_2(env, tmp_path, capsys):
+# A key that is not a field of the environment's config: sepsis's horizon
+# elsewhere, and the gridworld's shaping and danger constants.
+@pytest.mark.parametrize("env, key", [("epidemic", "horizon"), ("gridworld", "horizon"),
+                                      ("gridworld", "shaping_scale"),
+                                      ("gridworld", "danger_penalty")],
+                         ids=["epidemic", "gridworld", "gridworld-shaping_scale",
+                              "gridworld-danger_penalty"])
+def test_config_horizon_of_another_environment_exits_2(env, key, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"horizon": 5}))
+    config.write_text(json.dumps({key: 5}))
     code, out, err = run(capsys, "env", env, "--config", str(config))
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "horizon" in err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
+# SHA-256 of what `env` wrote under each field flag it had before --config
+# became the one way to set a field; --config must write the same bytes.
+FIELD_FLAG_DIGESTS = {
+    "--slip 0.2": ("gridworld", {"slip": 0.2},
+                   "fea7ab3f0e2ca4aa44925ddad72329243f4534c605d4156c2b1d224099b93f5b"),
+    "--danger 2,1": ("gridworld", {"danger": [2, 1]},
+                     "d0f574e96d7489d95950d2006951695c15e29863f75f332d7f11f7cacc831952"),
+    "--initial-infected 2": ("epidemic", {"initial_infected": 2},
+                             "8127ddc7491e90ef939a6e93382d8c677f2e23abd4678e9e9ddd35ac66016ae3"),
+    "--flux 0.1": ("sepsis", {"flux": 0.1},
+                   "41f5f88ad61d7a764480f533cf406c1901cf1578adaa09e503e8a788a669309c"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FIELD_FLAG_DIGESTS))
+def test_config_writes_what_the_field_flag_wrote(flag, tmp_path):
+    env, config, digest = FIELD_FLAG_DIGESTS[flag]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "mdp.json"
+    assert main(["env", env, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", ["gridworld --slip 0.2", "gridworld --danger 2,1",
+                                  "gridworld --shaping-scale 2", "epidemic --initial-infected 2",
+                                  "sepsis --flux 0.1"])
+def test_removed_env_field_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["env", *argv.split()])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "unrecognized arguments" in err and "Traceback" not in err
+
+
+# Every option string of the parser and of each subcommand, help aside. A
+# new knob is added by adding it here.
+CLI_OPTIONS = {
+    "cfmdp": ["--version"],
+    "env": ["--config", "--population", "--out"],
+    "sample": ["--mdp", "--policy", "--seed", "--horizon", "--out"],
+    "cf-build": ["--mdp", "--path", "--seed", "--samples", "--out"],
+    "prune": ["--mdp", "--path", "--posterior", "--nominal", "--k", "--out"],
+    "solve": ["--mdp", "--pruned", "--m", "--out"],
+    "sweep": ["--mdp", "--path", "--seed", "--samples", "--k-min", "--k-max", "--m-min",
+              "--m-max", "--out"],
+    "rollout": ["--mdp", "--pruned", "--policy", "--env", "--feature", "-n", "--seed", "--out"],
+}
+
+
+def test_cli_options_are_the_listed_ones():
+    def options(parser):
+        return [s for action in parser._actions for s in action.option_strings
+                if s not in ("-h", "--help")]
+
+    parser = cfmdp.cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {"cfmdp": options(parser)} | {name: options(sub)
+                                        for name, sub in commands.choices.items()}
+    assert got == CLI_OPTIONS
+    assert sum(map(len, got.values())) == 41
 
 
 @pytest.mark.parametrize("command", ["cf-build", "sweep"])
@@ -534,7 +604,9 @@ def test_non_finite_reward_exits_2(value, tmp_path, capsys):
     # A NaN reward made sweep exit 3 ("no feasible policy"), an infinite one
     # gave V_s0 = inf; each is now refused where the MDP is loaded.
     mdp = tmp_path / "mdp.json"
-    assert main(["env", "gridworld", "--slip", "0.2", "--out", str(mdp)]) == 0
+    (tmp_path / "config.json").write_text(json.dumps({"slip": 0.2}))
+    assert main(["env", "gridworld", "--config", str(tmp_path / "config.json"),
+                 "--out", str(mdp)]) == 0
     obj = json.loads(mdp.read_text())
     obj["pairs"]["r"][:3] = [float(value)] * 3
     mdp.write_text(json.dumps(obj))
@@ -836,14 +908,6 @@ def test_zero_probability_entries_drop_on_every_path(tmp_path, capsys):
     results = [sweep(build_cf_mdp(build_posterior(mdp, path, 20, 0), mdp), [1, 2, 3], [1])
                for mdp in (built, loaded)]
     assert results[0] == results[1]
-
-
-@pytest.mark.parametrize("danger", ["1", "1,x", "1,2,3"])
-def test_env_bad_danger_exits_2(danger, capsys):
-    code, out, err = run(capsys, "env", "gridworld", "--danger", danger)
-    assert code == 2
-    assert err.startswith("error:") and "--danger" in err
-    assert out == "" and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--mdp", "--path", "--posterior", "--pruned", "--policy",
