@@ -99,7 +99,7 @@ def _load_observation(args) -> tuple[Mdp, ObservedPath]:
 
 def cmd_env(args) -> int:
     """Emit the environment under the --config file and --population. JSON
-    arrays, as for a grid cell, become the config's tuples."""
+    arrays, as for the sepsis treat_effect, become the config's tuples."""
     over = {}
     if args.config:
         loaded = read_json(args.config)
@@ -108,11 +108,8 @@ def cmd_env(args) -> int:
         over.update(loaded)
     if args.population is not None:
         over["population"] = args.population
-    try:
-        mdp = envs.build_environment(args.env, **{key: tuple(val) if isinstance(val, list) else val
-                                                  for key, val in over.items()})
-    except TypeError as exc:
-        raise ValidationFailed(f"bad option for environment {args.env!r}: {exc}") from exc
+    mdp = envs.build_environment(args.env, **{key: tuple(val) if isinstance(val, list) else val
+                                              for key, val in over.items()})
     _emit(json.dumps(mdp_to_json(mdp), sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

@@ -28,23 +28,20 @@ from .mdp import Action, Mdp, ObservedPath, State, sample_path
 MOVES = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
 _PERP = {"up": ("left", "right"), "down": ("left", "right"),
          "left": ("up", "down"), "right": ("up", "down")}
+GRID_SIZE = 4  # cells per side
+START_CELL, GOAL_CELL, DANGER_CELL = (0, 0), (3, 3), (1, 2)
+GOAL_REWARD = 100.0  # for entering the goal cell
+DANGER_PENALTY = 100.0  # for entering the danger cell
 # Per-step penalty per Manhattan distance unit to the goal. Steep enough that
 # loitering next to the danger cell never beats heading for the goal.
 SHAPING_SCALE = 4.0
-DANGER_PENALTY = 100.0  # for entering the danger cell
 
 
 @dataclass(frozen=True)
 class GridWorldConfig:
-    width: int = 4
-    height: int = 4
-    start: tuple[int, int] = (0, 0)
-    goal: tuple[int, int] = (3, 3)
-    danger: tuple[int, int] = (1, 2)
     # Movement is deterministic by default; with slip > 0 the agent deviates to
     # a perpendicular direction with probability slip (split evenly).
     slip: float = 0.0
-    goal_reward: float = 100.0
 
 
 def _cell_label(r: int, c: int) -> State:
@@ -56,8 +53,12 @@ def _parse_cell(label: State) -> tuple[int, int]:
     return int(r), int(c)
 
 
+def _dist_to_goal(cell: tuple[int, int]) -> int:
+    return abs(cell[0] - GOAL_CELL[0]) + abs(cell[1] - GOAL_CELL[1])
+
+
 def build_gridworld(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
-    """4x4-style grid: shaping toward the goal, +goal/-danger entry bonuses.
+    """4x4 grid: shaping toward the goal, +goal/-danger entry bonuses.
 
     Goal and danger cells are absorbing with a dedicated no-op action and zero
     post-terminal reward. Entry bonuses are folded into R(s, a) in expectation
@@ -65,33 +66,24 @@ def build_gridworld(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
     """
     if not (0.0 <= cfg.slip < 1.0):
         raise InvalidConfig(f"slip must be in [0, 1), got {cfg.slip}")
-    if cfg.danger in (cfg.goal, cfg.start) or cfg.goal == cfg.start:
-        raise InvalidConfig("start, goal and danger cells must be distinct")
-    for cell in (cfg.start, cfg.goal, cfg.danger):
-        if len(cell) != 2 or not (0 <= cell[0] < cfg.height and 0 <= cell[1] < cfg.width):
-            raise InvalidConfig(f"cell {cell} outside the grid")
 
-    cells = [(r, c) for r in range(cfg.height) for c in range(cfg.width)]
+    cells = list(product(range(GRID_SIZE), repeat=2))
     states = tuple(_cell_label(r, c) for r, c in cells)
     actions = ("up", "down", "left", "right", "stay")
-    terminal = {cfg.goal, cfg.danger}
 
     def step(cell, direction):
         r, c = cell
         dr, dc = MOVES[direction]
         r2, c2 = r + dr, c + dc
-        if 0 <= r2 < cfg.height and 0 <= c2 < cfg.width:
+        if 0 <= r2 < GRID_SIZE and 0 <= c2 < GRID_SIZE:
             return (r2, c2)
         return cell  # bump against the wall
-
-    def dist_to_goal(cell):
-        return abs(cell[0] - cfg.goal[0]) + abs(cell[1] - cfg.goal[1])
 
     kernel: dict[tuple[State, Action], dict[State, float]] = {}
     rewards: dict[tuple[State, Action], float] = {}
     for cell in cells:
         label = _cell_label(*cell)
-        if cell in terminal:
+        if cell in (GOAL_CELL, DANGER_CELL):
             kernel[(label, "stay")] = {label: 1.0}
             rewards[(label, "stay")] = 0.0
             continue
@@ -107,28 +99,28 @@ def build_gridworld(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
             kernel[(label, a)] = row
             bonus = 0.0
             for dest, p in outcomes:
-                if dest == cfg.goal:
-                    bonus += p * cfg.goal_reward
-                elif dest == cfg.danger:
+                if dest == GOAL_CELL:
+                    bonus += p * GOAL_REWARD
+                elif dest == DANGER_CELL:
                     bonus -= p * DANGER_PENALTY
-            rewards[(label, a)] = -SHAPING_SCALE * dist_to_goal(cell) + bonus
+            rewards[(label, a)] = -SHAPING_SCALE * _dist_to_goal(cell) + bonus
 
     return Mdp(states, actions, kernel, rewards,
-               initial={_cell_label(*cfg.start): 1.0}, name=MDP_NAMES["gridworld"])
+               initial={_cell_label(*START_CELL): 1.0}, name=MDP_NAMES["gridworld"])
 
 
-def gridworld_observed_policy(s: State, t: int, cfg: GridWorldConfig = GridWorldConfig()) -> Action:
+def gridworld_observed_policy(s: State, t: int) -> Action:
     """Scripted walk that enters the danger cell at step 3, then idles.
 
     Off-script states fall back to a greedy move toward the goal so the policy
     is defined wherever slippage might lead.
     """
     cell = _parse_cell(s)
-    if cell in (cfg.goal, cfg.danger):
+    if cell in (GOAL_CELL, DANGER_CELL):
         return "stay"
     if t < 3:
         return ("right", "right", "down")[t]
-    (gr, gc), (r, c) = cfg.goal, cell
+    (gr, gc), (r, c) = GOAL_CELL, cell
     if r < gr:
         return "down"
     if c < gc:
@@ -136,15 +128,9 @@ def gridworld_observed_policy(s: State, t: int, cfg: GridWorldConfig = GridWorld
     return "up" if r > gr else "left"
 
 
-def gridworld_features(cfg: GridWorldConfig = GridWorldConfig()):
-    def dist_to_goal(s: State) -> float:
-        r, c = _parse_cell(s)
-        return float(abs(r - cfg.goal[0]) + abs(c - cfg.goal[1]))
-
-    def in_danger(s: State) -> float:
-        return 1.0 if _parse_cell(s) == cfg.danger else 0.0
-
-    return {"dist_to_goal": dist_to_goal, "in_danger": in_danger}
+def gridworld_features():
+    return {"dist_to_goal": lambda s: float(_dist_to_goal(_parse_cell(s))),
+            "in_danger": lambda s: 1.0 if _parse_cell(s) == DANGER_CELL else 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +227,9 @@ def epidemic_features():
 
 LOW, NORMAL, HIGH = 0, 1, 2
 _LEVEL_CHARS = "lnh"
-VITALS = ("hr", "bp", "o2", "glu")
 TREATMENTS = ("abx", "vaso", "vent")  # treatment j targets vital j; glucose drifts
+START_VITALS = (NORMAL, LOW, NORMAL, NORMAL)  # hr, bp, o2, glu
+REWARD_SCALE = 1000.0  # a full trajectory's reward lies in [-REWARD_SCALE, REWARD_SCALE]
 
 
 @dataclass(frozen=True)
@@ -254,9 +241,7 @@ class SepsisLiteConfig:
     # between low and high). Abnormal untreated vitals do not recover.
     flux: float = 0.22
     death_threshold: int = 3
-    reward_scale: float = 1000.0
     horizon: int = 10
-    start_vitals: tuple[int, int, int, int] = (NORMAL, LOW, NORMAL, NORMAL)
 
 
 def _sepsis_label(vitals, flags) -> State:
@@ -303,10 +288,7 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
         raise InvalidConfig(f"horizon must be >= 1, got {cfg.horizon}")
     if not (0.0 <= cfg.flux < 1.0):
         raise InvalidConfig("flux must lie in [0, 1)")
-    if len(cfg.start_vitals) != len(VITALS) or not set(cfg.start_vitals) <= {LOW, NORMAL, HIGH}:
-        raise InvalidConfig(f"start_vitals must be {len(VITALS)} levels of {LOW, NORMAL, HIGH}, "
-                            f"got {cfg.start_vitals}")
-    if sum(1 for v in cfg.start_vitals if v != NORMAL) >= cfg.death_threshold:
+    if sum(1 for v in START_VITALS if v != NORMAL) >= cfg.death_threshold:
         raise InvalidConfig("start state would be dead on arrival")
 
     all_vitals = list(product((LOW, NORMAL, HIGH), repeat=4))
@@ -328,8 +310,8 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
     def step_reward(vitals) -> float:
         abn = sum(1 for v in vitals if v != NORMAL)
         if abn >= cfg.death_threshold:
-            return -cfg.reward_scale / cfg.horizon
-        return (cfg.reward_scale - 500.0 * abn) / cfg.horizon
+            return -REWARD_SCALE / cfg.horizon
+        return (REWARD_SCALE - 500.0 * abn) / cfg.horizon
 
     # Each distinct row once, as (successor, probability) entries, and per
     # vitals the rows its 8 x 8 pairs name, pair by pair.
@@ -356,7 +338,7 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
         row.append(first + named)
     n = len(states)
     succ, prob = zip(*(entry for r in table for entry in r))
-    s0 = sum(x * 3 ** (3 - i) for i, x in enumerate(cfg.start_vitals)) * nf
+    s0 = sum(x * 3 ** (3 - i) for i, x in enumerate(START_VITALS)) * nf
     return Mdp.from_arrays(states, actions, np.repeat(np.arange(n), na), np.tile(np.arange(na), n),
                            np.repeat([step_reward(vitals) for vitals in all_vitals], nf * na),
                            np.concatenate(row),
@@ -428,17 +410,20 @@ def _of_type(value, kind) -> bool:
 
 def _type_name(kind) -> str:
     if get_origin(kind) is tuple:
-        return "a list of " + ("integers" if get_args(kind)[0] is int else "numbers")
+        return "a list of numbers"
     return "an integer" if kind is int else "a number"
 
 
 def build_environment(name: str, **overrides) -> Mdp:
     """The environment `name` under its default config with `overrides`,
-    each checked against the type of its config field."""
+    each a field of that config and of the field's type."""
     config, build, _ = _lookup(ENVIRONMENTS, "environment", name)
     fields = get_type_hints(config)
     for key, value in overrides.items():
-        if key in fields and not _of_type(value, fields[key]):
+        if key not in fields:
+            raise InvalidConfig(f"{name} has no config field {key}; its fields are "
+                                f"{', '.join(fields)}")
+        if not _of_type(value, fields[key]):
             raise InvalidConfig(f"config field {key} must be {_type_name(fields[key])}, "
                                 f"got {value!r}")
     return build(config(**overrides))

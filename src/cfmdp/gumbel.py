@@ -39,7 +39,6 @@ from .errors import (
 from .mdp import Mdp, ObservedPath, path_from_json, path_to_json, read_json
 
 FILL_ROWS = 128  # rows of a noise layer drawn at a time
-TOPDOWN = {"sampler": "topdown"}  # the recipe's name of its one noise draw
 
 
 def _gumbel(rng: np.random.Generator, shape) -> np.ndarray:
@@ -179,9 +178,10 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, seed: int = 0) -> Gumb
     """Posterior noise for every step of the path (Markov factorization).
 
     Each step is conditioned independently on its own observed transition.
-    The inputs are checked here, an observation of probability zero at any
-    step included; each layer is drawn by `_draw_layer` when first read, and
-    every sample it returns provably replays the observed successor.
+    The path must be one of `mdp`, so no observation has probability zero
+    (`ObservedPath` refuses one); `n` and `seed` are checked here. Each layer
+    is drawn by `_draw_layer` when first read, and every sample it returns
+    provably replays the observed successor.
     """
     if path.mdp_digest != mdp.digest:
         raise ValidationFailed("path was built against a different MDP")
@@ -192,8 +192,6 @@ def build_posterior(mdp: Mdp, path: ObservedPath, n: int, seed: int = 0) -> Gumb
                                f"{n}x{mdp.num_states} float64 cannot be addressed")
     if seed < 0:
         raise ValidationFailed(f"posterior seed must be >= 0, got {seed}")
-    for t in range(path.T - 1):
-        _conditioned_row(mdp, int(path.pair[t]), int(path.next_pos[t]))
     return GumbelPosterior(_Layers(path.T, partial(_draw_layer, mdp, path, n, seed)), n, seed, path)
 
 
@@ -293,16 +291,15 @@ def nominal_cf_mdp(mdp: Mdp, path: ObservedPath) -> CfMdp:
 
 def save_posterior(posterior: GumbelPosterior, file) -> None:
     """Write the recipe of `posterior` to the path `file`: one line of JSON
-    {"mdp_hash", "n", "path", "seed"} and the TOPDOWN entry. No noise is
-    drawn; the recipe fixes every layer, which `load_posterior` draws again
-    from its own stream, bit-identically under the same numpy on the same
-    CPU features (numpy picks its vectorised log by CPU).
+    {"mdp_hash", "n", "path", "seed"}. No noise is drawn; the recipe fixes
+    every layer, which `load_posterior` draws again from its own stream,
+    bit-identically under the same numpy on the same CPU features (numpy
+    picks its vectorised log by CPU).
     """
     recipe = {
         "mdp_hash": posterior.path.mdp_digest,
         "n": posterior.n,
         "path": path_to_json(posterior.path),
-        **TOPDOWN,
         "seed": posterior.seed,
     }
     with open(file, "w") as fh:
@@ -313,21 +310,19 @@ def load_posterior(file, mdp: Mdp) -> GumbelPosterior:
     """The posterior whose recipe `save_posterior` wrote to `file`, built
     for `mdp` by `build_posterior`.
 
-    A missing file, one that is not a JSON object with every recipe key, a
-    draw other than TOPDOWN's (a recipe of an older build may name another),
-    an `n` or `seed` that is not an integer, another MDP's hash, a path that
-    is not one of `mdp`, or a recipe `build_posterior` refuses raises
-    ValidationFailed. Each layer is drawn by `_draw_layer` when it is read,
-    and every sample is checked to replay the observation.
+    A missing file, one that is not a JSON object with every recipe key, an
+    `n` or `seed` that is not an integer, another MDP's hash (as in every
+    recipe of a build old enough to name a sampler), a path that is not one
+    of `mdp`, or a recipe `build_posterior` refuses raises ValidationFailed.
+    Each layer is drawn by `_draw_layer` when it is read, and every sample
+    is checked to replay the observation.
     """
     recipe = read_json(file)
     if not isinstance(recipe, dict):
         raise ValidationFailed(f"posterior artifact {file} is not a JSON object")
-    missing = [key for key in ("mdp_hash", "n", "path", "sampler", "seed") if key not in recipe]
+    missing = [key for key in ("mdp_hash", "n", "path", "seed") if key not in recipe]
     if missing:
         raise ValidationFailed(f"posterior artifact {file} has no {', '.join(missing)}")
-    if recipe["sampler"] != "topdown":
-        raise ValidationFailed(f"posterior artifact sampler {recipe['sampler']!r} is not 'topdown'")
     for key in ("n", "seed"):
         if type(recipe[key]) is not int:
             raise ValidationFailed(f"posterior artifact {key} {recipe[key]!r} is not an integer")

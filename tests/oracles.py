@@ -15,9 +15,10 @@ from itertools import product
 
 import numpy as np
 
-from cfmdp.environments import (HIGH, LOW, MDP_NAMES, NIL, NORMAL, TREATMENTS, V_I, V_S,
-                                EpidemicConfig, SepsisLiteConfig, _action_label, _epi_label,
-                                _hypergeom_pmf, _sepsis_label, epidemic_counts)
+from cfmdp.environments import (HIGH, LOW, MDP_NAMES, NIL, NORMAL, REWARD_SCALE, START_VITALS,
+                                TREATMENTS, V_I, V_S, EpidemicConfig, SepsisLiteConfig,
+                                _action_label, _epi_label, _hypergeom_pmf, _sepsis_label,
+                                epidemic_counts)
 from cfmdp.errors import (InfeasibleBudget, InvalidConfig, InvariantViolated,
                           UndefinedPolicyAction, ValidationFailed)
 from cfmdp.gumbel import (CfMdp, GumbelPosterior, _conditioned_row, _Layers, _prior_layer,
@@ -604,7 +605,7 @@ def build_sepsis_lite_oracle(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
         raise InvalidConfig(f"horizon must be >= 1, got {cfg.horizon}")
     if not (0.0 <= cfg.flux < 1.0):
         raise InvalidConfig("flux must lie in [0, 1)")
-    if sum(1 for v in cfg.start_vitals if v != NORMAL) >= cfg.death_threshold:
+    if sum(1 for v in START_VITALS if v != NORMAL) >= cfg.death_threshold:
         raise InvalidConfig("start state would be dead on arrival")
 
     all_vitals = list(product((LOW, NORMAL, HIGH), repeat=4))
@@ -625,8 +626,8 @@ def build_sepsis_lite_oracle(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
     def step_reward(vitals) -> float:
         abn = sum(1 for v in vitals if v != NORMAL)
         if abn >= cfg.death_threshold:
-            return -cfg.reward_scale / cfg.horizon
-        return (cfg.reward_scale - 500.0 * abn) / cfg.horizon
+            return -REWARD_SCALE / cfg.horizon
+        return (REWARD_SCALE - 500.0 * abn) / cfg.horizon
 
     kernel: dict[tuple[State, Action], dict[State, float]] = {}
     rewards: dict[tuple[State, Action], float] = {}
@@ -656,5 +657,5 @@ def build_sepsis_lite_oracle(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
                 kernel[(label, a)] = row
                 rewards[(label, a)] = step_reward(vitals)
 
-    s0 = _sepsis_label(cfg.start_vitals, (0, 0, 0))
+    s0 = _sepsis_label(START_VITALS, (0, 0, 0))
     return Mdp(states, actions, kernel, rewards, initial={s0: 1.0}, name=MDP_NAMES["sepsis"])

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import cfmdp.cli
+import cfmdp.environments
 import cfmdp.gumbel
 import cfmdp.mdp
 import cfmdp.solver
@@ -25,7 +27,8 @@ from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import PROB_TOL, Mdp, mdp_from_json, mdp_hash, mdp_to_json, path_from_json
 from cfmdp.solver import sweep
 
-from oracles import cf_probs, km_value_oracle, label_form, row_columns, table_rows
+from oracles import (available_actions, cf_probs, km_value_oracle, label_form, row_columns,
+                     table_rows)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -68,6 +71,27 @@ def test_env_gridworld_slip_zero_deterministic(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert set(obj["rows"]["size"]) == {1}
+
+
+@pytest.mark.parametrize("slip", [0, 0.2])
+def test_gridworld_preset_and_features_fit_every_gridworld(slip, tmp_path, capsys):
+    # The observed walk and the features read the cells the builder uses:
+    # the walk has an action wherever it goes, and in_danger marks exactly
+    # the absorbing, stay-only state that is not the goal.
+    (tmp_path / "config.json").write_text(json.dumps({"slip": slip}))
+    mdp_f = tmp_path / "mdp.json"
+    assert main(["env", "gridworld", "--config", str(tmp_path / "config.json"),
+                 "--out", str(mdp_f)]) == 0
+    code, _, err = run(capsys, "sample", "--mdp", str(mdp_f), "--policy", "gridworld",
+                       "--out", str(tmp_path / "path.json"))
+    assert code == 0, err
+    mdp = mdp_from_json(json.loads(mdp_f.read_text()))
+    features = cfmdp.environments.environment_features("gridworld")
+    stay_only = {s for s in mdp.states if available_actions(mdp, s) == ("stay",)}
+    goal = {s for s in mdp.states if features["dist_to_goal"](s) == 0.0}
+    danger = {s for s in mdp.states if features["in_danger"](s) == 1.0}
+    assert len(goal) == len(danger) == 1 and danger == stay_only - goal
+    assert {features["in_danger"](s) for s in mdp.states} == {0.0, 1.0}
 
 
 def test_env_round_trips_through_loader(capsys, tmp_path):
@@ -362,18 +386,14 @@ def test_prune_posterior_of_another_path_exits_2(artifact_dir, tmp_path, capsys)
     assert not out.exists()
 
 
-def test_config_array_and_danger_flag_give_identical_env(tmp_path, capsys):
-    # A JSON array for a grid cell is the tuple the builder takes.
+def test_config_array_is_the_tuple_the_builder_takes(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"danger": [2, 1]}))
-    code, by_config, err = run(capsys, "env", "gridworld", "--config", str(config))
+    config.write_text(json.dumps({"treat_effect": [1.0, 0.5, 0.3]}))
+    code, by_config, err = run(capsys, "env", "sepsis", "--config", str(config))
     assert code == 0, err
-    by_tuple = mdp_to_json(build_environment("gridworld", danger=(2, 1)))
+    by_tuple = mdp_to_json(build_environment("sepsis", treat_effect=(1.0, 0.5, 0.3)))
     assert by_config == json.dumps(by_tuple, sort_keys=True) + "\n"
-    assert by_config != run(capsys, "env", "gridworld")[1]  # the danger cell moved
-    config.write_text(json.dumps({"danger": [2, 1, 0]}))
-    code, out, err = run(capsys, "env", "gridworld", "--config", str(config))
-    assert code == 2 and out == "" and "outside the grid" in err
+    assert by_config != run(capsys, "env", "sepsis")[1]  # the effects moved
 
 
 def test_config_horizon_sets_the_sepsis_reward(tmp_path, capsys):
@@ -402,6 +422,8 @@ def test_bad_sepsis_config_exits_2(config, tmp_path, capsys):
 # name. A float field takes a JSON int or float, an int field a JSON int, and
 # a tuple field an array of those; a bool is neither. Read unchecked, false
 # would build as a slip of 0, and [0.8, true, 0.8] as an effect of 1.
+# goal_reward, danger and start_vitals are module constants, not fields, so
+# no value is of their kind: each exits 2 as a key the config lacks, named.
 BAD_CONFIG_KINDS = {
     "slip-false": ("gridworld", {"slip": False}, "slip"),
     "slip-a-string": ("gridworld", {"slip": "0.2"}, "slip"),
@@ -416,7 +438,6 @@ BAD_CONFIG_KINDS = {
     "flux-a-list": ("sepsis", {"flux": [0.2]}, "flux"),
     "horizon-float": ("sepsis", {"horizon": 10.5}, "horizon"),
     "start-vitals-float": ("sepsis", {"start_vitals": [1, 0.5, 1, 1]}, "start_vitals"),
-    # Right kinds, out of range: the level index and the vital count.
     "start-vitals-level-3": ("sepsis", {"start_vitals": [1, 1, 1, 3]}, "start_vitals"),
     "start-vitals-three": ("sepsis", {"start_vitals": [1, 1, 1]}, "start_vitals"),
 }
@@ -444,12 +465,17 @@ def test_config_json_numbers_of_either_kind_build_the_same_env(tmp_path, capsys)
 
 
 # A key that is not a field of the environment's config: sepsis's horizon
-# elsewhere, and the gridworld's shaping and danger constants.
+# elsewhere, and each constant that was once a field or a flag.
+REMOVED_CONFIG_KEYS = [
+    *(("gridworld", key) for key in ("shaping_scale", "danger_penalty", "width", "height",
+                                     "start", "goal", "danger", "goal_reward")),
+    ("sepsis", "reward_scale"), ("sepsis", "start_vitals")]
+
+
 @pytest.mark.parametrize("env, key", [("epidemic", "horizon"), ("gridworld", "horizon"),
-                                      ("gridworld", "shaping_scale"),
-                                      ("gridworld", "danger_penalty")],
-                         ids=["epidemic", "gridworld", "gridworld-shaping_scale",
-                              "gridworld-danger_penalty"])
+                                      *REMOVED_CONFIG_KEYS],
+                         ids=["epidemic", "gridworld",
+                              *(f"{env}-{key}" for env, key in REMOVED_CONFIG_KEYS)])
 def test_config_horizon_of_another_environment_exits_2(env, key, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: 5}))
@@ -458,13 +484,27 @@ def test_config_horizon_of_another_environment_exits_2(env, key, tmp_path, capsy
     assert err.startswith("error:") and key in err and "Traceback" not in err
 
 
+# Every config field of each environment. A setting that no caller changes
+# is a module constant, not a field; a new field is added by adding it here.
+CONFIG_FIELDS = {
+    "gridworld": ["slip"],
+    "epidemic": ["population", "initial_infected"],
+    "sepsis": ["treat_effect", "flux", "death_threshold", "horizon"],
+}
+
+
+def test_config_fields_are_the_listed_ones():
+    got = {env: [f.name for f in dataclasses.fields(config)]
+           for env, (config, _, _) in cfmdp.environments.ENVIRONMENTS.items()}
+    assert got == CONFIG_FIELDS
+    assert sum(map(len, got.values())) == 7
+
+
 # SHA-256 of what `env` wrote under each field flag it had before --config
 # became the one way to set a field; --config must write the same bytes.
 FIELD_FLAG_DIGESTS = {
     "--slip 0.2": ("gridworld", {"slip": 0.2},
                    "fea7ab3f0e2ca4aa44925ddad72329243f4534c605d4156c2b1d224099b93f5b"),
-    "--danger 2,1": ("gridworld", {"danger": [2, 1]},
-                     "d0f574e96d7489d95950d2006951695c15e29863f75f332d7f11f7cacc831952"),
     "--initial-infected 2": ("epidemic", {"initial_infected": 2},
                              "8127ddc7491e90ef939a6e93382d8c677f2e23abd4678e9e9ddd35ac66016ae3"),
     "--flux 0.1": ("sepsis", {"flux": 0.1},
@@ -1558,21 +1598,24 @@ def _old_npz(src, dst):
         np.savez(fh, meta=meta, g0=np.random.default_rng(0).gumbel(size=(500, 64)))
 
 
+# The digest the last version that could write a rejection-sampler recipe
+# gave the default epidemic MDP; the digest has been re-encoded since.
+OLD_EPIDEMIC_DIGEST = "59ebc8dc0d5088fee99109779c8d6a19fe14259fbaeb3966df88d4687f5909b6"
+
 BAD_POSTERIORS = {
     "missing": None,
     "not-json": lambda src, dst: dst.write_text("not a posterior"),
     "not-an-object": lambda src, dst: dst.write_text("[]"),
-    "no-sampler": lambda src, dst: _edit_recipe(src, dst, sampler=None),
     # Consistent in itself, but its rows would be 0 / 0.
     "no-samples": lambda src, dst: _edit_recipe(src, dst, n=0),
     "bool-samples": lambda src, dst: _edit_recipe(src, dst, n=True),
     "negative-seed": lambda src, dst: _edit_recipe(src, dst, seed=-1),
     "oversize-samples": lambda src, dst: _edit_recipe(src, dst, n=10**30),
     "float-seed": lambda src, dst: _edit_recipe(src, dst, seed=1.5),
-    "unknown-sampler": lambda src, dst: _edit_recipe(src, dst, sampler="gibbs"),
-    # Recipes of earlier versions could name rejection sampling; top-down
-    # noise drawn for one would be another posterior under the same recipe.
-    "rejection-sampler": lambda src, dst: _edit_recipe(src, dst, sampler="rejection"),
+    # Recipes of earlier versions could name rejection sampling; each of
+    # them carries the digest of an earlier MDP encoding.
+    "rejection-sampler": lambda src, dst: _edit_recipe(src, dst, sampler="rejection",
+                                                       mdp_hash=OLD_EPIDEMIC_DIGEST),
     "other-mdp": lambda src, dst: _edit_recipe(
         src, dst, mdp_hash=build_environment("gridworld").digest),
     "path-off-the-mdp": _off_mdp_path,
@@ -1601,8 +1644,18 @@ def test_posterior_artifact_is_its_recipe(artifact_dir):
     recipe = json.loads((artifact_dir / "posterior.json").read_text())
     path = json.loads((artifact_dir / "path.json").read_text())
     mdp_hash = json.loads((artifact_dir / "pruned.json").read_text())["mdp_hash"]
-    assert recipe == {"mdp_hash": mdp_hash, "n": 500, "path": path, "sampler": "topdown",
-                      "seed": 7}
+    assert recipe == {"mdp_hash": mdp_hash, "n": 500, "path": path, "seed": 7}
+
+
+def test_recipe_of_another_sampler_is_another_mdps(artifact_dir, tmp_path):
+    # The recipe has no sampler key: one that names a sampler comes from a
+    # version whose MDP digests differ, and is refused as another MDP's.
+    bad = tmp_path / "posterior.json"
+    BAD_POSTERIORS["rejection-sampler"](artifact_dir / "posterior.json", bad)
+    mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
+    assert mdp.digest != OLD_EPIDEMIC_DIGEST
+    with pytest.raises(ValidationFailed, match="built from a different MDP"):
+        load_posterior(bad, mdp)
 
 
 def test_prune_reads_each_posterior_step_at_most_once(artifact_dir, tmp_path, capsys, layer_draws):

@@ -369,10 +369,10 @@ def test_cf_mdp_rejects_mismatched_posterior(tinychain):
 
 def test_path_of_another_mdp_is_rejected():
     # A path holds pair and position indices of the MDP it was built against.
-    # Moving the danger cell shifts the grid world's pairs, so the indices of
-    # the default grid world mean other pairs there, and each consumer refuses.
+    # Slip gives the grid world's pairs other rows, so the positions of the
+    # default grid world mean other successors there, and each consumer refuses.
     mdp, path, _ = demo_observation("gridworld")
-    other = build_gridworld(GridWorldConfig(danger=(2, 1)))
+    other = build_gridworld(GridWorldConfig(slip=0.2))
     assert other.digest != mdp.digest
     for use in (lambda: build_posterior(other, path, 10), lambda: nominal_cf_mdp(other, path),
                 lambda: CfMdp(other, path, None)):
