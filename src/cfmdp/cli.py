@@ -157,7 +157,7 @@ def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
     nominal = mdp.owner * n + mdp.succ  # the MDP's row table, ascending
     rows = []
     for t, (built, _, _) in enumerate(pruned.closure.rows):
-        ids = np.unique(mdp.row_id[built]) if cf.posterior is not None else np.zeros(0, np.int64)
+        ids = np.flatnonzero(np.bincount(mdp.row_id[built]) if cf.posterior is not None else [])
         got = [cf.rows[t, r] for r in ids.tolist()]
         key = np.repeat(ids, [len(succ) for succ, _ in got]) * n + np.concatenate(
             [succ for succ, _ in got] + [np.zeros(0, np.int64)])
@@ -231,11 +231,11 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
         # A row the artifact does not store is the nominal row: with samples,
         # the stored rows must be exactly those the prune builds.
         for t, (built, _, _) in enumerate(pruned.closure.rows if samples else ()):
-            want = np.unique(mdp.row_id[built])
-            if (e := _first(~np.isin(want, ids[t]))) is not None:
+            want = np.flatnonzero(np.bincount(mdp.row_id[built]))
+            if (e := _first(~np.isin(want, ids[t], assume_unique=True))) is not None:
                 raise ValidationFailed(f"pruned layer {t} has no row for nominal row {want[e]}, "
                                        f"which the prune at k={k} builds")
-            if (e := _first(~np.isin(ids[t], want))) is not None:
+            if (e := _first(~np.isin(ids[t], want, assume_unique=True))) is not None:
                 raise ValidationFailed(f"pruned layer {t} stores nominal row {ids[t][e]}, which "
                                        f"the prune at k={k} does not build")
         layers = obj["layers"]
@@ -343,7 +343,7 @@ def _policy_from_json(obj: dict, pruned: PrunedCfMdp, samples: int) -> CfPolicy:
                 raise ValidationFailed(f"policy action {action!r} is not usable at ({s}, t={t})")
             choices[t][states] = a[:, ::-1]
         return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=int(pruned.cf.path.state[0]),
-                        choices=list(choices), values=[])
+                        choices=list(choices), values=[], rows_priced=0)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
         raise ValidationFailed(f"malformed policy artifact: {exc!r}") from exc
 
@@ -418,6 +418,7 @@ def cmd_sweep(args) -> int:
         "input_hashes": {"mdp": mdp.digest, "path": path_hash(path)},
         "outputs": hashes,
         "statistics": {"cf_rows_built": result.cf_rows_built,
+                       "dp_rows_priced": result.dp_rows_priced,
                        "cf_row_se_max": float(se.max(initial=0.0)),
                        "cf_row_se_mean": float(se.mean()) if se.size else 0.0},
     }

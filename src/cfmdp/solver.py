@@ -36,8 +36,9 @@ class CfPolicy:
     over state index and remaining budget r = 0..m, so the conventional
     V_t(s, j) with j changes used is entry r = m - j. Values are -inf and
     choices (action indices) -1 where no feasible action exists or the node
-    is outside the pruned MDP. `s0` is the index of the initial state. A
-    policy read back from an artifact has no value tables (`values` is empty).
+    is outside the pruned MDP. `s0` is the index of the initial state, and
+    `rows_priced` counts the (t, distinct row) expected values solved. A policy
+    read back from an artifact has no value tables (`values` is empty).
     """
 
     k: int
@@ -46,6 +47,7 @@ class CfPolicy:
     s0: int
     choices: list[np.ndarray]
     values: list[np.ndarray]
+    rows_priced: int
 
     @property
     def v_s0(self) -> float:
@@ -67,19 +69,18 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
     -inf and are avoided upstream; replaying the observed path is always
     feasible, so the initial node is always finite.
 
-    Each layer is solved in arrays. The expected child value of a budget
-    column is one `np.dot` per distinct counterfactual row and column, over
-    the column of the (successors, m+1) child table; pairs that share a row
-    share it. The best action per state is the first maximum over its pairs,
-    the observed action first so that value ties resolve toward replay.
+    Each layer is solved in arrays, each distinct counterfactual row priced
+    once (`_pair_values`). The best action per state is the first maximum
+    over its pairs, the observed action first so that value ties resolve
+    toward replay.
     At most T-t changes remain at layer t, so the budgets r > T-t are not
     priced: their values and choices are copies of column T-t.
 
     `base`, the policy solved at the same m on the prune that `pruned` was
     derived from (a larger k), supplies the rows of the free layers
     t >= T-k+1: there the pruned MDPs agree, so the values and choices are
-    the same. (The same m, because np.dot over the contiguous budget column
-    of an m = 0 table can round differently from a strided column.)
+    the same. (The same m: each value is a BLAS dot over an (m+1)-strided
+    budget column, and the unit-stride column of m = 0 can round otherwise.)
     """
     T = pruned.horizon
     if not 0 <= m <= T:
@@ -93,6 +94,7 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
 
     values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
     choices = [np.full((n, m + 1), -1, dtype=np.int64) for _ in range(T)]
+    rows_priced = 0
     for t in range(T - 1, -1, -1):
         nodes = pruned.reach[t]
         if t >= shared_from:
@@ -108,7 +110,8 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
         order = np.lexsort((pairs, cost, mdp.source[pairs]))
         pairs, cost = pairs[order], cost[order]
         states, first, count = np.unique(mdp.source[pairs], return_index=True, return_counts=True)
-        q = _pair_values(cf, t, pairs, cost, top, values[t + 1])
+        q, priced = _pair_values(cf, t, pairs, cost, top, values[t + 1])
+        rows_priced += priced
         grid = np.full((len(states), int(count.max()), top + 1), NEG_INF)
         grid[np.repeat(np.arange(len(states)), count),
              np.arange(len(pairs)) - np.repeat(first, count)] = q
@@ -120,45 +123,43 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
         choices[t][states] = chosen[:, budget]
 
     s0 = int(cf.path.state[0])
-    v0 = float(values[0][s0, m])
-    if v0 == NEG_INF:
+    if values[0][s0, m] == NEG_INF:
         raise InfeasibleBudget(f"no feasible policy at m={m}")
-    return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=s0, choices=choices, values=values)
+    return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=s0, choices=choices, values=values,
+                    rows_priced=rows_priced)
 
 
 def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: int,
-                 v_next: np.ndarray) -> np.ndarray:
+                 v_next: np.ndarray) -> tuple[np.ndarray, int]:
     """Q-values of `pairs` at layer t for budgets r = 0..top, -inf where the
     pair costs more than r: reward plus the expected value of column r - cost
-    of `v_next` under the pair's counterfactual row.
+    of `v_next` under the pair's counterfactual row; and the rows priced.
 
-    The expected values are computed once per distinct row, for as many
-    columns as the pairs that share it need.
+    Each distinct row is priced once, for columns 0..top, by one `np.vecdot`
+    per row length: `np.dot`'s 1-D BLAS dot over a full-width gather, so each
+    value is bit for bit the `np.dot` of the row and its (m+1)-strided column.
     """
     keys, first, which = np.unique(cf.mdp.row_id[pairs], return_index=True, return_inverse=True)
-    width = np.zeros(len(keys), dtype=np.int64)
-    np.maximum.at(width, which, top + 1 - cost)
-    ev = np.full((len(keys), top + 1), NEG_INF)
-    for i, (p, w) in enumerate(zip(pairs[first].tolist(), width.tolist())):
-        idx, probs = cf.row(t, p)
-        child = v_next[idx]
-        ev[i, :w] = [float(np.dot(probs, child[:, c])) for c in range(w)]
-    reward = cf.mdp.reward[pairs]
-    q = np.full((len(pairs), top + 1), NEG_INF)
-    free = cost == 0
-    q[free] = reward[free, None] + ev[which[free]]
-    q[~free, 1:] = reward[~free, None] + ev[which[~free], :top]
-    q[np.isnan(q)] = NEG_INF  # a NaN value (a NaN reward) is never the best
-    return q
+    rows = [cf.row(t, p) for p in pairs[first].tolist()]
+    size = np.array([len(idx) for idx, _ in rows])
+    ev = np.full((len(keys), top + 2), NEG_INF)  # column c + 1 is column c; 0 is out of budget
+    for n in np.flatnonzero(np.bincount(size)).tolist():
+        group = np.flatnonzero(size == n)
+        idx, probs = (np.array([rows[i][j] for i in group.tolist()]) for j in (0, 1))
+        ev[group, 1:] = np.vecdot(probs[:, :, None], v_next[idx][:, :, :top + 1], axis=1)
+    q = cf.mdp.reward[pairs, None] + ev[which[:, None], np.arange(1, top + 2) - cost[:, None]]
+    q[np.isnan(q)] = NEG_INF  # a NaN value (inf - inf in a dot) is never the best
+    return q, len(keys)
 
 
 @dataclass
 class SweepResult:
-    """V(s_0) grid over (k, m) plus per-k size reports."""
+    """V(s_0) grid over (k, m), per-k size reports and the rows built and priced."""
 
     rows: list[tuple[int, int, float]]
     sizes: list[SizeReport]
     cf_rows_built: int
+    dp_rows_priced: int
 
 
 def sweep(cf: CfMdp, ks: list[int], ms: list[int]) -> SweepResult:
@@ -173,22 +174,20 @@ def sweep(cf: CfMdp, ks: list[int], ms: list[int]) -> SweepResult:
     """
     if not ks or not ms:
         raise ValidationFailed("sweep needs at least one k and one m")
-    m_max = max(ms)
-    k_max = max(ks)
+    m_max, k_max = max(ms), max(ks)
     top = prune_cf_mdp(cf, k_max)
     top_policy = solve_km(top, m_max)
-    rows: list[tuple[int, int, float]] = []
-    sizes: list[SizeReport] = []
+    rows, sizes, priced = [], [], top_policy.rows_priced
     for k in ks:
         if k == k_max:
             pruned, policy = top, top_policy
         else:
             pruned = prune_cf_mdp(cf, k, base=top)
             policy = solve_km(pruned, m_max, base=top_policy)
+            priced += policy.rows_priced
         sizes.append(pruned_size_report(pruned))
-        for m in ms:
-            rows.append((k, m, policy.initial_value(m)))
-    return SweepResult(rows=rows, sizes=sizes, cf_rows_built=cf.rows_built)
+        rows.extend((k, m, policy.initial_value(m)) for m in ms)
+    return SweepResult(rows=rows, sizes=sizes, cf_rows_built=cf.rows_built, dp_rows_priced=priced)
 
 
 def check_sweep_monotonicity(result: SweepResult) -> list[str]:

@@ -364,10 +364,13 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
 
     Enumerates every budget-feasible, pruning-respecting action assignment via
     the recursion tree, consuming the same frozen kernel estimates as the
-    solver. Arithmetic mirrors the solver's inner product exactly (same
-    successor ordering, same np.dot over a column of a (successors, m+1)
-    array) so agreement can be exact: np.dot can round a strided column
-    differently from a contiguous array once a row has four or more entries.
+    solver. Each inner product is an np.dot over a column of a
+    (successors, m+1) array, in the same successor order: the same BLAS dot,
+    with the same (m+1)-strided column, that the solver's np.vecdot runs per
+    row and column, so agreement can be exact. The stride matters: a BLAS
+    dot can round a strided column differently from a contiguous array once
+    a row has four or more entries, which is also why a base policy must be
+    solved at the same m.
     """
     T = pruned.horizon
     cf = pruned.cf
@@ -399,8 +402,11 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
     """`solve_km` as one loop per (state, pair, budget): each reached state
     tries its usable pairs, the observed action first, and keeps the first
     strict maximum per budget. Expected child values are one np.dot per
-    distinct row and budget column, as in the solver, so the value and choice
-    tables agree bit for bit, -inf included."""
+    distinct row and budget column, over the (m+1)-strided column of the
+    row's child table: the same BLAS dot, with the same stride, as each
+    (row, column) value of the solver's np.vecdot, so the value and choice
+    tables agree bit for bit, -inf included. `rows_priced` counts the
+    distinct rows per solved layer, as the solver's does."""
     T = pruned.horizon
     if not 0 <= m <= T:
         raise ValidationFailed(f"budget m={m} outside 0..{T}")
@@ -416,6 +422,7 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
     observed = cf.path.action.tolist()
     values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
     choices = [np.full((n, m + 1), -1, dtype=np.int64) for _ in range(T)]
+    rows_priced = 0
     for t in range(T - 1, -1, -1):
         nodes = pruned.reach[t]
         if t >= shared_from:
@@ -448,12 +455,14 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
                     if q > best[r]:
                         best[r] = q
                         best_a[r] = action[p]
+        rows_priced += len(expected)
 
     s0 = int(cf.path.state[0])
     v0 = float(values[0][s0, m])
     if v0 == NEG_INF:
         raise InfeasibleBudget(f"no feasible policy at m={m}")
-    return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=s0, choices=choices, values=values)
+    return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=s0, choices=choices, values=values,
+                    rows_priced=rows_priced)
 
 
 def same_tables(policy: CfPolicy, other: CfPolicy) -> bool:

@@ -1,10 +1,10 @@
 """The benchmark's pinned outputs, reproduced in the test suite.
 
-`perfbench` counts an execution as failed unless its outputs at seed 7 match
-`perfbench/reference/seed-7/` byte for byte. This runs the same commands on
-sepsis-suboptimal through `cli.main`, so a change that moves those bytes
-fails here, not only under the benchmark. The reference files are read from
-the checkout, and the benchmark's own output check is run from
+`perfbench` counts an execution as failed unless its outputs at the pinned
+seeds 7 and 1234 match `perfbench/reference/seed-<n>/` byte for byte. This
+runs the same commands through `cli.main`, so a change that moves those
+bytes fails here, not only under the benchmark. The reference files are
+read from the checkout, and the benchmark's own output check is run from
 `perfbench/run.py`, loaded read-only as `test_tracer_boundaries` loads
 `perfbench/tracer.py`: a staged artifact the benchmark cannot read fails
 here too.
@@ -86,6 +86,23 @@ def test_sepsis_sweep_and_pipeline_equal_the_benchmark_reference(tmp_path, monke
              "sizes": next(r for r in rows["sizes.csv"] if r[0] == "11")}
     run = _perfbench_run(monkeypatch)
     assert run.check_outputs(run.WORKLOADS["sepsis-pipeline"], staged, 7, cross) == []
+
+
+@pytest.mark.parametrize("workload, env, policy, seed", [
+    ("sepsis-sweep", "sepsis", "sepsis-suboptimal", 1234),
+    ("epidemic-wide-sweep", "epidemic --population 14", "epidemic", 7),
+    ("epidemic-wide-sweep", "epidemic --population 14", "epidemic", 1234),
+])
+def test_sweep_equals_the_benchmark_reference(workload, env, policy, seed, tmp_path):
+    # The other pinned sweeps: seed 7 of sepsis-sweep is checked above.
+    mdp, path, out = str(tmp_path / "mdp.json"), str(tmp_path / "path.json"), tmp_path / "sweep"
+    assert main(["env", *env.split(), "--out", mdp]) == 0
+    assert main(["sample", "--mdp", mdp, "--policy", policy, "--out", path]) == 0
+    assert main(["sweep", "--mdp", mdp, "--path", path, "--samples", "1000", "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    reference = PERFBENCH / "reference" / f"seed-{seed}" / workload
+    for name in ("sweep.csv", "sizes.csv"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("args", sorted(ENV_SHA256))

@@ -306,6 +306,20 @@ def test_sweep_manifest_reports_the_rows_standard_errors(artifact_dir, tmp_path,
     assert stats["cf_row_se_mean"] == pytest.approx(sum(se) / len(se), rel=1e-12)
 
 
+def test_sweep_manifest_counts_the_dp_rows_priced(artifact_dir, tmp_path, capsys):
+    # The library sweep's count, which `test_solver` checks against a direct
+    # count; the manifest hashes neither sweep.csv nor sizes.csv with it.
+    code, _, err = run(capsys, "sweep", *_observation(artifact_dir), "--samples", "200",
+                       "--seed", "9", "--k-min", "6", "--m-max", "2", "--out", str(tmp_path / "s"))
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
+    path = path_from_json(json.loads((artifact_dir / "path.json").read_text()), mdp)
+    result = sweep(build_cf_mdp(build_posterior(mdp, path, 200, 9), mdp), [6, 7, 8], [1, 2])
+    assert manifest["statistics"]["dp_rows_priced"] == result.dp_rows_priced > 0
+    assert sorted(manifest["outputs"]) == ["sizes.csv", "sweep.csv"]
+
+
 def test_sweep_bounds_of_zero_are_bounds(artifact_dir, tmp_path, capsys):
     # 0 is a bound like any other: the replay-only grid k = 1, m = 0 is one
     # row, and a k range ending at 0 is empty.
@@ -724,6 +738,38 @@ def test_importing_cfmdp_sets_one_openblas_thread_unless_set(preset, want):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout == want + "\n"
+
+
+def test_prune_solve_and_rollout_do_not_import_numpy_ma(artifact_dir, tmp_path):
+    # np.unique without return flags, which np.isin's sorting path calls
+    # unless told its inputs are unique, imports numpy.ma (numpy 2.4's
+    # `_unique1d` asks np.ma.is_masked): 13-15 ms of each process's start.
+    # The three commands run in one fresh interpreter, which reports whether
+    # numpy.ma was loaded by numpy alone and after the commands.
+    a = {name: str(artifact_dir / name) for name in ("mdp.json", "path.json", "posterior.json",
+                                                     "pruned.json", "policy.json")}
+    commands = [
+        ["prune", "--mdp", a["mdp.json"], "--path", a["path.json"], "--posterior",
+         a["posterior.json"], "--k", "8", "--out", str(tmp_path / "pruned.json")],
+        ["solve", "--mdp", a["mdp.json"], "--pruned", a["pruned.json"], "--m", "1",
+         "--out", str(tmp_path / "policy.json")],
+        ["rollout", "--mdp", a["mdp.json"], "--pruned", a["pruned.json"], "--policy",
+         a["policy.json"], "--env", "epidemic", "--feature", "infected", "-n", "50",
+         "--out", str(tmp_path / "rollout.csv")],
+    ]
+    code = ("import json, sys, numpy\n"
+            "by_numpy = 'numpy.ma' in sys.modules\n"
+            "from cfmdp.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([by_numpy, codes, 'numpy.ma' in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    by_numpy, codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    if by_numpy:
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert codes == [0, 0, 0]
+    assert not loaded
 
 
 # Flags a subcommand does not read; each is an argparse error.

@@ -232,6 +232,63 @@ def test_shared_sweep_equals_independent_solves(seed):
         assert result.cf_rows_built == alone.rows_built
 
 
+def priced_rows_by_hand(pruned, layers) -> int:
+    """Distinct nominal rows of the usable pairs at the reached states of
+    each of `layers`, counted pair by pair."""
+    mdp = pruned.cf.mdp
+    return sum(len({mdp.row_id[p] for p in range(len(mdp.source))
+                    if pruned.usable[t][p] and pruned.reach[t][mdp.source[p]]}) for t in layers)
+
+
+@pytest.mark.parametrize("case", [*range(6), "gridworld"])
+def test_rows_priced_is_the_direct_count_of_distinct_rows_per_solved_layer(case):
+    # A solve prices every layer; a sweep's smaller k reuse the largest k's
+    # free layers t >= T-k+1 and price only the layers below them. The
+    # gridworld's 58 pairs share 16 nominal rows.
+    if case == "gridworld":
+        (mdp, path, _), seed = demo_observation("gridworld"), 0
+    else:
+        seed = case
+        rng = np.random.default_rng(seed + 900)
+        n_states = int(rng.integers(2, 8))
+        mdp = random_mdp(rng, n_states, int(rng.integers(1, 4)),
+                         support_max=int(rng.integers(1, min(n_states, 3) + 1)))
+        path = sample_path(mdp, lambda s, t: "a0", int(rng.integers(1, 6)), seed=seed)
+    post = build_posterior(mdp, path, 200, seed=seed)
+    T, ks = path.T, list(range(1, path.T + 2))
+    cf = build_cf_mdp(post, mdp)
+    want = 0
+    for k in ks:
+        pruned = prune_cf_mdp(cf, k)
+        policy = solve_km(pruned, 1)
+        assert policy.rows_priced == priced_rows_by_hand(pruned, range(T))
+        assert policy.rows_priced == solve_km_oracle(pruned, 1).rows_priced
+        want += priced_rows_by_hand(pruned, range(T if k == ks[-1] else max(T - k + 1, 0)))
+    assert sweep(build_cf_mdp(post, mdp), ks, [0, 1]).dp_rows_priced == want > 0
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 11])
+def test_vecdot_over_a_strided_column_is_the_np_dot_bit_for_bit(width):
+    # `_pair_values` prices rows of length n with one np.vecdot over the
+    # full-width (rows, n, m+1) gather sliced to its first columns; each value
+    # must be the np.dot of the row and its (m+1)-strided column that the
+    # oracles compute, -inf, +inf and NaN entries included. Width 1 (m = 0)
+    # is the unit-stride column.
+    rng = np.random.default_rng(width)
+    special = np.array([-np.inf, np.inf, np.nan])
+    for n in [*range(1, 41), 81]:
+        probs = rng.dirichlet(np.ones(n), size=6)
+        child = rng.normal(0, 100, size=(6, n, width))
+        hit = rng.choice(child.size, size=child.size // 7)
+        child.flat[hit] = special[rng.integers(0, 3, size=len(hit))]
+        for cols in {width, max(width - 1, 1)}:
+            with np.errstate(invalid="ignore"):
+                got = np.vecdot(probs[:, :, None], child[:, :, :cols], axis=1)
+                want = np.array([[float(np.dot(probs[r], child[r][:, c])) for c in range(cols)]
+                                 for r in range(6)])
+            assert got.tobytes() == want.tobytes(), (n, cols)
+
+
 @pytest.mark.parametrize("env", ["gridworld", "epidemic"])
 def test_shared_prune_and_solve_equal_standalone(env):
     mdp, path, _ = demo_observation(env)
