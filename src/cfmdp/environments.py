@@ -62,51 +62,53 @@ def build_gridworld(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
 
     Goal and danger cells are absorbing with a dedicated no-op action and zero
     post-terminal reward. Entry bonuses are folded into R(s, a) in expectation
-    over the slip outcomes.
+    over the slip outcomes. Cell (r, c) has state index r * GRID_SIZE + c;
+    each pair has its own row, whose slip shares are summed per destination
+    in outcome order.
     """
     if not (0.0 <= cfg.slip < 1.0):
         raise InvalidConfig(f"slip must be in [0, 1), got {cfg.slip}")
 
     cells = list(product(range(GRID_SIZE), repeat=2))
     states = tuple(_cell_label(r, c) for r, c in cells)
-    actions = ("up", "down", "left", "right", "stay")
+    actions = (*MOVES, "stay")
+    start, goal, danger = (r * GRID_SIZE + c for r, c in (START_CELL, GOAL_CELL, DANGER_CELL))
 
-    def step(cell, direction):
+    def step(cell, direction) -> int:
         r, c = cell
         dr, dc = MOVES[direction]
-        r2, c2 = r + dr, c + dc
-        if 0 <= r2 < GRID_SIZE and 0 <= c2 < GRID_SIZE:
-            return (r2, c2)
-        return cell  # bump against the wall
+        if 0 <= r + dr < GRID_SIZE and 0 <= c + dc < GRID_SIZE:
+            return (r + dr) * GRID_SIZE + c + dc
+        return r * GRID_SIZE + c  # bump against the wall
 
-    kernel: dict[tuple[State, Action], dict[State, float]] = {}
-    rewards: dict[tuple[State, Action], float] = {}
-    for cell in cells:
-        label = _cell_label(*cell)
-        if cell in (GOAL_CELL, DANGER_CELL):
-            kernel[(label, "stay")] = {label: 1.0}
-            rewards[(label, "stay")] = 0.0
-            continue
-        for a in MOVES:
-            row: dict[State, float] = {}
-            outcomes = [(step(cell, a), 1.0 - cfg.slip)]
-            for perp in _PERP[a]:
-                outcomes.append((step(cell, perp), cfg.slip / 2.0))
-            for dest, p in outcomes:
-                if p <= 0.0:
-                    continue
-                row[_cell_label(*dest)] = row.get(_cell_label(*dest), 0.0) + p
-            kernel[(label, a)] = row
-            bonus = 0.0
-            for dest, p in outcomes:
-                if dest == GOAL_CELL:
-                    bonus += p * GOAL_REWARD
-                elif dest == DANGER_CELL:
-                    bonus -= p * DANGER_PENALTY
-            rewards[(label, a)] = -SHAPING_SCALE * _dist_to_goal(cell) + bonus
+    def move_row(cell, move) -> tuple[dict[int, float], float]:
+        """The row and reward of moving `move` from `cell`."""
+        outcomes = [(step(cell, move), 1.0 - cfg.slip)]
+        outcomes += [(step(cell, perp), cfg.slip / 2.0) for perp in _PERP[move]]
+        row: dict[int, float] = {}
+        bonus = 0.0
+        for dest, p in outcomes:
+            if p > 0.0:
+                row[dest] = row.get(dest, 0.0) + p
+            if dest == goal:
+                bonus += p * GOAL_REWARD
+            elif dest == danger:
+                bonus -= p * DANGER_PENALTY
+        return row, -SHAPING_SCALE * _dist_to_goal(cell) + bonus
 
-    return Mdp(states, actions, kernel, rewards,
-               initial={_cell_label(*START_CELL): 1.0}, name=MDP_NAMES["gridworld"])
+    source, action, reward, owner, succ, prob = [], [], [], [], [], []
+    for s, cell in enumerate(cells):
+        rows = ({len(MOVES): ({s: 1.0}, 0.0)} if s in (goal, danger)  # "stay" only
+                else {a: move_row(cell, move) for a, move in enumerate(MOVES)})
+        for a, (row, r) in rows.items():
+            owner += [len(source)] * len(row)
+            succ += row
+            prob += row.values()
+            source.append(s)
+            action.append(a)
+            reward.append(r)
+    return Mdp.from_arrays(states, actions, source, action, reward, np.arange(len(source)), owner,
+                           succ, prob, [start], [1.0], name=MDP_NAMES["gridworld"])
 
 
 def gridworld_observed_policy(s: State, t: int) -> Action:

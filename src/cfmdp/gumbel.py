@@ -238,9 +238,9 @@ class CfMdp:
     from the nominal row of pair p (through the noise at t, or the nominal
     row itself) depends on that nominal row only, so pairs with bit-identical
     nominal rows share one row, built on first use. A pruned artifact passes
-    its stored rows as `rows`, with posterior=None: a row it does not store
-    is the nominal row. Rows are index/probability arrays; `rows_built`
-    counts the rows built (given rows are not).
+    its stored rows as `rows`, with posterior=None, keyed by layers 0..T-1:
+    a row it does not store is the nominal row. Rows are index/probability
+    arrays; `rows_built` counts the rows built (given rows are not).
     """
 
     mdp: Mdp
@@ -260,12 +260,14 @@ class CfMdp:
         return self.path.T
 
     def row(self, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """Counterfactual row of pair p at time t as (successor indices, probabilities)."""
-        if not 0 <= t < self.horizon:
-            raise ValidationFailed(f"time {t} outside horizon {self.horizon}")
+        """Counterfactual row of pair p at time t as (successor indices,
+        probabilities). A memo hit returns at once: only layers 0..T-1 enter
+        `rows`, so t is checked on a miss."""
         key = (t, int(self.mdp.row_id[p]))
         row = self.rows.get(key)
         if row is None:
+            if not 0 <= t < self.horizon:
+                raise ValidationFailed(f"time {t} outside horizon {self.horizon}")
             if self.posterior is None:
                 row = self.mdp.row(p)[:2]
             else:

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate
 from typing import Callable, Mapping
 
 import numpy as np
@@ -30,16 +27,9 @@ PROB_TOL = 1e-9
 
 
 class Mdp:
-    """Immutable finite MDP compiled to integer arrays.
-
-    `Mdp.from_arrays` builds one from index arrays; `Mdp(states, actions,
-    kernel, rewards, initial)` builds one from label dicts: `kernel` {(s, a):
-    {s2: P(s2|s,a)}}, `rewards` {(s, a): R(s, a)} (0.0 where none is given)
-    and `initial` {s: P(s_0 = s)}. Zero-probability entries are dropped, so
-    every entry is support. Every broken invariant (unknown or duplicate
-    labels, non-finite or negative probabilities, a non-finite reward of a
-    row, a row or the initial distribution not summing to one) is listed in
-    one ValidationFailed.
+    """Immutable finite MDP compiled to integer arrays, built by
+    `Mdp.from_arrays` from index arrays. Zero-probability entries are
+    dropped, so every entry is support.
 
     Pair p is (state `source[p]`, action `action[p]`) with reward
     `reward[p]` and nominal row `row_id[p]`; `pair_at[s, a]` is the pair of
@@ -55,21 +45,6 @@ class Mdp:
     `mdp_hash` of the whole.
     """
 
-    def __init__(self, states, actions, kernel: Mapping, rewards: Mapping, initial: Mapping,
-                 name: str = ""):
-        states, actions = tuple(states), tuple(actions)
-        sidx, aidx = _index(states), _index(actions)
-        keys, rows = list(kernel), list(kernel.values())
-        pairs, succ = np.arange(len(rows)), [x for row in rows for x in row]
-        self._compile(states, actions, [sidx.get(s, -1) for s, _ in keys],
-                      [aidx.get(a, -1) for _, a in keys], [rewards.get(key, 0.0) for key in keys],
-                      pairs, np.repeat(pairs, [len(row) for row in rows]),
-                      [sidx.get(x, -1) for x in succ], [p for row in rows for p in row.values()],
-                      [sidx.get(s, -1) for s in initial], list(initial.values()), name,
-                      (keys, succ, list(initial)),
-                      _reward_entry_faults(rewards, kernel, sidx, aidx))
-        self.digest = mdp_hash(self)
-
     @classmethod
     def from_arrays(cls, states, actions, source, action, reward, row, owner, succ, prob,
                     init_state, init_prob, name: str = "") -> Mdp:
@@ -77,26 +52,21 @@ class Mdp:
         action `action[p]`) with reward `reward[p]` and row `row[p]` of a table
         whose entry e is successor `succ[e]` of row `owner[e]` (rows 0 to the
         largest `owner`) with probability `prob[e]`, and initial entry i gives
-        state `init_state[i]` probability `init_prob[i]`. An index outside the
-        labels (-1, say) is an unknown label. A negative `owner`, a `row`
-        outside the table or a row no pair names is refused before any other
-        fault is looked for. A pair, a row's successor or an initial state
-        given twice is a fault. Faults name known indices by their labels and
-        unknown ones as #index, pairs in the compiled order (unknown labels
-        last, in the given order), and a row's entries in the given order,
-        once for each pair that names the row."""
+        state `init_state[i]` probability `init_prob[i]`. A negative `owner`,
+        a `row` outside the table or a row no pair names is refused before
+        any other fault is looked for. Every other broken invariant is listed
+        in one ValidationFailed: duplicate labels, an index outside the labels
+        (-1, say), a pair, a row's successor or an initial state given twice,
+        non-finite or negative probabilities, a non-finite reward, and a row
+        or the initial distribution not summing to one. Faults name known
+        indices by their labels and unknown ones as #index, pairs in the
+        compiled order (unknown indices last, in the given order), and a
+        row's entries in the given order, once for each pair that names the
+        row."""
         mdp = cls.__new__(cls)
-        mdp._compile(states, actions, source, action, reward, row, owner, succ, prob, init_state,
-                     init_prob, name)
-        mdp.digest = mdp_hash(mdp)
-        return mdp
-
-    def _compile(self, states, actions, source, action, reward, row, owner, succ, prob,
-                 init_state, init_prob, name, labels=None, faults=()):
-        """`from_arrays`; `__init__` passes its label dicts' `labels` and `faults`."""
-        self.states, self.actions, self.name = tuple(states), tuple(actions), name
-        n, na = len(self.states), len(self.actions)
-        self._sidx, self._aidx = _index(self.states), _index(self.actions)
+        mdp.states, mdp.actions, mdp.name = tuple(states), tuple(actions), name
+        n, na = len(mdp.states), len(mdp.actions)
+        mdp._sidx, mdp._aidx = _index(mdp.states), _index(mdp.actions)
         source, action, row, owner, succ, init_state = (
             np.asarray(x, dtype=np.int64) for x in (source, action, row, owner, succ, init_state))
         reward, prob, init_prob = (np.asarray(x, dtype=np.float64)
@@ -106,8 +76,8 @@ class Mdp:
                                              for e, o in enumerate(owner.tolist()) if o < 0))
         rows = int(owner.max(initial=-1)) + 1
         if (p := _first((row < 0) | (row >= rows))) is not None:
-            raise ValidationFailed(f"row ({_label(self.states, int(source[p]))},"
-                                   f"{_label(self.actions, int(action[p]))}) names row {row[p]}, "
+            raise ValidationFailed(f"row ({_label(mdp.states, int(source[p]))},"
+                                   f"{_label(mdp.actions, int(action[p]))}) names row {row[p]}, "
                                    f"not one of the {rows} rows of the MDP's row table")
         if (unnamed := np.flatnonzero(np.bincount(row, minlength=rows) == 0)).size:
             raise ValidationFailed("; ".join(f"row {r} of the MDP's row table is named by no pair"
@@ -115,7 +85,7 @@ class Mdp:
         known_s, known_a = (source >= 0) & (source < n), (action >= 0) & (action < na)
         known_e, known_i = (succ >= 0) & (succ < n), (init_state >= 0) & (init_state < n)
         # Pairs by (state, action), rows renumbered by the first pair naming
-        # each, and entries by (row, successor), unknown labels last in the
+        # each, and entries by (row, successor), unknown indices last in the
         # given order: one stable sort of a combined key each, which is the
         # order of a lexsort.
         key = np.where(known_s, source, n) * (na + 1) + np.where(known_a, action, na)
@@ -130,17 +100,16 @@ class Mdp:
         total = np.bincount(owner, weights=prob, minlength=rows)
         init_total = np.bincount(np.zeros(len(init_prob), dtype=np.int64), weights=init_prob,
                                  minlength=1)
-        if (faults or len(self._sidx) < n or len(self._aidx) < na
+        if (len(mdp._sidx) < n or len(mdp._aidx) < na
                 or not all(m.all() for m in (known_s, known_a, known_e, known_i, np.isfinite(prob),
                                              prob >= 0, np.abs(total - 1.0) <= PROB_TOL,
                                              np.isfinite(reward), np.isfinite(init_prob),
                                              init_prob >= 0, np.abs(init_total - 1.0) <= PROB_TOL))
                 or pair_twice.any() or entry_twice.any() or init_twice.any()):
-            pairs, at, initials = labels or (
-                [(_label(self.states, s), _label(self.actions, a))
-                 for s, a in zip(source.tolist(), action.tolist())],
-                [_label(self.states, x) for x in succ.tolist()],
-                [_label(self.states, x) for x in init_state.tolist()])
+            pairs = [(_label(mdp.states, s), _label(mdp.actions, a))
+                     for s, a in zip(source.tolist(), action.tolist())]
+            at = [_label(mdp.states, x) for x in succ.tolist()]
+            initials = [_label(mdp.states, x) for x in init_state.tolist()]
 
             def row_name(p):
                 return "row ({},{})".format(*pairs[p])
@@ -157,8 +126,8 @@ class Mdp:
                 hit = mask[listing]
                 return zip(order[item[hit]].tolist(), listing[hit].tolist())
 
-            bad = [f"duplicate {kind} label {x}" for kind, names in (("state", self.states),
-                                                                     ("action", self.actions))
+            bad = [f"duplicate {kind} label {x}" for kind, names in (("state", mdp.states),
+                                                                     ("action", mdp.actions))
                    for x, c in Counter(names).items() if c > 1]
             bad += [f"kernel {row_name(p)} has unknown source state {pairs[p][0]}"
                     for p in listed(~known_s)]
@@ -180,7 +149,7 @@ class Mdp:
             bad += _distribution_faults(init_prob, np.zeros(len(init_prob), dtype=np.int64),
                                         init_total, lambda _: "initial distribution",
                                         initials.__getitem__)
-            raise ValidationFailed("; ".join(bad + list(faults)))
+            raise ValidationFailed("; ".join(bad))
 
         # Zero entries dropped (a row keeps one or more: it sums to one), and
         # of the rows of one content the first by pair kept, renumbered.
@@ -189,20 +158,21 @@ class Mdp:
         same = _same_rows(owner, succ, prob, rows)
         first = same == np.arange(rows)
         kept, number = first[owner], np.cumsum(first) - 1
-        self.source, self.action, self.reward = source[order], action[order], reward[order]
-        self.row_id = number[same[row[order]]]
-        self.owner, self.succ, self.prob = number[owner[kept]], succ[kept], prob[kept]
-        self.start = np.searchsorted(self.source, np.arange(n + 1))
-        self.row_start = np.searchsorted(self.owner, np.arange(first.sum() + 1))
-        self.logp = np.log(self.prob)
-        self.pair_at = np.full((n, na), -1, dtype=np.int64)
-        self.pair_at[self.source, self.action] = np.arange(len(order))
-        self.initial = np.zeros(n)
-        self.initial[init_state] = init_prob
-        for a in (self.source, self.action, self.row_id, self.owner, self.start, self.row_start,
-                  self.succ, self.prob, self.logp, self.reward, self.pair_at, self.initial):
+        mdp.source, mdp.action, mdp.reward = source[order], action[order], reward[order]
+        mdp.row_id = number[same[row[order]]]
+        mdp.owner, mdp.succ, mdp.prob = number[owner[kept]], succ[kept], prob[kept]
+        mdp.start = np.searchsorted(mdp.source, np.arange(n + 1))
+        mdp.row_start = np.searchsorted(mdp.owner, np.arange(first.sum() + 1))
+        mdp.logp = np.log(mdp.prob)
+        mdp.pair_at = np.full((n, na), -1, dtype=np.int64)
+        mdp.pair_at[mdp.source, mdp.action] = np.arange(len(order))
+        mdp.initial = np.zeros(n)
+        mdp.initial[init_state] = init_prob
+        for a in (mdp.source, mdp.action, mdp.row_id, mdp.owner, mdp.start, mdp.row_start,
+                  mdp.succ, mdp.prob, mdp.logp, mdp.reward, mdp.pair_at, mdp.initial):
             a.flags.writeable = False  # `digest` is computed once
-        self._cdfs: dict[int, tuple[list[int], list[float]]] = {}
+        mdp.digest = mdp_hash(mdp)
+        return mdp
 
     @property
     def num_states(self) -> int:
@@ -230,19 +200,9 @@ class Mdp:
 
     def position(self, p: int, s: State) -> int:
         """Position of successor s in the nominal row of pair p; -1 off its support."""
-        succ, i = self._cdf(p)[0], self._sidx.get(s, -1)
-        return succ.index(i) if i in succ else -1
-
-    def _cdf(self, p: int) -> tuple[list[int], list[float]]:
-        """The successors of pair p's row, or for p = -1 the states of
-        positive initial probability, and np.cumsum of their probabilities
-        (the same additions in order), as lists, from which `sample_path`
-        draws. Memoised per p: paths are checked and sampled a step at a time."""
-        if (cdf := self._cdfs.get(p)) is None:
-            support = np.flatnonzero(self.initial > 0.0) if p < 0 else self.row(p)[0]
-            probs = self.initial[support] if p < 0 else self.row(p)[1]
-            cdf = self._cdfs[p] = support.tolist(), list(accumulate(probs.tolist()))
-        return cdf
+        succ, i = self.row(p)[0], self._sidx.get(s, -1)
+        pos = int(succ.searchsorted(i))  # successors ascend
+        return pos if pos < len(succ) and succ[pos] == i else -1
 
 
 def _index(labels: tuple) -> dict:
@@ -287,13 +247,6 @@ def _label(labels: tuple, i: int):
     return labels[i] if 0 <= i < len(labels) else f"#{i}"
 
 
-def _reward_entry_faults(rewards: Mapping, kernel, sidx: dict, aidx: dict) -> list[str]:
-    """The unknown labels of the reward entries of pairs without a row in `kernel`."""
-    return [f"reward entry ({s},{a}) references unknown {kind} {x}"
-            for s, a in rewards if (s, a) not in kernel
-            for kind, x, index in (("state", s, sidx), ("action", a, aidx)) if x not in index]
-
-
 def _distribution_faults(prob: np.ndarray, owner: np.ndarray, total: np.ndarray,
                          name: Callable[[int], str], at: Callable[[int], State]) -> list[str]:
     """Faults of distributions whose entries sum to `total`: entry e, in the
@@ -317,16 +270,19 @@ class ObservedPath:
     every consumer checks it before reading the indices. The read-only int
     arrays `state[t]`, `action[t]` and `pair[t]` are the indices of step t,
     and `next_pos[t]` (t < T-1) is the position of s_{t+1} in the nominal row
-    of `pair[t]`; they are built when first read, so a path that is only
-    written out never builds them. Every broken invariant (an initial state
-    of zero initial probability, a step without a kernel row, a transition
-    of probability zero) is listed in one ValidationFailed; an empty path is
-    valid. Paths are immutable and compare by `steps` and `mdp_digest`.
+    of `pair[t]`, all built with the path. Every broken invariant (an
+    initial state of zero initial probability, a step without a kernel row,
+    a transition of probability zero) is listed in one ValidationFailed; an
+    empty path is valid. Paths are immutable and compare by `steps` and
+    `mdp_digest`.
     """
 
     steps: tuple[tuple[State, Action], ...]
     mdp_digest: str
-    _index: list[int] = field(compare=False, repr=False)  # the four arrays' values, in order
+    state: np.ndarray = field(compare=False, repr=False)
+    action: np.ndarray = field(compare=False, repr=False)
+    pair: np.ndarray = field(compare=False, repr=False)
+    next_pos: np.ndarray = field(compare=False, repr=False)
 
     def __init__(self, mdp: Mdp, steps):
         steps = tuple(steps)
@@ -346,20 +302,12 @@ class ObservedPath:
                     bad.append(f"step {t}: transition {s} -> {steps[t + 1][0]} under {a} has probability 0")
         if bad:
             raise ValidationFailed("; ".join(bad))
-        index = [mdp.state_index(s) for s, _ in steps] + [mdp.action_index(a) for _, a in steps]
-        vars(self).update(steps=steps, mdp_digest=mdp.digest, _index=index + pair + pos)  # frozen
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        T = self.T
-        flat = np.array(self._index, dtype=np.int64)
+        T = len(steps)
+        flat = np.array([mdp.state_index(s) for s, _ in steps]
+                        + [mdp.action_index(a) for _, a in steps] + pair + pos, dtype=np.int64)
         flat.flags.writeable = False
-        return flat[:T], flat[T:2 * T], flat[2 * T:3 * T], flat[3 * T:]
-
-    state = property(lambda self: self._arrays[0])
-    action = property(lambda self: self._arrays[1])
-    pair = property(lambda self: self._arrays[2])
-    next_pos = property(lambda self: self._arrays[3])
+        vars(self).update(steps=steps, mdp_digest=mdp.digest, state=flat[:T],  # frozen
+                          action=flat[T:2 * T], pair=flat[2 * T:3 * T], next_pos=flat[3 * T:])
 
     @property
     def T(self) -> int:
@@ -369,24 +317,29 @@ class ObservedPath:
 def sample_path(mdp: Mdp, policy: Callable[[State, int], Action | None], horizon: int,
                 seed: int) -> ObservedPath:
     """Sample a length-`horizon` path under `policy`, a (state, t) -> action
-    callable; deterministic given the seed. A horizon whose `horizon + 1`
-    float64 uniforms cannot be addressed is refused before any draw."""
+    callable; deterministic given the seed. Of the seed's `horizon + 1`
+    uniforms, u[0] times the initial support's total draws s_0 and u[t+1]
+    the successor at step t, each the first entry whose np.cumsum exceeds
+    it, clamped to the last. A horizon whose `horizon + 1` float64 uniforms
+    cannot be addressed is refused before any draw."""
     if (horizon + 1) * 8 > np.iinfo(np.intp).max:
         raise ValidationFailed(f"sample horizon {horizon} is too large: its {horizon + 1} "
                                "float64 uniforms must be addressable")
-    u = np.random.default_rng(seed).random(horizon + 1).tolist()  # the scalar draws' values
-    support, cum = mdp._cdf(-1)
-    si = support[min(bisect_right(cum, u[0] * cum[-1]), len(support) - 1)]
+    u = np.random.default_rng(seed).random(horizon + 1)
+    support = np.flatnonzero(mdp.initial > 0.0)
+    cum = mdp.initial[support].cumsum()
+    si = support[min(int(cum.searchsorted(u[0] * cum[-1], side="right")), len(support) - 1)]
     steps: list[tuple[State, Action]] = []
     for t in range(horizon):
         s = mdp.states[si]
         a = policy(s, t)
         try:
-            succ, cum = mdp._cdf(mdp.pair(s, a))
+            succ, probs, _ = mdp.row(mdp.pair(s, a))
         except MissingKernelRow:
             raise UndefinedPolicyAction(f"policy has no usable action at ({s}, t={t})") from None
         steps.append((s, a))
-        si = succ[min(bisect_right(cum, u[t + 1]), len(succ) - 1)]
+        cum = probs.cumsum()
+        si = succ[min(int(cum.searchsorted(u[t + 1], side="right")), len(succ) - 1)]
     return ObservedPath(mdp, steps)
 
 
@@ -522,7 +475,7 @@ def canonical_dumps(obj) -> str:
 
 
 def mdp_hash(mdp: Mdp) -> str:
-    """SHA-256 of the labels and the stored arrays, whose row table `_compile`
+    """SHA-256 of the labels and the stored arrays, whose row table `from_arrays`
     makes canonical: one kernel has one digest however its rows are
     factored. Each Mdp keeps it as `mdp.digest`, computed once when built."""
     h = hashlib.sha256(canonical_dumps([mdp.name, mdp.states, mdp.actions,

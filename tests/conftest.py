@@ -5,7 +5,9 @@ import pytest
 import cfmdp.gumbel
 from cfmdp.environments import demo_observation
 from cfmdp.gumbel import build_cf_mdp, build_posterior
-from cfmdp.mdp import Mdp, ObservedPath
+from cfmdp.mdp import ObservedPath
+
+from oracles import dict_mdp
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +29,7 @@ def fig2_toy():
         ("s8", "a0"): {"s8": 1.0},
     }
     states = ("s0", "s1", "s2", "s3", "s4", "s5", "s6", "s8")
-    mdp = Mdp(states, ("a0", "a1"), kernel, {}, {"s0": 1.0}, name="fig2toy")
+    mdp = dict_mdp(states, ("a0", "a1"), kernel, {}, {"s0": 1.0}, name="fig2toy")
     path = ObservedPath(mdp, (("s0", "a0"), ("s2", "a0"), ("s5", "a0")))
     return mdp, path
 
@@ -42,7 +44,7 @@ def tinychain():
         ("x1", "a"): {"x1": 1.0},
         ("x2", "a"): {"x2": 1.0},
     }
-    return Mdp(("x0", "x1", "x2"), ("a", "b"), kernel, {}, {"x0": 1.0}, name="tinychain")
+    return dict_mdp(("x0", "x1", "x2"), ("a", "b"), kernel, {}, {"x0": 1.0}, name="tinychain")
 
 
 @pytest.fixture(scope="session")

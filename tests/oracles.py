@@ -10,15 +10,17 @@ rather than tautology.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
-from cfmdp.environments import (HIGH, LOW, MDP_NAMES, NIL, NORMAL, REWARD_SCALE, START_VITALS,
-                                TREATMENTS, V_I, V_S, EpidemicConfig, SepsisLiteConfig,
-                                _action_label, _epi_label, _hypergeom_pmf, _sepsis_label,
-                                epidemic_counts)
+from cfmdp.environments import (
+    DANGER_CELL, DANGER_PENALTY, GOAL_CELL, GOAL_REWARD, GRID_SIZE, HIGH, LOW, MDP_NAMES, MOVES, NIL,
+    NORMAL, REWARD_SCALE, SHAPING_SCALE, START_CELL, START_VITALS, TREATMENTS, V_I, V_S, _PERP,
+    EpidemicConfig, GridWorldConfig, SepsisLiteConfig, _action_label, _cell_label, _dist_to_goal,
+    _epi_label, _hypergeom_pmf, _sepsis_label, epidemic_counts)
 from cfmdp.errors import (InfeasibleBudget, InvalidConfig, InvariantViolated,
                           UndefinedPolicyAction, ValidationFailed)
 from cfmdp.gumbel import (CfMdp, GumbelPosterior, _conditioned_row, _Layers, _prior_layer,
@@ -29,6 +31,24 @@ from cfmdp.solver import NEG_INF, CfPolicy, RolloutSummary
 
 
 # -- label views of an MDP ------------------------------------------------------
+
+def dict_mdp(states, actions, kernel: dict, rewards: dict, initial: dict,
+                   name: str = "") -> Mdp:
+    """The MDP of label dicts, one table row per pair, through `Mdp.from_arrays`:
+    `kernel` {(s, a): {s2: P(s2|s,a)}}, `rewards` {(s, a): R(s, a)} (0.0
+    where none is given; a reward of a pair without a row is ignored) and
+    `initial` {s: P(s_0 = s)}. An unknown label becomes index -1, and a
+    duplicated label names its last index."""
+    sidx, aidx = ({x: i for i, x in enumerate(labels)} for labels in (states, actions))
+    rows = list(kernel.values())
+    return Mdp.from_arrays(states, actions, [sidx.get(s, -1) for s, _ in kernel],
+                           [aidx.get(a, -1) for _, a in kernel],
+                           [rewards.get(key, 0.0) for key in kernel], range(len(rows)),
+                           [r for r, row in enumerate(rows) for _ in row],
+                           [sidx.get(x, -1) for row in rows for x in row],
+                           [p for row in rows for p in row.values()],
+                           [sidx.get(s, -1) for s in initial], list(initial.values()), name=name)
+
 
 def mdp_to_json_oracle(mdp: Mdp) -> dict:
     """The MDP as a JSON object of label dicts, as `mdp_to_json` wrote it
@@ -126,6 +146,33 @@ def path_return(mdp: Mdp, path: ObservedPath) -> float:
 
 
 # -- reference algorithms -------------------------------------------------------
+
+def sample_path_oracle(mdp: Mdp, policy, horizon: int, seed: int) -> tuple:
+    """The steps `sample_path` draws, by bisect over Python lists: the
+    running sums of a row (itertools.accumulate, the additions of np.cumsum
+    in order) and the first sum above the draw, clamped to the last entry.
+    s0 is drawn at u[0] times the total of the initial support, step t's
+    successor at u[t+1], from the seed's `horizon + 1` uniforms."""
+    u = np.random.default_rng(seed).random(horizon + 1).tolist()
+    support = [i for i, q in enumerate(mdp.initial.tolist()) if q > 0.0]
+    cum = list(accumulate(mdp.initial[support].tolist()))
+    si = support[min(bisect_right(cum, u[0] * cum[-1]), len(support) - 1)]
+    steps = []
+    for t in range(horizon):
+        s = mdp.states[si]
+        a = policy(s, t)
+        succ, probs = (x.tolist() for x in mdp.row(mdp.pair(s, a))[:2])
+        steps.append((s, a))
+        cum = list(accumulate(probs))
+        si = succ[min(bisect_right(cum, u[t + 1]), len(succ) - 1)]
+    return tuple(steps)
+
+
+def position_oracle(mdp: Mdp, p: int, s) -> int:
+    """Position of successor label s in the nominal row of pair p, -1 off it."""
+    row = [mdp.states[i] for i in mdp.row(p)[0].tolist()]
+    return row.index(s) if s in row else -1
+
 
 def value_iteration(mdp: Mdp, horizon: int) -> tuple:
     """Optimal time-dependent policy for the undiscounted finite-horizon sum.
@@ -540,13 +587,65 @@ def random_mdp(rng: np.random.Generator, n_states: int, n_actions: int,
             raw = raw / raw.sum()
             kernel[(s, a)] = {states[int(i)]: float(p) for i, p in zip(targets, raw)}
             rewards[(s, a)] = float(rng.uniform(-reward_scale, reward_scale))
-    return Mdp(states, actions, kernel, rewards, {states[0]: 1.0}, name="random")
+    return dict_mdp(states, actions, kernel, rewards, {states[0]: 1.0}, name="random")
 
 
 # -- the built-in environments from label dicts ----------------------------------
 # The builders as they were before they emitted index arrays: one label dict
 # per row, computed for every pair. The array builders must give the same
 # MDP and digest, and a file whose rows expand to the same label dicts.
+
+def build_gridworld_oracle(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
+    """4x4 grid: shaping toward the goal, +goal/-danger entry bonuses.
+
+    Goal and danger cells are absorbing with a dedicated no-op action and zero
+    post-terminal reward. Entry bonuses are folded into R(s, a) in expectation
+    over the slip outcomes.
+    """
+    if not (0.0 <= cfg.slip < 1.0):
+        raise InvalidConfig(f"slip must be in [0, 1), got {cfg.slip}")
+
+    cells = list(product(range(GRID_SIZE), repeat=2))
+    states = tuple(_cell_label(r, c) for r, c in cells)
+    actions = ("up", "down", "left", "right", "stay")
+
+    def step(cell, direction):
+        r, c = cell
+        dr, dc = MOVES[direction]
+        r2, c2 = r + dr, c + dc
+        if 0 <= r2 < GRID_SIZE and 0 <= c2 < GRID_SIZE:
+            return (r2, c2)
+        return cell  # bump against the wall
+
+    kernel: dict[tuple[State, Action], dict[State, float]] = {}
+    rewards: dict[tuple[State, Action], float] = {}
+    for cell in cells:
+        label = _cell_label(*cell)
+        if cell in (GOAL_CELL, DANGER_CELL):
+            kernel[(label, "stay")] = {label: 1.0}
+            rewards[(label, "stay")] = 0.0
+            continue
+        for a in MOVES:
+            row: dict[State, float] = {}
+            outcomes = [(step(cell, a), 1.0 - cfg.slip)]
+            for perp in _PERP[a]:
+                outcomes.append((step(cell, perp), cfg.slip / 2.0))
+            for dest, p in outcomes:
+                if p <= 0.0:
+                    continue
+                row[_cell_label(*dest)] = row.get(_cell_label(*dest), 0.0) + p
+            kernel[(label, a)] = row
+            bonus = 0.0
+            for dest, p in outcomes:
+                if dest == GOAL_CELL:
+                    bonus += p * GOAL_REWARD
+                elif dest == DANGER_CELL:
+                    bonus -= p * DANGER_PENALTY
+            rewards[(label, a)] = -SHAPING_SCALE * _dist_to_goal(cell) + bonus
+
+    return dict_mdp(states, actions, kernel, rewards,
+                    initial={_cell_label(*START_CELL): 1.0}, name=MDP_NAMES["gridworld"])
+
 
 def build_epidemic_oracle(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
     """Exact transition rows of the vaccination MDP.
@@ -591,8 +690,8 @@ def build_epidemic_oracle(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
             rewards[(label, a)] = float(-I)
 
     s0 = _epi_label(P - cfg.initial_infected, cfg.initial_infected, 2 * P)
-    return Mdp(states, (NIL, V_I, V_S), kernel, rewards, initial={s0: 1.0},
-               name=MDP_NAMES["epidemic"])
+    return dict_mdp(states, (NIL, V_I, V_S), kernel, rewards, initial={s0: 1.0},
+                    name=MDP_NAMES["epidemic"])
 
 
 def build_sepsis_lite_oracle(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
@@ -667,4 +766,4 @@ def build_sepsis_lite_oracle(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
                 rewards[(label, a)] = step_reward(vitals)
 
     s0 = _sepsis_label(START_VITALS, (0, 0, 0))
-    return Mdp(states, actions, kernel, rewards, initial={s0: 1.0}, name=MDP_NAMES["sepsis"])
+    return dict_mdp(states, actions, kernel, rewards, initial={s0: 1.0}, name=MDP_NAMES["sepsis"])

@@ -17,6 +17,7 @@ from oracles import (
     available_actions,
     cf_probs,
     cf_transition_probs,
+    dict_mdp,
     influenced_states,
     kernel,
     kernel_row,
@@ -82,7 +83,7 @@ def test_criterion_01_gumbel_max_correctness():
         probs = raw / raw.sum()
         states = tuple(f"x{i}" for i in range(size))
         row = dict(zip(states, probs.tolist()))
-        mdp = Mdp(("s",) + states, ("a",), {("s", "a"): row}, {}, {"s": 1.0})
+        mdp = dict_mdp(("s",) + states, ("a",), {("s", "a"): row}, {}, {"s": 1.0})
         noise = rng.gumbel(size=(n, mdp.num_states))
         idx, _, logp = mdp.row(mdp.pair("s", "a"))
         wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
@@ -138,7 +139,7 @@ def test_criterion_04_disjoint_support_prior_preservation():
         ("x2", "a"): {"x2": 1.0},
     }
     states = ("s", "x1", "x2", "y1", "y2", "y3")
-    mdp = Mdp(states, ("a", "b", "c"), kernel, {}, {"s": 1.0})
+    mdp = dict_mdp(states, ("a", "b", "c"), kernel, {}, {"s": 1.0})
     path = ObservedPath(mdp, (("s", "a"), ("x2", "a")))
     post = build_posterior(mdp, path, 100_000, seed=6)
     for query in ("b", "c"):
@@ -164,7 +165,7 @@ def test_criterion_05_counterfactual_stability():
         raw = rng.uniform(0.02, 1.0, size=n_states)
         probs = raw / raw.sum()
         p_int = {mdp.states[i]: float(probs[i]) for i in range(n_states)}
-        inter = Mdp(mdp.states, ("q",), {(s_t, "q"): p_int}, {}, {s_t: 1.0})
+        inter = dict_mdp(mdp.states, ("q",), {(s_t, "q"): p_int}, {}, {s_t: 1.0})
         idx, _, logp = inter.row(inter.pair(s_t, "q"))
         wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
         for pos in np.unique(wins):

@@ -27,8 +27,8 @@ from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import PROB_TOL, Mdp, mdp_from_json, mdp_hash, mdp_to_json, path_from_json
 from cfmdp.solver import sweep
 
-from oracles import (available_actions, cf_probs, km_value_oracle, label_form, row_columns,
-                     table_rows)
+from oracles import (available_actions, cf_probs, dict_mdp, km_value_oracle, label_form,
+                     row_columns, table_rows)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -1441,10 +1441,10 @@ def test_pairs_of_one_nominal_row_share_their_stored_row(tmp_path, capsys):
     # observed (x0, a), which replays its step to x1. A row moved towards x2
     # (reward 10), as a row of b alone would be, no longer replays the
     # observation and is refused.
-    mdp = mdp_to_json(Mdp(("x0", "x1", "x2"), ("a", "b"),
-                          {("x0", "a"): {"x1": 0.5, "x2": 0.5}, ("x0", "b"): {"x1": 0.5, "x2": 0.5},
-                           ("x1", "a"): {"x1": 1.0}, ("x2", "a"): {"x2": 1.0}},
-                          {("x2", "a"): 10.0}, {"x0": 1.0}, name="twin"))
+    mdp = mdp_to_json(dict_mdp(("x0", "x1", "x2"), ("a", "b"),
+                               {("x0", "a"): {"x1": 0.5, "x2": 0.5}, ("x0", "b"): {"x1": 0.5, "x2": 0.5},
+                                ("x1", "a"): {"x1": 1.0}, ("x2", "a"): {"x2": 1.0}},
+                               {("x2", "a"): 10.0}, {"x0": 1.0}, name="twin"))
     path = {"steps": [{"t": 0, "s": "x0", "a": "a"}, {"t": 1, "s": "x1", "a": "a"}]}
     files = {name: str(tmp_path / f"{name}.json") for name in ("mdp", "path", "post", "pruned")}
     Path(files["mdp"]).write_text(json.dumps(mdp))

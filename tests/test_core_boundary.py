@@ -3,7 +3,8 @@
 Label lookups (`state_index`, `action_index`, `mdp.pair(s, a)`) and the
 path's label `steps` belong to the JSON/CLI boundary: `mdp.py`, `cli.py` and
 `environments.py`. This guard parses the core modules and fails on any of
-them.
+them. A second guard parses every module: `Mdp.from_arrays` is the one
+constructor, so none calls `Mdp(...)` with arguments.
 """
 
 from pathlib import Path
@@ -31,6 +32,26 @@ def label_lookups(source: str) -> list[str]:
 @pytest.mark.parametrize("module", CORE)
 def test_core_module_makes_no_label_lookup(module):
     assert label_lookups((SRC / module).read_text()) == []
+
+
+def adapter_calls(source: str) -> list[str]:
+    """Each call of `Mdp(...)` with arguments in `source`."""
+    return [f"line {node.lineno}: Mdp(" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and (node.args or node.keywords)
+            and "Mdp" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_module_calls_the_mdp_class_with_arguments(module):
+    assert adapter_calls((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("line", [
+    "mdp = Mdp(states, actions, kernel, rewards, initial)",
+    "mdp = cfmdp.mdp.Mdp(states, actions, kernel, rewards, initial={s0: 1.0})",
+])
+def test_adapter_guard_fails_on_a_reintroduced_call(line):
+    assert adapter_calls(line + "\n") and not adapter_calls("mdp = Mdp.from_arrays(*arrays)\n")
 
 
 @pytest.mark.parametrize("line", [

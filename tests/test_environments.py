@@ -22,8 +22,9 @@ from cfmdp.environments import (
 from cfmdp.errors import InvalidConfig, UnknownEnvironment
 from cfmdp.mdp import Mdp, gather_rows, mdp_from_json, mdp_to_json
 
-from oracles import (available_actions, build_epidemic_oracle, build_sepsis_lite_oracle, initial,
-                     kernel, kernel_row, label_form, mdp_to_json_oracle, path_return, reward)
+from oracles import (available_actions, build_epidemic_oracle, build_gridworld_oracle,
+                     build_sepsis_lite_oracle, initial, kernel, kernel_row, label_form,
+                     mdp_to_json_oracle, path_return, reward)
 
 
 # -- grid world --------------------------------------------------------------
@@ -233,6 +234,14 @@ def assert_same_mdp(mdp, oracle):
                               "death-threshold-2", "treat-effect-1-0.5-0.3-death-threshold-4"])
 def test_sepsis_builder_equals_the_label_dict_oracle(cfg):
     assert_same_mdp(build_sepsis_lite(cfg), build_sepsis_lite_oracle(cfg))
+
+
+# Slip 0 gives perpendicular shares of 0.0, which both leave out; by a wall,
+# the shares of the directions that bump are summed on the one cell.
+@pytest.mark.parametrize("slip", [0.0, 0.1, 0.2, 0.5])
+def test_gridworld_builder_equals_the_label_dict_oracle(slip):
+    assert_same_mdp(build_gridworld(GridWorldConfig(slip=slip)),
+                    build_gridworld_oracle(GridWorldConfig(slip=slip)))
 
 
 # The entries each builder stores; per pair they were 27,336 and 8,381.

@@ -32,6 +32,7 @@ from oracles import (
     cf_probs,
     cf_transition_oracle,
     cf_transition_probs,
+    dict_mdp,
     gumbel_max_step,
     gumbel_oracle,
     kernel_row,
@@ -50,7 +51,7 @@ def row_mdp(probs: dict, extra_rows: dict | None = None) -> Mdp:
     for (s, a), row in (extra_rows or {}).items():
         kernel[(s, a)] = dict(row)
     actions = tuple(sorted({a for _, a in kernel}))
-    return Mdp(states, actions, kernel, {}, {"s": 1.0})
+    return dict_mdp(states, actions, kernel, {}, {"s": 1.0})
 
 
 def observed(mdp: Mdp, s, a, s_next) -> tuple[int, int]:
@@ -239,7 +240,7 @@ def test_cf_transition_disjoint_support_is_interventional():
     # pad rows so the path validates
     kernel[("x2", "a")] = {"x2": 1.0}
     states = ("s", "x1", "x2", "y1", "y2", "y3")
-    mdp = Mdp(states, ("a", "b"), kernel, {}, {"s": 1.0})
+    mdp = dict_mdp(states, ("a", "b"), kernel, {}, {"s": 1.0})
     path = ObservedPath(mdp, (("s", "a"), ("x2", "a")))
     post = build_posterior(mdp, path, 100_000, seed=6)
     est = cf_transition_probs(post, mdp, 0, "s", "b")
@@ -272,7 +273,7 @@ def test_counterfactual_stability_on_samples(tinychain):
     for _ in range(200):
         raw = rng.uniform(0.05, 1.0, size=2)
         p_int = dict(zip(("x1", "x2"), raw / raw.sum()))
-        inter = Mdp(tinychain.states, ("q",), {("x0", "q"): p_int}, {}, {"x0": 1.0})
+        inter = dict_mdp(tinychain.states, ("q",), {("x0", "q"): p_int}, {}, {"x0": 1.0})
         idx, _, logp = inter.row(inter.pair("x0", "q"))
         wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
         for pos in np.unique(wins):
@@ -323,6 +324,26 @@ def test_cf_mdp_kernel_memoized(epidemic_cf):
     est2 = epidemic_cf.row(0, p)
     assert est1 is est2
     assert epidemic_cf.rows_built <= built + 1
+
+
+@pytest.mark.parametrize("sampled", [True, False], ids=["posterior", "nominal"])
+def test_cf_row_refuses_a_time_outside_the_horizon_fresh_or_warm(fig2_toy, sampled):
+    # t is checked on a memo miss only: just layers 0..T-1 enter `cf.rows`,
+    # so a CfMdp with every row built refuses t = -1 and t = T as a fresh one.
+    mdp, path = fig2_toy
+    cf = CfMdp(mdp, path, build_posterior(mdp, path, 50, seed=3) if sampled else None)
+    pairs = range(len(mdp.source))
+    for warm in (False, True):
+        if warm:
+            for t in range(path.T):
+                for p in pairs:
+                    cf.row(t, p)
+            assert len(cf.rows) == path.T * len(set(mdp.row_id.tolist()))
+        for t in (-1, path.T):
+            for p in pairs:
+                with pytest.raises(ValidationFailed) as exc:
+                    cf.row(t, p)
+                assert str(exc.value) == f"time {t} outside horizon {path.T}", (warm, t, p)
 
 
 def test_posterior_save_load_round_trip(tmp_path, tinychain):

@@ -6,11 +6,12 @@ import pytest
 from cfmdp.errors import EmptyPrunedMdp, ValidationFailed
 from cfmdp.gumbel import CfMdp, build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import _admission_hits, _admitted, _cf_rows, prune_cf_mdp, pruned_size_report
-from cfmdp.mdp import Mdp, ObservedPath, sample_path
+from cfmdp.mdp import ObservedPath, sample_path
 
 from oracles import (
     available_actions,
     cf_probs,
+    dict_mdp,
     influenced_states,
     kernel,
     kernel_row,
@@ -47,7 +48,7 @@ def test_one_step_influenced_fig2_cases(fig2_toy):
 def test_one_step_influenced_disjoint_pair():
     kernel = {("s", "a"): {"x": 1.0}, ("s", "b"): {"y": 1.0},
               ("x", "a"): {"x": 1.0}, ("y", "a"): {"y": 1.0}}
-    mdp = Mdp(("s", "x", "y"), ("a", "b"), kernel, {}, {"s": 1.0})
+    mdp = dict_mdp(("s", "x", "y"), ("a", "b"), kernel, {}, {"s": 1.0})
     path = ObservedPath(mdp, (("s", "a"),))
     assert not one_step_influenced(mdp, path, 0, "s", "b")
 
@@ -61,7 +62,7 @@ def test_influenced_states_fig2(fig2_toy):
 
 def test_influenced_states_deterministic_chain():
     kernel = {("s0", "a"): {"s1": 1.0}, ("s1", "a"): {"s2": 1.0}, ("s2", "a"): {"s2": 1.0}}
-    mdp = Mdp(("s0", "s1", "s2"), ("a",), kernel, {}, {"s0": 1.0})
+    mdp = dict_mdp(("s0", "s1", "s2"), ("a",), kernel, {}, {"s0": 1.0})
     path = sample_path(mdp, lambda s, t: "a", 2, seed=0)
     sets = influenced_states(mdp, path)
     assert sets.pooled == {"s1", "s2"}
@@ -259,7 +260,7 @@ def test_prune_empty_raises():
     # The nominal row at (s0, a) can leak onto a dead state with no actions,
     # so closure removes the only action at the initial node.
     kernel = {("s0", "a"): {"s1": 0.5, "dead": 0.5}, ("s1", "a"): {"s1": 1.0}}
-    mdp = Mdp(("s0", "s1", "dead"), ("a",), kernel, {}, {"s0": 1.0})
+    mdp = dict_mdp(("s0", "s1", "dead"), ("a",), kernel, {}, {"s0": 1.0})
     path = ObservedPath(mdp, (("s0", "a"), ("s1", "a")))
     cf = nominal_cf_mdp(mdp, path)
     with pytest.raises(EmptyPrunedMdp):

@@ -22,6 +22,7 @@ from cfmdp.mdp import (
 
 from oracles import (
     available_actions,
+    dict_mdp,
     enumerated_policy_value,
     exhaustive_value,
     influenced_states,
@@ -48,7 +49,7 @@ def chain_mdp():
         ("s2", "a"): {"s2": 1.0},
     }
     rewards = {("s0", "a"): 1.0, ("s1", "a"): 2.0, ("s2", "a"): 0.0}
-    return Mdp(("s0", "s1", "s2"), ("a",), kernel, rewards, {"s0": 1.0})
+    return dict_mdp(("s0", "s1", "s2"), ("a",), kernel, rewards, {"s0": 1.0})
 
 
 def chain_json(**rows):
@@ -68,44 +69,54 @@ def test_validate_well_formed():
                                    ("s2", "a"): {"s2": 1.0}}
 
 
+def chain_arrays(**edits):
+    """chain_mdp as the index arrays of `Mdp.from_arrays`, pairs and rows
+    given in reverse, one row per pair, with `edits` replacing some of them."""
+    arrays = dict(source=[2, 1, 0], action=[0, 0, 0], reward=[0.0, 2.0, 1.0], row=[0, 1, 2],
+                  owner=[0, 1, 2], succ=[2, 2, 1], prob=[1.0, 1.0, 1.0],
+                  init_state=[0], init_prob=[1.0])
+    arrays.update(edits)
+    return arrays
+
+
+def chain_fault(**edits) -> str:
+    """The fault `Mdp.from_arrays` lists for `chain_arrays(**edits)`."""
+    with pytest.raises(ValidationFailed) as exc:
+        Mdp.from_arrays(("s0", "s1", "s2"), ("a",), **chain_arrays(**edits))
+    return str(exc.value)
+
+
 def test_validate_bad_row_sum():
-    with pytest.raises(ValidationFailed, match=r"row \(s0,a0\) sums to 0\.9"):
-        Mdp(("s0",), ("a0",), {("s0", "a0"): {"s0": 0.9}}, {}, {"s0": 1.0})
+    assert chain_fault(prob=[1.0, 1.0, 0.9]) == "row (s0,a) sums to 0.9"
 
 
 def test_validate_unknown_state():
-    with pytest.raises(ValidationFailed, match="ghost"):
-        Mdp(("s0",), ("a0",), {("s0", "a0"): {"ghost": 1.0}}, {}, {"s0": 1.0})
+    assert chain_fault(succ=[2, 2, 5]) == "row (s0,a) references unknown state #5"
 
 
 def test_validate_initial_sum():
-    with pytest.raises(ValidationFailed, match="initial distribution sums"):
-        Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s1": 1.0}}, {}, {"s0": 0.5})
+    assert chain_fault(init_prob=[0.5]) == "initial distribution sums to 0.5"
 
 
 def test_validate_rejects_nan_probability():
-    with pytest.raises(ValidationFailed, match="non-finite probability"):
-        Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s0": 1.0, "s1": float("nan")}},
-            {}, {"s0": 1.0})
+    nan = float("nan")
+    assert (chain_fault(owner=[0, 1, 2, 2], succ=[2, 2, 1, 2], prob=[1.0, 1.0, 1.0, nan])
+            == "row (s0,a) has non-finite probability nan at s2")
     with pytest.raises(ValidationFailed, match="non-finite"):
         mdp_from_json(chain_json(row0={1: 1.0, 2: float("nan")}))
 
 
 def test_validate_rejects_nan_initial_probability():
-    with pytest.raises(ValidationFailed, match="non-finite probability"):
-        Mdp(("s0", "s1"), ("a0",), {("s0", "a0"): {"s1": 1.0}}, {},
-            {"s0": 1.0, "s1": float("nan")})
+    assert (chain_fault(init_state=[0, 1], init_prob=[1.0, float("nan")])
+            == "initial distribution has non-finite probability nan at s1")
 
 
 def test_validate_rejects_non_finite_rewards():
-    # Each non-finite reward of a row is listed, naming its pair; a NaN would
-    # never be chosen by the solver, and an infinity would give V(s0) = inf.
-    kernel = {("s0", "a0"): {"s0": 1.0}, ("s0", "a1"): {"s0": 1.0}, ("s0", "a2"): {"s0": 1.0}}
-    rewards = {("s0", "a0"): float("nan"), ("s0", "a1"): 2.0, ("s0", "a2"): float("inf")}
-    with pytest.raises(ValidationFailed) as exc:
-        Mdp(("s0",), ("a0", "a1", "a2"), kernel, rewards, {"s0": 1.0})
-    assert str(exc.value) == ("row (s0,a0) has non-finite reward nan; "
-                              "row (s0,a2) has non-finite reward inf")
+    # Each non-finite reward of a row is listed, naming its pair, pairs in
+    # compiled order; a NaN would never be chosen by the solver, and an
+    # infinity would give V(s0) = inf.
+    assert chain_fault(reward=[float("nan"), 2.0, float("inf")]) == (
+        "row (s0,a) has non-finite reward inf; row (s2,a) has non-finite reward nan")
     obj = mdp_to_json(chain_mdp())
     obj["pairs"]["r"][1] = float("-inf")
     with pytest.raises(ValidationFailed, match=r"row \(s1,a\) has non-finite reward -inf"):
@@ -121,11 +132,10 @@ def test_path_step_t_must_be_an_integer(t):
 
 
 def test_validate_rejects_duplicate_labels():
-    rows = {("a", "x"): {"b": 1.0}, ("b", "x"): {"b": 1.0}}
-    with pytest.raises(ValidationFailed, match="duplicate state label a"):
-        Mdp(("a", "a", "b"), ("x",), rows, {}, {"a": 1.0})
-    with pytest.raises(ValidationFailed, match="duplicate action label x"):
-        Mdp(("a", "b"), ("x", "x"), rows, {}, {"a": 1.0})
+    with pytest.raises(ValidationFailed, match="^duplicate state label s0$"):
+        Mdp.from_arrays(("s0", "s0", "s2"), ("a",), **chain_arrays())
+    with pytest.raises(ValidationFailed, match="^duplicate action label a$"):
+        Mdp.from_arrays(("s0", "s1", "s2"), ("a", "a"), **chain_arrays())
     obj = mdp_to_json(chain_mdp())
     obj["states"].append("s0")
     with pytest.raises(ValidationFailed, match="duplicate"):
@@ -167,7 +177,7 @@ def test_observed_path_is_immutable_and_hashable():
     # The same steps on another MDP (here one more reward) are another path.
     kernel = {(s, "a"): row for s, row in (("s0", {"s1": 1.0}), ("s1", {"s2": 1.0}),
                                             ("s2", {"s2": 1.0}))}
-    other = Mdp(("s0", "s1", "s2"), ("a",), kernel, {("s2", "a"): 5.0}, {"s0": 1.0})
+    other = dict_mdp(("s0", "s1", "s2"), ("a",), kernel, {("s2", "a"): 5.0}, {"s0": 1.0})
     assert ObservedPath(other, path.steps) != path
 
 
@@ -191,8 +201,8 @@ def test_sample_path_undefined_policy():
 
 
 def test_sample_path_draws_on_the_running_sums_of_np_cumsum():
-    # sample_path sums each row in Python; its draws, and so every sampled
-    # path, stay those of np.cumsum only while the sums are bit-identical.
+    # `sample_path_oracle` sums each row in Python; it checks sample_path,
+    # which draws on np.cumsum, only while the sums are bit-identical.
     for mdp in (build_sepsis_lite(), build_environment("epidemic"),
                 random_mdp(np.random.default_rng(3), 6, 3)):
         for p in range(len(mdp.source)):
@@ -201,12 +211,12 @@ def test_sample_path_draws_on_the_running_sums_of_np_cumsum():
 
 
 def test_sample_path_draws_s0_as_searchsorted_over_the_initial_cumsum():
-    # The initial distribution's support and cumulative sums are computed
-    # once per MDP; the draw must stay the one made with numpy on each call.
+    # s0 is drawn over the initial support, scaled by its total, at u[0] of
+    # the seed's stream: the first uniform of each fresh generator.
     states = ("a", "b", "c", "d", "e")
     kernel = {(s, "go"): {"a": 1.0} for s in states}
     initial = {"a": 0.1, "c": 0.25, "d": 0.3, "e": 0.35}
-    mdp = Mdp(states, ("go",), kernel, {}, initial)
+    mdp = dict_mdp(states, ("go",), kernel, {}, initial)
     for seed in range(300):
         rng = np.random.default_rng(seed)
         support = np.flatnonzero(mdp.initial > 0.0)
@@ -232,13 +242,13 @@ def test_sample_path_frequencies_match_kernel():
 
 def test_path_return_empty_and_zero():
     assert path_return(chain_mdp(), ObservedPath(chain_mdp(), ())) == 0.0
-    zero = Mdp(("s0",), ("a",), {("s0", "a"): {"s0": 1.0}}, {}, {"s0": 1.0})
+    zero = dict_mdp(("s0",), ("a",), {("s0", "a"): {"s0": 1.0}}, {}, {"s0": 1.0})
     path = sample_path(zero, lambda s, t: "a", 5, seed=0)
     assert path_return(zero, path) == 0.0
 
 
 def test_value_iteration_single_state():
-    mdp = Mdp(("s",), ("a",), {("s", "a"): {"s": 1.0}}, {("s", "a"): 1.0}, {"s": 1.0})
+    mdp = dict_mdp(("s",), ("a",), {("s", "a"): {"s": 1.0}}, {("s", "a"): 1.0}, {"s": 1.0})
     _, values = value_iteration(mdp, 3)
     assert values[0]["s"] == pytest.approx(3.0, abs=1e-12)
 
@@ -246,7 +256,7 @@ def test_value_iteration_single_state():
 def test_value_iteration_two_armed():
     kernel = {("s", "a0"): {"s": 1.0}, ("s", "a1"): {"s": 1.0}}
     rewards = {("s", "a0"): 0.0, ("s", "a1"): 5.0}
-    mdp = Mdp(("s",), ("a0", "a1"), kernel, rewards, {"s": 1.0})
+    mdp = dict_mdp(("s",), ("a0", "a1"), kernel, rewards, {"s": 1.0})
     policy, values = value_iteration(mdp, 1)
     assert values[0]["s"] == pytest.approx(5.0)
     assert policy("s", 0) == "a1"
@@ -288,7 +298,7 @@ def test_exhaustive_oracle_vs_literal_enumeration():
 def test_ties_break_to_lowest_action_index():
     kernel = {("s", "a0"): {"s": 1.0}, ("s", "a1"): {"s": 1.0}}
     rewards = {("s", "a0"): 1.0, ("s", "a1"): 1.0}
-    mdp = Mdp(("s",), ("a0", "a1"), kernel, rewards, {"s": 1.0})
+    mdp = dict_mdp(("s",), ("a0", "a1"), kernel, rewards, {"s": 1.0})
     policy, _ = value_iteration(mdp, 2)
     assert policy("s", 0) == "a0"
 
@@ -406,11 +416,25 @@ def test_mdp_json_refuses_columns_that_do_not_index_the_rows(edit, fault):
     assert str(exc.value) == fault
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_mdp_example_is_the_chain_mdp():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    example = json.loads(re.search(r"```json\n(.*?)```", text, re.S)[1])
+    example = json.loads(re.search(r"```json\n(.*?)```", README.read_text(), re.S)[1])
     assert dict(example, name="") == mdp_to_json(chain_mdp())
     assert mdp_from_json(dict(example, name="")).digest == chain_mdp().digest
+
+
+def test_readme_array_example_builds_its_three_state_mdp():
+    example, = [block for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+                if "Mdp.from_arrays(" in block]
+    scope = {}
+    exec(example, scope)
+    mdp = scope["mdp"]
+    assert kernel(mdp) == {("s0", "a"): {"s1": 0.5, "s2": 0.5}, ("s1", "a"): {"s1": 1.0},
+                           ("s2", "a"): {"s2": 1.0}}
+    assert mdp.reward.tolist() == [1.0, 0.0, 0.0] and initial(mdp) == {"s0": 1.0}
+    assert scope["path"].pair.tolist() == [0, 2] and scope["path"].next_pos.tolist() == [1]
 
 
 def test_mdp_json_of_label_dicts_is_malformed():
@@ -424,6 +448,8 @@ def test_mdp_json_of_label_dicts_is_malformed():
 # action label b are duplicated, so s1 and b name their last index. Rows and
 # the initial distribution are listed out of index order: faults list pairs
 # in index order with unknown labels last, entries in the order given.
+# `Mdp.from_arrays` sees a label as its index: `dict_mdp` gives every
+# unknown label index -1 and `faulty_json` the indices of UNKNOWN_INDEX.
 FAULTY_STATES = ("s0", "s1", "s2", "s1", "s3")
 FAULTY_ACTIONS = ("a", "b", "b")
 FAULTY_KERNEL = {
@@ -436,15 +462,15 @@ FAULTY_KERNEL = {
     ("s1", "b"): {"s1": 1.0},
     ("s2", "a"): {"s2": 1.0},
 }
-# (s3, b) has no row: its reward is ignored, as it names known labels.
+# (s3, b) has no row: its reward is ignored.
 FAULTY_REWARDS = {("s1", "b"): float("inf"), ("s0", "a"): 1.0, ("s2", "a"): float("-inf"),
-                  ("ghost2", "b"): 3.0, ("s0", "nope"): 2.0, ("who", "what"): 1.0, ("s3", "b"): 4.0}
+                  ("s3", "b"): 4.0}
 FAULTY_INITIALS = {
     "nan": {"s3": float("nan"), "elsewhere": 0.5, "s0": -0.5, "s2": 0.25},
     "sum": {"s3": 0.5, "elsewhere": 0.25, "s0": -0.125, "s2": 0.125},
 }
-# The texts the label-dict constructor and mdp_from_json gave for these
-# MDPs when each row was still compiled from its label dict.
+# The faults listed for these MDPs, each unknown label named as such; the
+# tests name it by its index through `by_index`.
 KERNEL_FAULTS = [
     "duplicate state label s1",
     "duplicate action label b",
@@ -468,12 +494,6 @@ INITIAL_FAULTS = {
             "initial distribution has negative probability -0.125 at s0",
             "initial distribution sums to 0.75"],
 }
-REWARD_ENTRY_FAULTS = [
-    "reward entry (ghost2,b) references unknown state ghost2",
-    "reward entry (s0,nope) references unknown action nope",
-    "reward entry (who,what) references unknown state who",
-    "reward entry (who,what) references unknown action what",
-]
 
 
 # In `mdp.json` a label is its index. The unknown labels become indices
@@ -496,10 +516,9 @@ def faulty_json(initial):
             "initial": {"s": [index[s] for s in initial], "p": list(initial.values())}}
 
 
-def by_index(fault: str) -> str:
-    """`fault` with each unknown label named by its index in `faulty_json`."""
-    return re.sub(r"\b(" + "|".join(UNKNOWN_INDEX) + r")\b", lambda m: f"#{UNKNOWN_INDEX[m[1]]}",
-                  fault)
+def by_index(fault: str, index: dict = UNKNOWN_INDEX) -> str:
+    """`fault` with each unknown label named by its index in `index`."""
+    return re.sub(r"\b(" + "|".join(index) + r")\b", lambda m: f"#{index[m[1]]}", fault)
 
 
 @pytest.mark.parametrize("source", ["dicts", "json"])
@@ -507,15 +526,13 @@ def by_index(fault: str) -> str:
 def test_every_fault_kind_is_listed_with_its_text(source, initial):
     with pytest.raises(ValidationFailed) as exc:
         if source == "dicts":
-            Mdp(FAULTY_STATES, FAULTY_ACTIONS, FAULTY_KERNEL, FAULTY_REWARDS,
-                FAULTY_INITIALS[initial])
+            dict_mdp(FAULTY_STATES, FAULTY_ACTIONS, FAULTY_KERNEL, FAULTY_REWARDS,
+                     FAULTY_INITIALS[initial])
         else:
             mdp_from_json(faulty_json(FAULTY_INITIALS[initial]))
+    index = dict.fromkeys(UNKNOWN_INDEX, -1) if source == "dicts" else UNKNOWN_INDEX
     faults = KERNEL_FAULTS + INITIAL_FAULTS[initial]
-    if source == "dicts":
-        assert str(exc.value) == "; ".join(faults + REWARD_ENTRY_FAULTS)
-    else:
-        assert str(exc.value) == "; ".join(map(by_index, faults))
+    assert str(exc.value) == "; ".join(by_index(fault, index) for fault in faults)
 
 
 def test_bad_row_index_is_named_before_other_faults():
@@ -536,16 +553,6 @@ def test_mdp_json_names_a_missing_column(part, column):
     with pytest.raises(ValidationFailed) as exc:
         mdp_from_json(obj)
     assert str(exc.value) == f"malformed MDP JSON: {column!r}"
-
-
-def chain_arrays(**edits):
-    """chain_mdp as the index arrays of `Mdp.from_arrays`, pairs and rows
-    given in reverse, one row per pair, with `edits` replacing some of them."""
-    arrays = dict(source=[2, 1, 0], action=[0, 0, 0], reward=[0.0, 2.0, 1.0], row=[0, 1, 2],
-                  owner=[0, 1, 2], succ=[2, 2, 1], prob=[1.0, 1.0, 1.0],
-                  init_state=[0], init_prob=[1.0])
-    arrays.update(edits)
-    return arrays
 
 
 def test_array_constructor_builds_the_label_dict_mdp():
@@ -577,9 +584,7 @@ def test_array_constructor_builds_the_label_dict_mdp():
 ], ids=["unknown-source", "unknown-successor", "pair-twice", "successor-twice", "unknown-initial",
         "initial-twice", "unknown-owner", "row-past-the-table", "row-named-by-no-pair"])
 def test_array_constructor_names_faults_by_label_or_index(edits, faults):
-    with pytest.raises(ValidationFailed) as exc:
-        Mdp.from_arrays(("s0", "s1", "s2"), ("a",), **chain_arrays(**edits))
-    assert str(exc.value) == "; ".join(faults)
+    assert chain_fault(**edits) == "; ".join(faults)
 
 
 def test_mdp_json_drops_zero_probability_entries():
@@ -597,7 +602,7 @@ def test_mdp_json_drops_zero_probability_entries():
 def zero_entry_mdp():
     rows = {("s0", "a"): {"s1": 0.5, "s2": 0.0, "s0": 0.5}, ("s1", "a"): {"s1": 1.0},
             ("s2", "a"): {"s2": 1.0}}
-    return Mdp(("s0", "s1", "s2"), ("a",), rows, {("s1", "a"): 1.0}, {"s0": 1.0, "s2": 0.0})
+    return dict_mdp(("s0", "s1", "s2"), ("a",), rows, {("s1", "a"): 1.0}, {"s0": 1.0, "s2": 0.0})
 
 
 # MDPs whose arrays and hash must survive a JSON round trip; the last two are
@@ -612,7 +617,7 @@ def odd_label_mdp():
               for i, s in enumerate(states) for j, a in enumerate(actions) if (i + j) % 4}
     rewards = {key: float(k) - 3.0 for k, key in enumerate(kernel)}
     rewards[next(iter(kernel))] = -0.0
-    return Mdp(states, actions, kernel, rewards, {"x9": 0.5, "A": 0.5}, name='odd "one"')
+    return dict_mdp(states, actions, kernel, rewards, {"x9": 0.5, "A": 0.5}, name='odd "one"')
 
 
 ROUND_TRIPS = {
@@ -657,7 +662,7 @@ def twin_mdp():
     """(x, a) and (x, b) share the row {x: .5, y: .5}."""
     rows = {("x", "a"): {"x": 0.5, "y": 0.5}, ("x", "b"): {"x": 0.5, "y": 0.5},
             ("y", "a"): {"y": 1.0}, ("z", "a"): {"z": 1.0}}
-    return Mdp(("x", "y", "z"), ("a", "b"), rows, {("y", "a"): 1.0}, {"x": 1.0})
+    return dict_mdp(("x", "y", "z"), ("a", "b"), rows, {("y", "a"): 1.0}, {"x": 1.0})
 
 
 @pytest.mark.parametrize("copy, names", [
@@ -688,7 +693,7 @@ def test_hash_changes_with_each_part():
         first = [("s1", row[0]), (label, row[1])]
         rows = {("s0", "a"): dict(first[::-1] if reverse else first), ("s1", "a"): {"s1": 1.0},
                 (label, "a"): {label: 1.0}}
-        return Mdp(states, ("a",), rows, {("s0", "a"): r}, start or {"s0": 1.0}, name=name)
+        return dict_mdp(states, ("a",), rows, {("s0", "a"): r}, start or {"s0": 1.0}, name=name)
 
     base = mdp_hash(build())
     assert mdp_hash(build()) == base
@@ -701,8 +706,9 @@ def test_hash_changes_with_each_part():
     assert mdp_hash(build(row=(0.25, 0.75), reverse=True)) == changed[0]
     # Which row each pair names is hashed, not only the table: here the
     # same two rows, named by (y, a) in turn.
-    named = [mdp_hash(Mdp(("x", "y"), ("a", "b"), {("x", "a"): {"x": 1.0}, ("x", "b"): {"y": 1.0},
-                                                   ("y", "a"): {s: 1.0}}, {}, {"x": 1.0}))
+    named = [mdp_hash(dict_mdp(("x", "y"), ("a", "b"),
+                               {("x", "a"): {"x": 1.0}, ("x", "b"): {"y": 1.0}, ("y", "a"): {s: 1.0}},
+                               {}, {"x": 1.0}))
              for s in ("x", "y")]
     assert named[0] != named[1]
 

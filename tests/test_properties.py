@@ -14,15 +14,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfmdp.cli import _policy_from_json, _policy_to_json, _pruned_from_json, _pruned_to_json, main
+from cfmdp.environments import PRESETS, demo_observation
 from cfmdp.errors import EmptyPrunedMdp, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, cf_transition, nominal_cf_mdp
 from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import Mdp, mdp_from_json, mdp_to_json, sample_path
 from cfmdp.solver import rollout, solve_km, sweep
 
-from oracles import (cf_transition_oracle, initial, kernel, kernel_row, km_value_oracle,
-                     path_return, random_mdp, rejection_posterior, reward, rollout_oracle,
-                     row_columns, same_tables, solve_km_oracle, table_rows)
+from oracles import (cf_transition_oracle, dict_mdp, initial, kernel, kernel_row, km_value_oracle,
+                     path_return, position_oracle, random_mdp, rejection_posterior, reward,
+                     rollout_oracle, row_columns, same_tables, sample_path_oracle, solve_km_oracle,
+                     table_rows)
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -47,7 +49,7 @@ def random_mdps(draw, shared_rows=False):
                                       min_size=1, max_size=len(pairs))):
             spare = [s for s in mdp.states if s not in rows[src]][:1]
             rows[dst] = {**dict(reversed(rows[src].items())), **dict.fromkeys(spare, 0.0)}
-        mdp = Mdp(mdp.states, mdp.actions, rows, rewards, initial(mdp), name=mdp.name)
+        mdp = dict_mdp(mdp.states, mdp.actions, rows, rewards, initial(mdp), name=mdp.name)
     return seed, mdp, rows
 
 
@@ -166,10 +168,10 @@ def test_digest_is_that_of_the_canonical_row_table(case, data):
     # one row listed in reverse, given a zero entry, or, where pairs share
     # it, duplicated for one of them.
     _, mdp, _ = case
-    per_pair = Mdp(mdp.states, mdp.actions, kernel(mdp),
-                   {(mdp.states[s], mdp.actions[a]): r for s, a, r in
-                    zip(mdp.source.tolist(), mdp.action.tolist(), mdp.reward.tolist())},
-                   initial(mdp), name=mdp.name)
+    per_pair = dict_mdp(mdp.states, mdp.actions, kernel(mdp),
+                        {(mdp.states[s], mdp.actions[a]): r for s, a, r in
+                         zip(mdp.source.tolist(), mdp.action.tolist(), mdp.reward.tolist())},
+                        initial(mdp), name=mdp.name)
     assert per_pair.digest == mdp.digest
     obj = mdp_to_json(mdp)
     rows = table_rows(obj["rows"])
@@ -187,6 +189,45 @@ def test_digest_is_that_of_the_canonical_row_table(case, data):
         rows[r] = [succ + spare[:1], probs + [0.0]]
     obj["rows"] = row_columns(rows)
     assert mdp_from_json(json.loads(json.dumps(obj))).digest == mdp.digest, edit
+
+
+@PROPERTIES
+@given(random_mdps(shared_rows=True), st.data())
+def test_sample_path_and_position_equal_the_list_oracles(case, data):
+    # searchsorted over np.cumsum draws what bisect over Python's running
+    # sums draws, from an initial distribution over up to every state.
+    seed, mdp, _ = case
+    n = mdp.num_states
+    weights = np.array(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), float)
+    weights[seed % n] += 1.0
+    mdp = Mdp.from_arrays(mdp.states, mdp.actions, mdp.source, mdp.action, mdp.reward,
+                          mdp.row_id, mdp.owner, mdp.succ, mdp.prob, np.arange(n),
+                          weights / weights.sum())
+    horizon = data.draw(st.integers(0, 8))
+    actions = data.draw(st.lists(st.sampled_from(mdp.actions), min_size=horizon,
+                                 max_size=horizon))
+    policy = lambda s, t: actions[t]
+    for path_seed in range(seed % 1000, seed % 1000 + 40):
+        assert (sample_path(mdp, policy, horizon, path_seed).steps
+                == sample_path_oracle(mdp, policy, horizon, path_seed)), path_seed
+    for p in range(len(mdp.source)):
+        for s in mdp.states + ("ghost",):
+            assert mdp.position(p, s) == position_oracle(mdp, p, s), (p, s)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_paths_and_positions_equal_the_list_oracles(preset):
+    mdp, _, policy = demo_observation(preset)
+    horizon = PRESETS[preset].horizon
+    for seed in range(300):
+        assert (sample_path(mdp, policy, horizon, seed).steps
+                == sample_path_oracle(mdp, policy, horizon, seed)), seed
+    # Every successor of every row, and a state off each row where there is one.
+    for p in range(len(mdp.source)):
+        succ = mdp.row(p)[0].tolist()
+        off = next((i for i in range(mdp.num_states) if i not in succ), None)
+        for i in succ + ([] if off is None else [off]):
+            assert mdp.position(p, mdp.states[i]) == position_oracle(mdp, p, mdp.states[i])
 
 
 @PROPERTIES

@@ -9,7 +9,7 @@ from cfmdp.environments import PRESETS, demo_observation, environment_features
 from cfmdp.errors import InvariantViolated, UndefinedPolicyAction, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import prune_cf_mdp, pruned_size_report
-from cfmdp.mdp import Mdp, ObservedPath, sample_path
+from cfmdp.mdp import ObservedPath, sample_path
 from cfmdp.solver import (
     _stream_uniforms,
     check_sweep_monotonicity,
@@ -21,6 +21,7 @@ from cfmdp.solver import (
 from oracles import (
     available_actions,
     cf_probs,
+    dict_mdp,
     km_value_oracle,
     path_return,
     random_mdp,
@@ -87,7 +88,7 @@ def test_pairs_sharing_one_row_at_mixed_cost_equal_the_oracle():
               ("x1", "a"): {"x1": 1.0}, ("x2", "a"): {"x1": 0.5, "x2": 0.5}, ("x2", "b"): {"x1": 1.0}}
     rewards = {("x0", "a"): 9.0, ("x0", "b"): 1.0, ("x0", "c"): 9.0, ("x1", "a"): 1.0,
                ("x2", "a"): 0.0, ("x2", "b"): 2.0}
-    mdp = Mdp(("x0", "x1", "x2"), ("a", "b", "c"), kernel, rewards, {"x0": 1.0}, name="shared")
+    mdp = dict_mdp(("x0", "x1", "x2"), ("a", "b", "c"), kernel, rewards, {"x0": 1.0}, name="shared")
     path = ObservedPath(mdp, (("x0", "b"), ("x2", "a"), ("x2", "a")))
     cf = build_cf_mdp(build_posterior(mdp, path, 300, seed=1), mdp)
     assert len({int(mdp.row_id[mdp.pair("x0", a)]) for a in "abc"}) == 1
@@ -108,8 +109,8 @@ def test_nan_q_values_from_finite_rewards_are_never_chosen_as_in_the_oracle():
     # picks one.
     kernel = {("x0", "a"): {"x1": 0.5, "x2": 0.5}, ("x0", "b"): {"x1": 0.3, "x2": 0.7},
               ("x1", "a"): {"x1": 1.0}, ("x2", "b"): {"x1": 1.0}}
-    mdp = Mdp(("x0", "x1", "x2"), ("a", "b"), kernel, {("x1", "a"): 1e308}, {"x0": 1.0},
-              name="overflow")
+    mdp = dict_mdp(("x0", "x1", "x2"), ("a", "b"), kernel, {("x1", "a"): 1e308}, {"x0": 1.0},
+                   name="overflow")
     path = ObservedPath(mdp, (("x0", "a"), ("x1", "a"), ("x1", "a")))
     cf = build_cf_mdp(build_posterior(mdp, path, 100, seed=3), mdp)
     with np.errstate(over="ignore", invalid="ignore"):
