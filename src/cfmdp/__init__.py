@@ -18,7 +18,6 @@ from .errors import (
     InfeasibleBudget,
     InvalidConfig,
     InvariantViolated,
-    MissingKernelRow,
     OutOfMemory,
     UndefinedPolicyAction,
     UnknownEnvironment,

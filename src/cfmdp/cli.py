@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import CfmdpError, EmptyPrunedMdp, MissingKernelRow, OutOfMemory, ValidationFailed
+from .errors import CfmdpError, EmptyPrunedMdp, OutOfMemory, ValidationFailed
 from .gumbel import (
     CfMdp,
     build_cf_mdp,
@@ -339,12 +339,14 @@ def _policy_from_json(obj: dict, pruned: PrunedCfMdp, samples: int) -> CfPolicy:
             pair = mdp.pair_at[states[:, None], np.maximum(a, 0)]
             if (e := _first((a >= 0) & ((pair < 0) | ~usable[pair]))) is not None:
                 s, action = mdp.states[states[e // (m + 1)]], mdp.actions[a.flat[e]]
-                mdp.pair(s, action)  # raises MissingKernelRow naming (s, a) where there is no row
+                if pair.flat[e] < 0:
+                    raise ValidationFailed("malformed policy artifact: "
+                                           f"no kernel row for ({s}, {action})")
                 raise ValidationFailed(f"policy action {action!r} is not usable at ({s}, t={t})")
             choices[t][states] = a[:, ::-1]
         return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=int(pruned.cf.path.state[0]),
                         choices=list(choices), values=[], rows_priced=0)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MissingKernelRow) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed policy artifact: {exc!r}") from exc
 
 
@@ -358,10 +360,8 @@ def cmd_rollout(args) -> int:
         raise ValidationFailed(
             f"unknown feature {args.feature!r}; available: {sorted(features)} (set --env)"
         )
-    feature = features[args.feature]
     try:
-        for s in mdp.states:
-            feature(s)
+        feature = np.array([features[args.feature](s) for s in mdp.states], dtype=np.float64)
     except ValueError as exc:  # the feature parses another environment's state labels
         raise ValidationFailed(
             f"feature {args.feature!r} of --env {args.env} cannot read this MDP's states: {exc!r}"

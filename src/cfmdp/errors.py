@@ -21,10 +21,6 @@ class UndefinedPolicyAction(CfmdpError):
     """A policy returned no action for a reached (state, time)."""
 
 
-class MissingKernelRow(CfmdpError):
-    """Queried (state, action) has no transition row."""
-
-
 class ZeroProbabilityObservation(CfmdpError):
     """Posterior conditioning on a transition the kernel assigns probability 0."""
 

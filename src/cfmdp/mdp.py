@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import MissingKernelRow, UndefinedPolicyAction, ValidationFailed
+from .errors import UndefinedPolicyAction, ValidationFailed
 
 State = str
 Action = str
@@ -42,7 +42,8 @@ class Mdp:
     probability `logp[e]`, successors ascending within a row, which fixes
     argmax tie-breaking to the lowest state index everywhere downstream.
     `initial[i]` is the initial probability of state i, and `digest` is
-    `mdp_hash` of the whole.
+    `mdp_hash` of the whole. The labels `states` and `actions` name the
+    indices; no label dict is kept, as `ObservedPath` compiles path labels.
     """
 
     @classmethod
@@ -66,7 +67,6 @@ class Mdp:
         mdp = cls.__new__(cls)
         mdp.states, mdp.actions, mdp.name = tuple(states), tuple(actions), name
         n, na = len(mdp.states), len(mdp.actions)
-        mdp._sidx, mdp._aidx = _index(mdp.states), _index(mdp.actions)
         source, action, row, owner, succ, init_state = (
             np.asarray(x, dtype=np.int64) for x in (source, action, row, owner, succ, init_state))
         reward, prob, init_prob = (np.asarray(x, dtype=np.float64)
@@ -100,7 +100,7 @@ class Mdp:
         total = np.bincount(owner, weights=prob, minlength=rows)
         init_total = np.bincount(np.zeros(len(init_prob), dtype=np.int64), weights=init_prob,
                                  minlength=1)
-        if (len(mdp._sidx) < n or len(mdp._aidx) < na
+        if (len(set(mdp.states)) < n or len(set(mdp.actions)) < na
                 or not all(m.all() for m in (known_s, known_a, known_e, known_i, np.isfinite(prob),
                                              prob >= 0, np.abs(total - 1.0) <= PROB_TOL,
                                              np.isfinite(reward), np.isfinite(init_prob),
@@ -178,36 +178,11 @@ class Mdp:
     def num_states(self) -> int:
         return len(self.states)
 
-    def state_index(self, s: State) -> int:
-        return self._sidx[s]
-
-    def action_index(self, a: Action) -> int:
-        return self._aidx[a]
-
-    def pair(self, s: State, a: Action) -> int:
-        """Index of the (s, a) pair; MissingKernelRow if it has no row."""
-        i, j = self._sidx.get(s), self._aidx.get(a)
-        p = -1 if i is None or j is None else int(self.pair_at[i, j])
-        if p < 0:
-            raise MissingKernelRow(f"no kernel row for ({s}, {a})")
-        return p
-
     def row(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nominal row of pair p as (successor indices, probs, log probs) views."""
         r = self.row_id[p]
         lo, hi = self.row_start[r], self.row_start[r + 1]
         return self.succ[lo:hi], self.prob[lo:hi], self.logp[lo:hi]
-
-    def position(self, p: int, s: State) -> int:
-        """Position of successor s in the nominal row of pair p; -1 off its support."""
-        succ, i = self.row(p)[0], self._sidx.get(s, -1)
-        pos = int(succ.searchsorted(i))  # successors ascend
-        return pos if pos < len(succ) and succ[pos] == i else -1
-
-
-def _index(labels: tuple) -> dict:
-    """{label: index}; a duplicated label maps to its last index."""
-    return {x: i for i, x in enumerate(labels)}
 
 
 def _repeats(key: np.ndarray, order: np.ndarray, known: np.ndarray) -> np.ndarray:
@@ -270,9 +245,10 @@ class ObservedPath:
     every consumer checks it before reading the indices. The read-only int
     arrays `state[t]`, `action[t]` and `pair[t]` are the indices of step t,
     and `next_pos[t]` (t < T-1) is the position of s_{t+1} in the nominal row
-    of `pair[t]`, all built with the path. Every broken invariant (an
-    initial state of zero initial probability, a step without a kernel row,
-    a transition of probability zero) is listed in one ValidationFailed; an
+    of `pair[t]`, all built here from label maps, `mdp.pair_at` and a search
+    of each row's ascending successors. Every broken invariant (an initial
+    state of zero initial probability, a step without a kernel row, a
+    transition of probability zero) is listed in one ValidationFailed; an
     empty path is valid. Paths are immutable and compare by `steps` and
     `mdp_digest`.
     """
@@ -286,25 +262,24 @@ class ObservedPath:
 
     def __init__(self, mdp: Mdp, steps):
         steps = tuple(steps)
+        sidx, aidx = (dict(zip(labels, range(len(labels)))) for labels in (mdp.states, mdp.actions))
+        state, action = [sidx.get(s, -1) for s, _ in steps], [aidx.get(a, -1) for _, a in steps]
         bad, pair, pos = [], [], []
-        s0 = mdp._sidx.get(steps[0][0]) if steps else None
-        if steps and (s0 is None or mdp.initial[s0] <= 0.0):
+        if steps and (state[0] < 0 or mdp.initial[state[0]] <= 0.0):
             bad.append(f"initial state {steps[0][0]} has zero initial probability")
         for t, (s, a) in enumerate(steps):
-            try:
-                pair.append(mdp.pair(s, a))
-            except MissingKernelRow:
+            pair.append(int(mdp.pair_at[state[t], action[t]]) if min(state[t], action[t]) >= 0 else -1)
+            if pair[-1] < 0:
                 bad.append(f"step {t}: no kernel row for ({s},{a})")
-                continue
-            if t + 1 < len(steps):
-                pos.append(mdp.position(pair[-1], steps[t + 1][0]))
-                if pos[-1] < 0:
+            elif t + 1 < len(steps):
+                succ = mdp.row(pair[-1])[0]
+                pos.append(int(succ.searchsorted(state[t + 1])))  # successors ascend
+                if pos[-1] == len(succ) or succ[pos[-1]] != state[t + 1]:
                     bad.append(f"step {t}: transition {s} -> {steps[t + 1][0]} under {a} has probability 0")
         if bad:
             raise ValidationFailed("; ".join(bad))
         T = len(steps)
-        flat = np.array([mdp.state_index(s) for s, _ in steps]
-                        + [mdp.action_index(a) for _, a in steps] + pair + pos, dtype=np.int64)
+        flat = np.array(state + action + pair + pos, dtype=np.int64)
         flat.flags.writeable = False
         vars(self).update(steps=steps, mdp_digest=mdp.digest, state=flat[:T],  # frozen
                           action=flat[T:2 * T], pair=flat[2 * T:3 * T], next_pos=flat[3 * T:])
@@ -317,11 +292,12 @@ class ObservedPath:
 def sample_path(mdp: Mdp, policy: Callable[[State, int], Action | None], horizon: int,
                 seed: int) -> ObservedPath:
     """Sample a length-`horizon` path under `policy`, a (state, t) -> action
-    callable; deterministic given the seed. Of the seed's `horizon + 1`
-    uniforms, u[0] times the initial support's total draws s_0 and u[t+1]
-    the successor at step t, each the first entry whose np.cumsum exceeds
-    it, clamped to the last. A horizon whose `horizon + 1` float64 uniforms
-    cannot be addressed is refused before any draw."""
+    callable; deterministic given the seed. An action label (or None) with
+    no row at its state raises UndefinedPolicyAction. Of the seed's
+    `horizon + 1` uniforms, u[0] times the initial support's total draws s_0
+    and u[t+1] the successor at step t, each the first entry whose np.cumsum
+    exceeds it, clamped to the last. A horizon whose `horizon + 1` float64
+    uniforms cannot be addressed is refused before any draw."""
     if (horizon + 1) * 8 > np.iinfo(np.intp).max:
         raise ValidationFailed(f"sample horizon {horizon} is too large: its {horizon + 1} "
                                "float64 uniforms must be addressable")
@@ -329,14 +305,14 @@ def sample_path(mdp: Mdp, policy: Callable[[State, int], Action | None], horizon
     support = np.flatnonzero(mdp.initial > 0.0)
     cum = mdp.initial[support].cumsum()
     si = support[min(int(cum.searchsorted(u[0] * cum[-1], side="right")), len(support) - 1)]
+    aidx = dict(zip(mdp.actions, range(len(mdp.actions))))
     steps: list[tuple[State, Action]] = []
     for t in range(horizon):
         s = mdp.states[si]
         a = policy(s, t)
-        try:
-            succ, probs, _ = mdp.row(mdp.pair(s, a))
-        except MissingKernelRow:
-            raise UndefinedPolicyAction(f"policy has no usable action at ({s}, t={t})") from None
+        if (ai := aidx.get(a)) is None or (p := mdp.pair_at[si, ai]) < 0:
+            raise UndefinedPolicyAction(f"policy has no usable action at ({s}, t={t})")
+        succ, probs, _ = mdp.row(p)
         steps.append((s, a))
         cum = probs.cumsum()
         si = succ[min(int(cum.searchsorted(u[t + 1], side="right")), len(succ) - 1)]

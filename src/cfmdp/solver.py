@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import (
 )
 from .gumbel import CfMdp
 from .influence import PrunedCfMdp, SizeReport, prune_cf_mdp, pruned_size_report
-from .mdp import Mdp, State
+from .mdp import Mdp
 
 NEG_INF = float("-inf")
 
@@ -224,9 +223,10 @@ class RolloutSummary:
     max_changes: int
 
 
-def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
-            feature: Callable[[State], float], seed: int) -> RolloutSummary:
-    """Sample n trajectories from the frozen CF kernels under the policy.
+def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.ndarray,
+            seed: int) -> RolloutSummary:
+    """Sample n trajectories from the frozen CF kernels under the policy and
+    summarise `feature`, a 1-D float64 array with one value per state index.
 
     Trajectories cover states s_0..s_T. Trajectory i draws its T uniforms from
     its own stream, SeedSequence(seed, spawn_key=(i,)), so its path does not
@@ -234,9 +234,9 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
     trajectories advance one layer at a time; those whose pairs share a
     counterfactual row are sampled with one searchsorted. An n above 2**32
     (the streams' spawn keys are single uint32 words), an (n, T) float64
-    array that cannot be addressed or a negative seed is refused before
-    anything is allocated, and uniforms that cannot be allocated raise
-    OutOfMemory.
+    array that cannot be addressed, a negative seed or a feature of another
+    shape is refused before anything is allocated, and uniforms that cannot
+    be allocated raise OutOfMemory.
 
     Rollouts never leave the pruned node set and never exceed the
     action-change budget; both are verified on every trajectory because they
@@ -250,13 +250,16 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
     seed = operator.index(seed)  # an int, as SeedSequence requires
     if seed < 0:
         raise ValidationFailed(f"rollout seed must be >= 0, got {seed}")
+    cf = pruned.cf
+    mdp = cf.mdp
+    feature = np.asarray(feature, dtype=np.float64)
+    if feature.shape != (mdp.num_states,):
+        raise ValidationFailed(f"rollout feature has shape {feature.shape}, not one value for "
+                               f"each of the {mdp.num_states} states")
     try:
         uniforms = _stream_uniforms(seed, n, T)
     except MemoryError:
         raise OutOfMemory(f"out of memory drawing the rollout uniforms ({n}x{T} float64)") from None
-    cf = pruned.cf
-    mdp = cf.mdp
-    feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
     observed = cf.path.action
     si = np.full(n, policy.s0, dtype=np.int64)
     j = np.zeros(n, dtype=np.int64)
@@ -273,10 +276,10 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int,
                 raise InvariantViolated(f"rollout left the pruned node set at ({mdp.states[si[i]]}, t={t})")
             raise UndefinedPolicyAction(
                 f"policy undefined or disallowed at ({mdp.states[si[i]]}, t={t}, j={j[i]})")
-        feats[:, t] = feature_at[si]
+        feats[:, t] = feature[si]
         j += a != observed[t]
         si = _next_states(cf, t, p, uniforms[:, t])
-    feats[:, T] = feature_at[si]
+    feats[:, T] = feature[si]
     if (j > policy.m).any():
         raise InvariantViolated(f"rollout exceeded budget: {j.max()} > {policy.m}")
     return RolloutSummary(

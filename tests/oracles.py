@@ -109,25 +109,44 @@ def label_form(obj: dict) -> dict:
     }
 
 
+def pair_of(mdp: Mdp, s, a) -> int:
+    """Index of the (s, a) pair by label; KeyError where it has no row."""
+    known = s in mdp.states and a in mdp.actions
+    p = int(mdp.pair_at[mdp.states.index(s), mdp.actions.index(a)]) if known else -1
+    if p < 0:
+        raise KeyError(f"no kernel row for ({s}, {a})")
+    return p
+
+
+def feature_vector(mdp: Mdp, feature) -> np.ndarray:
+    """The vector `rollout` takes of a state-label feature: feature(s) per state index."""
+    return np.array([feature(s) for s in mdp.states], dtype=np.float64)
+
+
 def kernel_row(mdp: Mdp, s, a) -> dict:
     """P(.|s, a) as {successor: probability}."""
-    idx, probs, _ = mdp.row(mdp.pair(s, a))
-    return {mdp.states[i]: p for i, p in zip(idx.tolist(), probs.tolist())}
+    return pair_row(mdp, pair_of(mdp, s, a))
+
+
+def pair_row(mdp: Mdp, p: int) -> dict:
+    """The nominal row of pair p as {successor: probability}."""
+    idx, probs, _ = mdp.row(p)
+    return {mdp.states[i]: q for i, q in zip(idx.tolist(), probs.tolist())}
 
 
 def kernel(mdp: Mdp) -> dict:
     """Every row as {(s, a): {successor: probability}}."""
-    return {(mdp.states[s], mdp.actions[a]): kernel_row(mdp, mdp.states[s], mdp.actions[a])
-            for s, a in zip(mdp.source.tolist(), mdp.action.tolist())}
+    return {(mdp.states[s], mdp.actions[a]): pair_row(mdp, p)
+            for p, (s, a) in enumerate(zip(mdp.source.tolist(), mdp.action.tolist()))}
 
 
 def available_actions(mdp: Mdp, s) -> tuple:
-    i = mdp.state_index(s)
+    i = mdp.states.index(s)
     return tuple(mdp.actions[a] for a in mdp.action[mdp.start[i]:mdp.start[i + 1]].tolist())
 
 
 def reward(mdp: Mdp, s, a) -> float:
-    return float(mdp.reward[mdp.pair(s, a)])
+    return float(mdp.reward[pair_of(mdp, s, a)])
 
 
 def initial(mdp: Mdp) -> dict:
@@ -161,7 +180,7 @@ def sample_path_oracle(mdp: Mdp, policy, horizon: int, seed: int) -> tuple:
     for t in range(horizon):
         s = mdp.states[si]
         a = policy(s, t)
-        succ, probs = (x.tolist() for x in mdp.row(mdp.pair(s, a))[:2])
+        succ, probs = (x.tolist() for x in mdp.row(pair_of(mdp, s, a))[:2])
         steps.append((s, a))
         cum = list(accumulate(probs))
         si = succ[min(bisect_right(cum, u[t + 1]), len(succ) - 1)]
@@ -172,6 +191,30 @@ def position_oracle(mdp: Mdp, p: int, s) -> int:
     """Position of successor label s in the nominal row of pair p, -1 off it."""
     row = [mdp.states[i] for i in mdp.row(p)[0].tolist()]
     return row.index(s) if s in row else -1
+
+
+def observed_path_oracle(mdp: Mdp, steps) -> tuple:
+    """The `state`, `action`, `pair` and `next_pos` lists of
+    `ObservedPath(mdp, steps)`, compiled step by step through label lookups
+    and `position_oracle`, or the ValidationFailed listing its faults."""
+    bad, pair, pos = [], [], []
+    if steps and (steps[0][0] not in mdp.states
+                  or mdp.initial[mdp.states.index(steps[0][0])] <= 0.0):
+        bad.append(f"initial state {steps[0][0]} has zero initial probability")
+    for t, (s, a) in enumerate(steps):
+        try:
+            pair.append(pair_of(mdp, s, a))
+        except KeyError:
+            bad.append(f"step {t}: no kernel row for ({s},{a})")
+            continue
+        if t + 1 < len(steps):
+            pos.append(position_oracle(mdp, pair[-1], steps[t + 1][0]))
+            if pos[-1] < 0:
+                bad.append(f"step {t}: transition {s} -> {steps[t + 1][0]} under {a} has probability 0")
+    if bad:
+        raise ValidationFailed("; ".join(bad))
+    return ([mdp.states.index(s) for s, _ in steps], [mdp.actions.index(a) for _, a in steps],
+            pair, pos)
 
 
 def value_iteration(mdp: Mdp, horizon: int) -> tuple:
@@ -200,7 +243,7 @@ def value_iteration(mdp: Mdp, horizon: int) -> tuple:
 def gumbel_max_step(mdp: Mdp, s, a, g: np.ndarray):
     """The mechanism: argmax over the support of log P(s2|s,a) + g(s2), ties
     to the lowest state index."""
-    idx, _, logp = mdp.row(mdp.pair(s, a))
+    idx, _, logp = mdp.row(pair_of(mdp, s, a))
     return mdp.states[idx[int(np.argmax(logp + g[idx]))]]
 
 
@@ -434,7 +477,7 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
             cost = 0 if a == obs else 1
             if cost > r:
                 continue
-            idx, probs = cf.row(t, mdp.pair(s, a))
+            idx, probs = cf.row(t, pair_of(mdp, s, a))
             child = np.zeros((len(idx), m + 1))
             child[:, r - cost] = [value(mdp.states[i], t + 1, r - cost) for i in idx]
             q = reward(mdp, s, a) + float(np.dot(probs, child[:, r - cost]))
@@ -518,16 +561,16 @@ def same_tables(policy: CfPolicy, other: CfPolicy) -> bool:
                for tables in ((policy.values, other.values), (policy.choices, other.choices))
                for a, b in zip(*tables, strict=True))
 
-def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature, seed: int) -> RolloutSummary:
+def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.ndarray,
+                   seed: int) -> RolloutSummary:
     """`rollout` as one scalar loop per trajectory: trajectory i draws its T
     uniforms one at a time from its own stream SeedSequence(seed, spawn_key=(i,)).
     A failing trajectory raises at its first failing step, trajectories in
-    index order."""
+    index order. `feature` holds one value per state index."""
     T = pruned.horizon
     cf = pruned.cf
     mdp = cf.mdp
-    feature_at = np.array([feature(s) for s in mdp.states], dtype=np.float64)
-    observed = [mdp.action_index(a) for _, a in cf.path.steps]
+    observed = [mdp.actions.index(a) for _, a in cf.path.steps]
     feats = np.empty((n, T + 1))
     max_changes = 0
     for i in range(n):
@@ -537,7 +580,7 @@ def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature, seed:
         for t in range(T):
             if not pruned.reach[t][si]:
                 raise InvariantViolated(f"rollout left the pruned node set at ({mdp.states[si]}, t={t})")
-            feats[i, t] = feature_at[si]
+            feats[i, t] = feature[si]
             a = policy.choices[t][si, policy.m - j] if j <= policy.m else -1
             p = mdp.pair_at[si, a] if a >= 0 else -1
             if p < 0 or not pruned.usable[t][p]:
@@ -547,7 +590,7 @@ def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature, seed:
                 j += 1
             idx, probs = cf.row(t, p)
             si = idx[min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(idx) - 1)]
-        feats[i, T] = feature_at[si]
+        feats[i, T] = feature[si]
         if j > policy.m:
             raise InvariantViolated(f"rollout exceeded budget: {j} > {policy.m}")
         max_changes = max(max_changes, j)
@@ -557,13 +600,13 @@ def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature, seed:
 
 def cf_probs(cf: CfMdp, t: int, s, a) -> dict:
     """The counterfactual row of (s, a) at time t by label: {successor: probability}."""
-    idx, probs = cf.row(t, cf.mdp.pair(s, a))
+    idx, probs = cf.row(t, pair_of(cf.mdp, s, a))
     return {cf.mdp.states[i]: p for i, p in zip(idx.tolist(), probs.tolist())}
 
 
 def cf_transition_probs(posterior, mdp: Mdp, t: int, s, a) -> dict:
     """`cf_transition`'s row of (s, a) at time t, by label."""
-    idx, probs = cf_transition(posterior, mdp, t, mdp.pair(s, a))
+    idx, probs = cf_transition(posterior, mdp, t, pair_of(mdp, s, a))
     return {mdp.states[i]: p for i, p in zip(idx.tolist(), probs.tolist())}
 
 

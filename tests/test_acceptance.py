@@ -18,10 +18,12 @@ from oracles import (
     cf_probs,
     cf_transition_probs,
     dict_mdp,
+    feature_vector,
     influenced_states,
     kernel,
     kernel_row,
     km_value_oracle,
+    pair_of,
     path_return,
     random_mdp,
     reachback,
@@ -85,7 +87,7 @@ def test_criterion_01_gumbel_max_correctness():
         row = dict(zip(states, probs.tolist()))
         mdp = dict_mdp(("s",) + states, ("a",), {("s", "a"): row}, {}, {"s": 1.0})
         noise = rng.gumbel(size=(n, mdp.num_states))
-        idx, _, logp = mdp.row(mdp.pair("s", "a"))
+        idx, _, logp = mdp.row(pair_of(mdp, "s", "a"))
         wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
         counts = np.bincount(wins, minlength=size)
         freqs = {states[i]: counts[i] / n for i in range(size)}
@@ -166,7 +168,7 @@ def test_criterion_05_counterfactual_stability():
         probs = raw / raw.sum()
         p_int = {mdp.states[i]: float(probs[i]) for i in range(n_states)}
         inter = dict_mdp(mdp.states, ("q",), {(s_t, "q"): p_int}, {}, {s_t: 1.0})
-        idx, _, logp = inter.row(inter.pair(s_t, "q"))
+        idx, _, logp = inter.row(pair_of(inter, s_t, "q"))
         wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
         for pos in np.unique(wins):
             s2 = inter.states[idx[pos]]
@@ -220,7 +222,8 @@ def test_criterion_07_epidemic_headline(epidemic_suite):
         assert table[(8, m)] == pytest.approx(-1.0, abs=1e-9)
     pruned = prune_cf_mdp(cf, 8)
     policy = solve_km(pruned, 1)
-    summary = rollout(pruned, policy, 1000, environment_features("epidemic")["infected"], seed=3)
+    infected = feature_vector(mdp, environment_features("epidemic")["infected"])
+    summary = rollout(pruned, policy, 1000, infected, seed=3)
     assert summary.means[0] == 1.0
     assert np.all(summary.means[1:] == 0.0)
     report(7, started, 300.0,

@@ -1,20 +1,34 @@
 """The core modules read the observed path and the MDP by index only.
 
-Label lookups (`state_index`, `action_index`, `mdp.pair(s, a)`) and the
-path's label `steps` belong to the JSON/CLI boundary: `mdp.py`, `cli.py` and
-`environments.py`. This guard parses the core modules and fails on any of
-them. A second guard parses every module: `Mdp.from_arrays` is the one
+Labels become indices at the boundary alone: `ObservedPath` compiles a
+path's labels, `sample_path` its policy's actions, and `cmd_rollout` reads a
+feature into a vector. `Mdp` keeps no label dict and has no label lookup,
+which a guard checks on every built-in environment's MDP and on its JSON
+round trip. A second guard parses the core modules and fails on a lookup
+call (`state_index`, `action_index`, `pair`) or a read of the path's label
+`steps`. A third parses every module: `Mdp.from_arrays` is the one
 constructor, so none calls `Mdp(...)` with arguments.
 """
 
+import json
 from pathlib import Path
 
 import ast
 import pytest
 
+from cfmdp.environments import ENVIRONMENTS, build_environment
+from cfmdp.mdp import mdp_from_json, mdp_to_json
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "cfmdp"
 CORE = ("gumbel.py", "influence.py", "solver.py")
 LOOKUPS = ("state_index", "action_index", "pair")
+
+
+@pytest.mark.parametrize("env", sorted(ENVIRONMENTS))
+def test_mdp_keeps_no_label_dict(env):
+    mdp = build_environment(env)
+    for m in (mdp, mdp_from_json(json.loads(json.dumps(mdp_to_json(mdp))))):
+        assert [name for name, value in vars(m).items() if isinstance(value, dict)] == []
 
 
 def label_lookups(source: str) -> list[str]:

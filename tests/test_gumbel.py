@@ -36,6 +36,8 @@ from oracles import (
     gumbel_max_step,
     gumbel_oracle,
     kernel_row,
+    pair_of,
+    position_oracle,
     prior_posterior,
     random_mdp,
     rejection_noise,
@@ -56,15 +58,15 @@ def row_mdp(probs: dict, extra_rows: dict | None = None) -> Mdp:
 
 def observed(mdp: Mdp, s, a, s_next) -> tuple[int, int]:
     """(pair, position) of the transition s -a-> s_next; position -1 off the row."""
-    p = mdp.pair(s, a)
-    return p, mdp.position(p, s_next)
+    p = pair_of(mdp, s, a)
+    return p, position_oracle(mdp, p, s_next)
 
 
 def mechanism_frequencies(mdp, s, a, n, seed):
     rng = np.random.default_rng(seed)
     noise = rng.gumbel(size=(n, mdp.num_states))
     counts = {}
-    idx, _, logp = mdp.row(mdp.pair(s, a))
+    idx, _, logp = mdp.row(pair_of(mdp, s, a))
     wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
     for pos, c in zip(*np.unique(wins, return_counts=True)):
         counts[mdp.states[idx[pos]]] = c / n
@@ -121,15 +123,15 @@ def test_rejection_zero_probability_errors():
         topdown_noise(mdp, *observed(mdp, "s", "a", "s"), 10, np.random.default_rng(0))
     for pos in (-1, 2):  # the row of (s, a) has positions 0 and 1
         with pytest.raises(ZeroProbabilityObservation, match=f"position {pos} is outside"):
-            topdown_noise(mdp, mdp.pair("s", "a"), pos, 10, np.random.default_rng(0))
+            topdown_noise(mdp, pair_of(mdp, "s", "a"), pos, 10, np.random.default_rng(0))
 
 
 def test_topdown_always_replays():
     mdp = row_mdp({"x1": 0.5, "x2": 0.4, "x3": 0.1})
     samples = topdown_noise(mdp, *observed(mdp, "s", "a", "x3"), 5000, np.random.default_rng(5))
-    idx, _, logp = mdp.row(mdp.pair("s", "a"))
+    idx, _, logp = mdp.row(pair_of(mdp, "s", "a"))
     wins = np.argmax(logp[None, :] + samples[:, idx], axis=1)
-    assert np.all(idx[wins] == mdp.state_index("x3"))
+    assert np.all(idx[wins] == mdp.states.index("x3"))
 
 
 def test_topdown_matches_rejection_downstream():
@@ -141,7 +143,7 @@ def test_topdown_matches_rejection_downstream():
     n = 100_000
     top = topdown_noise(mdp, *observed(mdp, "s", "a", "x3"), n, np.random.default_rng(6))
     rej, _ = rejection_noise(mdp, *observed(mdp, "s", "a", "x3"), n, np.random.default_rng(7))
-    idx, _, logp = mdp.row(mdp.pair("s", "b"))
+    idx, _, logp = mdp.row(pair_of(mdp, "s", "b"))
 
     def row_freqs(noise):
         wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
@@ -155,7 +157,7 @@ def test_topdown_off_support_marginal_is_prior():
     # The observed row never reaches "z"; its posterior must equal the prior.
     mdp = row_mdp({"x1": 0.7, "x2": 0.3}, extra_rows={("z", "a"): {"z": 1.0}})
     samples = topdown_noise(mdp, *observed(mdp, "s", "a", "x2"), 100_000, np.random.default_rng(8))
-    z_col = samples[:, mdp.state_index("z")]
+    z_col = samples[:, mdp.states.index("z")]
     ks = stats.kstest(z_col, stats.gumbel_r.cdf)
     assert ks.statistic < 0.01
 
@@ -184,7 +186,7 @@ def test_build_posterior_steps_independent(tinychain):
     path = ObservedPath(tinychain, (("x0", "a"), ("x1", "a"), ("x1", "a")))
     post = build_posterior(tinychain, path, 10_000, seed=9)
     for s in tinychain.states:
-        i = tinychain.state_index(s)
+        i = tinychain.states.index(s)
         for t1, t2 in ((0, 1), (0, 2), (1, 2)):
             corr = np.corrcoef(post.noise[t1][:, i], post.noise[t2][:, i])[0, 1]
             assert abs(corr) < 0.02
@@ -224,7 +226,7 @@ def test_cf_transition_breaks_ties_and_nans_as_the_argmax(case, order):
     layer, want = TIED_LAYERS[case]
     layer = np.array(layer, dtype=np.float64, order=order)
     posterior = GumbelPosterior((layer,), len(layer), 0, path)
-    p = mdp.pair("s", "a")
+    p = pair_of(mdp, "s", "a")
     got = cf_transition(posterior, mdp, 0, p)
     assert {mdp.states[i]: x for i, x in zip(got[0].tolist(), got[1].tolist())} == want
     assert [a.tobytes() for a in got] == [
@@ -274,7 +276,7 @@ def test_counterfactual_stability_on_samples(tinychain):
         raw = rng.uniform(0.05, 1.0, size=2)
         p_int = dict(zip(("x1", "x2"), raw / raw.sum()))
         inter = dict_mdp(tinychain.states, ("q",), {("x0", "q"): p_int}, {}, {"x0": 1.0})
-        idx, _, logp = inter.row(inter.pair("x0", "q"))
+        idx, _, logp = inter.row(pair_of(inter, "x0", "q"))
         wins = np.argmax(logp[None, :] + noise[:, idx], axis=1)
         for pos in np.unique(wins):
             s2 = inter.states[idx[pos]]
@@ -319,7 +321,7 @@ def test_prior_posterior_matches_nominal(tinychain):
 
 def test_cf_mdp_kernel_memoized(epidemic_cf):
     built = epidemic_cf.rows_built
-    p = epidemic_cf.mdp.pair(epidemic_cf.path.steps[0][0], "NIL")
+    p = pair_of(epidemic_cf.mdp, epidemic_cf.path.steps[0][0], "NIL")
     est1 = epidemic_cf.row(0, p)
     est2 = epidemic_cf.row(0, p)
     assert est1 is est2

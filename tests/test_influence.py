@@ -16,6 +16,7 @@ from oracles import (
     kernel,
     kernel_row,
     one_step_influenced,
+    pair_of,
     random_mdp,
     reachback,
 )
@@ -169,7 +170,7 @@ def test_admission_matches_literal_definition(seed):
         admitted = _admitted(k, hits)
         for t in range(path.T):
             for s, a in pairs:
-                assert admitted[t][mdp.pair(s, a)] == reference_admitted(mdp, path, k, t, s, a)
+                assert admitted[t][pair_of(mdp, s, a)] == reference_admitted(mdp, path, k, t, s, a)
 
 
 @pytest.mark.parametrize("k", [0, 5])

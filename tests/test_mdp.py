@@ -31,6 +31,7 @@ from oracles import (
     kernel_row,
     label_form,
     mdp_to_json_oracle,
+    pair_of,
     path_return,
     random_mdp,
     reward,
@@ -592,7 +593,7 @@ def test_mdp_json_drops_zero_probability_entries():
     with warnings.catch_warnings():  # the MDP is compiled when it is built
         warnings.simplefilter("error")
         mdp = mdp_from_json(obj)
-        idx, probs, logp = mdp.row(mdp.pair("s0", "a"))
+        idx, probs, logp = mdp.row(pair_of(mdp, "s0", "a"))
     assert kernel_row(mdp, "s0", "a") == {"s1": 1.0}
     path = ObservedPath(mdp, (("s0", "a"), ("s1", "a")))
     assert influenced_states(mdp, path).per_time[0] == {"s1"}

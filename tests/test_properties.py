@@ -15,16 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 from cfmdp.cli import _policy_from_json, _policy_to_json, _pruned_from_json, _pruned_to_json, main
 from cfmdp.environments import PRESETS, demo_observation
-from cfmdp.errors import EmptyPrunedMdp, ValidationFailed
+from cfmdp.errors import EmptyPrunedMdp, InfeasibleBudget, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, cf_transition, nominal_cf_mdp
 from cfmdp.influence import prune_cf_mdp
-from cfmdp.mdp import Mdp, mdp_from_json, mdp_to_json, sample_path
+from cfmdp.mdp import Mdp, ObservedPath, mdp_from_json, mdp_to_json, sample_path
 from cfmdp.solver import rollout, solve_km, sweep
 
-from oracles import (cf_transition_oracle, dict_mdp, initial, kernel, kernel_row, km_value_oracle,
-                     path_return, position_oracle, random_mdp, rejection_posterior, reward,
-                     rollout_oracle, row_columns, same_tables, sample_path_oracle, solve_km_oracle,
-                     table_rows)
+from oracles import (available_actions, cf_transition_oracle, dict_mdp, initial, kernel, kernel_row,
+                     km_value_oracle, observed_path_oracle, path_return, position_oracle,
+                     random_mdp, rejection_posterior, reward, rollout_oracle, row_columns,
+                     same_tables, sample_path_oracle, solve_km_oracle, table_rows)
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -139,7 +139,7 @@ def test_row_table_is_canonical(case):
              for s, a in zip(mdp.source.tolist(), mdp.action.tolist())]
     want = []
     for sa in pairs:
-        row = sorted((mdp.state_index(x), q) for x, q in rows[sa].items() if q != 0.0)
+        row = sorted((mdp.states.index(x), q) for x, q in rows[sa].items() if q != 0.0)
         want.append((tuple(i for i, _ in row), np.array([q for _, q in row]).tobytes()))
     first = list(dict.fromkeys(want))
     assert table == first
@@ -208,11 +208,14 @@ def test_sample_path_and_position_equal_the_list_oracles(case, data):
                                  max_size=horizon))
     policy = lambda s, t: actions[t]
     for path_seed in range(seed % 1000, seed % 1000 + 40):
-        assert (sample_path(mdp, policy, horizon, path_seed).steps
-                == sample_path_oracle(mdp, policy, horizon, path_seed)), path_seed
-    for p in range(len(mdp.source)):
-        for s in mdp.states + ("ghost",):
-            assert mdp.position(p, s) == position_oracle(mdp, p, s), (p, s)
+        path = sample_path(mdp, policy, horizon, path_seed)
+        assert path.steps == sample_path_oracle(mdp, policy, horizon, path_seed), path_seed
+        assert path.next_pos.tolist() == next_positions(mdp, path), path_seed
+
+
+def next_positions(mdp, path) -> list:
+    """Each step's successor's position in its pair's nominal row, by label."""
+    return [position_oracle(mdp, p, s) for p, (s, _) in zip(path.pair.tolist(), path.steps[1:])]
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -220,14 +223,47 @@ def test_preset_paths_and_positions_equal_the_list_oracles(preset):
     mdp, _, policy = demo_observation(preset)
     horizon = PRESETS[preset].horizon
     for seed in range(300):
-        assert (sample_path(mdp, policy, horizon, seed).steps
-                == sample_path_oracle(mdp, policy, horizon, seed)), seed
-    # Every successor of every row, and a state off each row where there is one.
-    for p in range(len(mdp.source)):
-        succ = mdp.row(p)[0].tolist()
-        off = next((i for i in range(mdp.num_states) if i not in succ), None)
-        for i in succ + ([] if off is None else [off]):
-            assert mdp.position(p, mdp.states[i]) == position_oracle(mdp, p, mdp.states[i])
+        path = sample_path(mdp, policy, horizon, seed)
+        assert path.steps == sample_path_oracle(mdp, policy, horizon, seed), seed
+        assert path.next_pos.tolist() == next_positions(mdp, path), seed
+
+
+@settings(PROPERTIES, max_examples=200)
+@given(random_mdps(shared_rows=True), st.data())
+def test_observed_path_equals_the_step_by_step_oracle(case, data):
+    # Label sequences on the MDP with some pairs dropped and a random initial
+    # distribution, each label one the MDP allows there two times in three:
+    # unknown labels, pairs without a row, zero-probability transitions and
+    # starts.
+    _, mdp, rows = case
+    dropped = data.draw(st.lists(st.sampled_from(sorted(rows)), max_size=len(rows) - 1,
+                                 unique=True))
+    kept = [sa for sa in rows if sa not in dropped]
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=mdp.num_states,
+                                 max_size=mdp.num_states).filter(any))
+    mdp = dict_mdp(mdp.states, mdp.actions, {sa: rows[sa] for sa in kept}, {},
+                   {s: w / sum(weights) for s, w in zip(mdp.states, weights)})
+
+    def label(allowed, every):
+        stray = data.draw(st.integers(0, 2)) == 2 or not allowed
+        return data.draw(st.sampled_from(every if stray else allowed))
+
+    steps, allowed = [], [s for s in mdp.states if initial(mdp).get(s)]
+    for _ in range(data.draw(st.integers(1, 6))):
+        s = label(allowed, mdp.states + ("ghost",))
+        a = label(available_actions(mdp, s) if s in mdp.states else (), mdp.actions + ("nope",))
+        steps.append((s, a))
+        allowed = list(kernel_row(mdp, s, a)) if (s, a) in kept else []
+    try:
+        want = observed_path_oracle(mdp, steps)
+    except ValidationFailed as exc:
+        with pytest.raises(ValidationFailed) as got:
+            ObservedPath(mdp, steps)
+        assert str(got.value) == str(exc)
+    else:
+        path = ObservedPath(mdp, steps)
+        assert (path.state.tolist(), path.action.tolist(), path.pair.tolist(),
+                path.next_pos.tolist()) == want
 
 
 @PROPERTIES
@@ -331,7 +367,14 @@ def test_pruned_artifact_stores_each_row_once_and_round_trips(instance, data):
                 for p in np.flatnonzero(usable).tolist():
                     assert ([a.tobytes() for a in loaded.cf.row(t, p)]
                             == [b.tobytes() for b in source.row(t, p)]), (k, t, p)
-            assert solve_km(loaded, m).v_s0 == solve_km(pruned, m).v_s0, k
+            try:
+                v_s0 = solve_km(pruned, m).v_s0
+            except InfeasibleBudget:  # under nominal rows replay can leave the prune
+                assert source.posterior is None
+                with pytest.raises(InfeasibleBudget):
+                    solve_km(loaded, m)
+                continue
+            assert solve_km(loaded, m).v_s0 == v_s0, k
 
     # The policy artifact reads back as solve_km's choices, and rolls out the same.
     pruned = prune_cf_mdp(cf, data.draw(st.integers(1, path.T + 1)))
@@ -343,7 +386,7 @@ def test_pruned_artifact_stores_each_row_once_and_round_trips(instance, data):
     back = _policy_from_json(stored, loaded, samples)
     assert [c.tobytes() for c in back.choices] == [c.tobytes() for c in policy.choices]
     n, seed = data.draw(st.sampled_from([1, 7, 300])), data.draw(st.integers(0, 2**32 - 1))
-    feature = lambda s: float(mdp.state_index(s))
+    feature = np.arange(mdp.num_states, dtype=np.float64)
     got = rollout(loaded, back, n, feature, seed)
     want = rollout(pruned, policy, n, feature, seed)
     assert (got.means.tobytes(), got.stds.tobytes()) == (want.means.tobytes(), want.stds.tobytes())
@@ -364,7 +407,7 @@ def test_rollout_equals_scalar_oracle(instance, data):
     pruned = prune_cf_mdp(cf, data.draw(st.integers(1, path.T + 1)))
     policy = solve_km(pruned, data.draw(st.integers(0, path.T)))
     n, seed = data.draw(st.sampled_from([1, 7, 2000])), data.draw(st.integers(0, 2**32 - 1))
-    feature = lambda s: float(mdp.state_index(s))
+    feature = np.arange(mdp.num_states, dtype=np.float64)
     got = rollout(pruned, policy, n, feature, seed)
     want = rollout_oracle(pruned, policy, n, feature, seed)
     assert got.means.tobytes() == want.means.tobytes()

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,9 @@ from oracles import (
     available_actions,
     cf_probs,
     dict_mdp,
+    feature_vector,
     km_value_oracle,
+    pair_of,
     path_return,
     random_mdp,
     reward,
@@ -55,7 +58,7 @@ def test_solve_epidemic_headline(epidemic_demo, epidemic_cf):
     policy = solve_km(pruned, 1)
     assert policy.v_s0 == pytest.approx(-1.0, abs=1e-9)
     # The single change vaccinates the one infected individual at t = 0.
-    assert policy.choices[0][mdp.state_index(path.steps[0][0]), 1] == mdp.action_index("V_I")
+    assert policy.choices[0][path.state[0], 1] == mdp.actions.index("V_I")
 
 
 def test_budget_validation(epidemic_demo, epidemic_cf):
@@ -91,13 +94,13 @@ def test_pairs_sharing_one_row_at_mixed_cost_equal_the_oracle():
     mdp = dict_mdp(("x0", "x1", "x2"), ("a", "b", "c"), kernel, rewards, {"x0": 1.0}, name="shared")
     path = ObservedPath(mdp, (("x0", "b"), ("x2", "a"), ("x2", "a")))
     cf = build_cf_mdp(build_posterior(mdp, path, 300, seed=1), mdp)
-    assert len({int(mdp.row_id[mdp.pair("x0", a)]) for a in "abc"}) == 1
+    assert len({int(mdp.row_id[pair_of(mdp, "x0", a)]) for a in "abc"}) == 1
     for k in range(1, path.T + 2):
         pruned = prune_cf_mdp(cf, k)
         for m in range(path.T + 1):
             policy = solve_km(pruned, m)
             assert same_tables(policy, solve_km_oracle(pruned, m)), (k, m)
-            assert policy.choices[0][mdp.state_index("x0"), 1:].tolist() == [0] * m
+            assert policy.choices[0][mdp.states.index("x0"), 1:].tolist() == [0] * m
 
 
 def test_nan_q_values_from_finite_rewards_are_never_chosen_as_in_the_oracle():
@@ -116,7 +119,7 @@ def test_nan_q_values_from_finite_rewards_are_never_chosen_as_in_the_oracle():
     with np.errstate(over="ignore", invalid="ignore"):
         pruned = prune_cf_mdp(cf, path.T + 1)
         policy = solve_km(pruned, 1)
-        idx, probs = cf.row(0, mdp.pair("x0", "b"))
+        idx, probs = cf.row(0, pair_of(mdp, "x0", "b"))
         child = policy.values[1][idx, 0]
         assert child.tolist() == [float("inf"), float("-inf")]  # x1, x2
         assert np.isnan(np.dot(probs, child))
@@ -156,10 +159,10 @@ def test_bellman_consistency_of_budget_recursion(epidemic_demo, epidemic_cf):
                         continue
                     q = reward(mdp, s, a)
                     for s2, p in cf_probs(pruned.cf, t, s, a).items():
-                        nxt = 0.0 if t + 1 == T else float(policy.values[t + 1][mdp.state_index(s2), r - cost])
+                        nxt = 0.0 if t + 1 == T else float(policy.values[t + 1][mdp.states.index(s2), r - cost])
                         q += p * nxt
                     best = max(best, q)
-                assert abs(float(policy.values[t][mdp.state_index(s), r]) - best) < 1e-12
+                assert abs(float(policy.values[t][mdp.states.index(s), r]) - best) < 1e-12
 
 
 def test_unconstrained_equals_layered_value_iteration(epidemic_demo, epidemic_cf):
@@ -331,7 +334,7 @@ def test_rollout_m0_replays_observed_path(epidemic_demo, epidemic_cf):
     pruned = prune_cf_mdp(epidemic_cf, 8)
     policy = solve_km(pruned, 0)
     infected = environment_features("epidemic")["infected"]
-    summary = rollout(pruned, policy, 300, infected, seed=2)
+    summary = rollout(pruned, policy, 300, feature_vector(mdp, infected), seed=2)
     observed = [infected(path.steps[t][0]) for t in range(path.T)]
     # Replay is exact on every observed step; only the unobserved final
     # transition (prior noise) may vary.
@@ -344,7 +347,8 @@ def test_rollout_single_trajectory_has_zero_std(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
     pruned = prune_cf_mdp(epidemic_cf, 8)
     policy = solve_km(pruned, 1)
-    summary = rollout(pruned, policy, 1, environment_features("epidemic")["infected"], seed=3)
+    infected = feature_vector(mdp, environment_features("epidemic")["infected"])
+    summary = rollout(pruned, policy, 1, infected, seed=3)
     assert np.all(summary.stds == 0.0)
 
 
@@ -352,7 +356,8 @@ def test_rollout_epidemic_optimal_policy(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
     pruned = prune_cf_mdp(epidemic_cf, 8)
     policy = solve_km(pruned, 1)
-    summary = rollout(pruned, policy, 500, environment_features("epidemic")["infected"], seed=4)
+    infected = feature_vector(mdp, environment_features("epidemic")["infected"])
+    summary = rollout(pruned, policy, 500, infected, seed=4)
     assert summary.means.tolist() == [1.0] + [0.0] * path.T
     assert summary.max_changes <= 1
 
@@ -361,7 +366,7 @@ def test_rollout_mean_stability_when_doubling_n():
     mdp, path, cf = small_instance(5, horizon=3)
     pruned = prune_cf_mdp(cf, path.T + 1)
     policy = solve_km(pruned, 2)
-    feature = lambda s: float(mdp.state_index(s))
+    feature = np.arange(mdp.num_states, dtype=np.float64)
     small = rollout(pruned, policy, 2000, feature, seed=6)
     big = rollout(pruned, policy, 4000, feature, seed=7)
     for t in range(path.T + 1):
@@ -375,7 +380,8 @@ def test_rollout_budget_and_containment_bulk(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
     pruned = prune_cf_mdp(epidemic_cf, 5)
     policy = solve_km(pruned, 3)
-    summary = rollout(pruned, policy, 10_000, environment_features("epidemic")["infected"], seed=8)
+    infected = feature_vector(mdp, environment_features("epidemic")["infected"])
+    summary = rollout(pruned, policy, 10_000, infected, seed=8)
     assert summary.max_changes <= 3
     assert summary.n == 10_000
 
@@ -390,7 +396,7 @@ def solved_demo(request):
     cf = build_cf_mdp(build_posterior(mdp, path, 200, seed=5), mdp)
     pruned = prune_cf_mdp(cf, path.T + 1)
     feature = next(iter(environment_features(env).values()))
-    return pruned, solve_km(pruned, 2), feature
+    return pruned, solve_km(pruned, 2), feature_vector(mdp, feature)
 
 
 def assert_same_summary(got, want):
@@ -437,7 +443,16 @@ def test_rollout_rejects_a_negative_seed(epidemic_demo, epidemic_cf, monkeypatch
     monkeypatch.setattr(cfmdp.solver, "_stream_uniforms", _no_uniforms)
     pruned = prune_cf_mdp(epidemic_cf, 1)
     with pytest.raises(ValidationFailed, match="seed must be >= 0"):
-        rollout(pruned, solve_km(pruned, 0), 5, lambda s: 0.0, seed=-1)
+        rollout(pruned, solve_km(pruned, 0), 5, np.zeros(pruned.cf.mdp.num_states), seed=-1)
+
+
+def test_rollout_refuses_a_feature_of_another_shape_before_any_draw(epidemic_cf, monkeypatch):
+    monkeypatch.setattr(cfmdp.solver, "_stream_uniforms", _no_uniforms)
+    pruned = prune_cf_mdp(epidemic_cf, 1)
+    n = epidemic_cf.mdp.num_states
+    for shape in [(n - 1,), (n + 1,), (0,), (n, 1), (1, n)]:
+        with pytest.raises(ValidationFailed, match=re.escape(f"rollout feature has shape {shape}")):
+            rollout(pruned, solve_km(pruned, 0), 5, np.zeros(shape), seed=0)
 
 
 def test_rollout_leaving_the_pruned_set_raises(epidemic_demo, epidemic_cf):
@@ -446,10 +461,10 @@ def test_rollout_leaving_the_pruned_set_raises(epidemic_demo, epidemic_cf):
     policy = solve_km(pruned, 0)
     # Replay reaches the observed s_2 at t = 2; drop it from that layer.
     reach = [r.copy() for r in pruned.reach]
-    reach[2][mdp.state_index(path.steps[2][0])] = False
+    reach[2][path.state[2]] = False
     pruned.reach = tuple(reach)
     with pytest.raises(InvariantViolated, match=f"left the pruned node set at \\({path.steps[2][0]}, t=2\\)"):
-        rollout(pruned, policy, 5, lambda s: 0.0, seed=0)
+        rollout(pruned, policy, 5, np.zeros(mdp.num_states), seed=0)
 
 
 def test_rollout_undefined_choice_raises(epidemic_demo, epidemic_cf):
@@ -457,9 +472,9 @@ def test_rollout_undefined_choice_raises(epidemic_demo, epidemic_cf):
     pruned = prune_cf_mdp(epidemic_cf, 8)
     policy = solve_km(pruned, 0)  # replays the path: every trajectory reaches s_3 at t = 3
     policy.choices[3] = policy.choices[3].copy()
-    policy.choices[3][mdp.state_index(path.steps[3][0]), 0] = -1
+    policy.choices[3][path.state[3], 0] = -1
     with pytest.raises(UndefinedPolicyAction, match=f"\\({path.steps[3][0]}, t=3, j=0\\)"):
-        rollout(pruned, policy, 5, lambda s: 0.0, seed=0)
+        rollout(pruned, policy, 5, np.zeros(mdp.num_states), seed=0)
 
 
 def test_rollout_reports_the_earliest_failing_step(fig2_toy):
@@ -471,14 +486,14 @@ def test_rollout_reports_the_earliest_failing_step(fig2_toy):
     pruned = prune_cf_mdp(nominal_cf_mdp(mdp, path), path.T + 1)
     policy = solve_km(pruned, 0)
     policy.choices[1] = policy.choices[1].copy()
-    policy.choices[1][mdp.state_index("s3"), 0] = -1
+    policy.choices[1][mdp.states.index("s3"), 0] = -1
     reach = [r.copy() for r in pruned.reach]
-    reach[2][mdp.state_index("s5")] = False
+    reach[2][mdp.states.index("s5")] = False
     pruned.reach = tuple(reach)
 
     def first_failure(run, seed):
         with pytest.raises((InvariantViolated, UndefinedPolicyAction)) as exc:
-            run(pruned, policy, 20, lambda s: 0.0, seed)
+            run(pruned, policy, 20, np.zeros(mdp.num_states), seed)
         return exc.value
 
     seed = next(seed for seed in range(100)
@@ -494,14 +509,13 @@ def test_rollout_past_the_budget_never_wraps_to_column_m(epidemic_demo, epidemic
     mdp, path, _ = epidemic_demo
     pruned = prune_cf_mdp(epidemic_cf, 8)
     policy = solve_km(pruned, 0)
-    s0 = mdp.state_index(path.steps[0][0])
-    observed = mdp.action_index(path.steps[0][1])
+    s0, observed = path.state[0], path.action[0]
     other = next(a for a in range(len(mdp.actions)) if a != observed
                  and mdp.pair_at[s0, a] >= 0 and pruned.usable[0][mdp.pair_at[s0, a]])
     policy.choices[0] = policy.choices[0].copy()
     policy.choices[0][s0, 0] = other
     with pytest.raises(UndefinedPolicyAction, match="t=1, j=1"):
-        rollout(pruned, policy, 5, lambda s: 0.0, seed=0)
+        rollout(pruned, policy, 5, np.zeros(mdp.num_states), seed=0)
 
 
 def test_policy_json_shape(epidemic_demo, epidemic_cf):
@@ -513,6 +527,6 @@ def test_policy_json_shape(epidemic_demo, epidemic_cf):
     assert blob["meta"] == {"samples": 1000, "mdp_hash": mdp.digest}
     # Layer t's table holds m+1 action indices per state of the layer, by j.
     assert [len(x) for x in blob["actions"]] == [3 * int(r.sum()) for r in pruned.reach]
-    s0 = mdp.state_index(path.steps[0][0])
+    s0 = path.state[0]
     assert blob["actions"][0] == [int(policy.choices[0][s0, 2 - j]) for j in range(3)]
     assert blob["v_s0"] == policy.v_s0

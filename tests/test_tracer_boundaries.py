@@ -40,7 +40,7 @@ def test_counters_read_existing_attributes(tracer, fig2_toy):
     posterior = build_posterior(mdp, path, 50, seed=0)
     pruned = prune_cf_mdp(build_cf_mdp(posterior, mdp), 2)
     policy = solve_km(pruned, 1)
-    summary = rollout(pruned, policy, 4, lambda s: 0.0, seed=0)
+    summary = rollout(pruned, policy, 4, np.zeros(mdp.num_states), seed=0)
     counters = {name: counter for _, _, name, counter in tracer.BOUNDARIES if counter}
     counts = {
         "gumbel.posterior": counters["gumbel.posterior"]((), {}, posterior),
