@@ -143,28 +143,34 @@ def cmd_cf_build(args) -> int:
     return EXIT_OK
 
 
+def _prune_rows(pruned: PrunedCfMdp):
+    """Per layer, the (ids, size, succ, prob) of the rows a prune without
+    `base` built: their nominal rows, ascending, and `layer_rows` of them."""
+    row_id = pruned.cf.mdp.row_id
+    for t, (built, _, _) in enumerate(pruned.closure.rows):
+        ids, first = np.unique(row_id[built], return_index=True)
+        yield ids, *pruned.cf.layer_rows(t, np.flatnonzero(built)[first])
+
+
 def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
     """Artifact contents, in the core's indexing. `rows[t]` holds the
-    counterfactual rows the prune built at layer t: `row` lists their
-    nominal rows (`Mdp.row_id` values), ascending, and `prob` the
-    counterfactual probability of each nominal successor of those rows, in
-    the MDP's entry order, 0.0 off the counterfactual support. Without a
-    posterior the rows are the MDP's, and every list is empty. `layers[t]`
-    lists the states of layer t, ascending. `pruned` must be a prune
-    without `base`, whose closure holds the rows built at its own k."""
+    counterfactual rows the prune built at layer t (`_prune_rows`): `row`
+    lists their nominal rows, ascending, and `prob` the counterfactual
+    probability of each nominal successor of those rows, in the MDP's entry
+    order, 0.0 off the counterfactual support. Without a posterior the rows
+    are the MDP's, and every list is empty. `layers[t]` lists the states of
+    layer t, ascending."""
     cf = pruned.cf
     mdp, n = cf.mdp, cf.mdp.num_states
     nominal = mdp.owner * n + mdp.succ  # the MDP's row table, ascending
     rows = []
-    for t, (built, _, _) in enumerate(pruned.closure.rows):
-        ids = np.flatnonzero(np.bincount(mdp.row_id[built]) if cf.posterior is not None else [])
-        got = [cf.rows[t, r] for r in ids.tolist()]
-        key = np.repeat(ids, [len(succ) for succ, _ in got]) * n + np.concatenate(
-            [succ for succ, _ in got] + [np.zeros(0, np.int64)])
+    for ids, size, succ, q in _prune_rows(pruned):
+        if cf.posterior is None:
+            rows.append({"row": [], "prob": []})
+            continue
         at = gather_rows(np.diff(mdp.row_start), ids)[1]  # the listed rows' nominal entries
         prob = np.zeros(len(at))
-        prob[np.searchsorted(at, np.searchsorted(nominal, key))] = np.concatenate(
-            [q for _, q in got] + [np.zeros(0)])
+        prob[np.searchsorted(at, np.searchsorted(nominal, np.repeat(ids, size) * n + succ))] = q
         rows.append({"row": ids.tolist(), "prob": prob.tolist()})
     samples = cf.posterior.n if cf.posterior is not None else 0
     return {"k": pruned.k, "mdp_hash": mdp.digest, "path": path_to_json(cf.path), "samples": samples,
@@ -193,7 +199,7 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
         if len(stored := obj["rows"]) != T:
             raise ValidationFailed(f"pruned artifact has {len(stored)} row layers, path has {T}")
 
-        sizes, rows, ids = np.diff(mdp.row_start), {}, []
+        sizes, rows, ids = np.diff(mdp.row_start), [], []
         for t, layer in enumerate(stored):
             ids.append(json_integers(layer["row"], "pruned row id"))
             prob = json_numbers(layer["prob"], "pruned row probability")
@@ -214,20 +220,18 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
                 raise ValidationFailed(f"row {ids[t][i]} of layer {t} is not a distribution over "
                                        "its nominal successors")
             hit = prob > 0
-            succ, prob = mdp.succ[at[hit]], prob[hit]
-            bounds = [0, *np.cumsum(np.bincount(owner[hit], minlength=len(ids[t]))).tolist()]
-            rows.update(((t, r), (succ[lo:hi], prob[lo:hi]))
-                        for r, lo, hi in zip(ids[t].tolist(), bounds, bounds[1:]))
+            owner, succ, prob = owner[hit], mdp.succ[at[hit]], prob[hit]
+            rows.append((ids[t], np.bincount(owner, minlength=len(ids[t])), succ, prob))
             # Every posterior sample replays the observed step: before T-1
             # the observed pair's row is the point mass on s_{t+1}.
             r = int(mdp.row_id[path.pair[t]])
-            succ, q = rows.get((t, r), (np.zeros(0), np.zeros(0)))
-            if samples and t < T - 1 and (succ.tolist(), q.tolist()) != (
+            mine = ids[t][owner] == r
+            if samples and t < T - 1 and (succ[mine].tolist(), prob[mine].tolist()) != (
                     [int(path.state[t + 1])], [1.0]):
                 raise ValidationFailed(f"row {r} of layer {t}, the observed pair's, is not the "
                                        f"point mass on the observed {path.steps[t + 1][0]}")
 
-        pruned = prune_cf_mdp(CfMdp(mdp, path, None, rows=rows), k)
+        pruned = prune_cf_mdp(CfMdp(mdp, path, None, rows), k)
         # A row the artifact does not store is the nominal row: with samples,
         # the stored rows must be exactly those the prune builds.
         for t, (built, _, _) in enumerate(pruned.closure.rows if samples else ()):
@@ -271,16 +275,16 @@ def cmd_prune(args) -> int:
 def _pruned_hash(pruned: PrunedCfMdp, samples: int) -> str:
     """SHA-256 of what `_pruned_from_json` built from a pruned artifact with
     `samples` samples: its counts, the MDP and path hashes, and the
-    counterfactual rows in (t, nominal row) order. The layers are left out:
-    the prune derives them from the rows. A compact and an indented copy, or
-    a copy with an unread key, agree."""
+    counterfactual rows the prune built, in (t, nominal row) order. The
+    layers are left out: the prune derives them from the rows. A compact and
+    an indented copy, or a copy with an unread key, agree."""
     cf = pruned.cf
-    keys = sorted(cf.rows)
-    rows = [cf.rows[key] for key in keys]
+    layers = list(_prune_rows(pruned))
+    ids, size, succ, prob = (np.concatenate(x) for x in zip(*layers))
+    t = np.repeat(np.arange(len(layers)), [len(layer[0]) for layer in layers])
     h = hashlib.sha256(json.dumps([pruned.k, samples, pruned.nodes_all_layers, cf.mdp.digest,
                                    path_hash(cf.path)]).encode())
-    for a in (np.array(keys, dtype=np.int64), np.array([len(r[0]) for r in rows]),
-              np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])):
+    for a in (np.column_stack([t, ids]), size, succ, prob):
         h.update(a.tobytes())
     return h.hexdigest()
 
@@ -405,7 +409,8 @@ def cmd_sweep(args) -> int:
     }
 
     # Monte-Carlo standard error of each entry of the rows built with > 1 successor
-    probs = np.concatenate([q for _, q in cf.rows.values() if len(q) > 1] or [np.zeros(0)])
+    probs = np.concatenate([q[np.repeat(size > 1, size)]
+                            for _, size, _, q in _prune_rows(result.top)])
     se = np.sqrt(probs * (1 - probs) / args.samples)
     manifest = {
         "tool_version": __version__,

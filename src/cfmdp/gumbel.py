@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
     ValidationFailed,
     ZeroProbabilityObservation,
 )
-from .mdp import Mdp, ObservedPath, path_from_json, path_to_json, read_json
+from .mdp import Mdp, ObservedPath, gather_rows, path_from_json, path_to_json, read_json
 
 FILL_ROWS = 128  # rows of a noise layer drawn at a time
 
@@ -200,8 +200,8 @@ def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple
     over the posterior samples, as (successor indices, probabilities).
 
     Successor indices are ascending and probabilities non-zero; the support is
-    always contained in the nominal support of pair p. Prefer CfMdp.row for
-    repeated queries; it memoizes per (t, nominal row).
+    always contained in the nominal support of pair p. Prefer CfMdp.layer_rows
+    for repeated queries; it builds each (t, nominal row) once.
 
     A successor's count is the number of samples whose score equals the
     sample's maximum score, a reduction down each column of the column-major
@@ -209,7 +209,7 @@ def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple
     and they equal the counts of the mechanism's argmax; otherwise (an exact
     tie, or a NaN) the argmax decides, the first maximum winning.
     """
-    if t >= posterior.T:
+    if not 0 <= t < posterior.T:
         raise ValidationFailed(f"time {t} outside posterior horizon {posterior.T}")
     idx, _, logp = mdp.row(p)
     if idx.shape[0] == 1:  # every sample picks the one successor: counts / N == 1.0
@@ -228,53 +228,73 @@ def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple
 class CfMdp:
     """Time-layered counterfactual MDP over nodes (state, t), t = 0..T.
 
-    Initial mass sits entirely on (s_0, 0). Layer rows are produced lazily
-    through the posterior and memoized, since pruning and dynamic programming
-    only touch a small fraction of (t, pair) rows. With posterior=None the
-    rows are the exact nominal kernel at every layer (the interventional MDP),
-    which is useful for structural analysis and baselines.
-
-    The row of pair p at time t is `rows[(t, mdp.row_id[p])]`. A row built
-    from the nominal row of pair p (through the noise at t, or the nominal
-    row itself) depends on that nominal row only, so pairs with bit-identical
-    nominal rows share one row, built on first use. A pruned artifact passes
-    its stored rows as `rows`, with posterior=None, keyed by layers 0..T-1:
-    a row it does not store is the nominal row. Rows are index/probability
-    arrays; `rows_built` counts the rows built (given rows are not).
+    Initial mass sits entirely on (s_0, 0). Pruning and dynamic programming
+    only touch a small fraction of the (t, pair) rows, so `layer_rows` builds
+    rows when first asked for and keeps them: from the posterior, or with
+    posterior=None from the exact nominal kernel (the interventional MDP,
+    useful for structural analysis and baselines). A row depends on its
+    pair's nominal row only, so pairs with one `mdp.row_id` share one row,
+    built once; `rows_built` counts the rows built.
     """
 
     mdp: Mdp
     path: ObservedPath
     posterior: GumbelPosterior | None
-    rows: dict = field(default_factory=dict, repr=False)
-    rows_built: int = 0
+    # A pruned artifact's rows, with posterior=None and not counted as built:
+    # layer t's (ids, size, succ, prob), as `_add_rows` takes them.
+    stored: InitVar[Sequence] = ()
+    rows_built: int = field(default=0, init=False)
+    # Per layer: the entry count of each nominal row (0 while it is not
+    # built) and the built rows' (succ, prob) entries, by nominal row.
+    _rows: list = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, stored):
         if self.path.mdp_digest != self.mdp.digest:
             raise ValidationFailed("path was built against a different MDP")
         if self.posterior is not None and self.posterior.path != self.path:
             raise ValidationFailed("posterior was built from a different path")
+        empty = np.zeros(len(self.mdp.row_start) - 1, dtype=np.int64)
+        self._rows = [(empty, empty[:0], np.zeros(0))] * self.horizon
+        for t, layer in enumerate(stored):
+            self._add_rows(t, *layer)
 
     @property
     def horizon(self) -> int:
         return self.path.T
 
-    def row(self, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """Counterfactual row of pair p at time t as (successor indices,
-        probabilities). A memo hit returns at once: only layers 0..T-1 enter
-        `rows`, so t is checked on a miss."""
-        key = (t, int(self.mdp.row_id[p]))
-        row = self.rows.get(key)
-        if row is None:
-            if not 0 <= t < self.horizon:
-                raise ValidationFailed(f"time {t} outside horizon {self.horizon}")
-            if self.posterior is None:
-                row = self.mdp.row(p)[:2]
-            else:
-                row = cf_transition(self.posterior, self.mdp, t, p)
-            self.rows[key] = row
-            self.rows_built += 1
-        return row
+    def layer_rows(self, t: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The counterfactual rows of the pair index array `pairs` at time t,
+        in the order asked, as (size, succ, prob): the row of pairs[i] is the
+        size[i] entries after those of pairs[:i], successor indices ascending
+        and probabilities non-zero. The rows not yet built are built in this
+        call, once per distinct nominal row: a `cf_transition` call, or the
+        nominal row sliced from the MDP's row table."""
+        if not 0 <= t < self.horizon:
+            raise ValidationFailed(f"time {t} outside horizon {self.horizon}")
+        rows = self.mdp.row_id[pairs]
+        miss = self._rows[t][0][rows] == 0
+        if miss.any():
+            new, first = np.unique(rows[miss], return_index=True)
+            got = [self.mdp.row(p)[:2] if self.posterior is None else
+                   cf_transition(self.posterior, self.mdp, t, p) for p in pairs[miss][first].tolist()]
+            self._add_rows(t, new, np.array([len(succ) for succ, _ in got]),
+                           *(np.concatenate(a) for a in zip(*got)))
+            self.rows_built += len(new)
+        size, succ, prob = self._rows[t]
+        _, at = gather_rows(size, rows)
+        return size[rows], succ[at], prob[at]
+
+    def _add_rows(self, t: int, ids: np.ndarray, size: np.ndarray, succ: np.ndarray,
+                  prob: np.ndarray) -> None:
+        """Add to layer t the nominal rows `ids`, none of them built yet, with
+        `size[i]` (succ, prob) entries each, row after row."""
+        held, held_succ, held_prob = self._rows[t]
+        sizes = held.copy()
+        sizes[ids] = size
+        owner = np.concatenate([np.repeat(np.arange(len(held)), held), np.repeat(ids, size)])
+        order = np.argsort(owner, kind="stable")
+        self._rows[t] = (sizes, np.concatenate([held_succ, succ])[order],
+                         np.concatenate([held_prob, prob])[order])
 
 
 def build_cf_mdp(posterior: GumbelPosterior, mdp: Mdp) -> CfMdp:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EmptyPrunedMdp, ValidationFailed
 from .gumbel import CfMdp
-from .mdp import Action, Mdp, ObservedPath, State, gather_rows
+from .mdp import Action, Mdp, ObservedPath, State
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,7 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
 
     Per layer: the mask of pairs built (admitted at a node the sweep reached)
     and their counterfactual supports as (owner pair, successor) entries, in
-    pair order. Each distinct nominal row (`mdp.row_id`) among the built
-    pairs is looked up once, and its support is gathered for every pair that
-    shares it.
+    pair order, from one `layer_rows` call per layer.
     """
     mdp = cf.mdp
     nodes = np.bincount(cf.path.state[:1], minlength=mdp.num_states) > 0
@@ -141,12 +139,8 @@ def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np
     for t, adm in enumerate(admitted):
         built = adm & nodes[mdp.source]
         ids = np.flatnonzero(built)
-        _, first, which = np.unique(mdp.row_id[ids], return_index=True, return_inverse=True)
-        supports = [cf.row(t, p)[0] for p in ids[first].tolist()]
-        flat = np.concatenate(supports) if supports else np.zeros(0, dtype=np.int64)
-        pair, at = gather_rows(np.array([len(x) for x in supports], dtype=np.int64), which)
-        succ = flat[at]
-        rows.append((built, ids[pair], succ))
+        size, succ, _ = cf.layer_rows(t, ids)
+        rows.append((built, np.repeat(ids, size), succ))
         nodes = np.bincount(succ, minlength=mdp.num_states) > 0
     return rows
 

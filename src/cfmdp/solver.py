@@ -9,7 +9,7 @@ table independent of the cap m, so one backward pass prices every budget
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,8 +65,10 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
 
     Bellman recursion on (s, t, r): the observed action at time t costs no
     budget anywhere, any other action costs one unit. Infeasible nodes carry
-    -inf and are avoided upstream; replaying the observed path is always
-    feasible, so the initial node is always finite.
+    -inf and are avoided upstream. Under a posterior's rows replay is always
+    feasible, as each observed pair's row before T-1 is the point mass on
+    s_{t+1}; under nominal rows replay can leave the prune, and an m too
+    small to avoid it raises InfeasibleBudget.
 
     Each layer is solved in arrays, each distinct counterfactual row priced
     once (`_pair_values`). The best action per state is the first maximum
@@ -139,13 +141,13 @@ def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: in
     value is bit for bit the `np.dot` of the row and its (m+1)-strided column.
     """
     keys, first, which = np.unique(cf.mdp.row_id[pairs], return_index=True, return_inverse=True)
-    rows = [cf.row(t, p) for p in pairs[first].tolist()]
-    size = np.array([len(idx) for idx, _ in rows])
+    size, succ, prob = cf.layer_rows(t, pairs[first])
+    start = np.cumsum(size) - size
     ev = np.full((len(keys), top + 2), NEG_INF)  # column c + 1 is column c; 0 is out of budget
     for n in np.flatnonzero(np.bincount(size)).tolist():
         group = np.flatnonzero(size == n)
-        idx, probs = (np.array([rows[i][j] for i in group.tolist()]) for j in (0, 1))
-        ev[group, 1:] = np.vecdot(probs[:, :, None], v_next[idx][:, :, :top + 1], axis=1)
+        at = start[group, None] + np.arange(n)  # the group's (row, entry) table
+        ev[group, 1:] = np.vecdot(prob[at][:, :, None], v_next[succ[at]][:, :, :top + 1], axis=1)
     q = cf.mdp.reward[pairs, None] + ev[which[:, None], np.arange(1, top + 2) - cost[:, None]]
     q[np.isnan(q)] = NEG_INF  # a NaN value (inf - inf in a dot) is never the best
     return q, len(keys)
@@ -153,12 +155,14 @@ def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: in
 
 @dataclass
 class SweepResult:
-    """V(s_0) grid over (k, m), per-k size reports and the rows built and priced."""
+    """V(s_0) grid over (k, m), per-k size reports, the rows built and
+    priced, and `top`, the prune at the largest k, which read every row."""
 
     rows: list[tuple[int, int, float]]
     sizes: list[SizeReport]
     cf_rows_built: int
     dp_rows_priced: int
+    top: PrunedCfMdp = field(compare=False, repr=False)
 
 
 def sweep(cf: CfMdp, ks: list[int], ms: list[int]) -> SweepResult:
@@ -186,7 +190,8 @@ def sweep(cf: CfMdp, ks: list[int], ms: list[int]) -> SweepResult:
             priced += policy.rows_priced
         sizes.append(pruned_size_report(pruned))
         rows.extend((k, m, policy.initial_value(m)) for m in ms)
-    return SweepResult(rows=rows, sizes=sizes, cf_rows_built=cf.rows_built, dp_rows_priced=priced)
+    return SweepResult(rows=rows, sizes=sizes, cf_rows_built=cf.rows_built, dp_rows_priced=priced,
+                       top=top)
 
 
 def check_sweep_monotonicity(result: SweepResult) -> list[str]:
@@ -296,12 +301,13 @@ def _next_states(cf: CfMdp, t: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     last entry. Trajectories on one row (pairs with one nominal row) are
     sampled together."""
     keys = cf.mdp.row_id[p]
-    order = np.argsort(keys, kind="stable")
+    _, first, count = np.unique(keys, return_index=True, return_counts=True)
+    size, succ, prob = cf.layer_rows(t, p[first])
+    groups = np.split(np.argsort(keys, kind="stable"), np.cumsum(count)[:-1])
     out = np.empty_like(p)
-    for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-        idx, probs = cf.row(t, int(p[group[0]]))
-        pos = np.searchsorted(np.cumsum(probs), u[group], side="right")
-        out[group] = idx[np.minimum(pos, len(idx) - 1)]
+    for group, hi, n in zip(groups, np.cumsum(size).tolist(), size.tolist()):
+        pos = np.searchsorted(np.cumsum(prob[hi - n:hi]), u[group], side="right")
+        out[group] = succ[hi - n + np.minimum(pos, n - 1)]
     return out
 
 

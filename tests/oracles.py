@@ -465,6 +465,7 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
     T = pruned.horizon
     cf = pruned.cf
     mdp = cf.mdp
+    rows = [cf_layer(cf, t, np.flatnonzero(usable)) for t, usable in enumerate(pruned.usable)]
 
     def value(s, t, r):
         if t == T:
@@ -477,7 +478,7 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
             cost = 0 if a == obs else 1
             if cost > r:
                 continue
-            idx, probs = cf.row(t, pair_of(mdp, s, a))
+            idx, probs = rows[t][pair_of(mdp, s, a)]
             child = np.zeros((len(idx), m + 1))
             child[:, r - cost] = [value(mdp.states[i], t + 1, r - cost) for i in idx]
             q = reward(mdp, s, a) + float(np.dot(probs, child[:, r - cost]))
@@ -522,6 +523,7 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
         obs_a = observed[t]
         v_next = values[t + 1]
         usable = pruned.usable[t].tolist()
+        rows = cf_layer(cf, t, np.flatnonzero(pruned.usable[t]))
         # Expected child value per budget column c, once per distinct row:
         # pairs that share a counterfactual row share it.
         expected: dict[int, list[float]] = {}
@@ -535,7 +537,7 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
                 cost = 0 if action[p] == obs_a else 1
                 ev = expected.get(row_id[p])
                 if ev is None or len(ev) < m + 1 - cost:
-                    idx, probs = cf.row(t, p)
+                    idx, probs = rows[p]
                     child = v_next[idx]
                     ev = [float(np.dot(probs, child[:, c])) for c in range(m + 1 - cost)]
                     expected[row_id[p]] = ev
@@ -571,6 +573,7 @@ def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.nd
     cf = pruned.cf
     mdp = cf.mdp
     observed = [mdp.actions.index(a) for _, a in cf.path.steps]
+    rows = [cf_layer(cf, t, np.flatnonzero(usable)) for t, usable in enumerate(pruned.usable)]
     feats = np.empty((n, T + 1))
     max_changes = 0
     for i in range(n):
@@ -588,7 +591,7 @@ def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.nd
                     f"policy undefined or disallowed at ({mdp.states[si]}, t={t}, j={j})")
             if a != observed[t]:
                 j += 1
-            idx, probs = cf.row(t, p)
+            idx, probs = rows[t][p]
             si = idx[min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(idx) - 1)]
         feats[i, T] = feature[si]
         if j > policy.m:
@@ -598,9 +601,24 @@ def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.nd
                           stds=feats.std(axis=0, ddof=0), n=n, seed=seed, max_changes=max_changes)
 
 
+def cf_layer(cf: CfMdp, t: int, pairs) -> dict:
+    """The counterfactual rows of `pairs` at time t, {pair: (successor
+    indices, probabilities)}, from one `layer_rows` call."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    size, succ, prob = cf.layer_rows(t, pairs)
+    return {p: (succ[end - n:end], prob[end - n:end])
+            for p, n, end in zip(pairs.tolist(), size.tolist(), np.cumsum(size).tolist())}
+
+
+def cf_row(cf: CfMdp, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counterfactual row of pair p at time t as (successor indices,
+    probabilities)."""
+    return cf_layer(cf, t, [p])[p]
+
+
 def cf_probs(cf: CfMdp, t: int, s, a) -> dict:
     """The counterfactual row of (s, a) at time t by label: {successor: probability}."""
-    idx, probs = cf.row(t, pair_of(cf.mdp, s, a))
+    idx, probs = cf_row(cf, t, pair_of(cf.mdp, s, a))
     return {cf.mdp.states[i]: p for i, p in zip(idx.tolist(), probs.tolist())}
 
 

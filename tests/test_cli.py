@@ -24,10 +24,11 @@ from cfmdp.environments import build_environment
 from cfmdp.errors import InvariantViolated, ValidationFailed
 from cfmdp.gumbel import build_cf_mdp, build_posterior, load_posterior
 from cfmdp.influence import prune_cf_mdp
-from cfmdp.mdp import PROB_TOL, Mdp, mdp_from_json, mdp_hash, mdp_to_json, path_from_json
+from cfmdp.mdp import (PROB_TOL, Mdp, gather_rows, mdp_from_json, mdp_hash, mdp_to_json,
+                       path_from_json)
 from cfmdp.solver import sweep
 
-from oracles import (available_actions, cf_probs, dict_mdp, km_value_oracle, label_form,
+from oracles import (available_actions, cf_probs, cf_row, dict_mdp, km_value_oracle, label_form,
                      row_columns, table_rows)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -298,10 +299,13 @@ def test_sweep_manifest_reports_the_rows_standard_errors(artifact_dir, tmp_path,
     mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
     path = path_from_json(json.loads((artifact_dir / "path.json").read_text()), mdp)
     cf = build_cf_mdp(build_posterior(mdp, path, n, seed), mdp)
-    sweep(cf, [7, 8], [1, 2])
-    se = [(p * (1 - p) / n) ** 0.5 for _, probs in cf.rows.values() if len(probs) > 1
-          for p in probs.tolist()]
-    assert len(se) > 10 and stats["cf_rows_built"] == cf.rows_built
+    result = sweep(cf, [7, 8], [1, 2])
+    # One pair per (t, nominal row) the sweep read, in (t, nominal row) order.
+    built = dict(sorted({(t, int(mdp.row_id[p])): p for t, (mask, _, _)
+                         in enumerate(result.top.closure.rows) for p in np.flatnonzero(mask)}.items()))
+    rows = [cf_row(cf, t, p)[1] for (t, _), p in built.items()]
+    se = [(p * (1 - p) / n) ** 0.5 for probs in rows if len(probs) > 1 for p in probs.tolist()]
+    assert len(se) > 10 and stats["cf_rows_built"] == cf.rows_built == len(built)
     assert stats["cf_row_se_max"] == max(se) > 0
     assert stats["cf_row_se_mean"] == pytest.approx(sum(se) / len(se), rel=1e-12)
 
@@ -345,6 +349,28 @@ def test_prune_nominal_mode(tmp_path, capsys):
     assert code == 0
     assert "nodes_reachable=11" in err
 
+
+def test_replay_is_infeasible_under_nominal_rows_at_a_small_k(tmp_path, capsys):
+    # Under nominal rows the observed (x0, a0) keeps its whole row, so
+    # replay can move to x2, which the prune at k=1 leaves out of layer 1:
+    # m = 0 has no feasible policy. From a posterior, (x0, a0) moves to the
+    # observed x1 alone, and replay is feasible at every k.
+    kernel = {("x0", "a0"): {"x1": 0.5, "x2": 0.5}, ("x1", "a0"): {"x2": 1.0},
+              ("x2", "a0"): {"x0": 1.0}, **{(x, "a1"): {x: 1.0} for x in ("x0", "x1", "x2")}}
+    files = {name: str(tmp_path / f"{name}.json") for name in ("mdp", "path", "post", "pruned")}
+    Path(files["mdp"]).write_text(json.dumps(mdp_to_json(dict_mdp(
+        ("x0", "x1", "x2"), ("a0", "a1"), kernel, {("x0", "a0"): 1.0, ("x1", "a0"): 1.0},
+        {"x0": 1.0}, name="replay"))))
+    Path(files["path"]).write_text(json.dumps(
+        {"steps": [{"t": 0, "s": "x0", "a": "a0"}, {"t": 1, "s": "x1", "a": "a0"}]}))
+    observation = ("--mdp", files["mdp"], "--path", files["path"])
+    assert run(capsys, "cf-build", *observation, "--samples", "200", "--out", files["post"])[0] == 0
+    for source, code, message in ((["--nominal"], 3, "error: no feasible policy at m=0\n"),
+                                  (["--posterior", files["post"]], 0, "V(s0) = 2.0\n")):
+        assert run(capsys, "prune", *observation, *source, "--k", "1",
+                   "--out", files["pruned"])[0] == 0
+        assert run(capsys, "solve", "--mdp", files["mdp"], "--pruned", files["pruned"],
+                   "--m", "0")[::2] == (code, message), source
 
 
 def test_prune_on_an_empty_path_exits_2(artifact_dir, tmp_path, capsys):
@@ -1362,9 +1388,11 @@ def _label_form(pruned):
     loaded = _pruned_from_json(pruned, mdp)
     nodes, rows = [], []
     for t, usable in enumerate(loaded.usable):
-        ids = np.unique(mdp.row_id[usable]).tolist()
-        rows.append([dict(zip([mdp.states[s] for s in loaded.cf.rows[t, r][0].tolist()],
-                              loaded.cf.rows[t, r][1].tolist())) for r in ids])
+        ids, first = np.unique(mdp.row_id[usable], return_index=True)
+        ids = ids.tolist()
+        rows.append([dict(zip([mdp.states[s] for s in succ.tolist()], prob.tolist()))
+                     for succ, prob in (cf_row(loaded.cf, t, p)
+                                        for p in np.flatnonzero(usable)[first].tolist())])
         nodes += [{"t": t, "s": mdp.states[s], "actions": {
             mdp.actions[mdp.action[p]]: ids.index(mdp.row_id[p])
             for p in range(mdp.start[s], mdp.start[s + 1]) if usable[p]}}
@@ -1532,17 +1560,23 @@ def test_reweighted_nominal_artifact_exits_2(tmp_path, capsys):
 
 
 def test_loaded_rows_are_the_stored_rows(artifact_dir):
-    # The loader prunes again from the stored rows and builds none: they are
-    # the rows the prune looks up, each keyed by (t, nominal row).
+    # The loader prunes again from the stored rows and builds none: each
+    # layer's rows are the stored rows of their nominal rows, the entries
+    # of non-zero probability.
     mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
     obj = json.loads((artifact_dir / "pruned.json").read_text())
     loaded = _pruned_from_json(obj, mdp)
-    assert sorted(loaded.cf.rows) == [(t, r) for t, layer in enumerate(obj["rows"])
-                                      for r in layer["row"]]
-    p = int(np.flatnonzero(loaded.usable[0])[0])
-    assert len(loaded.cf.row(0, p)[0]) > 0
+    first = np.unique(mdp.row_id, return_index=True)[1]  # the first pair of each nominal row
+    for t, layer in enumerate(obj["rows"]):
+        ids, stored = np.array(layer["row"], dtype=np.int64), np.array(layer["prob"])
+        size, succ, prob = loaded.cf.layer_rows(t, first[ids])
+        owner, at = gather_rows(np.diff(mdp.row_start), ids)
+        hit = stored > 0
+        assert size.tolist() == np.bincount(owner[hit], minlength=len(ids)).tolist(), t
+        assert succ.tolist() == mdp.succ[at[hit]].tolist() and prob.tolist() == stored[hit].tolist()
+    assert len(obj["rows"][0]["row"]) > 0
     with pytest.raises(ValidationFailed):
-        loaded.cf.row(loaded.horizon, p)
+        loaded.cf.layer_rows(loaded.horizon, first[:1])
     assert loaded.cf.rows_built == 0
 
 

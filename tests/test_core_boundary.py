@@ -7,7 +7,9 @@ which a guard checks on every built-in environment's MDP and on its JSON
 round trip. A second guard parses the core modules and fails on a lookup
 call (`state_index`, `action_index`, `pair`) or a read of the path's label
 `steps`. A third parses every module: `Mdp.from_arrays` is the one
-constructor, so none calls `Mdp(...)` with arguments.
+constructor, so none calls `Mdp(...)` with arguments. A fourth parses every
+module but `gumbel.py`: `CfMdp.layer_rows` is the one way to the
+counterfactual rows, so none reads `CfMdp`'s private row table.
 """
 
 import json
@@ -17,6 +19,7 @@ import ast
 import pytest
 
 from cfmdp.environments import ENVIRONMENTS, build_environment
+from cfmdp.gumbel import CfMdp
 from cfmdp.mdp import mdp_from_json, mdp_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cfmdp"
@@ -77,3 +80,30 @@ def test_adapter_guard_fails_on_a_reintroduced_call(line):
 def test_guard_fails_on_a_reintroduced_lookup(line):
     source = (SRC / "solver.py").read_text() + "\n\ndef _reintroduced():\n    " + line + "\n"
     assert label_lookups(source)
+
+
+def row_table_reads(source: str) -> list[str]:
+    """Each read of `CfMdp`'s private row table (`._rows`, `._add_rows`) in `source`."""
+    return [f"line {node.lineno}: .{node.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ("_rows", "_add_rows")]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")
+                                          if path.name != "gumbel.py"))
+def test_no_module_but_gumbel_reads_the_row_table(module):
+    assert row_table_reads((SRC / module).read_text()) == []
+
+
+def test_cf_mdp_hands_out_rows_by_layer_only():
+    assert not hasattr(CfMdp, "row") and "rows" not in CfMdp.__dataclass_fields__
+    assert row_table_reads((SRC / "gumbel.py").read_text())  # the guard sees the owner's reads
+
+
+@pytest.mark.parametrize("line", [
+    "rows = pruned.cf._rows[t]",
+    "size, succ, prob = cf._rows[t]",
+    "cf._add_rows(t, ids, size, succ, prob)",
+])
+def test_row_table_guard_fails_on_a_reintroduced_read(line):
+    source = (SRC / "cli.py").read_text() + "\n\ndef _reintroduced(cf, pruned, t):\n    " + line + "\n"
+    assert row_table_reads(source)

@@ -320,32 +320,43 @@ def test_prior_posterior_matches_nominal(tinychain):
 
 
 def test_cf_mdp_kernel_memoized(epidemic_cf):
+    p = np.array([pair_of(epidemic_cf.mdp, epidemic_cf.path.steps[0][0], "NIL")])
+    est1 = epidemic_cf.layer_rows(0, p)
     built = epidemic_cf.rows_built
-    p = pair_of(epidemic_cf.mdp, epidemic_cf.path.steps[0][0], "NIL")
-    est1 = epidemic_cf.row(0, p)
-    est2 = epidemic_cf.row(0, p)
-    assert est1 is est2
-    assert epidemic_cf.rows_built <= built + 1
+    est2 = epidemic_cf.layer_rows(0, p)
+    assert [a.tobytes() for a in est1] == [a.tobytes() for a in est2]
+    assert epidemic_cf.rows_built == built
 
 
 @pytest.mark.parametrize("sampled", [True, False], ids=["posterior", "nominal"])
 def test_cf_row_refuses_a_time_outside_the_horizon_fresh_or_warm(fig2_toy, sampled):
-    # t is checked on a memo miss only: just layers 0..T-1 enter `cf.rows`,
-    # so a CfMdp with every row built refuses t = -1 and t = T as a fresh one.
+    # `layer_rows` checks t once per call, so a CfMdp with every row built
+    # refuses t = -1 and t = T as a fresh one does.
     mdp, path = fig2_toy
     cf = CfMdp(mdp, path, build_posterior(mdp, path, 50, seed=3) if sampled else None)
-    pairs = range(len(mdp.source))
+    pairs = np.arange(len(mdp.source))
     for warm in (False, True):
         if warm:
             for t in range(path.T):
-                for p in pairs:
-                    cf.row(t, p)
-            assert len(cf.rows) == path.T * len(set(mdp.row_id.tolist()))
+                cf.layer_rows(t, pairs)
+            assert cf.rows_built == path.T * len(set(mdp.row_id.tolist()))
         for t in (-1, path.T):
             for p in pairs:
                 with pytest.raises(ValidationFailed) as exc:
-                    cf.row(t, p)
+                    cf.layer_rows(t, pairs[p:p + 1])
                 assert str(exc.value) == f"time {t} outside horizon {path.T}", (warm, t, p)
+
+
+@pytest.mark.parametrize("pair", [("s0", "a0"), ("s2", "a0")], ids=["two-successor", "one-successor"])
+def test_cf_transition_refuses_a_time_outside_the_horizon(fig2_toy, pair):
+    # Below 0 as above T-1: a one-successor row, which reads no noise, is
+    # refused as a row that reads the layers is, with the same message.
+    mdp, path = fig2_toy
+    posterior = build_posterior(mdp, path, 100, seed=3)
+    for t in (-1, path.T):
+        with pytest.raises(ValidationFailed) as exc:
+            cf_transition(posterior, mdp, t, pair_of(mdp, *pair))
+        assert str(exc.value) == f"time {t} outside posterior horizon {path.T}"
 
 
 def test_posterior_save_load_round_trip(tmp_path, tinychain):

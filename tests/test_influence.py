@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import cfmdp.gumbel
 from cfmdp.errors import EmptyPrunedMdp, ValidationFailed
 from cfmdp.gumbel import CfMdp, build_cf_mdp, build_posterior, nominal_cf_mdp
 from cfmdp.influence import _admission_hits, _admitted, _cf_rows, prune_cf_mdp, pruned_size_report
@@ -11,6 +12,7 @@ from cfmdp.mdp import ObservedPath, sample_path
 from oracles import (
     available_actions,
     cf_probs,
+    cf_row,
     dict_mdp,
     influenced_states,
     kernel,
@@ -270,23 +272,31 @@ def test_prune_empty_raises():
 
 def test_cf_rows_look_up_each_distinct_row_once(epidemic_demo, monkeypatch):
     # Pairs with one nominal row share one counterfactual row: `_cf_rows`
-    # reads it once and gathers its support for every pair, and the entries
-    # equal the per-pair concatenation in pair order.
+    # asks for each layer's built pairs in one `layer_rows` call, which
+    # builds each distinct row once, and the entries equal the per-pair
+    # concatenation in pair order.
     mdp, path, _ = epidemic_demo
     cf = build_cf_mdp(build_posterior(mdp, path, 200, seed=4), mdp)
-    calls, row = Counter(), CfMdp.row
+    calls, asked = Counter(), []
+    layer_rows, cf_transition = CfMdp.layer_rows, cfmdp.gumbel.cf_transition
 
-    def counted(self, t, p):
-        calls[t, int(self.mdp.row_id[p])] += 1
-        return row(self, t, p)
+    def counted(posterior, mdp, t, p):
+        calls[t, int(mdp.row_id[p])] += 1
+        return cf_transition(posterior, mdp, t, p)
 
-    monkeypatch.setattr(CfMdp, "row", counted)
+    def recorded(self, t, pairs):
+        asked.append(t)
+        return layer_rows(self, t, pairs)
+
+    monkeypatch.setattr(cfmdp.gumbel, "cf_transition", counted)
+    monkeypatch.setattr(CfMdp, "layer_rows", recorded)
     rows = _cf_rows(cf, _admitted(path.T + 1, _admission_hits(mdp, path, path.T)))
     monkeypatch.undo()
+    assert asked == list(range(path.T))
     assert max(calls.values()) == 1 and len(calls) == cf.rows_built
-    assert sum(int(built.sum()) for built, _, _ in rows) > len(calls)  # some rows are shared
+    assert sum(int(built.sum()) for built, _, _ in rows) > cf.rows_built  # some rows are shared
     for t, (built, owner, succ) in enumerate(rows):
         ids = np.flatnonzero(built).tolist()
-        supports = [cf.row(t, p)[0] for p in ids]
+        supports = [cf_row(cf, t, p)[0] for p in ids]
         assert np.array_equal(owner, np.repeat(ids, [len(x) for x in supports])), t
         assert np.array_equal(succ, np.concatenate(supports or [np.zeros(0, dtype=np.int64)])), t

@@ -21,8 +21,8 @@ from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import Mdp, ObservedPath, mdp_from_json, mdp_to_json, sample_path
 from cfmdp.solver import rollout, solve_km, sweep
 
-from oracles import (available_actions, cf_transition_oracle, dict_mdp, initial, kernel, kernel_row,
-                     km_value_oracle, observed_path_oracle, path_return, position_oracle,
+from oracles import (available_actions, cf_layer, cf_transition_oracle, dict_mdp, initial, kernel,
+                     kernel_row, km_value_oracle, observed_path_oracle, path_return, position_oracle,
                      random_mdp, rejection_posterior, reward, rollout_oracle, row_columns,
                      same_tables, sample_path_oracle, solve_km_oracle, table_rows)
 
@@ -73,8 +73,8 @@ def test_no_successor_leaks_out_of_the_next_layer(instance):
     for k in range(1, path.T + 2):
         pruned = prune_cf_mdp(cf, k)
         for t in range(path.T - 1):
-            for p in np.flatnonzero(pruned.usable[t]).tolist():
-                assert pruned.reach[t + 1][cf.row(t, p)[0]].all(), (k, t, p)
+            _, succ, _ = cf.layer_rows(t, np.flatnonzero(pruned.usable[t]))
+            assert pruned.reach[t + 1][succ].all(), (k, t)
         # Each layer is exactly the states with a usable pair, as an
         # artifact's loader requires.
         for t in range(path.T):
@@ -109,8 +109,7 @@ def test_pairs_with_one_nominal_row_share_one_counterfactual_row(instance):
     assert cf.rows_built == len(built)
     posterior = cf.posterior
     for t in range(path.T):
-        for p in range(len(mdp.source)):
-            idx, probs = cf.row(t, p)
+        for p, (idx, probs) in cf_layer(cf, t, range(len(mdp.source))).items():
             alone = cf_transition(posterior, mdp, t, p)
             # The mechanism's empirical law computed literally, without the
             # one-successor shortcut.
@@ -121,6 +120,48 @@ def test_pairs_with_one_nominal_row_share_one_counterfactual_row(instance):
             for a, b in (alone, literal):
                 assert idx.tobytes() == a.tobytes() and probs.tobytes() == b.tobytes(), (t, p)
     assert cf.rows_built == len({(t, r) for t in range(path.T) for r in mdp.row_id.tolist()})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(instances(shared_rows=True), st.data())
+def test_layer_rows_equal_the_per_row_sources_in_any_order(instance, data):
+    # From a posterior, from the nominal rows and from a pruned artifact read
+    # back: whatever pairs are asked for, in any order, repeated or over
+    # calls that overlap, each row is its source's row bit for bit and each
+    # (t, nominal row) is built once. The artifact's stored rows are the
+    # posterior's and count as none built; its other rows are nominal.
+    mdp, path, cf = instance
+    posterior, row_id = cf.posterior, mdp.row_id
+    pruned = prune_cf_mdp(cf, data.draw(st.integers(1, path.T + 1)))
+    loaded = _pruned_from_json(json.loads(json.dumps(_pruned_to_json(pruned))), mdp).cf
+    stored = {(t, r) for t, (built, _, _) in enumerate(pruned.closure.rows)
+              for r in row_id[built].tolist()}
+    assert loaded.rows_built == 0
+
+    def posterior_row(t, p):
+        return cf_transition(posterior, mdp, t, p)
+
+    def nominal_row(t, p):
+        return mdp.row(p)[:2]
+
+    def artifact_row(t, p):
+        return (posterior_row if (t, row_id[p]) in stored else nominal_row)(t, p)
+
+    for source, row, given in ((build_cf_mdp(posterior, mdp), posterior_row, set()),
+                               (nominal_cf_mdp(mdp, path), nominal_row, set()),
+                               (loaded, artifact_row, stored)):
+        pair, held = st.integers(0, len(mdp.source) - 1), set()
+        for _ in range(3):
+            t = data.draw(st.integers(0, path.T - 1))
+            asked = np.array(data.draw(st.lists(pair, max_size=2 * len(mdp.source))),
+                             dtype=np.int64)
+            size, succ, prob = source.layer_rows(t, asked)
+            cuts = np.cumsum(size)[:-1]
+            for p, idx, q in zip(asked.tolist(), np.split(succ, cuts), np.split(prob, cuts)):
+                want = row(t, p)
+                assert (idx.tobytes(), q.tobytes()) == (want[0].tobytes(), want[1].tobytes()), (t, p)
+            held |= {(t, r) for r in row_id[asked].tolist()}
+            assert source.rows_built == len(held - given)
 
 
 @PROPERTIES
@@ -364,9 +405,8 @@ def test_pruned_artifact_stores_each_row_once_and_round_trips(instance, data):
                 np.testing.assert_array_equal(a, b, err_msg=f"k={k}")
             assert loaded.nodes_all_layers == pruned.nodes_all_layers
             for t, usable in enumerate(pruned.usable):
-                for p in np.flatnonzero(usable).tolist():
-                    assert ([a.tobytes() for a in loaded.cf.row(t, p)]
-                            == [b.tobytes() for b in source.row(t, p)]), (k, t, p)
+                got, want = (c.layer_rows(t, np.flatnonzero(usable)) for c in (loaded.cf, source))
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (k, t)
             try:
                 v_s0 = solve_km(pruned, m).v_s0
             except InfeasibleBudget:  # under nominal rows replay can leave the prune

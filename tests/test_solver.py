@@ -22,6 +22,7 @@ from cfmdp.solver import (
 from oracles import (
     available_actions,
     cf_probs,
+    cf_row,
     dict_mdp,
     feature_vector,
     km_value_oracle,
@@ -119,7 +120,7 @@ def test_nan_q_values_from_finite_rewards_are_never_chosen_as_in_the_oracle():
     with np.errstate(over="ignore", invalid="ignore"):
         pruned = prune_cf_mdp(cf, path.T + 1)
         policy = solve_km(pruned, 1)
-        idx, probs = cf.row(0, pair_of(mdp, "x0", "b"))
+        idx, probs = cf_row(cf, 0, pair_of(mdp, "x0", "b"))
         child = policy.values[1][idx, 0]
         assert child.tolist() == [float("inf"), float("-inf")]  # x1, x2
         assert np.isnan(np.dot(probs, child))
