@@ -35,8 +35,7 @@ from .mdp import (
     ObservedPath,
     _first,
     gather_rows,
-    json_integers,
-    json_numbers,
+    json_values,
     mdp_from_json,
     mdp_to_json,
     path_from_json,
@@ -189,20 +188,20 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
             raise ValidationFailed("pruned artifact was built from a different MDP")
         path = path_from_json(obj["path"], mdp)
         T = path.T
-        if type(samples := obj["samples"]) is not int or samples < 0:
-            raise ValidationFailed(f"pruned artifact sample count {samples!r} is not >= 0")
-        for field in ("k", "nodes_all_layers"):
-            if type(obj[field]) is not int:
-                raise ValidationFailed(f"pruned artifact {field} {obj[field]!r} is not an integer")
-        if not 1 <= (k := obj["k"]) <= T + 1:
+        samples = json_values([obj["samples"]], "pruned artifact sample count", int).item()
+        if samples < 0:
+            raise ValidationFailed(f"pruned artifact sample count {samples} is not >= 0")
+        k = json_values([obj["k"]], "pruned artifact k", int).item()
+        nodes = json_values([obj["nodes_all_layers"]], "pruned artifact nodes_all_layers", int).item()
+        if not 1 <= k <= T + 1:
             raise ValidationFailed(f"pruned artifact k={k} outside 1..{T + 1}")
         if len(stored := obj["rows"]) != T:
             raise ValidationFailed(f"pruned artifact has {len(stored)} row layers, path has {T}")
 
         sizes, rows, ids = np.diff(mdp.row_start), [], []
         for t, layer in enumerate(stored):
-            ids.append(json_integers(layer["row"], "pruned row id"))
-            prob = json_numbers(layer["prob"], "pruned row probability")
+            ids.append(json_values(layer["row"], "pruned row id", int))
+            prob = json_values(layer["prob"], "pruned row probability", float)
             if not samples and (len(ids[t]) or len(prob)):
                 raise ValidationFailed(f"pruned layer {t} stores rows, but an artifact without "
                                        "samples has the MDP's rows")
@@ -243,13 +242,13 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
                 raise ValidationFailed(f"pruned layer {t} stores nominal row {ids[t][e]}, which "
                                        f"the prune at k={k} does not build")
         layers = obj["layers"]
-        if len(layers) != T or any(not np.array_equal(json_integers(layer, "pruned layer state"),
+        if len(layers) != T or any(not np.array_equal(json_values(layer, "pruned layer state", int),
                                                       np.flatnonzero(reach))
                                    for layer, reach in zip(layers, pruned.reach)):
             raise ValidationFailed(f"pruned artifact layers are not the states the prune at k={k} "
                                    "reaches")
-        if obj["nodes_all_layers"] != pruned.nodes_all_layers:
-            raise ValidationFailed(f"pruned artifact nodes_all_layers {obj['nodes_all_layers']} is "
+        if nodes != pruned.nodes_all_layers:
+            raise ValidationFailed(f"pruned artifact nodes_all_layers {nodes} is "
                                    f"not {pruned.nodes_all_layers}, the admitted count at k={k}")
         return pruned
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, EmptyPrunedMdp) as exc:
@@ -320,8 +319,7 @@ def _policy_from_json(obj: dict, pruned: PrunedCfMdp, samples: int) -> CfPolicy:
     `v_s0` is a report."""
     mdp, T, na = pruned.cf.mdp, pruned.horizon, len(pruned.cf.mdp.actions)
     try:
-        if type(m := obj["m"]) is not int:
-            raise ValidationFailed(f"policy m {m!r} is not an integer")
+        m = json_values([obj["m"]], "policy m", int).item()
         if not 0 <= m <= T:
             raise ValidationFailed(f"policy budget m={m} outside 0..{T}")
         if obj.get("pruned_hash") != _pruned_hash(pruned, samples):
@@ -331,7 +329,7 @@ def _policy_from_json(obj: dict, pruned: PrunedCfMdp, samples: int) -> CfPolicy:
         choices = np.full((T, mdp.num_states, m + 1), -1, dtype=np.int64)
         for t, (table, reach, usable) in enumerate(zip(tables, pruned.reach, pruned.usable)):
             states = np.flatnonzero(reach)
-            a = json_integers(table, "policy action index")
+            a = json_values(table, "policy action index", int)
             if len(a) != len(states) * (m + 1):
                 raise ValidationFailed(f"policy actions[{t}] has {len(a)} action indices, not "
                                        f"{len(states)} states x {m + 1} budgets")

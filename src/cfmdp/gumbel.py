@@ -36,7 +36,8 @@ from .errors import (
     ValidationFailed,
     ZeroProbabilityObservation,
 )
-from .mdp import Mdp, ObservedPath, gather_rows, path_from_json, path_to_json, read_json
+from .mdp import (Mdp, ObservedPath, gather_rows, json_values, path_from_json, path_to_json,
+                  read_json)
 
 FILL_ROWS = 128  # rows of a noise layer drawn at a time
 
@@ -345,9 +346,11 @@ def load_posterior(file, mdp: Mdp) -> GumbelPosterior:
     missing = [key for key in ("mdp_hash", "n", "path", "seed") if key not in recipe]
     if missing:
         raise ValidationFailed(f"posterior artifact {file} has no {', '.join(missing)}")
-    for key in ("n", "seed"):
-        if type(recipe[key]) is not int:
-            raise ValidationFailed(f"posterior artifact {key} {recipe[key]!r} is not an integer")
+    for key in ("n", "seed"):  # JSON integers; build_posterior checks their range
+        try:
+            json_values([recipe[key]], f"posterior artifact {key}", int)
+        except OverflowError:  # beyond int64: an n too large, or a seed of more words
+            pass
     if recipe["mdp_hash"] != mdp.digest:
         raise ValidationFailed("posterior artifact was built from a different MDP")
     path = path_from_json(recipe["path"], mdp)

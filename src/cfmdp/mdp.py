@@ -353,21 +353,22 @@ def mdp_from_json(obj: Mapping) -> Mdp:
     PROB_TOL is renormalized; other faults are left to `Mdp.from_arrays`,
     which takes the row table as it is."""
     try:
-        name, = json_strings([obj.get("name", "")], "MDP name")
-        states, actions = (json_strings(obj[f"{key}s"], f"MDP {key}") for key in ("state", "action"))
+        name, = json_values([obj.get("name", "")], "MDP name", str)
+        states, actions = (json_values(obj[f"{key}s"], f"MDP {key}", str)
+                           for key in ("state", "action"))
         pairs, rows, initial = obj["pairs"], obj["rows"], obj["initial"]
-        source = json_integers(pairs["s"], "MDP pair state")
-        action = json_integers(pairs["a"], "MDP pair action")
-        reward = json_numbers(pairs["r"], "MDP reward")
-        row = json_integers(pairs["row"], "MDP pair row")
-        size = json_integers(rows["size"], "MDP row size")
-        succ = json_integers(rows["succ"], "MDP row successor")
-        prob = json_numbers(rows["prob"], "MDP row probability")
+        source = json_values(pairs["s"], "MDP pair state", int)
+        action = json_values(pairs["a"], "MDP pair action", int)
+        reward = json_values(pairs["r"], "MDP reward", float)
+        row = json_values(pairs["row"], "MDP pair row", int)
+        size = json_values(rows["size"], "MDP row size", int)
+        succ = json_values(rows["succ"], "MDP row successor", int)
+        prob = json_values(rows["prob"], "MDP row probability", float)
         if (size < 0).any() or not sum(rows["size"]) == len(succ) == len(prob):  # cannot overflow
             raise ValidationFailed("the row sizes of the MDP's row table do not split its "
                                    f"{len(succ)} successors and {len(prob)} probabilities")
-        init_state = json_integers(initial["s"], "MDP initial state")
-        init_prob = json_numbers(initial["p"], "MDP initial probability")
+        init_state = json_values(initial["s"], "MDP initial state", int)
+        init_prob = json_values(initial["p"], "MDP initial probability", float)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed MDP JSON: {exc}") from exc
     owner = np.repeat(np.arange(len(size)), size)  # each entry's row
@@ -404,46 +405,35 @@ def path_from_json(obj: Mapping, mdp: Mdp) -> ObservedPath:
     step's `s` and `a` are JSON strings."""
     try:
         steps = obj["steps"]
-        t = json_integers([e["t"] for e in steps], "path step t")
+        t = json_values([e["t"] for e in steps], "path step t", int)
         if sorted(t.tolist()) != list(range(len(steps))):
             raise ValidationFailed("path steps are not consecutively indexed from 0")
-        s, a = (json_strings([e[key] for e in steps], f"path step {key}") for key in "sa")
+        s, a = (json_values([e[key] for e in steps], f"path step {key}", str) for key in "sa")
         steps = [(s[i], a[i]) for i in np.argsort(t).tolist()]
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed path JSON: {exc}") from exc
     return ObservedPath(mdp, steps)
 
 
-def json_integers(values: list, field: str) -> np.ndarray:
-    """`values` as an int64 array. Each must be a JSON integer: a float (even
-    a whole one), a string, a bool or any other value is a validation error
-    naming `field`, never truncated or parsed."""
-    if not set(map(type, values)) <= {int}:
-        value = next(v for v in values if type(v) is not int)
-        raise ValidationFailed(f"{field} {value!r} is not an integer")
-    return np.array(values, dtype=np.int64)
+# Each kind of JSON value: the Python types json.loads gives it, and its name.
+JSON_KINDS = {int: ({int}, "an integer"), float: ({int, float}, "a number"), str: ({str}, "a string")}
 
 
-def json_strings(values: list, field: str) -> tuple:
-    """`values`, a JSON array of JSON strings, as a tuple. Any other value in
-    its place or in it is a validation error naming `field`, never passed
-    through str()."""
+def json_values(values: list, field: str, kind: type) -> np.ndarray | tuple:
+    """`values`, a JSON array of JSON integers (`kind` int), numbers (float)
+    or strings (str), as an int64 array, a float64 array or a tuple. Any
+    other value in its place or in it is a validation error naming `field`:
+    a bool is never an integer or a number, and nothing is truncated, parsed
+    or passed through str(). An integer beyond int64 raises OverflowError."""
+    types, name = JSON_KINDS[kind]
     if type(values) is not list:
         raise ValidationFailed(f"{field} list {values!r} is not a JSON array")
-    if not set(map(type, values)) <= {str}:
-        value = next(v for v in values if type(v) is not str)
-        raise ValidationFailed(f"{field} {value!r} is not a string")
-    return tuple(values)
-
-
-def json_numbers(values: list, field: str) -> np.ndarray:
-    """`values` as a float64 array. Each must be a JSON number, an integer
-    or a float: a string, a bool or any other value is a validation error
-    naming `field`, never parsed."""
-    if not set(map(type, values)) <= {int, float}:
-        value = next(v for v in values if type(v) not in (int, float))
-        raise ValidationFailed(f"{field} {value!r} is not a number")
-    return np.array(values, dtype=np.float64)
+    if not set(map(type, values)) <= types:
+        value = next(v for v in values if type(v) not in types)
+        raise ValidationFailed(f"{field} {value!r} is not {name}")
+    if kind is str:
+        return tuple(values)
+    return np.array(values, dtype=np.int64 if kind is int else np.float64)
 
 
 def canonical_dumps(obj) -> str:

@@ -237,11 +237,11 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.ndarray,
     its own stream, SeedSequence(seed, spawn_key=(i,)), so its path does not
     depend on n; `_stream_uniforms` computes all n streams at once. All
     trajectories advance one layer at a time; those whose pairs share a
-    counterfactual row are sampled with one searchsorted. An n above 2**32
-    (the streams' spawn keys are single uint32 words), an (n, T) float64
-    array that cannot be addressed, a negative seed or a feature of another
-    shape is refused before anything is allocated, and uniforms that cannot
-    be allocated raise OutOfMemory.
+    counterfactual row are sampled with one searchsorted. An n below 1 or
+    above 2**32 (the streams' spawn keys are single uint32 words), an (n, T)
+    float64 array that cannot be addressed, a negative seed or a feature of
+    another shape is refused before anything is allocated, and uniforms that
+    cannot be allocated raise OutOfMemory.
 
     Rollouts never leave the pruned node set and never exceed the
     action-change budget; both are verified on every trajectory because they
@@ -249,6 +249,8 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.ndarray,
     at the earliest t, then at the lowest trajectory index.
     """
     T = pruned.horizon
+    if n < 1:
+        raise ValidationFailed(f"rollout count must be >= 1, got {n}")
     if n > 2**32 or n * T * 8 > np.iinfo(np.intp).max:
         raise ValidationFailed(f"rollout count {n} is too large: at most 2**32 trajectories, "
                                f"and {n}x{T} float64 uniforms must be addressable")

@@ -1150,7 +1150,7 @@ BAD_ARTIFACTS = {
     "policy-t-not-an-integer": ("policy", lambda pruned, policy: _policy_edit(
         policy, lambda table: [True, *table[1:]]), "policy action index True is not an integer"),
     "policy-table-not-a-list": ("policy", lambda pruned, policy: _policy_edit(
-        policy, lambda table: 0.5), "is not iterable"),
+        policy, lambda table: 0.5), "error: policy action index list 0.5 is not a JSON array\n"),
     "policy-table-count": ("policy", lambda pruned, policy: dict(
         policy, actions=policy["actions"] + [[]]), "policy has 8 action tables, path has 7"),
     "pruned-k-not-an-integer": ("pruned", lambda pruned, policy: dict(pruned, k=7.7),
@@ -1718,6 +1718,57 @@ def test_bad_posterior_exits_2(case, artifact_dir, tmp_path, capsys, layer_draws
     assert err.count("\n") == 1 and len(err) < 300, err[:300]
     assert not (tmp_path / "pruned.json").exists()
     assert not layer_draws
+
+
+# One value of the wrong JSON kind in each artifact, and the reader's line.
+# At the parent a pruned `samples` of 1.5 was reported as "not >= 0", and a
+# number where an array belongs leaked Python's "is not iterable".
+WRONG_KINDS = {
+    "recipe-n-true": ("posterior", lambda obj: dict(obj, n=True),
+                      "posterior artifact n True is not an integer"),
+    "recipe-seed-a-float": ("posterior", lambda obj: dict(obj, seed=1.5),
+                            "posterior artifact seed 1.5 is not an integer"),
+    "pruned-samples-a-float": ("pruned", lambda obj: dict(obj, samples=1.5),
+                               "pruned artifact sample count 1.5 is not an integer"),
+    "pruned-row-ids-a-number": ("pruned", lambda obj: dict(
+        obj, rows=[dict(obj["rows"][0], row=1300), *obj["rows"][1:]]),
+        "pruned row id list 1300 is not a JSON array"),
+    "policy-actions-a-number": ("policy", lambda obj: dict(obj, actions=[1, *obj["actions"][1:]]),
+                                "policy action index list 1 is not a JSON array"),
+    "mdp-pair-states-a-string": ("mdp", lambda obj: dict(obj, pairs=dict(obj["pairs"], s="0")),
+                                 "MDP pair state list '0' is not a JSON array"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KINDS))
+def test_json_value_of_the_wrong_kind_exits_2(case, artifact_dir, tmp_path, capsys):
+    kind, edit, message = WRONG_KINDS[case]
+    files = {name: str(artifact_dir / f"{name}.json")
+             for name in ("mdp", "path", "posterior", "pruned", "policy")}
+    files[kind] = str(tmp_path / f"{kind}.json")
+    Path(files[kind]).write_text(json.dumps(edit(json.loads(
+        (artifact_dir / f"{kind}.json").read_text()))))
+    argv = {"posterior": ["prune", "--path", files["path"], "--posterior", files["posterior"],
+                          "--k", "8"],
+            "pruned": ["solve", "--pruned", files["pruned"], "--m", "1"],
+            "policy": ["rollout", "--pruned", files["pruned"], "--policy", files["policy"],
+                       "--env", "epidemic", "--feature", "infected", "-n", "5"],
+            "mdp": ["sample", "--policy", "epidemic"]}[kind]
+    out = tmp_path / "out"
+    code, _, err = run(capsys, argv[0], "--mdp", files["mdp"], *argv[1:], "--out", str(out))
+    assert (code, err) == (2, f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_recipe_seed_beyond_int64_loads(artifact_dir, tmp_path, capsys):
+    # A seed is SeedSequence entropy of any size, and cf-build writes it as given.
+    post, seed = tmp_path / "posterior.json", 2**64 + 1
+    code, _, err = run(capsys, "cf-build", *_observation(artifact_dir), "--samples", "50",
+                       "--seed", str(seed), "--out", str(post))
+    assert code == 0 and json.loads(post.read_text())["seed"] == seed, err
+    code, _, err = run(capsys, "prune", *_observation(artifact_dir), "--posterior", str(post),
+                       "--k", "3", "--out", str(tmp_path / "pruned.json"))
+    assert code == 0, err
 
 
 def test_posterior_artifact_is_its_recipe(artifact_dir):

@@ -9,7 +9,9 @@ call (`state_index`, `action_index`, `pair`) or a read of the path's label
 `steps`. A third parses every module: `Mdp.from_arrays` is the one
 constructor, so none calls `Mdp(...)` with arguments. A fourth parses every
 module but `gumbel.py`: `CfMdp.layer_rows` is the one way to the
-counterfactual rows, so none reads `CfMdp`'s private row table.
+counterfactual rows, so none reads `CfMdp`'s private row table. A fifth
+parses every module: `json_values` is the one reader of a JSON value's
+kind, so no other function compares a `type(...)` with int, float or str.
 """
 
 import json
@@ -107,3 +109,34 @@ def test_cf_mdp_hands_out_rows_by_layer_only():
 def test_row_table_guard_fails_on_a_reintroduced_read(line):
     source = (SRC / "cli.py").read_text() + "\n\ndef _reintroduced(cf, pruned, t):\n    " + line + "\n"
     assert row_table_reads(source)
+
+
+def type_tests(source: str) -> list[str]:
+    """Each comparison in `source`, outside `json_values`, of a `type(...)`
+    with int, float or str."""
+    tree = ast.parse(source)
+    reader = {id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == "json_values" for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in reader:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if "type" in names and names & {"int", "float", "str"}:
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_function_but_the_reader_tests_a_json_type(module):
+    assert type_tests((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("line", [
+    "if type(samples := obj['samples']) is not int or samples < 0: pass",
+    "if type(recipe[key]) is not int: pass",
+    "bad = [v for v in values if type(v) not in (int, float)]",
+    "ok = set(map(type, values)) <= {str}",
+])
+def test_type_test_guard_fails_on_a_reintroduced_check(line):
+    source = (SRC / "cli.py").read_text() + "\n\ndef _reintroduced(obj, recipe, key, values):\n    " + line + "\n"
+    assert type_tests(source)

@@ -440,6 +440,16 @@ def test_rollout_uniforms_beyond_intp_are_refused_before_any_draw(monkeypatch):
         rollout(SimpleNamespace(horizon=2**61), None, 2**32, None, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_rollout_refuses_fewer_than_one_trajectory_before_any_draw(n, epidemic_cf, monkeypatch):
+    # n = 0 gave NaN means and numpy's "Mean of empty slice" warning, and
+    # n = -1 a bare ValueError from np.full.
+    monkeypatch.setattr(cfmdp.solver, "_stream_uniforms", _no_uniforms)
+    pruned = prune_cf_mdp(epidemic_cf, 1)
+    with pytest.raises(ValidationFailed, match=f"rollout count must be >= 1, got {n}"):
+        rollout(pruned, solve_km(pruned, 0), n, np.zeros(pruned.cf.mdp.num_states), seed=0)
+
+
 def test_rollout_rejects_a_negative_seed(epidemic_demo, epidemic_cf, monkeypatch):
     monkeypatch.setattr(cfmdp.solver, "_stream_uniforms", _no_uniforms)
     pruned = prune_cf_mdp(epidemic_cf, 1)
