@@ -142,18 +142,9 @@ def cmd_cf_build(args) -> int:
     return EXIT_OK
 
 
-def _prune_rows(pruned: PrunedCfMdp):
-    """Per layer, the (ids, size, succ, prob) of the rows a prune without
-    `base` built: their nominal rows, ascending, and `layer_rows` of them."""
-    row_id = pruned.cf.mdp.row_id
-    for t, (built, _, _) in enumerate(pruned.closure.rows):
-        ids, first = np.unique(row_id[built], return_index=True)
-        yield ids, *pruned.cf.layer_rows(t, np.flatnonzero(built)[first])
-
-
 def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
     """Artifact contents, in the core's indexing. `rows[t]` holds the
-    counterfactual rows the prune built at layer t (`_prune_rows`): `row`
+    counterfactual rows the prune built at layer t (`pruned.rows[t]`): `row`
     lists their nominal rows, ascending, and `prob` the counterfactual
     probability of each nominal successor of those rows, in the MDP's entry
     order, 0.0 off the counterfactual support. Without a posterior the rows
@@ -163,7 +154,7 @@ def _pruned_to_json(pruned: PrunedCfMdp) -> dict:
     mdp, n = cf.mdp, cf.mdp.num_states
     nominal = mdp.owner * n + mdp.succ  # the MDP's row table, ascending
     rows = []
-    for ids, size, succ, q in _prune_rows(pruned):
+    for ids, size, succ, q in pruned.rows:
         if cf.posterior is None:
             rows.append({"row": [], "prob": []})
             continue
@@ -195,7 +186,7 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
         nodes = json_values([obj["nodes_all_layers"]], "pruned artifact nodes_all_layers", int).item()
         if not 1 <= k <= T + 1:
             raise ValidationFailed(f"pruned artifact k={k} outside 1..{T + 1}")
-        if len(stored := obj["rows"]) != T:
+        if len(stored := json_values(obj["rows"], "pruned row layer", dict)) != T:
             raise ValidationFailed(f"pruned artifact has {len(stored)} row layers, path has {T}")
 
         sizes, rows, ids = np.diff(mdp.row_start), [], []
@@ -233,15 +224,14 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
         pruned = prune_cf_mdp(CfMdp(mdp, path, None, rows), k)
         # A row the artifact does not store is the nominal row: with samples,
         # the stored rows must be exactly those the prune builds.
-        for t, (built, _, _) in enumerate(pruned.closure.rows if samples else ()):
-            want = np.flatnonzero(np.bincount(mdp.row_id[built]))
+        for t, (want, _, _, _) in enumerate(pruned.rows if samples else ()):
             if (e := _first(~np.isin(want, ids[t], assume_unique=True))) is not None:
                 raise ValidationFailed(f"pruned layer {t} has no row for nominal row {want[e]}, "
                                        f"which the prune at k={k} builds")
             if (e := _first(~np.isin(ids[t], want, assume_unique=True))) is not None:
                 raise ValidationFailed(f"pruned layer {t} stores nominal row {ids[t][e]}, which "
                                        f"the prune at k={k} does not build")
-        layers = obj["layers"]
+        layers = json_values(obj["layers"], "pruned layer", list)
         if len(layers) != T or any(not np.array_equal(json_values(layer, "pruned layer state", int),
                                                       np.flatnonzero(reach))
                                    for layer, reach in zip(layers, pruned.reach)):
@@ -278,9 +268,8 @@ def _pruned_hash(pruned: PrunedCfMdp, samples: int) -> str:
     layers are left out: the prune derives them from the rows. A compact and
     an indented copy, or a copy with an unread key, agree."""
     cf = pruned.cf
-    layers = list(_prune_rows(pruned))
-    ids, size, succ, prob = (np.concatenate(x) for x in zip(*layers))
-    t = np.repeat(np.arange(len(layers)), [len(layer[0]) for layer in layers])
+    ids, size, succ, prob = (np.concatenate(x) for x in zip(*pruned.rows))
+    t = np.repeat(np.arange(len(pruned.rows)), [len(layer[0]) for layer in pruned.rows])
     h = hashlib.sha256(json.dumps([pruned.k, samples, pruned.nodes_all_layers, cf.mdp.digest,
                                    path_hash(cf.path)]).encode())
     for a in (np.column_stack([t, ids]), size, succ, prob):
@@ -297,7 +286,7 @@ def _policy_to_json(policy: CfPolicy, pruned: PrunedCfMdp, samples: int) -> dict
     return {"k": policy.k, "m": policy.m, "v_s0": policy.v_s0,
             "meta": {"samples": samples, "mdp_hash": policy.mdp.digest},
             "pruned_hash": _pruned_hash(pruned, samples),
-            "actions": [c[r, ::-1].ravel().tolist() for c, r in zip(policy.choices, pruned.reach)]}
+            "actions": [c[:, ::-1].ravel().tolist() for c in policy.choices]}
 
 
 def cmd_solve(args) -> int:
@@ -324,30 +313,30 @@ def _policy_from_json(obj: dict, pruned: PrunedCfMdp, samples: int) -> CfPolicy:
             raise ValidationFailed(f"policy budget m={m} outside 0..{T}")
         if obj.get("pruned_hash") != _pruned_hash(pruned, samples):
             raise ValidationFailed("policy was not solved on this pruned artifact; solve it again")
-        if len(tables := obj["actions"]) != T:
+        if len(tables := json_values(obj["actions"], "policy action table", list)) != T:
             raise ValidationFailed(f"policy has {len(tables)} action tables, path has {T}")
-        choices = np.full((T, mdp.num_states, m + 1), -1, dtype=np.int64)
-        for t, (table, reach, usable) in enumerate(zip(tables, pruned.reach, pruned.usable)):
-            states = np.flatnonzero(reach)
+        states = [np.flatnonzero(reach) for reach in pruned.reach]
+        choices = []
+        for t, (table, layer, usable) in enumerate(zip(tables, states, pruned.usable)):
             a = json_values(table, "policy action index", int)
-            if len(a) != len(states) * (m + 1):
+            if len(a) != len(layer) * (m + 1):
                 raise ValidationFailed(f"policy actions[{t}] has {len(a)} action indices, not "
-                                       f"{len(states)} states x {m + 1} budgets")
-            a = a.reshape(len(states), m + 1)  # by state, then j
+                                       f"{len(layer)} states x {m + 1} budgets")
+            a = a.reshape(len(layer), m + 1)  # by state, then j
             if (e := _first((a < -1) | (a >= na))) is not None:
                 i, j = divmod(e, m + 1)
-                raise ValidationFailed(f"policy action index {a[i, j]} at ({mdp.states[states[i]]}, "
+                raise ValidationFailed(f"policy action index {a[i, j]} at ({mdp.states[layer[i]]}, "
                                        f"t={t}, j={j}) is outside -1..{na - 1}")
-            pair = mdp.pair_at[states[:, None], np.maximum(a, 0)]
+            pair = mdp.pair_at[layer[:, None], np.maximum(a, 0)]
             if (e := _first((a >= 0) & ((pair < 0) | ~usable[pair]))) is not None:
-                s, action = mdp.states[states[e // (m + 1)]], mdp.actions[a.flat[e]]
+                s, action = mdp.states[layer[e // (m + 1)]], mdp.actions[a.flat[e]]
                 if pair.flat[e] < 0:
                     raise ValidationFailed("malformed policy artifact: "
                                            f"no kernel row for ({s}, {action})")
                 raise ValidationFailed(f"policy action {action!r} is not usable at ({s}, t={t})")
-            choices[t][states] = a[:, ::-1]
-        return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=int(pruned.cf.path.state[0]),
-                        choices=list(choices), values=[], rows_priced=0)
+            choices.append(a[:, ::-1])
+        return CfPolicy(k=pruned.k, m=m, mdp=mdp, states=states, choices=choices, values=[],
+                        rows_priced=0)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailed(f"malformed policy artifact: {exc!r}") from exc
 
@@ -407,8 +396,7 @@ def cmd_sweep(args) -> int:
     }
 
     # Monte-Carlo standard error of each entry of the rows built with > 1 successor
-    probs = np.concatenate([q[np.repeat(size > 1, size)]
-                            for _, size, _, q in _prune_rows(result.top)])
+    probs = np.concatenate([q[np.repeat(size > 1, size)] for _, size, _, q in result.top.rows])
     se = np.sqrt(probs * (1 - probs) / args.samples)
     manifest = {
         "tool_version": __version__,

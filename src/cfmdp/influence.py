@@ -40,17 +40,13 @@ class _Closure:
     """What a prune at horizon k leaves for any prune at a smaller k.
 
     `hits[d][t]` marks the pairs whose nominal support meets S^tau_t or
-    M[d][t+1], for d = 0..k-1 and t < T-d. `rows[t]` is the layer's
-    counterfactual rows as a built-pair mask plus (owner pair, successor)
-    entries: the admitted pairs at the nodes the forward sweep reached.
-    `alive[t]` (t = 0..T) and `closed[t]` are the nodes and pairs left by the
-    backward closure.
+    M[d][t+1], for d = 0..k-1 and t < T-d. `sound[t]` marks, over the MDP's
+    row table, the rows of layer t the prune built whose counterfactual
+    successors all stay alive in the backward closure.
     """
 
     hits: list[list[np.ndarray]]
-    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    alive: list[np.ndarray]
-    closed: list[np.ndarray]
+    sound: list[np.ndarray]
 
 
 @dataclass(eq=False)
@@ -63,6 +59,11 @@ class PrunedCfMdp:
     at the horizon boundary). Every counterfactual successor of an allowed
     pair is itself allowed (no probability mass leaks outside). `layers` and
     `actions` give the same sets by label, for reports.
+
+    `rows[t]` is layer t's counterfactual rows the prune built, one per
+    nominal row of an admitted pair at a node its forward sweep reached:
+    (ids, size, succ, prob), the nominal rows ascending and `layer_rows` of
+    them. A prune with `base` holds the base's rows.
     """
 
     cf: CfMdp
@@ -70,6 +71,7 @@ class PrunedCfMdp:
     reach: tuple[np.ndarray, ...]
     usable: tuple[np.ndarray, ...]
     nodes_all_layers: int
+    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     closure: _Closure
 
     @property
@@ -126,22 +128,21 @@ def _admitted(k: int, hits: list[list[np.ndarray]]) -> list[np.ndarray]:
     return [everything if t >= T - k + 1 else hits[k - 1][t] for t in range(T)]
 
 
-def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _cf_rows(cf: CfMdp, admitted: list[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
     """Forward sweep from s_0 through admitted pairs, building their CF rows.
 
-    Per layer: the mask of pairs built (admitted at a node the sweep reached)
-    and their counterfactual supports as (owner pair, successor) entries, in
-    pair order, from one `layer_rows` call per layer.
+    Per layer: the nominal rows of the pairs admitted at a node the sweep
+    reached, ascending, and their counterfactual rows as (ids, size, succ,
+    prob), from one `layer_rows` call per layer.
     """
     mdp = cf.mdp
     nodes = np.bincount(cf.path.state[:1], minlength=mdp.num_states) > 0
     rows = []
     for t, adm in enumerate(admitted):
-        built = adm & nodes[mdp.source]
-        ids = np.flatnonzero(built)
-        size, succ, _ = cf.layer_rows(t, ids)
-        rows.append((built, np.repeat(ids, size), succ))
-        nodes = np.bincount(succ, minlength=mdp.num_states) > 0
+        pairs = np.flatnonzero(adm & nodes[mdp.source])
+        ids, first = np.unique(mdp.row_id[pairs], return_index=True)
+        rows.append((ids, *cf.layer_rows(t, pairs[first])))
+        nodes = np.bincount(rows[-1][2], minlength=mdp.num_states) > 0
     return rows
 
 
@@ -174,24 +175,26 @@ def prune_cf_mdp(cf: CfMdp, k: int, base: PrunedCfMdp | None = None) -> PrunedCf
         hits = base.closure.hits
         shared_from = max(T - k + 1, 0)  # the free layers
     admitted = _admitted(k, hits)
-    rows = _cf_rows(cf, admitted) if base is None else base.closure.rows
+    rows = _cf_rows(cf, admitted) if base is None else base.rows
 
-    # Backward closure: drop pairs that can leak onto dead nodes; a node with
-    # no surviving pair is dead and cascades to its predecessors.
-    alive: list = [None] * T + [np.ones(n, dtype=bool)]
-    closed: list = [None] * T
+    # Backward closure: a built row is sound when none of its successors is
+    # dead, and a pair is closed when admitted with a sound row; a node with
+    # no closed pair is dead and cascades to its predecessors.
+    alive = np.ones(n, dtype=bool)
+    sound, closed = [None] * T, [None] * T
     for t in range(T - 1, -1, -1):
         if t >= shared_from:
-            alive[t], closed[t] = base.closure.alive[t], base.closure.closed[t]
-            continue
-        built, owner, succ = rows[t]
-        leaks = np.zeros(len(mdp.source), dtype=bool)
-        leaks[owner[~alive[t + 1][succ]]] = True
-        closed[t] = built & admitted[t] & ~leaks
-        alive[t] = np.bincount(mdp.source[closed[t]], minlength=n) > 0
+            sound[t] = base.closure.sound[t]
+        else:
+            ids, size, succ, _ = rows[t]
+            sound[t] = np.zeros(len(mdp.row_start) - 1, dtype=bool)
+            sound[t][ids] = True
+            sound[t][ids[np.repeat(np.arange(len(ids)), size)[~alive[succ]]]] = False
+        closed[t] = admitted[t] & sound[t][mdp.row_id]
+        alive = np.bincount(mdp.source[closed[t]], minlength=n) > 0
 
     s0 = int(path.state[0])
-    if not alive[0][s0]:
+    if not alive[s0]:
         if cf.posterior is None:  # the observed pairs keep their whole nominal rows
             raise EmptyPrunedMdp(
                 f"k={k} pruning left no usable action at the initial node: under nominal rows an "
@@ -204,16 +207,17 @@ def prune_cf_mdp(cf: CfMdp, k: int, base: PrunedCfMdp | None = None) -> PrunedCf
     # Forward reachability over closed pairs; successors are alive by closure.
     reach, usable = [], []
     nodes = np.bincount([s0], minlength=n) > 0
-    for t in range(T):
-        _, owner, succ = rows[t]
+    for t, (ids, size, succ, _) in enumerate(rows):
         usable.append(closed[t] & nodes[mdp.source])
         reach.append(nodes)
-        nodes = np.bincount(succ[usable[t][owner]], minlength=n) > 0
+        used = np.zeros(len(mdp.row_start) - 1, dtype=bool)
+        used[mdp.row_id[usable[t]]] = True
+        nodes = np.bincount(succ[np.repeat(used[ids], size)], minlength=n) > 0
 
     return PrunedCfMdp(
         cf=cf, k=k, reach=tuple(reach), usable=tuple(usable),
-        nodes_all_layers=_count_all_layers(mdp, admitted),
-        closure=_Closure(hits, rows, alive, closed),
+        nodes_all_layers=_count_all_layers(mdp, admitted), rows=rows,
+        closure=_Closure(hits, sound),
     )
 
 

@@ -404,7 +404,7 @@ def path_from_json(obj: Mapping, mdp: Mdp) -> ObservedPath:
     Each step's `t` must be a JSON integer, the steps are 0..T-1, and each
     step's `s` and `a` are JSON strings."""
     try:
-        steps = obj["steps"]
+        steps = json_values(obj["steps"], "path step", dict)
         t = json_values([e["t"] for e in steps], "path step t", int)
         if sorted(t.tolist()) != list(range(len(steps))):
             raise ValidationFailed("path steps are not consecutively indexed from 0")
@@ -416,22 +416,25 @@ def path_from_json(obj: Mapping, mdp: Mdp) -> ObservedPath:
 
 
 # Each kind of JSON value: the Python types json.loads gives it, and its name.
-JSON_KINDS = {int: ({int}, "an integer"), float: ({int, float}, "a number"), str: ({str}, "a string")}
+JSON_KINDS = {int: ({int}, "an integer"), float: ({int, float}, "a number"), str: ({str}, "a string"),
+              list: ({list}, "a JSON array"), dict: ({dict}, "a JSON object")}
 
 
 def json_values(values: list, field: str, kind: type) -> np.ndarray | tuple:
-    """`values`, a JSON array of JSON integers (`kind` int), numbers (float)
-    or strings (str), as an int64 array, a float64 array or a tuple. Any
-    other value in its place or in it is a validation error naming `field`:
-    a bool is never an integer or a number, and nothing is truncated, parsed
-    or passed through str(). An integer beyond int64 raises OverflowError."""
+    """`values`, a JSON array of JSON integers (`kind` int), numbers (float),
+    strings (str), arrays (list) or objects (dict), as an int64 array, a
+    float64 array or a tuple. Any other value in its place or in it is a
+    validation error naming `field` and showing at most 80 characters of the
+    value's repr (a wrong value can be a whole table): a bool is never an
+    integer or a number, and nothing is truncated, parsed or passed through
+    str(). An integer beyond int64 raises OverflowError."""
     types, name = JSON_KINDS[kind]
     if type(values) is not list:
-        raise ValidationFailed(f"{field} list {values!r} is not a JSON array")
+        raise ValidationFailed(f"{field} list {values!r:.80} is not a JSON array")
     if not set(map(type, values)) <= types:
         value = next(v for v in values if type(v) not in types)
-        raise ValidationFailed(f"{field} {value!r} is not {name}")
-    if kind is str:
+        raise ValidationFailed(f"{field} {value!r:.80} is not {name}")
+    if kind not in (int, float):
         return tuple(values)
     return np.array(values, dtype=np.int64 if kind is int else np.float64)
 

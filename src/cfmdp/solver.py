@@ -31,19 +31,20 @@ NEG_INF = float("-inf")
 class CfPolicy:
     """Action map over (state, time, changes used) with its value tables.
 
-    `values[t]` (t = 0..T) and `choices[t]` (t = 0..T-1) are (|S|, m+1) arrays
-    over state index and remaining budget r = 0..m, so the conventional
-    V_t(s, j) with j changes used is entry r = m - j. Values are -inf and
-    choices (action indices) -1 where no feasible action exists or the node
-    is outside the pruned MDP. `s0` is the index of the initial state, and
-    `rows_priced` counts the (t, distinct row) expected values solved. A policy
-    read back from an artifact has no value tables (`values` is empty).
+    `states[t]` (t = 0..T-1) lists the states of pruned layer t, ascending,
+    and `values[t]` and `choices[t]` are (len(states[t]), m+1) arrays over
+    those states and remaining budget r = 0..m, so the conventional
+    V_t(s, j) with j changes used is entry r = m - j; the terminal values
+    are 0. Values are -inf and choices (action indices) -1 where no feasible
+    action exists. `states[0]` is s_0 alone, and `rows_priced` counts the
+    (t, distinct row) expected values solved. A policy read back from an
+    artifact has no value tables (`values` is empty).
     """
 
     k: int
     m: int
     mdp: Mdp
-    s0: int
+    states: list[np.ndarray]
     choices: list[np.ndarray]
     values: list[np.ndarray]
     rows_priced: int
@@ -57,7 +58,7 @@ class CfPolicy:
         """V(s_0) under budget cap m (m <= the solved cap)."""
         if not 0 <= m <= self.m:
             raise ValidationFailed(f"budget {m} outside solved range 0..{self.m}")
-        return float(self.values[0][self.s0, m])
+        return float(self.values[0][0, m])
 
 
 def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPolicy:
@@ -73,7 +74,8 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
     Each layer is solved in arrays, each distinct counterfactual row priced
     once (`_pair_values`). The best action per state is the first maximum
     over its pairs, the observed action first so that value ties resolve
-    toward replay.
+    toward replay. Every reached state has a usable pair (the prune's
+    closure keeps one), so the layer's states are its usable pairs' sources.
     At most T-t changes remain at layer t, so the budgets r > T-t are not
     priced: their values and choices are copies of column T-t.
 
@@ -90,51 +92,49 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
         raise ValidationFailed("base policy must be solved at the same m and at k or more")
     cf = pruned.cf
     mdp = cf.mdp
-    n = mdp.num_states
     shared_from = T if base is None else max(T - pruned.k + 1, 0)
 
-    values = [np.full((n, m + 1), NEG_INF) for _ in range(T)] + [np.zeros((n, m + 1))]
-    choices = [np.full((n, m + 1), -1, dtype=np.int64) for _ in range(T)]
+    states = [np.flatnonzero(reach) for reach in pruned.reach]
+    values, choices = [None] * T, [None] * T
+    # Past the horizon every successor reads one row of zero values.
+    terminal = (np.zeros(0, dtype=np.int64), np.zeros((1, m + 1)))
     rows_priced = 0
     for t in range(T - 1, -1, -1):
-        nodes = pruned.reach[t]
         if t >= shared_from:
-            values[t][nodes] = base.values[t][nodes]
-            choices[t][nodes] = base.choices[t][nodes]
+            at = np.searchsorted(base.states[t], states[t])
+            values[t], choices[t] = base.values[t][at], base.choices[t][at]
             continue
-        pairs = np.flatnonzero(pruned.usable[t] & nodes[mdp.source])
-        if not len(pairs):
-            continue
+        pairs = np.flatnonzero(pruned.usable[t])
         top = min(m, T - t)
         cost = (mdp.action[pairs] != cf.path.action[t]).astype(np.int64)
         # Pairs by state, the observed action first, then in pair order.
         order = np.lexsort((pairs, cost, mdp.source[pairs]))
         pairs, cost = pairs[order], cost[order]
-        states, first, count = np.unique(mdp.source[pairs], return_index=True, return_counts=True)
-        q, priced = _pair_values(cf, t, pairs, cost, top, values[t + 1])
+        _, first, count = np.unique(mdp.source[pairs], return_index=True, return_counts=True)
+        q, priced = _pair_values(cf, t, pairs, cost, top,
+                                 *(terminal if t + 1 == T else (states[t + 1], values[t + 1])))
         rows_priced += priced
-        grid = np.full((len(states), int(count.max()), top + 1), NEG_INF)
-        grid[np.repeat(np.arange(len(states)), count),
+        grid = np.full((len(first), int(count.max()), top + 1), NEG_INF)
+        grid[np.repeat(np.arange(len(first)), count),
              np.arange(len(pairs)) - np.repeat(first, count)] = q
         slot = grid.argmax(axis=1)
         best = np.take_along_axis(grid, slot[:, None, :], axis=1)[:, 0]
         chosen = np.where(best > NEG_INF, mdp.action[pairs[first[:, None] + slot]], -1)
         budget = np.minimum(np.arange(m + 1), top)  # budgets above T-t read column T-t
-        values[t][states] = best[:, budget]
-        choices[t][states] = chosen[:, budget]
+        values[t], choices[t] = best[:, budget], chosen[:, budget]
 
-    s0 = int(cf.path.state[0])
-    if values[0][s0, m] == NEG_INF:
+    if values[0][0, m] == NEG_INF:
         raise InfeasibleBudget(f"no feasible policy at m={m}")
-    return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=s0, choices=choices, values=values,
+    return CfPolicy(k=pruned.k, m=m, mdp=mdp, states=states, choices=choices, values=values,
                     rows_priced=rows_priced)
 
 
 def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: int,
-                 v_next: np.ndarray) -> tuple[np.ndarray, int]:
+                 next_states: np.ndarray, v_next: np.ndarray) -> tuple[np.ndarray, int]:
     """Q-values of `pairs` at layer t for budgets r = 0..top, -inf where the
     pair costs more than r: reward plus the expected value of column r - cost
-    of `v_next` under the pair's counterfactual row; and the rows priced.
+    of `v_next`, the values of layer t+1's `next_states`, under the pair's
+    counterfactual row; and the rows priced.
 
     Each distinct row is priced once, for columns 0..top, by one `np.vecdot`
     per row length: `np.dot`'s 1-D BLAS dot over a full-width gather, so each
@@ -142,12 +142,12 @@ def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: in
     """
     keys, first, which = np.unique(cf.mdp.row_id[pairs], return_index=True, return_inverse=True)
     size, succ, prob = cf.layer_rows(t, pairs[first])
-    start = np.cumsum(size) - size
+    start, child = np.cumsum(size) - size, np.searchsorted(next_states, succ)
     ev = np.full((len(keys), top + 2), NEG_INF)  # column c + 1 is column c; 0 is out of budget
     for n in np.flatnonzero(np.bincount(size)).tolist():
         group = np.flatnonzero(size == n)
         at = start[group, None] + np.arange(n)  # the group's (row, entry) table
-        ev[group, 1:] = np.vecdot(prob[at][:, :, None], v_next[succ[at]][:, :, :top + 1], axis=1)
+        ev[group, 1:] = np.vecdot(prob[at][:, :, None], v_next[child[at]][:, :, :top + 1], axis=1)
     q = cf.mdp.reward[pairs, None] + ev[which[:, None], np.arange(1, top + 2) - cost[:, None]]
     q[np.isnan(q)] = NEG_INF  # a NaN value (inf - inf in a dot) is never the best
     return q, len(keys)
@@ -268,13 +268,15 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.ndarray,
     except MemoryError:
         raise OutOfMemory(f"out of memory drawing the rollout uniforms ({n}x{T} float64)") from None
     observed = cf.path.action
-    si = np.full(n, policy.s0, dtype=np.int64)
+    si = np.full(n, policy.states[0][0], dtype=np.int64)
     j = np.zeros(n, dtype=np.int64)
     feats = np.empty((n, T + 1))
     for t in range(T):
         inside = pruned.reach[t][si]
+        states = policy.states[t]
+        row = np.minimum(np.searchsorted(states, si), len(states) - 1)
         col = policy.m - j  # negative once a trajectory is over budget: no action there
-        a = np.where(col >= 0, policy.choices[t][si, np.maximum(col, 0)], -1)
+        a = np.where((col >= 0) & (states[row] == si), policy.choices[t][row, np.maximum(col, 0)], -1)
         p = np.where(a >= 0, mdp.pair_at[si, a], -1)
         ok = inside & (p >= 0) & pruned.usable[t][p]
         if not ok.all():

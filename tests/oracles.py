@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, product
 
 import numpy as np
@@ -385,6 +386,52 @@ def reachback(mdp: Mdp, sets: InfluenceSets, k: int) -> InfluenceSets:
                          reachback_states=sets.pooled | (found - sets.path_states))
 
 
+def prune_oracle(cf: CfMdp, k: int) -> tuple[list, list, int] | None:
+    """`prune_cf_mdp` pair by pair: (reach, usable, nodes_all_layers), or
+    None where no pair at (s_0, 0) survives.
+
+    Admission is the literal definition: a pair at t is k-admitted when
+    t >= T-k+1, or its nominal row meets S^tau_t, or some nominal
+    continuation of at most k-1 further steps holds such a pair. The closure
+    is the greatest fixpoint over every admitted pair at every layer: a pair
+    stays while each of its counterfactual successors at t+1 < T has a pair
+    that stays. Reach runs forward from s_0 through the pairs that stay.
+    """
+    mdp, path = cf.mdp, cf.path
+    T, pairs = path.T, range(len(mdp.source))
+    start, source = mdp.start.tolist(), mdp.source.tolist()
+    nominal = [set(mdp.row(p)[0].tolist()) for p in pairs]
+    stau = [nominal[p] for p in path.pair.tolist()]
+
+    @cache
+    def influenced(t, p, d):
+        return bool(nominal[p] & stau[t]) or d > 0 and t + 1 < T and any(
+            influenced(t + 1, q, d - 1) for s2 in nominal[p] for q in range(start[s2], start[s2 + 1]))
+
+    admitted = [{p for p in pairs if t >= T - k + 1 or influenced(t, p, k - 1)} for t in range(T)]
+    rows = [{p: set(succ.tolist()) for p, (succ, _) in cf_layer(cf, t, pairs).items()}
+            for t in range(T)]
+    kept = [set(layer) for layer in admitted]
+    changed = True
+    while changed:
+        changed = False
+        for t in range(T - 1):
+            alive = {source[q] for q in kept[t + 1]}
+            for p in [p for p in kept[t] if not rows[t][p] <= alive]:
+                kept[t].discard(p)
+                changed = True
+    nodes_all_layers = sum(len({source[p] for p in layer}) for layer in admitted)
+    nodes_all_layers += len(set().union(*(nominal[p] for p in admitted[T - 1])))
+    reach, usable, nodes = [], [], {int(path.state[0])}
+    for t in range(T):
+        usable.append({p for p in kept[t] if source[p] in nodes})
+        reach.append(nodes)
+        nodes = set().union(*(rows[t][p] for p in usable[t]))
+    if not usable[0]:
+        return None
+    return reach, usable, nodes_all_layers
+
+
 def tv_distance(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
@@ -497,7 +544,8 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
     row's child table: the same BLAS dot, with the same stride, as each
     (row, column) value of the solver's np.vecdot, so the value and choice
     tables agree bit for bit, -inf included. `rows_priced` counts the
-    distinct rows per solved layer, as the solver's does."""
+    distinct rows per solved layer, as the solver's does. The loop fills
+    (|S|, m+1) tables; the policy keeps the rows of each layer's states."""
     T = pruned.horizon
     if not 0 <= m <= T:
         raise ValidationFailed(f"budget m={m} outside 0..{T}")
@@ -517,8 +565,8 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
     for t in range(T - 1, -1, -1):
         nodes = pruned.reach[t]
         if t >= shared_from:
-            values[t][nodes] = base.values[t][nodes]
-            choices[t][nodes] = base.choices[t][nodes]
+            values[t][base.states[t]] = base.values[t]
+            choices[t][base.states[t]] = base.choices[t]
             continue
         obs_a = observed[t]
         v_next = values[t + 1]
@@ -549,18 +597,19 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
                         best_a[r] = action[p]
         rows_priced += len(expected)
 
-    s0 = int(cf.path.state[0])
-    v0 = float(values[0][s0, m])
-    if v0 == NEG_INF:
+    if values[0][cf.path.state[0], m] == NEG_INF:
         raise InfeasibleBudget(f"no feasible policy at m={m}")
-    return CfPolicy(k=pruned.k, m=m, mdp=mdp, s0=s0, choices=choices, values=values,
-                    rows_priced=rows_priced)
+    states = [np.flatnonzero(nodes) for nodes in pruned.reach]
+    return CfPolicy(k=pruned.k, m=m, mdp=mdp, states=states,
+                    choices=[c[layer] for c, layer in zip(choices, states)],
+                    values=[v[layer] for v, layer in zip(values, states)], rows_priced=rows_priced)
 
 
 def same_tables(policy: CfPolicy, other: CfPolicy) -> bool:
-    """Whether two policies have bit-identical value and choice tables."""
+    """Whether two policies have bit-identical states, value and choice tables."""
     return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-               for tables in ((policy.values, other.values), (policy.choices, other.choices))
+               for tables in ((policy.states, other.states), (policy.values, other.values),
+                              (policy.choices, other.choices))
                for a, b in zip(*tables, strict=True))
 
 def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.ndarray,
@@ -576,15 +625,17 @@ def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.nd
     rows = [cf_layer(cf, t, np.flatnonzero(usable)) for t, usable in enumerate(pruned.usable)]
     feats = np.empty((n, T + 1))
     max_changes = 0
+    # Each layer's choices by state index.
+    tables = [dict(zip(layer.tolist(), table)) for layer, table in zip(policy.states, policy.choices)]
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        si = policy.s0
+        si = int(cf.path.state[0])
         j = 0
         for t in range(T):
             if not pruned.reach[t][si]:
                 raise InvariantViolated(f"rollout left the pruned node set at ({mdp.states[si]}, t={t})")
             feats[i, t] = feature[si]
-            a = policy.choices[t][si, policy.m - j] if j <= policy.m else -1
+            a = tables[t][si][policy.m - j] if j <= policy.m else -1
             p = mdp.pair_at[si, a] if a >= 0 else -1
             if p < 0 or not pruned.usable[t][p]:
                 raise UndefinedPolicyAction(

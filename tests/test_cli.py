@@ -301,8 +301,8 @@ def test_sweep_manifest_reports_the_rows_standard_errors(artifact_dir, tmp_path,
     cf = build_cf_mdp(build_posterior(mdp, path, n, seed), mdp)
     result = sweep(cf, [7, 8], [1, 2])
     # One pair per (t, nominal row) the sweep read, in (t, nominal row) order.
-    built = dict(sorted({(t, int(mdp.row_id[p])): p for t, (mask, _, _)
-                         in enumerate(result.top.closure.rows) for p in np.flatnonzero(mask)}.items()))
+    built = {(t, r): int(np.flatnonzero(mdp.row_id == r)[0])
+             for t, (ids, _, _, _) in enumerate(result.top.rows) for r in ids.tolist()}
     rows = [cf_row(cf, t, p)[1] for (t, _), p in built.items()]
     se = [(p * (1 - p) / n) ** 0.5 for probs in rows if len(probs) > 1 for p in probs.tolist()]
     assert len(se) > 10 and stats["cf_rows_built"] == cf.rows_built == len(built)
@@ -1114,9 +1114,9 @@ BAD_ARTIFACTS = {
         pruned, rows=[dict(r, prob=[]) for r in pruned["rows"]]),
         "pruned layer 0 has 0 probabilities, not one per nominal successor of its rows (5)"),
     "pruned-probs-not-a-dict": ("pruned", lambda pruned, policy: dict(
-        pruned, rows=[5 for _ in pruned["rows"]]), "is not subscriptable"),
+        pruned, rows=[5 for _ in pruned["rows"]]), "error: pruned row layer 5 is not a JSON object\n"),
     "pruned-layers-not-lists": ("pruned", lambda pruned, policy: dict(pruned, layers=5),
-                                "has no len()"),
+                                "error: pruned layer list 5 is not a JSON array\n"),
     "pruned-unknown-state": ("pruned", lambda pruned, policy: _layer_edit(
         pruned, 6, lambda layer: layer + [1386]), NOT_THE_LAYERS),
     "pruned-layer-out-of-range": ("pruned", lambda pruned, policy: dict(
@@ -1150,7 +1150,7 @@ BAD_ARTIFACTS = {
     "policy-t-not-an-integer": ("policy", lambda pruned, policy: _policy_edit(
         policy, lambda table: [True, *table[1:]]), "policy action index True is not an integer"),
     "policy-table-not-a-list": ("policy", lambda pruned, policy: _policy_edit(
-        policy, lambda table: 0.5), "error: policy action index list 0.5 is not a JSON array\n"),
+        policy, lambda table: 0.5), "error: policy action table 0.5 is not a JSON array\n"),
     "policy-table-count": ("policy", lambda pruned, policy: dict(
         policy, actions=policy["actions"] + [[]]), "policy has 8 action tables, path has 7"),
     "pruned-k-not-an-integer": ("pruned", lambda pruned, policy: dict(pruned, k=7.7),
@@ -1293,14 +1293,14 @@ BAD_ARTIFACTS = {
     "pruned-old-kernels-form": ("pruned", lambda pruned, policy: _kernels_form(pruned),
                                 "KeyError('samples')"),
     "pruned-label-form": ("pruned", lambda pruned, policy: _label_form(pruned),
-                          "list indices must be integers"),
+                          "error: pruned row layer [{'S7I2V19': 0.904"),
     "pruned-label-layers": ("pruned", lambda pruned, policy: dict(
         pruned, layers=_label_form(pruned)["layers"]),
         "pruned layer state 'S9I1V20' is not an integer"),
     "pruned-label-rows": ("pruned", lambda pruned, policy: dict(
-        pruned, rows=_label_form(pruned)["rows"]), "list indices must be integers"),
+        pruned, rows=_label_form(pruned)["rows"]), "error: pruned row layer [{'S7I2V19': 0.904"),
     "policy-label-form": ("policy", lambda pruned, policy: _policy_label_form(pruned, policy),
-                          "action tables, path has 7"),
+                          "error: policy action table {'t': 0, 's': 'S9I1V20'"),
     # Every posterior sample replays the observation, so the row of the
     # observed pair at t = 1, (S8I2V20, NIL), is the point mass on s_2.
     "pruned-observed-pair-not-usable": ("pruned", lambda pruned, policy: _edit_rows(
@@ -1734,9 +1734,18 @@ WRONG_KINDS = {
         obj, rows=[dict(obj["rows"][0], row=1300), *obj["rows"][1:]]),
         "pruned row id list 1300 is not a JSON array"),
     "policy-actions-a-number": ("policy", lambda obj: dict(obj, actions=[1, *obj["actions"][1:]]),
-                                "policy action index list 1 is not a JSON array"),
+                                "policy action table 1 is not a JSON array"),
     "mdp-pair-states-a-string": ("mdp", lambda obj: dict(obj, pairs=dict(obj["pairs"], s="0")),
                                  "MDP pair state list '0' is not a JSON array"),
+    # Containers of the wrong kind: at the parent Python's TypeError text.
+    "path-steps-an-object": ("path", lambda obj: dict(obj, steps=obj["steps"][0]),
+                             "path step list {'a': 'NIL', 's': 'S9I1V20', 't': 0} is not a JSON array"),
+    "policy-action-tables-a-number": ("policy", lambda obj: dict(obj, actions=7),
+                                      "policy action table list 7 is not a JSON array"),
+    # A wrong value can be a whole table: the line shows 80 characters of it.
+    "pruned-row-layers-nested": ("pruned", lambda obj: dict(obj, rows=[obj["rows"], *obj["rows"][1:]]),
+                                 "pruned row layer [{'prob': [0.904, 0.096, 1.0, 1.0, 0.0], "
+                                 "'row': [1300, 1342, 1364]}, {'prob': [0 is not a JSON object"),
 }
 
 
@@ -1753,6 +1762,7 @@ def test_json_value_of_the_wrong_kind_exits_2(case, artifact_dir, tmp_path, caps
             "pruned": ["solve", "--pruned", files["pruned"], "--m", "1"],
             "policy": ["rollout", "--pruned", files["pruned"], "--policy", files["policy"],
                        "--env", "epidemic", "--feature", "infected", "-n", "5"],
+            "path": ["prune", "--path", files["path"], "--nominal", "--k", "8"],
             "mdp": ["sample", "--policy", "epidemic"]}[kind]
     out = tmp_path / "out"
     code, _, err = run(capsys, argv[0], "--mdp", files["mdp"], *argv[1:], "--out", str(out))

@@ -12,6 +12,9 @@ module but `gumbel.py`: `CfMdp.layer_rows` is the one way to the
 counterfactual rows, so none reads `CfMdp`'s private row table. A fifth
 parses every module: `json_values` is the one reader of a JSON value's
 kind, so no other function compares a `type(...)` with int, float or str.
+A sixth parses every module but `influence.py`: a prune's closure is what it
+leaves for a prune at a smaller k, and the rows it built are `pruned.rows`,
+so none reads `.closure`.
 """
 
 import json
@@ -140,3 +143,25 @@ def test_no_function_but_the_reader_tests_a_json_type(module):
 def test_type_test_guard_fails_on_a_reintroduced_check(line):
     source = (SRC / "cli.py").read_text() + "\n\ndef _reintroduced(obj, recipe, key, values):\n    " + line + "\n"
     assert type_tests(source)
+
+
+def closure_reads(source: str) -> list[str]:
+    """Each read of an attribute named `closure` in `source`."""
+    return [f"line {node.lineno}: .closure" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "closure"]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")
+                                          if path.name != "influence.py"))
+def test_no_module_but_influence_reads_the_closure(module):
+    assert closure_reads((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("line", [
+    "for t, (built, _, _) in enumerate(pruned.closure.rows): pass",
+    "hits = result.top.closure.hits",
+])
+def test_closure_guard_fails_on_a_reintroduced_read(line):
+    source = (SRC / "cli.py").read_text() + "\n\ndef _reintroduced(pruned, result):\n    " + line + "\n"
+    assert closure_reads(source)
+    assert closure_reads((SRC / "influence.py").read_text())  # the guard sees the owner's reads

@@ -272,9 +272,10 @@ def test_prune_empty_raises():
 
 def test_cf_rows_look_up_each_distinct_row_once(epidemic_demo, monkeypatch):
     # Pairs with one nominal row share one counterfactual row: `_cf_rows`
-    # asks for each layer's built pairs in one `layer_rows` call, which
-    # builds each distinct row once, and the entries equal the per-pair
-    # concatenation in pair order.
+    # asks for each layer's built rows in one `layer_rows` call, which
+    # builds each distinct row once. Layer t keeps the nominal rows of the
+    # pairs admitted at the states the previous layer's rows reach,
+    # ascending, and their entries equal the per-row concatenation.
     mdp, path, _ = epidemic_demo
     cf = build_cf_mdp(build_posterior(mdp, path, 200, seed=4), mdp)
     calls, asked = Counter(), []
@@ -290,13 +291,20 @@ def test_cf_rows_look_up_each_distinct_row_once(epidemic_demo, monkeypatch):
 
     monkeypatch.setattr(cfmdp.gumbel, "cf_transition", counted)
     monkeypatch.setattr(CfMdp, "layer_rows", recorded)
-    rows = _cf_rows(cf, _admitted(path.T + 1, _admission_hits(mdp, path, path.T)))
+    admitted = _admitted(path.T + 1, _admission_hits(mdp, path, path.T))
+    rows = _cf_rows(cf, admitted)
     monkeypatch.undo()
     assert asked == list(range(path.T))
     assert max(calls.values()) == 1 and len(calls) == cf.rows_built
-    assert sum(int(built.sum()) for built, _, _ in rows) > cf.rows_built  # some rows are shared
-    for t, (built, owner, succ) in enumerate(rows):
-        ids = np.flatnonzero(built).tolist()
-        supports = [cf_row(cf, t, p)[0] for p in ids]
-        assert np.array_equal(owner, np.repeat(ids, [len(x) for x in supports])), t
-        assert np.array_equal(succ, np.concatenate(supports or [np.zeros(0, dtype=np.int64)])), t
+    assert sum(len(ids) for ids, _, _, _ in rows) == cf.rows_built
+    nodes, built = {int(path.state[0])}, 0
+    for t, (ids, size, succ, prob) in enumerate(rows):
+        pairs = [p for p in np.flatnonzero(admitted[t]).tolist() if mdp.source[p] in nodes]
+        built += len(pairs)
+        assert ids.tolist() == sorted({int(mdp.row_id[p]) for p in pairs}), t
+        supports = [cf_row(cf, t, int(np.flatnonzero(mdp.row_id == r)[0])) for r in ids.tolist()]
+        assert size.tolist() == [len(x) for x, _ in supports], t
+        assert succ.tolist() == [s for x, _ in supports for s in x.tolist()], t
+        assert prob.tolist() == [q for _, y in supports for q in y.tolist()], t
+        nodes = set(succ.tolist())
+    assert built > cf.rows_built  # some rows are shared

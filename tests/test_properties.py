@@ -23,7 +23,7 @@ from cfmdp.solver import rollout, solve_km, sweep
 
 from oracles import (available_actions, cf_layer, cf_transition_oracle, dict_mdp, initial, kernel,
                      kernel_row, km_value_oracle, observed_path_oracle, path_return, position_oracle,
-                     random_mdp, rejection_posterior, reward, rollout_oracle, row_columns,
+                     prune_oracle, random_mdp, rejection_posterior, reward, rollout_oracle, row_columns,
                      same_tables, sample_path_oracle, solve_km_oracle, table_rows)
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -82,6 +82,33 @@ def test_no_successor_leaks_out_of_the_next_layer(instance):
             np.testing.assert_array_equal(pruned.reach[t], states, err_msg=f"k={k}, t={t}")
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(instances(shared_rows=True))
+def test_prune_equals_the_pair_level_oracle(instance):
+    # From the posterior and from the nominal rows, at every k, with and
+    # without the prune at k = T+1 as `base`: the layers, the usable pairs
+    # and the admitted count are the oracle's, and a k-prune's states, as
+    # its policy keeps them, are a subset of the base's.
+    mdp, path, cf = instance
+    T = path.T
+    for source in (cf, nominal_cf_mdp(mdp, path)):
+        top = prune_cf_mdp(source, T + 1)
+        top_states = solve_km(top, T).states
+        for k in range(1, T + 2):
+            want = prune_oracle(source, k)
+            for base in (None, top):
+                if want is None:
+                    with pytest.raises(EmptyPrunedMdp):
+                        prune_cf_mdp(source, k, base=base)
+                    continue
+                pruned = prune_cf_mdp(source, k, base=base)
+                assert [set(np.flatnonzero(r).tolist()) for r in pruned.reach] == want[0], k
+                assert [set(np.flatnonzero(u).tolist()) for u in pruned.usable] == want[1], k
+                assert pruned.nodes_all_layers == want[2], k
+                for states, wider in zip(solve_km(pruned, T).states, top_states):
+                    assert set(states.tolist()) <= set(wider.tolist()), k
+
+
 @PROPERTIES
 @given(instances(shared_rows=True))
 def test_cf_rows_equal_the_argmax_oracle(instance):
@@ -104,8 +131,7 @@ def test_pairs_with_one_nominal_row_share_one_counterfactual_row(instance):
     assert mdp.row_id.tolist() == [first.index(row) for row in rows]
 
     pruned = prune_cf_mdp(cf, path.T + 1)
-    built = {(t, mdp.row_id[p]) for t, (mask, _, _) in enumerate(pruned.closure.rows)
-             for p in np.flatnonzero(mask).tolist()}
+    built = {(t, r) for t, (ids, _, _, _) in enumerate(pruned.rows) for r in ids.tolist()}
     assert cf.rows_built == len(built)
     posterior = cf.posterior
     for t in range(path.T):
@@ -134,8 +160,7 @@ def test_layer_rows_equal_the_per_row_sources_in_any_order(instance, data):
     posterior, row_id = cf.posterior, mdp.row_id
     pruned = prune_cf_mdp(cf, data.draw(st.integers(1, path.T + 1)))
     loaded = _pruned_from_json(json.loads(json.dumps(_pruned_to_json(pruned))), mdp).cf
-    stored = {(t, r) for t, (built, _, _) in enumerate(pruned.closure.rows)
-              for r in row_id[built].tolist()}
+    stored = {(t, r) for t, (ids, _, _, _) in enumerate(pruned.rows) for r in ids.tolist()}
     assert loaded.rows_built == 0
 
     def posterior_row(t, p):
@@ -398,9 +423,9 @@ def test_pruned_artifact_stores_each_row_once_and_round_trips(instance, data):
                 continue
             obj = json.loads(json.dumps(_pruned_to_json(pruned)))
             loaded = _pruned_from_json(obj, mdp)
-            for t, (built, _, _) in enumerate(pruned.closure.rows):
-                stored = np.unique(mdp.row_id[built]) if source.posterior is not None else []
-                assert obj["rows"][t]["row"] == list(stored), (k, t)
+            for t, (ids, _, _, _) in enumerate(pruned.rows):
+                stored = ids.tolist() if source.posterior is not None else []
+                assert obj["rows"][t]["row"] == stored, (k, t)
             for a, b in zip(loaded.reach + loaded.usable, pruned.reach + pruned.usable):
                 np.testing.assert_array_equal(a, b, err_msg=f"k={k}")
             assert loaded.nodes_all_layers == pruned.nodes_all_layers

@@ -46,6 +46,14 @@ def small_instance(seed, n_states=4, n_actions=2, horizon=4, n_samples=1000):
     return mdp, path, cf
 
 
+def state_row(policy, t, s):
+    """The row of state label `s` in the policy's tables of layer t."""
+    si = policy.mdp.states.index(s)
+    row = int(np.searchsorted(policy.states[t], si))
+    assert policy.states[t][row] == si, (t, s)
+    return row
+
+
 def test_solve_m0_equals_observed_return(epidemic_demo, epidemic_cf):
     mdp, path, _ = epidemic_demo
     pruned = prune_cf_mdp(epidemic_cf, 8)
@@ -58,8 +66,10 @@ def test_solve_epidemic_headline(epidemic_demo, epidemic_cf):
     pruned = prune_cf_mdp(epidemic_cf, 8)
     policy = solve_km(pruned, 1)
     assert policy.v_s0 == pytest.approx(-1.0, abs=1e-9)
-    # The single change vaccinates the one infected individual at t = 0.
-    assert policy.choices[0][path.state[0], 1] == mdp.actions.index("V_I")
+    # The single change vaccinates the one infected individual at t = 0:
+    # the table of layer 0 has one row, s_0's.
+    assert policy.states[0].tolist() == [path.state[0]]
+    assert policy.choices[0][0, 1] == mdp.actions.index("V_I")
 
 
 def test_budget_validation(epidemic_demo, epidemic_cf):
@@ -101,7 +111,7 @@ def test_pairs_sharing_one_row_at_mixed_cost_equal_the_oracle():
         for m in range(path.T + 1):
             policy = solve_km(pruned, m)
             assert same_tables(policy, solve_km_oracle(pruned, m)), (k, m)
-            assert policy.choices[0][mdp.states.index("x0"), 1:].tolist() == [0] * m
+            assert policy.choices[0][state_row(policy, 0, "x0"), 1:].tolist() == [0] * m
 
 
 def test_nan_q_values_from_finite_rewards_are_never_chosen_as_in_the_oracle():
@@ -121,10 +131,10 @@ def test_nan_q_values_from_finite_rewards_are_never_chosen_as_in_the_oracle():
         pruned = prune_cf_mdp(cf, path.T + 1)
         policy = solve_km(pruned, 1)
         idx, probs = cf_row(cf, 0, pair_of(mdp, "x0", "b"))
-        child = policy.values[1][idx, 0]
+        child = policy.values[1][np.searchsorted(policy.states[1], idx), 0]
         assert child.tolist() == [float("inf"), float("-inf")]  # x1, x2
         assert np.isnan(np.dot(probs, child))
-        assert mdp.actions[policy.choices[0][policy.s0, 1]] == "a"
+        assert mdp.actions[policy.choices[0][0, 1]] == "a"
         for k in range(1, path.T + 2):
             pruned = prune_cf_mdp(cf, k)
             for m in range(path.T + 1):
@@ -160,10 +170,10 @@ def test_bellman_consistency_of_budget_recursion(epidemic_demo, epidemic_cf):
                         continue
                     q = reward(mdp, s, a)
                     for s2, p in cf_probs(pruned.cf, t, s, a).items():
-                        nxt = 0.0 if t + 1 == T else float(policy.values[t + 1][mdp.states.index(s2), r - cost])
+                        nxt = 0.0 if t + 1 == T else float(policy.values[t + 1][state_row(policy, t + 1, s2), r - cost])
                         q += p * nxt
                     best = max(best, q)
-                assert abs(float(policy.values[t][mdp.states.index(s), r]) - best) < 1e-12
+                assert abs(float(policy.values[t][state_row(policy, t, s), r]) - best) < 1e-12
 
 
 def test_unconstrained_equals_layered_value_iteration(epidemic_demo, epidemic_cf):
@@ -483,7 +493,19 @@ def test_rollout_undefined_choice_raises(epidemic_demo, epidemic_cf):
     pruned = prune_cf_mdp(epidemic_cf, 8)
     policy = solve_km(pruned, 0)  # replays the path: every trajectory reaches s_3 at t = 3
     policy.choices[3] = policy.choices[3].copy()
-    policy.choices[3][path.state[3], 0] = -1
+    policy.choices[3][state_row(policy, 3, path.steps[3][0]), 0] = -1
+    with pytest.raises(UndefinedPolicyAction, match=f"\\({path.steps[3][0]}, t=3, j=0\\)"):
+        rollout(pruned, policy, 5, np.zeros(mdp.num_states), seed=0)
+
+
+def test_rollout_at_a_state_outside_the_policy_tables_raises(epidemic_demo, epidemic_cf):
+    # A policy keeps tables for its own prune's states only; a state it has
+    # no row for has no action, rather than the row of a neighbouring state.
+    mdp, path, _ = epidemic_demo
+    pruned = prune_cf_mdp(epidemic_cf, 8)
+    policy = solve_km(pruned, 0)  # replays the path: every trajectory reaches s_3 at t = 3
+    keep = policy.states[3] != path.state[3]
+    policy.states[3], policy.choices[3] = policy.states[3][keep], policy.choices[3][keep]
     with pytest.raises(UndefinedPolicyAction, match=f"\\({path.steps[3][0]}, t=3, j=0\\)"):
         rollout(pruned, policy, 5, np.zeros(mdp.num_states), seed=0)
 
@@ -497,7 +519,7 @@ def test_rollout_reports_the_earliest_failing_step(fig2_toy):
     pruned = prune_cf_mdp(nominal_cf_mdp(mdp, path), path.T + 1)
     policy = solve_km(pruned, 0)
     policy.choices[1] = policy.choices[1].copy()
-    policy.choices[1][mdp.states.index("s3"), 0] = -1
+    policy.choices[1][state_row(policy, 1, "s3"), 0] = -1
     reach = [r.copy() for r in pruned.reach]
     reach[2][mdp.states.index("s5")] = False
     pruned.reach = tuple(reach)
@@ -524,7 +546,7 @@ def test_rollout_past_the_budget_never_wraps_to_column_m(epidemic_demo, epidemic
     other = next(a for a in range(len(mdp.actions)) if a != observed
                  and mdp.pair_at[s0, a] >= 0 and pruned.usable[0][mdp.pair_at[s0, a]])
     policy.choices[0] = policy.choices[0].copy()
-    policy.choices[0][s0, 0] = other
+    policy.choices[0][0, 0] = other  # layer 0 is s_0 alone
     with pytest.raises(UndefinedPolicyAction, match="t=1, j=1"):
         rollout(pruned, policy, 5, np.zeros(mdp.num_states), seed=0)
 
@@ -538,6 +560,5 @@ def test_policy_json_shape(epidemic_demo, epidemic_cf):
     assert blob["meta"] == {"samples": 1000, "mdp_hash": mdp.digest}
     # Layer t's table holds m+1 action indices per state of the layer, by j.
     assert [len(x) for x in blob["actions"]] == [3 * int(r.sum()) for r in pruned.reach]
-    s0 = path.state[0]
-    assert blob["actions"][0] == [int(policy.choices[0][s0, 2 - j]) for j in range(3)]
+    assert blob["actions"][0] == [int(policy.choices[0][0, 2 - j]) for j in range(3)]
     assert blob["v_s0"] == policy.v_s0
