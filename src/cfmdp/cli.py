@@ -97,18 +97,13 @@ def _load_observation(args) -> tuple[Mdp, ObservedPath]:
 
 
 def cmd_env(args) -> int:
-    """Emit the environment under the --config file and --population. JSON
-    arrays, as for the sepsis treat_effect, become the config's tuples."""
-    over = {}
-    if args.config:
-        loaded = read_json(args.config)
-        if not isinstance(loaded, dict):
-            raise ValidationFailed("--config must contain a JSON object")
-        over.update(loaded)
+    """Emit the environment under the --config file and --population."""
+    over = read_json(args.config) if args.config else {}
+    if not isinstance(over, dict):
+        raise ValidationFailed("--config must contain a JSON object")
     if args.population is not None:
         over["population"] = args.population
-    mdp = envs.build_environment(args.env, **{key: tuple(val) if isinstance(val, list) else val
-                                              for key, val in over.items()})
+    mdp = envs.build_environment(args.env, **over)
     _emit(json.dumps(mdp_to_json(mdp), sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

@@ -10,15 +10,15 @@ equivalence to any other simulator.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidConfig, UnknownEnvironment
-from .mdp import Action, Mdp, ObservedPath, State, sample_path
+from .mdp import Action, Mdp, ObservedPath, State, json_values, sample_path
 
 
 # ---------------------------------------------------------------------------
@@ -37,13 +37,6 @@ DANGER_PENALTY = 100.0  # for entering the danger cell
 SHAPING_SCALE = 4.0
 
 
-@dataclass(frozen=True)
-class GridWorldConfig:
-    # Movement is deterministic by default; with slip > 0 the agent deviates to
-    # a perpendicular direction with probability slip (split evenly).
-    slip: float = 0.0
-
-
 def _cell_label(r: int, c: int) -> State:
     return f"r{r}c{c}"
 
@@ -57,17 +50,19 @@ def _dist_to_goal(cell: tuple[int, int]) -> int:
     return abs(cell[0] - GOAL_CELL[0]) + abs(cell[1] - GOAL_CELL[1])
 
 
-def build_gridworld(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
+def build_gridworld(slip: float = 0.0) -> Mdp:
     """4x4 grid: shaping toward the goal, +goal/-danger entry bonuses.
 
+    Movement is deterministic by default; with slip > 0 the agent deviates
+    to a perpendicular direction with probability slip (split evenly).
     Goal and danger cells are absorbing with a dedicated no-op action and zero
     post-terminal reward. Entry bonuses are folded into R(s, a) in expectation
     over the slip outcomes. Cell (r, c) has state index r * GRID_SIZE + c;
     each pair has its own row, whose slip shares are summed per destination
     in outcome order.
     """
-    if not (0.0 <= cfg.slip < 1.0):
-        raise InvalidConfig(f"slip must be in [0, 1), got {cfg.slip}")
+    if not (0.0 <= slip < 1.0):
+        raise InvalidConfig(f"slip must be in [0, 1), got {slip}")
 
     cells = list(product(range(GRID_SIZE), repeat=2))
     states = tuple(_cell_label(r, c) for r, c in cells)
@@ -83,8 +78,8 @@ def build_gridworld(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
 
     def move_row(cell, move) -> tuple[dict[int, float], float]:
         """The row and reward of moving `move` from `cell`."""
-        outcomes = [(step(cell, move), 1.0 - cfg.slip)]
-        outcomes += [(step(cell, perp), cfg.slip / 2.0) for perp in _PERP[move]]
+        outcomes = [(step(cell, move), 1.0 - slip)]
+        outcomes += [(step(cell, perp), slip / 2.0) for perp in _PERP[move]]
         row: dict[int, float] = {}
         bonus = 0.0
         for dest, p in outcomes:
@@ -142,12 +137,6 @@ def gridworld_features():
 NIL, V_I, V_S = "NIL", "V_I", "V_S"
 
 
-@dataclass(frozen=True)
-class EpidemicConfig:
-    population: int = 10
-    initial_infected: int = 1
-
-
 def _hypergeom_pmf(k: int, M: int, n: int, N: int) -> float:
     """P[X = k] for X ~ Hypergeometric(M, n, N); exact integer arithmetic."""
     if k < 0 or k > n or N - k > M - n or N - k < 0:
@@ -165,8 +154,9 @@ def epidemic_counts(label: State) -> tuple[int, int, int]:
     return int(s), int(i), int(v)
 
 
-def build_epidemic(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
-    """Exact transition rows of the vaccination MDP.
+def build_epidemic(population: int = 10, initial_infected: int = 1) -> Mdp:
+    """Exact transition rows of the vaccination MDP of `population`
+    individuals, `initial_infected` of them infected at the start.
 
     Doing nothing keeps the vaccine stock and infects k ~ Hypergeom(S+I,
     min(S, I), S) susceptibles; vaccinating removes the vaccinated individual
@@ -181,8 +171,8 @@ def build_epidemic(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
     moves as. State (S, I, V) and its row have index block(S, I) * (2P+1) +
     V, the blocks numbered in (S, I) order.
     """
-    P = cfg.population
-    if P < 1 or not (0 <= cfg.initial_infected <= P):
+    P = population
+    if P < 1 or not (0 <= initial_infected <= P):
         raise InvalidConfig("population must be >= 1 and 0 <= I0 <= population")
     stocks = 2 * P + 1
     block = {(s, i): b for b, (s, i) in
@@ -206,7 +196,7 @@ def build_epidemic(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
                 action.append(np.full(len(vs), a))
                 row.append(block[target] * stocks + vs - (1 if a else 0))
     source = np.concatenate(source)
-    s0 = block[(P - cfg.initial_infected, cfg.initial_infected)] * stocks + 2 * P
+    s0 = block[(P - initial_infected, initial_infected)] * stocks + 2 * P
     return Mdp.from_arrays(states, (NIL, V_I, V_S), source, np.concatenate(action),
                            np.repeat([float(-I) for _, I in block], stocks)[source],
                            np.concatenate(row),
@@ -234,18 +224,6 @@ START_VITALS = (NORMAL, LOW, NORMAL, NORMAL)  # hr, bp, o2, glu
 REWARD_SCALE = 1000.0  # a full trajectory's reward lies in [-REWARD_SCALE, REWARD_SCALE]
 
 
-@dataclass(frozen=True)
-class SepsisLiteConfig:
-    # Probability that an active treatment moves its target vital one level
-    # toward normal in a step; normal vitals are held normal while treated.
-    treat_effect: tuple[float, float, float] = (0.8, 0.8, 0.8)
-    # Probability that an untreated normal vital leaves normal (split evenly
-    # between low and high). Abnormal untreated vitals do not recover.
-    flux: float = 0.22
-    death_threshold: int = 3
-    horizon: int = 10
-
-
 def _sepsis_label(vitals, flags) -> State:
     return "".join(_LEVEL_CHARS[v] for v in vitals) + "-" + "".join(str(b) for b in flags)
 
@@ -265,15 +243,20 @@ def _action_label(bits) -> Action:
     return "t" + "".join(str(b) for b in bits)
 
 
-def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
+def build_sepsis_lite(treat_effect: tuple[float, float, float] = (0.8, 0.8, 0.8),
+                      flux: float = 0.22, death_threshold: int = 3, horizon: int = 10) -> Mdp:
     """Patient model over (4 vitals x 3 levels, 3 treatment flags); 8 actions.
 
     An action sets the treatment flags for the next state and its active
-    treatments act on their target vitals immediately. Death (>= 3 abnormal
-    vitals) and discharge (all normal, all treatments off) are absorbing under
-    every action. Per-step reward is the end-scale divided by the horizon, so
-    a full trajectory spans exactly [-1000, 1000]: constant death pays -1000,
-    constant discharge +1000.
+    treatments act on their target vitals immediately: treatment j moves
+    vital j one level toward normal with probability `treat_effect[j]` in a
+    step, and holds a normal vital normal. An untreated normal vital leaves
+    normal with probability `flux` (split evenly between low and high);
+    abnormal untreated vitals do not recover. Death (>= `death_threshold`
+    abnormal vitals) and discharge (all normal, all treatments off) are
+    absorbing under every action. Per-step reward is the end-scale divided
+    by the horizon, so a full trajectory spans exactly [-1000, 1000]:
+    constant death pays -1000, constant discharge +1000.
 
     A living state's row depends on (vitals, action) only: it is computed
     once, with each entry the product of its four vitals' probabilities in
@@ -281,16 +264,16 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
     (vitals, flags) has index 8 * (vitals in base 3) + (flags in base 2), and
     action bits b lead to flags b, so action index a leads to flags index a.
     """
-    if len(cfg.treat_effect) != len(TREATMENTS):
+    if len(treat_effect) != len(TREATMENTS):
         raise InvalidConfig(f"treat_effect needs one effect per treatment {TREATMENTS}, "
-                            f"got {len(cfg.treat_effect)}")
-    if not all(0.0 < p <= 1.0 for p in cfg.treat_effect):
+                            f"got {len(treat_effect)}")
+    if not all(0.0 < p <= 1.0 for p in treat_effect):
         raise InvalidConfig("treatment effects must lie in (0, 1]")
-    if cfg.horizon < 1:
-        raise InvalidConfig(f"horizon must be >= 1, got {cfg.horizon}")
-    if not (0.0 <= cfg.flux < 1.0):
+    if horizon < 1:
+        raise InvalidConfig(f"horizon must be >= 1, got {horizon}")
+    if not (0.0 <= flux < 1.0):
         raise InvalidConfig("flux must lie in [0, 1)")
-    if sum(1 for v in START_VITALS if v != NORMAL) >= cfg.death_threshold:
+    if sum(1 for v in START_VITALS if v != NORMAL) >= death_threshold:
         raise InvalidConfig("start state would be dead on arrival")
 
     all_vitals = list(product((LOW, NORMAL, HIGH), repeat=4))
@@ -305,15 +288,15 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
             if level == NORMAL:
                 return {NORMAL: 1.0}
             return {NORMAL: p_treat, level: 1.0 - p_treat}
-        if level == NORMAL and cfg.flux > 0.0:
-            return {NORMAL: 1.0 - cfg.flux, LOW: cfg.flux / 2.0, HIGH: cfg.flux / 2.0}
+        if level == NORMAL and flux > 0.0:
+            return {NORMAL: 1.0 - flux, LOW: flux / 2.0, HIGH: flux / 2.0}
         return {level: 1.0}
 
     def step_reward(vitals) -> float:
         abn = sum(1 for v in vitals if v != NORMAL)
-        if abn >= cfg.death_threshold:
-            return -REWARD_SCALE / cfg.horizon
-        return (REWARD_SCALE - 500.0 * abn) / cfg.horizon
+        if abn >= death_threshold:
+            return -REWARD_SCALE / horizon
+        return (REWARD_SCALE - 500.0 * abn) / horizon
 
     # Each distinct row once, as (successor, probability) entries, and per
     # vitals the rows its 8 x 8 pairs name, pair by pair.
@@ -321,14 +304,14 @@ def build_sepsis_lite(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
     for v, vitals in enumerate(all_vitals):
         abn = sum(1 for x in vitals if x != NORMAL)
         first = len(table)
-        if abn >= cfg.death_threshold:  # dead: each flag setting's own absorbing row
+        if abn >= death_threshold:  # dead: each flag setting's own absorbing row
             named = np.repeat(np.arange(nf), na)
             table += [[(v * nf + f, 1.0)] for f in range(nf)]
         else:  # action a's row, named by the 8 flag settings
             named = np.tile(np.arange(na), nf)
             for a, bits in enumerate(action_bits):
                 dists = [vital_dist(x, i < 3 and bits[i] == 1,
-                                    cfg.treat_effect[i] if i < 3 else 0.0)
+                                    treat_effect[i] if i < 3 else 0.0)
                          for i, x in enumerate(vitals)]
                 table.append([((((l0 * 3 + l1) * 3 + l2) * 3 + l3) * nf + a,
                                math.prod((p0, p1, p2, p3)))
@@ -356,11 +339,12 @@ def sepsis_features():
 # Registry
 # ---------------------------------------------------------------------------
 
-# Per environment: its config class, its builder and its rollout features.
+# Per environment: its builder, whose keyword arguments are its config
+# fields, and its rollout features.
 ENVIRONMENTS = {
-    "gridworld": (GridWorldConfig, build_gridworld, gridworld_features),
-    "epidemic": (EpidemicConfig, build_epidemic, epidemic_features),
-    "sepsis": (SepsisLiteConfig, build_sepsis_lite, sepsis_features),
+    "gridworld": (build_gridworld, gridworld_features),
+    "epidemic": (build_epidemic, epidemic_features),
+    "sepsis": (build_sepsis_lite, sepsis_features),
 }
 
 # The `Mdp.name` of every MDP an environment builds, whatever its config: an
@@ -399,40 +383,33 @@ def _lookup(table: dict, kind: str, name: str):
     return table[name]
 
 
-def _of_type(value, kind) -> bool:
-    """Whether `value` is of the config field type `kind`: an int for int, an
-    int or a float for float (a bool is neither), and a list or tuple of
-    such values for a tuple, whose elements share one type. The builders
-    check a tuple's length, with the rest of its range."""
-    if get_origin(kind) is tuple:
-        return isinstance(value, (list, tuple)) and all(_of_type(x, get_args(kind)[0])
-                                                        for x in value)
-    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else int)
-
-
-def _type_name(kind) -> str:
-    if get_origin(kind) is tuple:
-        return "a list of numbers"
-    return "an integer" if kind is int else "a number"
-
-
 def build_environment(name: str, **overrides) -> Mdp:
-    """The environment `name` under its default config with `overrides`,
-    each a field of that config and of the field's type."""
-    config, build, _ = _lookup(ENVIRONMENTS, "environment", name)
-    fields = get_type_hints(config)
+    """The environment `name` built with `overrides`, each a keyword of its
+    builder given as a JSON value of its default's kind (`mdp.json_values`):
+    a number for a float, an integer for an int, and an array of numbers,
+    or a tuple of them, for a tuple. An integer that int64 or float64 cannot
+    hold is an InvalidConfig naming its field."""
+    build, _ = _lookup(ENVIRONMENTS, "environment", name)
+    fields = inspect.signature(build).parameters
+    config = {}
     for key, value in overrides.items():
         if key not in fields:
             raise InvalidConfig(f"{name} has no config field {key}; its fields are "
                                 f"{', '.join(fields)}")
-        if not _of_type(value, fields[key]):
-            raise InvalidConfig(f"config field {key} must be {_type_name(fields[key])}, "
-                                f"got {value!r}")
-    return build(config(**overrides))
+        default, field = fields[key].default, f"config field {key}"
+        try:
+            if isinstance(default, tuple):
+                values = list(value) if isinstance(value, tuple) else value
+                config[key] = tuple(json_values(values, field, float).tolist())
+            else:
+                config[key] = json_values([value], field, type(default)).item()
+        except OverflowError:
+            raise InvalidConfig(f"{field} {value!r:.80} does not fit in 64 bits") from None
+    return build(**config)
 
 
 def environment_features(env: str) -> dict:
-    return _lookup(ENVIRONMENTS, "environment", env)[2]()
+    return _lookup(ENVIRONMENTS, "environment", env)[1]()
 
 
 def demo_observation(preset: str) -> tuple[Mdp, ObservedPath, Callable]:

@@ -20,8 +20,8 @@ import numpy as np
 from cfmdp.environments import (
     DANGER_CELL, DANGER_PENALTY, GOAL_CELL, GOAL_REWARD, GRID_SIZE, HIGH, LOW, MDP_NAMES, MOVES, NIL,
     NORMAL, REWARD_SCALE, SHAPING_SCALE, START_CELL, START_VITALS, TREATMENTS, V_I, V_S, _PERP,
-    EpidemicConfig, GridWorldConfig, SepsisLiteConfig, _action_label, _cell_label, _dist_to_goal,
-    _epi_label, _hypergeom_pmf, _sepsis_label, epidemic_counts)
+    _action_label, _cell_label, _dist_to_goal, _epi_label, _hypergeom_pmf, _sepsis_label,
+    epidemic_counts)
 from cfmdp.errors import (InfeasibleBudget, InvalidConfig, InvariantViolated,
                           UndefinedPolicyAction, ValidationFailed)
 from cfmdp.gumbel import (CfMdp, GumbelPosterior, _conditioned_row, _Layers, _prior_layer,
@@ -707,15 +707,15 @@ def random_mdp(rng: np.random.Generator, n_states: int, n_actions: int,
 # per row, computed for every pair. The array builders must give the same
 # MDP and digest, and a file whose rows expand to the same label dicts.
 
-def build_gridworld_oracle(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
+def build_gridworld_oracle(slip: float = 0.0) -> Mdp:
     """4x4 grid: shaping toward the goal, +goal/-danger entry bonuses.
 
     Goal and danger cells are absorbing with a dedicated no-op action and zero
     post-terminal reward. Entry bonuses are folded into R(s, a) in expectation
     over the slip outcomes.
     """
-    if not (0.0 <= cfg.slip < 1.0):
-        raise InvalidConfig(f"slip must be in [0, 1), got {cfg.slip}")
+    if not (0.0 <= slip < 1.0):
+        raise InvalidConfig(f"slip must be in [0, 1), got {slip}")
 
     cells = list(product(range(GRID_SIZE), repeat=2))
     states = tuple(_cell_label(r, c) for r, c in cells)
@@ -739,9 +739,9 @@ def build_gridworld_oracle(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
             continue
         for a in MOVES:
             row: dict[State, float] = {}
-            outcomes = [(step(cell, a), 1.0 - cfg.slip)]
+            outcomes = [(step(cell, a), 1.0 - slip)]
             for perp in _PERP[a]:
-                outcomes.append((step(cell, perp), cfg.slip / 2.0))
+                outcomes.append((step(cell, perp), slip / 2.0))
             for dest, p in outcomes:
                 if p <= 0.0:
                     continue
@@ -759,7 +759,7 @@ def build_gridworld_oracle(cfg: GridWorldConfig = GridWorldConfig()) -> Mdp:
                     initial={_cell_label(*START_CELL): 1.0}, name=MDP_NAMES["gridworld"])
 
 
-def build_epidemic_oracle(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
+def build_epidemic_oracle(population: int = 10, initial_infected: int = 1) -> Mdp:
     """Exact transition rows of the vaccination MDP.
 
     Doing nothing keeps the vaccine stock and infects k ~ Hypergeom(S+I,
@@ -768,8 +768,8 @@ def build_epidemic_oracle(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
     pool. Vaccination actions exist only while stock and targets remain.
     Reward is -I for every action.
     """
-    P = cfg.population
-    if P < 1 or not (0 <= cfg.initial_infected <= P):
+    P = population
+    if P < 1 or not (0 <= initial_infected <= P):
         raise InvalidConfig("population must be >= 1 and 0 <= I0 <= population")
     states = tuple(
         _epi_label(s, i, v)
@@ -801,12 +801,14 @@ def build_epidemic_oracle(cfg: EpidemicConfig = EpidemicConfig()) -> Mdp:
             kernel[(label, a)] = row
             rewards[(label, a)] = float(-I)
 
-    s0 = _epi_label(P - cfg.initial_infected, cfg.initial_infected, 2 * P)
+    s0 = _epi_label(P - initial_infected, initial_infected, 2 * P)
     return dict_mdp(states, (NIL, V_I, V_S), kernel, rewards, initial={s0: 1.0},
                     name=MDP_NAMES["epidemic"])
 
 
-def build_sepsis_lite_oracle(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
+def build_sepsis_lite_oracle(treat_effect: tuple[float, float, float] = (0.8, 0.8, 0.8),
+                             flux: float = 0.22, death_threshold: int = 3,
+                             horizon: int = 10) -> Mdp:
     """Patient model over (4 vitals x 3 levels, 3 treatment flags); 8 actions.
 
     An action sets the treatment flags for the next state and its active
@@ -816,16 +818,16 @@ def build_sepsis_lite_oracle(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
     a full trajectory spans exactly [-1000, 1000]: constant death pays -1000,
     constant discharge +1000.
     """
-    if len(cfg.treat_effect) != len(TREATMENTS):
+    if len(treat_effect) != len(TREATMENTS):
         raise InvalidConfig(f"treat_effect needs one effect per treatment {TREATMENTS}, "
-                            f"got {len(cfg.treat_effect)}")
-    if not all(0.0 < p <= 1.0 for p in cfg.treat_effect):
+                            f"got {len(treat_effect)}")
+    if not all(0.0 < p <= 1.0 for p in treat_effect):
         raise InvalidConfig("treatment effects must lie in (0, 1]")
-    if cfg.horizon < 1:
-        raise InvalidConfig(f"horizon must be >= 1, got {cfg.horizon}")
-    if not (0.0 <= cfg.flux < 1.0):
+    if horizon < 1:
+        raise InvalidConfig(f"horizon must be >= 1, got {horizon}")
+    if not (0.0 <= flux < 1.0):
         raise InvalidConfig("flux must lie in [0, 1)")
-    if sum(1 for v in START_VITALS if v != NORMAL) >= cfg.death_threshold:
+    if sum(1 for v in START_VITALS if v != NORMAL) >= death_threshold:
         raise InvalidConfig("start state would be dead on arrival")
 
     all_vitals = list(product((LOW, NORMAL, HIGH), repeat=4))
@@ -839,21 +841,21 @@ def build_sepsis_lite_oracle(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
             if level == NORMAL:
                 return {NORMAL: 1.0}
             return {NORMAL: p_treat, level: 1.0 - p_treat}
-        if level == NORMAL and cfg.flux > 0.0:
-            return {NORMAL: 1.0 - cfg.flux, LOW: cfg.flux / 2.0, HIGH: cfg.flux / 2.0}
+        if level == NORMAL and flux > 0.0:
+            return {NORMAL: 1.0 - flux, LOW: flux / 2.0, HIGH: flux / 2.0}
         return {level: 1.0}
 
     def step_reward(vitals) -> float:
         abn = sum(1 for v in vitals if v != NORMAL)
-        if abn >= cfg.death_threshold:
-            return -REWARD_SCALE / cfg.horizon
-        return (REWARD_SCALE - 500.0 * abn) / cfg.horizon
+        if abn >= death_threshold:
+            return -REWARD_SCALE / horizon
+        return (REWARD_SCALE - 500.0 * abn) / horizon
 
     kernel: dict[tuple[State, Action], dict[State, float]] = {}
     rewards: dict[tuple[State, Action], float] = {}
     for vitals in all_vitals:
         abn = sum(1 for v in vitals if v != NORMAL)
-        dead = abn >= cfg.death_threshold
+        dead = abn >= death_threshold
         for flags in all_flags:
             label = _sepsis_label(vitals, flags)
             discharged = abn == 0 and flags == (0, 0, 0)
@@ -865,7 +867,7 @@ def build_sepsis_lite_oracle(cfg: SepsisLiteConfig = SepsisLiteConfig()) -> Mdp:
                     continue
                 dists = [
                     vital_dist(v, i < 3 and bits[i] == 1,
-                               cfg.treat_effect[i] if i < 3 else 0.0)
+                               treat_effect[i] if i < 3 else 0.0)
                     for i, v in enumerate(vitals)
                 ]
                 row: dict[State, float] = {}

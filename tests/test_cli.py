@@ -1,7 +1,7 @@
 import argparse
-import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -30,6 +30,7 @@ from cfmdp.solver import sweep
 
 from oracles import (available_actions, cf_probs, cf_row, dict_mdp, km_value_oracle, label_form,
                      row_columns, table_rows)
+from test_benchmark_reference import ENV_SHA256
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -461,9 +462,12 @@ def test_bad_sepsis_config_exits_2(config, tmp_path, capsys):
 # Config values of the wrong JSON kind, each with the field the error must
 # name. A float field takes a JSON int or float, an int field a JSON int, and
 # a tuple field an array of those; a bool is neither. Read unchecked, false
-# would build as a slip of 0, and [0.8, true, 0.8] as an effect of 1.
-# goal_reward, danger and start_vitals are module constants, not fields, so
-# no value is of their kind: each exits 2 as a key the config lacks, named.
+# would build as a slip of 0, and [0.8, true, 0.8] as an effect of 1. An
+# integer beyond int64 is no int field's value, and one beyond float64 no
+# float field's: read unchecked, a horizon or death threshold of 10**20
+# would build. goal_reward, danger and start_vitals are module constants,
+# not fields, so no value is of their kind: each exits 2 as a key the
+# config lacks, named.
 BAD_CONFIG_KINDS = {
     "slip-false": ("gridworld", {"slip": False}, "slip"),
     "slip-a-string": ("gridworld", {"slip": "0.2"}, "slip"),
@@ -475,6 +479,10 @@ BAD_CONFIG_KINDS = {
     "initial-infected-true": ("epidemic", {"initial_infected": True}, "initial_infected"),
     "treat-effect-true": ("sepsis", {"treat_effect": [0.8, True, 0.8]}, "treat_effect"),
     "treat-effect-a-string": ("sepsis", {"treat_effect": "0.8"}, "treat_effect"),
+    "treat-effect-a-number": ("sepsis", {"treat_effect": 0.8}, "treat_effect"),
+    "horizon-beyond-int64": ("sepsis", {"horizon": 10**20}, "horizon"),
+    "death-threshold-beyond-int64": ("sepsis", {"death_threshold": 10**20}, "death_threshold"),
+    "flux-beyond-float64": ("sepsis", {"flux": 10**400}, "flux"),
     "flux-a-list": ("sepsis", {"flux": [0.2]}, "flux"),
     "horizon-float": ("sepsis", {"horizon": 10.5}, "horizon"),
     "start-vitals-float": ("sepsis", {"start_vitals": [1, 0.5, 1, 1]}, "start_vitals"),
@@ -491,6 +499,19 @@ def test_config_value_of_the_wrong_kind_exits_2(case, tmp_path, capsys):
     assert code == 2 and out == "", err
     assert err.startswith("error:") and field in err and "Traceback" not in err
     assert "object" not in err and "interpreted" not in err  # not a Python TypeError text
+
+
+def test_config_of_every_default_writes_the_default_env(tmp_path, capsys):
+    # A default lives in its builder's signature alone: a config setting
+    # every keyword to its default (a tuple as an array) writes the bytes of
+    # `env NAME` without one, whose digests the benchmark reference pins.
+    for env, (build, _) in cfmdp.environments.ENVIRONMENTS.items():
+        config = {key: list(field.default) if isinstance(field.default, tuple) else field.default
+                  for key, field in inspect.signature(build).parameters.items()}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        code, out, err = run(capsys, "env", env, "--config", str(tmp_path / "config.json"))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == ENV_SHA256[env], env
 
 
 def test_config_json_numbers_of_either_kind_build_the_same_env(tmp_path, capsys):
@@ -534,8 +555,8 @@ CONFIG_FIELDS = {
 
 
 def test_config_fields_are_the_listed_ones():
-    got = {env: [f.name for f in dataclasses.fields(config)]
-           for env, (config, _, _) in cfmdp.environments.ENVIRONMENTS.items()}
+    got = {env: list(inspect.signature(build).parameters)
+           for env, (build, _) in cfmdp.environments.ENVIRONMENTS.items()}
     assert got == CONFIG_FIELDS
     assert sum(map(len, got.values())) == 7
 

@@ -11,7 +11,9 @@ constructor, so none calls `Mdp(...)` with arguments. A fourth parses every
 module but `gumbel.py`: `CfMdp.layer_rows` is the one way to the
 counterfactual rows, so none reads `CfMdp`'s private row table. A fifth
 parses every module: `json_values` is the one reader of a JSON value's
-kind, so no other function compares a `type(...)` with int, float or str.
+kind, so no other function compares a `type(...)` with int, float or str,
+or calls `isinstance` naming int, float, str or bool (a check against dict,
+list or tuple is a structure's, and stays).
 A sixth parses every module but `influence.py`: a prune's closure is what it
 leaves for a prune at a smaller k, and the rows it built are `pruned.rows`,
 so none reads `.closure`.
@@ -116,16 +118,23 @@ def test_row_table_guard_fails_on_a_reintroduced_read(line):
 
 def type_tests(source: str) -> list[str]:
     """Each comparison in `source`, outside `json_values`, of a `type(...)`
-    with int, float or str."""
+    with int, float or str, and each `isinstance(...)` call there naming
+    int, float, str or bool."""
     tree = ast.parse(source)
     reader = {id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
               and f.name == "json_values" for node in ast.walk(f)}
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Compare) and id(node) not in reader:
-            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            if "type" in names and names & {"int", "float", "str"}:
-                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        if id(node) in reader or not isinstance(node, (ast.Compare, ast.Call)):
+            continue
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Compare):
+            flagged = "type" in names and names & {"int", "float", "str"}
+        else:
+            flagged = (getattr(node.func, "id", None) == "isinstance"
+                       and names & {"int", "float", "str", "bool"})
+        if flagged:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
 
 
@@ -139,10 +148,13 @@ def test_no_function_but_the_reader_tests_a_json_type(module):
     "if type(recipe[key]) is not int: pass",
     "bad = [v for v in values if type(v) not in (int, float)]",
     "ok = set(map(type, values)) <= {str}",
+    "ok = not isinstance(obj, bool) and isinstance(obj, (int, float))",
+    "ok = all(isinstance(v, str) for v in values)",
 ])
 def test_type_test_guard_fails_on_a_reintroduced_check(line):
     source = (SRC / "cli.py").read_text() + "\n\ndef _reintroduced(obj, recipe, key, values):\n    " + line + "\n"
     assert type_tests(source)
+    assert not type_tests("ok = isinstance(obj, dict) or isinstance(obj, (list, tuple))\n")
 
 
 def closure_reads(source: str) -> list[str]:

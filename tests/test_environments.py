@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -6,10 +7,7 @@ from scipy import stats
 
 from cfmdp.cli import main
 from cfmdp.environments import (
-    EpidemicConfig,
-    GridWorldConfig,
     PRESETS,
-    SepsisLiteConfig,
     abnormal_vitals,
     build_environment,
     build_epidemic,
@@ -37,7 +35,7 @@ def test_gridworld_deterministic_rows_by_default():
 
 
 def test_gridworld_slip_rows_sum_to_one():
-    mdp = build_gridworld(GridWorldConfig(slip=0.2))  # the constructor validates
+    mdp = build_gridworld(slip=0.2)  # the constructor validates
     stochastic = [row for row in kernel(mdp).values() if len(row) > 1]
     assert stochastic  # slip creates genuine branching
 
@@ -61,7 +59,7 @@ def test_gridworld_terminals_absorbing():
 def test_gridworld_invalid_configs():
     for slip in (1.0, -0.1):
         with pytest.raises(InvalidConfig, match="slip"):
-            build_gridworld(GridWorldConfig(slip=slip))
+            build_gridworld(slip=slip)
 
 
 # -- epidemic ----------------------------------------------------------------
@@ -144,12 +142,15 @@ def test_epidemic_policy_is_nil_everywhere():
 
 def test_epidemic_invalid_config():
     with pytest.raises(InvalidConfig):
-        build_epidemic(EpidemicConfig(population=0))
+        build_epidemic(population=0)
     with pytest.raises(InvalidConfig):
-        build_epidemic(EpidemicConfig(initial_infected=11))
+        build_epidemic(initial_infected=11)
 
 
 # -- sepsis-lite ---------------------------------------------------------------
+
+SEPSIS_DEFAULTS = inspect.signature(build_sepsis_lite).parameters
+
 
 def test_sepsis_action_count():
     mdp = build_sepsis_lite()  # the constructor validates
@@ -157,16 +158,16 @@ def test_sepsis_action_count():
 
 
 def test_sepsis_reward_scale_boundaries():
-    cfg = SepsisLiteConfig()
-    mdp = build_sepsis_lite(cfg)
+    horizon = SEPSIS_DEFAULTS["horizon"].default
+    mdp = build_sepsis_lite()
     discharge = "nnnn-000"
     assert kernel_row(mdp, discharge, "t000") == {discharge: 1.0}
-    assert reward(mdp, discharge, "t000") * cfg.horizon == pytest.approx(1000.0)
+    assert reward(mdp, discharge, "t000") * horizon == pytest.approx(1000.0)
     worst = "llll-000"
-    assert reward(mdp, worst, "t000") * cfg.horizon == pytest.approx(-1000.0)
+    assert reward(mdp, worst, "t000") * horizon == pytest.approx(-1000.0)
     # Death flattens the reward regardless of 3 vs 4 abnormal vitals.
     three = "lll" + "n-000"
-    assert reward(mdp, three, "t000") * cfg.horizon == pytest.approx(-1000.0)
+    assert reward(mdp, three, "t000") * horizon == pytest.approx(-1000.0)
 
 
 def test_sepsis_death_states_absorbing_under_every_action():
@@ -185,13 +186,12 @@ def test_sepsis_action_sets_flags():
 
 
 def test_sepsis_treatment_pushes_toward_normal():
-    cfg = SepsisLiteConfig()
-    mdp = build_sepsis_lite(cfg)
+    mdp = build_sepsis_lite()
     row = kernel_row(mdp, "nlnn-000", "t010")  # vasopressors on the low bp
     mass_bp_normal = sum(
         p for dest, p in row.items() if sepsis_state_parts(dest)[0][1] == 1
     )
-    assert mass_bp_normal == pytest.approx(cfg.treat_effect[1])
+    assert mass_bp_normal == pytest.approx(SEPSIS_DEFAULTS["treat_effect"].default[1])
 
 
 def test_sepsis_observed_presets():
@@ -208,10 +208,10 @@ def test_sepsis_observed_presets():
 
 def test_sepsis_invalid_config():
     with pytest.raises(InvalidConfig):
-        build_sepsis_lite(SepsisLiteConfig(flux=1.0))
+        build_sepsis_lite(flux=1.0)
     # The start state has one abnormal vital: a threshold of one kills it.
     with pytest.raises(InvalidConfig, match="dead on arrival"):
-        build_sepsis_lite(SepsisLiteConfig(death_threshold=1))
+        build_sepsis_lite(death_threshold=1)
 
 
 # -- the array builders against the label-dict oracles --------------------------
@@ -225,23 +225,21 @@ def assert_same_mdp(mdp, oracle):
 
 # treat_effect 1.0 gives entries of probability 0.0, which both drop; the
 # death threshold moves which vitals levels share their action rows.
-@pytest.mark.parametrize("cfg", [SepsisLiteConfig(), SepsisLiteConfig(flux=0.0),
-                                 SepsisLiteConfig(flux=0.5),
-                                 SepsisLiteConfig(treat_effect=(1.0, 0.5, 0.8)),
-                                 SepsisLiteConfig(death_threshold=2),
-                                 SepsisLiteConfig(treat_effect=(1.0, 0.5, 0.3), death_threshold=4)],
+@pytest.mark.parametrize("cfg", [{}, {"flux": 0.0}, {"flux": 0.5},
+                                 {"treat_effect": (1.0, 0.5, 0.8)}, {"death_threshold": 2},
+                                 {"treat_effect": (1.0, 0.5, 0.3), "death_threshold": 4}],
                          ids=["default", "flux-0", "flux-0.5", "treat-effect-1-0.5-0.8",
                               "death-threshold-2", "treat-effect-1-0.5-0.3-death-threshold-4"])
 def test_sepsis_builder_equals_the_label_dict_oracle(cfg):
-    assert_same_mdp(build_sepsis_lite(cfg), build_sepsis_lite_oracle(cfg))
+    assert_same_mdp(build_sepsis_lite(**cfg), build_sepsis_lite_oracle(**cfg))
 
 
 # Slip 0 gives perpendicular shares of 0.0, which both leave out; by a wall,
 # the shares of the directions that bump are summed on the one cell.
 @pytest.mark.parametrize("slip", [0.0, 0.1, 0.2, 0.5])
 def test_gridworld_builder_equals_the_label_dict_oracle(slip):
-    assert_same_mdp(build_gridworld(GridWorldConfig(slip=slip)),
-                    build_gridworld_oracle(GridWorldConfig(slip=slip)))
+    assert_same_mdp(build_gridworld(slip=slip),
+                    build_gridworld_oracle(slip=slip))
 
 
 # The entries each builder stores; per pair they were 27,336 and 8,381.
@@ -262,11 +260,10 @@ def test_builder_passes_each_distinct_row_once(env, entries, monkeypatch):
     assert passed == [len(mdp.succ)] == [entries]
 
 
-@pytest.mark.parametrize("cfg", [EpidemicConfig(p, i) for p in range(1, 13)
-                                 for i in sorted({0, 1, p})],
-                         ids=lambda cfg: f"P{cfg.population}-I{cfg.initial_infected}")
+@pytest.mark.parametrize("cfg", [(p, i) for p in range(1, 13) for i in sorted({0, 1, p})],
+                         ids=lambda cfg: "P{}-I{}".format(*cfg))
 def test_epidemic_builder_equals_the_label_dict_oracle(cfg):
-    assert_same_mdp(build_epidemic(cfg), build_epidemic_oracle(cfg))
+    assert_same_mdp(build_epidemic(*cfg), build_epidemic_oracle(*cfg))
 
 
 @pytest.mark.parametrize("args", ["sepsis", "epidemic --population 14"])

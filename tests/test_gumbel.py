@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 import cfmdp.gumbel
-from cfmdp.environments import PRESETS, GridWorldConfig, build_gridworld, demo_observation
+from cfmdp.environments import PRESETS, build_gridworld, demo_observation
 from cfmdp.errors import ValidationFailed, ZeroProbabilityObservation
 from cfmdp.gumbel import (
     FILL_ROWS,
@@ -406,7 +406,7 @@ def test_path_of_another_mdp_is_rejected():
     # Slip gives the grid world's pairs other rows, so the positions of the
     # default grid world mean other successors there, and each consumer refuses.
     mdp, path, _ = demo_observation("gridworld")
-    other = build_gridworld(GridWorldConfig(slip=0.2))
+    other = build_gridworld(slip=0.2)
     assert other.digest != mdp.digest
     for use in (lambda: build_posterior(other, path, 10), lambda: nominal_cf_mdp(other, path),
                 lambda: CfMdp(other, path, None)):
@@ -452,7 +452,7 @@ def test_sweep_holds_one_layer_at_a_time():
     # The dense noise tensor would be T = 11 layers; the sweep may hold one
     # layer plus the per-row temporaries, well under three layers. A slippery
     # grid world, so that the counterfactual rows read the noise.
-    mdp = build_gridworld(GridWorldConfig(slip=0.2))
+    mdp = build_gridworld(slip=0.2)
     _, policy, seed, horizon = PRESETS["gridworld"]
     path = sample_path(mdp, policy, horizon, seed)
     n = 10_000

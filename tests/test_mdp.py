@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfmdp.environments import SepsisLiteConfig, build_environment, build_sepsis_lite
+from cfmdp.environments import build_environment, build_sepsis_lite
 from cfmdp.errors import UndefinedPolicyAction, ValidationFailed
 from cfmdp.mdp import (
     Mdp,
@@ -626,7 +626,7 @@ ROUND_TRIPS = {
     "epidemic": lambda: build_environment("epidemic"),
     "sepsis": lambda: build_environment("sepsis"),
     "zero-entry": zero_entry_mdp,
-    "sepsis-treat-effect-1": lambda: build_sepsis_lite(SepsisLiteConfig(treat_effect=(1.0, 1.0, 1.0))),
+    "sepsis-treat-effect-1": lambda: build_sepsis_lite(treat_effect=(1.0, 1.0, 1.0)),
     "odd-labels": odd_label_mdp,
     "random": lambda: random_mdp(np.random.default_rng(11), 12, 3),
 }
