@@ -2,8 +2,8 @@
 construction, pruning, solving, sweeps and rollouts.
 
 All outputs are deterministic given the flags (CSV bytes included); the
-manifest records input hashes and cache statistics so a sweep can be audited
-and reproduced.
+manifest records input hashes and the rows built and priced, so a sweep can
+be audited and reproduced.
 """
 
 from __future__ import annotations
@@ -216,13 +216,9 @@ def _pruned_from_json(obj: dict, mdp: Mdp) -> PrunedCfMdp:
                 raise ValidationFailed(f"row {r} of layer {t}, the observed pair's, is not the "
                                        f"point mass on the observed {path.steps[t + 1][0]}")
 
-        pruned = prune_cf_mdp(CfMdp(mdp, path, None, rows), k)
-        # A row the artifact does not store is the nominal row: with samples,
-        # the stored rows must be exactly those the prune builds.
+        # With samples the prune reads the stored rows, which must be the rows it builds.
+        pruned = prune_cf_mdp(CfMdp(mdp, path, None, rows if samples else ()), k)
         for t, (want, _, _, _) in enumerate(pruned.rows if samples else ()):
-            if (e := _first(~np.isin(want, ids[t], assume_unique=True))) is not None:
-                raise ValidationFailed(f"pruned layer {t} has no row for nominal row {want[e]}, "
-                                       f"which the prune at k={k} builds")
             if (e := _first(~np.isin(ids[t], want, assume_unique=True))) is not None:
                 raise ValidationFailed(f"pruned layer {t} stores nominal row {ids[t][e]}, which "
                                        f"the prune at k={k} does not build")

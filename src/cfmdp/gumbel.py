@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -36,8 +36,8 @@ from .errors import (
     ValidationFailed,
     ZeroProbabilityObservation,
 )
-from .mdp import (Mdp, ObservedPath, gather_rows, json_values, path_from_json, path_to_json,
-                  read_json)
+from .mdp import (Mdp, ObservedPath, _first, gather_rows, json_values, path_from_json,
+                  path_to_json, read_json)
 
 FILL_ROWS = 128  # rows of a noise layer drawn at a time
 
@@ -201,8 +201,7 @@ def cf_transition(posterior: GumbelPosterior, mdp: Mdp, t: int, p: int) -> tuple
     over the posterior samples, as (successor indices, probabilities).
 
     Successor indices are ascending and probabilities non-zero; the support is
-    always contained in the nominal support of pair p. Prefer CfMdp.layer_rows
-    for repeated queries; it builds each (t, nominal row) once.
+    always contained in the nominal support of pair p.
 
     A successor's count is the number of samples whose score equals the
     sample's maximum score, a reduction down each column of the column-major
@@ -231,33 +230,24 @@ class CfMdp:
 
     Initial mass sits entirely on (s_0, 0). Pruning and dynamic programming
     only touch a small fraction of the (t, pair) rows, so `layer_rows` builds
-    rows when first asked for and keeps them: from the posterior, or with
-    posterior=None from the exact nominal kernel (the interventional MDP,
-    useful for structural analysis and baselines). A row depends on its
-    pair's nominal row only, so pairs with one `mdp.row_id` share one row,
-    built once; `rows_built` counts the rows built.
+    the rows it is asked for and keeps none: from the posterior; with
+    posterior=None, looked up in `stored`, a pruned artifact's rows; or,
+    without either, the exact nominal kernel (the interventional MDP, useful
+    for structural analysis and baselines). A row depends on its pair's
+    nominal row only, so pairs with one `mdp.row_id` have one row.
     """
 
     mdp: Mdp
     path: ObservedPath
     posterior: GumbelPosterior | None
-    # A pruned artifact's rows, with posterior=None and not counted as built:
-    # layer t's (ids, size, succ, prob), as `_add_rows` takes them.
-    stored: InitVar[Sequence] = ()
-    rows_built: int = field(default=0, init=False)
-    # Per layer: the entry count of each nominal row (0 while it is not
-    # built) and the built rows' (succ, prob) entries, by nominal row.
-    _rows: list = field(init=False, repr=False)
+    # A pruned artifact's rows, with posterior=None, as `PrunedCfMdp.rows`.
+    stored: Sequence = ()
 
-    def __post_init__(self, stored):
+    def __post_init__(self):
         if self.path.mdp_digest != self.mdp.digest:
             raise ValidationFailed("path was built against a different MDP")
         if self.posterior is not None and self.posterior.path != self.path:
             raise ValidationFailed("posterior was built from a different path")
-        empty = np.zeros(len(self.mdp.row_start) - 1, dtype=np.int64)
-        self._rows = [(empty, empty[:0], np.zeros(0))] * self.horizon
-        for t, layer in enumerate(stored):
-            self._add_rows(t, *layer)
 
     @property
     def horizon(self) -> int:
@@ -267,35 +257,32 @@ class CfMdp:
         """The counterfactual rows of the pair index array `pairs` at time t,
         in the order asked, as (size, succ, prob): the row of pairs[i] is the
         size[i] entries after those of pairs[:i], successor indices ascending
-        and probabilities non-zero. The rows not yet built are built in this
-        call, once per distinct nominal row: a `cf_transition` call, or the
-        nominal row sliced from the MDP's row table."""
+        and probabilities non-zero. Each is built in this call: one
+        `cf_transition` call per pair, or a `held_rows` lookup in `stored`
+        or, for nominal rows, in the MDP's row table."""
         if not 0 <= t < self.horizon:
             raise ValidationFailed(f"time {t} outside horizon {self.horizon}")
-        rows = self.mdp.row_id[pairs]
-        miss = self._rows[t][0][rows] == 0
-        if miss.any():
-            new, first = np.unique(rows[miss], return_index=True)
-            got = [self.mdp.row(p)[:2] if self.posterior is None else
-                   cf_transition(self.posterior, self.mdp, t, p) for p in pairs[miss][first].tolist()]
-            self._add_rows(t, new, np.array([len(succ) for succ, _ in got]),
-                           *(np.concatenate(a) for a in zip(*got)))
-            self.rows_built += len(new)
-        size, succ, prob = self._rows[t]
-        _, at = gather_rows(size, rows)
-        return size[rows], succ[at], prob[at]
+        mdp = self.mdp
+        if self.posterior is not None:
+            got = [cf_transition(self.posterior, mdp, t, p) for p in pairs.tolist()]
+            if not got:
+                return np.zeros(0, dtype=np.int64), mdp.succ[:0], mdp.prob[:0]
+            return np.array([len(succ) for succ, _ in got]), *(np.concatenate(a) for a in zip(*got))
+        table = (np.arange(len(mdp.row_start) - 1), np.diff(mdp.row_start), mdp.succ, mdp.prob)
+        return held_rows(self.stored[t] if self.stored else table, t, mdp.row_id[pairs])
 
-    def _add_rows(self, t: int, ids: np.ndarray, size: np.ndarray, succ: np.ndarray,
-                  prob: np.ndarray) -> None:
-        """Add to layer t the nominal rows `ids`, none of them built yet, with
-        `size[i]` (succ, prob) entries each, row after row."""
-        held, held_succ, held_prob = self._rows[t]
-        sizes = held.copy()
-        sizes[ids] = size
-        owner = np.concatenate([np.repeat(np.arange(len(held)), held), np.repeat(ids, size)])
-        order = np.argsort(owner, kind="stable")
-        self._rows[t] = (sizes, np.concatenate([held_succ, succ])[order],
-                         np.concatenate([held_prob, prob])[order])
+
+def held_rows(layer: tuple, t: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nominal rows `rows` of layer t as `CfMdp.layer_rows` returns them,
+    looked up in `layer`, (ids, size, succ, prob) as `PrunedCfMdp.rows[t]`
+    holds them. A row the layer does not hold raises ValidationFailed."""
+    ids, size, succ, prob = layer
+    at = np.searchsorted(ids, rows)
+    if (e := _first(np.append(ids, -1)[at] != rows)) is not None:
+        raise ValidationFailed(f"pruned layer {t} has no row for nominal row {rows[e]}, "
+                               "which the prune builds")
+    _, entries = gather_rows(size, at)
+    return size[at], succ[entries], prob[entries]
 
 
 def build_cf_mdp(posterior: GumbelPosterior, mdp: Mdp) -> CfMdp:

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyPrunedMdp, ValidationFailed
-from .gumbel import CfMdp
+from .gumbel import CfMdp, held_rows
 from .mdp import Action, Mdp, ObservedPath, State
 
 
@@ -58,12 +58,14 @@ class PrunedCfMdp:
     terminal layer T is implicit and unrestricted (influence is always granted
     at the horizon boundary). Every counterfactual successor of an allowed
     pair is itself allowed (no probability mass leaks outside). `layers` and
-    `actions` give the same sets by label, for reports.
+    `actions` give the same sets by label; only `perfbench/tracer.py`'s
+    counters read them.
 
     `rows[t]` is layer t's counterfactual rows the prune built, one per
     nominal row of an admitted pair at a node its forward sweep reached:
-    (ids, size, succ, prob), the nominal rows ascending and `layer_rows` of
-    them. A prune with `base` holds the base's rows.
+    (ids, size, succ, prob), the nominal rows ascending and `cf.layer_rows`
+    of them, which `layer_rows` looks up. A prune with `base` holds the
+    base's rows.
     """
 
     cf: CfMdp
@@ -77,6 +79,10 @@ class PrunedCfMdp:
     @property
     def horizon(self) -> int:
         return self.cf.horizon
+
+    def layer_rows(self, t: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`cf.layer_rows(t, pairs)`, looked up in the rows the prune built."""
+        return held_rows(self.rows[t], t, self.cf.mdp.row_id[pairs])
 
     @cached_property
     def layers(self) -> tuple[frozenset[State], ...]:

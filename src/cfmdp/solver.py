@@ -111,7 +111,7 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
         order = np.lexsort((pairs, cost, mdp.source[pairs]))
         pairs, cost = pairs[order], cost[order]
         _, first, count = np.unique(mdp.source[pairs], return_index=True, return_counts=True)
-        q, priced = _pair_values(cf, t, pairs, cost, top,
+        q, priced = _pair_values(pruned, t, pairs, cost, top,
                                  *(terminal if t + 1 == T else (states[t + 1], values[t + 1])))
         rows_priced += priced
         grid = np.full((len(first), int(count.max()), top + 1), NEG_INF)
@@ -129,7 +129,7 @@ def solve_km(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -> CfPol
                     rows_priced=rows_priced)
 
 
-def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: int,
+def _pair_values(pruned: PrunedCfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: int,
                  next_states: np.ndarray, v_next: np.ndarray) -> tuple[np.ndarray, int]:
     """Q-values of `pairs` at layer t for budgets r = 0..top, -inf where the
     pair costs more than r: reward plus the expected value of column r - cost
@@ -140,15 +140,16 @@ def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: in
     per row length: `np.dot`'s 1-D BLAS dot over a full-width gather, so each
     value is bit for bit the `np.dot` of the row and its (m+1)-strided column.
     """
-    keys, first, which = np.unique(cf.mdp.row_id[pairs], return_index=True, return_inverse=True)
-    size, succ, prob = cf.layer_rows(t, pairs[first])
+    mdp = pruned.cf.mdp
+    keys, first, which = np.unique(mdp.row_id[pairs], return_index=True, return_inverse=True)
+    size, succ, prob = pruned.layer_rows(t, pairs[first])
     start, child = np.cumsum(size) - size, np.searchsorted(next_states, succ)
     ev = np.full((len(keys), top + 2), NEG_INF)  # column c + 1 is column c; 0 is out of budget
     for n in np.flatnonzero(np.bincount(size)).tolist():
         group = np.flatnonzero(size == n)
         at = start[group, None] + np.arange(n)  # the group's (row, entry) table
         ev[group, 1:] = np.vecdot(prob[at][:, :, None], v_next[child[at]][:, :, :top + 1], axis=1)
-    q = cf.mdp.reward[pairs, None] + ev[which[:, None], np.arange(1, top + 2) - cost[:, None]]
+    q = mdp.reward[pairs, None] + ev[which[:, None], np.arange(1, top + 2) - cost[:, None]]
     q[np.isnan(q)] = NEG_INF  # a NaN value (inf - inf in a dot) is never the best
     return q, len(keys)
 
@@ -156,7 +157,7 @@ def _pair_values(cf: CfMdp, t: int, pairs: np.ndarray, cost: np.ndarray, top: in
 @dataclass
 class SweepResult:
     """V(s_0) grid over (k, m), per-k size reports, the rows built and
-    priced, and `top`, the prune at the largest k, which read every row."""
+    priced, and `top`, the prune at the largest k, which built every row."""
 
     rows: list[tuple[int, int, float]]
     sizes: list[SizeReport]
@@ -166,14 +167,14 @@ class SweepResult:
 
 
 def sweep(cf: CfMdp, ks: list[int], ms: list[int]) -> SweepResult:
-    """Solve every (k, m) cell, reusing one posterior and one CF row cache.
+    """Solve every (k, m) cell, building each counterfactual row once.
 
-    The largest k is pruned and solved first, at the largest m. Every other k
-    is pruned and solved with that result as `base`: the admission frontiers,
-    the counterfactual rows, and the closure and value rows of the free layers
-    t >= T-k+1 (where every pair is admitted) are shared, so only the
-    constrained layers and a reachability pass are computed per k. Smaller
-    budgets are read from the same table.
+    The largest k is pruned (building every row) and solved first, at the
+    largest m. Every other k is pruned and solved with that result as
+    `base`: the admission frontiers, the counterfactual rows, and the
+    closure and value rows of the free layers t >= T-k+1 (where every pair
+    is admitted) are shared, so only the constrained layers and a
+    reachability pass are computed per k; smaller budgets read one table.
     """
     if not ks or not ms:
         raise ValidationFailed("sweep needs at least one k and one m")
@@ -190,8 +191,8 @@ def sweep(cf: CfMdp, ks: list[int], ms: list[int]) -> SweepResult:
             priced += policy.rows_priced
         sizes.append(pruned_size_report(pruned))
         rows.extend((k, m, policy.initial_value(m)) for m in ms)
-    return SweepResult(rows=rows, sizes=sizes, cf_rows_built=cf.rows_built, dp_rows_priced=priced,
-                       top=top)
+    built = sum(len(ids) for ids, _, _, _ in top.rows)
+    return SweepResult(rows=rows, sizes=sizes, cf_rows_built=built, dp_rows_priced=priced, top=top)
 
 
 def check_sweep_monotonicity(result: SweepResult) -> list[str]:
@@ -287,7 +288,7 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.ndarray,
                 f"policy undefined or disallowed at ({mdp.states[si[i]]}, t={t}, j={j[i]})")
         feats[:, t] = feature[si]
         j += a != observed[t]
-        si = _next_states(cf, t, p, uniforms[:, t])
+        si = _next_states(pruned, t, p, uniforms[:, t])
     feats[:, T] = feature[si]
     if (j > policy.m).any():
         raise InvariantViolated(f"rollout exceeded budget: {j.max()} > {policy.m}")
@@ -299,14 +300,14 @@ def rollout(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.ndarray,
     )
 
 
-def _next_states(cf: CfMdp, t: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _next_states(pruned: PrunedCfMdp, t: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Successor of each trajectory at layer t: the first entry of its pair's
     row whose cumulative probability exceeds its uniform u, clamped to the
     last entry. Trajectories on one row (pairs with one nominal row) are
     sampled together."""
-    keys = cf.mdp.row_id[p]
+    keys = pruned.cf.mdp.row_id[p]
     _, first, count = np.unique(keys, return_index=True, return_counts=True)
-    size, succ, prob = cf.layer_rows(t, p[first])
+    size, succ, prob = pruned.layer_rows(t, p[first])
     groups = np.split(np.argsort(keys, kind="stable"), np.cumsum(count)[:-1])
     out = np.empty_like(p)
     for group, hi, n in zip(groups, np.cumsum(size).tolist(), size.tolist()):

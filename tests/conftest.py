@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -54,9 +55,13 @@ def epidemic_demo():
 
 @pytest.fixture(scope="session")
 def epidemic_cf(epidemic_demo):
+    """The demo's counterfactual MDP, on a posterior that holds its T noise
+    layers (7 x 11 MB), drawn once: `layer_rows` keeps no rows, so every
+    prune of this shared CfMdp builds its rows again, and a posterior that
+    holds one layer would draw each layer again for it."""
     mdp, path, _ = epidemic_demo
     posterior = build_posterior(mdp, path, 1000, seed=7)
-    return build_cf_mdp(posterior, mdp)
+    return build_cf_mdp(replace(posterior, noise=tuple(posterior.noise)), mdp)
 
 
 @pytest.fixture

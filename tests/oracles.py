@@ -512,7 +512,7 @@ def km_value_oracle(pruned: PrunedCfMdp, path: ObservedPath, m: int) -> float:
     T = pruned.horizon
     cf = pruned.cf
     mdp = cf.mdp
-    rows = [cf_layer(cf, t, np.flatnonzero(usable)) for t, usable in enumerate(pruned.usable)]
+    rows = [cf_layer(pruned, t, np.flatnonzero(usable)) for t, usable in enumerate(pruned.usable)]
 
     def value(s, t, r):
         if t == T:
@@ -571,7 +571,7 @@ def solve_km_oracle(pruned: PrunedCfMdp, m: int, base: CfPolicy | None = None) -
         obs_a = observed[t]
         v_next = values[t + 1]
         usable = pruned.usable[t].tolist()
-        rows = cf_layer(cf, t, np.flatnonzero(pruned.usable[t]))
+        rows = cf_layer(pruned, t, np.flatnonzero(pruned.usable[t]))
         # Expected child value per budget column c, once per distinct row:
         # pairs that share a counterfactual row share it.
         expected: dict[int, list[float]] = {}
@@ -622,7 +622,7 @@ def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.nd
     cf = pruned.cf
     mdp = cf.mdp
     observed = [mdp.actions.index(a) for _, a in cf.path.steps]
-    rows = [cf_layer(cf, t, np.flatnonzero(usable)) for t, usable in enumerate(pruned.usable)]
+    rows = [cf_layer(pruned, t, np.flatnonzero(usable)) for t, usable in enumerate(pruned.usable)]
     feats = np.empty((n, T + 1))
     max_changes = 0
     # Each layer's choices by state index.
@@ -652,11 +652,12 @@ def rollout_oracle(pruned: PrunedCfMdp, policy: CfPolicy, n: int, feature: np.nd
                           stds=feats.std(axis=0, ddof=0), n=n, seed=seed, max_changes=max_changes)
 
 
-def cf_layer(cf: CfMdp, t: int, pairs) -> dict:
+def cf_layer(source: CfMdp | PrunedCfMdp, t: int, pairs) -> dict:
     """The counterfactual rows of `pairs` at time t, {pair: (successor
-    indices, probabilities)}, from one `layer_rows` call."""
+    indices, probabilities)}, from one `layer_rows` call: a `CfMdp` builds
+    them, a `PrunedCfMdp` looks up the rows its prune built."""
     pairs = np.asarray(pairs, dtype=np.int64)
-    size, succ, prob = cf.layer_rows(t, pairs)
+    size, succ, prob = source.layer_rows(t, pairs)
     return {p: (succ[end - n:end], prob[end - n:end])
             for p, n, end in zip(pairs.tolist(), size.tolist(), np.cumsum(size).tolist())}
 

@@ -306,7 +306,7 @@ def test_sweep_manifest_reports_the_rows_standard_errors(artifact_dir, tmp_path,
              for t, (ids, _, _, _) in enumerate(result.top.rows) for r in ids.tolist()}
     rows = [cf_row(cf, t, p)[1] for (t, _), p in built.items()]
     se = [(p * (1 - p) / n) ** 0.5 for probs in rows if len(probs) > 1 for p in probs.tolist()]
-    assert len(se) > 10 and stats["cf_rows_built"] == cf.rows_built == len(built)
+    assert len(se) > 10 and stats["cf_rows_built"] == result.cf_rows_built == len(built)
     assert stats["cf_row_se_max"] == max(se) > 0
     assert stats["cf_row_se_mean"] == pytest.approx(sum(se) / len(se), rel=1e-12)
 
@@ -791,11 +791,19 @@ def test_prune_solve_and_rollout_do_not_import_numpy_ma(artifact_dir, tmp_path):
     # np.unique without return flags, which np.isin's sorting path calls
     # unless told its inputs are unique, imports numpy.ma (numpy 2.4's
     # `_unique1d` asks np.ma.is_masked): 13-15 ms of each process's start.
-    # The three commands run in one fresh interpreter, which reports whether
-    # numpy.ma was loaded by numpy alone and after the commands.
+    # Every command runs, in one fresh interpreter, which reports whether
+    # numpy.ma was loaded by numpy alone, and whether numpy.ma or scipy (a
+    # test dependency only) was loaded after the commands.
     a = {name: str(artifact_dir / name) for name in ("mdp.json", "path.json", "posterior.json",
                                                      "pruned.json", "policy.json")}
     commands = [
+        ["env", "epidemic", "--out", str(tmp_path / "mdp.json")],
+        ["sample", "--mdp", str(tmp_path / "mdp.json"), "--policy", "epidemic",
+         "--out", str(tmp_path / "path.json")],
+        ["cf-build", "--mdp", a["mdp.json"], "--path", a["path.json"], "--samples", "50",
+         "--out", str(tmp_path / "posterior.json")],
+        ["sweep", "--mdp", a["mdp.json"], "--path", a["path.json"], "--samples", "50",
+         "--out", str(tmp_path / "sweep")],
         ["prune", "--mdp", a["mdp.json"], "--path", a["path.json"], "--posterior",
          a["posterior.json"], "--k", "8", "--out", str(tmp_path / "pruned.json")],
         ["solve", "--mdp", a["mdp.json"], "--pruned", a["pruned.json"], "--m", "1",
@@ -808,15 +816,16 @@ def test_prune_solve_and_rollout_do_not_import_numpy_ma(artifact_dir, tmp_path):
             "by_numpy = 'numpy.ma' in sys.modules\n"
             "from cfmdp.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([by_numpy, codes, 'numpy.ma' in sys.modules]))")
+            "loaded = sorted({'numpy.ma', 'scipy'} & set(sys.modules))\n"
+            "print(json.dumps([by_numpy, codes, loaded]))")
     env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
     out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     by_numpy, codes, loaded = json.loads(out.stdout.splitlines()[-1])
     if by_numpy:
         pytest.skip("import numpy alone loads numpy.ma")
-    assert codes == [0, 0, 0]
-    assert not loaded
+    assert codes == [0] * len(commands)
+    assert loaded == []
 
 
 # Flags a subcommand does not read; each is an argparse error.
@@ -1281,14 +1290,14 @@ BAD_ARTIFACTS = {
     "pruned-nominal-with-rows": ("pruned", lambda pruned, policy: dict(pruned, samples=0),
                                  "pruned layer 0 stores rows, but an artifact without samples "
                                  "has the MDP's rows"),
-    # A row the prune builds but the artifact does not store would be read
-    # as the nominal row; a stored row the prune does not build is refused too.
+    # The prune refuses, at its layer, a row it builds that the artifact
+    # does not store; a stored row the prune does not build is refused too.
     "pruned-usable-pair-without-row": ("pruned", lambda pruned, policy: _edit_rows(
         pruned, 6, lambda ids, probs: ([], [])), "pruned layer 6 has no row for nominal row 76, "
-        "which the prune at k=8 builds"),
+        "which the prune builds"),
     "pruned-missing-row": ("pruned", lambda pruned, policy: _edit_rows(
         pruned, 3, lambda ids, probs: (ids[1:], probs[1:])),
-        "pruned layer 3 has no row for nominal row 142, which the prune at k=8 builds"),
+        "pruned layer 3 has no row for nominal row 142, which the prune builds"),
     "pruned-extra-row": ("pruned", lambda pruned, policy: _edit_rows(
         pruned, 6, lambda ids, probs: ([0, *ids], [_nominal_row(0), *probs])),
         "pruned layer 6 stores nominal row 0, which the prune at k=8 does not build"),
@@ -1581,9 +1590,9 @@ def test_reweighted_nominal_artifact_exits_2(tmp_path, capsys):
 
 
 def test_loaded_rows_are_the_stored_rows(artifact_dir):
-    # The loader prunes again from the stored rows and builds none: each
-    # layer's rows are the stored rows of their nominal rows, the entries
-    # of non-zero probability.
+    # The loader prunes again from the stored rows, and its prune holds
+    # exactly them: each layer's rows are the stored rows of their nominal
+    # rows, the entries of non-zero probability.
     mdp = mdp_from_json(json.loads((artifact_dir / "mdp.json").read_text()))
     obj = json.loads((artifact_dir / "pruned.json").read_text())
     loaded = _pruned_from_json(obj, mdp)
@@ -1598,7 +1607,7 @@ def test_loaded_rows_are_the_stored_rows(artifact_dir):
     assert len(obj["rows"][0]["row"]) > 0
     with pytest.raises(ValidationFailed):
         loaded.cf.layer_rows(loaded.horizon, first[:1])
-    assert loaded.cf.rows_built == 0
+    assert [ids.tolist() for ids, _, _, _ in loaded.rows] == [layer["row"] for layer in obj["rows"]]
 
 
 def test_rollout_policy_without_entry_exits_3(artifact_dir, tmp_path, capsys):

@@ -23,6 +23,7 @@ from cfmdp.gumbel import (
     save_posterior,
     topdown_noise,
 )
+from cfmdp.influence import prune_cf_mdp
 from cfmdp.mdp import Mdp, ObservedPath, sample_path
 from cfmdp.solver import sweep
 
@@ -319,32 +320,22 @@ def test_prior_posterior_matches_nominal(tinychain):
     assert tv_distance(est, kernel_row(tinychain, "x0", "a")) < 0.02
 
 
-def test_cf_mdp_kernel_memoized(epidemic_cf):
-    p = np.array([pair_of(epidemic_cf.mdp, epidemic_cf.path.steps[0][0], "NIL")])
-    est1 = epidemic_cf.layer_rows(0, p)
-    built = epidemic_cf.rows_built
-    est2 = epidemic_cf.layer_rows(0, p)
-    assert [a.tobytes() for a in est1] == [a.tobytes() for a in est2]
-    assert epidemic_cf.rows_built == built
-
-
-@pytest.mark.parametrize("sampled", [True, False], ids=["posterior", "nominal"])
-def test_cf_row_refuses_a_time_outside_the_horizon_fresh_or_warm(fig2_toy, sampled):
-    # `layer_rows` checks t once per call, so a CfMdp with every row built
-    # refuses t = -1 and t = T as a fresh one does.
+@pytest.mark.parametrize("source", ["posterior", "nominal", "stored"])
+def test_cf_row_refuses_a_time_outside_the_horizon_fresh_or_warm(fig2_toy, source):
+    # `layer_rows` checks t on every call, whichever source builds the rows:
+    # a posterior, the nominal table, or a pruned artifact's stored rows,
+    # here every row of a prune at k = T+1.
     mdp, path = fig2_toy
-    cf = CfMdp(mdp, path, build_posterior(mdp, path, 50, seed=3) if sampled else None)
+    posterior = build_posterior(mdp, path, 50, seed=3)
+    stored = prune_cf_mdp(CfMdp(mdp, path, posterior), path.T + 1).rows
+    cf = CfMdp(mdp, path, posterior if source == "posterior" else None,
+               stored if source == "stored" else ())
     pairs = np.arange(len(mdp.source))
-    for warm in (False, True):
-        if warm:
-            for t in range(path.T):
-                cf.layer_rows(t, pairs)
-            assert cf.rows_built == path.T * len(set(mdp.row_id.tolist()))
-        for t in (-1, path.T):
-            for p in pairs:
-                with pytest.raises(ValidationFailed) as exc:
-                    cf.layer_rows(t, pairs[p:p + 1])
-                assert str(exc.value) == f"time {t} outside horizon {path.T}", (warm, t, p)
+    for t in (-1, path.T):
+        for p in pairs:
+            with pytest.raises(ValidationFailed) as exc:
+                cf.layer_rows(t, pairs[p:p + 1])
+            assert str(exc.value) == f"time {t} outside horizon {path.T}", (t, p)
 
 
 @pytest.mark.parametrize("pair", [("s0", "a0"), ("s2", "a0")], ids=["two-successor", "one-successor"])

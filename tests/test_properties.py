@@ -132,7 +132,7 @@ def test_pairs_with_one_nominal_row_share_one_counterfactual_row(instance):
 
     pruned = prune_cf_mdp(cf, path.T + 1)
     built = {(t, r) for t, (ids, _, _, _) in enumerate(pruned.rows) for r in ids.tolist()}
-    assert cf.rows_built == len(built)
+    assert sum(len(ids) for ids, _, _, _ in pruned.rows) == len(built)
     posterior = cf.posterior
     for t in range(path.T):
         for p, (idx, probs) in cf_layer(cf, t, range(len(mdp.source))).items():
@@ -145,23 +145,20 @@ def test_pairs_with_one_nominal_row_share_one_counterfactual_row(instance):
             literal = (succ[counts > 0], counts[counts > 0] / posterior.n)
             for a, b in (alone, literal):
                 assert idx.tobytes() == a.tobytes() and probs.tobytes() == b.tobytes(), (t, p)
-    assert cf.rows_built == len({(t, r) for t in range(path.T) for r in mdp.row_id.tolist()})
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(instances(shared_rows=True), st.data())
 def test_layer_rows_equal_the_per_row_sources_in_any_order(instance, data):
     # From a posterior, from the nominal rows and from a pruned artifact read
-    # back: whatever pairs are asked for, in any order, repeated or over
-    # calls that overlap, each row is its source's row bit for bit and each
-    # (t, nominal row) is built once. The artifact's stored rows are the
-    # posterior's and count as none built; its other rows are nominal.
+    # back: whatever pairs are asked for, in any order and repeated, each
+    # row is its source's row bit for bit. The artifact's stored rows are
+    # the posterior's, and it refuses a row it does not store, naming the
+    # layer and the first such row asked for.
     mdp, path, cf = instance
     posterior, row_id = cf.posterior, mdp.row_id
     pruned = prune_cf_mdp(cf, data.draw(st.integers(1, path.T + 1)))
     loaded = _pruned_from_json(json.loads(json.dumps(_pruned_to_json(pruned))), mdp).cf
-    stored = {(t, r) for t, (ids, _, _, _) in enumerate(pruned.rows) for r in ids.tolist()}
-    assert loaded.rows_built == 0
 
     def posterior_row(t, p):
         return cf_transition(posterior, mdp, t, p)
@@ -169,24 +166,47 @@ def test_layer_rows_equal_the_per_row_sources_in_any_order(instance, data):
     def nominal_row(t, p):
         return mdp.row(p)[:2]
 
-    def artifact_row(t, p):
-        return (posterior_row if (t, row_id[p]) in stored else nominal_row)(t, p)
-
-    for source, row, given in ((build_cf_mdp(posterior, mdp), posterior_row, set()),
-                               (nominal_cf_mdp(mdp, path), nominal_row, set()),
-                               (loaded, artifact_row, stored)):
-        pair, held = st.integers(0, len(mdp.source) - 1), set()
+    for source, row in ((build_cf_mdp(posterior, mdp), posterior_row),
+                        (nominal_cf_mdp(mdp, path), nominal_row), (loaded, posterior_row)):
+        pair = st.integers(0, len(mdp.source) - 1)
         for _ in range(3):
             t = data.draw(st.integers(0, path.T - 1))
             asked = np.array(data.draw(st.lists(pair, max_size=2 * len(mdp.source))),
                              dtype=np.int64)
+            if source is loaded:
+                held = np.isin(row_id[asked], pruned.rows[t][0])
+                if not held.all():
+                    with pytest.raises(ValidationFailed) as exc:
+                        source.layer_rows(t, asked)
+                    assert str(exc.value) == (f"pruned layer {t} has no row for nominal row "
+                                              f"{row_id[asked[~held][0]]}, which the prune builds")
+                asked = asked[held]
             size, succ, prob = source.layer_rows(t, asked)
             cuts = np.cumsum(size)[:-1]
             for p, idx, q in zip(asked.tolist(), np.split(succ, cuts), np.split(prob, cuts)):
                 want = row(t, p)
                 assert (idx.tobytes(), q.tobytes()) == (want[0].tobytes(), want[1].tobytes()), (t, p)
-            held |= {(t, r) for r in row_id[asked].tolist()}
-            assert source.rows_built == len(held - given)
+
+
+@PROPERTIES
+@given(instances(shared_rows=True), st.data())
+def test_pruned_layer_rows_are_the_row_sources_rows(instance, data):
+    # A prune holds the one copy of the rows it built: for every t and every
+    # usable pair, its lookup is the row source's row bit for bit, from a
+    # posterior, from the nominal rows and from a pruned artifact read back.
+    mdp, path, cf = instance
+    k = data.draw(st.integers(1, path.T + 1))
+    for source in (cf, nominal_cf_mdp(mdp, path)):
+        try:
+            pruned = prune_cf_mdp(source, k)
+        except EmptyPrunedMdp:  # under nominal rows a small k can empty the prune
+            continue
+        loaded = _pruned_from_json(json.loads(json.dumps(_pruned_to_json(pruned))), mdp)
+        for prune, row_source in ((pruned, source), (loaded, source), (loaded, loaded.cf)):
+            for t, usable in enumerate(prune.usable):
+                pairs = np.flatnonzero(usable)
+                got, want = prune.layer_rows(t, pairs), row_source.layer_rows(t, pairs)
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (k, t)
 
 
 @PROPERTIES

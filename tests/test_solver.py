@@ -191,8 +191,8 @@ def test_unconstrained_equals_layered_value_iteration(epidemic_demo, epidemic_cf
             return 0.0
         if (s, t) not in memo:
             memo[(s, t)] = max(
-                reward(mdp, s, a)
-                + sum(p * vi(s2, t + 1) for s2, p in cf_probs(epidemic_cf, t, s, a).items())
+                reward(mdp, s, a) + sum(p * vi(mdp.states[i], t + 1)
+                                        for i, p in zip(*cf_row(pruned, t, pair_of(mdp, s, a))))
                 for a in available_actions(mdp, s)
             )
         return memo[(s, t)]
@@ -242,9 +242,8 @@ def test_shared_sweep_equals_independent_solves(seed):
         result = sweep(build_cf_mdp(post, mdp), ks, ms)
         rows, sizes = independent_sweep(build_cf_mdp(post, mdp), ks, ms)
         assert result.rows == rows and result.sizes == sizes, (ks, ms)
-        alone = build_cf_mdp(post, mdp)
-        prune_cf_mdp(alone, max(ks))
-        assert result.cf_rows_built == alone.rows_built
+        alone = prune_cf_mdp(build_cf_mdp(post, mdp), max(ks))
+        assert result.cf_rows_built == sum(len(ids) for ids, _, _, _ in alone.rows)
 
 
 def priced_rows_by_hand(pruned, layers) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cfmdp.solver
-from cfmdp.gumbel import build_cf_mdp, build_posterior
+from cfmdp.gumbel import CfMdp, build_cf_mdp, build_posterior
 from cfmdp.influence import prune_cf_mdp
 from cfmdp.solver import rollout, solve_km
 
@@ -73,14 +73,27 @@ def test_sweep_prunes_and_solves_once_per_k(tracer, fig2_toy, monkeypatch):
 
 def test_sweep_calls_cf_transition_once_per_built_row(tracer, fig2_toy, monkeypatch):
     # `gumbel.cf_rows_built` is the `cf_transition` call count, and the
-    # manifest's `cf_rows_built` is `rows_built`: the two must agree. fig2_toy
-    # has pairs with one nominal row (s2 and s3 under a0), which share a row.
+    # manifest's `cf_rows_built` counts the rows of the top prune: the two
+    # must agree, also after a solve and a rollout on that prune, which look
+    # its rows up. The rows come from one `CfMdp.layer_rows` call per layer.
+    # fig2_toy has pairs with one nominal row (s2 and s3 under a0), which
+    # share a row.
     mdp, path = fig2_toy
     cf = build_cf_mdp(build_posterior(mdp, path, 50, seed=0), mdp)
     recorder = tracer.Tracer()
     module, attr, name, _ = next(b for b in tracer.BOUNDARIES if b[2] == "gumbel.cf_row")
     monkeypatch.setattr(importlib.import_module(module), attr,
                         recorder.wrap(name, getattr(importlib.import_module(module), attr)))
+    layer_calls, layer_rows = [], CfMdp.layer_rows
+
+    def counted(self, t, pairs):
+        layer_calls.append(t)
+        return layer_rows(self, t, pairs)
+
+    monkeypatch.setattr(CfMdp, "layer_rows", counted)
     result = cfmdp.solver.sweep(cf, list(range(1, path.T + 2)), [0, 1])
+    policy = solve_km(result.top, 0)
+    rollout(result.top, policy, 20, np.zeros(mdp.num_states), seed=0)
     calls = sum(span[0] == name for span in recorder.spans)
-    assert calls == cf.rows_built == result.cf_rows_built > 0
+    assert calls == result.cf_rows_built == sum(len(ids) for ids, _, _, _ in result.top.rows) > 0
+    assert layer_calls == list(range(path.T))
